@@ -378,6 +378,30 @@ func TestDiskSpill(t *testing.T) {
 	}
 }
 
+// An entry spilled by a build with older tile-solve numerics must read
+// as a miss, never be mixed into a layout solved by this build.
+func TestOlderCodeVersionNotServed(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(12))
+	in := testInput(rng)
+	old, err := in.keyAt("mgsilt-tile-solve-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.Put(old, randMat(rng, 16, 16))
+	c2, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c2.Get(mustKey(t, in)); ok {
+		t.Fatal("entry keyed under mgsilt-tile-solve-v1 served to the current build")
+	}
+}
+
 // Hammer the cache from many goroutines; run with -race. Exercises
 // hits, misses, eviction churn and singleflight merging concurrently.
 func TestConcurrentChurn(t *testing.T) {

@@ -28,8 +28,9 @@ import (
 // codeVersion names the tile-solve numerics the cached results were
 // produced by. Bump it whenever a change to the solvers or the litho
 // model alters solve outputs without altering any hashed input, so
-// stale spill directories invalidate themselves.
-const codeVersion = "mgsilt-tile-solve-v1"
+// stale spill directories invalidate themselves. v2: the reduced-grid
+// Hopkins engine moved solver-path results at the 1e-15 level.
+const codeVersion = "mgsilt-tile-solve-v2"
 
 // keyMagic versions the key serialisation itself. v2 added the
 // canonicalised kernel-fidelity budget after Plain.
@@ -86,7 +87,10 @@ type KeyInput struct {
 // by in. Every field is framed unambiguously (length-prefixed strings,
 // fixed-width numbers, dimension-prefixed matrices), so distinct
 // inputs cannot serialise to the same byte stream.
-func (in KeyInput) Key() (Key, error) {
+func (in KeyInput) Key() (Key, error) { return in.keyAt(codeVersion) }
+
+// keyAt is Key under an explicit code version.
+func (in KeyInput) keyAt(version string) (Key, error) {
 	var k Key
 	if in.Optics == "" || in.Solver == "" {
 		return k, fmt.Errorf("cache: optics and solver fingerprints are required")
@@ -113,7 +117,7 @@ func (in KeyInput) Key() (Key, error) {
 	h := sha256.New()
 	w := keyWriter{h: h}
 	w.str(keyMagic)
-	w.str(codeVersion)
+	w.str(version)
 	w.str(in.Optics)
 	w.str(in.Solver)
 	w.u64(uint64(in.Iters))

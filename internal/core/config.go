@@ -489,11 +489,12 @@ func (c *Config) evaluate(method string, mask, target *grid.Mat, lines []tile.St
 	c.progress("inspect", 1, 1)
 	start := time.Now()
 	binary := mask.Binarize(0.5)
+	l2, pvband := metrics.Inspect(c.Sim, binary, target)
 	res := &Result{
 		Method: method,
 		Mask:   mask,
-		L2:     metrics.L2(c.Sim, binary, target),
-		PVBand: metrics.PVBand(c.Sim, binary),
+		L2:     l2,
+		PVBand: pvband,
 		TAT:    tat,
 		Area:   target.Sum(),
 		Lines:  lines,

@@ -119,99 +119,75 @@ func (s *Simulator) LossGradBatch(masks, targets []*grid.Mat, opts LossOpts) ([]
 }
 
 // lossGradConditionBatch is lossGradCondition over a batch: the k·T
-// field buffers of all pairs share each batched transform, and every
-// pair reduces its own k kernel partials in kernel order — the exact
-// floating-point sequence of the single-pair path.
+// reduced-grid field buffers of all pairs share each batched transform,
+// and every pair reduces its own k kernel partials in kernel order and
+// crosses between the grids on its own — the exact floating-point
+// sequence of the single-pair path.
 func (s *Simulator) lossGradConditionBatch(fms []*grid.CMat, targets []*grid.Mat, cond Condition, kernelStretch int, fidelity, weight float64, losses []float64, grads []*grid.Mat) {
 	size := fms[0].H
-	p := s.preparedFor(cond.Focus, size, kernelStretch, fidelity)
-	k := len(p.freq)
+	r := s.preparedFor(cond.Focus, size, kernelStretch, fidelity).solver()
+	k, m := len(r.fwd), r.m
 	T := len(fms)
 	kt := k * T
-	limit := s.workersFor(kt)
+	limit := s.fanOut(kt, m)
+	tileWorkers := min(limit, T)
 	kernelsEvaluated.Add(int64(kt))
 
 	// Forward pass: field i*k+j is pair i's kernel-j spectrum. One
 	// fan-out builds all k·T products; one batched transform inverts
 	// them; each pair then reduces its own fields serially in kernel
 	// order into its own intensity.
-	fs := getFields(kt, size, size)
+	specs := make([]*grid.CMat, T)
+	parallel.Do(T, tileWorkers, func(i int) { specs[i] = r.cropMask(fms[i]) })
+	fs := getFields(kt, m, m)
 	fields := fs.cm
-	parallel.Do(kt, limit, func(f int) { prodLive(fields[f], fms[f/k], p.freq[f%k], p.rowLive) })
-	fft.Batch2DInversePruned(fields, p.rowLive, limit)
+	parallel.Do(kt, limit, func(f int) { prodLive(fields[f], specs[f/k], r.fwd[f%k], r.fwdLive) })
+	fft.Batch2DInversePruned(fields, r.fwdLive, limit)
 
-	intensities := grid.GetMats(T, size, size)
-	gs := grid.GetMats(T, size, size) // per-pair ∂L/∂I, fully overwritten
-	steep, th, dose := s.cfg.SigmoidSteep, s.cfg.Threshold, cond.Dose
-	tileWorkers := limit
-	if tileWorkers > T {
-		tileWorkers = T
-	}
+	gs := make([]*grid.Mat, T) // per-pair low-passed ∂L/∂I on the M grid
 	parallel.Do(T, tileWorkers, func(i int) {
-		intensity := intensities[i].Zero()
+		if specs[i] != fms[i] {
+			grid.PutCMat(specs[i])
+		}
+		intensity := grid.GetMat(m, m).Zero()
 		for j := 0; j < k; j++ {
-			fields[i*k+j].AddAbsSqScaled(intensity, p.weights[j])
+			fields[i*k+j].AddAbsSqScaled(intensity, r.weights[j])
 		}
 		// Resist + loss, serial per pair: the scalar accumulation is
 		// order-sensitive and must replay the single-pair sweep.
-		target := targets[i]
-		g := gs[i]
-		loss := 0.0
-		for j, v := range intensity.Data {
-			z := sigmoid(steep * (dose*v - th))
-			d := z - target.Data[j]
-			loss += d * d
-			g.Data[j] = 2 * d * steep * dose * z * (1 - z)
-		}
-		losses[i] += weight * loss
+		intensity = r.upsample(intensity)
+		g := grid.GetMat(size, size)
+		losses[i] += weight * s.resistLoss(intensity, targets[i], cond.Dose, g)
+		grid.PutMat(intensity)
+		gs[i] = r.lowpass(g)
 	})
 
 	// Adjoint pass: q overwrites each field in place, one batched
 	// forward transform covers all k·T, then each pair accumulates its
 	// kernels in kernel order and inverts its own accumulator.
 	parallel.Do(kt, limit, func(f int) { mulRealConj(fields[f], gs[f/k]) })
-	fft.Batch2DForwardBand(fields, p.adjLive, limit)
+	fft.Batch2DForwardBand(fields, r.adjLive, limit)
 	// Like the single-pair path, the adjoint products and the per-pair
 	// reductions only touch the adjoint row support, so the band-limited
 	// forward may leave every dead output row mid-transform; its live
 	// rows match the single-pair transform bit for bit.
-	parallel.Do(kt, limit, func(f int) {
-		a := fields[f]
-		adj := p.adjoint[f%k]
-		for _, y := range p.adjRows {
-			ar, jr := a.Row(y), adj.Row(y)
-			for x, qv := range ar {
-				ar[x] = jr[x] * qv
-			}
-		}
-	})
+	parallel.Do(kt, limit, func(f int) { mulRows(fields[f], r.adj[f%k], r.adjRows) })
 	accs := make([]*grid.CMat, T)
-	for i := range accs {
-		accs[i] = grid.GetCMat(size, size).Zero()
-	}
 	parallel.Do(T, tileWorkers, func(i int) {
-		acc := accs[i]
+		acc := grid.GetCMat(m, m).Zero()
 		for j := 0; j < k; j++ {
-			t := fields[i*k+j]
-			for _, y := range p.adjRows {
-				tr, cr := t.Row(y), acc.Row(y)
-				for x, tv := range tr {
-					cr[x] += tv
-				}
-			}
+			addRows(acc, fields[i*k+j], r.adjRows)
 		}
+		accs[i] = r.embed(acc)
 	})
-	fft.Batch2DInversePruned(accs, p.adjLive, tileWorkers)
+	fft.Batch2DInversePruned(accs, r.rows1, tileWorkers)
 	parallel.Do(T, tileWorkers, func(i int) {
 		grad := grads[i]
 		for j := range grad.Data {
 			grad.Data[j] += weight * real(accs[i].Data[j])
 		}
 	})
-	for _, acc := range accs {
-		grid.PutCMat(acc)
-	}
+	grid.PutCMats(accs)
 	fs.release()
-	grid.PutMats(intensities)
 	grid.PutMats(gs)
 }

@@ -96,6 +96,11 @@ type Simulator struct {
 
 	mu    sync.Mutex
 	cache map[prepKey]*prepared
+
+	// forceDense makes every set prepared from now on evaluate its
+	// solver path on the full grid. Tests set it on a fresh simulator to
+	// obtain the dense reference the reduced evaluation is checked against.
+	forceDense bool
 }
 
 type prepKey struct {
@@ -105,28 +110,85 @@ type prepKey struct {
 	fidelity float64 // canonical: 1 means the full set
 }
 
-// prepared holds corner-layout kernel spectra ready for FFT pipelines,
-// plus the frequency-flipped versions used by the adjoint pass,
-// pre-scaled by their 2·w_k gradient weight so the adjoint inner loop
-// performs one complex multiply per element instead of two.
+// prepared holds the corner-layout kernel spectra of one (focus, grid,
+// stretch, fidelity) combination, and only what is read: the full-size
+// forward spectra with their row-support mask for Aerial, and — built
+// on the first LossGrad over the set, see solver — the reduced-grid
+// spectra of the solver path.
 //
-// It also carries the pupil row-support masks that drive the pruned
-// inverse transforms: the kernel spectra are band-limited, so in corner
-// layout only the rows intersecting the (shifted) pupil disk are ever
-// non-zero. rowLive is the union support of the forward spectra,
-// adjLive of the flipped adjoint spectra; both are detected at the bit
-// level (a row is dead only when every entry is exactly +0), which is
-// what fft.Inverse2DPruned's exactness contract requires.
+// rowLive drives Aerial's pruned inverse transforms: the kernel spectra
+// are band-limited, so in corner layout only the rows intersecting the
+// (shifted) pupil disk are ever non-zero. The mask is detected at the
+// bit level (a row is dead only when every entry is exactly +0), which
+// is what fft.Inverse2DPruned's exactness contract requires.
 type prepared struct {
 	weights []float64
 	freq    []*grid.CMat // H(f), corner layout
-	adjoint []*grid.CMat // 2·w_k·H(-f), corner layout
 	rowLive []bool       // union row support of freq
-	adjLive []bool       // union row support of adjoint
-	adjRows []int        // indices of the true entries of adjLive
 	// dropped is the kernel weight removed by fidelity truncation
 	// relative to the full set (0 for a full-fidelity prepared).
 	dropped float64
+
+	// full and keep identify a truncated view: the full-fidelity set it
+	// shares spectra with and the retained kernel indices, in energy
+	// order. Both are zero for a full set.
+	full *prepared
+	keep []int
+	// dense forces the solver path onto the full grid (M == size) — the
+	// differential oracle of the reduced evaluation, set through
+	// Simulator.forceDense by tests only.
+	dense bool
+
+	solverOnce sync.Once
+	reduced    *reduced
+}
+
+// reduced is the solver-path view of a prepared set: the Hopkins sum and
+// its adjoint evaluated on the smallest alias-free grid.
+//
+// The kernel spectra vanish outside |f| ≤ B per axis, so every coherent
+// field A_k = F⁻¹(H_k ⊙ F(mask)) is band-limited to ±B and is fully
+// described by its samples on an M-point grid per axis, M ≥ 2B+1. Two
+// products decide how small M may be. The intensity Σ w_k|A_k|² has band
+// ±2B, exact on the M grid when 2B < M/2. The adjoint source
+// g ⊙ conj(A_k) is consumed only through the ±B rows of its spectrum,
+// which see g only through its ±2B low-pass; the product of that
+// low-passed g with conj(A_k) has band ±3B, and sampling it on M points
+// folds frequency f onto f ± M, so the ±B block stays clean when
+// M − 3B > B. Both conditions are M > 4B; M is the smallest power of two
+// satisfying it, or the grid size itself when that is no smaller (the
+// Eq. 9 coarse grids at stretch ≥ 2) — then nothing is cropped and the
+// evaluation is the plain dense one.
+//
+// B is measured at the bit level from the prepared spectra, like the
+// row-support masks, so nothing here depends on how the kernels were
+// generated.
+type reduced struct {
+	size, m int
+	// fwd are the forward spectra on the M grid: the ±B block of H_k
+	// scaled by (M/size)², the ratio of the two inverse-DFT
+	// normalisations, so the M-point inverse of fwd ⊙ crop(F(mask))
+	// yields samples of the full-size field. adj are the ±B blocks of
+	// 2·w_k·H_k(−f), unscaled: the low-passed g is carried (size/M)² too
+	// large (its spectrum is cropped without rescaling), which is exactly
+	// the factor between the M-point and the full-size forward DFT of the
+	// adjoint source. Every factor is a power of two, so folding them
+	// costs no rounding. At M == size, fwd is the prepared freq itself.
+	fwd, adj []*grid.CMat
+	weights  []float64
+	fwdLive  []bool // union row support of fwd
+	adjLive  []bool // union row support of adj
+	adjRows  []int  // indices of the true entries of adjLive
+
+	// Crop/embed index maps between the two grids, nil when M == size:
+	// entry i of band1 (band2) is the corner-layout index of the i-th
+	// frequency of the ±B (±2B) band on the full grid, and of band1M
+	// (band2M) on the M grid.
+	band1, band1M []int
+	band2, band2M []int
+	rows2         []bool // full-grid rows of the ±2B band: the up-sampling inverse
+	rows2M        []bool // M-grid rows of the ±2B band: the low-pass inverse of g
+	rows1         []bool // full-grid rows of adjLive: the final inverse
 }
 
 // New builds a Simulator from a nominal and a defocused kernel set,
@@ -201,20 +263,14 @@ func (s *Simulator) preparedFor(focus Focus, size, stretch int, fidelity float64
 			src = s.defocus
 		}
 		rs := src.Resampled(size, stretch)
-		full = &prepared{}
+		full = &prepared{dense: s.forceDense}
 		for _, k := range rs.Kernels {
 			// Resampled kernels are freshly allocated, so the layout swap
 			// can run in place instead of copying.
-			corner := fft.SwapQuadrants(k.Freq)
 			full.weights = append(full.weights, k.Weight)
-			full.freq = append(full.freq, corner)
-			// Fold the 2·w_k adjoint weight into the flipped spectrum once
-			// at preparation time. The products are the same bits the inner
-			// loop would produce: complex multiplication is commutative at
-			// the floating-point level.
-			full.adjoint = append(full.adjoint, fft.FlipFreq(corner).Scale(complex(2*k.Weight, 0)))
+			full.freq = append(full.freq, fft.SwapQuadrants(k.Freq))
 		}
-		full.computeSupport()
+		full.rowLive = unionRowSupport(full.freq)
 		s.cache[fullKey] = full
 	}
 	if fidelity == 1 {
@@ -223,18 +279,6 @@ func (s *Simulator) preparedFor(focus Focus, size, stretch int, fidelity float64
 	p := full.truncate(fidelity)
 	s.cache[key] = p
 	return p
-}
-
-// computeSupport derives the row-support masks from the spectra.
-func (p *prepared) computeSupport() {
-	p.rowLive = unionRowSupport(p.freq)
-	p.adjLive = unionRowSupport(p.adjoint)
-	p.adjRows = p.adjRows[:0]
-	for y, live := range p.adjLive {
-		if live {
-			p.adjRows = append(p.adjRows, y)
-		}
-	}
 }
 
 // unionRowSupport marks every row holding a non-(+0) entry in any of
@@ -252,7 +296,7 @@ func unionRowSupport(ms []*grid.CMat) []bool {
 				continue
 			}
 			for _, v := range m.Row(y) {
-				if math.Float64bits(real(v)) != 0 || math.Float64bits(imag(v)) != 0 {
+				if !isPosZero(v) {
 					live[y] = true
 					break
 				}
@@ -262,11 +306,16 @@ func unionRowSupport(ms []*grid.CMat) []bool {
 	return live
 }
 
+func isPosZero(v complex128) bool {
+	return math.Float64bits(real(v)) == 0 && math.Float64bits(imag(v)) == 0
+}
+
 // truncate builds the energy-ranked subset view of a full prepared set
 // covering the given weight fraction: the retained kernels' spectra are
-// shared (no copies), ordered by descending weight — the canonical
-// truncation order of kernels.Set.Truncate — and the row-support masks
-// are recomputed for the retained subset.
+// shared (no copies) — the full-size ones here, the reduced-grid ones
+// when the solver path first asks for them — ordered by descending
+// weight, the canonical truncation order of kernels.Set.Truncate, and
+// the row-support masks are recomputed for the retained subset.
 func (p *prepared) truncate(fidelity float64) *prepared {
 	order := kernels.EnergyOrder(p.weights)
 	m := kernels.RetainCount(p.weights, order, fidelity)
@@ -276,19 +325,163 @@ func (p *prepared) truncate(fidelity float64) *prepared {
 	sub := &prepared{
 		weights: make([]float64, m),
 		freq:    make([]*grid.CMat, m),
-		adjoint: make([]*grid.CMat, m),
+		full:    p,
+		keep:    order[:m],
 	}
-	for i := 0; i < m; i++ {
-		idx := order[i]
+	for i, idx := range sub.keep {
 		sub.weights[i] = p.weights[idx]
 		sub.freq[i] = p.freq[idx]
-		sub.adjoint[i] = p.adjoint[idx]
 	}
 	for _, idx := range order[m:] {
 		sub.dropped += p.weights[idx]
 	}
-	sub.computeSupport()
+	sub.rowLive = unionRowSupport(sub.freq)
 	return sub
+}
+
+// solver returns the reduced-grid spectra of the set, building them on
+// first use: sets that only ever image (the clip-sized ones inspection
+// prepares) never pay for adjoint spectra. A truncated view picks its
+// kernels out of the full set's spectra, on the full set's grid.
+func (p *prepared) solver() *reduced {
+	p.solverOnce.Do(func() {
+		if p.full != nil {
+			p.reduced = p.full.solver().subset(p.keep)
+		} else {
+			p.reduced = newReduced(p.freq, p.weights, p.dense)
+		}
+	})
+	return p.reduced
+}
+
+// bandHalfWidth returns B, the largest per-axis frequency magnitude at
+// which any of the corner-layout spectra holds a non-(+0) entry.
+func bandHalfWidth(ms []*grid.CMat) int {
+	b := 0
+	for _, m := range ms {
+		for y := 0; y < m.H; y++ {
+			fy := min(y, m.H-y)
+			for x, v := range m.Row(y) {
+				if f := max(fy, min(x, m.W-x)); f > b && !isPosZero(v) {
+					b = f
+				}
+			}
+		}
+	}
+	return b
+}
+
+// reducedSide returns M for a band half-width b on a size-point grid:
+// the smallest power of two above 4b, or size when that is no smaller.
+func reducedSide(b, size int) int {
+	m := 1
+	for m <= 4*b {
+		m <<= 1
+	}
+	return min(m, size)
+}
+
+func newReduced(freq []*grid.CMat, weights []float64, dense bool) *reduced {
+	size := freq[0].H
+	b := bandHalfWidth(freq)
+	r := &reduced{size: size, m: size, weights: weights}
+	if !dense {
+		r.m = reducedSide(b, size)
+	}
+	m := r.m
+	if m != size {
+		r.band1, r.band1M = bandIndex(b, size), bandIndex(b, m)
+		r.band2, r.band2M = bandIndex(2*b, size), bandIndex(2*b, m)
+		r.rows2, r.rows2M = rowMask(r.band2, size), rowMask(r.band2M, m)
+	}
+	scale := complex(float64(m*m)/float64(size*size), 0)
+	for i, h := range freq {
+		if m != size {
+			h = grid.NewCMat(m, m)
+			copyBand(h, r.band1M, freq[i], r.band1, 1)
+		}
+		// Fold the 2·w_k adjoint weight into the flipped spectrum once at
+		// preparation time. The products are the same bits the inner loop
+		// would produce: complex multiplication is commutative at the
+		// floating-point level.
+		r.adj = append(r.adj, fft.FlipFreq(h).Scale(complex(2*weights[i], 0)))
+		if m != size {
+			h.Scale(scale)
+		}
+		r.fwd = append(r.fwd, h)
+	}
+	r.computeSupport()
+	return r
+}
+
+// subset returns the view of r holding kernels keep, sharing their
+// spectra and the grid; the row-support masks are recomputed.
+func (r *reduced) subset(keep []int) *reduced {
+	sub := *r
+	sub.fwd = make([]*grid.CMat, len(keep))
+	sub.adj = make([]*grid.CMat, len(keep))
+	sub.weights = make([]float64, len(keep))
+	for i, idx := range keep {
+		sub.weights[i] = r.weights[idx]
+		sub.fwd[i] = r.fwd[idx]
+		sub.adj[i] = r.adj[idx]
+	}
+	sub.computeSupport()
+	return &sub
+}
+
+// computeSupport derives the row-support masks from the spectra.
+func (r *reduced) computeSupport() {
+	r.fwdLive = unionRowSupport(r.fwd)
+	r.adjLive = unionRowSupport(r.adj)
+	r.adjRows = nil
+	for y, live := range r.adjLive {
+		if live {
+			r.adjRows = append(r.adjRows, y)
+		}
+	}
+	r.rows1 = r.adjLive
+	if r.m != r.size {
+		r.rows1 = make([]bool, r.size)
+		for i, y := range r.band1M {
+			r.rows1[r.band1[i]] = r.adjLive[y]
+		}
+	}
+}
+
+// bandIndex lists the corner-layout indices of the frequencies −b…b on
+// an n-point axis, in the order 0…b, −b…−1.
+func bandIndex(b, n int) []int {
+	idx := make([]int, 0, 2*b+1)
+	for f := 0; f <= b; f++ {
+		idx = append(idx, f)
+	}
+	for f := -b; f < 0; f++ {
+		idx = append(idx, n+f)
+	}
+	return idx
+}
+
+// rowMask marks the listed rows of an n-row grid.
+func rowMask(rows []int, n int) []bool {
+	mask := make([]bool, n)
+	for _, y := range rows {
+		mask[y] = true
+	}
+	return mask
+}
+
+// copyBand moves one frequency band between grids: entry (dstIdx[i],
+// dstIdx[j]) of dst becomes scale times entry (srcIdx[i], srcIdx[j]) of
+// src. Entries of dst outside the band are left alone.
+func copyBand(dst *grid.CMat, dstIdx []int, src *grid.CMat, srcIdx []int, scale float64) {
+	for i, sy := range srcIdx {
+		sr, dr := src.Row(sy), dst.Row(dstIdx[i])
+		for j, sx := range srcIdx {
+			v := sr[sx]
+			dr[dstIdx[j]] = complex(scale*real(v), scale*imag(v))
+		}
+	}
 }
 
 // checkMask validates the geometry of a full-resolution mask: square,
@@ -355,6 +548,25 @@ func (s *Simulator) workersFor(k int) int {
 		w = 1
 	}
 	return w
+}
+
+// fanOutCrossover is the combined element count of a per-kernel field
+// batch below which the solver path keeps its kernel loop on the caller.
+// Measured on the 2-core reference host: fanning 12 fields of 64² out
+// over two workers (49 152 elements: N=128 tiles on their reduced grid,
+// or N=64 tiles evaluated densely before the reduced grid existed) runs
+// 7–15 % slower than the serial loop, while 12 fields of 128² (196 608)
+// gain 1.25×. The threshold is fft's parallelCrossover, so the element
+// products fan out exactly when the batched transforms between them do.
+const fanOutCrossover = 256 * 256
+
+// fanOut resolves the solver-path parallelism for a batch of m×m field
+// buffers: serial below the crossover, workersFor above.
+func (s *Simulator) fanOut(fields, m int) int {
+	if fields*m*m < fanOutCrossover {
+		return 1
+	}
+	return s.workersFor(fields)
 }
 
 // aerialCalls sequences aerial evaluations for the litho.aerial fault
@@ -608,11 +820,18 @@ func (s *Simulator) effFidelity(opt float64) float64 {
 // where H(-f) is the spectrum of the coordinate-reversed kernel (the
 // correlation/adjoint kernel). The per-kernel terms are accumulated in
 // the frequency domain so only one inverse transform is needed.
+//
+// Everything per-kernel — the fields, |A_k|², g ⊙ conj(A_k) and the
+// adjoint products — lives on the set's reduced M×M grid (see reduced);
+// only the resist sweep against the target and the transforms entering
+// and leaving it (cropMask, upsample, lowpass, embed) run at full size.
+// When M equals the grid size those four are the identity and this is
+// the plain dense evaluation.
 func (s *Simulator) lossGradCondition(fm *grid.CMat, target *grid.Mat, cond Condition, kernelStretch int, fidelity, weight float64, grad *grid.Mat) float64 {
 	size := fm.H
-	p := s.preparedFor(cond.Focus, size, kernelStretch, fidelity)
-	k := len(p.freq)
-	limit := s.workersFor(k)
+	r := s.preparedFor(cond.Focus, size, kernelStretch, fidelity).solver()
+	k, m := len(r.fwd), r.m
+	limit := s.fanOut(k, m)
 	kernelsEvaluated.Add(int64(k))
 
 	// Forward pass: fields and intensity. Every intermediate — the k
@@ -627,15 +846,16 @@ func (s *Simulator) lossGradCondition(fm *grid.CMat, target *grid.Mat, cond Cond
 	// the serial floating-point addition sequence exactly (see
 	// aerialParallel) — parallel output is bit-identical to serial at
 	// every worker count.
-	fs := getFields(k, size, size)
+	spec := r.cropMask(fm)
+	fs := getFields(k, m, m)
 	fields := fs.cm
-	intensity := grid.GetMat(size, size).Zero()
+	intensity := grid.GetMat(m, m).Zero()
 	if limit > 1 {
-		parallel.Do(k, limit, func(i int) { prodLive(fields[i], fm, p.freq[i], p.rowLive) })
-		fft.Batch2DInversePruned(fields, p.rowLive, limit)
-		parts := grid.GetMats(k, size, size)
+		parallel.Do(k, limit, func(i int) { prodLive(fields[i], spec, r.fwd[i], r.fwdLive) })
+		fft.Batch2DInversePruned(fields, r.fwdLive, limit)
+		parts := grid.GetMats(k, m, m)
 		parallel.Do(k, limit, func(i int) {
-			fields[i].AddAbsSqScaled(parts[i].Zero(), p.weights[i])
+			fields[i].AddAbsSqScaled(parts[i].Zero(), r.weights[i])
 		})
 		for _, part := range parts {
 			intensity.Add(part)
@@ -643,26 +863,25 @@ func (s *Simulator) lossGradCondition(fm *grid.CMat, target *grid.Mat, cond Cond
 		grid.PutMats(parts)
 	} else {
 		for i := range fields {
-			prodLive(fields[i], fm, p.freq[i], p.rowLive)
+			prodLive(fields[i], spec, r.fwd[i], r.fwdLive)
 		}
-		fft.Batch2DInversePruned(fields, p.rowLive, 1)
+		fft.Batch2DInversePruned(fields, r.fwdLive, 1)
 		for i, a := range fields {
-			a.AddAbsSqScaled(intensity, p.weights[i])
+			a.AddAbsSqScaled(intensity, r.weights[i])
 		}
+	}
+	if spec != fm {
+		grid.PutCMat(spec)
 	}
 
-	// Resist and loss. Kept serial: it is a single O(n²) sweep between
-	// two stacks of O(k·n²·log n) transforms, and the scalar loss
-	// accumulation is order-sensitive.
-	steep, th, dose := s.cfg.SigmoidSteep, s.cfg.Threshold, cond.Dose
-	loss := 0.0
+	// Resist and loss, at full size. Kept serial: it is a single O(n²)
+	// sweep between two stacks of O(k·m²·log m) transforms, and the
+	// scalar loss accumulation is order-sensitive.
+	intensity = r.upsample(intensity)
 	g := grid.GetMat(size, size) // ∂L/∂I, fully overwritten below
-	for i, v := range intensity.Data {
-		z := sigmoid(steep * (dose*v - th))
-		d := z - target.Data[i]
-		loss += d * d
-		g.Data[i] = 2 * d * steep * dose * z * (1 - z)
-	}
+	loss := s.resistLoss(intensity, target, cond.Dose, g)
+	grid.PutMat(intensity)
+	g = r.lowpass(g)
 
 	// Adjoint pass, accumulated in the frequency domain. The fields are
 	// no longer needed once q_k = g ⊙ conj(A_k) is formed, so each q_k
@@ -672,45 +891,31 @@ func (s *Simulator) lossGradCondition(fm *grid.CMat, target *grid.Mat, cond Cond
 	// factor from preparation — is reduced into acc sequentially in
 	// kernel order, bit-identical to the serial accumulation.
 	// The adjoint spectra are band-limited like the forward ones, so
-	// every product adj ⊙ F(q) is zero outside p.adjLive: only the live
+	// every product adj ⊙ F(q) is zero outside r.adjLive: only the live
 	// rows of F(q_k) are ever read, which lets the forward batch run the
 	// band-limited columns-first transform (fft.Batch2DForwardBand) and
 	// skip the row transforms of every dead output row. Dead rows of the
 	// field buffers are left mid-transform; that is safe because the
-	// product and reduction loops below only touch p.adjRows and prodLive
+	// product and reduction loops below only touch r.adjRows and prodLive
 	// rewrites (or clears) every row on the next use of the pooled
 	// buffers. The pruning itself is exact — live rows match the dense
 	// columns-first transform bit for bit at any worker count.
-	acc := grid.GetCMat(size, size).Zero()
+	acc := grid.GetCMat(m, m).Zero()
 	if limit > 1 {
 		parallel.Do(k, limit, func(i int) { mulRealConj(fields[i], g) })
-		fft.Batch2DForwardBand(fields, p.adjLive, limit)
-		parallel.Do(k, limit, func(i int) {
-			a := fields[i]
-			adj := p.adjoint[i]
-			for _, y := range p.adjRows {
-				ar, jr := a.Row(y), adj.Row(y)
-				for x, qv := range ar {
-					ar[x] = jr[x] * qv
-				}
-			}
-		})
+		fft.Batch2DForwardBand(fields, r.adjLive, limit)
+		parallel.Do(k, limit, func(i int) { mulRows(fields[i], r.adj[i], r.adjRows) })
 		for _, t := range fields {
-			for _, y := range p.adjRows {
-				tr, cr := t.Row(y), acc.Row(y)
-				for x, tv := range tr {
-					cr[x] += tv
-				}
-			}
+			addRows(acc, t, r.adjRows)
 		}
 	} else {
 		for _, a := range fields {
 			mulRealConj(a, g)
 		}
-		fft.Batch2DForwardBand(fields, p.adjLive, 1)
+		fft.Batch2DForwardBand(fields, r.adjLive, 1)
 		for i, a := range fields {
-			adj := p.adjoint[i]
-			for _, y := range p.adjRows {
+			adj := r.adj[i]
+			for _, y := range r.adjRows {
 				ar, jr, cr := a.Row(y), adj.Row(y), acc.Row(y)
 				for x, qv := range ar {
 					cr[x] += jr[x] * qv
@@ -719,14 +924,120 @@ func (s *Simulator) lossGradCondition(fm *grid.CMat, target *grid.Mat, cond Cond
 		}
 	}
 	fs.release()
-	fft.Inverse2DPruned(acc, p.adjLive)
+	grid.PutMat(g)
+	acc = r.embed(acc)
+	fft.Inverse2DPruned(acc, r.rows1)
 	for j := range grad.Data {
 		grad.Data[j] += weight * real(acc.Data[j])
 	}
-	grid.PutMat(intensity)
-	grid.PutMat(g)
 	grid.PutCMat(acc)
 	return weight * loss
+}
+
+// resistLoss sweeps the sigmoid resist over a full-size intensity:
+// it returns Σ (Z − Z_t)² and writes ∂L/∂I into g.
+func (s *Simulator) resistLoss(intensity, target *grid.Mat, dose float64, g *grid.Mat) float64 {
+	steep, th := s.cfg.SigmoidSteep, s.cfg.Threshold
+	loss := 0.0
+	for i, v := range intensity.Data {
+		z := sigmoid(steep * (dose*v - th))
+		d := z - target.Data[i]
+		loss += d * d
+		g.Data[i] = 2 * d * steep * dose * z * (1 - z)
+	}
+	return loss
+}
+
+// mulRows sets a = adj ⊙ a on the listed rows.
+func mulRows(a, adj *grid.CMat, rows []int) {
+	for _, y := range rows {
+		ar, jr := a.Row(y), adj.Row(y)
+		for x, qv := range ar {
+			ar[x] = jr[x] * qv
+		}
+	}
+}
+
+// addRows accumulates the listed rows of t into acc.
+func addRows(acc, t *grid.CMat, rows []int) {
+	for _, y := range rows {
+		tr, cr := t.Row(y), acc.Row(y)
+		for x, tv := range tr {
+			cr[x] += tv
+		}
+	}
+}
+
+// The four steps below carry one matrix between the full grid and the
+// reduced grid. Each consumes its pooled argument and returns a pooled
+// replacement; at M == size each returns its argument untouched.
+
+// cropMask returns the ±B block of the mask spectrum on the M grid.
+// Unlike the other three it leaves fm alone (the conditions share it):
+// the caller returns the crop to the pool when it differs from fm.
+func (r *reduced) cropMask(fm *grid.CMat) *grid.CMat {
+	if r.m == r.size {
+		return fm
+	}
+	spec := grid.GetCMat(r.m, r.m).Zero()
+	copyBand(spec, r.band1M, fm, r.band1, 1)
+	return spec
+}
+
+// upsample interpolates the M-grid intensity onto the full grid. The
+// intensity is band-limited to ±2B < M/2, so Fourier interpolation —
+// real forward transform at M, zero-padding of the ±2B band into a
+// full-size spectrum, pruned inverse — is exact. (size/M)² restores the
+// normalisation of the larger inverse transform.
+func (r *reduced) upsample(intensity *grid.Mat) *grid.Mat {
+	if r.m == r.size {
+		return intensity
+	}
+	spec := fft.ForwardReal2D(grid.GetCMat(r.m, r.m), intensity)
+	grid.PutMat(intensity)
+	up := grid.GetCMat(r.size, r.size).Zero()
+	copyBand(up, r.band2, spec, r.band2M, float64(r.size*r.size)/float64(r.m*r.m))
+	grid.PutCMat(spec)
+	fft.Inverse2DPruned(up, r.rows2)
+	return realPart(up)
+}
+
+// lowpass returns the ±2B low-pass of g sampled on the M grid, times
+// (size/M)²: the cropped spectrum is inverted at M without rescaling,
+// the factor the unscaled adjoint spectra expect (see reduced).
+func (r *reduced) lowpass(g *grid.Mat) *grid.Mat {
+	if r.m == r.size {
+		return g
+	}
+	spec := fft.ForwardReal2D(grid.GetCMat(r.size, r.size), g)
+	grid.PutMat(g)
+	low := grid.GetCMat(r.m, r.m).Zero()
+	copyBand(low, r.band2M, spec, r.band2, 1)
+	grid.PutCMat(spec)
+	fft.Inverse2DPruned(low, r.rows2M)
+	return realPart(low)
+}
+
+// embed zero-pads the ±B adjoint accumulator into a full-size spectrum.
+func (r *reduced) embed(acc *grid.CMat) *grid.CMat {
+	if r.m == r.size {
+		return acc
+	}
+	out := grid.GetCMat(r.size, r.size).Zero()
+	copyBand(out, r.band1, acc, r.band1M, 1)
+	grid.PutCMat(acc)
+	return out
+}
+
+// realPart moves the real part of c into a pooled matrix and returns c
+// to its pool.
+func realPart(c *grid.CMat) *grid.Mat {
+	out := grid.GetMat(c.H, c.W)
+	for i, v := range c.Data {
+		out.Data[i] = real(v)
+	}
+	grid.PutCMat(c)
+	return out
 }
 
 // mulRealConj sets a = g ⊙ conj(a) element-wise for real g — the

@@ -116,16 +116,34 @@ func BenchmarkAerial(b *testing.B) {
 	}
 }
 
+// BenchmarkLossGrad measures one gradient evaluation at the two shapes
+// the flows run: testN with the process-window corners, and N=128 with
+// PVWeight 0 — what an ours-256 tile solve spends its time in.
 func BenchmarkLossGrad(b *testing.B) {
-	mask := randomMask(testN, 2)
-	target := centredSquare(testN, 24)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(benchName(w), func(b *testing.B) {
-			benchWorkers(b, w, func(sim *Simulator) {
-				_, grad := sim.LossGrad(mask, target, LossOpts{Stretch: 1, PVWeight: 0.5})
-				grid.PutMat(grad)
+	shapes := []struct {
+		name    string
+		n       int
+		workers []int
+		opts    LossOpts
+	}{
+		{"", testN, []int{1, 2, 4}, LossOpts{Stretch: 1, PVWeight: 0.5}},
+		{"N=128/pv=0/", 128, []int{1, 2}, LossOpts{Stretch: 1}},
+	}
+	for _, sh := range shapes {
+		mask := randomMask(sh.n, 2)
+		target := centredSquare(sh.n, 3*sh.n/8)
+		for _, w := range sh.workers {
+			b.Run(sh.name+benchName(w), func(b *testing.B) {
+				prev := parallel.SetWorkers(w)
+				defer parallel.SetWorkers(prev)
+				sim := simN(b, sh.n, false)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, grad := sim.LossGrad(mask, target, sh.opts)
+					grid.PutMat(grad)
+				}
 			})
-		})
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mgsilt/internal/grid"
-	"mgsilt/internal/kernels"
 )
 
 func TestKernelStretchCases(t *testing.T) {
@@ -62,7 +61,7 @@ func TestWaferScaled(t *testing.T) {
 }
 
 func BenchmarkLossGrad64(b *testing.B) {
-	sim := benchSim(b, 64)
+	sim := simN(b, 64, false)
 	target := centredSquare(64, 24)
 	mask := target.Clone().Scale(0.9)
 	b.ReportAllocs()
@@ -74,26 +73,11 @@ func BenchmarkLossGrad64(b *testing.B) {
 }
 
 func BenchmarkAerial128(b *testing.B) {
-	sim := benchSim(b, 128)
+	sim := simN(b, 128, false)
 	mask := centredSquare(128, 48)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		grid.PutMat(sim.Aerial(mask, sim.Nominal()))
 	}
-}
-
-func benchSim(b *testing.B, n int) *Simulator {
-	b.Helper()
-	kcfg := kernels.DefaultConfig(n)
-	nom := kernels.MustGenerate(kcfg)
-	def, err := kernels.Defocused(kcfg, 0.8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := New(nom, def, DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sim
 }

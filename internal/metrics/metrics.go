@@ -41,6 +41,19 @@ func PVBand(sim *litho.Simulator, mask *grid.Mat) float64 {
 	return zin.L2Diff(zout)
 }
 
+// Inspect returns L2 and PVBand of one mask, bit-identical to calling
+// the two separately. Nominal and Outer share a focus and differ only
+// in the dose applied at the resist, so the nominal-focus aerial image
+// is simulated once and printed at both doses: two clip-sized Hopkins
+// sums where L2 + PVBand run three.
+func Inspect(sim *litho.Simulator, mask, target *grid.Mat) (l2, pvband float64) {
+	nominal := sim.Aerial(mask, sim.Nominal())
+	l2 = sim.PrintResist(nominal, sim.Nominal().Dose).L2Diff(target)
+	zout := sim.PrintResist(nominal, sim.Outer().Dose)
+	zin := sim.Wafer(mask, sim.Inner())
+	return l2, zin.L2Diff(zout)
+}
+
 // StitchConfig parameterises the Stitch Loss measurement.
 type StitchConfig struct {
 	Sigma  float64 // Gaussian sigma per smoothing iteration

@@ -88,6 +88,29 @@ func TestPVBandPositiveForFeatures(t *testing.T) {
 	}
 }
 
+// TestInspectMatchesSeparateMetrics: sharing the nominal-focus aerial
+// image must not change either metric, on a native-size mask and on a
+// 2N clip (the Eq. 3 path inspection runs), while simulating one
+// Hopkins sum fewer.
+func TestInspectMatchesSeparateMetrics(t *testing.T) {
+	sim := testSim(t)
+	for _, n := range []int{64, 128} {
+		mask := jaggedWire(n, n/3, 10, n/2, 3)
+		target := straightWire(n, n/3, 10)
+		before := litho.KernelsEvaluatedTotal()
+		l2, pv := Inspect(sim, mask, target)
+		shared := litho.KernelsEvaluatedTotal() - before
+		wantL2, wantPV := L2(sim, mask, target), PVBand(sim, mask)
+		separate := litho.KernelsEvaluatedTotal() - before - shared
+		if l2 != wantL2 || pv != wantPV {
+			t.Fatalf("n=%d: Inspect = (%v, %v), L2/PVBand = (%v, %v)", n, l2, pv, wantL2, wantPV)
+		}
+		if 3*shared != 2*separate {
+			t.Fatalf("n=%d: Inspect evaluated %d kernels, L2+PVBand %d; want a 2:3 ratio", n, shared, separate)
+		}
+	}
+}
+
 func TestStitchLossNoLines(t *testing.T) {
 	total, errs := StitchLoss(straightWire(64, 24, 8), nil, testStitchCfg())
 	if total != 0 || errs != nil {

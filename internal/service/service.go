@@ -182,8 +182,12 @@ type job struct {
 	result      *core.Result
 	attempts    int
 	resumedFrom *int
-	checkpoint  *core.Checkpoint // latest stage snapshot (all flows)
-	timeline    []StageTime      // engine-fed stage execution log
+	// checkpoint is the latest stage snapshot (all flows) of a job that
+	// can still be resumed from it; a finished job keeps its result and
+	// only the stage number, checkpointStage.
+	checkpoint      *core.Checkpoint
+	checkpointStage int
+	timeline        []StageTime // engine-fed stage execution log
 }
 
 func (j *job) status() Status {
@@ -200,9 +204,7 @@ func (j *job) status() Status {
 		v := *j.resumedFrom
 		st.ResumedFrom = &v
 	}
-	if j.checkpoint != nil {
-		st.CheckpointStage = j.checkpoint.Stage
-	}
+	st.CheckpointStage = j.checkpointStage
 	if len(j.timeline) > 0 {
 		st.StageTimeline = append([]StageTime(nil), j.timeline...)
 	}
@@ -436,7 +438,12 @@ func (s *Server) recover() error {
 			id: rec.ID, spec: rec.Spec, state: rec.State, err: rec.Error,
 			attempts: rec.Attempts, created: rec.Created,
 			started: rec.Started, finished: rec.Finished,
-			checkpoint: cks[rec.ID],
+		}
+		if ck := cks[rec.ID]; ck != nil {
+			j.checkpointStage = ck.Stage
+			if j.state != StateDone {
+				j.checkpoint = ck
+			}
 		}
 		if rec.ResumedFrom != nil {
 			v := *rec.ResumedFrom
@@ -794,6 +801,7 @@ func (s *Server) runJob(j *job, cl *device.Cluster) {
 		s.mu.Lock()
 		c := ck
 		j.checkpoint = &c
+		j.checkpointStage = c.Stage
 		s.mu.Unlock()
 		if s.store != nil {
 			// Outside s.mu: the disk write must not stall the API. Only
@@ -830,6 +838,8 @@ func (s *Server) runJob(j *job, cl *device.Cluster) {
 	case err == nil:
 		j.state = StateDone
 		j.result = res
+		// A done job can never be resumed: release the layout clone.
+		j.checkpoint = nil
 		s.metrics.twoLevel(res.TilesConverged, res.CoarseCorrections)
 	case errors.Is(err, context.Canceled):
 		j.state = StateCancelled

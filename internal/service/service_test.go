@@ -784,3 +784,41 @@ func TestConcurrentLifecycle(t *testing.T) {
 		t.Fatalf("missing job: %d", resp.StatusCode)
 	}
 }
+
+// TestFinishedJobsRetainOneMask pins the memory a finished job holds
+// on to: its result mask and nothing else layout-sized. A done job can
+// never be resumed, so its checkpoint (a full-layout clone) is released
+// while checkpoint_stage stays in the status.
+func TestFinishedJobsRetainOneMask(t *testing.T) {
+	s, ts := newTestServer(t, testOpts())
+	const jobs = 4
+	ids := make([]string, jobs)
+	for i := range ids {
+		spec := smallSpec()
+		spec.Seed = int64(i + 1)
+		ids[i] = postJob(t, ts, spec).Job.ID
+	}
+	for _, id := range ids {
+		st := waitFor(t, ts, id, 60*time.Second, func(st Status) bool { return st.State.Terminal() })
+		if st.State != StateDone {
+			t.Fatalf("job %s finished %s (%s)", id, st.State, st.Error)
+		}
+		if st.CheckpointStage < 1 {
+			t.Fatalf("job %s: done job stopped reporting checkpoint_stage: %+v", id, st)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	retained := 0
+	for _, id := range ids {
+		j := s.jobs[id]
+		retained += len(j.result.Mask.Data)
+		if j.checkpoint != nil {
+			retained += len(j.checkpoint.Mask.Data)
+		}
+	}
+	clip := s.jobs[ids[0]].spec.ClipSize
+	if want := jobs * clip * clip; retained != want {
+		t.Fatalf("%d finished jobs retain %d layout pixels, want one %d² mask each (%d)", jobs, retained, clip, want)
+	}
+}
