@@ -21,7 +21,7 @@ const (
 // Batch2D transforms every matrix of the batch in place, equivalent to
 // calling Forward2D/Inverse2D on each — bit-identically so — but with
 // all k·H rows fanned out over the shared worker pool in ONE parallel
-// section and all k·W columns in a second, instead of 2k nested
+// section and all column strips in a second, instead of 2k nested
 // sections. The Hopkins pipeline runs its k per-kernel convolution
 // buffers through exactly two barrier pairs per condition this way.
 // All matrices must share one power-of-two shape.
@@ -30,7 +30,8 @@ func Batch2D(ms []*grid.CMat, dir Dir) { Batch2DLimit(ms, dir, 0) }
 // Batch2DLimit is Batch2D with the parallel fan-out capped at limit
 // participating goroutines (0 = the pool width, 1 = strictly serial).
 // Like every parallel path in this package the output is bit-identical
-// at any limit: each 1-D transform owns a disjoint row or column block.
+// at any limit: each row and each column strip is transformed by one
+// goroutine.
 func Batch2DLimit(ms []*grid.CMat, dir Dir, limit int) {
 	k := len(ms)
 	if k == 0 {
@@ -49,14 +50,12 @@ func Batch2DLimit(ms []*grid.CMat, dir Dir, limit int) {
 		limit = parallel.Workers()
 	}
 	if limit == 1 || parallel.Workers() == 1 || k*h*w < parallelCrossover {
-		s := getScratch(colBlock * h)
 		for _, m := range ms {
 			for y := 0; y < h; y++ {
 				rowPlan.transform(m.Row(y), inverse)
 			}
-			colPlan.columnsPass(m, 0, w, inverse, s)
+			colPlan.columnsPass(m, 0, w, inverse)
 		}
-		putScratch(s)
 		return
 	}
 
@@ -67,20 +66,5 @@ func Batch2DLimit(ms []*grid.CMat, dir Dir, limit int) {
 			rowPlan.transform(ms[idx/h].Row(idx%h), inverse)
 		}
 	})
-	// Column fan-out: flat index space over cache-blocked column
-	// groups, each chunk drawing one pooled gather/scatter block.
-	nb := (w + colBlock - 1) / colBlock
-	parallel.DoChunks(k*nb, limit, func(lo, hi int) {
-		s := getScratch(colBlock * h)
-		for t := lo; t < hi; t++ {
-			m := ms[t/nb]
-			b0 := (t % nb) * colBlock
-			b1 := b0 + colBlock
-			if b1 > w {
-				b1 = w
-			}
-			colPlan.columnsPass(m, b0, b1, inverse, s)
-		}
-		putScratch(s)
-	})
+	colPlan.batchColumns(ms, inverse, limit)
 }

@@ -1,17 +1,17 @@
 // Package fft implements the fast Fourier transforms used by the
 // lithography simulator: a mixed radix-4/radix-2 complex transform with
 // cached per-stage twiddle tables, 2-D transforms over grid.CMat, a
-// real-input forward transform exploiting Hermitian symmetry
-// (ForwardReal2D), a batched transform API that runs many same-shaped
-// matrices through shared row/column fan-outs (Batch2D), centre-shift
-// utilities, the [·]_P low-pass spectrum extraction of Eq. (2), and the
-// fractional frequency interpolation behind the sN-grid kernel
-// resampling of Eq. (3)/(8).
+// real-input forward transform exploiting Hermitian symmetry and the
+// consumer's column band (ForwardReal2D, ForwardReal2DBand), a batched
+// transform API that runs many same-shaped matrices through shared
+// row/column fan-outs (Batch2D), centre-shift utilities, the [·]_P
+// low-pass spectrum extraction of Eq. (2), and the fractional frequency
+// interpolation behind the sN-grid kernel resampling of Eq. (3)/(8).
 //
 // Conventions: the forward transform is unnormalised and the inverse
 // carries the 1/n factor per dimension, so Inverse(Forward(x)) == x.
 // Spectra produced by Forward2D have DC at index (0,0) ("corner"
-// layout); ToCentered/ToCorner swap between that and the DC-at-centre
+// layout); SwapQuadrants converts between that and the DC-at-centre
 // layout used for human-readable kernel definitions. Sizes must be
 // powers of two.
 //
@@ -27,9 +27,17 @@
 // performed per element is identical, operation for operation, to the
 // textbook radix-2 algorithm, so results are bit-identical to it.
 //
-// All transient buffers (column gather/scatter blocks, packed rows)
-// come from per-length pools shared by the serial and parallel paths,
-// giving the 2-D entry points an allocation-free steady state.
+// The column direction of a 2-D transform never transposes: the same
+// passes run over row segments, each butterfly as one loop over the
+// contiguous columns of the rows it couples with its twiddles held in
+// registers (columns.go), a strip of columns at a time. The real
+// forward transform splits, column-transforms and reflects only the
+// columns its consumer reads. Both are exact: every entry carries the
+// bits of the column-at-a-time transform.
+//
+// All transient buffers (column strips, packed rows) come from
+// per-length pools shared by the serial and parallel paths, giving the
+// 2-D entry points an allocation-free steady state.
 package fft
 
 import (
@@ -283,18 +291,15 @@ func Inverse2D(m *grid.CMat) { transform2D(m, true) }
 // goroutine barriers) eats the gain. From 256² upward the independent
 // 1-D transforms dominate and chunked parallelism wins. Batch2D applies
 // the same threshold to the combined element count of its batch, so
-// many small per-kernel buffers still parallelise.
+// many small per-kernel buffers still parallelise: on the row-vector
+// column pass a batch of 12×64² (49 152 elements) is still 12 % slower
+// over two workers than serial and 48×32² ties, while 12×128² (196 608)
+// gains 1.17× — the measurement is litho.fanOutCrossover's, which holds
+// the same value by design.
 const parallelCrossover = 256 * 256
 
-// colBlock is the number of columns gathered into one contiguous
-// scratch block per column-pass step. Gathering a single column touches
-// one 16-byte element per cache line; gathering a block reads
-// colBlock·16 contiguous bytes per row, amortising each line across
-// several columns. 8 columns × 16 bytes = two 64-byte lines per row.
-const colBlock = 8
-
-// scratch is a pooled []complex128 used for column gather/scatter
-// blocks and packed real rows. Pools are keyed by length and shared by
+// scratch is a pooled []complex128 used for column strips and packed
+// real rows. Pools are keyed by length and shared by
 // the serial and parallel paths; the wrapper struct (instead of a bare
 // slice) keeps Get/Put free of per-call interface allocations after
 // warm-up.
@@ -341,54 +346,14 @@ func transform2D(m *grid.CMat, inverse bool) {
 	for y := 0; y < m.H; y++ {
 		rowPlan.transform(m.Row(y), inverse)
 	}
-	s := getScratch(colBlock * m.H)
-	colPlan.columnsPass(m, 0, m.W, inverse, s)
-	putScratch(s)
-}
-
-// columnsPass transforms columns [x0, x1) of m in cache-blocked groups:
-// colBlock columns are gathered into one contiguous column-major
-// scratch block (contiguous reads along each row), transformed as
-// ordinary 1-D buffers, and scattered back. Compared to a per-column
-// gather — which touches a full cache line per 16-byte element — the
-// blocked gather reads colBlock elements per line touch. A full
-// blocked-transpose variant was benchmarked and lost at the simulator's
-// working sizes (≤512², where a matrix still fits in L2/L3): two extra
-// full-matrix copies cost more than the blocked gathers.
-func (p *plan) columnsPass(m *grid.CMat, x0, x1 int, inverse bool, s *scratch) {
-	h, w := m.H, m.W
-	for b0 := x0; b0 < x1; b0 += colBlock {
-		b1 := b0 + colBlock
-		if b1 > x1 {
-			b1 = x1
-		}
-		nb := b1 - b0
-		buf := s.buf
-		for y := 0; y < h; y++ {
-			row := m.Data[y*w+b0 : y*w+b1]
-			for c, v := range row {
-				buf[c*h+y] = v
-			}
-		}
-		for c := 0; c < nb; c++ {
-			p.transform(buf[c*h:(c+1)*h], inverse)
-		}
-		for y := 0; y < h; y++ {
-			row := m.Data[y*w+b0 : y*w+b1]
-			for c := range row {
-				row[c] = buf[c*h+y]
-			}
-		}
-	}
+	colPlan.columnsPass(m, 0, m.W, inverse)
 }
 
 // transform2DParallel runs the row and column passes on the shared
 // worker pool. Every 1-D transform owns a disjoint row (or column) of
 // m and the per-length plans are immutable, so the output is
 // bit-identical to the serial pass regardless of worker count or chunk
-// boundaries; only the execution order differs. Column chunks draw
-// their gather/scatter blocks from the per-length scratch pool shared
-// with the serial path, so steady-state scratch allocation is zero.
+// boundaries; only the execution order differs.
 func transform2DParallel(m *grid.CMat, rowPlan, colPlan *plan, inverse bool) {
 	parallel.DoChunks(m.H, 0, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
@@ -396,9 +361,7 @@ func transform2DParallel(m *grid.CMat, rowPlan, colPlan *plan, inverse bool) {
 		}
 	})
 	parallel.DoChunks(m.W, 0, func(lo, hi int) {
-		s := getScratch(colBlock * m.H)
-		colPlan.columnsPass(m, lo, hi, inverse, s)
-		putScratch(s)
+		colPlan.columnsPass(m, lo, hi, inverse)
 	})
 }
 
@@ -410,16 +373,6 @@ func ForwardReal(m *grid.Mat) *grid.CMat {
 	ForwardReal2D(c, m)
 	return c
 }
-
-// ToCentered converts a corner-layout spectrum (DC at (0,0)) into
-// centre layout (DC at (H/2, W/2)) in a fresh matrix. For even sizes
-// the operation is an involution implemented as a quadrant swap. Use
-// SwapQuadrants to convert in place without allocating.
-func ToCentered(m *grid.CMat) *grid.CMat { return SwapQuadrants(m.Clone()) }
-
-// ToCorner converts a centre-layout spectrum back to corner layout in a
-// fresh matrix (see ToCentered).
-func ToCorner(m *grid.CMat) *grid.CMat { return SwapQuadrants(m.Clone()) }
 
 // SwapQuadrants converts between corner and centre spectrum layouts in
 // place and returns m. Both dimensions must be even, which makes the

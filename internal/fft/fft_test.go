@@ -218,15 +218,15 @@ func TestQuadrantSwapInvolution(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	if !ToCorner(ToCentered(m)).AlmostEqual(m, 0) {
-		t.Fatal("ToCentered/ToCorner must be inverse operations")
+	if !SwapQuadrants(SwapQuadrants(m.Clone())).AlmostEqual(m, 0) {
+		t.Fatal("SwapQuadrants must be an involution")
 	}
 }
 
 func TestToCenteredMovesDC(t *testing.T) {
 	m := grid.NewCMat(8, 8)
 	m.Set(0, 0, 42)
-	c := ToCentered(m)
+	c := SwapQuadrants(m.Clone())
 	if c.At(4, 4) != 42 {
 		t.Fatalf("DC not moved to centre: %v", c.At(4, 4))
 	}
@@ -248,7 +248,7 @@ func TestLowPassSupport(t *testing.T) {
 		t.Fatalf("low-pass kept %d coefficients, want 16", nonzero)
 	}
 	// The kept ones are exactly the centred 4×4 block in centre layout.
-	c := ToCentered(m)
+	c := SwapQuadrants(m.Clone())
 	for y := 0; y < 16; y++ {
 		for x := 0; x < 16; x++ {
 			inBlock := y >= 6 && y < 10 && x >= 6 && x < 10

@@ -21,9 +21,9 @@ import (
 // locks that property down at the bit level for every plan shape.
 //
 // Inverse2DPruned exploits it: the caller passes a row-support mask and
-// the row pass only transforms the live rows; the cache-blocked column
-// pass then runs exactly as in the dense transform (after the row pass
-// the live rows are spatially dense, so no column can be skipped). The
+// the row pass only transforms the live rows; the column pass then runs
+// exactly as in the dense transform (after the row pass the live rows
+// are spatially dense, so no column can be skipped). The
 // result is bit-identical to Inverse2D — pruning is exact, not
 // approximate — provided the contract holds that every dead row contains
 // only +0 entries. The litho hot path guarantees that by writing its
@@ -73,9 +73,7 @@ func Inverse2DPruned(m *grid.CMat, rowLive []bool) {
 			rowPlan.transform(m.Row(y), true)
 		}
 	}
-	s := getScratch(colBlock * m.H)
-	colPlan.columnsPass(m, 0, m.W, true, s)
-	putScratch(s)
+	colPlan.columnsPass(m, 0, m.W, true)
 }
 
 func inverse2DPrunedParallel(m *grid.CMat, rowLive []bool, rowPlan, colPlan *plan) {
@@ -86,9 +84,7 @@ func inverse2DPrunedParallel(m *grid.CMat, rowLive []bool, rowPlan, colPlan *pla
 		}
 	})
 	parallel.DoChunks(m.W, 0, func(lo, hi int) {
-		s := getScratch(colBlock * m.H)
-		colPlan.columnsPass(m, lo, hi, true, s)
-		putScratch(s)
+		colPlan.columnsPass(m, lo, hi, true)
 	})
 }
 
@@ -117,9 +113,7 @@ func Forward2DBand(m *grid.CMat, rowLive []bool) {
 		forward2DBandParallel(m, rowLive, rowPlan, colPlan)
 		return
 	}
-	s := getScratch(colBlock * m.H)
-	colPlan.columnsPass(m, 0, m.W, false, s)
-	putScratch(s)
+	colPlan.columnsPass(m, 0, m.W, false)
 	for y := 0; y < m.H; y++ {
 		if rowLive[y] {
 			rowPlan.transform(m.Row(y), false)
@@ -129,9 +123,7 @@ func Forward2DBand(m *grid.CMat, rowLive []bool) {
 
 func forward2DBandParallel(m *grid.CMat, rowLive []bool, rowPlan, colPlan *plan) {
 	parallel.DoChunks(m.W, 0, func(lo, hi int) {
-		s := getScratch(colBlock * m.H)
-		colPlan.columnsPass(m, lo, hi, false, s)
-		putScratch(s)
+		colPlan.columnsPass(m, lo, hi, false)
 	})
 	live := liveRows(rowLive)
 	parallel.DoChunks(len(live), 0, func(lo, hi int) {
@@ -144,9 +136,9 @@ func forward2DBandParallel(m *grid.CMat, rowLive []bool, rowPlan, colPlan *plan)
 // Batch2DForwardBand runs the band-limited forward transform over every
 // matrix of the batch, equivalent to calling Forward2DBand on each with
 // the shared row mask. Like Batch2DInversePruned the column fan-out
-// covers all cache-blocked column groups in one parallel section and
-// the row fan-out all live (matrix, row) pairs in a second; limit caps
-// the participating goroutines (0 = pool width, 1 = strictly serial).
+// covers all column strips in one parallel section and the row fan-out
+// all live (matrix, row) pairs in a second; limit caps the participating
+// goroutines (0 = pool width, 1 = strictly serial).
 func Batch2DForwardBand(ms []*grid.CMat, rowLive []bool, limit int) {
 	k := len(ms)
 	if k == 0 {
@@ -165,33 +157,18 @@ func Batch2DForwardBand(ms []*grid.CMat, rowLive []bool, limit int) {
 		limit = parallel.Workers()
 	}
 	if limit == 1 || parallel.Workers() == 1 || k*h*w < parallelCrossover {
-		s := getScratch(colBlock * h)
 		for _, m := range ms {
-			colPlan.columnsPass(m, 0, w, false, s)
+			colPlan.columnsPass(m, 0, w, false)
 			for y := 0; y < h; y++ {
 				if rowLive[y] {
 					rowPlan.transform(m.Row(y), false)
 				}
 			}
 		}
-		putScratch(s)
 		return
 	}
 
-	nb := (w + colBlock - 1) / colBlock
-	parallel.DoChunks(k*nb, limit, func(lo, hi int) {
-		s := getScratch(colBlock * h)
-		for t := lo; t < hi; t++ {
-			m := ms[t/nb]
-			b0 := (t % nb) * colBlock
-			b1 := b0 + colBlock
-			if b1 > w {
-				b1 = w
-			}
-			colPlan.columnsPass(m, b0, b1, false, s)
-		}
-		putScratch(s)
-	})
+	colPlan.batchColumns(ms, false, limit)
 	live := liveRows(rowLive)
 	nl := len(live)
 	if nl > 0 {
@@ -208,9 +185,9 @@ func Batch2DForwardBand(ms []*grid.CMat, rowLive []bool, limit int) {
 // with the shared row mask — and therefore bit-identical to a dense
 // Batch2D inverse when the dead-row contract holds. Like Batch2DLimit
 // the row fan-out covers all live (matrix, row) pairs in one parallel
-// section and the column fan-out all cache-blocked column groups in a
-// second; limit caps the participating goroutines (0 = pool width,
-// 1 = strictly serial).
+// section and the column fan-out all column strips in a second; limit
+// caps the participating goroutines (0 = pool width, 1 = strictly
+// serial).
 func Batch2DInversePruned(ms []*grid.CMat, rowLive []bool, limit int) {
 	k := len(ms)
 	if k == 0 {
@@ -229,16 +206,14 @@ func Batch2DInversePruned(ms []*grid.CMat, rowLive []bool, limit int) {
 		limit = parallel.Workers()
 	}
 	if limit == 1 || parallel.Workers() == 1 || k*h*w < parallelCrossover {
-		s := getScratch(colBlock * h)
 		for _, m := range ms {
 			for y := 0; y < h; y++ {
 				if rowLive[y] {
 					rowPlan.transform(m.Row(y), true)
 				}
 			}
-			colPlan.columnsPass(m, 0, w, true, s)
+			colPlan.columnsPass(m, 0, w, true)
 		}
-		putScratch(s)
 		return
 	}
 
@@ -251,18 +226,5 @@ func Batch2DInversePruned(ms []*grid.CMat, rowLive []bool, limit int) {
 			}
 		})
 	}
-	nb := (w + colBlock - 1) / colBlock
-	parallel.DoChunks(k*nb, limit, func(lo, hi int) {
-		s := getScratch(colBlock * h)
-		for t := lo; t < hi; t++ {
-			m := ms[t/nb]
-			b0 := (t % nb) * colBlock
-			b1 := b0 + colBlock
-			if b1 > w {
-				b1 = w
-			}
-			colPlan.columnsPass(m, b0, b1, true, s)
-		}
-		putScratch(s)
-	})
+	colPlan.batchColumns(ms, true, limit)
 }

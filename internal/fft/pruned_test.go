@@ -8,16 +8,20 @@ import (
 	"mgsilt/internal/grid"
 )
 
-// bitsEqual reports whether two complex matrices are identical at the
+// sameBits reports whether two complex values are identical at the
 // IEEE-754 bit level (so +0 vs -0 and NaN payloads all count).
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// bitsEqual reports whether two complex matrices are bit-identical.
 func bitsEqual(a, b *grid.CMat) bool {
 	if a.H != b.H || a.W != b.W {
 		return false
 	}
 	for i, av := range a.Data {
-		bv := b.Data[i]
-		if math.Float64bits(real(av)) != math.Float64bits(real(bv)) ||
-			math.Float64bits(imag(av)) != math.Float64bits(imag(bv)) {
+		if !sameBits(av, b.Data[i]) {
 			return false
 		}
 	}
@@ -288,12 +292,17 @@ func TestInverse2DPrunedMaskLengthPanics(t *testing.T) {
 	Inverse2DPruned(grid.NewCMat(8, 8), make([]bool, 4))
 }
 
+// benchSizes are the grids the flows transform: 32 and 64 are the reduced
+// grids of N=64 and N=128 tiles, 128 the dense stretch-2 coarse grid and
+// the full N=128 tile, 256 and 512 the inspected clips.
+var benchSizes = []int{32, 64, 128, 256, 512}
+
 // BenchmarkInversePruned compares the dense inverse with the pruned
 // inverse under the pupil-support live fraction the Hopkins hot path
 // sees at tile scale (p ≈ n/4.5 live rows out of n).
 func BenchmarkInversePruned(b *testing.B) {
 	rng := rand.New(rand.NewSource(45))
-	for _, n := range []int{64, 256} {
+	for _, n := range benchSizes {
 		live := pupilMask(n, max(2, 2*(int(math.Ceil(float64(n)/21.3*1.8))+1)))
 		src := randMaskedCMat(rng, n, n, live)
 		m := grid.NewCMat(n, n)
@@ -316,7 +325,7 @@ func BenchmarkInversePruned(b *testing.B) {
 // columns-first forward under the adjoint-pass live fraction.
 func BenchmarkForwardBand(b *testing.B) {
 	rng := rand.New(rand.NewSource(49))
-	for _, n := range []int{64, 256} {
+	for _, n := range benchSizes {
 		live := pupilMask(n, max(2, 2*(int(math.Ceil(float64(n)/21.3*1.8))+1)))
 		src := grid.NewCMat(n, n)
 		copy(src.Data, randComplex(rng, n*n))

@@ -33,10 +33,23 @@ import (
 // row pair, column, and reflected row is written by exactly one
 // goroutine).
 func ForwardReal2D(dst *grid.CMat, src *grid.Mat) *grid.CMat {
+	return ForwardReal2DBand(dst, src, src.W/2)
+}
+
+// ForwardReal2DBand is ForwardReal2D for a consumer that reads only the
+// columns of horizontal frequency |f| ≤ b — columns 0..b and W−b..W−1,
+// every row of them. Only columns 0..b are split out of the packed row
+// pairs and column-transformed, and only W−b..W−1 are reflected; those
+// entries carry the bits ForwardReal2D gives them, the rest of dst is
+// unspecified. b = W/2 is the full transform.
+func ForwardReal2DBand(dst *grid.CMat, src *grid.Mat, b int) *grid.CMat {
 	if dst.H != src.H || dst.W != src.W {
 		panic(fmt.Sprintf("fft: ForwardReal2D shape mismatch %dx%d vs %dx%d", dst.H, dst.W, src.H, src.W))
 	}
 	h, w := src.H, src.W
+	if b < 0 || b > w/2 {
+		panic(fmt.Sprintf("fft: band half-width %d outside [0, %d]", b, w/2))
+	}
 	rowPlan := planFor(w)
 	colPlan := planFor(h)
 	if h == 1 {
@@ -49,42 +62,37 @@ func ForwardReal2D(dst *grid.CMat, src *grid.Mat) *grid.CMat {
 	}
 
 	pairs := h / 2
-	half := w / 2 // columns 0..half are transformed; the rest reflected
 	if h*w >= parallelCrossover && parallel.Workers() > 1 {
 		parallel.DoChunks(pairs, 0, func(lo, hi int) {
 			s := getScratch(w)
 			for pi := lo; pi < hi; pi++ {
-				packedRowPair(dst, src, pi, rowPlan, s.buf)
+				packedRowPair(dst, src, pi, b, rowPlan, s.buf)
 			}
 			putScratch(s)
 		})
-		parallel.DoChunks(half+1, 0, func(lo, hi int) {
-			s := getScratch(colBlock * h)
-			colPlan.columnsPass(dst, lo, hi, false, s)
-			putScratch(s)
+		parallel.DoChunks(b+1, 0, func(lo, hi int) {
+			colPlan.columnsPass(dst, lo, hi, false)
 		})
 		parallel.DoChunks(h, 0, func(lo, hi int) {
-			reflectColumns(dst, lo, hi)
+			reflectColumns(dst, b, lo, hi)
 		})
 		return dst
 	}
 
 	s := getScratch(w)
 	for pi := 0; pi < pairs; pi++ {
-		packedRowPair(dst, src, pi, rowPlan, s.buf)
+		packedRowPair(dst, src, pi, b, rowPlan, s.buf)
 	}
 	putScratch(s)
-	cs := getScratch(colBlock * h)
-	colPlan.columnsPass(dst, 0, half+1, false, cs)
-	putScratch(cs)
-	reflectColumns(dst, 0, h)
+	colPlan.columnsPass(dst, 0, b+1, false)
+	reflectColumns(dst, b, 0, h)
 	return dst
 }
 
-// packedRowPair transforms real source rows 2·pi and 2·pi+1 into their
-// spectra on the matching dst rows through one packed complex
-// transform. z must have length src.W.
-func packedRowPair(dst *grid.CMat, src *grid.Mat, pi int, rowPlan *plan, z []complex128) {
+// packedRowPair transforms real source rows 2·pi and 2·pi+1 through one
+// packed complex transform and writes columns 0..b of their spectra to
+// the matching dst rows. z must have length src.W.
+func packedRowPair(dst *grid.CMat, src *grid.Mat, pi, b int, rowPlan *plan, z []complex128) {
 	w := src.W
 	r0 := src.Row(2 * pi)
 	r1 := src.Row(2*pi + 1)
@@ -95,7 +103,7 @@ func packedRowPair(dst *grid.CMat, src *grid.Mat, pi int, rowPlan *plan, z []com
 	out0 := dst.Row(2 * pi)
 	out1 := dst.Row(2*pi + 1)
 	mask := w - 1
-	for j := 0; j < w; j++ {
+	for j := 0; j <= b; j++ {
 		jm := (w - j) & mask
 		ar, ai := real(z[j]), imag(z[j])
 		br, bi := real(z[jm]), imag(z[jm])
@@ -105,21 +113,19 @@ func packedRowPair(dst *grid.CMat, src *grid.Mat, pi int, rowPlan *plan, z []com
 	}
 }
 
-// reflectColumns fills columns (W/2, W) of rows [y0, y1) from the
-// transformed half using the Hermitian identity of real-input spectra:
-// F[v][x] = conj(F[(H−v) mod H][W−x]). Reads touch only columns
-// 0..W/2, so the reflection can be chunked over rows with no overlap
-// between reads and writes.
-func reflectColumns(m *grid.CMat, y0, y1 int) {
+// reflectColumns fills columns W−b..W−1 of rows [y0, y1) from the
+// transformed columns 1..b using the Hermitian identity of real-input
+// spectra: F[v][x] = conj(F[(H−v) mod H][W−x]). Column W/2 is its own
+// mirror and already transformed, so the full band starts one past it.
+// Reads touch only columns 0..W/2, so the reflection can be chunked over
+// rows with no overlap between reads and writes.
+func reflectColumns(m *grid.CMat, b, y0, y1 int) {
 	h, w := m.H, m.W
-	half := w / 2
-	if half+1 >= w {
-		return
-	}
+	x0 := max(w-b, w/2+1)
 	for y := y0; y < y1; y++ {
 		dst := m.Row(y)
 		src := m.Row((h - y) % h)
-		for x := half + 1; x < w; x++ {
+		for x := x0; x < w; x++ {
 			v := src[w-x]
 			dst[x] = complex(real(v), -imag(v))
 		}

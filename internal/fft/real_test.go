@@ -1,6 +1,8 @@
 package fft
 
 import (
+	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -106,6 +108,63 @@ func TestForwardReal2DWorkerBitIdentity(t *testing.T) {
 	}
 }
 
+// TestForwardReal2DBandBitIdentical: inside the band — columns 0..b and
+// W−b..W−1, every row — the band-aware transform writes the bits of the
+// full one, at every size (through the parallel crossover, at several
+// worker counts), on rectangular shapes and into a dst full of garbage.
+func TestForwardReal2DBandBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	shapes := [][2]int{{8, 32}, {32, 8}, {64, 128}, {256, 64}, {2, 16}}
+	for n := 8; n <= 512; n *= 2 {
+		shapes = append(shapes, [2]int{n, n})
+	}
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	for _, sh := range shapes {
+		h, w := sh[0], sh[1]
+		src := randMat(rng, h, w)
+		workers := []int{1}
+		if h*w >= parallelCrossover {
+			workers = []int{1, 2, 3}
+		}
+		for _, nw := range workers {
+			parallel.SetWorkers(nw)
+			want := ForwardReal2D(grid.NewCMat(h, w), src)
+			litho := max(1, w/13) // the B of the litho spectra: 10 at 128, 5 at 64
+			for _, b := range []int{0, 1, litho, 2 * litho, w/2 - 1, w / 2} {
+				got := grid.NewCMat(h, w)
+				for i := range got.Data {
+					got.Data[i] = complex(math.NaN(), math.Inf(-1))
+				}
+				ForwardReal2DBand(got, src, b)
+				for y := 0; y < h; y++ {
+					for x := 0; x < w; x++ {
+						if min(x, w-x) > b {
+							continue
+						}
+						if g, r := got.At(y, x), want.At(y, x); !sameBits(g, r) {
+							t.Fatalf("%dx%d b=%d workers=%d: (%d,%d) = %v, ForwardReal2D gives %v", h, w, b, nw, y, x, g, r)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestForwardReal2DBandRangePanics(t *testing.T) {
+	for _, b := range []int{-1, 5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for band %d on 8 columns", b)
+				}
+			}()
+			ForwardReal2DBand(grid.NewCMat(8, 8), grid.NewMat(8, 8), b)
+		}()
+	}
+}
+
 func TestForwardReal2DShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -123,5 +182,22 @@ func BenchmarkForwardReal2D256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ForwardReal2D(dst, src)
+	}
+}
+
+// BenchmarkForwardReal2DBand times the three real forward transforms of
+// one solver evaluation at N=128 — F(mask) (b = B = 10), F(g) (b = 2B)
+// and the M = 64 intensity (b = 2B) — beside the full transforms.
+func BenchmarkForwardReal2DBand(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	for _, c := range [][2]int{{128, 10}, {128, 21}, {128, 64}, {64, 21}, {64, 32}} {
+		n, band := c[0], c[1]
+		src := randMat(rng, n, n)
+		dst := grid.NewCMat(n, n)
+		b.Run(fmt.Sprintf("%d/b=%d", n, band), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ForwardReal2DBand(dst, src, band)
+			}
+		})
 	}
 }

@@ -90,7 +90,7 @@ func aerialWith(s *Set, mask *grid.Mat) (*grid.Mat, float64) {
 	out := grid.NewMat(mask.H, mask.W)
 	peak := 0.0
 	for _, k := range s.Kernels {
-		field := fft.Convolve(mask, fft.ToCorner(k.Freq))
+		field := fft.Convolve(mask, fft.SwapQuadrants(k.Freq.Clone()))
 		for i, v := range field.Data {
 			a := real(v)*real(v) + imag(v)*imag(v)
 			out.Data[i] += k.Weight * a

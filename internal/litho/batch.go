@@ -105,7 +105,8 @@ func (s *Simulator) LossGradBatch(masks, targets []*grid.Mat, opts LossOpts) ([]
 		fms[i] = grid.GetCMat(size, size)
 	}
 	limit := s.workersFor(T)
-	parallel.Do(T, limit, func(i int) { fft.ForwardReal2D(fms[i], masks[i]) })
+	band := s.maskBand(size, ks, fidelity, opts.PVWeight > 0)
+	parallel.Do(T, limit, func(i int) { fft.ForwardReal2DBand(fms[i], masks[i], band) })
 
 	s.lossGradConditionBatch(fms, targets, s.Nominal(), ks, fidelity, 1, losses, grads)
 	if opts.PVWeight > 0 {

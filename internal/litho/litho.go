@@ -165,6 +165,7 @@ type prepared struct {
 // generated.
 type reduced struct {
 	size, m int
+	b       int // band half-width B of the spectra
 	// fwd are the forward spectra on the M grid: the ±B block of H_k
 	// scaled by (M/size)², the ratio of the two inverse-DFT
 	// normalisations, so the M-point inverse of fwd ⊙ crop(F(mask))
@@ -384,7 +385,7 @@ func reducedSide(b, size int) int {
 func newReduced(freq []*grid.CMat, weights []float64, dense bool) *reduced {
 	size := freq[0].H
 	b := bandHalfWidth(freq)
-	r := &reduced{size: size, m: size, weights: weights}
+	r := &reduced{size: size, m: size, b: b, weights: weights}
 	if !dense {
 		r.m = reducedSide(b, size)
 	}
@@ -552,11 +553,14 @@ func (s *Simulator) workersFor(k int) int {
 
 // fanOutCrossover is the combined element count of a per-kernel field
 // batch below which the solver path keeps its kernel loop on the caller.
-// Measured on the 2-core reference host: fanning 12 fields of 64² out
-// over two workers (49 152 elements: N=128 tiles on their reduced grid,
-// or N=64 tiles evaluated densely before the reduced grid existed) runs
-// 7–15 % slower than the serial loop, while 12 fields of 128² (196 608)
-// gain 1.25×. The threshold is fft's parallelCrossover, so the element
+// Measured on the 2-core reference host with the row-vector column pass
+// (medians of five runs of 400 evaluations, the batch alone forced over
+// two workers against the serial loop): 12 fields of 64² (49 152
+// elements, an N=128 tile on its reduced grid) run 1.92 ms fanned out
+// against 1.71 ms serial, 12 % slower; a batch of four N=64 tiles,
+// 4×12 fields of 32² (49 152 again), ties at 1.55 ms; 12 fields of 128²
+// (196 608, the dense stretch-2 coarse grid) gain 1.17×, 4.35 ms against
+// 5.10 ms. The threshold is fft's parallelCrossover, so the element
 // products fan out exactly when the batched transforms between them do.
 const fanOutCrossover = 256 * 256
 
@@ -789,7 +793,8 @@ func (s *Simulator) LossGrad(mask, target *grid.Mat, opts LossOpts) (float64, *g
 	fidelity := s.effFidelity(opts.Fidelity)
 	grad := grid.GetMat(mask.H, mask.W).Zero()
 	fm := grid.GetCMat(mask.H, mask.W)
-	fft.ForwardReal2D(fm, mask) // mask is real: half a complex transform
+	// mask is real: half a complex transform, and only the columns read.
+	fft.ForwardReal2DBand(fm, mask, s.maskBand(mask.H, ks, fidelity, opts.PVWeight > 0))
 	loss := s.lossGradCondition(fm, target, s.Nominal(), ks, fidelity, 1, grad)
 	if opts.PVWeight > 0 {
 		loss += s.lossGradCondition(fm, target, s.Inner(), ks, fidelity, opts.PVWeight, grad)
@@ -797,6 +802,26 @@ func (s *Simulator) LossGrad(mask, target *grid.Mat, opts LossOpts) (float64, *g
 	}
 	grid.PutCMat(fm)
 	return loss, grad
+}
+
+// maskBand returns the half-width of the column band of F(mask) that one
+// evaluation reads: the largest cropMask band over its conditions (the
+// nominal one, plus the process-window corners when pv is set), the
+// whole spectrum as soon as one of them runs at M == size.
+func (s *Simulator) maskBand(size, kernelStretch int, fidelity float64, pv bool) int {
+	conds := []Condition{s.Nominal(), s.Inner(), s.Outer()}
+	if !pv {
+		conds = conds[:1]
+	}
+	band := 0
+	for _, c := range conds {
+		r := s.preparedFor(c.Focus, size, kernelStretch, fidelity).solver()
+		if r.m == r.size {
+			return size / 2
+		}
+		band = max(band, r.b)
+	}
+	return band
 }
 
 // effFidelity resolves a per-call budget against the simulator default.
@@ -993,7 +1018,7 @@ func (r *reduced) upsample(intensity *grid.Mat) *grid.Mat {
 	if r.m == r.size {
 		return intensity
 	}
-	spec := fft.ForwardReal2D(grid.GetCMat(r.m, r.m), intensity)
+	spec := fft.ForwardReal2DBand(grid.GetCMat(r.m, r.m), intensity, 2*r.b)
 	grid.PutMat(intensity)
 	up := grid.GetCMat(r.size, r.size).Zero()
 	copyBand(up, r.band2, spec, r.band2M, float64(r.size*r.size)/float64(r.m*r.m))
@@ -1009,7 +1034,7 @@ func (r *reduced) lowpass(g *grid.Mat) *grid.Mat {
 	if r.m == r.size {
 		return g
 	}
-	spec := fft.ForwardReal2D(grid.GetCMat(r.size, r.size), g)
+	spec := fft.ForwardReal2DBand(grid.GetCMat(r.size, r.size), g, 2*r.b)
 	grid.PutMat(g)
 	low := grid.GetCMat(r.m, r.m).Zero()
 	copyBand(low, r.band2M, spec, r.band2, 1)
