@@ -26,7 +26,6 @@ import (
 	"mgsilt/internal/fault"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/imgio"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/layout"
 	"mgsilt/internal/litho"
 	"mgsilt/internal/metrics"
@@ -95,16 +94,7 @@ func main() {
 		parallel.SetWorkers(*workers)
 	}
 
-	kc := kernels.DefaultConfig(*n)
-	nom, err := kernels.Generate(kc)
-	if err != nil {
-		fatal(err)
-	}
-	def, err := kernels.Defocused(kc, 0.8)
-	if err != nil {
-		fatal(err)
-	}
-	sim, err := litho.New(nom, def, litho.DefaultConfig())
+	sim, err := litho.NewStandard(*n)
 	if err != nil {
 		fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"mgsilt/internal/core"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/layout"
 	"mgsilt/internal/litho"
 	"mgsilt/internal/metrics"
@@ -19,16 +18,7 @@ import (
 
 func main() {
 	const n = 64
-	kcfg := kernels.DefaultConfig(n)
-	nominal, err := kernels.Generate(kcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defocus, err := kernels.Defocused(kcfg, 0.8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim, err := litho.New(nominal, defocus, litho.DefaultConfig())
+	sim, err := litho.NewStandard(n)
 	if err != nil {
 		log.Fatal(err)
 	}

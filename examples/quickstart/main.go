@@ -8,7 +8,6 @@ import (
 	"log"
 
 	"mgsilt/internal/core"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/layout"
 	"mgsilt/internal/litho"
 )
@@ -18,16 +17,7 @@ func main() {
 	//    stand-in for the ICCAD-2013 TCC kernels) at native grid N=64,
 	//    plus a defocused set for the process-window corners.
 	const n = 64
-	kcfg := kernels.DefaultConfig(n)
-	nominal, err := kernels.Generate(kcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defocus, err := kernels.Defocused(kcfg, 0.8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim, err := litho.New(nominal, defocus, litho.DefaultConfig())
+	sim, err := litho.NewStandard(n)
 	if err != nil {
 		log.Fatal(err)
 	}

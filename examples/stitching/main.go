@@ -12,7 +12,6 @@ import (
 
 	"mgsilt/internal/core"
 	"mgsilt/internal/imgio"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/layout"
 	"mgsilt/internal/litho"
 	"mgsilt/internal/metrics"
@@ -21,16 +20,7 @@ import (
 
 func main() {
 	const n = 64
-	kcfg := kernels.DefaultConfig(n)
-	nominal, err := kernels.Generate(kcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defocus, err := kernels.Defocused(kcfg, 0.8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim, err := litho.New(nominal, defocus, litho.DefaultConfig())
+	sim, err := litho.NewStandard(n)
 	if err != nil {
 		log.Fatal(err)
 	}

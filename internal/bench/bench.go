@@ -72,16 +72,7 @@ type Env struct {
 
 // NewEnv builds the optics and the clip suite for a scale.
 func NewEnv(sc Scale) (*Env, error) {
-	kc := kernels.DefaultConfig(sc.N)
-	nom, err := kernels.Generate(kc)
-	if err != nil {
-		return nil, err
-	}
-	def, err := kernels.Defocused(kc, 0.8)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := litho.New(nom, def, litho.DefaultConfig())
+	sim, err := litho.NewStandard(sc.N)
 	if err != nil {
 		return nil, err
 	}
@@ -93,12 +84,12 @@ func NewEnv(sc Scale) (*Env, error) {
 }
 
 // KernelProvenance describes the optics the environment was built
-// with: the nominal kernel configuration plus the hardcoded defocus
-// condition NewEnv applies for PV-band evaluation. Benchmark documents
+// with: the nominal kernel configuration plus the defocus of the
+// standard optics' process-window set. Benchmark documents
 // embed it so the regression gate never compares runs that exercised
 // different optics.
 func (e *Env) KernelProvenance() string {
-	return kernels.DefaultConfig(e.Scale.N).Provenance() + ";defocus=0.8"
+	return fmt.Sprintf("%s;defocus=%g", kernels.DefaultConfig(e.Scale.N).Provenance(), litho.StandardDefocus)
 }
 
 // BaseConfig returns the shared experiment configuration.

@@ -7,7 +7,6 @@ import (
 	"mgsilt/internal/core"
 	"mgsilt/internal/device"
 	"mgsilt/internal/grid"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/layout"
 	"mgsilt/internal/litho"
 	"mgsilt/internal/metrics"
@@ -108,16 +107,7 @@ func (e *Env) RunScaling(progress func(string)) (*ScalingResult, error) {
 // first); the dropout phase runs at the last (finest-grid) entry. The
 // short-mode smoke test drives a single grid point through it.
 func (e *Env) runScaling(progress func(string), tileSizes []int) (*ScalingResult, error) {
-	kc := kernels.DefaultConfig(scalingN)
-	nom, err := kernels.Generate(kc)
-	if err != nil {
-		return nil, err
-	}
-	def, err := kernels.Defocused(kc, 0.8)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := litho.New(nom, def, litho.DefaultConfig())
+	sim, err := litho.NewStandard(scalingN)
 	if err != nil {
 		return nil, err
 	}

@@ -153,6 +153,39 @@ func Parse(data []byte) (*Doc, error) {
 	return &d, nil
 }
 
+// gate is one gated scalar of a Doc. Each is optional — a nil pointer
+// means the producer predates the measurement, and the gate runs only
+// when both documents carry it — and deterministic per code version, so
+// its tolerance is a small absolute slack, not a relative threshold.
+type gate struct {
+	name         string // JSON field name
+	value        func(*Doc) *float64
+	max          float64 // valid range is [0, max]; +Inf when unbounded
+	higherBetter bool
+	slack        float64
+	// Finding labels of a regression.
+	experiment, method, metric string
+}
+
+var gates = []gate{
+	// The slack absorbs pool warm-up jitter: a baseline of 0 must stay 0.
+	{"lossgrad_allocs_per_op", func(d *Doc) *float64 { return d.LossGradAllocs }, math.Inf(1), false, 0.5,
+		"hotpath", "LossGrad", "allocs/op"},
+	// The slack only absorbs experiment-shape drift, so a baseline of 1.0
+	// effectively pins full reuse.
+	{"cache_hit_rate", func(d *Doc) *float64 { return d.CacheHitRate }, 1, true, 0.02,
+		"cache", "TileCache", "hit-rate"},
+	// More iterations at 8×8 means the coarse space lost effectiveness.
+	// The slack is one fine stage's budget, absorbing threshold
+	// quantisation at the stage boundary.
+	{"iterations_to_quality", func(d *Doc) *float64 { return d.IterationsToQuality }, math.Inf(1), false, 4,
+		"scaling", "TwoLevel", "iters-to-quality"},
+	// A falling dropped-solve rate means per-tile convergence detection
+	// got weaker.
+	{"tiles_dropped_rate", func(d *Doc) *float64 { return d.TilesDroppedRate }, 1, true, 0.02,
+		"scaling", "Dropout", "dropped-rate"},
+}
+
 // Validate checks the structural invariants every trajectory document
 // must satisfy: non-negative provenance counts and calibration, finite
 // non-negative metrics, named experiments/methods, and table rows as
@@ -165,23 +198,21 @@ func (d *Doc) Validate() error {
 	case d.CalibNS < 0:
 		return fmt.Errorf("benchfmt: negative calibration %d ns", d.CalibNS)
 	}
-	if a := d.LossGradAllocs; a != nil && (math.IsNaN(*a) || math.IsInf(*a, 0) || *a < 0) {
-		return fmt.Errorf("benchfmt: invalid lossgrad_allocs_per_op %v", *a)
-	}
-	if h := d.CacheHitRate; h != nil && (math.IsNaN(*h) || *h < 0 || *h > 1) {
-		return fmt.Errorf("benchfmt: cache_hit_rate %v outside [0,1]", *h)
+	for _, g := range gates {
+		v := g.value(d)
+		if v == nil || !(math.IsNaN(*v) || math.IsInf(*v, 0) || *v < 0 || *v > g.max) {
+			continue
+		}
+		if math.IsInf(g.max, 1) {
+			return fmt.Errorf("benchfmt: invalid %s %v", g.name, *v)
+		}
+		return fmt.Errorf("benchfmt: %s %v outside [0,%g]", g.name, *v, g.max)
 	}
 	if s := d.ShardCount; s != nil && *s < 1 {
 		return fmt.Errorf("benchfmt: shard_count %d must be >= 1", *s)
 	}
 	if s := d.Solver; s != nil && *s == "" {
 		return fmt.Errorf("benchfmt: solver present but empty (omit the field for the default)")
-	}
-	if q := d.IterationsToQuality; q != nil && (math.IsNaN(*q) || math.IsInf(*q, 0) || *q < 0) {
-		return fmt.Errorf("benchfmt: invalid iterations_to_quality %v", *q)
-	}
-	if r := d.TilesDroppedRate; r != nil && (math.IsNaN(*r) || *r < 0 || *r > 1) {
-		return fmt.Errorf("benchfmt: tiles_dropped_rate %v outside [0,1]", *r)
 	}
 	for i, f := range d.FidelitySchedule {
 		if math.IsNaN(f) || f <= 0 || f > 1 {
@@ -389,78 +420,26 @@ func Compare(base, cur *Doc, opts CompareOptions) (*Result, error) {
 	}
 
 	res := &Result{}
-	// Allocation gate: compared only when both documents carry the
-	// measurement (the field is optional for older baselines). Counts
-	// are deterministic per code version, so the tolerance is a small
-	// absolute slack for pool warm-up jitter, not a relative threshold —
-	// a baseline of 0 must stay 0.
-	if base.LossGradAllocs != nil && cur.LossGradAllocs != nil {
-		res.Checked++
-		const allocSlack = 0.5
-		if *cur.LossGradAllocs > *base.LossGradAllocs+allocSlack {
-			rel := math.Inf(1)
-			if *base.LossGradAllocs > 0 {
-				rel = *cur.LossGradAllocs / *base.LossGradAllocs - 1
-			}
-			res.Regressions = append(res.Regressions, Finding{
-				Experiment: "hotpath", Method: "LossGrad", Metric: "allocs/op",
-				Base: *base.LossGradAllocs, Cur: *cur.LossGradAllocs, Rel: rel,
-			})
+	for _, g := range gates {
+		b, c := g.value(base), g.value(cur)
+		if b == nil || c == nil {
+			continue
 		}
-	}
-	// Cache gate: same tri-state contract as the allocation gate, but
-	// the direction is inverted — the hit rate must not DROP. The rate
-	// is deterministic per code version; the small absolute slack only
-	// absorbs experiment-shape drift, so a baseline of 1.0 effectively
-	// pins full reuse.
-	if base.CacheHitRate != nil && cur.CacheHitRate != nil {
 		res.Checked++
-		const hitRateSlack = 0.02
-		if *cur.CacheHitRate < *base.CacheHitRate-hitRateSlack {
-			rel := 0.0
-			if *base.CacheHitRate > 0 {
-				rel = *cur.CacheHitRate / *base.CacheHitRate - 1
-			}
-			res.Regressions = append(res.Regressions, Finding{
-				Experiment: "cache", Method: "TileCache", Metric: "hit-rate",
-				Base: *base.CacheHitRate, Cur: *cur.CacheHitRate, Rel: rel,
-			})
+		worse, rel := *c > *b+g.slack, math.Inf(1)
+		if g.higherBetter {
+			worse, rel = *c < *b-g.slack, 0
 		}
-	}
-	// Convergence gate: like the allocation gate, iterations-to-quality
-	// is deterministic per code version and must not grow — more
-	// iterations at 8×8 means the coarse space lost effectiveness. The
-	// absolute slack is one fine stage's budget, absorbing threshold
-	// quantisation at the stage boundary.
-	if base.IterationsToQuality != nil && cur.IterationsToQuality != nil {
-		res.Checked++
-		const iterSlack = 4.0
-		if *cur.IterationsToQuality > *base.IterationsToQuality+iterSlack {
-			rel := math.Inf(1)
-			if *base.IterationsToQuality > 0 {
-				rel = *cur.IterationsToQuality / *base.IterationsToQuality - 1
-			}
-			res.Regressions = append(res.Regressions, Finding{
-				Experiment: "scaling", Method: "TwoLevel", Metric: "iters-to-quality",
-				Base: *base.IterationsToQuality, Cur: *cur.IterationsToQuality, Rel: rel,
-			})
+		if !worse {
+			continue
 		}
-	}
-	// Dropout gate: inverted like the cache gate — the dropped-solve
-	// rate must not fall, or per-tile convergence detection got weaker.
-	if base.TilesDroppedRate != nil && cur.TilesDroppedRate != nil {
-		res.Checked++
-		const dropRateSlack = 0.02
-		if *cur.TilesDroppedRate < *base.TilesDroppedRate-dropRateSlack {
-			rel := 0.0
-			if *base.TilesDroppedRate > 0 {
-				rel = *cur.TilesDroppedRate / *base.TilesDroppedRate - 1
-			}
-			res.Regressions = append(res.Regressions, Finding{
-				Experiment: "scaling", Method: "Dropout", Metric: "dropped-rate",
-				Base: *base.TilesDroppedRate, Cur: *cur.TilesDroppedRate, Rel: rel,
-			})
+		if *b > 0 {
+			rel = *c / *b - 1
 		}
+		res.Regressions = append(res.Regressions, Finding{
+			Experiment: g.experiment, Method: g.method, Metric: g.metric,
+			Base: *b, Cur: *c, Rel: rel,
+		})
 	}
 	grew := func(baseV, curV, tol float64) (float64, bool) {
 		if curV <= baseV*(1+tol) {

@@ -78,7 +78,6 @@ func TestKeyConfigSensitivity(t *testing.T) {
 		"stretch":  func(in *KeyInput) { in.Stretch++ },
 		"lr":       func(in *KeyInput) { in.LR *= 1.5 },
 		"pv":       func(in *KeyInput) { in.PVWeight += 0.1 },
-		"plain":    func(in *KeyInput) { in.Plain = !in.Plain },
 		"fidelity": func(in *KeyInput) { in.Fidelity = 0.9 },
 		"target":   func(in *KeyInput) { in.Target = in.Target.Clone(); in.Target.Data[0] += 1e-9 },
 		"init":     func(in *KeyInput) { in.Init = in.Init.Clone(); in.Init.Data[7] += 1e-9 },

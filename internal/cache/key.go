@@ -29,11 +29,13 @@ import (
 // produced by. Bump it whenever a change to the solvers or the litho
 // model alters solve outputs without altering any hashed input, so
 // stale spill directories invalidate themselves. v2: the reduced-grid
-// Hopkins engine moved solver-path results at the 1e-15 level.
-const codeVersion = "mgsilt-tile-solve-v2"
+// Hopkins engine moved solver-path results at the 1e-15 level. v3: no
+// result moved; the key lost the Plain field, so keys of the two
+// layouts must not be compared.
+const codeVersion = "mgsilt-tile-solve-v3"
 
 // keyMagic versions the key serialisation itself. v2 added the
-// canonicalised kernel-fidelity budget after Plain.
+// canonicalised kernel-fidelity budget.
 const keyMagic = "mgsilt-tile-key v2\n"
 
 // Key is the content address of one tile solve: a SHA-256 over the
@@ -71,7 +73,6 @@ type KeyInput struct {
 	Stretch  int
 	LR       float64
 	PVWeight float64
-	Plain    bool
 	// Fidelity is the solve's kernel energy budget (opt.Params
 	// .Fidelity). 0 and 1 both evaluate the full kernel set, so they
 	// are canonicalised to the same hashed value — a full-fidelity
@@ -124,7 +125,6 @@ func (in KeyInput) keyAt(version string) (Key, error) {
 	w.u64(uint64(in.Stretch))
 	w.f64(in.LR)
 	w.f64(in.PVWeight)
-	w.bool(in.Plain)
 	fidelity := in.Fidelity
 	if fidelity == 0 {
 		fidelity = 1
@@ -152,14 +152,6 @@ func (w *keyWriter) u64(v uint64) {
 }
 
 func (w *keyWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w *keyWriter) bool(v bool) {
-	if v {
-		w.u64(1)
-	} else {
-		w.u64(0)
-	}
-}
 
 func (w *keyWriter) str(s string) {
 	w.u64(uint64(len(s)))

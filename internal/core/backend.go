@@ -159,7 +159,7 @@ func (b *clusterBackend) SolveTiles(ctx context.Context, reqs []TileRequest) ([]
 			k, err := cache.KeyInput{
 				Optics: optics, Solver: solverFP,
 				Iters: tileParams.Iters, Stretch: tileParams.Stretch,
-				LR: tileParams.LR, PVWeight: tileParams.PVWeight, Plain: tileParams.Plain,
+				LR: tileParams.LR, PVWeight: tileParams.PVWeight,
 				Fidelity: tileParams.Fidelity,
 				Target:   req.Target, Init: req.Init, Freeze: tileParams.Freeze,
 			}.Key()

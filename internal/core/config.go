@@ -138,10 +138,8 @@ type Config struct {
 	FineStages  int
 	RefineIters int // multiplicative sweeps
 	// RefineVisitIters is the number of solver iterations per tile per
-	// colour visit during refine; RefinePlain selects plain normalised
-	// gradient steps instead of the solver's adaptive optimiser.
+	// colour visit during refine.
 	RefineVisitIters int
-	RefinePlain      bool
 	BaselineIters    int // per-tile iterations for D&C / full-chip / healing
 
 	LR       float64 // solver learning rate

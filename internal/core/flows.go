@@ -319,7 +319,7 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 			Name: "refine", Iter: it + 1, Total: cfg.RefineIters,
 			Run: func(_ context.Context, m *grid.Mat) (*grid.Mat, error) {
 				for _, group := range colors {
-					params := opt.Params{Iters: cfg.RefineVisitIters, LR: cfg.RefineLR, Stretch: 1, PVWeight: cfg.PVWeight, Plain: cfg.RefinePlain}
+					params := opt.Params{Iters: cfg.RefineVisitIters, LR: cfg.RefineLR, Stretch: 1, PVWeight: cfg.PVWeight}
 					sols, err := c.solveTiles(cl, p, m, target, params, group, freeze)
 					if err != nil {
 						return nil, err

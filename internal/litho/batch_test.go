@@ -109,3 +109,33 @@ func TestFingerprint(t *testing.T) {
 		t.Fatalf("different resist config produced the same fingerprint")
 	}
 }
+
+// NewStandard must build exactly the optics assembled by hand from the
+// default kernel set, its 0.8-defocus companion and the default resist.
+func TestNewStandardFingerprint(t *testing.T) {
+	for _, n := range []int{32, testN} {
+		kc := kernels.DefaultConfig(n)
+		nom, err := kernels.Generate(kc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, err := kernels.Defocused(kc, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(nom, def, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewStandard(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("n=%d: NewStandard fingerprint %s, hand-built %s", n, got.Fingerprint(), want.Fingerprint())
+		}
+	}
+	if _, err := NewStandard(48); err == nil {
+		t.Error("NewStandard accepted a grid size kernels.Generate rejects")
+	}
+}

@@ -14,7 +14,9 @@
 //     ("outer").
 //
 // The adjoint gradient of the resist L2 loss is computed entirely in
-// the frequency domain; see lossGradCondition for the derivation.
+// the frequency domain, by one routine over a batch of (mask, target)
+// pairs — LossGradBatch, with LossGrad its batch of one; see
+// evaluation.condition for the derivation.
 package litho
 
 import (
@@ -220,6 +222,28 @@ func New(nominal, defocus *kernels.Set, cfg Config) (*Simulator, error) {
 		defocus: defocus,
 		cache:   map[prepKey]*prepared{},
 	}, nil
+}
+
+// StandardDefocus is the defocus of the process-window kernel set of
+// the standard optics.
+const StandardDefocus = 0.8
+
+// NewStandard builds the simulator every binary, worker, experiment and
+// example runs on: the default kernel set for grid n, its companion at
+// StandardDefocus and the default resist. Results only agree bit for bit
+// across processes that construct their optics identically, so the
+// recipe lives here alone.
+func NewStandard(n int) (*Simulator, error) {
+	kc := kernels.DefaultConfig(n)
+	nominal, err := kernels.Generate(kc)
+	if err != nil {
+		return nil, err
+	}
+	defocus, err := kernels.Defocused(kc, StandardDefocus)
+	if err != nil {
+		return nil, err
+	}
+	return New(nominal, defocus, DefaultConfig())
 }
 
 // N returns the native simulation grid size.
@@ -665,8 +689,7 @@ func prodLive(dst, a, b *grid.CMat, live []bool) {
 // order). Parallel output is therefore bit-identical to serial.
 func (s *Simulator) aerialParallel(p *prepared, fm *grid.CMat, intensity *grid.Mat, limit int) {
 	k := len(p.freq)
-	fs := getFields(k, fm.H, fm.W)
-	fields := fs.cm
+	fields := grid.GetCMats(k, fm.H, fm.W)
 	parallel.Do(k, limit, func(i int) { prodLive(fields[i], fm, p.freq[i], p.rowLive) })
 	fft.Batch2DInversePruned(fields, p.rowLive, limit)
 	parts := grid.GetMats(k, intensity.H, intensity.W)
@@ -677,40 +700,7 @@ func (s *Simulator) aerialParallel(p *prepared, fm *grid.CMat, intensity *grid.M
 		intensity.Add(part)
 	}
 	grid.PutMats(parts)
-	fs.release()
-}
-
-// fieldScratch recycles the per-evaluation batch of field buffers (one
-// pooled CMat per kernel) plus the pointer slice holding them, so a
-// steady-state LossGrad/Aerial evaluation performs no slice or matrix
-// allocation at all.
-type fieldScratch struct {
-	cm []*grid.CMat
-}
-
-var fieldScratchPool = sync.Pool{New: func() any { return &fieldScratch{} }}
-
-// getFields returns k pooled h×w complex matrices (contents undefined)
-// held in a recycled slice.
-func getFields(k, h, w int) *fieldScratch {
-	fs := fieldScratchPool.Get().(*fieldScratch)
-	if cap(fs.cm) < k {
-		fs.cm = make([]*grid.CMat, k)
-	}
-	fs.cm = fs.cm[:k]
-	for i := range fs.cm {
-		fs.cm[i] = grid.GetCMat(h, w)
-	}
-	return fs
-}
-
-// release returns every matrix and the slice itself to their pools.
-func (fs *fieldScratch) release() {
-	for i, m := range fs.cm {
-		grid.PutCMat(m)
-		fs.cm[i] = nil
-	}
-	fieldScratchPool.Put(fs)
+	grid.PutCMats(fields)
 }
 
 // PrintResist thresholds an aerial image into a binary wafer image at
@@ -781,26 +771,11 @@ type LossOpts struct {
 // to keep the optimisation steady state allocation-free (holding on to
 // it is equally valid — ownership transfers to the caller).
 func (s *Simulator) LossGrad(mask, target *grid.Mat, opts LossOpts) (float64, *grid.Mat) {
-	if !mask.SameShape(target) {
-		panic(fmt.Sprintf("litho: mask %dx%d vs target %dx%d", mask.H, mask.W, target.H, target.W))
-	}
-	injectAerial()
-	stretch := opts.Stretch
-	if stretch < 1 {
-		panic("litho: LossOpts.Stretch must be >= 1")
-	}
-	ks := s.kernelStretch(mask.H, stretch)
-	fidelity := s.effFidelity(opts.Fidelity)
-	grad := grid.GetMat(mask.H, mask.W).Zero()
-	fm := grid.GetCMat(mask.H, mask.W)
-	// mask is real: half a complex transform, and only the columns read.
-	fft.ForwardReal2DBand(fm, mask, s.maskBand(mask.H, ks, fidelity, opts.PVWeight > 0))
-	loss := s.lossGradCondition(fm, target, s.Nominal(), ks, fidelity, 1, grad)
-	if opts.PVWeight > 0 {
-		loss += s.lossGradCondition(fm, target, s.Inner(), ks, fidelity, opts.PVWeight, grad)
-		loss += s.lossGradCondition(fm, target, s.Outer(), ks, fidelity, opts.PVWeight, grad)
-	}
-	grid.PutCMat(fm)
+	e := evaluationPool.Get().(*evaluation)
+	e.pair[0], e.pair[1] = mask, target
+	e.run(s, e.pair[:1], e.pair[1:], opts)
+	loss, grad := e.losses[0], e.grads[0]
+	e.release()
 	return loss, grad
 }
 
@@ -832,8 +807,105 @@ func (s *Simulator) effFidelity(opt float64) float64 {
 	return canonFidelity(opt)
 }
 
-// lossGradCondition accumulates weight·∇L_cond into grad and returns
-// weight·L_cond, where L_cond = Σ (Z − Z_t)² with Z the sigmoid resist
+// evaluation is the state of one loss-gradient evaluation over T (mask,
+// target) pairs of one geometry — LossGrad is the T = 1 case. It is
+// pooled together with every per-call slice, and its step functions are
+// bound once when it is created, so handing them to parallel.Do costs
+// nothing per call: a warm LossGrad allocates nothing.
+type evaluation struct {
+	s              *Simulator
+	masks, targets []*grid.Mat
+	pair           [2]*grid.Mat // LossGrad's mask and target, sliced into masks/targets
+	size, band     int
+	kernelStretch  int
+	fidelity       float64
+
+	losses []float64
+	grads  []*grid.Mat
+	fms    []*grid.CMat // F(mask) per pair, shared by the conditions
+
+	// The condition being evaluated and its per-pair intermediates.
+	r      *reduced
+	cond   Condition
+	weight float64
+	specs  []*grid.CMat // cropped mask spectra
+	fields []*grid.CMat // field i*k+j is pair i's kernel j
+	gs     []*grid.Mat  // low-passed ∂L/∂I on the M grid
+	accs   []*grid.CMat // adjoint accumulators
+
+	transformStep, cropStep, productStep, resistStep, sourceStep, reduceStep, gradStep func(int)
+}
+
+var evaluationPool = sync.Pool{New: func() any {
+	e := &evaluation{}
+	e.transformStep, e.cropStep, e.productStep = e.transform, e.crop, e.product
+	e.resistStep, e.sourceStep, e.reduceStep, e.gradStep = e.resist, e.source, e.reduce, e.addGrad
+	return e
+}}
+
+// resize returns s with length n, reallocating only when it must; the
+// contents are unspecified.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
+// run evaluates the loss and gradient of every pair into e.losses and
+// e.grads (pooled matrices whose ownership passes to the caller).
+func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts) {
+	if len(masks) != len(targets) {
+		panic(fmt.Sprintf("litho: %d masks vs %d targets", len(masks), len(targets)))
+	}
+	size := masks[0].H
+	for i, m := range masks {
+		if !m.SameShape(targets[i]) {
+			panic(fmt.Sprintf("litho: mask %dx%d vs target %dx%d", m.H, m.W, targets[i].H, targets[i].W))
+		}
+		if m.H != size || m.W != size {
+			panic(fmt.Sprintf("litho: batch member %d is %dx%d, want %dx%d", i, m.H, m.W, size, size))
+		}
+	}
+	injectAerial()
+	if opts.Stretch < 1 {
+		panic("litho: LossOpts.Stretch must be >= 1")
+	}
+	T := len(masks)
+	e.s, e.masks, e.targets, e.size = s, masks, targets, size
+	e.kernelStretch = s.kernelStretch(size, opts.Stretch)
+	e.fidelity = s.effFidelity(opts.Fidelity)
+	e.band = s.maskBand(size, e.kernelStretch, e.fidelity, opts.PVWeight > 0)
+	e.losses, e.grads, e.fms = resize(e.losses, T), resize(e.grads, T), resize(e.fms, T)
+	e.specs, e.gs, e.accs = resize(e.specs, T), resize(e.gs, T), resize(e.accs, T)
+	for i := range masks {
+		e.losses[i] = 0
+		e.grads[i] = grid.GetMat(size, size).Zero()
+		e.fms[i] = grid.GetCMat(size, size)
+	}
+	parallel.Do(T, s.workersFor(T), e.transformStep)
+	e.condition(s.Nominal(), 1)
+	if opts.PVWeight > 0 {
+		e.condition(s.Inner(), opts.PVWeight)
+		e.condition(s.Outer(), opts.PVWeight)
+	}
+	for i, fm := range e.fms {
+		grid.PutCMat(fm)
+		e.fms[i] = nil
+	}
+}
+
+// release drops every reference the evaluation holds into its caller's
+// data and returns it to the pool.
+func (e *evaluation) release() {
+	clear(e.grads)
+	clear(e.pair[:])
+	e.s, e.masks, e.targets, e.r = nil, nil, nil, nil
+	evaluationPool.Put(e)
+}
+
+// condition adds weight·L_cond to every pair's loss and weight·∇L_cond
+// to its gradient, where L_cond = Σ (Z − Z_t)² with Z the sigmoid resist
 // under the given condition.
 //
 // Derivation: with A_k = F⁻¹(H_k ⊙ F(M)) and I = Σ w_k|A_k|²,
@@ -844,7 +916,7 @@ func (s *Simulator) effFidelity(opt float64) float64 {
 //
 // where H(-f) is the spectrum of the coordinate-reversed kernel (the
 // correlation/adjoint kernel). The per-kernel terms are accumulated in
-// the frequency domain so only one inverse transform is needed.
+// the frequency domain so only one inverse transform per pair is needed.
 //
 // Everything per-kernel — the fields, |A_k|², g ⊙ conj(A_k) and the
 // adjoint products — lives on the set's reduced M×M grid (see reduced);
@@ -852,111 +924,117 @@ func (s *Simulator) effFidelity(opt float64) float64 {
 // and leaving it (cropMask, upsample, lowpass, embed) run at full size.
 // When M equals the grid size those four are the identity and this is
 // the plain dense evaluation.
-func (s *Simulator) lossGradCondition(fm *grid.CMat, target *grid.Mat, cond Condition, kernelStretch int, fidelity, weight float64, grad *grid.Mat) float64 {
-	size := fm.H
-	r := s.preparedFor(cond.Focus, size, kernelStretch, fidelity).solver()
-	k, m := len(r.fwd), r.m
-	limit := s.fanOut(k, m)
-	kernelsEvaluated.Add(int64(k))
-
-	// Forward pass: fields and intensity. Every intermediate — the k
-	// field buffers, their holding slice, and the accumulators — comes
-	// from a pool, so the steady state of an optimisation loop performs
-	// no allocation. The k per-kernel spectra are built in one
-	// elementwise fan-out and inverse-transformed by ONE batched
-	// transform (fft.Batch2D): a single row fan-out plus a single
-	// column fan-out instead of k nested 2-D transform sections. Each
-	// kernel's weighted partial intensity lands in its own pooled
-	// buffer and the partials are reduced in kernel order, replaying
-	// the serial floating-point addition sequence exactly (see
-	// aerialParallel) — parallel output is bit-identical to serial at
-	// every worker count.
-	spec := r.cropMask(fm)
-	fs := getFields(k, m, m)
-	fields := fs.cm
-	intensity := grid.GetMat(m, m).Zero()
-	if limit > 1 {
-		parallel.Do(k, limit, func(i int) { prodLive(fields[i], spec, r.fwd[i], r.fwdLive) })
-		fft.Batch2DInversePruned(fields, r.fwdLive, limit)
-		parts := grid.GetMats(k, m, m)
-		parallel.Do(k, limit, func(i int) {
-			fields[i].AddAbsSqScaled(parts[i].Zero(), r.weights[i])
-		})
-		for _, part := range parts {
-			intensity.Add(part)
-		}
-		grid.PutMats(parts)
-	} else {
-		for i := range fields {
-			prodLive(fields[i], spec, r.fwd[i], r.fwdLive)
-		}
-		fft.Batch2DInversePruned(fields, r.fwdLive, 1)
-		for i, a := range fields {
-			a.AddAbsSqScaled(intensity, r.weights[i])
-		}
-	}
-	if spec != fm {
-		grid.PutCMat(spec)
+//
+// The k·T field buffers of the whole batch go through ONE batched
+// transform (fft.Batch2D) in each direction, and the element-wise steps
+// between them fan out over the same index space; below fanOutCrossover
+// all of it runs inline on the caller. Every order-sensitive reduction —
+// a pair's intensity, its scalar loss, its adjoint accumulator — is
+// performed by one goroutine in kernel order, and batching a transform
+// never changes an individual matrix's bits, so a pair's result does not
+// depend on the worker count or on what else is in the batch.
+func (e *evaluation) condition(cond Condition, weight float64) {
+	s := e.s
+	r := s.preparedFor(cond.Focus, e.size, e.kernelStretch, e.fidelity).solver()
+	e.r, e.cond, e.weight = r, cond, weight
+	T, k, m := len(e.masks), len(r.fwd), r.m
+	limit := s.fanOut(k*T, m)
+	tiles := min(limit, T)
+	kernelsEvaluated.Add(int64(k * T))
+	e.fields = resize(e.fields, k*T)
+	for f := range e.fields {
+		e.fields[f] = grid.GetCMat(m, m)
 	}
 
-	// Resist and loss, at full size. Kept serial: it is a single O(n²)
-	// sweep between two stacks of O(k·m²·log m) transforms, and the
-	// scalar loss accumulation is order-sensitive.
+	// Forward pass: fields, then per pair intensity, resist and loss.
+	parallel.Do(T, tiles, e.cropStep)
+	parallel.Do(k*T, limit, e.productStep)
+	fft.Batch2DInversePruned(e.fields, r.fwdLive, limit)
+	parallel.Do(T, tiles, e.resistStep)
+
+	// Adjoint pass. The adjoint spectra are band-limited like the forward
+	// ones, so every product adj ⊙ F(q) is zero outside r.adjLive: only
+	// the live rows of F(q_k) are ever read, which lets the forward batch
+	// run the band-limited columns-first transform and skip the row
+	// transforms of every dead output row. Dead rows of the field buffers
+	// are left mid-transform; that is safe because the reduction only
+	// touches r.adjRows and prodLive rewrites (or clears) every row on
+	// the next use of the pooled buffers.
+	parallel.Do(k*T, limit, e.sourceStep)
+	fft.Batch2DForwardBand(e.fields, r.adjLive, limit)
+	parallel.Do(T, tiles, e.reduceStep)
+	// The accumulators are full-size again: their transform fans out on
+	// its own above the fft crossover, like upsample's and lowpass's.
+	fft.Batch2DInversePruned(e.accs, r.rows1, s.cfg.Workers)
+	parallel.Do(T, tiles, e.gradStep)
+	for f, a := range e.fields {
+		grid.PutCMat(a)
+		e.fields[f] = nil
+	}
+}
+
+// transform computes F(mask) of pair i. The mask is real: half a complex
+// transform, and only the columns read.
+func (e *evaluation) transform(i int) {
+	fft.ForwardReal2DBand(e.fms[i], e.masks[i], e.band)
+}
+
+func (e *evaluation) crop(i int) { e.specs[i] = e.r.cropMask(e.fms[i]) }
+
+// product builds the spectrum H_j ⊙ F(mask_i) of field f = i·k + j.
+func (e *evaluation) product(f int) {
+	k := len(e.r.fwd)
+	prodLive(e.fields[f], e.specs[f/k], e.r.fwd[f%k], e.r.fwdLive)
+}
+
+// resist sums pair i's intensity in kernel order, sweeps the resist at
+// full size and leaves the low-passed ∂L/∂I in gs[i]. Serial per pair:
+// it is a single O(n²) sweep between two stacks of O(k·m²·log m)
+// transforms, and the scalar loss accumulation is order-sensitive.
+func (e *evaluation) resist(i int) {
+	r, k := e.r, len(e.r.fwd)
+	if e.specs[i] != e.fms[i] {
+		grid.PutCMat(e.specs[i])
+	}
+	e.specs[i] = nil
+	intensity := grid.GetMat(r.m, r.m).Zero()
+	for j, a := range e.fields[i*k : (i+1)*k] {
+		a.AddAbsSqScaled(intensity, r.weights[j])
+	}
 	intensity = r.upsample(intensity)
-	g := grid.GetMat(size, size) // ∂L/∂I, fully overwritten below
-	loss := s.resistLoss(intensity, target, cond.Dose, g)
+	g := grid.GetMat(e.size, e.size) // ∂L/∂I, fully overwritten below
+	e.losses[i] += e.weight * e.s.resistLoss(intensity, e.targets[i], e.cond.Dose, g)
 	grid.PutMat(intensity)
-	g = r.lowpass(g)
+	e.gs[i] = r.lowpass(g)
+}
 
-	// Adjoint pass, accumulated in the frequency domain. The fields are
-	// no longer needed once q_k = g ⊙ conj(A_k) is formed, so each q_k
-	// overwrites its own field buffer in place; the k forward transforms
-	// again collapse into one batched pass. Each kernel's contribution
-	// (2w_k·H_k(-f)) ⊙ F(q_k) — the flipped spectra carry the 2w_k
-	// factor from preparation — is reduced into acc sequentially in
-	// kernel order, bit-identical to the serial accumulation.
-	// The adjoint spectra are band-limited like the forward ones, so
-	// every product adj ⊙ F(q) is zero outside r.adjLive: only the live
-	// rows of F(q_k) are ever read, which lets the forward batch run the
-	// band-limited columns-first transform (fft.Batch2DForwardBand) and
-	// skip the row transforms of every dead output row. Dead rows of the
-	// field buffers are left mid-transform; that is safe because the
-	// product and reduction loops below only touch r.adjRows and prodLive
-	// rewrites (or clears) every row on the next use of the pooled
-	// buffers. The pruning itself is exact — live rows match the dense
-	// columns-first transform bit for bit at any worker count.
-	acc := grid.GetCMat(m, m).Zero()
-	if limit > 1 {
-		parallel.Do(k, limit, func(i int) { mulRealConj(fields[i], g) })
-		fft.Batch2DForwardBand(fields, r.adjLive, limit)
-		parallel.Do(k, limit, func(i int) { mulRows(fields[i], r.adj[i], r.adjRows) })
-		for _, t := range fields {
-			addRows(acc, t, r.adjRows)
-		}
-	} else {
-		for _, a := range fields {
-			mulRealConj(a, g)
-		}
-		fft.Batch2DForwardBand(fields, r.adjLive, 1)
-		for i, a := range fields {
-			adj := r.adj[i]
-			for _, y := range r.adjRows {
-				ar, jr, cr := a.Row(y), adj.Row(y), acc.Row(y)
-				for x, qv := range ar {
-					cr[x] += jr[x] * qv
-				}
-			}
-		}
+// source overwrites field f with the adjoint source q = g ⊙ conj(A): the
+// field is not needed once q is formed.
+func (e *evaluation) source(f int) { mulRealConj(e.fields[f], e.gs[f/len(e.r.fwd)]) }
+
+// reduce accumulates pair i's kernel contributions (2w_j·H_j(-f)) ⊙ F(q_j)
+// in kernel order — the flipped spectra carry the 2w_j factor from
+// preparation — and embeds the sum into a full-size spectrum.
+func (e *evaluation) reduce(i int) {
+	r, k := e.r, len(e.r.fwd)
+	grid.PutMat(e.gs[i])
+	e.gs[i] = nil
+	acc := grid.GetCMat(r.m, r.m).Zero()
+	for j, a := range e.fields[i*k : (i+1)*k] {
+		mulAddRows(acc, r.adj[j], a, r.adjRows)
 	}
-	fs.release()
-	grid.PutMat(g)
-	acc = r.embed(acc)
-	fft.Inverse2DPruned(acc, r.rows1)
+	e.accs[i] = r.embed(acc)
+}
+
+// addGrad adds the weighted real part of pair i's inverted accumulator
+// to its gradient.
+func (e *evaluation) addGrad(i int) {
+	grad, acc := e.grads[i], e.accs[i]
 	for j := range grad.Data {
-		grad.Data[j] += weight * real(acc.Data[j])
+		grad.Data[j] += e.weight * real(acc.Data[j])
 	}
 	grid.PutCMat(acc)
-	return weight * loss
+	e.accs[i] = nil
 }
 
 // resistLoss sweeps the sigmoid resist over a full-size intensity:
@@ -973,22 +1051,12 @@ func (s *Simulator) resistLoss(intensity, target *grid.Mat, dose float64, g *gri
 	return loss
 }
 
-// mulRows sets a = adj ⊙ a on the listed rows.
-func mulRows(a, adj *grid.CMat, rows []int) {
+// mulAddRows accumulates adj ⊙ a into acc on the listed rows.
+func mulAddRows(acc, adj, a *grid.CMat, rows []int) {
 	for _, y := range rows {
-		ar, jr := a.Row(y), adj.Row(y)
+		ar, jr, cr := a.Row(y), adj.Row(y), acc.Row(y)
 		for x, qv := range ar {
-			ar[x] = jr[x] * qv
-		}
-	}
-}
-
-// addRows accumulates the listed rows of t into acc.
-func addRows(acc, t *grid.CMat, rows []int) {
-	for _, y := range rows {
-		tr, cr := t.Row(y), acc.Row(y)
-		for x, tv := range tr {
-			cr[x] += tv
+			cr[x] += jr[x] * qv
 		}
 	}
 }

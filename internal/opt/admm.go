@@ -75,8 +75,7 @@ func (s *ADMM) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
 			return nil, err
 		}
 		// x-update: one gradient of the smooth litho loss plus the
-		// quadratic coupling term, stepped with Adam (or a plain step
-		// under Params.Plain, matching the refinement contract).
+		// quadratic coupling term, stepped with Adam.
 		copy(xm.Data, x)
 		_, gm := sharedLossGrad(s.Sim, xm, target, p)
 		for i := range gx {
@@ -88,11 +87,7 @@ func (s *ADMM) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
 		if w := s.WarmupIters; w > 0 && it < w {
 			lr *= float64(it+1) / float64(w+1)
 		}
-		if p.Plain {
-			plainStep(x, gx, p.LR)
-		} else {
-			adam.Step(x, gx, lr)
-		}
+		adam.Step(x, gx, lr)
 		for i := range x {
 			x[i] = clamp01(x[i])
 		}

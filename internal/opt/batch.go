@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mgsilt/internal/grid"
-	"mgsilt/internal/litho"
 )
 
 // Fingerprinter is implemented by solvers whose configuration can be
@@ -68,7 +67,7 @@ type BatchSolver interface {
 	// SolveBatch solves tiles i = 0..T-1 from (targets[i], inits[i],
 	// ps[i]) and returns per-tile results and errors (outs[i] is nil
 	// exactly when errs[i] is non-nil). The lockstep fields of ps —
-	// Iters, LR, Stretch, PVWeight, Plain, Fidelity — must agree across
+	// Iters, LR, Stretch, PVWeight, Fidelity — must agree across
 	// the batch; Ctx and Freeze may differ per tile, and a tile whose
 	// context cancels drops out of the batch without disturbing the
 	// others.
@@ -79,142 +78,5 @@ type BatchSolver interface {
 // batch.
 func lockstepCompatible(a, b Params) bool {
 	return a.Iters == b.Iters && a.LR == b.LR && a.Stretch == b.Stretch &&
-		a.PVWeight == b.PVWeight && a.Plain == b.Plain && a.Fidelity == b.Fidelity
-}
-
-// SolveBatch implements BatchSolver: the Solve loop run in lockstep
-// over T tiles, with every iteration's T loss-gradient evaluations
-// collapsed into one litho.LossGradBatch call. Per-tile θ, Adam state,
-// freeze handling, warmup, and annealing replay Solve exactly, so each
-// returned mask is bit-identical to a lone Solve of that tile.
-func (s *Pixel) SolveBatch(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, []error) {
-	T := len(inits)
-	outs := make([]*grid.Mat, T)
-	errs := make([]error, T)
-	failAll := func(err error) ([]*grid.Mat, []error) {
-		for i := range errs {
-			errs[i] = err
-		}
-		return outs, errs
-	}
-	if len(targets) != T || len(ps) != T {
-		return failAll(fmt.Errorf("opt: batch size mismatch: %d targets, %d inits, %d params", len(targets), T, len(ps)))
-	}
-	if T == 0 {
-		return outs, errs
-	}
-	for i := range ps {
-		if !lockstepCompatible(ps[i], ps[0]) {
-			return failAll(fmt.Errorf("opt: batch member %d has incompatible lockstep params", i))
-		}
-		if !inits[i].SameShape(inits[0]) {
-			return failAll(fmt.Errorf("opt: batch member %d is %dx%d, want %dx%d", i, inits[i].H, inits[i].W, inits[0].H, inits[0].W))
-		}
-	}
-
-	p0 := ps[0]
-	n := len(inits[0].Data)
-	bias := s.BackgroundBias
-	if bias <= 0 {
-		bias = 1e-3
-	}
-	slopeAt := func(it int) float64 {
-		if s.FinalSlope <= s.Slope || p0.Iters <= 1 {
-			return s.Slope
-		}
-		return s.Slope + (s.FinalSlope-s.Slope)*float64(it)/float64(p0.Iters-1)
-	}
-
-	type tileState struct {
-		idx    int
-		p      Params
-		target *grid.Mat
-		init   *grid.Mat
-		theta  []float64
-		dTheta []float64
-		mask   *grid.Mat
-		adam   *Adam
-	}
-	active := make([]*tileState, 0, T)
-	for i := range inits {
-		if err := ps[i].validateFor(inits[i]); err != nil {
-			errs[i] = err
-			continue
-		}
-		st := &tileState{
-			idx: i, p: ps[i], target: targets[i], init: inits[i],
-			theta: make([]float64, n), dTheta: make([]float64, n),
-			mask: grid.NewMat(inits[i].H, inits[i].W), adam: NewAdam(n),
-		}
-		for j, v := range inits[i].Data {
-			if v < bias && (st.p.Freeze == nil || st.p.Freeze.Data[j] < 0.5) {
-				v = bias
-			}
-			st.theta[j] = logit(v, 1e-4) / s.Slope
-		}
-		active = append(active, st)
-	}
-
-	masks := make([]*grid.Mat, 0, T)
-	tgts := make([]*grid.Mat, 0, T)
-	for it := 0; it < p0.Iters && len(active) > 0; it++ {
-		// Drop cancelled tiles before spending the iteration on them;
-		// the rest of the batch continues undisturbed.
-		live := active[:0]
-		for _, st := range active {
-			if err := st.p.Interrupted(); err != nil {
-				errs[st.idx] = err
-				continue
-			}
-			live = append(live, st)
-		}
-		active = live
-		if len(active) == 0 {
-			break
-		}
-		slope := slopeAt(it)
-		masks, tgts = masks[:0], tgts[:0]
-		for _, st := range active {
-			for j, t := range st.theta {
-				st.mask.Data[j] = sigmoidAt(slope * t)
-			}
-			masks = append(masks, st.mask)
-			tgts = append(tgts, st.target)
-		}
-		_, gms := s.Sim.LossGradBatch(masks, tgts, litho.LossOpts{Stretch: p0.Stretch, PVWeight: p0.PVWeight, Fidelity: p0.Fidelity})
-		for bi, st := range active {
-			gm := gms[bi]
-			if s.SmoothWeight > 0 {
-				addLaplacian(gm, st.mask, s.SmoothWeight)
-			}
-			for j := range st.dTheta {
-				m := st.mask.Data[j]
-				st.dTheta[j] = gm.Data[j] * slope * m * (1 - m)
-			}
-			grid.PutMat(gm)
-			maskFrozen(st.dTheta, st.p.Freeze)
-			lr := p0.LR
-			if w := s.WarmupIters; w > 0 && it < w {
-				lr *= float64(it+1) / float64(w+1)
-			}
-			if p0.Plain {
-				plainStep(st.theta, st.dTheta, p0.LR)
-			} else {
-				st.adam.Step(st.theta, st.dTheta, lr)
-			}
-		}
-	}
-
-	finalSlope := slopeAt(p0.Iters - 1)
-	if p0.Iters == 0 {
-		finalSlope = s.Slope
-	}
-	for _, st := range active {
-		for j, t := range st.theta {
-			st.mask.Data[j] = sigmoidAt(finalSlope * t)
-		}
-		restoreFrozen(st.mask, st.init, st.p.Freeze)
-		outs[st.idx] = st.mask
-	}
-	return outs, errs
+		a.PVWeight == b.PVWeight && a.Fidelity == b.Fidelity
 }

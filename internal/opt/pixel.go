@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 
 	"mgsilt/internal/grid"
@@ -59,79 +60,158 @@ func (s *Pixel) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
 	return s.solve(target, init, p, nil)
 }
 
-// solve is the shared descent loop behind Pixel and Curvy. extraGrad,
-// when non-nil, may accumulate additional ∂loss/∂M terms into gm after
-// the smoothness regulariser and before the sigmoid chain rule; a nil
-// hook leaves the loop byte-for-byte the historical Pixel solve.
+// solve is the batch-of-one entry into the descent loop, shared by Pixel
+// and Curvy.
 func (s *Pixel) solve(target, init *grid.Mat, p Params, extraGrad func(gm, mask *grid.Mat)) (*grid.Mat, error) {
-	if err := p.validateFor(init); err != nil {
-		return nil, err
+	outs, errs := s.descend([]*grid.Mat{target}, []*grid.Mat{init}, []Params{p}, extraGrad)
+	return outs[0], errs[0]
+}
+
+// SolveBatch implements BatchSolver.
+func (s *Pixel) SolveBatch(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, []error) {
+	return s.descend(targets, inits, ps, nil)
+}
+
+// descend is the descent loop: T tiles optimised in lockstep, every
+// iteration's T loss-gradient evaluations collapsed into one
+// litho.LossGradBatch call. θ, Adam state, freeze handling, warm-up and
+// annealing are per tile, so a tile's mask does not depend on what else
+// is in the batch; a tile that fails validation or whose context cancels
+// drops out (outs[i] nil, errs[i] set) without disturbing the others.
+// extraGrad, when non-nil, may accumulate additional ∂loss/∂M terms into
+// gm after the smoothness regulariser and before the sigmoid chain rule.
+func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(gm, mask *grid.Mat)) ([]*grid.Mat, []error) {
+	T := len(inits)
+	outs := make([]*grid.Mat, T)
+	errs := make([]error, T)
+	failAll := func(err error) ([]*grid.Mat, []error) {
+		for i := range errs {
+			errs[i] = err
+		}
+		return outs, errs
 	}
-	n := len(init.Data)
-	theta := make([]float64, n)
+	if len(targets) != T || len(ps) != T {
+		return failAll(fmt.Errorf("opt: batch size mismatch: %d targets, %d inits, %d params", len(targets), T, len(ps)))
+	}
+	if T == 0 {
+		return outs, errs
+	}
+	for i := range ps {
+		if !lockstepCompatible(ps[i], ps[0]) {
+			return failAll(fmt.Errorf("opt: batch member %d has incompatible lockstep params", i))
+		}
+		if !inits[i].SameShape(inits[0]) {
+			return failAll(fmt.Errorf("opt: batch member %d is %dx%d, want %dx%d", i, inits[i].H, inits[i].W, inits[0].H, inits[0].W))
+		}
+	}
+
+	p0 := ps[0]
+	n := len(inits[0].Data)
 	bias := s.BackgroundBias
 	if bias <= 0 {
 		bias = 1e-3
 	}
-	for i, v := range init.Data {
-		// Lift dead-zero pixels to the background bias so they keep a
-		// usable gradient — except frozen pixels, which must reproduce
-		// their boundary data exactly.
-		if v < bias && (p.Freeze == nil || p.Freeze.Data[i] < 0.5) {
-			v = bias
-		}
-		theta[i] = logit(v, 1e-4) / s.Slope
-	}
-
-	mask := grid.NewMat(init.H, init.W)
-	dTheta := make([]float64, n)
-	adam := NewAdam(n)
 	slopeAt := func(it int) float64 {
-		if s.FinalSlope <= s.Slope || p.Iters <= 1 {
+		if s.FinalSlope <= s.Slope || p0.Iters <= 1 {
 			return s.Slope
 		}
-		return s.Slope + (s.FinalSlope-s.Slope)*float64(it)/float64(p.Iters-1)
+		return s.Slope + (s.FinalSlope-s.Slope)*float64(it)/float64(p0.Iters-1)
 	}
-	for it := 0; it < p.Iters; it++ {
-		if err := p.Interrupted(); err != nil {
-			return nil, err
+
+	type tileState struct {
+		idx    int
+		p      Params
+		target *grid.Mat
+		init   *grid.Mat
+		theta  []float64
+		dTheta []float64
+		mask   *grid.Mat
+		adam   *Adam
+	}
+	active := make([]*tileState, 0, T)
+	for i := range inits {
+		if err := ps[i].validateFor(inits[i]); err != nil {
+			errs[i] = err
+			continue
+		}
+		st := &tileState{
+			idx: i, p: ps[i], target: targets[i], init: inits[i],
+			theta: make([]float64, n), dTheta: make([]float64, n),
+			mask: grid.NewMat(inits[i].H, inits[i].W), adam: NewAdam(n),
+		}
+		for j, v := range inits[i].Data {
+			// Lift dead-zero pixels to the background bias so they keep a
+			// usable gradient — except frozen pixels, which must reproduce
+			// their boundary data exactly.
+			if v < bias && (st.p.Freeze == nil || st.p.Freeze.Data[j] < 0.5) {
+				v = bias
+			}
+			st.theta[j] = logit(v, 1e-4) / s.Slope
+		}
+		active = append(active, st)
+	}
+
+	masks := make([]*grid.Mat, 0, T)
+	tgts := make([]*grid.Mat, 0, T)
+	for it := 0; it < p0.Iters && len(active) > 0; it++ {
+		// Drop cancelled tiles before spending the iteration on them;
+		// the rest of the batch continues undisturbed.
+		live := active[:0]
+		for _, st := range active {
+			if err := st.p.Interrupted(); err != nil {
+				errs[st.idx] = err
+				continue
+			}
+			live = append(live, st)
+		}
+		active = live
+		if len(active) == 0 {
+			break
 		}
 		slope := slopeAt(it)
-		for i, t := range theta {
-			mask.Data[i] = sigmoidAt(slope * t)
+		masks, tgts = masks[:0], tgts[:0]
+		for _, st := range active {
+			for j, t := range st.theta {
+				st.mask.Data[j] = sigmoidAt(slope * t)
+			}
+			masks = append(masks, st.mask)
+			tgts = append(tgts, st.target)
 		}
-		_, gm := sharedLossGrad(s.Sim, mask, target, p)
-		if s.SmoothWeight > 0 {
-			addLaplacian(gm, mask, s.SmoothWeight)
-		}
-		if extraGrad != nil {
-			extraGrad(gm, mask)
-		}
-		for i := range dTheta {
-			m := mask.Data[i]
-			dTheta[i] = gm.Data[i] * slope * m * (1 - m)
-		}
-		grid.PutMat(gm) // LossGrad hands over a pooled matrix
-		maskFrozen(dTheta, p.Freeze)
-		lr := p.LR
+		_, gms := s.Sim.LossGradBatch(masks, tgts, litho.LossOpts{Stretch: p0.Stretch, PVWeight: p0.PVWeight, Fidelity: p0.Fidelity})
+		lr := p0.LR
 		if w := s.WarmupIters; w > 0 && it < w {
 			lr *= float64(it+1) / float64(w+1)
 		}
-		if p.Plain {
-			plainStep(theta, dTheta, p.LR)
-		} else {
-			adam.Step(theta, dTheta, lr)
+		for bi, st := range active {
+			gm := gms[bi]
+			if s.SmoothWeight > 0 {
+				addLaplacian(gm, st.mask, s.SmoothWeight)
+			}
+			if extraGrad != nil {
+				extraGrad(gm, st.mask)
+			}
+			for j := range st.dTheta {
+				m := st.mask.Data[j]
+				st.dTheta[j] = gm.Data[j] * slope * m * (1 - m)
+			}
+			grid.PutMat(gm) // LossGradBatch hands over pooled matrices
+			maskFrozen(st.dTheta, st.p.Freeze)
+			st.adam.Step(st.theta, st.dTheta, lr)
 		}
 	}
-	finalSlope := slopeAt(p.Iters - 1)
-	if p.Iters == 0 {
+
+	finalSlope := slopeAt(p0.Iters - 1)
+	if p0.Iters == 0 {
 		finalSlope = s.Slope
 	}
-	for i, t := range theta {
-		mask.Data[i] = sigmoidAt(finalSlope * t)
+	for _, st := range active {
+		for j, t := range st.theta {
+			st.mask.Data[j] = sigmoidAt(finalSlope * t)
+		}
+		restoreFrozen(st.mask, st.init, st.p.Freeze)
+		outs[st.idx] = st.mask
 	}
-	restoreFrozen(mask, init, p.Freeze)
-	return mask, nil
+	return outs, errs
 }
 
 // addLaplacian accumulates the gradient of the smoothness energy

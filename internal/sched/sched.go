@@ -54,7 +54,6 @@ type class struct {
 	h, w           int
 	iters, stretch int
 	lr, pv         float64
-	plain          bool
 	fidelity       float64
 }
 
@@ -120,7 +119,7 @@ func (b *Batcher) Solve(classKey string, solver opt.BatchSolver, target, init *g
 	}
 	cls := class{
 		key: classKey, h: init.H, w: init.W,
-		iters: p.Iters, stretch: p.Stretch, lr: p.LR, pv: p.PVWeight, plain: p.Plain,
+		iters: p.Iters, stretch: p.Stretch, lr: p.LR, pv: p.PVWeight,
 		fidelity: p.Fidelity,
 	}
 	req := &request{target: target, init: init, p: p, done: make(chan struct{})}

@@ -9,6 +9,7 @@ import (
 	"mgsilt/internal/core"
 	"mgsilt/internal/imgio"
 	"mgsilt/internal/metrics"
+	"mgsilt/internal/promtext"
 	"mgsilt/internal/report"
 )
 
@@ -201,6 +202,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", promtext.ContentType)
 	s.metrics.write(w, s.snapshot())
 }

@@ -1,11 +1,12 @@
 package service
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"time"
+
+	"mgsilt/internal/promtext"
 )
 
 // stageBuckets are the upper bounds (seconds) of the per-stage latency
@@ -106,42 +107,21 @@ func (r *registry) observeStage(stage string, d time.Duration) {
 }
 
 // write renders the registry plus the server-level gauges in the
-// Prometheus text exposition format (untyped text, no client library —
-// the repo is stdlib-only by policy).
-func (r *registry) write(w io.Writer, snap snapshot) {
-	fmt.Fprintf(w, "# HELP ilt_jobs_submitted_total Jobs accepted by POST /v1/jobs.\n")
-	fmt.Fprintf(w, "# TYPE ilt_jobs_submitted_total counter\n")
+// Prometheus text exposition format.
+func (r *registry) write(out io.Writer, snap snapshot) {
+	w := promtext.New(out)
 	r.mu.Lock()
-	fmt.Fprintf(w, "ilt_jobs_submitted_total %d\n", r.nSubmit)
-
-	fmt.Fprintf(w, "# HELP ilt_jobs_resumed_total Failed or cancelled jobs re-enqueued via resume.\n")
-	fmt.Fprintf(w, "# TYPE ilt_jobs_resumed_total counter\n")
-	fmt.Fprintf(w, "ilt_jobs_resumed_total %d\n", r.nResumed)
-
-	fmt.Fprintf(w, "# HELP ilt_jobs_recovered_total Jobs replayed from the state-dir journal at startup.\n")
-	fmt.Fprintf(w, "# TYPE ilt_jobs_recovered_total counter\n")
-	fmt.Fprintf(w, "ilt_jobs_recovered_total %d\n", r.nRecovered)
-
-	fmt.Fprintf(w, "# HELP ilt_jobs_finished_total Jobs reaching a terminal state.\n")
-	fmt.Fprintf(w, "# TYPE ilt_jobs_finished_total counter\n")
+	w.Counter("ilt_jobs_submitted_total", "Jobs accepted by POST /v1/jobs.", r.nSubmit)
+	w.Counter("ilt_jobs_resumed_total", "Failed or cancelled jobs re-enqueued via resume.", r.nResumed)
+	w.Counter("ilt_jobs_recovered_total", "Jobs replayed from the state-dir journal at startup.", r.nRecovered)
+	w.Family("ilt_jobs_finished_total", "Jobs reaching a terminal state.", "counter")
 	for _, st := range []State{StateDone, StateFailed, StateCancelled} {
-		fmt.Fprintf(w, "ilt_jobs_finished_total{state=%q} %d\n", st, r.nFinished[st])
+		w.Sample("ilt_jobs_finished_total", r.nFinished[st], "state", string(st))
 	}
-
-	fmt.Fprintf(w, "# HELP ilt_tiles_converged_total Tiles retired early by per-tile convergence dropout across finished jobs.\n")
-	fmt.Fprintf(w, "# TYPE ilt_tiles_converged_total counter\n")
-	fmt.Fprintf(w, "ilt_tiles_converged_total %d\n", r.nTilesConverged)
-
-	fmt.Fprintf(w, "# HELP ilt_coarse_corrections_total Two-level Schwarz coarse-grid corrections applied across finished jobs.\n")
-	fmt.Fprintf(w, "# TYPE ilt_coarse_corrections_total counter\n")
-	fmt.Fprintf(w, "ilt_coarse_corrections_total %d\n", r.nCoarseCorrections)
-
-	fmt.Fprintf(w, "# HELP ilt_fidelity_stage Kernel energy budget of the most recently started fine stage (1 = full fidelity).\n")
-	fmt.Fprintf(w, "# TYPE ilt_fidelity_stage gauge\n")
-	fmt.Fprintf(w, "ilt_fidelity_stage %g\n", r.fidelity)
-
-	fmt.Fprintf(w, "# HELP ilt_stage_duration_seconds Wall time per flow stage.\n")
-	fmt.Fprintf(w, "# TYPE ilt_stage_duration_seconds histogram\n")
+	w.Counter("ilt_tiles_converged_total", "Tiles retired early by per-tile convergence dropout across finished jobs.", r.nTilesConverged)
+	w.Counter("ilt_coarse_corrections_total", "Two-level Schwarz coarse-grid corrections applied across finished jobs.", r.nCoarseCorrections)
+	w.Gauge("ilt_fidelity_stage", "Kernel energy budget of the most recently started fine stage (1 = full fidelity).", r.fidelity)
+	w.Family("ilt_stage_duration_seconds", "Wall time per flow stage.", "histogram")
 	names := make([]string, 0, len(r.stages))
 	for name := range r.stages {
 		names = append(names, name)
@@ -149,122 +129,50 @@ func (r *registry) write(w io.Writer, snap snapshot) {
 	sort.Strings(names)
 	for _, name := range names {
 		h := r.stages[name]
-		cum := uint64(0)
-		for i, ub := range stageBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "ilt_stage_duration_seconds_bucket{stage=%q,le=%q} %d\n", name, trimFloat(ub), cum)
-		}
-		fmt.Fprintf(w, "ilt_stage_duration_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", name, h.count)
-		fmt.Fprintf(w, "ilt_stage_duration_seconds_sum{stage=%q} %g\n", name, h.sum)
-		fmt.Fprintf(w, "ilt_stage_duration_seconds_count{stage=%q} %d\n", name, h.count)
+		w.Histogram("ilt_stage_duration_seconds", stageBuckets, h.counts, h.sum, h.count, "stage", name)
 	}
 	r.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP ilt_jobs_current Jobs currently in a non-terminal state.\n")
-	fmt.Fprintf(w, "# TYPE ilt_jobs_current gauge\n")
-	fmt.Fprintf(w, "ilt_jobs_current{state=\"queued\"} %d\n", snap.queued)
-	fmt.Fprintf(w, "ilt_jobs_current{state=\"running\"} %d\n", snap.running)
-	fmt.Fprintf(w, "# HELP ilt_queue_depth Jobs waiting in the FIFO queue.\n")
-	fmt.Fprintf(w, "# TYPE ilt_queue_depth gauge\n")
-	fmt.Fprintf(w, "ilt_queue_depth %d\n", snap.queueDepth)
-	fmt.Fprintf(w, "# HELP ilt_workers Worker pool size.\n")
-	fmt.Fprintf(w, "# TYPE ilt_workers gauge\n")
-	fmt.Fprintf(w, "ilt_workers %d\n", snap.workers)
-	fmt.Fprintf(w, "# HELP ilt_compute_workers Process-wide compute pool width (internal/parallel): per-kernel convolution and FFT fan-out.\n")
-	fmt.Fprintf(w, "# TYPE ilt_compute_workers gauge\n")
-	fmt.Fprintf(w, "ilt_compute_workers %d\n", snap.computeWorkers)
-	fmt.Fprintf(w, "# HELP ilt_uptime_seconds Time since the server started.\n")
-	fmt.Fprintf(w, "# TYPE ilt_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "ilt_uptime_seconds %g\n", snap.uptime.Seconds())
+	w.Family("ilt_jobs_current", "Jobs currently in a non-terminal state.", "gauge")
+	w.Sample("ilt_jobs_current", snap.queued, "state", "queued")
+	w.Sample("ilt_jobs_current", snap.running, "state", "running")
+	w.Gauge("ilt_queue_depth", "Jobs waiting in the FIFO queue.", snap.queueDepth)
+	w.Gauge("ilt_workers", "Worker pool size.", snap.workers)
+	w.Gauge("ilt_compute_workers", "Process-wide compute pool width (internal/parallel): per-kernel convolution and FFT fan-out.", snap.computeWorkers)
+	w.Gauge("ilt_uptime_seconds", "Time since the server started.", snap.uptime.Seconds())
+	w.Counter("ilt_kernels_evaluated_total", "Hopkins kernels evaluated by the litho engine (truncated evaluations count only the retained prefix; process-wide).", snap.kernelsEvaluated)
 
-	fmt.Fprintf(w, "# HELP ilt_kernels_evaluated_total Hopkins kernels evaluated by the litho engine (truncated evaluations count only the retained prefix; process-wide).\n")
-	fmt.Fprintf(w, "# TYPE ilt_kernels_evaluated_total counter\n")
-	fmt.Fprintf(w, "ilt_kernels_evaluated_total %d\n", snap.kernelsEvaluated)
-
-	fmt.Fprintf(w, "# HELP ilt_device_jobs_total Tile jobs executed on the simulated clusters.\n")
-	fmt.Fprintf(w, "# TYPE ilt_device_jobs_total counter\n")
-	fmt.Fprintf(w, "ilt_device_jobs_total %d\n", snap.device.Jobs)
-	fmt.Fprintf(w, "# HELP ilt_device_busy_seconds_total Cumulative simulated device busy time.\n")
-	fmt.Fprintf(w, "# TYPE ilt_device_busy_seconds_total counter\n")
-	fmt.Fprintf(w, "ilt_device_busy_seconds_total %g\n", snap.device.TotalBusy.Seconds())
-	fmt.Fprintf(w, "# HELP ilt_device_transfer_seconds_total Cumulative simulated host-staging time.\n")
-	fmt.Fprintf(w, "# TYPE ilt_device_transfer_seconds_total counter\n")
-	fmt.Fprintf(w, "ilt_device_transfer_seconds_total %g\n", snap.device.Transfer.Seconds())
-	fmt.Fprintf(w, "# HELP ilt_device_sim_elapsed_seconds_total Cumulative virtual-clock makespan.\n")
-	fmt.Fprintf(w, "# TYPE ilt_device_sim_elapsed_seconds_total counter\n")
-	fmt.Fprintf(w, "ilt_device_sim_elapsed_seconds_total %g\n", snap.device.SimElapsed.Seconds())
-	fmt.Fprintf(w, "# HELP ilt_device_retries_total Tile-job attempts re-dispatched by the fault retry policy.\n")
-	fmt.Fprintf(w, "# TYPE ilt_device_retries_total counter\n")
-	fmt.Fprintf(w, "ilt_device_retries_total %d\n", snap.device.Retries)
-	fmt.Fprintf(w, "# HELP ilt_devices_quarantined Devices currently quarantined by hard faults.\n")
-	fmt.Fprintf(w, "# TYPE ilt_devices_quarantined gauge\n")
-	fmt.Fprintf(w, "ilt_devices_quarantined %d\n", snap.device.Quarantined)
+	w.Counter("ilt_device_jobs_total", "Tile jobs executed on the simulated clusters.", snap.device.Jobs)
+	w.Counter("ilt_device_busy_seconds_total", "Cumulative simulated device busy time.", snap.device.TotalBusy.Seconds())
+	w.Counter("ilt_device_transfer_seconds_total", "Cumulative simulated host-staging time.", snap.device.Transfer.Seconds())
+	w.Counter("ilt_device_sim_elapsed_seconds_total", "Cumulative virtual-clock makespan.", snap.device.SimElapsed.Seconds())
+	w.Counter("ilt_device_retries_total", "Tile-job attempts re-dispatched by the fault retry policy.", snap.device.Retries)
+	w.Gauge("ilt_devices_quarantined", "Devices currently quarantined by hard faults.", snap.device.Quarantined)
 
 	if cs := snap.cache; cs != nil {
-		fmt.Fprintf(w, "# HELP ilt_cache_hits_total Tile-cache lookups served without a solve, by tier.\n")
-		fmt.Fprintf(w, "# TYPE ilt_cache_hits_total counter\n")
-		fmt.Fprintf(w, "ilt_cache_hits_total{tier=\"ram\"} %d\n", cs.Hits)
-		fmt.Fprintf(w, "ilt_cache_hits_total{tier=\"disk\"} %d\n", cs.DiskHits)
-		fmt.Fprintf(w, "# HELP ilt_cache_misses_total Tile-cache lookups that required a solve.\n")
-		fmt.Fprintf(w, "# TYPE ilt_cache_misses_total counter\n")
-		fmt.Fprintf(w, "ilt_cache_misses_total %d\n", cs.Misses)
-		fmt.Fprintf(w, "# HELP ilt_cache_merged_total Duplicate in-flight solves coalesced by singleflight.\n")
-		fmt.Fprintf(w, "# TYPE ilt_cache_merged_total counter\n")
-		fmt.Fprintf(w, "ilt_cache_merged_total %d\n", cs.Merged)
-		fmt.Fprintf(w, "# HELP ilt_cache_evictions_total Entries evicted to stay under the byte budget.\n")
-		fmt.Fprintf(w, "# TYPE ilt_cache_evictions_total counter\n")
-		fmt.Fprintf(w, "ilt_cache_evictions_total %d\n", cs.Evictions)
-		fmt.Fprintf(w, "# HELP ilt_cache_bytes Resident bytes of cached tile results.\n")
-		fmt.Fprintf(w, "# TYPE ilt_cache_bytes gauge\n")
-		fmt.Fprintf(w, "ilt_cache_bytes %d\n", cs.Bytes)
-		fmt.Fprintf(w, "# HELP ilt_cache_entries Resident cached tile results.\n")
-		fmt.Fprintf(w, "# TYPE ilt_cache_entries gauge\n")
-		fmt.Fprintf(w, "ilt_cache_entries %d\n", cs.Entries)
+		w.Family("ilt_cache_hits_total", "Tile-cache lookups served without a solve, by tier.", "counter")
+		w.Sample("ilt_cache_hits_total", cs.Hits, "tier", "ram")
+		w.Sample("ilt_cache_hits_total", cs.DiskHits, "tier", "disk")
+		w.Counter("ilt_cache_misses_total", "Tile-cache lookups that required a solve.", cs.Misses)
+		w.Counter("ilt_cache_merged_total", "Duplicate in-flight solves coalesced by singleflight.", cs.Merged)
+		w.Counter("ilt_cache_evictions_total", "Entries evicted to stay under the byte budget.", cs.Evictions)
+		w.Gauge("ilt_cache_bytes", "Resident bytes of cached tile results.", cs.Bytes)
+		w.Gauge("ilt_cache_entries", "Resident cached tile results.", cs.Entries)
 	}
 	if ss := snap.shard; ss != nil {
-		fmt.Fprintf(w, "# HELP ilt_shard_workers Configured remote shard worker URLs.\n")
-		fmt.Fprintf(w, "# TYPE ilt_shard_workers gauge\n")
-		fmt.Fprintf(w, "ilt_shard_workers %d\n", snap.shardWorkers)
-		fmt.Fprintf(w, "# HELP ilt_shard_batches_total Tile batches dispatched to shard workers.\n")
-		fmt.Fprintf(w, "# TYPE ilt_shard_batches_total counter\n")
-		fmt.Fprintf(w, "ilt_shard_batches_total %d\n", ss.Batches)
-		fmt.Fprintf(w, "# HELP ilt_shard_rounds_total Shard dispatch rounds (more than one per batch only after a worker loss).\n")
-		fmt.Fprintf(w, "# TYPE ilt_shard_rounds_total counter\n")
-		fmt.Fprintf(w, "ilt_shard_rounds_total %d\n", ss.Rounds)
-		fmt.Fprintf(w, "# HELP ilt_shard_tiles_total Tile solves dispatched to shard workers.\n")
-		fmt.Fprintf(w, "# TYPE ilt_shard_tiles_total counter\n")
-		fmt.Fprintf(w, "ilt_shard_tiles_total %d\n", ss.Tiles)
-		fmt.Fprintf(w, "# HELP ilt_shard_halo_bytes_total Wire payload shipped as overlap-halo diff patches.\n")
-		fmt.Fprintf(w, "# TYPE ilt_shard_halo_bytes_total counter\n")
-		fmt.Fprintf(w, "ilt_shard_halo_bytes_total %d\n", ss.HaloBytes)
-		fmt.Fprintf(w, "# HELP ilt_shard_full_bytes_total Wire payload shipped as full masks (targets, freezes, first-contact inits).\n")
-		fmt.Fprintf(w, "# TYPE ilt_shard_full_bytes_total counter\n")
-		fmt.Fprintf(w, "ilt_shard_full_bytes_total %d\n", ss.FullBytes)
-		fmt.Fprintf(w, "# HELP ilt_shard_reassigned_tiles_total Tiles re-dispatched to survivors after a worker failure.\n")
-		fmt.Fprintf(w, "# TYPE ilt_shard_reassigned_tiles_total counter\n")
-		fmt.Fprintf(w, "ilt_shard_reassigned_tiles_total %d\n", ss.ReassignedTiles)
-		fmt.Fprintf(w, "# HELP ilt_shard_request_retries_total Worker requests retried at the transport level.\n")
-		fmt.Fprintf(w, "# TYPE ilt_shard_request_retries_total counter\n")
-		fmt.Fprintf(w, "ilt_shard_request_retries_total %d\n", ss.RequestRetries)
-		fmt.Fprintf(w, "# HELP ilt_shard_workers_quarantined_total Workers quarantined after exhausting the request retry policy.\n")
-		fmt.Fprintf(w, "# TYPE ilt_shard_workers_quarantined_total counter\n")
-		fmt.Fprintf(w, "ilt_shard_workers_quarantined_total %d\n", ss.WorkersQuarantined)
+		w.Gauge("ilt_shard_workers", "Configured remote shard worker URLs.", snap.shardWorkers)
+		w.Counter("ilt_shard_batches_total", "Tile batches dispatched to shard workers.", ss.Batches)
+		w.Counter("ilt_shard_rounds_total", "Shard dispatch rounds (more than one per batch only after a worker loss).", ss.Rounds)
+		w.Counter("ilt_shard_tiles_total", "Tile solves dispatched to shard workers.", ss.Tiles)
+		w.Counter("ilt_shard_halo_bytes_total", "Wire payload shipped as overlap-halo diff patches.", ss.HaloBytes)
+		w.Counter("ilt_shard_full_bytes_total", "Wire payload shipped as full masks (targets, freezes, first-contact inits).", ss.FullBytes)
+		w.Counter("ilt_shard_reassigned_tiles_total", "Tiles re-dispatched to survivors after a worker failure.", ss.ReassignedTiles)
+		w.Counter("ilt_shard_request_retries_total", "Worker requests retried at the transport level.", ss.RequestRetries)
+		w.Counter("ilt_shard_workers_quarantined_total", "Workers quarantined after exhausting the request retry policy.", ss.WorkersQuarantined)
 	}
 	if bs := snap.sched; bs != nil {
-		fmt.Fprintf(w, "# HELP ilt_sched_requests_total Tile solves routed through the batch scheduler.\n")
-		fmt.Fprintf(w, "# TYPE ilt_sched_requests_total counter\n")
-		fmt.Fprintf(w, "ilt_sched_requests_total %d\n", bs.Requests)
-		fmt.Fprintf(w, "# HELP ilt_sched_batches_total Batch flushes executed (including singleton timeouts).\n")
-		fmt.Fprintf(w, "# TYPE ilt_sched_batches_total counter\n")
-		fmt.Fprintf(w, "ilt_sched_batches_total %d\n", bs.Batches)
-		fmt.Fprintf(w, "# HELP ilt_sched_batched_requests_total Requests that shared a flush with at least one peer.\n")
-		fmt.Fprintf(w, "# TYPE ilt_sched_batched_requests_total counter\n")
-		fmt.Fprintf(w, "ilt_sched_batched_requests_total %d\n", bs.Batched)
+		w.Counter("ilt_sched_requests_total", "Tile solves routed through the batch scheduler.", bs.Requests)
+		w.Counter("ilt_sched_batches_total", "Batch flushes executed (including singleton timeouts).", bs.Batches)
+		w.Counter("ilt_sched_batched_requests_total", "Requests that shared a flush with at least one peer.", bs.Batched)
 	}
-}
-
-// trimFloat renders a bucket bound the way Prometheus expects
-// (shortest representation, no trailing zeros).
-func trimFloat(f float64) string {
-	return fmt.Sprintf("%g", f)
 }

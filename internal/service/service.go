@@ -44,7 +44,6 @@ import (
 	"mgsilt/internal/device"
 	"mgsilt/internal/fault"
 	"mgsilt/internal/grid"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/layout"
 	"mgsilt/internal/litho"
 	"mgsilt/internal/opt"
@@ -988,16 +987,7 @@ func (s *Server) simulator(n int) (*litho.Simulator, error) {
 	if sim, ok := s.sims[n]; ok {
 		return sim, nil
 	}
-	kc := kernels.DefaultConfig(n)
-	nom, err := kernels.Generate(kc)
-	if err != nil {
-		return nil, err
-	}
-	def, err := kernels.Defocused(kc, 0.8)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := litho.New(nom, def, litho.DefaultConfig())
+	sim, err := litho.NewStandard(n)
 	if err != nil {
 		return nil, err
 	}

@@ -491,7 +491,7 @@ func (c *Coordinator) encodeShard(w *workerState, reqs []core.TileRequest, poss 
 			Index:  req.Index,
 			Pixels: req.Pixels,
 			Iters:  req.Params.Iters, Stretch: req.Params.Stretch,
-			Plain: req.Params.Plain, LR: req.Params.LR, PVWeight: req.Params.PVWeight,
+			LR: req.Params.LR, PVWeight: req.Params.PVWeight,
 			Fidelity: req.Params.Fidelity,
 		}
 		mt := w.mirror[req.Index]

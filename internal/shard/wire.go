@@ -37,7 +37,7 @@ import (
 // input (caps below, bounded line length, allocation proportional to
 // bytes actually received).
 const (
-	wireMagic = "mgsilt-shard v1"
+	wireMagic = "mgsilt-shard v2"
 	// MaxWireTiles caps the tiles accepted in one request or response.
 	MaxWireTiles = 4096
 	// MaxWireSide caps mask dimensions on the wire, like the checkpoint
@@ -68,13 +68,11 @@ type TileWire struct {
 	// Solve knobs (opt.Params, minus the coordinator-side context).
 	Iters    int
 	Stretch  int
-	Plain    bool
 	LR       float64
 	PVWeight float64
 	// Fidelity is the solve's kernel energy budget (opt.Params
-	// .Fidelity; 0 = full set). On the wire it is an optional sixth
-	// params field, omitted when zero, so full-fidelity requests stay
-	// byte-identical to the original format.
+	// .Fidelity; 0 = full set). On the wire it is an optional fifth
+	// params field, omitted when zero.
 	Fidelity float64
 	// Target is the tile-local target; nil with TargetCached set means
 	// the worker already holds it for this session.
@@ -229,13 +227,6 @@ func parseFbits(s string) (float64, error) {
 	return math.Float64frombits(u), nil
 }
 
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // WriteSolveRequest serialises the request.
 func WriteSolveRequest(w io.Writer, req *SolveRequest) error {
 	if req == nil {
@@ -262,8 +253,8 @@ func WriteSolveRequest(w io.Writer, req *SolveRequest) error {
 		wireMagic, req.Session, req.N, solver, len(req.Tiles))
 	for i := range req.Tiles {
 		t := &req.Tiles[i]
-		fmt.Fprintf(bw, "tile %d %d\nparams %d %d %d %s %s",
-			t.Index, t.Pixels, t.Iters, t.Stretch, boolInt(t.Plain), fbits(t.LR), fbits(t.PVWeight))
+		fmt.Fprintf(bw, "tile %d %d\nparams %d %d %s %s",
+			t.Index, t.Pixels, t.Iters, t.Stretch, fbits(t.LR), fbits(t.PVWeight))
 		if t.Fidelity != 0 {
 			fmt.Fprintf(bw, " %s", fbits(t.Fidelity))
 		}
@@ -502,7 +493,7 @@ func (r *wireReader) readTile() (*TileWire, error) {
 	if f, err = r.fields("params"); err != nil {
 		return nil, err
 	}
-	if len(f) != 5 && len(f) != 6 {
+	if len(f) != 4 && len(f) != 5 {
 		return nil, fmt.Errorf("shard: bad params line")
 	}
 	if t.Iters, err = parseInt(f[0], 0, maxWireIters); err != nil {
@@ -511,19 +502,14 @@ func (r *wireReader) readTile() (*TileWire, error) {
 	if t.Stretch, err = parseInt(f[1], 1, MaxWireSide); err != nil {
 		return nil, err
 	}
-	plain, err := parseInt(f[2], 0, 1)
-	if err != nil {
+	if t.LR, err = parseFbits(f[2]); err != nil {
 		return nil, err
 	}
-	t.Plain = plain == 1
-	if t.LR, err = parseFbits(f[3]); err != nil {
+	if t.PVWeight, err = parseFbits(f[3]); err != nil {
 		return nil, err
 	}
-	if t.PVWeight, err = parseFbits(f[4]); err != nil {
-		return nil, err
-	}
-	if len(f) == 6 {
-		if t.Fidelity, err = parseFbits(f[5]); err != nil {
+	if len(f) == 5 {
+		if t.Fidelity, err = parseFbits(f[4]); err != nil {
 			return nil, err
 		}
 	}

@@ -47,7 +47,7 @@ func testRequest(rn *rand.Rand) *SolveRequest {
 				Target: randMat(rn, 8, 8), Freeze: randMat(rn, 8, 8), Init: randMat(rn, 8, 8),
 			},
 			{
-				Index: 3, Pixels: 16, Iters: 7, Stretch: 2, Plain: true, LR: 0.08,
+				Index: 3, Pixels: 16, Iters: 7, Stretch: 2, LR: 0.08,
 				TargetCached: true, FreezeCached: true,
 				Patch: DiffPatch(base, next),
 			},
@@ -79,7 +79,7 @@ func TestSolveRequestRoundTrip(t *testing.T) {
 	for i := range req.Tiles {
 		a, b := &req.Tiles[i], &got.Tiles[i]
 		if a.Index != b.Index || a.Pixels != b.Pixels || a.Iters != b.Iters ||
-			a.Stretch != b.Stretch || a.Plain != b.Plain {
+			a.Stretch != b.Stretch {
 			t.Fatalf("tile %d header mismatch: %+v vs %+v", i, a, b)
 		}
 		if math.Float64bits(a.LR) != math.Float64bits(b.LR) ||
@@ -239,7 +239,7 @@ func TestWireRejectsCorruption(t *testing.T) {
 		{"negative dims", strings.Replace(g, "target full 8 8", "target full -8 8", 1)},
 		{"truncated payload", g[:len(g)-100]},
 		{"trailing garbage", g + "extra"},
-		{"long line", "mgsilt-shard v1\n" + strings.Repeat("a", 4096) + "\n"},
+		{"long line", wireMagic + "\n" + strings.Repeat("a", 4096) + "\n"},
 		{"run out of bounds", strings.Replace(g, "run 2 3 1", "run 2 7 5", 1)},
 		{"run bomb", strings.Replace(g, "init patch 8 8 2", "init patch 8 8 9999", 1)},
 		{"bad float bits", strings.Replace(g, fbits(0.4), "zz", 1)},

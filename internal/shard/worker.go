@@ -11,9 +11,9 @@ import (
 
 	"mgsilt/internal/device"
 	"mgsilt/internal/grid"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/litho"
 	"mgsilt/internal/opt"
+	"mgsilt/internal/promtext"
 )
 
 // WorkerOptions configures a shard worker process.
@@ -114,23 +114,13 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}, nil
 }
 
-// simulator returns the cached optics for grid n, built exactly like
-// the job service's: the same kernel config, the same 0.8 defocus —
-// any construction drift here would break cross-process bit-identity.
+// simulator returns the cached optics for grid n: the standard optics,
+// like the job service's, or cross-process bit-identity would break.
 func (w *Worker) simulator(n int) (*litho.Simulator, error) {
 	if sim, ok := w.sims[n]; ok {
 		return sim, nil
 	}
-	kc := kernels.DefaultConfig(n)
-	nom, err := kernels.Generate(kc)
-	if err != nil {
-		return nil, err
-	}
-	def, err := kernels.Defocused(kc, 0.8)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := litho.New(nom, def, litho.DefaultConfig())
+	sim, err := litho.NewStandard(n)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +230,7 @@ func (w *Worker) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 		}
 		wk.params = opt.Params{
 			Iters: t.Iters, LR: t.LR, Stretch: t.Stretch,
-			PVWeight: t.PVWeight, Plain: t.Plain, Freeze: freeze,
+			PVWeight: t.PVWeight, Freeze: freeze,
 			Fidelity: t.Fidelity,
 		}
 		works = append(works, wk)
@@ -430,24 +420,21 @@ func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	w.mu.Unlock()
 	st := w.cl.Stats()
 
-	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("ilt_shard_worker_solve_batches_total", "Solve batches served.", float64(batches))
-	counter("ilt_shard_worker_tiles_total", "Tile solves executed.", float64(tiles))
-	counter("ilt_shard_worker_failures_total", "Failed solve requests (decode, stale session, solve, chaos).", float64(failures))
-	counter("ilt_shard_worker_request_bytes_total", "Solve request bytes received.", float64(bytesIn))
-	counter("ilt_shard_worker_response_bytes_total", "Solve response bytes sent.", float64(bytesOut))
-	counter("ilt_shard_worker_halo_init_tiles_total", "Tile inits received as halo diff patches.", float64(haloInits))
-	counter("ilt_shard_worker_full_init_tiles_total", "Tile inits received as full masks.", float64(fullInits))
-	counter("ilt_shard_worker_cached_target_tiles_total", "Tile targets resolved from session cache.", float64(cachedTargets))
-	counter("ilt_shard_worker_sent_target_tiles_total", "Tile targets received in full.", float64(fullTargets))
-	gauge("ilt_shard_worker_sessions", "Live coordinator sessions.", float64(sessions))
-	gauge("ilt_shard_worker_devices", "Accelerator devices in the worker cluster.", float64(w.cl.Devices()))
-	counter("ilt_shard_worker_sim_busy_seconds_total", "Simulated device busy time.", st.TotalBusy.Seconds())
-	counter("ilt_shard_worker_sim_elapsed_seconds_total", "Simulated cluster makespan.", st.SimElapsed.Seconds())
+	rw.Header().Set("Content-Type", promtext.ContentType)
+	// Values are passed as floats, so large counts keep the %g form
+	// TestWorkerMetricsGolden pins.
+	m := promtext.New(rw)
+	m.Counter("ilt_shard_worker_solve_batches_total", "Solve batches served.", float64(batches))
+	m.Counter("ilt_shard_worker_tiles_total", "Tile solves executed.", float64(tiles))
+	m.Counter("ilt_shard_worker_failures_total", "Failed solve requests (decode, stale session, solve, chaos).", float64(failures))
+	m.Counter("ilt_shard_worker_request_bytes_total", "Solve request bytes received.", float64(bytesIn))
+	m.Counter("ilt_shard_worker_response_bytes_total", "Solve response bytes sent.", float64(bytesOut))
+	m.Counter("ilt_shard_worker_halo_init_tiles_total", "Tile inits received as halo diff patches.", float64(haloInits))
+	m.Counter("ilt_shard_worker_full_init_tiles_total", "Tile inits received as full masks.", float64(fullInits))
+	m.Counter("ilt_shard_worker_cached_target_tiles_total", "Tile targets resolved from session cache.", float64(cachedTargets))
+	m.Counter("ilt_shard_worker_sent_target_tiles_total", "Tile targets received in full.", float64(fullTargets))
+	m.Gauge("ilt_shard_worker_sessions", "Live coordinator sessions.", float64(sessions))
+	m.Gauge("ilt_shard_worker_devices", "Accelerator devices in the worker cluster.", float64(w.cl.Devices()))
+	m.Counter("ilt_shard_worker_sim_busy_seconds_total", "Simulated device busy time.", st.TotalBusy.Seconds())
+	m.Counter("ilt_shard_worker_sim_elapsed_seconds_total", "Simulated cluster makespan.", st.SimElapsed.Seconds())
 }
