@@ -69,10 +69,4 @@ func main() {
 		log.Fatal(err)
 	}
 	audit(ours)
-
-	sel, err := core.OverlapSelect(dcCfg, clip.Target)
-	if err != nil {
-		log.Fatal(err)
-	}
-	audit(sel)
 }

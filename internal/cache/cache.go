@@ -2,6 +2,7 @@ package cache
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -216,22 +217,36 @@ func (c *Cache) Do(k Key, solve func() (*grid.Mat, error)) (*grid.Mat, error) {
 	}
 }
 
+// errLeaderPanicked is what followers see when the leader's solve did
+// not return; like any leader error it only tells them to retry.
+var errLeaderPanicked = errors.New("cache: leader solve panicked")
+
 // solve runs the leader's solve and publishes the outcome to waiting
-// followers.
+// followers. Publication is deferred, so a panicking solve (an injected
+// fault the device job boundary recovers and retries) still releases
+// the key before the panic continues up the stack.
 func (fl *flight) solve(c *Cache, k Key, solve func() (*grid.Mat, error)) (*grid.Mat, error) {
-	m, err := solve()
-	fl.m, fl.err = m, err
+	fl.err = errLeaderPanicked
+	func() {
+		defer fl.publish(c, k)
+		fl.m, fl.err = solve()
+	}()
+	if fl.err == nil && c.dir != "" {
+		_ = c.writeSpill(k, fl.m)
+	}
+	return fl.m, fl.err
+}
+
+// publish retires the in-flight entry, stores a successful result and
+// wakes the followers.
+func (fl *flight) publish(c *Cache, k Key) {
 	c.mu.Lock()
 	delete(c.inflight, k)
-	if err == nil {
-		c.insertLocked(k, m.Clone())
+	if fl.err == nil {
+		c.insertLocked(k, fl.m.Clone())
 	}
 	c.mu.Unlock()
 	close(fl.done)
-	if err == nil && c.dir != "" {
-		_ = c.writeSpill(k, m)
-	}
-	return m, err
 }
 
 // insertLocked stores m (ownership transferred) under k and enforces

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mgsilt/internal/grid"
 )
@@ -324,6 +325,92 @@ func TestDoLeaderFailureRetry(t *testing.T) {
 	if err != nil || !m.Equal(want) {
 		t.Fatalf("retry after leader failure: %v", err)
 	}
+}
+
+// doRecovered runs c.Do on its own goroutine, recovering a panicking
+// solve the way the device job boundary does, and fails the test if the
+// call has not returned within the bound (a stranded singleflight).
+func doRecovered(t *testing.T, c *Cache, k Key, solve func() (*grid.Mat, error)) (m *grid.Mat, panicked bool) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() != nil }()
+		m, _ = c.Do(k, solve)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Do never returned: the key's in-flight entry is stranded")
+	}
+	return m, panicked
+}
+
+// A panicking leader must release its key: the panic reaches the caller
+// unchanged and the retry of the same key solves as a fresh leader.
+func TestDoLeaderPanicRetry(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	k := mustKey(t, testInput(rng))
+	want := randMat(rng, 16, 16)
+
+	if _, panicked := doRecovered(t, c, k, func() (*grid.Mat, error) { panic("injected") }); !panicked {
+		t.Fatal("the leader's panic did not reach its caller")
+	}
+	m, panicked := doRecovered(t, c, k, func() (*grid.Mat, error) { return want, nil })
+	if panicked || !m.Equal(want) {
+		t.Fatal("retry after a panicking leader did not solve")
+	}
+}
+
+// A follower waiting on a leader that panics sees a failed leader and
+// retries as a leader itself.
+func TestDoLeaderPanicWakesFollower(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	k := mustKey(t, testInput(rng))
+	want := randMat(rng, 16, 16)
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		defer func() { _ = recover() }()
+		_, _ = c.Do(k, func() (*grid.Mat, error) {
+			close(started)
+			<-release
+			panic("injected")
+		})
+	}()
+	<-started
+
+	followerDone := make(chan *grid.Mat, 1)
+	go func() {
+		m, _ := c.Do(k, func() (*grid.Mat, error) { return want, nil })
+		followerDone <- m
+	}()
+	// Give the follower time to park on the leader's flight; the test
+	// holds under either interleaving, this only makes the follower path
+	// the one exercised.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+
+	select {
+	case m := <-followerDone:
+		if m == nil || !m.Equal(want) {
+			t.Fatal("follower of a panicking leader did not solve")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never woke: the leader's panic skipped close(done)")
+	}
+	<-leaderDone
 }
 
 func TestDiskSpill(t *testing.T) {

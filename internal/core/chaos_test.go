@@ -10,11 +10,15 @@ import (
 	"mgsilt/internal/fault"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/opt"
+	"mgsilt/internal/pipeline"
+	"mgsilt/internal/sched"
 )
 
 // chaosRun executes multigrid-Schwarz on a 4-device cluster with the
-// given injector and returns the result plus the cluster's stats.
-func chaosRun(t *testing.T, target *grid.Mat, inj fault.Injector, retry *fault.Retry) (*Result, device.Stats) {
+// given injector and returns the result plus the cluster's stats. The
+// tweaks adjust the flow's Config (backends, hooks) before it runs; a
+// flow that has not returned within the bound fails the test as hung.
+func chaosRun(t *testing.T, target *grid.Mat, inj fault.Injector, retry *fault.Retry, tweaks ...func(*Config)) (*Result, device.Stats) {
 	t.Helper()
 	sim := testSim(t)
 	cfg := testConfig(t, sim, 4)
@@ -25,11 +29,28 @@ func chaosRun(t *testing.T, target *grid.Mat, inj fault.Injector, retry *fault.R
 	cl.Injector = inj
 	cl.Retry = retry
 	cfg.Cluster = cl
-	res, err := MultigridSchwarz(cfg, target)
-	if err != nil {
-		t.Fatal(err)
+	for _, tweak := range tweaks {
+		tweak(&cfg)
 	}
-	return res, cl.Stats()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := MultigridSchwarz(cfg, target)
+		done <- outcome{res, err}
+	}()
+	select {
+	case out := <-done:
+		if out.err != nil {
+			t.Fatal(out.err)
+		}
+		return out.res, cl.Stats()
+	case <-time.After(20 * time.Second):
+		t.Fatal("flow hung")
+		return nil, device.Stats{}
+	}
 }
 
 // TestChaosMGSBitIdentical is the tentpole acceptance test at the core
@@ -120,29 +141,53 @@ func TestChaosMGSBitIdentical(t *testing.T) {
 // TestChaosAerialFaultRetried exercises the litho.aerial global hook:
 // an injected fault deep inside the (pure) simulator surfaces as a
 // panic, is converted back to a retryable error at the device job
-// boundary, and the retried attempt reproduces the fault-free mask.
+// boundary, and the retried attempt reproduces the fault-free mask —
+// on the direct path, through the tile cache's singleflight (whose
+// leader the panic unwinds through) and through the batch scheduler
+// (whose flush may run on a timer goroutine). The fault trips inside
+// the first fine stage, where several tiles are in flight.
 func TestChaosAerialFaultRetried(t *testing.T) {
 	target := testClipTarget(t, 7)
 	clean, _ := chaosRun(t, target, nil, nil)
 
-	var tripped atomic.Bool
-	fault.Enable(fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
-		if site == fault.SiteLithoAerial && tripped.CompareAndSwap(false, true) {
-			return fault.Fault{Err: &fault.Error{Site: site, Key: k}}
-		}
-		return fault.Fault{}
-	}))
-	defer fault.Disable()
+	const batchSize = 4
+	rows := []struct {
+		name       string
+		backend    func(cfg *Config)
+		maxRetries int
+	}{
+		{name: "direct", maxRetries: 1, backend: func(*Config) {}},
+		{name: "cached", maxRetries: 1, backend: func(cfg *Config) { cfg.TileCache = newTileCache(t) }},
+		// Every tile of the failed batch retries once.
+		{name: "batched", maxRetries: batchSize, backend: func(cfg *Config) {
+			cfg.Batch = sched.New(sched.Options{BatchSize: batchSize})
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var armed, tripped atomic.Bool
+			fault.Enable(fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
+				if site == fault.SiteLithoAerial && armed.Load() && tripped.CompareAndSwap(false, true) {
+					return fault.Fault{Err: &fault.Error{Site: site, Key: k}}
+				}
+				return fault.Fault{}
+			}))
+			defer fault.Disable()
 
-	res, stats := chaosRun(t, target, nil, &fault.Retry{})
-	if !tripped.Load() {
-		t.Fatal("aerial hook never fired")
-	}
-	if stats.Retries != 1 {
-		t.Fatalf("one injected aerial fault should cost exactly one retry, got %d", stats.Retries)
-	}
-	if !res.Mask.Equal(clean.Mask) {
-		t.Fatal("aerial-fault run mask differs from fault-free run")
+			armAfterCoarse := func(cfg *Config) {
+				cfg.StageDone = func(pipeline.StageTiming) { armed.Store(true) }
+			}
+			res, stats := chaosRun(t, target, nil, &fault.Retry{}, row.backend, armAfterCoarse)
+			if !tripped.Load() {
+				t.Fatal("aerial hook never fired")
+			}
+			if stats.Retries < 1 || stats.Retries > row.maxRetries {
+				t.Fatalf("one injected aerial fault cost %d retries, want 1..%d", stats.Retries, row.maxRetries)
+			}
+			if !res.Mask.Equal(clean.Mask) {
+				t.Fatal("aerial-fault run mask differs from fault-free run")
+			}
+		})
 	}
 }
 

@@ -107,7 +107,7 @@ type Config struct {
 	// pipeline engine, so every flow checkpoints: MultigridSchwarz
 	// stages each coarse level, fine stage and refine sweep;
 	// StitchAndHeal its inner solve plus each healed line;
-	// DivideAndConquer, FullChip and OverlapSelect a single stage.
+	// DivideAndConquer and FullChip a single stage.
 	Checkpoint func(Checkpoint)
 
 	// Resume, when non-nil, restarts the flow from the given checkpoint

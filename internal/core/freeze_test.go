@@ -57,11 +57,6 @@ func TestStageSequenceFreeze(t *testing.T) {
 			// 3×3 tiling on the 128 px clip → 4 stitch lines to heal.
 			stages: []string{"solve 1/1", "heal 1/4", "heal 2/4", "heal 3/4", "heal 4/4", "inspect 1/1"},
 		},
-		{
-			flow:   "overlap-select",
-			run:    OverlapSelect,
-			stages: []string{"solve 1/1", "inspect 1/1"},
-		},
 	}
 	for _, tc := range cases {
 		name := tc.name

@@ -1,12 +1,21 @@
 // Package fft implements the fast Fourier transforms used by the
 // lithography simulator: a mixed radix-4/radix-2 complex transform with
-// cached per-stage twiddle tables, 2-D transforms over grid.CMat, a
-// real-input forward transform exploiting Hermitian symmetry and the
-// consumer's column band (ForwardReal2D, ForwardReal2DBand), a batched
-// transform API that runs many same-shaped matrices through shared
-// row/column fan-outs (Batch2D), centre-shift utilities, the [·]_P
-// low-pass spectrum extraction of Eq. (2), and the fractional frequency
-// interpolation behind the sN-grid kernel resampling of Eq. (3)/(8).
+// cached per-stage twiddle tables, one 2-D complex transform over
+// grid.CMat, a real-input forward transform exploiting Hermitian
+// symmetry and the consumer's column band (ForwardReal2D,
+// ForwardReal2DBand), centre-shift utilities, and the fractional
+// frequency interpolation behind the sN-grid kernel resampling of
+// Eq. (3)/(8).
+//
+// The 2-D complex transform is one routine (xform2D): a row pass over
+// the live rows and a column pass over every column, in either order,
+// over one matrix or a same-shaped batch. The exported entry points are
+// its settings: Forward2D/Inverse2D (every row live, rows first),
+// Inverse2DPruned (row mask, rows first), Forward2DBand (row mask,
+// columns first), and Batch2D, Batch2DInversePruned and
+// Batch2DForwardBand, the same three over a batch whose rows and column
+// strips each fan out over the shared worker pool in one parallel
+// section.
 //
 // Conventions: the forward transform is unnormalised and the inverse
 // carries the 1/n factor per dimension, so Inverse(Forward(x)) == x.
@@ -278,19 +287,12 @@ func Forward(x []complex128) { planFor(len(x)).transform(x, false) }
 // normalisation.
 func Inverse(x []complex128) { planFor(len(x)).transform(x, true) }
 
-// Forward2D computes the in-place 2-D forward FFT of m (rows then
-// columns). m must be square or rectangular with power-of-two sides.
-func Forward2D(m *grid.CMat) { transform2D(m, false) }
-
-// Inverse2D computes the in-place 2-D inverse FFT of m.
-func Inverse2D(m *grid.CMat) { transform2D(m, true) }
-
-// parallelCrossover is the element count below which transform2D stays
-// serial: a 128² transform finishes in tens of microseconds, where the
+// parallelCrossover is the element count below which a 2-D transform
+// stays serial: a 128² transform finishes in tens of microseconds, where the
 // fork/join overhead of a parallel section (token acquisition + two
 // goroutine barriers) eats the gain. From 256² upward the independent
-// 1-D transforms dominate and chunked parallelism wins. Batch2D applies
-// the same threshold to the combined element count of its batch, so
+// 1-D transforms dominate and chunked parallelism wins. A batch applies
+// the threshold to the combined element count of its matrices, so
 // many small per-kernel buffers still parallelise: on the row-vector
 // column pass a batch of 12×64² (49 152 elements) is still 12 % slower
 // over two workers than serial and 48×32² ties, while 12×128² (196 608)
@@ -336,33 +338,154 @@ func putScratch(s *scratch) {
 	scratchPoolFor(len(s.buf)).Put(s)
 }
 
-func transform2D(m *grid.CMat, inverse bool) {
-	rowPlan := planFor(m.W)
-	colPlan := planFor(m.H)
-	if m.H*m.W >= parallelCrossover && parallel.Workers() > 1 {
-		transform2DParallel(m, rowPlan, colPlan, inverse)
-		return
-	}
-	for y := 0; y < m.H; y++ {
-		rowPlan.transform(m.Row(y), inverse)
-	}
-	colPlan.columnsPass(m, 0, m.W, inverse)
+// Forward2D computes the in-place 2-D forward FFT of m (rows then
+// columns). m must be square or rectangular with power-of-two sides.
+func Forward2D(m *grid.CMat) { xform2D{}.one(m) }
+
+// Inverse2D computes the in-place 2-D inverse FFT of m.
+func Inverse2D(m *grid.CMat) { xform2D{inverse: true}.one(m) }
+
+// Dir selects the transform direction of a batched 2-D pass.
+type Dir int
+
+const (
+	// DirForward is the unnormalised forward transform.
+	DirForward Dir = iota
+	// DirInverse is the inverse transform with the 1/n per-dimension
+	// normalisation.
+	DirInverse
+)
+
+// Batch2D transforms every matrix of the batch in place, equivalent to
+// calling Forward2D/Inverse2D on each — bit-identically so — but with
+// two parallel sections for the whole batch instead of two per matrix.
+// All matrices must share one power-of-two shape.
+func Batch2D(ms []*grid.CMat, dir Dir) { Batch2DLimit(ms, dir, 0) }
+
+// Batch2DLimit is Batch2D with the parallel fan-out capped at limit
+// participating goroutines (0 = the pool width, 1 = strictly serial).
+func Batch2DLimit(ms []*grid.CMat, dir Dir, limit int) {
+	xform2D{inverse: dir == DirInverse}.batch(ms, limit)
 }
 
-// transform2DParallel runs the row and column passes on the shared
-// worker pool. Every 1-D transform owns a disjoint row (or column) of
-// m and the per-length plans are immutable, so the output is
-// bit-identical to the serial pass regardless of worker count or chunk
-// boundaries; only the execution order differs.
-func transform2DParallel(m *grid.CMat, rowPlan, colPlan *plan, inverse bool) {
-	parallel.DoChunks(m.H, 0, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			rowPlan.transform(m.Row(y), inverse)
+// xform2D is the one 2-D complex transform of the package: a 1-D pass
+// over the live rows and a 1-D pass over every column, in either order,
+// in place over one matrix or a same-shaped batch. Every exported 2-D
+// entry point is a setting of it.
+type xform2D struct {
+	rowLive   []bool // rows the row pass transforms; nil = every row
+	inverse   bool
+	colsFirst bool // column pass before the row pass
+}
+
+// plans validates an h×w shape against the row mask and returns the
+// row and column plans.
+func (t xform2D) plans(h, w int) (rowPlan, colPlan *plan) {
+	if t.rowLive != nil && len(t.rowLive) != h {
+		panic(fmt.Sprintf("fft: row mask length %d does not match height %d", len(t.rowLive), h))
+	}
+	return planFor(w), planFor(h)
+}
+
+// fanOut reports whether elems elements are worth a parallel section
+// and, when they are, resolves limit (0 = the pool width).
+func fanOut(limit, elems int) (int, bool) {
+	if elems < parallelCrossover {
+		return limit, false
+	}
+	width := parallel.Workers()
+	if limit <= 0 {
+		limit = width
+	}
+	return limit, limit > 1 && width > 1
+}
+
+// serial is the kernel: both passes over m on the calling goroutine.
+func (t xform2D) serial(m *grid.CMat, rowPlan, colPlan *plan) {
+	if t.colsFirst {
+		colPlan.columnsPass(m, 0, m.W, t.inverse)
+	}
+	for y := 0; y < m.H; y++ {
+		if t.rowLive == nil || t.rowLive[y] {
+			rowPlan.transform(m.Row(y), t.inverse)
+		}
+	}
+	if !t.colsFirst {
+		colPlan.columnsPass(m, 0, m.W, t.inverse)
+	}
+}
+
+// one transforms a lone matrix. Below the crossover it reaches the
+// kernel without building a batch or a closure, so it stays
+// allocation-free; above it m is a batch of one.
+func (t xform2D) one(m *grid.CMat) {
+	if _, par := fanOut(0, m.H*m.W); par {
+		t.batch([]*grid.CMat{m}, 0)
+		return
+	}
+	rowPlan, colPlan := t.plans(m.H, m.W)
+	t.serial(m, rowPlan, colPlan)
+}
+
+// batch transforms every matrix of ms, which must share one shape, with
+// at most limit participating goroutines (0 = the pool width, 1 =
+// strictly serial). The fan-out runs all live (matrix, row) pairs in
+// one parallel section and all column strips in a second, so small
+// per-kernel buffers still load-balance across the pool. Every row and
+// every column strip is transformed by exactly one goroutine and the
+// plans are immutable, so the output is bit-identical to the serial
+// kernel at any limit, worker count or chunking.
+func (t xform2D) batch(ms []*grid.CMat, limit int) {
+	k := len(ms)
+	if k == 0 {
+		return
+	}
+	h, w := ms[0].H, ms[0].W
+	for i, m := range ms {
+		if m.H != h || m.W != w {
+			panic(fmt.Sprintf("fft: batch shape mismatch: matrix %d is %dx%d, want %dx%d", i, m.H, m.W, h, w))
+		}
+	}
+	rowPlan, colPlan := t.plans(h, w)
+	limit, par := fanOut(limit, k*h*w)
+	if !par {
+		for _, m := range ms {
+			t.serial(m, rowPlan, colPlan)
+		}
+		return
+	}
+	if t.colsFirst {
+		colPlan.batchColumns(ms, t.inverse, limit)
+	}
+	nl := h
+	var live []int
+	if t.rowLive != nil {
+		live = liveRows(t.rowLive)
+		nl = len(live)
+	}
+	parallel.DoChunks(k*nl, limit, func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			y := idx % nl
+			if live != nil {
+				y = live[y]
+			}
+			rowPlan.transform(ms[idx/nl].Row(y), t.inverse)
 		}
 	})
-	parallel.DoChunks(m.W, 0, func(lo, hi int) {
-		colPlan.columnsPass(m, lo, hi, inverse)
-	})
+	if !t.colsFirst {
+		colPlan.batchColumns(ms, t.inverse, limit)
+	}
+}
+
+// liveRows flattens a row mask into the slice of live row indices.
+func liveRows(rowLive []bool) []int {
+	live := make([]int, 0, len(rowLive))
+	for y, ok := range rowLive {
+		if ok {
+			live = append(live, y)
+		}
+	}
+	return live
 }
 
 // ForwardReal transforms a real matrix into a freshly allocated
@@ -394,37 +517,6 @@ func SwapQuadrants(m *grid.CMat) *grid.CMat {
 	return m
 }
 
-// LowPass zeroes, in place, every coefficient of the corner-layout
-// spectrum m outside the centred p×p block — the [·]_P extraction of
-// Eq. (2). p must be even and no larger than either side.
-func LowPass(m *grid.CMat, p int) {
-	if p%2 != 0 || p > m.H || p > m.W {
-		panic(fmt.Sprintf("fft: invalid low-pass size %d for %dx%d", p, m.H, m.W))
-	}
-	half := p / 2
-	keepY := func(y int) bool {
-		// Centred frequencies are y in [0, half) and (H-half, H).
-		return y < half || y >= m.H-half
-	}
-	keepX := func(x int) bool {
-		return x < half || x >= m.W-half
-	}
-	for y := 0; y < m.H; y++ {
-		row := m.Row(y)
-		if !keepY(y) {
-			for x := range row {
-				row[x] = 0
-			}
-			continue
-		}
-		for x := 0; x < m.W; x++ {
-			if !keepX(x) {
-				row[x] = 0
-			}
-		}
-	}
-}
-
 // FlipFreq returns the corner-layout spectrum H(-f) for a corner-layout
 // spectrum H(f): index k maps to (n-k) mod n per dimension. It is the
 // frequency-domain form of spatial coordinate reversal, used by the
@@ -440,21 +532,6 @@ func FlipFreq(m *grid.CMat) *grid.CMat {
 		}
 	}
 	return out
-}
-
-// InterpolateCentered stretches a centre-layout spectrum by the integer
-// factor s onto an (s·H)×(s·W) grid: out(j, k) = src(j/s, k/s) with
-// bilinear interpolation in centred frequency coordinates, implementing
-// the fractional-frequency sampling H_i(j/s, k/s) of Eq. (3). Source
-// support of diameter p maps to diameter s·p.
-func InterpolateCentered(src *grid.CMat, s int) *grid.CMat {
-	if s < 1 {
-		panic("fft: interpolation factor must be >= 1")
-	}
-	if s == 1 {
-		return src.Clone()
-	}
-	return ResampleCentered(src, src.H*s, s)
 }
 
 // ResampleCentered samples a square centre-layout spectrum at fractional

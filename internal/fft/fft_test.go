@@ -232,47 +232,6 @@ func TestToCenteredMovesDC(t *testing.T) {
 	}
 }
 
-func TestLowPassSupport(t *testing.T) {
-	m := grid.NewCMat(16, 16)
-	for i := range m.Data {
-		m.Data[i] = 1
-	}
-	LowPass(m, 4)
-	nonzero := 0
-	for _, v := range m.Data {
-		if v != 0 {
-			nonzero++
-		}
-	}
-	if nonzero != 16 {
-		t.Fatalf("low-pass kept %d coefficients, want 16", nonzero)
-	}
-	// The kept ones are exactly the centred 4×4 block in centre layout.
-	c := SwapQuadrants(m.Clone())
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			inBlock := y >= 6 && y < 10 && x >= 6 && x < 10
-			if (c.At(y, x) != 0) != inBlock {
-				t.Fatalf("unexpected support at %d,%d", y, x)
-			}
-		}
-	}
-}
-
-func TestLowPassIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := grid.NewCMat(16, 16)
-	for i := range m.Data {
-		m.Data[i] = complex(rng.NormFloat64(), 0)
-	}
-	LowPass(m, 6)
-	snap := m.Clone()
-	LowPass(m, 6)
-	if !m.AlmostEqual(snap, 0) {
-		t.Fatal("low-pass must be idempotent")
-	}
-}
-
 func TestFlipFreqMatchesSpatialReversal(t *testing.T) {
 	// F(x[-n]) (circular) equals X[-k]: flipping the spectrum must match
 	// transforming the circularly-reversed signal.
@@ -303,7 +262,7 @@ func TestInterpolateCenteredIdentity(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	out := InterpolateCentered(m, 1)
+	out := ResampleCentered(m, 8, 1)
 	if !out.AlmostEqual(m, 0) {
 		t.Fatal("s=1 must be the identity")
 	}
@@ -313,7 +272,7 @@ func TestInterpolateCenteredDCAndGridPoints(t *testing.T) {
 	m := grid.NewCMat(8, 8)
 	m.Set(4, 4, 2) // DC in centre layout
 	m.Set(4, 5, 1) // frequency (0, +1)
-	out := InterpolateCentered(m, 2)
+	out := ResampleCentered(m, 16, 2)
 	if out.H != 16 || out.W != 16 {
 		t.Fatalf("shape %dx%d", out.H, out.W)
 	}
@@ -339,7 +298,7 @@ func TestInterpolateCenteredSupportScales(t *testing.T) {
 			m.Set(y, x, 1)
 		}
 	}
-	out := InterpolateCentered(m, 2)
+	out := ResampleCentered(m, 32, 2)
 	for y := 0; y < out.H; y++ {
 		for x := 0; x < out.W; x++ {
 			if out.At(y, x) != 0 {

@@ -68,6 +68,38 @@ func TestTransform2DBelowCrossoverStaysSerial(t *testing.T) {
 	}
 }
 
+// TestTransform2DSteadyStateAllocs guards the contract the single-matrix
+// entries carry into litho.LossGrad's allocation gate: below the
+// crossover a lone matrix reaches the serial kernel without a batch
+// slice or a closure, at any pool width.
+func TestTransform2DSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	prev := parallel.SetWorkers(2)
+	defer parallel.SetWorkers(prev)
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{64, 128} {
+		m := randCMat(rng, n, n)
+		live := make([]bool, n)
+		for y := range live {
+			live[y] = y < n/8 || y >= n-n/8
+		}
+		entries := map[string]func(){
+			"Forward2D":       func() { Forward2D(m) },
+			"Inverse2D":       func() { Inverse2D(m) },
+			"Inverse2DPruned": func() { Inverse2DPruned(m, live) },
+			"Forward2DBand":   func() { Forward2DBand(m, live) },
+		}
+		for name, run := range entries {
+			run() // warm the plan cache and the scratch pools
+			if allocs := testing.AllocsPerRun(10, run); allocs > 0.5 {
+				t.Errorf("%s %d²: %.1f allocs/op, want 0", name, n, allocs)
+			}
+		}
+	}
+}
+
 func BenchmarkTransform2D(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{128, 512} {

@@ -1,11 +1,6 @@
 package fft
 
-import (
-	"fmt"
-
-	"mgsilt/internal/grid"
-	"mgsilt/internal/parallel"
-)
+import "mgsilt/internal/grid"
 
 // Pruned transforms: band-limited row support on the spectrum side.
 //
@@ -49,182 +44,35 @@ import (
 // changes result bits once, at the accuracy level, not the exactness of
 // the pruning.
 
-// checkRowMask validates the row-support mask length against h.
-func checkRowMask(rowLive []bool, h int) {
-	if len(rowLive) != h {
-		panic(fmt.Sprintf("fft: row mask length %d does not match height %d", len(rowLive), h))
-	}
-}
-
 // Inverse2DPruned computes the in-place 2-D inverse FFT of m, skipping
 // the 1-D row transforms of rows whose rowLive entry is false. Every
 // dead row must contain only +0 entries; the output is then
 // bit-identical to Inverse2D(m) at any worker count.
 func Inverse2DPruned(m *grid.CMat, rowLive []bool) {
-	checkRowMask(rowLive, m.H)
-	rowPlan := planFor(m.W)
-	colPlan := planFor(m.H)
-	if m.H*m.W >= parallelCrossover && parallel.Workers() > 1 {
-		inverse2DPrunedParallel(m, rowLive, rowPlan, colPlan)
-		return
-	}
-	for y := 0; y < m.H; y++ {
-		if rowLive[y] {
-			rowPlan.transform(m.Row(y), true)
-		}
-	}
-	colPlan.columnsPass(m, 0, m.W, true)
-}
-
-func inverse2DPrunedParallel(m *grid.CMat, rowLive []bool, rowPlan, colPlan *plan) {
-	live := liveRows(rowLive)
-	parallel.DoChunks(len(live), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rowPlan.transform(m.Row(live[i]), true)
-		}
-	})
-	parallel.DoChunks(m.W, 0, func(lo, hi int) {
-		colPlan.columnsPass(m, lo, hi, true)
-	})
-}
-
-// liveRows flattens a row mask into the slice of live row indices.
-func liveRows(rowLive []bool) []int {
-	live := make([]int, 0, len(rowLive))
-	for y, ok := range rowLive {
-		if ok {
-			live = append(live, y)
-		}
-	}
-	return live
+	xform2D{rowLive: rowLive, inverse: true}.one(m)
 }
 
 // Forward2DBand computes the forward FFT of m columns-first and
 // restricts the second (row) pass to rows whose rowLive entry is true.
 // Live rows of the result are bit-identical to the dense columns-first
 // forward transform at any worker count; dead rows hold unspecified
-// mid-transform values and must not be read. See the package comment
-// for why output pruning requires the columns-first pass order.
+// mid-transform values and must not be read. See the comment above for
+// why output pruning requires the columns-first pass order.
 func Forward2DBand(m *grid.CMat, rowLive []bool) {
-	checkRowMask(rowLive, m.H)
-	rowPlan := planFor(m.W)
-	colPlan := planFor(m.H)
-	if m.H*m.W >= parallelCrossover && parallel.Workers() > 1 {
-		forward2DBandParallel(m, rowLive, rowPlan, colPlan)
-		return
-	}
-	colPlan.columnsPass(m, 0, m.W, false)
-	for y := 0; y < m.H; y++ {
-		if rowLive[y] {
-			rowPlan.transform(m.Row(y), false)
-		}
-	}
+	xform2D{rowLive: rowLive, colsFirst: true}.one(m)
 }
 
-func forward2DBandParallel(m *grid.CMat, rowLive []bool, rowPlan, colPlan *plan) {
-	parallel.DoChunks(m.W, 0, func(lo, hi int) {
-		colPlan.columnsPass(m, lo, hi, false)
-	})
-	live := liveRows(rowLive)
-	parallel.DoChunks(len(live), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rowPlan.transform(m.Row(live[i]), false)
-		}
-	})
-}
-
-// Batch2DForwardBand runs the band-limited forward transform over every
-// matrix of the batch, equivalent to calling Forward2DBand on each with
-// the shared row mask. Like Batch2DInversePruned the column fan-out
-// covers all column strips in one parallel section and the row fan-out
-// all live (matrix, row) pairs in a second; limit caps the participating
-// goroutines (0 = pool width, 1 = strictly serial).
-func Batch2DForwardBand(ms []*grid.CMat, rowLive []bool, limit int) {
-	k := len(ms)
-	if k == 0 {
-		return
-	}
-	h, w := ms[0].H, ms[0].W
-	checkRowMask(rowLive, h)
-	for i, m := range ms {
-		if m.H != h || m.W != w {
-			panic(fmt.Sprintf("fft: Batch2DForwardBand shape mismatch: matrix %d is %dx%d, want %dx%d", i, m.H, m.W, h, w))
-		}
-	}
-	rowPlan := planFor(w)
-	colPlan := planFor(h)
-	if limit <= 0 {
-		limit = parallel.Workers()
-	}
-	if limit == 1 || parallel.Workers() == 1 || k*h*w < parallelCrossover {
-		for _, m := range ms {
-			colPlan.columnsPass(m, 0, w, false)
-			for y := 0; y < h; y++ {
-				if rowLive[y] {
-					rowPlan.transform(m.Row(y), false)
-				}
-			}
-		}
-		return
-	}
-
-	colPlan.batchColumns(ms, false, limit)
-	live := liveRows(rowLive)
-	nl := len(live)
-	if nl > 0 {
-		parallel.DoChunks(k*nl, limit, func(lo, hi int) {
-			for idx := lo; idx < hi; idx++ {
-				rowPlan.transform(ms[idx/nl].Row(live[idx%nl]), false)
-			}
-		})
-	}
-}
-
-// Batch2DInversePruned runs the pruned inverse transform over every
-// matrix of the batch, equivalent to calling Inverse2DPruned on each
-// with the shared row mask — and therefore bit-identical to a dense
-// Batch2D inverse when the dead-row contract holds. Like Batch2DLimit
-// the row fan-out covers all live (matrix, row) pairs in one parallel
-// section and the column fan-out all column strips in a second; limit
-// caps the participating goroutines (0 = pool width, 1 = strictly
-// serial).
+// Batch2DInversePruned runs Inverse2DPruned over every matrix of the
+// batch with the shared row mask — bit-identical to a dense Batch2D
+// inverse when the dead-row contract holds. limit caps the
+// participating goroutines (0 = pool width, 1 = strictly serial).
 func Batch2DInversePruned(ms []*grid.CMat, rowLive []bool, limit int) {
-	k := len(ms)
-	if k == 0 {
-		return
-	}
-	h, w := ms[0].H, ms[0].W
-	checkRowMask(rowLive, h)
-	for i, m := range ms {
-		if m.H != h || m.W != w {
-			panic(fmt.Sprintf("fft: Batch2DInversePruned shape mismatch: matrix %d is %dx%d, want %dx%d", i, m.H, m.W, h, w))
-		}
-	}
-	rowPlan := planFor(w)
-	colPlan := planFor(h)
-	if limit <= 0 {
-		limit = parallel.Workers()
-	}
-	if limit == 1 || parallel.Workers() == 1 || k*h*w < parallelCrossover {
-		for _, m := range ms {
-			for y := 0; y < h; y++ {
-				if rowLive[y] {
-					rowPlan.transform(m.Row(y), true)
-				}
-			}
-			colPlan.columnsPass(m, 0, w, true)
-		}
-		return
-	}
+	xform2D{rowLive: rowLive, inverse: true}.batch(ms, limit)
+}
 
-	live := liveRows(rowLive)
-	nl := len(live)
-	if nl > 0 {
-		parallel.DoChunks(k*nl, limit, func(lo, hi int) {
-			for idx := lo; idx < hi; idx++ {
-				rowPlan.transform(ms[idx/nl].Row(live[idx%nl]), true)
-			}
-		})
-	}
-	colPlan.batchColumns(ms, true, limit)
+// Batch2DForwardBand runs Forward2DBand over every matrix of the batch
+// with the shared row mask. limit caps the participating goroutines
+// (0 = pool width, 1 = strictly serial).
+func Batch2DForwardBand(ms []*grid.CMat, rowLive []bool, limit int) {
+	xform2D{rowLive: rowLive, colsFirst: true}.batch(ms, limit)
 }

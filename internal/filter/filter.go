@@ -94,18 +94,6 @@ func GaussianIterated(m *grid.Mat, sigma float64, iters int) *grid.Mat {
 	return out
 }
 
-// Box returns m filtered by a (2r+1)×(2r+1) mean filter.
-func Box(m *grid.Mat, r int) *grid.Mat {
-	if r < 0 {
-		panic("filter: box radius must be non-negative")
-	}
-	k := make([]float64, 2*r+1)
-	for i := range k {
-		k[i] = 1 / float64(len(k))
-	}
-	return convolveSeparable(m, k)
-}
-
 // Erode performs binary morphological erosion of a {0,1} matrix with a
 // (2r+1)×(2r+1) square structuring element.
 func Erode(m *grid.Mat, r int) *grid.Mat { return morph(m, r, true) }

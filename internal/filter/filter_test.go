@@ -108,18 +108,6 @@ func TestGaussianIteratedStronger(t *testing.T) {
 	}
 }
 
-func TestBoxFilter(t *testing.T) {
-	m := grid.NewMat(1, 5)
-	m.Set(0, 2, 3)
-	out := Box(m, 1)
-	if math.Abs(out.At(0, 1)-1) > 1e-12 || math.Abs(out.At(0, 2)-1) > 1e-12 {
-		t.Fatalf("box got %v", out.Data)
-	}
-	if r0 := Box(m, 0); !r0.AlmostEqual(m, 1e-15) {
-		t.Fatal("radius-0 box must be identity")
-	}
-}
-
 func square(h, w, y0, x0, side int) *grid.Mat {
 	m := grid.NewMat(h, w)
 	for y := y0; y < y0+side; y++ {

@@ -172,16 +172,6 @@ func readPGMToken(br *bufio.Reader, out *string) (int, error) {
 	}
 }
 
-// LoadPGM reads the named PGM file.
-func LoadPGM(path string) (*grid.Mat, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("imgio: %w", err)
-	}
-	defer f.Close()
-	return ReadPGM(f)
-}
-
 // SavePGM writes m to the named PGM file.
 func SavePGM(path string, m *grid.Mat) error {
 	f, err := os.Create(path)

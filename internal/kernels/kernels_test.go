@@ -1,12 +1,9 @@
 package kernels
 
 import (
-	"bytes"
 	"math"
 	"math/cmplx"
 	"testing"
-
-	"mgsilt/internal/grid"
 )
 
 func testConfig() Config { return DefaultConfig(128) }
@@ -170,46 +167,6 @@ func TestGenerateRejectsOversizedSupport(t *testing.T) {
 	// cutoff·(1+sigmaOut) = 15.8 → support 34 > 32.
 	if _, err := Generate(cfg); err == nil {
 		t.Fatal("expected support-too-large error")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	set := MustGenerate(testConfig())
-	var buf bytes.Buffer
-	if err := set.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.N != set.N || loaded.P != set.P || len(loaded.Kernels) != len(set.Kernels) {
-		t.Fatalf("metadata mismatch: %+v", loaded)
-	}
-	for i := range set.Kernels {
-		if loaded.Kernels[i].Weight != set.Kernels[i].Weight {
-			t.Fatalf("weight %d mismatch", i)
-		}
-		if !loaded.Kernels[i].Freq.AlmostEqual(set.Kernels[i].Freq, 0) {
-			t.Fatalf("kernel %d data mismatch", i)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Fatal("expected decode error")
-	}
-}
-
-func TestLoadRejectsMalformed(t *testing.T) {
-	var buf bytes.Buffer
-	bad := &Set{N: 16, P: 32, Kernels: []Kernel{{Freq: grid.NewCMat(16, 16), Weight: 1}}}
-	if err := bad.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil {
-		t.Fatal("expected malformed-set error (P > N)")
 	}
 }
 

@@ -12,11 +12,9 @@ import (
 
 // Fingerprint returns a stable content hash of everything that
 // determines this simulator's outputs: both kernel sets (spectra and
-// weights, bit-exact) and the resist configuration. Config.Workers is
-// excluded — parallelism is bit-identical to serial by contract, so it
-// cannot change results. Two simulators with equal fingerprints
-// produce equal aerial images and gradients for equal inputs, which is
-// what lets the tile cache address results by content.
+// weights, bit-exact) and the resist configuration. Two simulators with
+// equal fingerprints produce equal aerial images and gradients for equal
+// inputs, which is what lets the tile cache address results by content.
 func (s *Simulator) Fingerprint() string {
 	s.fpOnce.Do(func() {
 		h := sha256.New()

@@ -59,15 +59,6 @@ type Config struct {
 	// DoseDelta is the ± dose variation of the process window (0.02
 	// in the paper).
 	DoseDelta float64
-	// Workers caps the per-evaluation kernel-loop parallelism of this
-	// simulator: Aerial and LossGrad fan the independent per-kernel
-	// convolutions out over at most Workers goroutines drawn from the
-	// shared internal/parallel pool. 0 (the default) uses the pool
-	// width (GOMAXPROCS or ILT_WORKERS); 1 forces the serial path.
-	// Parallel results are bit-identical to serial for every value —
-	// per-kernel partials are reduced in kernel order — so this is a
-	// pure performance knob.
-	Workers int
 	// Fidelity is the default kernel energy budget of every evaluation:
 	// each Hopkins sum runs only the energy-ranked kernel prefix
 	// covering this weight fraction (kernels.Set.Truncate semantics).
@@ -560,19 +551,9 @@ func (s *Simulator) AerialScaled(mask *grid.Mat, stretch int, cond Condition) *g
 }
 
 // workersFor resolves the kernel-loop parallelism for a k-kernel
-// evaluation: Config.Workers (0 → the shared pool width) capped at k.
-func (s *Simulator) workersFor(k int) int {
-	w := s.cfg.Workers
-	if w <= 0 {
-		w = parallel.Workers()
-	}
-	if w > k {
-		w = k
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// evaluation: the shared pool width capped at k.
+func workersFor(k int) int {
+	return max(1, min(parallel.Workers(), k))
 }
 
 // fanOutCrossover is the combined element count of a per-kernel field
@@ -594,7 +575,7 @@ func (s *Simulator) fanOut(fields, m int) int {
 	if fields*m*m < fanOutCrossover {
 		return 1
 	}
-	return s.workersFor(fields)
+	return workersFor(fields)
 }
 
 // aerialCalls sequences aerial evaluations for the litho.aerial fault
@@ -625,7 +606,7 @@ func injectAerial() {
 func (s *Simulator) aerial(mask *grid.Mat, pixelStretch int, focus Focus) *grid.Mat {
 	injectAerial()
 	p := s.preparedFor(focus, mask.H, s.kernelStretch(mask.H, pixelStretch), s.cfg.Fidelity)
-	limit := s.workersFor(len(p.freq))
+	limit := workersFor(len(p.freq))
 	kernelsEvaluated.Add(int64(len(p.freq)))
 	fm := grid.GetCMat(mask.H, mask.W)
 	fft.ForwardReal2D(fm, mask) // mask is real: half a complex transform
@@ -883,7 +864,7 @@ func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts
 		e.grads[i] = grid.GetMat(size, size).Zero()
 		e.fms[i] = grid.GetCMat(size, size)
 	}
-	parallel.Do(T, s.workersFor(T), e.transformStep)
+	parallel.Do(T, workersFor(T), e.transformStep)
 	e.condition(s.Nominal(), 1)
 	if opts.PVWeight > 0 {
 		e.condition(s.Inner(), opts.PVWeight)
@@ -965,7 +946,7 @@ func (e *evaluation) condition(cond Condition, weight float64) {
 	parallel.Do(T, tiles, e.reduceStep)
 	// The accumulators are full-size again: their transform fans out on
 	// its own above the fft crossover, like upsample's and lowpass's.
-	fft.Batch2DInversePruned(e.accs, r.rows1, s.cfg.Workers)
+	fft.Batch2DInversePruned(e.accs, r.rows1, 0)
 	parallel.Do(T, tiles, e.gradStep)
 	for f, a := range e.fields {
 		grid.PutCMat(a)

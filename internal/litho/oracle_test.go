@@ -9,7 +9,6 @@ import (
 
 	"mgsilt/internal/grid"
 	"mgsilt/internal/kernels"
-	"mgsilt/internal/parallel"
 )
 
 // Oracles for the Hopkins engine: tests that can tell "unchanged" from
@@ -304,9 +303,6 @@ func TestReducedGridGuard(t *testing.T) {
 // a 4N layout (N=64: 256² on M=128, 12 fields above the crossover) and a
 // three-tile batch of them.
 func TestReducedParallelAndBatchEquivalence(t *testing.T) {
-	prev := parallel.SetWorkers(4)
-	defer parallel.SetWorkers(prev)
-
 	const size = 4 * testN
 	rng := rand.New(rand.NewSource(5))
 	masks := make([]*grid.Mat, 3)
@@ -317,27 +313,30 @@ func TestReducedParallelAndBatchEquivalence(t *testing.T) {
 	}
 	opts := LossOpts{Stretch: 1, PVWeight: 0.5}
 
-	serial := simWithWorkers(t, 1)
-	r := serial.preparedFor(FocusNominal, size, size/testN, 1).solver()
+	sim := testSim(t)
+	r := sim.preparedFor(FocusNominal, size, size/testN, 1).solver()
 	if r.m >= size || len(r.fwd)*r.m*r.m < fanOutCrossover {
 		t.Fatalf("M=%d with %d kernels does not exercise the reduced fan-out", r.m, len(r.fwd))
 	}
 	wantLoss := make([]float64, len(masks))
 	wantGrad := make([]*grid.Mat, len(masks))
-	for i := range masks {
-		wantLoss[i], wantGrad[i] = serial.LossGrad(masks[i], targets[i], opts)
-	}
-	for _, w := range []int{2, 3, 0} {
-		sim := simWithWorkers(t, w)
-		loss, grad := sim.LossGrad(masks[0], targets[0], opts)
-		if loss != wantLoss[0] || !grad.Equal(wantGrad[0]) {
-			t.Fatalf("workers=%d: reduced LossGrad not bit-identical to serial", w)
-		}
-		losses, grads := sim.LossGradBatch(masks, targets, opts)
+	atWorkers(1, func() {
 		for i := range masks {
-			if losses[i] != wantLoss[i] || !grads[i].Equal(wantGrad[i]) {
-				t.Fatalf("workers=%d: batched pair %d not bit-identical to lone serial LossGrad", w, i)
-			}
+			wantLoss[i], wantGrad[i] = sim.LossGrad(masks[i], targets[i], opts)
 		}
+	})
+	for _, w := range []int{2, 3, 0} {
+		atWorkers(w, func() {
+			loss, grad := sim.LossGrad(masks[0], targets[0], opts)
+			if loss != wantLoss[0] || !grad.Equal(wantGrad[0]) {
+				t.Fatalf("workers=%d: reduced LossGrad not bit-identical to serial", w)
+			}
+			losses, grads := sim.LossGradBatch(masks, targets, opts)
+			for i := range masks {
+				if losses[i] != wantLoss[i] || !grads[i].Equal(wantGrad[i]) {
+					t.Fatalf("workers=%d: batched pair %d not bit-identical to lone serial LossGrad", w, i)
+				}
+			}
+		})
 	}
 }

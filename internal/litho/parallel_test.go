@@ -11,23 +11,13 @@ import (
 	"mgsilt/internal/parallel"
 )
 
-// simWithWorkers builds a simulator whose kernel fan-out is pinned to
-// the given per-simulator width (0 = process pool default).
-func simWithWorkers(t testing.TB, workers int) *Simulator {
-	t.Helper()
-	kc := kernels.DefaultConfig(testN)
-	nom := kernels.MustGenerate(kc)
-	def, err := kernels.Defocused(kc, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Workers = workers
-	sim, err := New(nom, def, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim
+// atWorkers runs fn with the shared pool pinned to the given width
+// (0 = the start-up default) and restores the previous width.
+func atWorkers(workers int, fn func()) {
+	prev := parallel.Workers()
+	parallel.SetWorkers(workers)
+	defer parallel.SetWorkers(prev)
+	fn()
 }
 
 func randomMask(n int, seed int64) *grid.Mat {
@@ -45,64 +35,69 @@ func randomMask(n int, seed int64) *grid.Mat {
 // partials into private buffers and reduces them in kernel order,
 // replaying the serial floating-point addition sequence.
 func TestParallelEquivalence(t *testing.T) {
-	prev := parallel.SetWorkers(16) // pool wide enough for every width below
-	defer parallel.SetWorkers(prev)
-
 	mask := randomMask(testN, 42)
 	target := centredSquare(testN, 24)
+	sim := testSim(t)
+	opts := LossOpts{Stretch: 1, PVWeight: 0.5}
 
-	ref := simWithWorkers(t, 1)
-	refAerial := ref.Aerial(mask, ref.Nominal())
-	refLoss, refGrad := ref.LossGrad(mask, target, LossOpts{Stretch: 1, PVWeight: 0.5})
+	var refAerial, refGrad *grid.Mat
+	var refLoss float64
+	atWorkers(1, func() {
+		refAerial = sim.Aerial(mask, sim.Nominal())
+		refLoss, refGrad = sim.LossGrad(mask, target, opts)
+	})
 
 	for _, w := range []int{2, 3, runtime.NumCPU(), 0} {
-		sim := simWithWorkers(t, w)
-		aerial := sim.Aerial(mask, sim.Nominal())
-		if !aerial.Equal(refAerial) {
-			t.Fatalf("workers=%d: Aerial not bit-identical to serial", w)
-		}
-		loss, grad := sim.LossGrad(mask, target, LossOpts{Stretch: 1, PVWeight: 0.5})
-		if loss != refLoss {
-			t.Fatalf("workers=%d: loss %v != serial %v", w, loss, refLoss)
-		}
-		if !grad.Equal(refGrad) {
-			t.Fatalf("workers=%d: LossGrad gradient not bit-identical to serial", w)
-		}
+		atWorkers(w, func() {
+			aerial := sim.Aerial(mask, sim.Nominal())
+			if !aerial.Equal(refAerial) {
+				t.Fatalf("workers=%d: Aerial not bit-identical to serial", w)
+			}
+			loss, grad := sim.LossGrad(mask, target, opts)
+			if loss != refLoss {
+				t.Fatalf("workers=%d: loss %v != serial %v", w, loss, refLoss)
+			}
+			if !grad.Equal(refGrad) {
+				t.Fatalf("workers=%d: LossGrad gradient not bit-identical to serial", w)
+			}
+		})
 	}
 }
 
 // TestParallelEquivalenceStretched covers the coarse-grid path
 // (kernel stretch > 1) used by the multigrid levels.
 func TestParallelEquivalenceStretched(t *testing.T) {
-	prev := parallel.SetWorkers(8)
-	defer parallel.SetWorkers(prev)
-
 	const size = 2 * testN
 	mask := randomMask(size, 7)
 	target := centredSquare(size, 48)
+	sim := testSim(t)
 
-	ref := simWithWorkers(t, 1)
-	refAerial := ref.AerialScaled(mask, 2, ref.Nominal())
-	refLoss, refGrad := ref.LossGrad(mask, target, LossOpts{Stretch: 2})
+	var refAerial, refGrad *grid.Mat
+	var refLoss float64
+	atWorkers(1, func() {
+		refAerial = sim.AerialScaled(mask, 2, sim.Nominal())
+		refLoss, refGrad = sim.LossGrad(mask, target, LossOpts{Stretch: 2})
+	})
 
-	sim := simWithWorkers(t, 4)
-	if !sim.AerialScaled(mask, 2, sim.Nominal()).Equal(refAerial) {
-		t.Fatal("stretched Aerial not bit-identical to serial")
-	}
-	loss, grad := sim.LossGrad(mask, target, LossOpts{Stretch: 2})
-	if loss != refLoss || !grad.Equal(refGrad) {
-		t.Fatal("stretched LossGrad not bit-identical to serial")
-	}
+	atWorkers(4, func() {
+		if !sim.AerialScaled(mask, 2, sim.Nominal()).Equal(refAerial) {
+			t.Fatal("stretched Aerial not bit-identical to serial")
+		}
+		loss, grad := sim.LossGrad(mask, target, LossOpts{Stretch: 2})
+		if loss != refLoss || !grad.Equal(refGrad) {
+			t.Fatal("stretched LossGrad not bit-identical to serial")
+		}
+	})
 }
 
 func benchWorkers(b *testing.B, workers int, fn func(sim *Simulator)) {
-	prev := parallel.SetWorkers(workers)
-	defer parallel.SetWorkers(prev)
-	sim := simWithWorkers(b, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn(sim)
-	}
+	sim := testSim(b)
+	atWorkers(workers, func() {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fn(sim)
+		}
+	})
 }
 
 func BenchmarkAerial(b *testing.B) {

@@ -17,8 +17,8 @@ import (
 // resumes from its last completed stage instead of from scratch.
 type Checkpoint struct {
 	// Flow is the flow that produced the snapshot ("multigrid-schwarz",
-	// "divide-and-conquer", "full-chip", "stitch-and-heal",
-	// "overlap-select"); resume validates it.
+	// "divide-and-conquer", "full-chip", "stitch-and-heal"); resume
+	// validates it.
 	Flow string
 	// Stage counts completed engine stages, 1-based.
 	Stage int

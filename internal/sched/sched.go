@@ -13,9 +13,11 @@
 package sched
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
+	"mgsilt/internal/fault"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/opt"
 )
@@ -164,14 +166,6 @@ func (b *Batcher) flush(cls class) {
 
 // run solves one batch and publishes per-request outcomes.
 func (b *Batcher) run(solver opt.BatchSolver, reqs []*request) {
-	targets := make([]*grid.Mat, len(reqs))
-	inits := make([]*grid.Mat, len(reqs))
-	ps := make([]opt.Params, len(reqs))
-	for i, r := range reqs {
-		targets[i], inits[i], ps[i] = r.target, r.init, r.p
-	}
-	outs, errs := solver.SolveBatch(targets, inits, ps)
-
 	b.mu.Lock()
 	b.stats.Batches++
 	if len(reqs) > 1 {
@@ -182,8 +176,39 @@ func (b *Batcher) run(solver opt.BatchSolver, reqs []*request) {
 	}
 	b.mu.Unlock()
 
+	outs, errs := solveBatch(solver, reqs)
 	for i, r := range reqs {
 		r.m, r.err = outs[i], errs[i]
 		close(r.done)
 	}
+}
+
+// solveBatch calls solver.SolveBatch over reqs. A panic becomes the
+// error of every request of the batch: unrecovered it would strand the
+// peers of the caller that ran the batch or — on the flush timer's
+// goroutine, where nobody can recover — kill the process. An injected
+// fault (fault.Panic) is returned as the fault.Error it carries, so each
+// tile's device job retries exactly as a direct solve's would.
+func solveBatch(solver opt.BatchSolver, reqs []*request) (outs []*grid.Mat, errs []error) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		err, injected := fault.FromPanic(r)
+		if !injected {
+			err = fmt.Errorf("sched: batch solve panicked: %v", r)
+		}
+		outs, errs = make([]*grid.Mat, len(reqs)), make([]error, len(reqs))
+		for i := range errs {
+			errs[i] = err
+		}
+	}()
+	targets := make([]*grid.Mat, len(reqs))
+	inits := make([]*grid.Mat, len(reqs))
+	ps := make([]opt.Params, len(reqs))
+	for i, r := range reqs {
+		targets[i], inits[i], ps[i] = r.target, r.init, r.p
+	}
+	return solver.SolveBatch(targets, inits, ps)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mgsilt/internal/fault"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/opt"
 )
@@ -18,6 +19,7 @@ type fakeSolver struct {
 	batches [][]int // sizes of the batches seen
 	solves  atomic.Int64
 	err     error
+	panics  any // when set, the next SolveBatch panics with it (guarded by mu)
 }
 
 func (f *fakeSolver) Name() string { return "fake" }
@@ -30,8 +32,13 @@ func (f *fakeSolver) Solve(target, init *grid.Mat, p opt.Params) (*grid.Mat, err
 func (f *fakeSolver) SolveBatch(targets, inits []*grid.Mat, ps []opt.Params) ([]*grid.Mat, []error) {
 	f.solves.Add(1)
 	f.mu.Lock()
+	v := f.panics
+	f.panics = nil
 	f.batches = append(f.batches, []int{len(inits)})
 	f.mu.Unlock()
+	if v != nil {
+		panic(v)
+	}
 	outs := make([]*grid.Mat, len(inits))
 	errs := make([]error, len(inits))
 	for i, m := range inits {
@@ -155,6 +162,68 @@ func TestErrorPropagation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// A panicking SolveBatch must fail every request of its batch — on the
+// flush timer's goroutine without killing the process, on the
+// size-trigger caller without stranding its peers — and leave the class
+// usable. An injected fault reaches each caller as the retryable
+// fault.Error it carries.
+func TestPanickingBatch(t *testing.T) {
+	const n = 2
+	// solveAll runs n concurrent requests of one class and returns their
+	// errors; the class flushes by size or by timer, whichever opts set.
+	solveAll := func(t *testing.T, b *Batcher, fs *fakeSolver) []error {
+		t.Helper()
+		ch := make(chan error, n)
+		for i := 0; i < n; i++ {
+			go func() {
+				_, err := b.Solve("k", fs, mat(0), mat(0), params())
+				ch <- err
+			}()
+		}
+		errs := make([]error, n)
+		for i := range errs {
+			select {
+			case errs[i] = <-ch:
+			case <-time.After(10 * time.Second):
+				t.Fatal("a request of the batch never returned")
+			}
+		}
+		return errs
+	}
+
+	injected := &fault.Error{Site: fault.SiteLithoAerial}
+	triggers := map[string]Options{
+		"timer-flush":  {BatchSize: 100, MaxWait: 100 * time.Millisecond},
+		"size-trigger": {BatchSize: n, MaxWait: time.Minute},
+	}
+	panics := map[string]any{"injected": fault.Panic{Err: injected}, "genuine": "bug"}
+	for trigger, opts := range triggers {
+		for kind, val := range panics {
+			t.Run(trigger+"/"+kind, func(t *testing.T) {
+				fs := &fakeSolver{panics: val}
+				b := New(opts)
+
+				for _, err := range solveAll(t, b, fs) {
+					if err == nil {
+						t.Fatal("request of a panicked batch returned no error")
+					}
+					if fault.Transient(err) != (kind == "injected") {
+						t.Fatalf("err = %v; retryable: %v", err, fault.Transient(err))
+					}
+				}
+				for _, err := range solveAll(t, b, fs) {
+					if err != nil {
+						t.Fatalf("next batch of the class: %v", err)
+					}
+				}
+				if st := b.Stats(); st.Requests != 2*n || st.Batches != 2 || st.Batched != 2*n {
+					t.Fatalf("stats = %+v, want %d requests in 2 shared flushes", st, 2*n)
+				}
+			})
+		}
+	}
 }
 
 // A nil Batcher and a sub-2 batch size both degenerate to direct

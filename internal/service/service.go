@@ -75,8 +75,7 @@ func (s State) Terminal() bool {
 // which scale, plus optional core.Config knob overrides.
 type JobSpec struct {
 	// Flow selects the core flow: "mgs" (multigrid-Schwarz), "dc"
-	// (divide-and-conquer), "fullchip", "heal" (stitch-and-heal) or
-	// "select" (overlap-select).
+	// (divide-and-conquer), "fullchip" or "heal" (stitch-and-heal).
 	Flow string `json:"flow"`
 	// Solver selects φ(·) by opt registry name — opt.Names() is the
 	// accepted vocabulary (admm, curvy, levelset, multilevel, pixel);
@@ -511,9 +510,9 @@ func (s *Server) persistLocked(j *job) {
 // (full validation happens in core.Config.Validate at run time).
 func (s *Server) normalize(spec *JobSpec) error {
 	switch spec.Flow {
-	case "mgs", "dc", "fullchip", "heal", "select":
+	case "mgs", "dc", "fullchip", "heal":
 	case "":
-		return fmt.Errorf("service: flow is required (mgs | dc | fullchip | heal | select)")
+		return fmt.Errorf("service: flow is required (mgs | dc | fullchip | heal)")
 	default:
 		return fmt.Errorf("service: unknown flow %q", spec.Flow)
 	}
@@ -971,8 +970,6 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 		return core.FullChip(cfg, target)
 	case "heal":
 		return core.StitchAndHeal(cfg, target)
-	case "select":
-		return core.OverlapSelect(cfg, target)
 	}
 	return nil, fmt.Errorf("service: unknown flow %q", spec.Flow)
 }

@@ -251,7 +251,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	jobs := []submitResponse{
 		postJob(t, ts, smallSpec()),
 		postJob(t, ts, JobSpec{Flow: "dc", N: 32, Iters: 3}),
-		postJob(t, ts, JobSpec{Flow: "select", N: 32, Iters: 3}),
+		postJob(t, ts, JobSpec{Flow: "heal", N: 32, Iters: 3}),
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)

@@ -82,7 +82,8 @@ func TestResumeRunningConflict(t *testing.T) {
 // running jobs plus a finished one — must be replayed on startup: the
 // non-terminal jobs re-enter the queue and run to completion, the
 // terminal job reappears as history, and ilt_jobs_recovered_total
-// counts the requeues.
+// counts the requeues. A queued job whose flow this build no longer
+// serves (an older server's "select") is marked failed, not run.
 func TestRecoveryCompletesJournalledJobs(t *testing.T) {
 	dir := t.TempDir()
 	st, err := openJobStore(dir)
@@ -96,6 +97,7 @@ func TestRecoveryCompletesJournalledJobs(t *testing.T) {
 			State: StateRunning, Attempts: 1, Created: now, Started: now},
 		{ID: "j000003", Spec: smallSpec(), State: StateDone, Attempts: 1,
 			Created: now, Started: now, Finished: now},
+		{ID: "j000004", Spec: JobSpec{Flow: "select", N: 32, Iters: 3}, State: StateQueued, Created: now},
 	}
 	for _, rec := range records {
 		if err := st.saveRecord(rec); err != nil {
@@ -140,14 +142,19 @@ func TestRecoveryCompletesJournalledJobs(t *testing.T) {
 		t.Fatalf("result of history-only job: %d, want 409", resp.StatusCode)
 	}
 
-	// Only the two non-terminal jobs count as recovered.
+	// The job of a flow that no longer exists failed at replay.
+	if st := getStatus(t, ts, "j000004"); st.State != StateFailed || !strings.Contains(st.Error, `unknown flow "select"`) {
+		t.Fatalf("journalled select job recovered as %s (%q), want failed on its flow", st.State, st.Error)
+	}
+
+	// Only the two runnable non-terminal jobs count as recovered.
 	if m := metricsBody(t, ts.URL); !strings.Contains(m, "ilt_jobs_recovered_total 2") {
 		t.Fatalf("metrics missing recovered counter:\n%s", m)
 	}
 
 	// New submissions continue the id sequence past the journal.
-	if sr := postJob(t, ts, smallSpec()); sr.Job.ID != "j000004" {
-		t.Fatalf("post-recovery submit got id %s, want j000004", sr.Job.ID)
+	if sr := postJob(t, ts, smallSpec()); sr.Job.ID != "j000005" {
+		t.Fatalf("post-recovery submit got id %s, want j000005", sr.Job.ID)
 	}
 }
 
