@@ -80,7 +80,7 @@ func main() {
 		dropTol   = flag.Float64("drop-tol", 0, "per-tile convergence dropout tolerance (per-pixel RMS; 0 disables; method ours only)")
 		dropWin   = flag.Int("drop-window", 0, "consecutive stages drop-tol must hold before a tile retires (0 = default)")
 		fineStg   = flag.Int("fine-stages", 0, "fine Schwarz stage count (0 = default; method ours only)")
-		fidelity  = flag.String("fidelity", "", "comma-separated per-fine-stage kernel energy budgets, e.g. 0.9,1 (empty = full fidelity; one entry per fine stage, last must be 1)")
+		fidelity  = flag.String("fidelity", "", "comma-separated per-fine-stage kernel energy budgets, e.g. 0.75,1 (empty = full fidelity; one entry per fine stage, last must be 1)")
 		maskRaw   = flag.String("mask-raw", "", "write the final mask to this file in the versioned checkpoint format, for byte-level comparison (cmp) across runs")
 	)
 	flag.Parse()

@@ -58,7 +58,7 @@ func main() {
 		solverSel = flag.String("solver", "", "default solver backend for jobs that do not set solver: "+strings.Join(opt.Names(), " | "))
 		correct   = flag.Bool("coarse-correct", false, "default two-level Schwarz coarse correction for jobs that do not override coarse_correct")
 		dropTol   = flag.Float64("drop-tol", 0, "default per-tile convergence dropout tolerance for jobs that do not override drop_tol (0 disables)")
-		fidelity  = flag.String("fidelity", "", "default per-fine-stage kernel energy budgets for jobs that do not override fidelity_schedule, e.g. 0.9,1 (empty = full fidelity)")
+		fidelity  = flag.String("fidelity", "", "default per-fine-stage kernel energy budgets for jobs that do not override fidelity_schedule, e.g. 0.75,1 (empty = full fidelity)")
 	)
 	flag.Parse()
 

@@ -467,24 +467,26 @@ func TestDiskSpill(t *testing.T) {
 // An entry spilled by a build with older tile-solve numerics must read
 // as a miss, never be mixed into a layout solved by this build.
 func TestOlderCodeVersionNotServed(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(12))
-	in := testInput(rng)
-	old, err := in.keyAt("mgsilt-tile-solve-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1.Put(old, randMat(rng, 16, 16))
-	c2, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c2.Get(mustKey(t, in)); ok {
-		t.Fatal("entry keyed under mgsilt-tile-solve-v1 served to the current build")
+	for _, version := range []string{"mgsilt-tile-solve-v1", "mgsilt-tile-solve-v3"} {
+		dir := t.TempDir()
+		rng := rand.New(rand.NewSource(12))
+		in := testInput(rng)
+		old, err := in.keyAt(version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1, err := New(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1.Put(old, randMat(rng, 16, 16))
+		c2, err := New(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c2.Get(mustKey(t, in)); ok {
+			t.Fatalf("entry keyed under %s served to the current build", version)
+		}
 	}
 }
 

@@ -31,8 +31,10 @@ import (
 // stale spill directories invalidate themselves. v2: the reduced-grid
 // Hopkins engine moved solver-path results at the 1e-15 level. v3: no
 // result moved; the key lost the Plain field, so keys of the two
-// layouts must not be compared.
-const codeVersion = "mgsilt-tile-solve-v3"
+// layouts must not be compared. v4: litho evaluates conjugate kernel
+// pairs once, which moved every solve at rounding level while the
+// simulator fingerprint (a hash of the kernel sets as given) stayed.
+const codeVersion = "mgsilt-tile-solve-v4"
 
 // keyMagic versions the key serialisation itself. v2 added the
 // canonicalised kernel-fidelity budget.

@@ -293,11 +293,12 @@ func Inverse(x []complex128) { planFor(len(x)).transform(x, true) }
 // goroutine barriers) eats the gain. From 256² upward the independent
 // 1-D transforms dominate and chunked parallelism wins. A batch applies
 // the threshold to the combined element count of its matrices, so
-// many small per-kernel buffers still parallelise: on the row-vector
-// column pass a batch of 12×64² (49 152 elements) is still 12 % slower
-// over two workers than serial and 48×32² ties, while 12×128² (196 608)
-// gains 1.17× — the measurement is litho.fanOutCrossover's, which holds
-// the same value by design.
+// many small per-kernel buffers still parallelise: at the six fields a
+// folded Hopkins sum batches, 6×64² (24 576 elements) is 4 % slower over
+// two workers than serial and 24×32² (24 576 again) 7 % faster — a wash
+// inside the host's drift — while 6×128² (98 304) gains 1.04–1.14×. The
+// measurement is litho.fanOutCrossover's, which holds the same value by
+// design.
 const parallelCrossover = 256 * 256
 
 // scratch is a pooled []complex128 used for column strips and packed

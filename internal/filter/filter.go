@@ -48,31 +48,56 @@ func reflect(i, n int) int {
 
 // convolveSeparable applies the 1-D kernel k along rows then columns
 // with mirror boundaries, returning a fresh matrix.
+//
+// Every output pixel is the sum 0 + k[0]·t₀ + k[1]·t₁ + … in tap order,
+// whichever loop produces it: pixels at least a radius away from the
+// edge read their taps directly instead of through reflect, and the
+// column pass adds one kernel-weighted source row at a time into each
+// output row instead of walking down columns.
 func convolveSeparable(m *grid.Mat, k []float64) *grid.Mat {
 	radius := len(k) / 2
+	// Columns lo…hi−1 have their whole window inside the row.
+	lo := min(radius, m.W)
+	hi := max(lo, m.W-radius)
 	tmp := grid.NewMat(m.H, m.W)
 	for y := 0; y < m.H; y++ {
 		src := m.Row(y)
 		dst := tmp.Row(y)
-		for x := 0; x < m.W; x++ {
+		for x := 0; x < lo; x++ {
+			dst[x] = mirrorTap(src, k, x)
+		}
+		for x := lo; x < hi; x++ {
 			sum := 0.0
-			for i := -radius; i <= radius; i++ {
-				sum += k[i+radius] * src[reflect(x+i, m.W)]
+			for i, t := range src[x-radius : x+radius+1] {
+				sum += k[i] * t
 			}
 			dst[x] = sum
 		}
+		for x := hi; x < m.W; x++ {
+			dst[x] = mirrorTap(src, k, x)
+		}
 	}
-	out := grid.NewMat(m.H, m.W)
-	for x := 0; x < m.W; x++ {
-		for y := 0; y < m.H; y++ {
-			sum := 0.0
-			for i := -radius; i <= radius; i++ {
-				sum += k[i+radius] * tmp.At(reflect(y+i, m.H), x)
+	out := grid.NewMat(m.H, m.W) // zeroed: the running sums start at +0
+	for y := 0; y < m.H; y++ {
+		dst := out.Row(y)
+		for i, kv := range k {
+			for x, t := range tmp.Row(reflect(y+i-radius, m.H)) {
+				dst[x] += kv * t
 			}
-			out.Set(y, x, sum)
 		}
 	}
 	return out
+}
+
+// mirrorTap is the output sample at x of k applied along src with mirror
+// boundaries.
+func mirrorTap(src, k []float64, x int) float64 {
+	radius := len(k) / 2
+	sum := 0.0
+	for i, kv := range k {
+		sum += kv * src[reflect(x+i-radius, len(src))]
+	}
+	return sum
 }
 
 // Gaussian returns m smoothed by a separable Gaussian with the given
@@ -102,42 +127,67 @@ func Erode(m *grid.Mat, r int) *grid.Mat { return morph(m, r, true) }
 // a (2r+1)×(2r+1) square structuring element.
 func Dilate(m *grid.Mat, r int) *grid.Mat { return morph(m, r, false) }
 
+// morph applies the square structuring element as two window tests, along
+// rows and then down the columns of the {0,1} row result: a square is
+// the product of its two sides, so a pixel survives erosion exactly when
+// its whole row window does in every row of its column window, and
+// likewise for dilation. Outside the matrix is background: it clears an
+// eroded pixel and never sets a dilated one.
 func morph(m *grid.Mat, r int, erode bool) *grid.Mat {
 	if r < 0 {
 		panic("filter: morphology radius must be non-negative")
 	}
-	out := grid.NewMat(m.H, m.W)
+	// A pixel of the window decides the outcome when it is background
+	// (erosion) or foreground (dilation); value maps "some pixel of the
+	// window decides" onto the output.
+	decides := func(v float64) bool { return erode && v < 0.5 || !erode && v >= 0.5 }
+	value := func(decided bool) float64 {
+		if decided == erode {
+			return 0
+		}
+		return 1
+	}
+	tmp := grid.NewMat(m.H, m.W)
 	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			val := 1.0
-			if !erode {
-				val = 0.0
+		src, dst := m.Row(y), tmp.Row(y)
+		n := 0 // deciding pixels among columns x−r…x+r
+		for x := 0; x < min(r, m.W); x++ {
+			if decides(src[x]) {
+				n++
 			}
-			for dy := -r; dy <= r && (erode == (val == 1)); dy++ {
-				yy := y + dy
-				if yy < 0 || yy >= m.H {
-					if erode {
-						val = 0 // outside is background
-					}
-					continue
-				}
-				for dx := -r; dx <= r; dx++ {
-					xx := x + dx
-					if xx < 0 || xx >= m.W {
-						if erode {
-							val = 0
-						}
-						continue
-					}
-					v := m.At(yy, xx)
-					if erode && v < 0.5 {
-						val = 0
-					} else if !erode && v >= 0.5 {
-						val = 1
-					}
-				}
+		}
+		for x := range dst {
+			if x+r < m.W && decides(src[x+r]) {
+				n++
 			}
-			out.Set(y, x, val)
+			dst[x] = value(n > 0 || erode && (x < r || x+r >= m.W))
+			if x >= r && decides(src[x-r]) {
+				n--
+			}
+		}
+	}
+	out := grid.NewMat(m.H, m.W)
+	count := make([]int, m.W) // per column: deciding pixels among rows y−r…y+r of tmp
+	add := func(y, d int) {
+		for x, v := range tmp.Row(y) {
+			if decides(v) {
+				count[x] += d
+			}
+		}
+	}
+	for y := 0; y < min(r, m.H); y++ {
+		add(y, 1)
+	}
+	for y := 0; y < m.H; y++ {
+		if y+r < m.H {
+			add(y+r, 1)
+		}
+		outside := erode && (y < r || y+r >= m.H)
+		for x, n := range count {
+			out.Data[y*m.W+x] = value(n > 0 || outside)
+		}
+		if y >= r {
+			add(y-r, -1)
 		}
 	}
 	return out

@@ -10,11 +10,18 @@ import (
 	"testing"
 )
 
-// TestGoldenLossGrad pins (loss, gradient) of LossGrad to the bits of
-// the commit before PR 14, whose LossGrad was a routine of its own beside
-// the batched one: the SHA-256 of Float64bits(loss) followed by the
-// gradient's, little endian. LossGradBatch ≡ LossGrad now compares one
-// routine with itself, so this is the independent reference.
+// TestGoldenLossGrad pins (loss, gradient) of LossGrad: the SHA-256 of
+// Float64bits(loss) followed by the gradient's, little endian.
+// LossGradBatch ≡ LossGrad compares one routine with itself, so this is
+// the independent reference. Recorded with the conjugate-pair fold of
+// PR 23, which moved every row at rounding level (the nominal-focus sum
+// runs over six doubled weights instead of twelve); against the bits
+// before it TestFoldedMatchesUnfolded is the bound.
+//
+// The truncated rows run at 0.75: the default source folds to six equal
+// weights, so any budget above 5/6 retains all of them and would pin the
+// full set a second time. Each truncated row therefore also shows that it
+// evaluated fewer kernels than its full row.
 //
 // amd64 only, like core.TestGoldenMaskHash.
 func TestGoldenLossGrad(t *testing.T) {
@@ -22,22 +29,22 @@ func TestGoldenLossGrad(t *testing.T) {
 		t.Skipf("golden hashes are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	want := map[string]string{
-		"n64/pv0/stretch1/fidelity1":      "d3ccf653e45e666f5614c95bc88ad92b7d15676b93f9cb8774479020daf1990d",
-		"n64/pv0/stretch1/fidelity0.9":    "a988b59582cd16ecb96de1710b67fb2f8959582ab4f430d63754b2c801a32fb2",
-		"n64/pv0/stretch2/fidelity1":      "6fdec123d0ae1bb98911efa3e5e75db0ad62ae2c1339e933eb78732cace457fc",
-		"n64/pv0/stretch2/fidelity0.9":    "bd1799e3a88c9a75c5773c8ee0c3e0d4bc1f8e50d1c7e04a8de71194bcf63df6",
-		"n64/pv0.5/stretch1/fidelity1":    "177b23e518c8cfb60496bc4b83723fe827fc6ba7e9fa4e8cd66c2de0bec8aa2e",
-		"n64/pv0.5/stretch1/fidelity0.9":  "5374d85d8e392f439a1f1cdf19e551c4e26bc8da9de0428c6c836531c00d3648",
-		"n64/pv0.5/stretch2/fidelity1":    "1c66ff3ab005bed8ecc3fd4195c39423439c00eb4c0c934405f5165bf79dca21",
-		"n64/pv0.5/stretch2/fidelity0.9":  "812f76442a720219658387517897500bebf60d396212d33994f9993aac8344cd",
-		"n128/pv0/stretch1/fidelity1":     "51468a57359e21a0560b4519d01aea931f1ebe6dd227faa7fc9f3a24890388e3",
-		"n128/pv0/stretch1/fidelity0.9":   "1450f489dc4774d70cecc06efb30f3afed7db388164fe68ddc680fbc26fd19a0",
-		"n128/pv0/stretch2/fidelity1":     "97fa98230be036538740039ed7209d48e4ffa21f26506cbfec3bf38fb4ba2085",
-		"n128/pv0/stretch2/fidelity0.9":   "c25f148d347da5d3a302a3605c1873b88008f9bf2d060fb881050e3db7ecf293",
-		"n128/pv0.5/stretch1/fidelity1":   "70871bf646e3beb825620b35a969955739d10372ef73d052ee51a5329b333db7",
-		"n128/pv0.5/stretch1/fidelity0.9": "b55635480416f40e7cdf58ad7a1111d1f07a6d6ec25417898b8e832a9c4a6ed4",
-		"n128/pv0.5/stretch2/fidelity1":   "d7eac63f2372b310e084b2bf802e6517607ccb8d115bc747df1ac6f94642a184",
-		"n128/pv0.5/stretch2/fidelity0.9": "b27223fdd0991f9f0f7643a8f6d002a5959fe099335988e3be4ab12ae05b3b37",
+		"n64/pv0/stretch1/fidelity1":       "4a4ffe07ba4ec26d2bb678dfc5d2e047a0e096426be3f6c4aeff7f21cb1acd3d",
+		"n64/pv0/stretch1/fidelity0.75":    "23d432d96e20be0216d7a43bb2648dd6689dd27c79c2bc711e2bffeed6a89348",
+		"n64/pv0/stretch2/fidelity1":       "d12e03b3db2d38f2ad6255d7c60ea6217b27eec3a50afbd1f4058fac196c4d2e",
+		"n64/pv0/stretch2/fidelity0.75":    "e2d2605af316566b4d353c00b6f2cc6428448776363f18474f4ec2ceab2bbcd2",
+		"n64/pv0.5/stretch1/fidelity1":     "1df972231568539fcd1dae8796dd15496a1380d7fa49df259d33ab9ca8ae9ddc",
+		"n64/pv0.5/stretch1/fidelity0.75":  "e9bd45912302eba8290dd9292f2e0457b1ba8149c6184f3bf3902ca0e00b2744",
+		"n64/pv0.5/stretch2/fidelity1":     "ea4bd92792c75888ccd968d1e045db9895f1e45f59f9874340a31a61c1eadb30",
+		"n64/pv0.5/stretch2/fidelity0.75":  "a3f50b367ec7de93f844f0cdd487bd48d3215b139b6de320f9f6a58ba52cb8ac",
+		"n128/pv0/stretch1/fidelity1":      "4c0fafeb3afcd305c4deedbe26e25f75ad786f53ec61b26cbfc1a73d88d48867",
+		"n128/pv0/stretch1/fidelity0.75":   "5fad3fbffa1eaa1b50926f0205ed8941bf7d73edebc34dc1b243d09425682eaa",
+		"n128/pv0/stretch2/fidelity1":      "15fc92aed4c3c5811fd3ac6b6b73b776013b64f23c5784cafd2b066761bc5da1",
+		"n128/pv0/stretch2/fidelity0.75":   "16d260cbcb45d196f7ce4374ba066fd606ac8e20080f1296c7aa0f6401c2bee9",
+		"n128/pv0.5/stretch1/fidelity1":    "5063a86f68ed0c403d53fd597cd09f53d63e333a93471b607d50e9908e513c3d",
+		"n128/pv0.5/stretch1/fidelity0.75": "8093e2fc0a528e105c1a6d3ad9c7a609e0c50ab057fff766528f08cce185099c",
+		"n128/pv0.5/stretch2/fidelity1":    "123369c2f8e0010e16112f3c24a3000687879ccf79db5f17adf64e3d71d15643",
+		"n128/pv0.5/stretch2/fidelity0.75": "e2bb90e9e7d5e999db5826220229cb18068e397916ff8c789af85cd0a11ed43f",
 	}
 	for _, n := range []int{64, 128} {
 		sim, err := NewStandard(n)
@@ -47,9 +54,17 @@ func TestGoldenLossGrad(t *testing.T) {
 		mask, target := greyMask(rand.New(rand.NewSource(int64(n))), n), centredSquare(n, n/3)
 		for _, pv := range []float64{0, 0.5} {
 			for _, stretch := range []int{1, 2} {
-				for _, fidelity := range []float64{1, 0.9} {
+				var fullKernels int64
+				for _, fidelity := range []float64{1, 0.75} {
 					name := fmt.Sprintf("n%d/pv%g/stretch%d/fidelity%g", n, pv, stretch, fidelity)
+					before := KernelsEvaluatedTotal()
 					loss, grad := sim.LossGrad(mask, target, LossOpts{Stretch: stretch, PVWeight: pv, Fidelity: fidelity})
+					switch evaluated := KernelsEvaluatedTotal() - before; {
+					case fidelity == 1:
+						fullKernels = evaluated
+					case evaluated >= fullKernels:
+						t.Errorf("%s: evaluated %d kernels, not below the full row's %d: the budget truncates nothing", name, evaluated, fullKernels)
+					}
 					h := sha256.New()
 					var b [8]byte
 					for _, v := range append([]float64{loss}, grad.Data...) {

@@ -17,6 +17,17 @@
 // the frequency domain, by one routine over a batch of (mask, target)
 // pairs — LossGradBatch, with LossGrad its batch of one; see
 // evaluation.condition for the derivation.
+//
+// Every Hopkins sum, imaging and solver path alike, runs over the kernel
+// set with its conjugate pairs folded: two kernels of equal weight with
+// H_j(f) = conj(H_i(−f)) give conjugate fields on a real mask, so one of
+// them is evaluated at twice the weight (foldConjugatePairs). The pairs
+// are searched for and verified numerically on whatever sets New is
+// given. The nominal-focus set of the default optics — a centro-symmetric
+// source behind a real, even pupil — folds from twelve kernels to six;
+// its defocused companion has a complex pupil, holds no such pair and is
+// evaluated as given. KernelsEvaluatedTotal counts the kernels evaluated,
+// so a folded pair counts once.
 package litho
 
 import (
@@ -81,8 +92,13 @@ type Simulator struct {
 	n   int
 	cfg Config
 
+	// nominal and defocus are the sets as given: Fingerprint hashes them
+	// and the brute-force oracle sums them. Everything that is evaluated is
+	// prepared from folded, indexed by Focus — the same sets with their
+	// conjugate pairs folded (see foldConjugatePairs).
 	nominal *kernels.Set
 	defocus *kernels.Set
+	folded  [2]*kernels.Set
 
 	fpOnce sync.Once
 	fp     string
@@ -104,7 +120,8 @@ type prepKey struct {
 }
 
 // prepared holds the corner-layout kernel spectra of one (focus, grid,
-// stretch, fidelity) combination, and only what is read: the full-size
+// stretch, fidelity) combination of the folded sets — only the kept
+// kernels are ever resampled — and only what is read: the full-size
 // forward spectra with their row-support mask for Aerial, and — built
 // on the first LossGrad over the set, see solver — the reduced-grid
 // spectra of the solver path.
@@ -211,6 +228,7 @@ func New(nominal, defocus *kernels.Set, cfg Config) (*Simulator, error) {
 		cfg:     cfg,
 		nominal: nominal,
 		defocus: defocus,
+		folded:  [2]*kernels.Set{FocusNominal: foldConjugatePairs(nominal), FocusDefocus: foldConjugatePairs(defocus)},
 		cache:   map[prepKey]*prepared{},
 	}, nil
 }
@@ -274,11 +292,7 @@ func (s *Simulator) preparedFor(focus Focus, size, stretch int, fidelity float64
 	fullKey := prepKey{focus, size, stretch, 1}
 	full, ok := s.cache[fullKey]
 	if !ok {
-		src := s.nominal
-		if focus == FocusDefocus {
-			src = s.defocus
-		}
-		rs := src.Resampled(size, stretch)
+		rs := s.folded[focus].Resampled(size, stretch)
 		full = &prepared{dense: s.forceDense}
 		for _, k := range rs.Kernels {
 			// Resampled kernels are freshly allocated, so the layout swap
@@ -558,14 +572,17 @@ func workersFor(k int) int {
 
 // fanOutCrossover is the combined element count of a per-kernel field
 // batch below which the solver path keeps its kernel loop on the caller.
-// Measured on the 2-core reference host with the row-vector column pass
-// (medians of five runs of 400 evaluations, the batch alone forced over
-// two workers against the serial loop): 12 fields of 64² (49 152
-// elements, an N=128 tile on its reduced grid) run 1.92 ms fanned out
-// against 1.71 ms serial, 12 % slower; a batch of four N=64 tiles,
-// 4×12 fields of 32² (49 152 again), ties at 1.55 ms; 12 fields of 128²
-// (196 608, the dense stretch-2 coarse grid) gain 1.17×, 4.35 ms against
-// 5.10 ms. The threshold is fft's parallelCrossover, so the element
+// Measured on the 2-core reference host at the six fields of the folded
+// nominal set (medians of five alternating runs of 400 evaluations, the
+// batch alone forced over two workers against the serial loop): 6 fields
+// of 64² (24 576 elements, an N=128 tile on its reduced grid) run 1.30 ms
+// fanned out against 1.25 ms serial, 4 % slower; a batch of four N=64
+// tiles, 4×6 fields of 32² (24 576 again), runs 1.03 ms against 1.11 ms,
+// 7 % faster — the same count with the opposite sign, both inside what
+// the host drifts between runs; 6 fields of 128² (98 304, the dense
+// stretch-2 coarse grid) gain 1.04–1.14×, 2.22–2.45 ms against 2.54 ms.
+// Nothing below 98 304 elements wins consistently and 98 304 does not
+// lose, so the threshold stays at fft's parallelCrossover and the element
 // products fan out exactly when the batched transforms between them do.
 const fanOutCrossover = 256 * 256
 
@@ -633,7 +650,8 @@ func (s *Simulator) aerial(mask *grid.Mat, pixelStretch int, focus Focus) *grid.
 var kernelsEvaluated atomic.Int64
 
 // KernelsEvaluatedTotal returns the process-wide count of per-kernel
-// Hopkins evaluations (one unit = one kernel in one condition pass).
+// Hopkins evaluations (one unit = one kernel in one condition pass). It
+// counts what is evaluated: a folded conjugate pair is one kernel.
 func KernelsEvaluatedTotal() int64 { return kernelsEvaluated.Load() }
 
 // prodLive writes dst = a ⊙ b on the live rows and zero-fills the dead

@@ -259,7 +259,7 @@ func TestReducedGridGuard(t *testing.T) {
 		ks := sim.kernelStretch(size, stretch)
 		var r *reduced
 		for _, focus := range []Focus{FocusNominal, FocusDefocus} {
-			for _, fidelity := range []float64{1, 0.9, 0.75} {
+			for _, fidelity := range []float64{1, 0.75, 0.6} {
 				p := sim.preparedFor(focus, size, ks, fidelity)
 				r = p.solver()
 				b := bandHalfWidth(p.freq)
@@ -300,7 +300,7 @@ func TestReducedGridGuard(t *testing.T) {
 
 // TestReducedParallelAndBatchEquivalence extends the serial ≡ parallel
 // and batch ≡ lone contracts to reduced grids large enough to fan out:
-// a 4N layout (N=64: 256² on M=128, 12 fields above the crossover) and a
+// a 4N layout (N=64: 256² on M=128, 6 fields above the crossover) and a
 // three-tile batch of them.
 func TestReducedParallelAndBatchEquivalence(t *testing.T) {
 	const size = 4 * testN

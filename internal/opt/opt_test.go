@@ -273,3 +273,37 @@ func TestMultiLevelClampsPyramidOnSmallGrids(t *testing.T) {
 		t.Fatalf("clamped pyramid failed: %v", err)
 	}
 }
+
+// refAddLaplacian is addLaplacian as it was written before its rows were
+// indexed directly: five neighbours through a clamping closure per pixel.
+func refAddLaplacian(gm, mask *grid.Mat, w float64) {
+	h, wd := mask.H, mask.W
+	at := func(y, x int) float64 {
+		return mask.At(min(max(y, 0), h-1), min(max(x, 0), wd-1))
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < wd; x++ {
+			lap := 4*at(y, x) - at(y-1, x) - at(y+1, x) - at(y, x-1) - at(y, x+1)
+			gm.Data[y*wd+x] += w * lap
+		}
+	}
+}
+
+func TestAddLaplacianBitIdentical(t *testing.T) {
+	for _, sh := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 2}, {5, 7}, {128, 128}} {
+		mask, got := grid.NewMat(sh[0], sh[1]), grid.NewMat(sh[0], sh[1])
+		for i := range mask.Data {
+			// Irrational-ish values, so that a reordered sum rounds differently.
+			mask.Data[i] = math.Sin(float64(3*i + 1))
+			got.Data[i] = math.Cos(float64(i))
+		}
+		want := got.Clone()
+		addLaplacian(got, mask, 0.2)
+		refAddLaplacian(want, mask, 0.2)
+		for i, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%dx%d: pixel %d is %v, the closure form gives %v", sh[0], sh[1], i, v, want.Data[i])
+			}
+		}
+	}
+}

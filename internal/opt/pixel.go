@@ -216,25 +216,21 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 
 // addLaplacian accumulates the gradient of the smoothness energy
 // ½·Σ|∇M|² into gm: d/dM = -ΔM, computed with mirrored boundaries.
+//
+// Every pixel is 4·m − up − down − left − right in that order. Clamping a
+// row index selects the row slice once per row; only the first and last
+// column clamp a column index, the rest index their three rows directly.
 func addLaplacian(gm, mask *grid.Mat, w float64) {
-	h, wd := mask.H, mask.W
-	at := func(y, x int) float64 {
-		if y < 0 {
-			y = 0
-		} else if y >= h {
-			y = h - 1
-		}
-		if x < 0 {
-			x = 0
-		} else if x >= wd {
-			x = wd - 1
-		}
-		return mask.At(y, x)
-	}
+	h, last := mask.H, mask.W-1
 	for y := 0; y < h; y++ {
-		for x := 0; x < wd; x++ {
-			lap := 4*at(y, x) - at(y-1, x) - at(y+1, x) - at(y, x-1) - at(y, x+1)
-			gm.Data[y*wd+x] += w * lap
+		up, mid, down := mask.Row(max(y-1, 0)), mask.Row(y), mask.Row(min(y+1, h-1))
+		g := gm.Row(y)
+		g[0] += w * (4*mid[0] - up[0] - down[0] - mid[0] - mid[min(1, last)])
+		for x := 1; x < last; x++ {
+			g[x] += w * (4*mid[x] - up[x] - down[x] - mid[x-1] - mid[x+1])
+		}
+		if last > 0 {
+			g[last] += w * (4*mid[last] - up[last] - down[last] - mid[last-1] - mid[last])
 		}
 	}
 }

@@ -36,8 +36,13 @@ import (
 // header is human-inspectable; the decoder is hardened against hostile
 // input (caps below, bounded line length, allocation proportional to
 // bytes actually received).
+//
+// The version also stands for the solve numerics behind the wire: v3
+// changed no field, but a v2 worker sums the nominal Hopkins set over
+// twelve kernels where this build folds them to six, and its tiles would
+// differ from an in-process solve at rounding level.
 const (
-	wireMagic = "mgsilt-shard v2"
+	wireMagic = "mgsilt-shard v3"
 	// MaxWireTiles caps the tiles accepted in one request or response.
 	MaxWireTiles = 4096
 	// MaxWireSide caps mask dimensions on the wire, like the checkpoint
