@@ -11,7 +11,7 @@ import (
 // TestNestedParallelismNoStarvation drives both parallelism levels at
 // once — cluster-level tile dispatch (4 devices) above kernel-level
 // convolution fan-out — with a pool narrower than the tile count. The
-// pool hands out helper tokens non-blocking and the caller always
+// pool claims its helpers without blocking and the caller always
 // participates, so this must complete rather than deadlock, and must
 // still match the serial result bit-for-bit.
 func TestNestedParallelismNoStarvation(t *testing.T) {

@@ -158,10 +158,12 @@ const (
 //
 // Real execution uses min(live devices, parallel.Workers()) dispatch
 // goroutines — the same process-wide pool width that bounds the
-// kernel-level convolution fan-out inside each tile solve — so stacking
-// tile-level and kernel-level parallelism cannot oversubscribe the
-// host: the inner levels draw helper tokens from the one shared budget
-// and degrade to serial when the tile level has consumed it. The
+// kernel-level convolution fan-out inside each tile solve — and every
+// attempt registers with the pool while its Work runs (parallel.Enter),
+// so each one running beyond the first takes a helper out of the pool:
+// stacking tile-level and kernel-level parallelism cannot oversubscribe
+// the host, and when a batch is down to its last running job that job's
+// inner levels get the helpers back. The
 // reported timing comes from the virtual schedule either way. Jobs
 // whose working set exceeds device memory fail without running; the
 // combined error of all failures is returned.
@@ -435,10 +437,13 @@ func perAttempt(pol *fault.Retry) time.Duration {
 	return pol.PerAttempt
 }
 
-// runWork invokes the job's Work, converting injected panics (thrown
-// by error-less sites such as litho.aerial) into ordinary errors so
-// the retry machinery can classify them. Genuine panics propagate.
+// runWork invokes the job's Work as a registered computing goroutine of
+// the worker pool, converting injected panics (thrown by error-less
+// sites such as litho.aerial) into ordinary errors so the retry
+// machinery can classify them. Genuine panics propagate.
 func runWork(ctx context.Context, job Job, dev int) (err error) {
+	parallel.Enter()
+	defer parallel.Leave()
 	defer func() {
 		if r := recover(); r != nil {
 			if fe, ok := fault.FromPanic(r); ok {

@@ -1,9 +1,6 @@
 package fft
 
-import (
-	"mgsilt/internal/grid"
-	"mgsilt/internal/parallel"
-)
+import "mgsilt/internal/grid"
 
 // The column direction of every 2-D transform.
 //
@@ -40,22 +37,6 @@ func (p *plan) columnsPass(m *grid.CMat, x0, x1 int, inverse bool) {
 		p.stripPass(m, b0, min(colStrip, x1-b0), inverse, s.buf)
 	}
 	putScratch(s)
-}
-
-// batchColumns runs the column pass of every matrix of a same-shaped
-// batch over the worker pool, one strip per work item, so small matrices
-// still load-balance across the pool.
-func (p *plan) batchColumns(ms []*grid.CMat, inverse bool, limit int) {
-	h, w := ms[0].H, ms[0].W
-	strips := (w + colStrip - 1) / colStrip
-	parallel.DoChunks(len(ms)*strips, limit, func(lo, hi int) {
-		s := getScratch(colStrip * h)
-		for t := lo; t < hi; t++ {
-			b0 := (t % strips) * colStrip
-			p.stripPass(ms[t/strips], b0, min(colStrip, w-b0), inverse, s.buf)
-		}
-		putScratch(s)
-	})
 }
 
 // stripPass transforms the nb ≤ colStrip columns of m starting at b0

@@ -287,20 +287,6 @@ func Forward(x []complex128) { planFor(len(x)).transform(x, false) }
 // normalisation.
 func Inverse(x []complex128) { planFor(len(x)).transform(x, true) }
 
-// parallelCrossover is the element count below which a 2-D transform
-// stays serial: a 128² transform finishes in tens of microseconds, where the
-// fork/join overhead of a parallel section (token acquisition + two
-// goroutine barriers) eats the gain. From 256² upward the independent
-// 1-D transforms dominate and chunked parallelism wins. A batch applies
-// the threshold to the combined element count of its matrices, so
-// many small per-kernel buffers still parallelise: at the six fields a
-// folded Hopkins sum batches, 6×64² (24 576 elements) is 4 % slower over
-// two workers than serial and 24×32² (24 576 again) 7 % faster — a wash
-// inside the host's drift — while 6×128² (98 304) gains 1.04–1.14×. The
-// measurement is litho.fanOutCrossover's, which holds the same value by
-// design.
-const parallelCrossover = 256 * 256
-
 // scratch is a pooled []complex128 used for column strips and packed
 // real rows. Pools are keyed by length and shared by
 // the serial and parallel paths; the wrapper struct (instead of a bare
@@ -388,17 +374,15 @@ func (t xform2D) plans(h, w int) (rowPlan, colPlan *plan) {
 	return planFor(w), planFor(h)
 }
 
-// fanOut reports whether elems elements are worth a parallel section
-// and, when they are, resolves limit (0 = the pool width).
-func fanOut(limit, elems int) (int, bool) {
-	if elems < parallelCrossover {
-		return limit, false
+// fanOut resolves how many goroutines a transform over elems elements
+// runs on: what parallel.Limit gives it, capped at limit when the caller
+// set one (0 = no cap). One means the serial kernel.
+func fanOut(limit, elems int) int {
+	n := parallel.Limit(elems)
+	if limit > 0 {
+		n = min(n, limit)
 	}
-	width := parallel.Workers()
-	if limit <= 0 {
-		limit = width
-	}
-	return limit, limit > 1 && width > 1
+	return n
 }
 
 // serial is the kernel: both passes over m on the calling goroutine.
@@ -416,16 +400,19 @@ func (t xform2D) serial(m *grid.CMat, rowPlan, colPlan *plan) {
 	}
 }
 
-// one transforms a lone matrix. Below the crossover it reaches the
-// kernel without building a batch or a closure, so it stays
-// allocation-free; above it m is a batch of one.
+// one transforms a lone matrix: a batch of one, without a slice of its
+// own to allocate.
 func (t xform2D) one(m *grid.CMat) {
-	if _, par := fanOut(0, m.H*m.W); par {
-		t.batch([]*grid.CMat{m}, 0)
+	rowPlan, colPlan := t.plans(m.H, m.W)
+	limit := fanOut(0, m.H*m.W)
+	if limit == 1 {
+		t.serial(m, rowPlan, colPlan)
 		return
 	}
-	rowPlan, colPlan := t.plans(m.H, m.W)
-	t.serial(m, rowPlan, colPlan)
+	f := fanPool.Get().(*fan)
+	f.lone[0] = m
+	f.complex2D(t, f.lone[:], rowPlan, colPlan, limit)
+	f.release()
 }
 
 // batch transforms every matrix of ms, which must share one shape, with
@@ -448,45 +435,88 @@ func (t xform2D) batch(ms []*grid.CMat, limit int) {
 		}
 	}
 	rowPlan, colPlan := t.plans(h, w)
-	limit, par := fanOut(limit, k*h*w)
-	if !par {
+	if limit = fanOut(limit, k*h*w); limit == 1 {
 		for _, m := range ms {
 			t.serial(m, rowPlan, colPlan)
 		}
 		return
 	}
-	if t.colsFirst {
-		colPlan.batchColumns(ms, t.inverse, limit)
-	}
-	nl := h
-	var live []int
-	if t.rowLive != nil {
-		live = liveRows(t.rowLive)
-		nl = len(live)
-	}
-	parallel.DoChunks(k*nl, limit, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			y := idx % nl
-			if live != nil {
-				y = live[y]
-			}
-			rowPlan.transform(ms[idx/nl].Row(y), t.inverse)
+	f := fanPool.Get().(*fan)
+	f.complex2D(t, ms, rowPlan, colPlan, limit)
+	f.release()
+}
+
+// fan is the state of one fanned-out 2-D transform. It is pooled
+// together with its chunk functions, bound once when it is created, so
+// that handing them to parallel.DoChunks costs nothing per call: a
+// transform allocates no more fanned out than it does serial.
+type fan struct {
+	t                xform2D
+	ms               []*grid.CMat
+	lone             [1]*grid.CMat // backs ms for a lone matrix
+	rowPlan, colPlan *plan
+	live             []int // live row indices; every row when t.rowLive is nil
+
+	// The real forward transform (ForwardReal2DBand) into lone[0].
+	src *grid.Mat
+	b   int
+
+	rowsStep, stripsStep, pairsStep, bandStep, reflectStep func(lo, hi int)
+}
+
+var fanPool = sync.Pool{New: func() any {
+	f := &fan{}
+	f.rowsStep, f.stripsStep = f.rows, f.strips
+	f.pairsStep, f.bandStep, f.reflectStep = f.pairs, f.band, f.reflect
+	return f
+}}
+
+// release drops the references into the caller's data and returns f to
+// its pool.
+func (f *fan) release() {
+	f.t, f.ms, f.lone[0], f.src = xform2D{}, nil, nil, nil
+	fanPool.Put(f)
+}
+
+// complex2D is the fanned-out form of xform2D.serial over a batch.
+func (f *fan) complex2D(t xform2D, ms []*grid.CMat, rowPlan, colPlan *plan, limit int) {
+	f.t, f.ms, f.rowPlan, f.colPlan = t, ms, rowPlan, colPlan
+	f.live = f.live[:0]
+	for y := 0; y < ms[0].H; y++ {
+		if t.rowLive == nil || t.rowLive[y] {
+			f.live = append(f.live, y)
 		}
-	})
+	}
+	strips := (ms[0].W + colStrip - 1) / colStrip
+	if t.colsFirst {
+		parallel.DoChunks(len(ms)*strips, limit, f.stripsStep)
+	}
+	parallel.DoChunks(len(ms)*len(f.live), limit, f.rowsStep)
 	if !t.colsFirst {
-		colPlan.batchColumns(ms, t.inverse, limit)
+		parallel.DoChunks(len(ms)*strips, limit, f.stripsStep)
 	}
 }
 
-// liveRows flattens a row mask into the slice of live row indices.
-func liveRows(rowLive []bool) []int {
-	live := make([]int, 0, len(rowLive))
-	for y, ok := range rowLive {
-		if ok {
-			live = append(live, y)
-		}
+// rows transforms the live (matrix, row) pairs [lo, hi).
+func (f *fan) rows(lo, hi int) {
+	nl := len(f.live)
+	for idx := lo; idx < hi; idx++ {
+		f.rowPlan.transform(f.ms[idx/nl].Row(f.live[idx%nl]), f.t.inverse)
 	}
-	return live
+}
+
+// strips runs the column pass of the (matrix, strip) pairs [lo, hi), one
+// strip per work item, so small matrices still load-balance across the
+// pool.
+func (f *fan) strips(lo, hi int) {
+	h, w := f.ms[0].H, f.ms[0].W
+	strips := (w + colStrip - 1) / colStrip
+	s := getScratch(colStrip * h)
+	for t := lo; t < hi; t++ {
+		b0 := (t % strips) * colStrip
+		f.colPlan.stripPass(f.ms[t/strips], b0, min(colStrip, w-b0), f.t.inverse, s.buf)
+	}
+	putScratch(s)
 }
 
 // ForwardReal transforms a real matrix into a freshly allocated

@@ -21,8 +21,8 @@ func randCMat(rng *rand.Rand, h, w int) *grid.CMat {
 // 256² is at the crossover, so the parallel path actually runs.
 func TestTransform2DParallelEquivalence(t *testing.T) {
 	const n = 256
-	if n*n < parallelCrossover {
-		t.Fatalf("test size %d² below crossover %d; parallel path not exercised", n, parallelCrossover)
+	if n*n < 2*parallel.Grain {
+		t.Fatalf("test size %d² below two grains of %d; parallel path not exercised", n, parallel.Grain)
 	}
 	rng := rand.New(rand.NewSource(99))
 	src := randCMat(rng, n, n)
@@ -54,12 +54,17 @@ func TestTransform2DParallelEquivalence(t *testing.T) {
 }
 
 // TestTransform2DBelowCrossoverStaysSerial documents the dispatch
-// condition: small transforms never pay the fork/join overhead.
+// condition: a 32² matrix is less than two grains of work and never
+// forks, whatever the pool width.
 func TestTransform2DBelowCrossoverStaysSerial(t *testing.T) {
 	prev := parallel.SetWorkers(4)
 	defer parallel.SetWorkers(prev)
+	const n = 32
+	if fanOut(0, n*n) != 1 {
+		t.Fatalf("a %d² transform fans out over %d goroutines", n, fanOut(0, n*n))
+	}
 	rng := rand.New(rand.NewSource(3))
-	m := randCMat(rng, 64, 64)
+	m := randCMat(rng, n, n)
 	ref := m.Clone()
 	Forward2D(m)
 	Inverse2D(m)
@@ -68,33 +73,44 @@ func TestTransform2DBelowCrossoverStaysSerial(t *testing.T) {
 	}
 }
 
-// TestTransform2DSteadyStateAllocs guards the contract the single-matrix
-// entries carry into litho.LossGrad's allocation gate: below the
-// crossover a lone matrix reaches the serial kernel without a batch
-// slice or a closure, at any pool width.
+// TestTransform2DSteadyStateAllocs guards the contract the 2-D entries
+// carry into litho.LossGrad's allocation gate: a warm transform
+// allocates nothing, whether it stays on its caller (pool width 1, or a
+// 32² matrix at any width) or fans out (64², 128² and the batches at
+// width 2) — the fanned-out passes run through a
+// pooled descriptor with its chunk functions bound ahead of time, not
+// through a closure per section.
 func TestTransform2DSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	prev := parallel.SetWorkers(2)
-	defer parallel.SetWorkers(prev)
+	defer parallel.SetWorkers(parallel.Workers())
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{64, 128} {
-		m := randCMat(rng, n, n)
-		live := make([]bool, n)
-		for y := range live {
-			live[y] = y < n/8 || y >= n-n/8
-		}
-		entries := map[string]func(){
-			"Forward2D":       func() { Forward2D(m) },
-			"Inverse2D":       func() { Inverse2D(m) },
-			"Inverse2DPruned": func() { Inverse2DPruned(m, live) },
-			"Forward2DBand":   func() { Forward2DBand(m, live) },
-		}
-		for name, run := range entries {
-			run() // warm the plan cache and the scratch pools
-			if allocs := testing.AllocsPerRun(10, run); allocs > 0.5 {
-				t.Errorf("%s %d²: %.1f allocs/op, want 0", name, n, allocs)
+	for _, width := range []int{1, 2} {
+		parallel.SetWorkers(width)
+		for _, n := range []int{32, 64, 128} {
+			m := randCMat(rng, n, n)
+			batch := []*grid.CMat{randCMat(rng, n, n), randCMat(rng, n, n), randCMat(rng, n, n)}
+			src := randMat(rng, n, n)
+			live := make([]bool, n)
+			for y := range live {
+				live[y] = y < n/8 || y >= n-n/8
+			}
+			entries := map[string]func(){
+				"Forward2D":            func() { Forward2D(m) },
+				"Inverse2D":            func() { Inverse2D(m) },
+				"Inverse2DPruned":      func() { Inverse2DPruned(m, live) },
+				"Forward2DBand":        func() { Forward2DBand(m, live) },
+				"ForwardReal2DBand":    func() { ForwardReal2DBand(m, src, n/8) },
+				"Batch2D":              func() { Batch2D(batch, DirForward) },
+				"Batch2DInversePruned": func() { Batch2DInversePruned(batch, live, 0) },
+				"Batch2DForwardBand":   func() { Batch2DForwardBand(batch, live, 0) },
+			}
+			for name, run := range entries {
+				run() // warm the plan cache, the scratch pools and the pass descriptors
+				if allocs := testing.AllocsPerRun(10, run); allocs > 0.5 {
+					t.Errorf("width %d, %s %d²: %.1f allocs/op, want 0", width, name, n, allocs)
+				}
 			}
 		}
 	}

@@ -28,10 +28,10 @@ import (
 // 2-D transform. dst must have src's shape; its prior contents are
 // ignored. Returns dst.
 //
-// Like Forward2D, the pass goes parallel on the shared pool above the
-// size crossover; output is bit-identical at every worker count (each
-// row pair, column, and reflected row is written by exactly one
-// goroutine).
+// Like Forward2D, the pass fans out over the shared pool where
+// parallel.Limit says the matrix is worth it; output is bit-identical at
+// every worker count (each row pair, column, and reflected row is
+// written by exactly one goroutine).
 func ForwardReal2D(dst *grid.CMat, src *grid.Mat) *grid.CMat {
 	return ForwardReal2DBand(dst, src, src.W/2)
 }
@@ -61,33 +61,32 @@ func ForwardReal2DBand(dst *grid.CMat, src *grid.Mat, b int) *grid.CMat {
 		return dst
 	}
 
-	pairs := h / 2
-	if h*w >= parallelCrossover && parallel.Workers() > 1 {
-		parallel.DoChunks(pairs, 0, func(lo, hi int) {
-			s := getScratch(w)
-			for pi := lo; pi < hi; pi++ {
-				packedRowPair(dst, src, pi, b, rowPlan, s.buf)
-			}
-			putScratch(s)
-		})
-		parallel.DoChunks(b+1, 0, func(lo, hi int) {
-			colPlan.columnsPass(dst, lo, hi, false)
-		})
-		parallel.DoChunks(h, 0, func(lo, hi int) {
-			reflectColumns(dst, b, lo, hi)
-		})
-		return dst
-	}
-
-	s := getScratch(w)
-	for pi := 0; pi < pairs; pi++ {
-		packedRowPair(dst, src, pi, b, rowPlan, s.buf)
-	}
-	putScratch(s)
-	colPlan.columnsPass(dst, 0, b+1, false)
-	reflectColumns(dst, b, 0, h)
+	// One goroutine or many, the three passes are the same chunk functions
+	// (a limit of one keeps DoChunks on the caller).
+	limit := fanOut(0, h*w)
+	f := fanPool.Get().(*fan)
+	f.lone[0], f.src, f.b, f.rowPlan, f.colPlan = dst, src, b, rowPlan, colPlan
+	parallel.DoChunks(h/2, limit, f.pairsStep)
+	parallel.DoChunks(b+1, limit, f.bandStep)
+	parallel.DoChunks(h, limit, f.reflectStep)
+	f.release()
 	return dst
 }
+
+// pairs runs the packed row pass of row pairs [lo, hi).
+func (f *fan) pairs(lo, hi int) {
+	s := getScratch(f.src.W)
+	for pi := lo; pi < hi; pi++ {
+		packedRowPair(f.lone[0], f.src, pi, f.b, f.rowPlan, s.buf)
+	}
+	putScratch(s)
+}
+
+// band transforms columns [lo, hi) of the split row spectra.
+func (f *fan) band(lo, hi int) { f.colPlan.columnsPass(f.lone[0], lo, hi, false) }
+
+// reflect fills the mirrored band of rows [lo, hi).
+func (f *fan) reflect(lo, hi int) { reflectColumns(f.lone[0], f.b, lo, hi) }
 
 // packedRowPair transforms real source rows 2·pi and 2·pi+1 through one
 // packed complex transform and writes columns 0..b of their spectra to

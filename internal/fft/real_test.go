@@ -90,7 +90,7 @@ func TestForwardReal2DRoundTrip(t *testing.T) {
 // owned by exactly one goroutine.
 func TestForwardReal2DWorkerBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	n := 256 // 256² ≥ parallelCrossover
+	n := 256 // many times parallel.Grain
 	src := randMat(rng, n, n)
 
 	prev := parallel.SetWorkers(1)
@@ -124,7 +124,7 @@ func TestForwardReal2DBandBitIdentical(t *testing.T) {
 		h, w := sh[0], sh[1]
 		src := randMat(rng, h, w)
 		workers := []int{1}
-		if h*w >= parallelCrossover {
+		if h*w >= 2*parallel.Grain {
 			workers = []int{1, 2, 3}
 		}
 		for _, nw := range workers {

@@ -9,34 +9,41 @@ import (
 
 // TestLossGradSteadyStateAllocs is the allocation regression gate for
 // the frequency-domain hot path: once the size-keyed pools are warm, a
-// serial LossGrad evaluation must run allocation-free. Any structural
-// regression — a fresh make in a transform pass, an escaping closure on
-// the serial branch, a pool key mismatch — shows up here as a hard
-// failure long before it shows up as GC time in a benchmark.
+// LossGrad evaluation must run allocation-free — on its caller (pool
+// width 1) and fanned out (width 2, where every batched transform,
+// element-wise step and the resist sweep of both tile sizes is a
+// parallel section). Any structural regression — a fresh make in a
+// transform pass, an escaping closure handed to the pool, a pool key
+// mismatch — shows up here as a hard failure long before it shows up as
+// GC time in a benchmark.
 func TestLossGradSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
-
-	sim := testSim(t)
-	target := centredSquare(testN, 24)
-	mask := target.Clone().Scale(0.9)
-	run := func() {
-		_, grad := sim.LossGrad(mask, target, LossOpts{Stretch: 1})
-		grid.PutMat(grad)
-	}
-	// Warm every size-keyed pool (field batches, spectra, scratch).
-	for i := 0; i < 3; i++ {
-		run()
-	}
-	// The steady state must be allocation-free. AllocsPerRun averages
-	// over repeats, so a single stray GC-triggered pool eviction cannot
-	// push the mean over the 0.5 budget — but a per-call allocation
-	// lands at ≥1 and fails.
-	if allocs := testing.AllocsPerRun(10, run); allocs > 0.5 {
-		t.Fatalf("LossGrad steady state allocates %.1f times per op, want 0", allocs)
+	defer parallel.SetWorkers(parallel.Workers())
+	for _, n := range []int{testN, 128} {
+		sim := simN(t, n, false)
+		target := centredSquare(n, 3*n/8)
+		mask := target.Clone().Scale(0.9)
+		run := func() {
+			_, grad := sim.LossGrad(mask, target, LossOpts{Stretch: 1})
+			grid.PutMat(grad)
+		}
+		for _, width := range []int{1, 2} {
+			parallel.SetWorkers(width)
+			// Warm every size-keyed pool (field batches, spectra, scratch)
+			// and the pool's section descriptors.
+			for i := 0; i < 3; i++ {
+				run()
+			}
+			// The steady state must be allocation-free. AllocsPerRun averages
+			// over repeats, so a single stray GC-triggered pool eviction cannot
+			// push the mean over the 0.5 budget — but a per-call allocation
+			// lands at ≥1 and fails.
+			if allocs := testing.AllocsPerRun(10, run); allocs > 0.5 {
+				t.Errorf("N=%d, pool width %d: LossGrad steady state allocates %.1f times per op, want 0", n, width, allocs)
+			}
+		}
 	}
 }
 

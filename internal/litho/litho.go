@@ -570,31 +570,6 @@ func workersFor(k int) int {
 	return max(1, min(parallel.Workers(), k))
 }
 
-// fanOutCrossover is the combined element count of a per-kernel field
-// batch below which the solver path keeps its kernel loop on the caller.
-// Measured on the 2-core reference host at the six fields of the folded
-// nominal set (medians of five alternating runs of 400 evaluations, the
-// batch alone forced over two workers against the serial loop): 6 fields
-// of 64² (24 576 elements, an N=128 tile on its reduced grid) run 1.30 ms
-// fanned out against 1.25 ms serial, 4 % slower; a batch of four N=64
-// tiles, 4×6 fields of 32² (24 576 again), runs 1.03 ms against 1.11 ms,
-// 7 % faster — the same count with the opposite sign, both inside what
-// the host drifts between runs; 6 fields of 128² (98 304, the dense
-// stretch-2 coarse grid) gain 1.04–1.14×, 2.22–2.45 ms against 2.54 ms.
-// Nothing below 98 304 elements wins consistently and 98 304 does not
-// lose, so the threshold stays at fft's parallelCrossover and the element
-// products fan out exactly when the batched transforms between them do.
-const fanOutCrossover = 256 * 256
-
-// fanOut resolves the solver-path parallelism for a batch of m×m field
-// buffers: serial below the crossover, workersFor above.
-func (s *Simulator) fanOut(fields, m int) int {
-	if fields*m*m < fanOutCrossover {
-		return 1
-	}
-	return workersFor(fields)
-}
-
 // aerialCalls sequences aerial evaluations for the litho.aerial fault
 // site. The key is a call-sequence number, so under a process-global
 // injector this site is deterministic for serial runs but only
@@ -829,16 +804,24 @@ type evaluation struct {
 	weight float64
 	specs  []*grid.CMat // cropped mask spectra
 	fields []*grid.CMat // field i*k+j is pair i's kernel j
-	gs     []*grid.Mat  // low-passed ∂L/∂I on the M grid
+	gs     []*grid.Mat  // ∂L/∂I at full size, then low-passed on the M grid
 	accs   []*grid.CMat // adjoint accumulators
 
-	transformStep, cropStep, productStep, resistStep, sourceStep, reduceStep, gradStep func(int)
+	// The resist sweep: full-size intensities in, per-pixel loss terms
+	// out, and how far into each pair the sweep summed them itself.
+	intens, terms []*grid.Mat
+	sums          []float64
+	summed        []int
+
+	transformStep, cropStep, productStep, intensityStep, lowpassStep, sourceStep, reduceStep, gradStep func(int)
+	resistStep                                                                                         func(lo, hi int)
 }
 
 var evaluationPool = sync.Pool{New: func() any {
 	e := &evaluation{}
 	e.transformStep, e.cropStep, e.productStep = e.transform, e.crop, e.product
-	e.resistStep, e.sourceStep, e.reduceStep, e.gradStep = e.resist, e.source, e.reduce, e.addGrad
+	e.intensityStep, e.resistStep, e.lowpassStep = e.intensity, e.resist, e.lowpass
+	e.sourceStep, e.reduceStep, e.gradStep = e.source, e.reduce, e.addGrad
 	return e
 }}
 
@@ -877,6 +860,8 @@ func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts
 	e.band = s.maskBand(size, e.kernelStretch, e.fidelity, opts.PVWeight > 0)
 	e.losses, e.grads, e.fms = resize(e.losses, T), resize(e.grads, T), resize(e.fms, T)
 	e.specs, e.gs, e.accs = resize(e.specs, T), resize(e.gs, T), resize(e.accs, T)
+	e.intens, e.terms = resize(e.intens, T), resize(e.terms, T)
+	e.sums, e.summed = resize(e.sums, T), resize(e.summed, T)
 	for i := range masks {
 		e.losses[i] = 0
 		e.grads[i] = grid.GetMat(size, size).Zero()
@@ -926,7 +911,7 @@ func (e *evaluation) release() {
 //
 // The k·T field buffers of the whole batch go through ONE batched
 // transform (fft.Batch2D) in each direction, and the element-wise steps
-// between them fan out over the same index space; below fanOutCrossover
+// between them fan out over the same index space; below two parallel.Grain
 // all of it runs inline on the caller. Every order-sensitive reduction —
 // a pair's intensity, its scalar loss, its adjoint accumulator — is
 // performed by one goroutine in kernel order, and batching a transform
@@ -937,7 +922,10 @@ func (e *evaluation) condition(cond Condition, weight float64) {
 	r := s.preparedFor(cond.Focus, e.size, e.kernelStretch, e.fidelity).solver()
 	e.r, e.cond, e.weight = r, cond, weight
 	T, k, m := len(e.masks), len(r.fwd), r.m
-	limit := s.fanOut(k*T, m)
+	// One limit for the batched transforms and the element-wise steps
+	// between them, so the two fan out together: what the fields' combined
+	// element count is worth, at most one goroutine per field.
+	limit := min(parallel.Limit(k*T*m*m), k*T)
 	tiles := min(limit, T)
 	kernelsEvaluated.Add(int64(k * T))
 	e.fields = resize(e.fields, k*T)
@@ -949,7 +937,10 @@ func (e *evaluation) condition(cond Condition, weight float64) {
 	parallel.Do(T, tiles, e.cropStep)
 	parallel.Do(k*T, limit, e.productStep)
 	fft.Batch2DInversePruned(e.fields, r.fwdLive, limit)
-	parallel.Do(T, tiles, e.resistStep)
+	parallel.Do(T, tiles, e.intensityStep)
+	px := T * e.size * e.size
+	parallel.DoChunks(px, parallel.Limit(px), e.resistStep)
+	parallel.Do(T, tiles, e.lowpassStep)
 
 	// Adjoint pass. The adjoint spectra are band-limited like the forward
 	// ones, so every product adj ⊙ F(q) is zero outside r.adjLive: only
@@ -986,11 +977,9 @@ func (e *evaluation) product(f int) {
 	prodLive(e.fields[f], e.specs[f/k], e.r.fwd[f%k], e.r.fwdLive)
 }
 
-// resist sums pair i's intensity in kernel order, sweeps the resist at
-// full size and leaves the low-passed ∂L/∂I in gs[i]. Serial per pair:
-// it is a single O(n²) sweep between two stacks of O(k·m²·log m)
-// transforms, and the scalar loss accumulation is order-sensitive.
-func (e *evaluation) resist(i int) {
+// intensity sums pair i's intensity in kernel order and interpolates it
+// onto the full grid, ready for the resist sweep.
+func (e *evaluation) intensity(i int) {
 	r, k := e.r, len(e.r.fwd)
 	if e.specs[i] != e.fms[i] {
 		grid.PutCMat(e.specs[i])
@@ -1000,11 +989,57 @@ func (e *evaluation) resist(i int) {
 	for j, a := range e.fields[i*k : (i+1)*k] {
 		a.AddAbsSqScaled(intensity, r.weights[j])
 	}
-	intensity = r.upsample(intensity)
-	g := grid.GetMat(e.size, e.size) // ∂L/∂I, fully overwritten below
-	e.losses[i] += e.weight * e.s.resistLoss(intensity, e.targets[i], e.cond.Dose, g)
-	grid.PutMat(intensity)
-	e.gs[i] = r.lowpass(g)
+	e.intens[i] = r.upsample(intensity)
+	e.gs[i] = grid.GetMat(e.size, e.size)    // ∂L/∂I, fully overwritten by the sweep
+	e.terms[i] = grid.GetMat(e.size, e.size) // per-pixel loss terms, likewise
+	e.sums[i], e.summed[i] = 0, 0
+}
+
+// resist sweeps the sigmoid resist over pixels [lo, hi) of the batch,
+// pixel p of pair i at index i·size² + p: it writes ∂L/∂I into gs[i] and
+// the loss term (Z − Z_t)² into terms[i]. Every pixel is its own, so the
+// sweep splits anywhere; the scalar loss is not — it is the terms added
+// in pixel order. The chunk that starts a pair keeps the sum of its run,
+// which is the head of that order; lowpass adds the rest from terms.
+func (e *evaluation) resist(lo, hi int) {
+	steep, th, dose := e.s.cfg.SigmoidSteep, e.s.cfg.Threshold, e.cond.Dose
+	n := e.size * e.size
+	for lo < hi {
+		i, p0 := lo/n, lo%n
+		p1 := min(n, p0+hi-lo)
+		lo += p1 - p0
+		in, tg := e.intens[i].Data[p0:p1], e.targets[i].Data[p0:p1]
+		g, terms := e.gs[i].Data[p0:p1], e.terms[i].Data[p0:p1]
+		sum := 0.0
+		for j, v := range in {
+			z := sigmoid(steep * (dose*v - th))
+			d := z - tg[j]
+			// The conversion rounds the product on its own, so that adding
+			// it here and adding the stored term later give the same bits
+			// on hardware that would otherwise fuse the two.
+			t := float64(d * d)
+			sum += t
+			terms[j] = t
+			g[j] = 2 * d * steep * dose * z * (1 - z)
+		}
+		if p0 == 0 {
+			e.sums[i], e.summed[i] = sum, p1
+		}
+	}
+}
+
+// lowpass finishes pair i's loss in pixel order and leaves the
+// low-passed ∂L/∂I in gs[i].
+func (e *evaluation) lowpass(i int) {
+	sum := e.sums[i]
+	for _, t := range e.terms[i].Data[e.summed[i]:] {
+		sum += t
+	}
+	e.losses[i] += e.weight * sum
+	grid.PutMat(e.intens[i])
+	grid.PutMat(e.terms[i])
+	e.intens[i], e.terms[i] = nil, nil
+	e.gs[i] = e.r.lowpass(e.gs[i])
 }
 
 // source overwrites field f with the adjoint source q = g ⊙ conj(A): the
@@ -1034,20 +1069,6 @@ func (e *evaluation) addGrad(i int) {
 	}
 	grid.PutCMat(acc)
 	e.accs[i] = nil
-}
-
-// resistLoss sweeps the sigmoid resist over a full-size intensity:
-// it returns Σ (Z − Z_t)² and writes ∂L/∂I into g.
-func (s *Simulator) resistLoss(intensity, target *grid.Mat, dose float64, g *grid.Mat) float64 {
-	steep, th := s.cfg.SigmoidSteep, s.cfg.Threshold
-	loss := 0.0
-	for i, v := range intensity.Data {
-		z := sigmoid(steep * (dose*v - th))
-		d := z - target.Data[i]
-		loss += d * d
-		g.Data[i] = 2 * d * steep * dose * z * (1 - z)
-	}
-	return loss
 }
 
 // mulAddRows accumulates adj ⊙ a into acc on the listed rows.

@@ -9,6 +9,7 @@ import (
 
 	"mgsilt/internal/grid"
 	"mgsilt/internal/kernels"
+	"mgsilt/internal/parallel"
 )
 
 // Oracles for the Hopkins engine: tests that can tell "unchanged" from
@@ -315,7 +316,7 @@ func TestReducedParallelAndBatchEquivalence(t *testing.T) {
 
 	sim := testSim(t)
 	r := sim.preparedFor(FocusNominal, size, size/testN, 1).solver()
-	if r.m >= size || len(r.fwd)*r.m*r.m < fanOutCrossover {
+	if r.m >= size || len(r.fwd)*r.m*r.m < 2*parallel.Grain {
 		t.Fatalf("M=%d with %d kernels does not exercise the reduced fan-out", r.m, len(r.fwd))
 	}
 	wantLoss := make([]float64, len(masks))

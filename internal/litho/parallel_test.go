@@ -2,6 +2,7 @@ package litho
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -88,6 +89,65 @@ func TestParallelEquivalenceStretched(t *testing.T) {
 			t.Fatal("stretched LossGrad not bit-identical to serial")
 		}
 	})
+}
+
+// sameBits reports whether two matrices hold the same float64 bit
+// patterns (so that -0 ≠ +0 and a NaN equals itself).
+func sameBits(a, b *grid.Mat) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestParallelEquivalenceTileSizes pins serial ≡ fanned-out at the two
+// tile sizes the flows solve, where the batched transforms, the
+// element-wise steps between them and the resist sweep — whose scalar
+// loss is summed in pixel order by whichever goroutines the chunking
+// happens to give the head and the tail of each pair — are all parallel
+// sections (two goroutines' worth at N=64, the pool's at N=128). Loss
+// and gradient must match the serial bits at every pool width, alone and
+// in a batch, with and without the process-window corners.
+func TestParallelEquivalenceTileSizes(t *testing.T) {
+	for _, n := range []int{64, 128} {
+		sim := simN(t, n, false)
+		masks := make([]*grid.Mat, 3)
+		targets := make([]*grid.Mat, 3)
+		for i := range masks {
+			masks[i] = randomMask(n, int64(10*n+i))
+			targets[i] = centredSquare(n, n/4+n/16*i)
+		}
+		for _, opts := range []LossOpts{{Stretch: 1}, {Stretch: 1, PVWeight: 0.5}} {
+			wantLoss := make([]float64, len(masks))
+			wantGrad := make([]*grid.Mat, len(masks))
+			atWorkers(1, func() {
+				for i := range masks {
+					wantLoss[i], wantGrad[i] = sim.LossGrad(masks[i], targets[i], opts)
+				}
+			})
+			for _, w := range []int{2, 3, runtime.NumCPU()} {
+				atWorkers(w, func() {
+					for i := range masks {
+						loss, grad := sim.LossGrad(masks[i], targets[i], opts)
+						if math.Float64bits(loss) != math.Float64bits(wantLoss[i]) || !sameBits(grad, wantGrad[i]) {
+							t.Fatalf("N=%d pv=%v workers=%d: LossGrad of pair %d differs from serial", n, opts.PVWeight, w, i)
+						}
+					}
+					losses, grads := sim.LossGradBatch(masks, targets, opts)
+					for i := range masks {
+						if math.Float64bits(losses[i]) != math.Float64bits(wantLoss[i]) || !sameBits(grads[i], wantGrad[i]) {
+							t.Fatalf("N=%d pv=%v workers=%d: batched pair %d differs from lone serial LossGrad", n, opts.PVWeight, w, i)
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 func benchWorkers(b *testing.B, workers int, fn func(sim *Simulator)) {

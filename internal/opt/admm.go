@@ -82,7 +82,7 @@ func (s *ADMM) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
 			gx[i] = gm.Data[i] + s.Rho*(x[i]-z[i]+u[i])
 		}
 		grid.PutMat(gm) // LossGrad hands over a pooled matrix
-		maskFrozen(gx, p.Freeze)
+		maskFrozen(gx, p.Freeze, 0, len(gx))
 		lr := p.LR
 		if w := s.WarmupIters; w > 0 && it < w {
 			lr *= float64(it+1) / float64(w+1)

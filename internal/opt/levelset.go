@@ -65,7 +65,7 @@ func (s *LevelSet) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
 			vel[i] = v * gradMag.Data[i]
 		}
 		grid.PutMat(gm) // LossGrad hands over a pooled matrix
-		maskFrozen(vel, p.Freeze)
+		maskFrozen(vel, p.Freeze, 0, len(vel))
 		for i := range phi.Data {
 			phi.Data[i] -= p.LR * vel[i]
 		}

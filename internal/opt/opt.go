@@ -67,13 +67,13 @@ func (p Params) Interrupted() error {
 	return p.Ctx.Err()
 }
 
-// maskFrozen zeroes gradient entries at frozen pixels.
-func maskFrozen(gradient []float64, freeze *grid.Mat) {
+// maskFrozen zeroes the gradient entries [lo, hi) at frozen pixels.
+func maskFrozen(gradient []float64, freeze *grid.Mat, lo, hi int) {
 	if freeze == nil {
 		return
 	}
-	for i, f := range freeze.Data {
-		if f >= 0.5 {
+	for i := lo; i < hi; i++ {
+		if freeze.Data[i] >= 0.5 {
 			gradient[i] = 0
 		}
 	}
@@ -150,16 +150,28 @@ func NewAdam(n int) *Adam {
 
 // Step applies one bias-corrected Adam update: params -= lr·m̂/(√v̂+ε).
 func (a *Adam) Step(params, gradient []float64, lr float64) {
+	a.tick()
+	a.stepRange(params, gradient, lr, 0, len(a.m))
+}
+
+// tick starts the next update: it advances the step count the bias
+// corrections are computed from.
+func (a *Adam) tick() { a.t++ }
+
+// stepRange applies the update tick started to parameters [lo, hi).
+// Every parameter has its own moments, so ranges can be stepped in any
+// order, or at once, with the result Step gives.
+func (a *Adam) stepRange(params, gradient []float64, lr float64, lo, hi int) {
 	if len(params) != len(a.m) || len(gradient) != len(a.m) {
 		panic(fmt.Sprintf("opt: Adam size mismatch: %d params, %d grads, state %d", len(params), len(gradient), len(a.m)))
 	}
-	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, g := range gradient {
-		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
-		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
-		params[i] -= lr * (a.m[i] / c1) / (math.Sqrt(a.v[i]/c2) + a.Eps)
+	m, v, params := a.m[lo:hi], a.v[lo:hi], params[lo:hi]
+	for i, g := range gradient[lo:hi] {
+		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
+		v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+		params[i] -= lr * (m[i] / c1) / (math.Sqrt(v[i]/c2) + a.Eps)
 	}
 }
 

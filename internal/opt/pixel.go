@@ -6,6 +6,7 @@ import (
 
 	"mgsilt/internal/grid"
 	"mgsilt/internal/litho"
+	"mgsilt/internal/parallel"
 )
 
 // Pixel is the sigmoid-parameterised pixel-based ILT solver: the mask
@@ -118,16 +119,6 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 		return s.Slope + (s.FinalSlope-s.Slope)*float64(it)/float64(p0.Iters-1)
 	}
 
-	type tileState struct {
-		idx    int
-		p      Params
-		target *grid.Mat
-		init   *grid.Mat
-		theta  []float64
-		dTheta []float64
-		mask   *grid.Mat
-		adam   *Adam
-	}
 	active := make([]*tileState, 0, T)
 	for i := range inits {
 		if err := ps[i].validateFor(inits[i]); err != nil {
@@ -139,6 +130,7 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 			theta: make([]float64, n), dTheta: make([]float64, n),
 			mask: grid.NewMat(inits[i].H, inits[i].W), adam: NewAdam(n),
 		}
+		st.maskStep, st.descentStep = st.maskSweep, st.descentSweep
 		for j, v := range inits[i].Data {
 			// Lift dead-zero pixels to the background bias so they keep a
 			// usable gradient — except frozen pixels, which must reproduce
@@ -171,9 +163,8 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 		slope := slopeAt(it)
 		masks, tgts = masks[:0], tgts[:0]
 		for _, st := range active {
-			for j, t := range st.theta {
-				st.mask.Data[j] = sigmoidAt(slope * t)
-			}
+			st.slope = slope
+			sweep(n, st.maskStep)
 			masks = append(masks, st.mask)
 			tgts = append(tgts, st.target)
 		}
@@ -190,13 +181,11 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 			if extraGrad != nil {
 				extraGrad(gm, st.mask)
 			}
-			for j := range st.dTheta {
-				m := st.mask.Data[j]
-				st.dTheta[j] = gm.Data[j] * slope * m * (1 - m)
-			}
+			st.gm, st.lr = gm, lr
+			st.adam.tick()
+			sweep(n, st.descentStep)
+			st.gm = nil
 			grid.PutMat(gm) // LossGradBatch hands over pooled matrices
-			maskFrozen(st.dTheta, st.p.Freeze)
-			st.adam.Step(st.theta, st.dTheta, lr)
 		}
 	}
 
@@ -205,13 +194,61 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 		finalSlope = s.Slope
 	}
 	for _, st := range active {
-		for j, t := range st.theta {
-			st.mask.Data[j] = sigmoidAt(finalSlope * t)
-		}
+		st.slope = finalSlope
+		sweep(n, st.maskStep)
 		restoreFrozen(st.mask, st.init, st.p.Freeze)
 		outs[st.idx] = st.mask
 	}
 	return outs, errs
+}
+
+// tileState is one tile of the descent loop. Its two per-pixel sweeps
+// are methods bound once per solve, so handing them to the worker pool
+// every iteration allocates nothing.
+type tileState struct {
+	idx    int
+	p      Params
+	target *grid.Mat
+	init   *grid.Mat
+	theta  []float64
+	dTheta []float64
+	mask   *grid.Mat
+	adam   *Adam
+
+	// The iteration in flight: the annealed slope, the ramped learning
+	// rate and the gradient with respect to the mask.
+	slope, lr float64
+	gm        *grid.Mat
+
+	maskStep, descentStep func(lo, hi int)
+}
+
+// maskSweep writes the mask M = σ(slope·θ) on pixels [lo, hi).
+func (st *tileState) maskSweep(lo, hi int) {
+	mask := st.mask.Data[lo:hi]
+	for j, t := range st.theta[lo:hi] {
+		mask[j] = sigmoidAt(st.slope * t)
+	}
+}
+
+// descentSweep takes pixels [lo, hi) one descent step: the sigmoid chain
+// rule turns ∂loss/∂M into ∂loss/∂θ, frozen pixels drop out, Adam moves
+// θ. The caller has ticked the optimiser.
+func (st *tileState) descentSweep(lo, hi int) {
+	dTheta, mask, gm := st.dTheta[lo:hi], st.mask.Data[lo:hi], st.gm.Data[lo:hi]
+	for j, m := range mask {
+		dTheta[j] = gm[j] * st.slope * m * (1 - m)
+	}
+	maskFrozen(st.dTheta, st.p.Freeze, lo, hi)
+	st.adam.stepRange(st.theta, st.dTheta, st.lr, lo, hi)
+}
+
+// sweep runs a per-pixel step over [0, n), on as many goroutines of the
+// worker pool as n is worth. Every pixel is written by exactly one
+// goroutine and depends on no other, so the result is the serial one to
+// the bit at any pool width.
+func sweep(n int, step func(lo, hi int)) {
+	parallel.DoChunks(n, parallel.Limit(n), step)
 }
 
 // addLaplacian accumulates the gradient of the smoothness energy

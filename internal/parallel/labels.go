@@ -7,8 +7,9 @@ import (
 
 // Label keys attached to goroutines executing pipeline work. CPU
 // profiles (the CI-uploaded pprof artefacts) group samples by these,
-// attributing FFT and solver time to the pipeline stage that spent it
-// instead of to anonymous worker goroutines.
+// attributing the time a stage's own goroutines spend — its flow, the
+// device dispatchers it starts and everything they run on themselves —
+// to that stage.
 const (
 	// LabelStage is the pipeline stage name ("coarse", "fine",
 	// "coarse-correct", "refine", "solve", "heal", "inspect").
@@ -19,11 +20,17 @@ const (
 )
 
 // WithLabels runs fn with pprof goroutine labels (LabelStage=stage,
-// LabelSite=site) installed on the calling goroutine. Because Do and
-// DoChunks spawn their helper goroutines from the calling goroutine,
-// the labels inherit into every pool task fn fans out — one WithLabels
-// at the stage boundary covers the stage's whole parallel tree. Labels
-// nest: an inner WithLabels shadows the outer one for fn's duration.
+// LabelSite=site) installed on the calling goroutine and on every
+// goroutine fn starts, the device dispatchers among them. Labels nest:
+// an inner WithLabels shadows the outer one for fn's duration.
+//
+// The pool's helpers are resident goroutines, not children of whoever
+// hands them a section, so they inherit nothing: the samples of the
+// share of a section that ran on a helper are unlabelled. (The runtime
+// offers no way to read a goroutine's labels without the context that
+// set them, and Do and DoChunks take none.) In a profile, the labelled
+// samples of a stage are its callers' share; the unlabelled remainder
+// under parallel.(*helper).run is the helpers', for all stages together.
 func WithLabels(ctx context.Context, stage, site string, fn func(context.Context)) {
 	pprof.Do(ctx, pprof.Labels(LabelStage, stage, LabelSite, site), fn)
 }

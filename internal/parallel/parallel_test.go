@@ -250,9 +250,19 @@ func TestDoChunksForwardsHelperPanic(t *testing.T) {
 			}
 		}()
 		caller := goid()
+		started := make(chan struct{})
+		var once sync.Once
 		DoChunks(64, 4, func(lo, hi int) {
 			if goid() != caller {
+				once.Do(func() { close(started) })
 				panic("injected")
+			}
+			// The caller takes back every chunk no helper has started by
+			// the time it runs out of its own, so hold its first chunk
+			// until one has.
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
 			}
 		})
 	})
@@ -276,4 +286,37 @@ func goid() string {
 	buf := make([]byte, 64)
 	n := runtime.Stack(buf, false)
 	return string(buf[:n:n][:16])
+}
+
+// spin keeps the calling goroutine busy for d.
+func spin(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// BenchmarkForkJoin prices a parallel section on a 2-wide pool: an empty
+// one (the hand-off and the join alone), one of two 10 µs halves, and
+// the same two halves run back to back on the caller. The pool pays for
+// itself on a section when halves beats serial.
+func BenchmarkForkJoin(b *testing.B) {
+	old := Workers()
+	defer SetWorkers(old)
+	SetWorkers(2)
+	half := func(int) { spin(10 * time.Microsecond) }
+	b.Run("empty", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Do(2, 0, func(int) {})
+		}
+	})
+	b.Run("halves", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Do(2, 0, half)
+		}
+	})
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			half(0)
+			half(1)
+		}
+	})
 }

@@ -166,7 +166,8 @@ func (p *Pipeline) Run(init *grid.Mat) (*grid.Mat, []StageTiming, error) {
 //
 // The stage body runs under pprof goroutine labels (stage name, flow
 // site) so CPU profiles attribute samples to pipeline stages; the
-// labels inherit into every parallel-pool helper the stage fans out
+// labels inherit into every goroutine the stage starts, but not into
+// the resident parallel-pool helpers its sections borrow
 // (parallel.WithLabels).
 func runStage(ctx context.Context, flow string, st Stage, m *grid.Mat) (out *grid.Mat, err error) {
 	defer CatchFault(&err)
