@@ -68,38 +68,14 @@ func PutCMat(m *CMat) {
 	poolFor(&cmatPools, m.H*m.W).Put(m)
 }
 
-// Batch helpers for the parallel hot paths: a parallel Hopkins
-// convolution holds one partial accumulator per kernel simultaneously
-// (instead of one running accumulator), so the pools see bursts of k
-// same-sized Get/Put calls. The slice forms keep call sites compact
-// and tolerate nil entries so callers can return partially-built
-// batches on error paths.
-
-// GetMats returns k pooled h×w matrices (contents undefined).
-func GetMats(k, h, w int) []*Mat {
-	ms := make([]*Mat, k)
-	for i := range ms {
-		ms[i] = GetMat(h, w)
-	}
-	return ms
-}
-
 // PutMats returns every non-nil matrix of the batch to the pool and
-// clears the slice entries.
+// clears the slice entries, so callers can hand back partially-built
+// batches.
 func PutMats(ms []*Mat) {
 	for i, m := range ms {
 		PutMat(m)
 		ms[i] = nil
 	}
-}
-
-// GetCMats returns k pooled h×w complex matrices (contents undefined).
-func GetCMats(k, h, w int) []*CMat {
-	ms := make([]*CMat, k)
-	for i := range ms {
-		ms[i] = GetCMat(h, w)
-	}
-	return ms
 }
 
 // PutCMats returns every non-nil complex matrix of the batch to the

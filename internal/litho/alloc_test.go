@@ -47,24 +47,28 @@ func TestLossGradSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestAerialSteadyStateAllocs is the same gate for the forward-only
-// imaging path.
+// TestAerialSteadyStateAllocs is the same gate for the imaging path, on
+// a tile and on a 4N clip (N=64: M=128, whose six fields fan out at
+// width 2), at pool widths 1 and 2.
 func TestAerialSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
-
+	defer parallel.SetWorkers(parallel.Workers())
 	sim := testSim(t)
-	mask := centredSquare(testN, 24)
-	run := func() {
-		grid.PutMat(sim.Aerial(mask, sim.Nominal()))
-	}
-	for i := 0; i < 3; i++ {
-		run()
-	}
-	if allocs := testing.AllocsPerRun(10, run); allocs > 0.5 {
-		t.Fatalf("Aerial steady state allocates %.1f times per op, want 0", allocs)
+	for _, size := range []int{testN, 4 * testN} {
+		mask := centredSquare(size, 3*size/8)
+		run := func() {
+			grid.PutMat(sim.Aerial(mask, sim.Nominal()))
+		}
+		for _, width := range []int{1, 2} {
+			parallel.SetWorkers(width)
+			for i := 0; i < 3; i++ {
+				run()
+			}
+			if allocs := testing.AllocsPerRun(10, run); allocs > 0.5 {
+				t.Errorf("size %d, pool width %d: Aerial steady state allocates %.1f times per op, want 0", size, width, allocs)
+			}
+		}
 	}
 }

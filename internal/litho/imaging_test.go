@@ -1,0 +1,139 @@
+package litho
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"mgsilt/internal/fft"
+	"mgsilt/internal/grid"
+	"mgsilt/internal/layout"
+)
+
+// Tests of imaging on the reduced grid: a differential against the
+// full-grid Hopkins loop, and the state imaging leaves behind.
+
+// fullGridAerial is the full-grid Hopkins loop: F(mask) at full size,
+// every kernel's field on the full grid through the pruned inverse, the
+// intensity summed there in kernel order. It resamples its own full-size
+// spectra from the simulator's folded sets.
+func fullGridAerial(sim *Simulator, mask *grid.Mat, pixelStretch int, focus Focus) *grid.Mat {
+	size := mask.H
+	set := sim.folded[focus].Resampled(size, sim.kernelStretch(size, pixelStretch))
+	freq := make([]*grid.CMat, len(set.Kernels))
+	for i, k := range set.Kernels {
+		freq[i] = fft.SwapQuadrants(k.Freq)
+	}
+	live := unionRowSupport(freq)
+	fm := fft.ForwardReal2D(grid.NewCMat(size, size), mask)
+	buf := grid.NewCMat(size, size)
+	intensity := grid.NewMat(size, size)
+	for i, h := range freq {
+		prodLive(buf, fm, h, live)
+		fft.Inverse2DPruned(buf, live)
+		buf.AddAbsSqScaled(intensity, set.Kernels[i].Weight)
+	}
+	return intensity
+}
+
+// TestAerialMatchesFullGrid is the differential oracle of imaging on the
+// reduced grid. Against the full-grid loop, Aerial agrees to rounding on
+// the clip sizes inspection images, carries the same bits wherever a set
+// is evaluated on the full grid (M == size: forced dense, or an Eq. 9
+// coarse grid), and prints the same resist images of generated clips at
+// both process-window corners.
+func TestAerialMatchesFullGrid(t *testing.T) {
+	for _, c := range []struct {
+		n, size, stretch int
+		dense            bool
+		wantM            int
+	}{
+		{64, 256, 1, false, 128},
+		{128, 256, 1, false, 128},
+		{64, 512, 1, false, 256},
+		{64, 256, 1, true, 256},
+		{64, 64, 2, false, 64},
+	} {
+		name := fmt.Sprintf("N=%d/size=%d/stretch=%d", c.n, c.size, c.stretch)
+		if c.dense {
+			name += "/dense"
+		}
+		t.Run(name, func(t *testing.T) {
+			sim := simN(t, c.n, c.dense)
+			image := func(mask *grid.Mat, cond Condition) *grid.Mat {
+				if c.stretch == 1 {
+					return sim.Aerial(mask, cond)
+				}
+				return sim.AerialScaled(mask, c.stretch, cond)
+			}
+			mask := greyMask(rand.New(rand.NewSource(int64(c.n+c.size))), c.size)
+			for _, focus := range []Focus{FocusNominal, FocusDefocus} {
+				if m := sim.preparedFor(focus, c.size, sim.kernelStretch(c.size, c.stretch), 1).m; m != c.wantM {
+					t.Fatalf("focus %d: M=%d, want %d", focus, m, c.wantM)
+				}
+				got, want := image(mask, Condition{focus, 1}), fullGridAerial(sim, mask, c.stretch, focus)
+				if c.wantM == c.size {
+					if !sameBits(got, want) {
+						t.Errorf("focus %d: M == size, but Aerial differs from the full-grid loop by %g", focus, got.Clone().Sub(want).MaxAbs())
+					}
+					continue
+				}
+				if d := got.Clone().Sub(want).MaxAbs(); d > 1e-12*want.MaxAbs() {
+					t.Errorf("focus %d: Aerial off by %g on max I = %g", focus, d, want.MaxAbs())
+				}
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				clip, err := layout.Generate(layout.DefaultConfig(c.size, seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cond := range []Condition{sim.Inner(), sim.Outer()} {
+					got := sim.PrintResist(image(clip.Target, cond), cond.Dose)
+					want := sim.PrintResist(fullGridAerial(sim, clip.Target, c.stretch, cond.Focus), cond.Dose)
+					if !got.Equal(want) {
+						t.Errorf("clip %d, focus %d dose %g: %g pixels print differently", seed, cond.Focus, cond.Dose, got.L2Diff(want))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestImagingHoldsNoClipSizedSpectra: imaging a 512² clip at N=64 leaves
+// the simulator holding each set on its reduced grid alone and without
+// adjoint spectra; the first LossGrad over a tile's set builds them.
+func TestImagingHoldsNoClipSizedSpectra(t *testing.T) {
+	const size = 8 * testN
+	sim := testSim(t)
+	rng := rand.New(rand.NewSource(1))
+	clip := greyMask(rng, size)
+	for _, cond := range []Condition{sim.Nominal(), sim.Inner()} {
+		grid.PutMat(sim.Aerial(clip, cond))
+	}
+	if len(sim.cache) != 2 {
+		t.Fatalf("imaging two conditions prepared %d sets, want 2", len(sim.cache))
+	}
+	for key, r := range sim.cache {
+		if r.m >= size {
+			t.Errorf("%+v: M=%d, want a grid below the clip's %d", key, r.m, size)
+		}
+		for i, h := range r.freq {
+			if h.H != r.m || h.W != r.m {
+				t.Errorf("%+v: kernel %d spectrum is %dx%d on the M=%d grid", key, i, h.H, h.W, r.m)
+			}
+		}
+		if r.adj != nil || r.adjLive != nil || r.adjRows != nil || r.rows1 != nil {
+			t.Errorf("%+v: imaging built the adjoint half of the set", key)
+		}
+	}
+
+	_, grad := sim.LossGrad(greyMask(rng, testN), centredSquare(testN, 24), LossOpts{Stretch: 1})
+	grid.PutMat(grad)
+	tile := sim.preparedFor(FocusNominal, testN, 1, 1)
+	if len(tile.adj) != len(tile.freq) || tile.adjRows == nil || tile.rows1 == nil {
+		t.Errorf("LossGrad left its set with %d adjoint spectra for %d kernels", len(tile.adj), len(tile.freq))
+	}
+	if r := sim.preparedFor(FocusNominal, size, size/testN, 1); r.adj != nil {
+		t.Error("a LossGrad over a tile built the clip's adjoint spectra")
+	}
+}

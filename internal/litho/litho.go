@@ -16,7 +16,13 @@
 // The adjoint gradient of the resist L2 loss is computed entirely in
 // the frequency domain, by one routine over a batch of (mask, target)
 // pairs — LossGradBatch, with LossGrad its batch of one; see
-// evaluation.condition for the derivation.
+// evaluation.condition for the derivation. Aerial is the forward half of
+// the same routine: every Hopkins sum runs on the smallest alias-free
+// grid of its kernel set (see reduced) and only the intensity is carried
+// back to the mask's grid, by one Fourier up-sampling. A prepared set
+// holds its spectra on that grid alone — a clip-sized inspection keeps
+// no clip-sized spectrum — and its adjoint spectra only once a LossGrad
+// has run over it.
 //
 // Every Hopkins sum, imaging and solver path alike, runs over the kernel
 // set with its conjugate pairs folded: two kernels of equal weight with
@@ -86,8 +92,8 @@ func DefaultConfig() Config {
 }
 
 // Simulator evaluates the forward model and its adjoint for one pair
-// of kernel sets. It is safe for concurrent use; resampled kernel sets
-// are cached per (focus, grid size, stretch).
+// of kernel sets. It is safe for concurrent use; prepared kernel sets
+// are cached per (focus, grid size, stretch, fidelity).
 type Simulator struct {
 	n   int
 	cfg Config
@@ -104,11 +110,11 @@ type Simulator struct {
 	fp     string
 
 	mu    sync.Mutex
-	cache map[prepKey]*prepared
+	cache map[prepKey]*reduced
 
-	// forceDense makes every set prepared from now on evaluate its
-	// solver path on the full grid. Tests set it on a fresh simulator to
-	// obtain the dense reference the reduced evaluation is checked against.
+	// forceDense makes every set prepared from now on evaluate on the
+	// full grid. Tests set it on a fresh simulator to obtain the dense
+	// reference the reduced evaluation is checked against.
 	forceDense bool
 }
 
@@ -119,42 +125,10 @@ type prepKey struct {
 	fidelity float64 // canonical: 1 means the full set
 }
 
-// prepared holds the corner-layout kernel spectra of one (focus, grid,
-// stretch, fidelity) combination of the folded sets — only the kept
-// kernels are ever resampled — and only what is read: the full-size
-// forward spectra with their row-support mask for Aerial, and — built
-// on the first LossGrad over the set, see solver — the reduced-grid
-// spectra of the solver path.
-//
-// rowLive drives Aerial's pruned inverse transforms: the kernel spectra
-// are band-limited, so in corner layout only the rows intersecting the
-// (shifted) pupil disk are ever non-zero. The mask is detected at the
-// bit level (a row is dead only when every entry is exactly +0), which
-// is what fft.Inverse2DPruned's exactness contract requires.
-type prepared struct {
-	weights []float64
-	freq    []*grid.CMat // H(f), corner layout
-	rowLive []bool       // union row support of freq
-	// dropped is the kernel weight removed by fidelity truncation
-	// relative to the full set (0 for a full-fidelity prepared).
-	dropped float64
-
-	// full and keep identify a truncated view: the full-fidelity set it
-	// shares spectra with and the retained kernel indices, in energy
-	// order. Both are zero for a full set.
-	full *prepared
-	keep []int
-	// dense forces the solver path onto the full grid (M == size) — the
-	// differential oracle of the reduced evaluation, set through
-	// Simulator.forceDense by tests only.
-	dense bool
-
-	solverOnce sync.Once
-	reduced    *reduced
-}
-
-// reduced is the solver-path view of a prepared set: the Hopkins sum and
-// its adjoint evaluated on the smallest alias-free grid.
+// reduced is a prepared kernel set — one (focus, grid, stretch,
+// fidelity) combination of the folded sets, only the kept kernels ever
+// resampled — held on the smallest alias-free grid, where imaging and
+// the solver path evaluate the Hopkins sum and its adjoint.
 //
 // The kernel spectra vanish outside |f| ≤ B per axis, so every coherent
 // field A_k = F⁻¹(H_k ⊙ F(mask)) is band-limited to ±B and is fully
@@ -170,26 +144,50 @@ type prepared struct {
 // Eq. 9 coarse grids at stretch ≥ 2) — then nothing is cropped and the
 // evaluation is the plain dense one.
 //
-// B is measured at the bit level from the prepared spectra, like the
+// B is measured at the bit level from the resampled spectra, like the
 // row-support masks, so nothing here depends on how the kernels were
-// generated.
+// generated. The full-size spectra it is measured on are a transient of
+// Simulator.preparedFor: below M == size only their ±B blocks are kept.
+//
+// The row-support masks drive the pruned transforms: the spectra are
+// band-limited, so in corner layout only the rows intersecting the
+// (shifted) pupil disk are ever non-zero. A row is dead only when every
+// entry is exactly +0, which is what fft.Inverse2DPruned's exactness
+// contract requires.
 type reduced struct {
+	axes
+	weights []float64
+	// freq are the forward spectra on the M grid: the ±B block of H_k
+	// scaled by (M/size)², the ratio of the two inverse-DFT
+	// normalisations, so the M-point inverse of freq ⊙ crop(F(mask))
+	// yields samples of the full-size field. At M == size they are H_k.
+	freq    []*grid.CMat
+	fwdLive []bool // union row support of freq
+
+	// full and keep identify a truncated view: the full-fidelity set it
+	// shares spectra with and the retained kernel indices, in energy
+	// order. Both are zero for a full set.
+	full *reduced
+	keep []int
+
+	// The adjoint half, built by solver on the first LossGrad over the
+	// set. adj are the ±B blocks of 2·w_k·H_k(−f), unscaled: the
+	// low-passed g is carried (size/M)² too large (its spectrum is cropped
+	// without rescaling), which is exactly the factor between the M-point
+	// and the full-size forward DFT of the adjoint source. Every factor is
+	// a power of two, so folding them costs no rounding.
+	adjOnce sync.Once
+	adj     []*grid.CMat
+	adjLive []bool // union row support of adj
+	adjRows []int  // indices of the true entries of adjLive
+	rows1   []bool // full-grid rows of adjLive: the final inverse
+}
+
+// axes is the geometry of a reduced grid, shared by a set and its
+// truncated views.
+type axes struct {
 	size, m int
 	b       int // band half-width B of the spectra
-	// fwd are the forward spectra on the M grid: the ±B block of H_k
-	// scaled by (M/size)², the ratio of the two inverse-DFT
-	// normalisations, so the M-point inverse of fwd ⊙ crop(F(mask))
-	// yields samples of the full-size field. adj are the ±B blocks of
-	// 2·w_k·H_k(−f), unscaled: the low-passed g is carried (size/M)² too
-	// large (its spectrum is cropped without rescaling), which is exactly
-	// the factor between the M-point and the full-size forward DFT of the
-	// adjoint source. Every factor is a power of two, so folding them
-	// costs no rounding. At M == size, fwd is the prepared freq itself.
-	fwd, adj []*grid.CMat
-	weights  []float64
-	fwdLive  []bool // union row support of fwd
-	adjLive  []bool // union row support of adj
-	adjRows  []int  // indices of the true entries of adjLive
 
 	// Crop/embed index maps between the two grids, nil when M == size:
 	// entry i of band1 (band2) is the corner-layout index of the i-th
@@ -199,7 +197,6 @@ type reduced struct {
 	band2, band2M []int
 	rows2         []bool // full-grid rows of the ±2B band: the up-sampling inverse
 	rows2M        []bool // M-grid rows of the ±2B band: the low-pass inverse of g
-	rows1         []bool // full-grid rows of adjLive: the final inverse
 }
 
 // New builds a Simulator from a nominal and a defocused kernel set,
@@ -229,7 +226,7 @@ func New(nominal, defocus *kernels.Set, cfg Config) (*Simulator, error) {
 		nominal: nominal,
 		defocus: defocus,
 		folded:  [2]*kernels.Set{FocusNominal: foldConjugatePairs(nominal), FocusDefocus: foldConjugatePairs(defocus)},
-		cache:   map[prepKey]*prepared{},
+		cache:   map[prepKey]*reduced{},
 	}, nil
 }
 
@@ -281,34 +278,38 @@ func canonFidelity(f float64) float64 {
 	return f
 }
 
-func (s *Simulator) preparedFor(focus Focus, size, stretch int, fidelity float64) *prepared {
+// preparedFor returns the set evaluated for one (focus, grid, stretch,
+// fidelity) combination, preparing it on first use. The full-size
+// resampled spectra live only as long as it takes to measure their band
+// and crop it, unless the set runs on the full grid.
+func (s *Simulator) preparedFor(focus Focus, size, stretch int, fidelity float64) *reduced {
 	fidelity = canonFidelity(fidelity)
 	key := prepKey{focus, size, stretch, fidelity}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.cache[key]; ok {
-		return p
+	if r, ok := s.cache[key]; ok {
+		return r
 	}
 	fullKey := prepKey{focus, size, stretch, 1}
 	full, ok := s.cache[fullKey]
 	if !ok {
 		rs := s.folded[focus].Resampled(size, stretch)
-		full = &prepared{dense: s.forceDense}
-		for _, k := range rs.Kernels {
+		freq := make([]*grid.CMat, len(rs.Kernels))
+		weights := make([]float64, len(rs.Kernels))
+		for i, k := range rs.Kernels {
 			// Resampled kernels are freshly allocated, so the layout swap
 			// can run in place instead of copying.
-			full.weights = append(full.weights, k.Weight)
-			full.freq = append(full.freq, fft.SwapQuadrants(k.Freq))
+			freq[i], weights[i] = fft.SwapQuadrants(k.Freq), k.Weight
 		}
-		full.rowLive = unionRowSupport(full.freq)
+		full = newReduced(freq, weights, s.forceDense)
 		s.cache[fullKey] = full
 	}
 	if fidelity == 1 {
 		return full
 	}
-	p := full.truncate(fidelity)
-	s.cache[key] = p
-	return p
+	r := full.truncate(fidelity)
+	s.cache[key] = r
+	return r
 }
 
 // unionRowSupport marks every row holding a non-(+0) entry in any of
@@ -340,48 +341,64 @@ func isPosZero(v complex128) bool {
 	return math.Float64bits(real(v)) == 0 && math.Float64bits(imag(v)) == 0
 }
 
-// truncate builds the energy-ranked subset view of a full prepared set
-// covering the given weight fraction: the retained kernels' spectra are
-// shared (no copies) — the full-size ones here, the reduced-grid ones
-// when the solver path first asks for them — ordered by descending
-// weight, the canonical truncation order of kernels.Set.Truncate, and
-// the row-support masks are recomputed for the retained subset.
-func (p *prepared) truncate(fidelity float64) *prepared {
-	order := kernels.EnergyOrder(p.weights)
-	m := kernels.RetainCount(p.weights, order, fidelity)
-	if m >= len(p.weights) {
-		return p
+// truncate returns the energy-ranked subset view of a full set covering
+// the given weight fraction, on the full set's grid: the retained
+// kernels' spectra are shared (no copies), ordered by descending weight
+// — the canonical truncation order of kernels.Set.Truncate — and the
+// row-support masks are recomputed for the retained subset.
+func (r *reduced) truncate(fidelity float64) *reduced {
+	order := kernels.EnergyOrder(r.weights)
+	m := kernels.RetainCount(r.weights, order, fidelity)
+	if m >= len(r.weights) {
+		return r
 	}
-	sub := &prepared{
-		weights: make([]float64, m),
-		freq:    make([]*grid.CMat, m),
-		full:    p,
-		keep:    order[:m],
+	sub := &reduced{axes: r.axes, full: r, keep: order[:m]}
+	for _, idx := range sub.keep {
+		sub.weights = append(sub.weights, r.weights[idx])
+		sub.freq = append(sub.freq, r.freq[idx])
 	}
-	for i, idx := range sub.keep {
-		sub.weights[i] = p.weights[idx]
-		sub.freq[i] = p.freq[idx]
-	}
-	for _, idx := range order[m:] {
-		sub.dropped += p.weights[idx]
-	}
-	sub.rowLive = unionRowSupport(sub.freq)
+	sub.fwdLive = unionRowSupport(sub.freq)
 	return sub
 }
 
-// solver returns the reduced-grid spectra of the set, building them on
-// first use: sets that only ever image (the clip-sized ones inspection
-// prepares) never pay for adjoint spectra. A truncated view picks its
-// kernels out of the full set's spectra, on the full set's grid.
-func (p *prepared) solver() *reduced {
-	p.solverOnce.Do(func() {
-		if p.full != nil {
-			p.reduced = p.full.solver().subset(p.keep)
+// solver returns r with its adjoint spectra, building them on first use:
+// sets that only ever image (the clip-sized ones inspection prepares)
+// never hold them. A truncated view picks its kernels out of the full
+// set's.
+func (r *reduced) solver() *reduced {
+	r.adjOnce.Do(func() {
+		if r.full != nil {
+			full := r.full.solver()
+			for _, idx := range r.keep {
+				r.adj = append(r.adj, full.adj[idx])
+			}
 		} else {
-			p.reduced = newReduced(p.freq, p.weights, p.dense)
+			// Fold the 2·w_k adjoint weight into the flipped spectrum once:
+			// the products are the bits the inner loop would produce, as
+			// complex multiplication commutes in floating point. freq
+			// carries the (M/size)² forward factor; scaling it by
+			// 2·w_k·(size/M)² in one product gives the bits of 2·w_k times
+			// the unscaled crop, because the two powers of two cancel exactly.
+			unscale := float64(r.size*r.size) / float64(r.m*r.m)
+			for i, h := range r.freq {
+				r.adj = append(r.adj, fft.FlipFreq(h).Scale(complex(2*r.weights[i]*unscale, 0)))
+			}
+		}
+		r.adjLive = unionRowSupport(r.adj)
+		for y, live := range r.adjLive {
+			if live {
+				r.adjRows = append(r.adjRows, y)
+			}
+		}
+		r.rows1 = r.adjLive
+		if r.m != r.size {
+			r.rows1 = make([]bool, r.size)
+			for i, y := range r.band1M {
+				r.rows1[r.band1[i]] = r.adjLive[y]
+			}
 		}
 	})
-	return p.reduced
+	return r
 }
 
 // bandHalfWidth returns B, the largest per-axis frequency magnitude at
@@ -411,72 +428,39 @@ func reducedSide(b, size int) int {
 	return min(m, size)
 }
 
+// newReduced prepares a full set from its full-size corner-layout
+// spectra; dense keeps it on the full grid.
 func newReduced(freq []*grid.CMat, weights []float64, dense bool) *reduced {
 	size := freq[0].H
 	b := bandHalfWidth(freq)
-	r := &reduced{size: size, m: size, b: b, weights: weights}
+	r := &reduced{axes: axes{size: size, m: size, b: b}, weights: weights, freq: freq}
 	if !dense {
 		r.m = reducedSide(b, size)
 	}
-	m := r.m
-	if m != size {
+	if m := r.m; m != size {
 		r.band1, r.band1M = bandIndex(b, size), bandIndex(b, m)
 		r.band2, r.band2M = bandIndex(2*b, size), bandIndex(2*b, m)
 		r.rows2, r.rows2M = rowMask(r.band2, size), rowMask(r.band2M, m)
-	}
-	scale := complex(float64(m*m)/float64(size*size), 0)
-	for i, h := range freq {
-		if m != size {
-			h = grid.NewCMat(m, m)
-			copyBand(h, r.band1M, freq[i], r.band1, 1)
+		scale := complex(float64(m*m)/float64(size*size), 0)
+		r.freq = make([]*grid.CMat, len(freq))
+		for i, h := range freq {
+			r.freq[i] = grid.NewCMat(m, m)
+			copyBand(r.freq[i], r.band1M, h, r.band1, 1)
+			r.freq[i].Scale(scale)
 		}
-		// Fold the 2·w_k adjoint weight into the flipped spectrum once at
-		// preparation time. The products are the same bits the inner loop
-		// would produce: complex multiplication is commutative at the
-		// floating-point level.
-		r.adj = append(r.adj, fft.FlipFreq(h).Scale(complex(2*weights[i], 0)))
-		if m != size {
-			h.Scale(scale)
-		}
-		r.fwd = append(r.fwd, h)
 	}
-	r.computeSupport()
+	r.fwdLive = unionRowSupport(r.freq)
 	return r
 }
 
-// subset returns the view of r holding kernels keep, sharing their
-// spectra and the grid; the row-support masks are recomputed.
-func (r *reduced) subset(keep []int) *reduced {
-	sub := *r
-	sub.fwd = make([]*grid.CMat, len(keep))
-	sub.adj = make([]*grid.CMat, len(keep))
-	sub.weights = make([]float64, len(keep))
-	for i, idx := range keep {
-		sub.weights[i] = r.weights[idx]
-		sub.fwd[i] = r.fwd[idx]
-		sub.adj[i] = r.adj[idx]
+// maskBand is the half-width of the column band of F(mask) that an
+// evaluation over r reads: cropMask's ±B, or the whole spectrum at
+// M == size.
+func (r *reduced) maskBand() int {
+	if r.m == r.size {
+		return r.size / 2
 	}
-	sub.computeSupport()
-	return &sub
-}
-
-// computeSupport derives the row-support masks from the spectra.
-func (r *reduced) computeSupport() {
-	r.fwdLive = unionRowSupport(r.fwd)
-	r.adjLive = unionRowSupport(r.adj)
-	r.adjRows = nil
-	for y, live := range r.adjLive {
-		if live {
-			r.adjRows = append(r.adjRows, y)
-		}
-	}
-	r.rows1 = r.adjLive
-	if r.m != r.size {
-		r.rows1 = make([]bool, r.size)
-		for i, y := range r.band1M {
-			r.rows1[r.band1[i]] = r.adjLive[y]
-		}
-	}
+	return r.b
 }
 
 // bandIndex lists the corner-layout indices of the frequencies −b…b on
@@ -545,6 +529,11 @@ func (s *Simulator) kernelStretch(size, pixelStretch int) int {
 // given condition's focus. The mask must be sN×sN for power-of-two s;
 // larger-than-native masks use the Eq. (3) resampled kernels. Dose is
 // not applied here — it scales intensity at the resist (see Wafer).
+//
+// The Hopkins sum runs on the kernel set's reduced grid (see reduced);
+// its intensity has band ±2B < M/2, so Fourier interpolation carries it
+// onto the mask's grid exactly up to rounding. The image is drawn from
+// the grid pool, like LossGrad's gradient.
 func (s *Simulator) Aerial(mask *grid.Mat, cond Condition) *grid.Mat {
 	s.checkMask(mask)
 	return s.aerial(mask, 1, cond.Focus)
@@ -595,26 +584,23 @@ func injectAerial() {
 	}
 }
 
+// aerial is the forward half of the evaluation on one mask: F(mask)
+// cropped to the set's band, the fields and their intensity on its M
+// grid, the intensity up-sampled to the mask's grid.
 func (s *Simulator) aerial(mask *grid.Mat, pixelStretch int, focus Focus) *grid.Mat {
 	injectAerial()
-	p := s.preparedFor(focus, mask.H, s.kernelStretch(mask.H, pixelStretch), s.cfg.Fidelity)
-	limit := workersFor(len(p.freq))
-	kernelsEvaluated.Add(int64(len(p.freq)))
-	fm := grid.GetCMat(mask.H, mask.W)
-	fft.ForwardReal2D(fm, mask) // mask is real: half a complex transform
-	intensity := grid.GetMat(mask.H, mask.W).Zero()
-	if limit > 1 {
-		s.aerialParallel(p, fm, intensity, limit)
-	} else {
-		buf := grid.GetCMat(mask.H, mask.W)
-		for i, h := range p.freq {
-			prodLive(buf, fm, h, p.rowLive)
-			fft.Inverse2DPruned(buf, p.rowLive)
-			buf.AddAbsSqScaled(intensity, p.weights[i])
-		}
-		grid.PutCMat(buf)
-	}
-	grid.PutCMat(fm)
+	e := evaluationPool.Get().(*evaluation)
+	e.pair[0] = mask
+	e.begin(s, e.pair[:1], pixelStretch, canonFidelity(s.cfg.Fidelity))
+	r := s.preparedFor(focus, e.size, e.kernelStretch, e.fidelity)
+	e.band = r.maskBand()
+	e.transform(0)
+	e.forward(r)
+	grid.PutCMats(e.fields)
+	grid.PutCMats(e.fms)
+	intensity := e.intens[0]
+	e.intens[0] = nil
+	e.release()
 	return intensity
 }
 
@@ -649,34 +635,6 @@ func prodLive(dst, a, b *grid.CMat, live []bool) {
 	}
 }
 
-// aerialParallel fans the per-kernel convolutions of the Hopkins sum
-// out over the worker pool in three flat sections: one elementwise
-// fan-out building every kernel's field spectrum, ONE batched inverse
-// transform covering all k buffers (fft.Batch2D — a single row fan-out
-// plus a single column fan-out instead of k nested 2-D transforms),
-// and one fan-out squaring the fields into per-kernel partials. The
-// partials are then reduced into intensity sequentially in kernel
-// order, which replays the exact floating-point addition sequence of
-// the serial loop (serial: intensity[j] += w_k·|A_k[j]|² for k=0,1,…;
-// parallel: part_k[j] = 0 + w_k·|A_k[j]|² — identical, since 0 + x
-// round-trips exactly — then intensity[j] += part_k[j] in the same k
-// order). Parallel output is therefore bit-identical to serial.
-func (s *Simulator) aerialParallel(p *prepared, fm *grid.CMat, intensity *grid.Mat, limit int) {
-	k := len(p.freq)
-	fields := grid.GetCMats(k, fm.H, fm.W)
-	parallel.Do(k, limit, func(i int) { prodLive(fields[i], fm, p.freq[i], p.rowLive) })
-	fft.Batch2DInversePruned(fields, p.rowLive, limit)
-	parts := grid.GetMats(k, intensity.H, intensity.W)
-	parallel.Do(k, limit, func(i int) {
-		fields[i].AddAbsSqScaled(parts[i].Zero(), p.weights[i])
-	})
-	for _, part := range parts {
-		intensity.Add(part)
-	}
-	grid.PutMats(parts)
-	grid.PutCMats(fields)
-}
-
 // PrintResist thresholds an aerial image into a binary wafer image at
 // the given dose: Z = 1 where dose·I > threshold.
 func (s *Simulator) PrintResist(aerial *grid.Mat, dose float64) *grid.Mat {
@@ -687,23 +645,6 @@ func (s *Simulator) PrintResist(aerial *grid.Mat, dose float64) *grid.Mat {
 // resolution: aerial image followed by the constant-threshold resist.
 func (s *Simulator) Wafer(mask *grid.Mat, cond Condition) *grid.Mat {
 	return s.PrintResist(s.Aerial(mask, cond), cond.Dose)
-}
-
-// WaferScaled is Wafer for coarse-grid masks (see AerialScaled).
-func (s *Simulator) WaferScaled(mask *grid.Mat, stretch int, cond Condition) *grid.Mat {
-	return s.PrintResist(s.AerialScaled(mask, stretch, cond), cond.Dose)
-}
-
-// SigmoidResist applies the relaxed resist to an aerial image:
-// Z = σ(steep·(dose·I − threshold)).
-func (s *Simulator) SigmoidResist(aerial *grid.Mat, dose float64) *grid.Mat {
-	out := grid.NewMat(aerial.H, aerial.W)
-	steep := s.cfg.SigmoidSteep
-	th := s.cfg.Threshold
-	for i, v := range aerial.Data {
-		out.Data[i] = sigmoid(steep * (dose*v - th))
-	}
-	return out
 }
 
 func sigmoid(x float64) float64 {
@@ -754,9 +695,8 @@ func (s *Simulator) LossGrad(mask, target *grid.Mat, opts LossOpts) (float64, *g
 }
 
 // maskBand returns the half-width of the column band of F(mask) that one
-// evaluation reads: the largest cropMask band over its conditions (the
-// nominal one, plus the process-window corners when pv is set), the
-// whole spectrum as soon as one of them runs at M == size.
+// evaluation reads: the widest over its conditions (the nominal one,
+// plus the process-window corners when pv is set).
 func (s *Simulator) maskBand(size, kernelStretch int, fidelity float64, pv bool) int {
 	conds := []Condition{s.Nominal(), s.Inner(), s.Outer()}
 	if !pv {
@@ -764,11 +704,7 @@ func (s *Simulator) maskBand(size, kernelStretch int, fidelity float64, pv bool)
 	}
 	band := 0
 	for _, c := range conds {
-		r := s.preparedFor(c.Focus, size, kernelStretch, fidelity).solver()
-		if r.m == r.size {
-			return size / 2
-		}
-		band = max(band, r.b)
+		band = max(band, s.preparedFor(c.Focus, size, kernelStretch, fidelity).maskBand())
 	}
 	return band
 }
@@ -782,10 +718,11 @@ func (s *Simulator) effFidelity(opt float64) float64 {
 }
 
 // evaluation is the state of one loss-gradient evaluation over T (mask,
-// target) pairs of one geometry — LossGrad is the T = 1 case. It is
-// pooled together with every per-call slice, and its step functions are
-// bound once when it is created, so handing them to parallel.Do costs
-// nothing per call: a warm LossGrad allocates nothing.
+// target) pairs of one geometry — LossGrad is the T = 1 case, and Aerial
+// its forward half on one mask. It is pooled together with every
+// per-call slice, and its step functions are bound once when it is
+// created, so handing them to parallel.Do costs nothing per call: a warm
+// LossGrad or Aerial allocates nothing.
 type evaluation struct {
 	s              *Simulator
 	masks, targets []*grid.Mat
@@ -834,6 +771,19 @@ func resize[E any](s []E, n int) []E {
 	return s[:n]
 }
 
+// begin binds the evaluation to s and a batch of same-sized masks, and
+// draws their mask-spectrum buffers.
+func (e *evaluation) begin(s *Simulator, masks []*grid.Mat, pixelStretch int, fidelity float64) {
+	T, size := len(masks), masks[0].H
+	e.s, e.masks, e.size = s, masks, size
+	e.kernelStretch = s.kernelStretch(size, pixelStretch)
+	e.fidelity = fidelity
+	e.fms, e.specs, e.intens = resize(e.fms, T), resize(e.specs, T), resize(e.intens, T)
+	for i := range e.fms {
+		e.fms[i] = grid.GetCMat(size, size)
+	}
+}
+
 // run evaluates the loss and gradient of every pair into e.losses and
 // e.grads (pooled matrices whose ownership passes to the caller).
 func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts) {
@@ -854,18 +804,15 @@ func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts
 		panic("litho: LossOpts.Stretch must be >= 1")
 	}
 	T := len(masks)
-	e.s, e.masks, e.targets, e.size = s, masks, targets, size
-	e.kernelStretch = s.kernelStretch(size, opts.Stretch)
-	e.fidelity = s.effFidelity(opts.Fidelity)
+	e.begin(s, masks, opts.Stretch, s.effFidelity(opts.Fidelity))
+	e.targets = targets
 	e.band = s.maskBand(size, e.kernelStretch, e.fidelity, opts.PVWeight > 0)
-	e.losses, e.grads, e.fms = resize(e.losses, T), resize(e.grads, T), resize(e.fms, T)
-	e.specs, e.gs, e.accs = resize(e.specs, T), resize(e.gs, T), resize(e.accs, T)
-	e.intens, e.terms = resize(e.intens, T), resize(e.terms, T)
+	e.losses, e.grads = resize(e.losses, T), resize(e.grads, T)
+	e.gs, e.accs, e.terms = resize(e.gs, T), resize(e.accs, T), resize(e.terms, T)
 	e.sums, e.summed = resize(e.sums, T), resize(e.summed, T)
 	for i := range masks {
 		e.losses[i] = 0
 		e.grads[i] = grid.GetMat(size, size).Zero()
-		e.fms[i] = grid.GetCMat(size, size)
 	}
 	parallel.Do(T, workersFor(T), e.transformStep)
 	e.condition(s.Nominal(), 1)
@@ -873,10 +820,7 @@ func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts
 		e.condition(s.Inner(), opts.PVWeight)
 		e.condition(s.Outer(), opts.PVWeight)
 	}
-	for i, fm := range e.fms {
-		grid.PutCMat(fm)
-		e.fms[i] = nil
-	}
+	grid.PutCMats(e.fms)
 }
 
 // release drops every reference the evaluation holds into its caller's
@@ -918,26 +862,17 @@ func (e *evaluation) release() {
 // never changes an individual matrix's bits, so a pair's result does not
 // depend on the worker count or on what else is in the batch.
 func (e *evaluation) condition(cond Condition, weight float64) {
-	s := e.s
-	r := s.preparedFor(cond.Focus, e.size, e.kernelStretch, e.fidelity).solver()
-	e.r, e.cond, e.weight = r, cond, weight
-	T, k, m := len(e.masks), len(r.fwd), r.m
-	// One limit for the batched transforms and the element-wise steps
-	// between them, so the two fan out together: what the fields' combined
-	// element count is worth, at most one goroutine per field.
-	limit := min(parallel.Limit(k*T*m*m), k*T)
-	tiles := min(limit, T)
-	kernelsEvaluated.Add(int64(k * T))
-	e.fields = resize(e.fields, k*T)
-	for f := range e.fields {
-		e.fields[f] = grid.GetCMat(m, m)
-	}
+	r := e.s.preparedFor(cond.Focus, e.size, e.kernelStretch, e.fidelity).solver()
+	e.cond, e.weight = cond, weight
 
-	// Forward pass: fields, then per pair intensity, resist and loss.
-	parallel.Do(T, tiles, e.cropStep)
-	parallel.Do(k*T, limit, e.productStep)
-	fft.Batch2DInversePruned(e.fields, r.fwdLive, limit)
-	parallel.Do(T, tiles, e.intensityStep)
+	// Forward pass: intensities, then per pair resist and loss.
+	limit, tiles := e.forward(r)
+	for i := range e.masks {
+		e.gs[i] = grid.GetMat(e.size, e.size)    // ∂L/∂I, fully overwritten by the sweep
+		e.terms[i] = grid.GetMat(e.size, e.size) // per-pixel loss terms, likewise
+		e.sums[i], e.summed[i] = 0, 0
+	}
+	T, k := len(e.masks), len(r.freq)
 	px := T * e.size * e.size
 	parallel.DoChunks(px, parallel.Limit(px), e.resistStep)
 	parallel.Do(T, tiles, e.lowpassStep)
@@ -957,10 +892,30 @@ func (e *evaluation) condition(cond Condition, weight float64) {
 	// its own above the fft crossover, like upsample's and lowpass's.
 	fft.Batch2DInversePruned(e.accs, r.rows1, 0)
 	parallel.Do(T, tiles, e.gradStep)
-	for f, a := range e.fields {
-		grid.PutCMat(a)
-		e.fields[f] = nil
+	grid.PutCMats(e.fields)
+}
+
+// forward forms every pair's fields under the set r on its M grid and
+// leaves the pair's full-size intensity in e.intens. It returns the
+// fan-out of the field steps and of the per-pair steps.
+func (e *evaluation) forward(r *reduced) (limit, tiles int) {
+	e.r = r
+	T, k, m := len(e.masks), len(r.freq), r.m
+	// One limit for the batched transforms and the element-wise steps
+	// between them, so the two fan out together: what the fields' combined
+	// element count is worth, at most one goroutine per field.
+	limit = min(parallel.Limit(k*T*m*m), k*T)
+	tiles = min(limit, T)
+	kernelsEvaluated.Add(int64(k * T))
+	e.fields = resize(e.fields, k*T)
+	for f := range e.fields {
+		e.fields[f] = grid.GetCMat(m, m)
 	}
+	parallel.Do(T, tiles, e.cropStep)
+	parallel.Do(k*T, limit, e.productStep)
+	fft.Batch2DInversePruned(e.fields, r.fwdLive, limit)
+	parallel.Do(T, tiles, e.intensityStep)
+	return limit, tiles
 }
 
 // transform computes F(mask) of pair i. The mask is real: half a complex
@@ -973,14 +928,14 @@ func (e *evaluation) crop(i int) { e.specs[i] = e.r.cropMask(e.fms[i]) }
 
 // product builds the spectrum H_j ⊙ F(mask_i) of field f = i·k + j.
 func (e *evaluation) product(f int) {
-	k := len(e.r.fwd)
-	prodLive(e.fields[f], e.specs[f/k], e.r.fwd[f%k], e.r.fwdLive)
+	k := len(e.r.freq)
+	prodLive(e.fields[f], e.specs[f/k], e.r.freq[f%k], e.r.fwdLive)
 }
 
 // intensity sums pair i's intensity in kernel order and interpolates it
-// onto the full grid, ready for the resist sweep.
+// onto the full grid.
 func (e *evaluation) intensity(i int) {
-	r, k := e.r, len(e.r.fwd)
+	r, k := e.r, len(e.r.freq)
 	if e.specs[i] != e.fms[i] {
 		grid.PutCMat(e.specs[i])
 	}
@@ -990,9 +945,6 @@ func (e *evaluation) intensity(i int) {
 		a.AddAbsSqScaled(intensity, r.weights[j])
 	}
 	e.intens[i] = r.upsample(intensity)
-	e.gs[i] = grid.GetMat(e.size, e.size)    // ∂L/∂I, fully overwritten by the sweep
-	e.terms[i] = grid.GetMat(e.size, e.size) // per-pixel loss terms, likewise
-	e.sums[i], e.summed[i] = 0, 0
 }
 
 // resist sweeps the sigmoid resist over pixels [lo, hi) of the batch,
@@ -1044,13 +996,13 @@ func (e *evaluation) lowpass(i int) {
 
 // source overwrites field f with the adjoint source q = g ⊙ conj(A): the
 // field is not needed once q is formed.
-func (e *evaluation) source(f int) { mulRealConj(e.fields[f], e.gs[f/len(e.r.fwd)]) }
+func (e *evaluation) source(f int) { mulRealConj(e.fields[f], e.gs[f/len(e.r.freq)]) }
 
 // reduce accumulates pair i's kernel contributions (2w_j·H_j(-f)) ⊙ F(q_j)
 // in kernel order — the flipped spectra carry the 2w_j factor from
 // preparation — and embeds the sum into a full-size spectrum.
 func (e *evaluation) reduce(i int) {
-	r, k := e.r, len(e.r.fwd)
+	r, k := e.r, len(e.r.freq)
 	grid.PutMat(e.gs[i])
 	e.gs[i] = nil
 	acc := grid.GetCMat(r.m, r.m).Zero()

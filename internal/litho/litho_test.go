@@ -234,19 +234,19 @@ func TestEq9CoarseGridConsistency(t *testing.T) {
 	}
 }
 
+// TestSigmoidResistRange checks the relaxed resist the evaluation
+// applies, Z = σ(steep·(dose·I − threshold)).
 func TestSigmoidResistRange(t *testing.T) {
-	sim := testSim(t)
-	aerial := grid.MatFromData(1, 4, []float64{0, 0.225, 0.5, 2})
-	z := sim.SigmoidResist(aerial.Clone().Transpose(), 1) // 4x1 shape is fine
-	for _, v := range z.Data {
-		if v < 0 || v > 1 {
-			t.Fatalf("sigmoid out of range: %v", v)
+	cfg := testSim(t).Config()
+	resist := func(v float64) float64 { return sigmoid(cfg.SigmoidSteep * (v - cfg.Threshold)) }
+	for _, v := range []float64{0, 0.225, 0.5, 2} {
+		if z := resist(v); z < 0 || z > 1 {
+			t.Fatalf("sigmoid out of range: %v", z)
 		}
 	}
 	// At exactly the threshold the sigmoid is 1/2.
-	zt := sim.SigmoidResist(grid.MatFromData(1, 1, []float64{0.225}), 1)
-	if math.Abs(zt.Data[0]-0.5) > 1e-12 {
-		t.Fatalf("sigmoid at threshold = %v", zt.Data[0])
+	if z := resist(cfg.Threshold); math.Abs(z-0.5) > 1e-12 {
+		t.Fatalf("sigmoid at threshold = %v", z)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mgsilt/internal/fft"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/kernels"
 	"mgsilt/internal/parallel"
@@ -260,10 +261,16 @@ func TestReducedGridGuard(t *testing.T) {
 		ks := sim.kernelStretch(size, stretch)
 		var r *reduced
 		for _, focus := range []Focus{FocusNominal, FocusDefocus} {
+			// B of the full-size resampled spectra, which the simulator only
+			// holds while it prepares the set; a truncated set keeps a subset
+			// of them on the full set's grid.
+			var freq []*grid.CMat
+			for _, k := range sim.folded[focus].Resampled(size, ks).Kernels {
+				freq = append(freq, fft.SwapQuadrants(k.Freq))
+			}
+			b := bandHalfWidth(freq)
 			for _, fidelity := range []float64{1, 0.75, 0.6} {
-				p := sim.preparedFor(focus, size, ks, fidelity)
-				r = p.solver()
-				b := bandHalfWidth(p.freq)
+				r = sim.preparedFor(focus, size, ks, fidelity).solver()
 				switch {
 				case r.m > size || r.m&(r.m-1) != 0:
 					t.Fatalf("size %d stretch %d: M=%d is not a power of two within the grid", size, stretch, r.m)
@@ -272,7 +279,7 @@ func TestReducedGridGuard(t *testing.T) {
 				case fidelity == 1 && r.m/2 > 4*b:
 					t.Fatalf("size %d stretch %d: M=%d is not the smallest grid above 4B=%d", size, stretch, r.m, 4*b)
 				}
-				if full := sim.preparedFor(focus, size, ks, 1).solver(); fidelity < 1 && r.fwd[0] != full.fwd[kernels.EnergyOrder(full.weights)[0]] {
+				if full := sim.preparedFor(focus, size, ks, 1).solver(); fidelity < 1 && r.freq[0] != full.freq[kernels.EnergyOrder(full.weights)[0]] {
 					t.Fatalf("size %d stretch %d fidelity %g: truncated set copied its reduced spectra", size, stretch, fidelity)
 				}
 			}
@@ -316,8 +323,8 @@ func TestReducedParallelAndBatchEquivalence(t *testing.T) {
 
 	sim := testSim(t)
 	r := sim.preparedFor(FocusNominal, size, size/testN, 1).solver()
-	if r.m >= size || len(r.fwd)*r.m*r.m < 2*parallel.Grain {
-		t.Fatalf("M=%d with %d kernels does not exercise the reduced fan-out", r.m, len(r.fwd))
+	if r.m >= size || len(r.freq)*r.m*r.m < 2*parallel.Grain {
+		t.Fatalf("M=%d with %d kernels does not exercise the reduced fan-out", r.m, len(r.freq))
 	}
 	wantLoss := make([]float64, len(masks))
 	wantGrad := make([]*grid.Mat, len(masks))

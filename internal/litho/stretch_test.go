@@ -53,7 +53,7 @@ func TestWaferScaled(t *testing.T) {
 	sim := testSim(t)
 	mask := centredSquare(testN, 32)
 	fine := sim.Wafer(mask, sim.Nominal()).Downsample(2).BinarizeInPlace(0.5)
-	coarse := sim.WaferScaled(mask.Downsample(2), 2, sim.Nominal())
+	coarse := sim.PrintResist(sim.AerialScaled(mask.Downsample(2), 2, sim.Nominal()), sim.Nominal().Dose)
 	diff := fine.L2Diff(coarse)
 	if diff > 0.1*fine.Sum() {
 		t.Fatalf("scaled wafer differs on %v px of %v", diff, fine.Sum())

@@ -44,8 +44,10 @@ func PVBand(sim *litho.Simulator, mask *grid.Mat) float64 {
 // Inspect returns L2 and PVBand of one mask, bit-identical to calling
 // the two separately. Nominal and Outer share a focus and differ only
 // in the dose applied at the resist, so the nominal-focus aerial image
-// is simulated once and printed at both doses: two clip-sized Hopkins
-// sums where L2 + PVBand run three.
+// is simulated once and printed at both doses: two Hopkins sums over the
+// clip where L2 + PVBand run three. Each runs on its kernel set's reduced
+// grid (see litho.Aerial) — for a 512² clip at N=64 the fields are
+// 256² — and only the two intensities come back at clip size.
 func Inspect(sim *litho.Simulator, mask, target *grid.Mat) (l2, pvband float64) {
 	nominal := sim.Aerial(mask, sim.Nominal())
 	l2 = sim.PrintResist(nominal, sim.Nominal().Dose).L2Diff(target)
