@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -53,42 +55,56 @@ var methodDefaults = map[string]string{
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "iltrun:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the flow and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("iltrun", flag.ContinueOnError)
 	var (
-		method    = flag.String("method", "ours", "flow: "+strings.Join(methodFlows, " | "))
-		solverSel = flag.String("solver", "", "solver backend: "+strings.Join(opt.Names(), " | ")+" (empty = the method's default)")
-		listSolve = flag.Bool("list-solvers", false, "print the registered solver names, one per line, and exit")
-		mrcCheck  = flag.Bool("mrc", false, "check the final binarised mask against mrc.DefaultRules and print the verdict")
-		n         = flag.Int("n", 128, "native simulator grid size (power of two)")
-		seed      = flag.Int64("seed", 1, "clip generator seed")
-		rects     = flag.String("rects", "", "optional .rects geometry file to optimise instead of a generated clip")
-		iters     = flag.Int("iters", 100, "baseline iteration budget")
-		devices   = flag.Int("devices", 1, "simulated devices")
-		workers   = flag.Int("workers", 0, "compute pool width for FFT/convolution fan-out (0 = ILT_WORKERS env or GOMAXPROCS)")
-		outDir    = flag.String("out", "", "directory for PNG dumps (optional)")
-		faultRate = flag.Float64("fault-rate", 0, "chaos: per-attempt transient fault probability at the device.run site (0 disables)")
-		faultHard = flag.Float64("fault-hard", 0, "chaos: per-attempt hard device-failure probability (quarantines the device)")
-		faultSeed = flag.Int64("fault-seed", 1, "chaos: deterministic fault-schedule seed")
-		ckptFile  = flag.String("checkpoint-file", "", "persist each completed stage's checkpoint to this file (atomic replace), so a killed run can be resumed")
-		resume    = flag.String("resume-file", "", "resume from a checkpoint file written by -checkpoint-file (flow and clip geometry must match)")
-		times     = flag.Bool("stage-times", true, "print the engine's per-stage wall-time timeline")
-		cacheMB   = flag.Int64("cache-mb", 0, "tile-result cache RAM budget in MiB (0 disables unless -cache-dir set)")
-		cacheDir  = flag.String("cache-dir", "", "tile-cache disk spill directory (enables the cache; a warm dir short-circuits repeated runs)")
-		batchSize = flag.Int("batch-size", 0, "tile batch scheduler flush threshold (<2 disables batching)")
-		repeat    = flag.Bool("repeat-cells", false, "optimise a repeated standard-cell clip (layout.GenerateRepeat) instead of random routing — the workload the tile cache accelerates")
-		shardURLs = flag.String("shard-workers", "", "comma-separated iltworker base URLs; tile solves shard across them (byte-identical to in-process at any count)")
-		correct   = flag.Bool("coarse-correct", false, "two-level Schwarz: run a coarse-grid correction between fine stages (method ours only)")
-		dropTol   = flag.Float64("drop-tol", 0, "per-tile convergence dropout tolerance (per-pixel RMS; 0 disables; method ours only)")
-		dropWin   = flag.Int("drop-window", 0, "consecutive stages drop-tol must hold before a tile retires (0 = default)")
-		fineStg   = flag.Int("fine-stages", 0, "fine Schwarz stage count (0 = default; method ours only)")
-		fidelity  = flag.String("fidelity", "", "comma-separated per-fine-stage kernel energy budgets, e.g. 0.75,1 (empty = full fidelity; one entry per fine stage, last must be 1)")
-		maskRaw   = flag.String("mask-raw", "", "write the final mask to this file in the versioned checkpoint format, for byte-level comparison (cmp) across runs")
+		method    = fs.String("method", "ours", "flow: "+strings.Join(methodFlows, " | "))
+		solverSel = fs.String("solver", "", "solver backend: "+strings.Join(opt.Names(), " | ")+" (empty = the method's default)")
+		listSolve = fs.Bool("list-solvers", false, "print the registered solver names, one per line, and exit")
+		mrcCheck  = fs.Bool("mrc", false, "check the final binarised mask against mrc.DefaultRules and print the verdict")
+		n         = fs.Int("n", 128, "native simulator grid size (power of two)")
+		seed      = fs.Int64("seed", 1, "clip generator seed")
+		rects     = fs.String("rects", "", "optional .rects geometry file to optimise instead of a generated clip")
+		iters     = fs.Int("iters", 100, "baseline iteration budget")
+		devices   = fs.Int("devices", 1, "simulated devices")
+		workers   = fs.Int("workers", 0, "compute pool width for FFT/convolution fan-out (0 = ILT_WORKERS env or GOMAXPROCS)")
+		outDir    = fs.String("out", "", "directory for PNG dumps (optional)")
+		faultRate = fs.Float64("fault-rate", 0, "chaos: per-attempt transient fault probability at the device.run site (0 disables)")
+		faultHard = fs.Float64("fault-hard", 0, "chaos: per-attempt hard device-failure probability (quarantines the device)")
+		faultSeed = fs.Int64("fault-seed", 1, "chaos: deterministic fault-schedule seed")
+		ckptFile  = fs.String("checkpoint-file", "", "persist each completed stage's checkpoint to this file (atomic replace), so a killed run can be resumed")
+		resume    = fs.String("resume-file", "", "resume from a checkpoint file written by -checkpoint-file (flow and clip geometry must match)")
+		times     = fs.Bool("stage-times", true, "print the engine's per-stage wall-time timeline")
+		cacheMB   = fs.Int64("cache-mb", 0, "tile-result cache RAM budget in MiB (0 disables unless -cache-dir set)")
+		cacheDir  = fs.String("cache-dir", "", "tile-cache disk spill directory (enables the cache; a warm dir short-circuits repeated runs)")
+		batchSize = fs.Int("batch-size", 0, "largest lockstep batch of a round's tile solves (<2 disables batching)")
+		repeat    = fs.Bool("repeat-cells", false, "optimise a repeated standard-cell clip (layout.GenerateRepeat) instead of random routing — the workload the tile cache accelerates")
+		shardURLs = fs.String("shard-workers", "", "comma-separated iltworker base URLs; tile solves shard across them (byte-identical to in-process at any count)")
+		correct   = fs.Bool("coarse-correct", false, "two-level Schwarz: run a coarse-grid correction between fine stages (method ours only)")
+		dropTol   = fs.Float64("drop-tol", 0, "per-tile convergence dropout tolerance (per-pixel RMS; 0 disables; method ours only)")
+		dropWin   = fs.Int("drop-window", 0, "consecutive stages drop-tol must hold before a tile retires (0 = default)")
+		fineStg   = fs.Int("fine-stages", 0, "fine Schwarz stage count (0 = default; method ours only)")
+		fidelity  = fs.String("fidelity", "", "comma-separated per-fine-stage kernel energy budgets, e.g. 0.75,1 (empty = full fidelity; one entry per fine stage, last must be 1)")
+		maskRaw   = fs.String("mask-raw", "", "write the final mask to this file in the versioned checkpoint format, for byte-level comparison (cmp) across runs")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *listSolve {
 		for _, name := range opt.Names() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
-		return
+		return nil
 	}
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
@@ -96,7 +112,7 @@ func main() {
 
 	sim, err := litho.NewStandard(*n)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	clipSize := 2 * *n
@@ -104,42 +120,42 @@ func main() {
 	if *rects != "" {
 		f, err := os.Open(*rects)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		clip, err = layout.ReadRects(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if clip.Target.H != clipSize {
-			fatal(fmt.Errorf("rects clip is %d px, need %d (= 2N)", clip.Target.H, clipSize))
+			return fmt.Errorf("rects clip is %d px, need %d (= 2N)", clip.Target.H, clipSize)
 		}
 	} else if *repeat {
 		var err error
 		clip, err = layout.GenerateRepeat(layout.RepeatConfig{Size: clipSize, Seed: *seed})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
 		var err error
 		clip, err = layout.Generate(layout.DefaultConfig(clipSize, *seed))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	cfg := core.DefaultConfig(sim, clipSize, *iters)
 	cfg.Cluster, err = device.NewCluster(*devices, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *faultRate < 0 || *faultHard < 0 || *faultRate+*faultHard > 1 {
-		fatal(fmt.Errorf("fault rates %g/%g invalid (each >= 0, sum <= 1)", *faultRate, *faultHard))
+		return fmt.Errorf("fault rates %g/%g invalid (each >= 0, sum <= 1)", *faultRate, *faultHard)
 	}
 	if *cacheMB > 0 || *cacheDir != "" {
 		tc, err := cache.New(cache.Options{MaxBytes: *cacheMB << 20, Dir: *cacheDir})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg.TileCache = tc
 	}
@@ -152,15 +168,14 @@ func main() {
 	// byte-identical to in-process ones.
 	solverName, ok := methodDefaults[*method]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "iltrun: unknown method %q (flows: %s)\n", *method, strings.Join(methodFlows, " | "))
-		os.Exit(2)
+		return fmt.Errorf("unknown method %q (flows: %s)", *method, strings.Join(methodFlows, " | "))
 	}
 	if *solverSel != "" {
 		solverName = *solverSel
 	}
 	solver, err := opt.New(solverName, sim)
 	if err != nil {
-		fatal(err) // the registry error lists the registered names
+		return err // the registry error lists the registered names
 	}
 	if *method == "fullchip" && *solverSel == "" {
 		// The full-chip reference historically runs a deeper pyramid
@@ -183,7 +198,7 @@ func main() {
 			RunID:   fmt.Sprintf("iltrun-%d", os.Getpid()),
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg.Tiles = coord
 	}
@@ -196,7 +211,7 @@ func main() {
 	if *fidelity != "" {
 		cfg.FidelitySchedule, err = parseSchedule(*fidelity)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	chaos := *faultRate > 0 || *faultHard > 0
@@ -210,9 +225,9 @@ func main() {
 	// is atomically replaced on disk, so a SIGKILL between stages costs
 	// at most the interrupted stage on the next -resume-file run.
 	if *resume != "" {
-		ck, err := readCheckpointFile(*resume)
+		ck, err := pipeline.ReadCheckpointFile(*resume)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg.Resume = ck
 		fmt.Fprintf(os.Stderr, "iltrun: resuming %s after stage %d/%d\n", ck.Flow, ck.Stage, ck.Total)
@@ -220,7 +235,7 @@ func main() {
 	if *ckptFile != "" {
 		path := *ckptFile
 		cfg.Checkpoint = func(ck core.Checkpoint) {
-			if err := writeCheckpointFile(path, &ck); err != nil {
+			if err := pipeline.WriteCheckpointFile(path, &ck); err != nil {
 				// A failed snapshot must not kill the optimisation; the
 				// run simply loses resumability from this stage.
 				fmt.Fprintln(os.Stderr, "iltrun: checkpoint:", err)
@@ -242,58 +257,58 @@ func main() {
 		res, err = core.StitchAndHeal(cfg, clip.Target)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("method       : %s\n", res.Method)
-	fmt.Printf("solver       : %s\n", solverName)
-	fmt.Printf("clip         : %s (seed %d, %dx%d, area %d px)\n", clip.ID, clip.Seed, clipSize, clipSize, clip.AreaPx())
-	fmt.Printf("L2           : %.0f\n", res.L2)
-	fmt.Printf("PVBand       : %.0f\n", res.PVBand)
-	fmt.Printf("stitch loss  : %.1f over %d crossings (max %.1f)\n", res.StitchLoss, len(res.Errors), metrics.MaxLoss(res.Errors))
-	fmt.Printf("errors > %.0f : %d\n", cfg.StitchThreshold, metrics.CountAbove(res.Errors, cfg.StitchThreshold))
-	fmt.Printf("TAT          : %v (devices: %d, device busy: %v)\n", res.TAT.Round(1e6), *devices, res.Stats.TotalBusy.Round(1e6))
+	fmt.Fprintf(stdout, "method       : %s\n", res.Method)
+	fmt.Fprintf(stdout, "solver       : %s\n", solverName)
+	fmt.Fprintf(stdout, "clip         : %s (seed %d, %dx%d, area %d px)\n", clip.ID, clip.Seed, clipSize, clipSize, clip.AreaPx())
+	fmt.Fprintf(stdout, "L2           : %.0f\n", res.L2)
+	fmt.Fprintf(stdout, "PVBand       : %.0f\n", res.PVBand)
+	fmt.Fprintf(stdout, "stitch loss  : %.1f over %d crossings (max %.1f)\n", res.StitchLoss, len(res.Errors), metrics.MaxLoss(res.Errors))
+	fmt.Fprintf(stdout, "errors > %.0f : %d\n", cfg.StitchThreshold, metrics.CountAbove(res.Errors, cfg.StitchThreshold))
+	fmt.Fprintf(stdout, "TAT          : %v (devices: %d, device busy: %v)\n", res.TAT.Round(1e6), *devices, res.Stats.TotalBusy.Round(1e6))
 	if *mrcCheck {
 		rep, err := mrc.Check(res.Mask.Binarize(0.5), mrc.DefaultRules())
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if rep.Clean() {
-			fmt.Printf("mrc          : clean\n")
+			fmt.Fprintf(stdout, "mrc          : clean\n")
 		} else {
-			fmt.Printf("mrc          : %d violations\n", rep.Total())
+			fmt.Fprintf(stdout, "mrc          : %d violations\n", rep.Total())
 		}
 	}
 	if chaos {
-		fmt.Printf("chaos        : %d retries, %d device(s) quarantined (reproduce with -fault-seed %d -fault-rate %g -fault-hard %g)\n",
+		fmt.Fprintf(stdout, "chaos        : %d retries, %d device(s) quarantined (reproduce with -fault-seed %d -fault-rate %g -fault-hard %g)\n",
 			res.Stats.Retries, res.Stats.Quarantined, *faultSeed, *faultRate, *faultHard)
 	}
 	if *correct || *dropTol > 0 {
-		fmt.Printf("two-level    : %d coarse corrections; dropout: %d tiles converged, %d solves skipped (tol %g)\n",
+		fmt.Fprintf(stdout, "two-level    : %d coarse corrections; dropout: %d tiles converged, %d solves skipped (tol %g)\n",
 			res.CoarseCorrections, res.TilesConverged, res.TileSolvesSkipped, *dropTol)
 	}
 	if cfg.TileCache != nil {
 		cs := cfg.TileCache.Stats()
-		fmt.Printf("cache        : %.1f%% hit rate (%d ram + %d disk hits, %d misses, %d merged; %d entries, %.1f MiB)\n",
+		fmt.Fprintf(stdout, "cache        : %.1f%% hit rate (%d ram + %d disk hits, %d misses, %d merged; %d entries, %.1f MiB)\n",
 			100*cs.HitRate(), cs.Hits, cs.DiskHits, cs.Misses, cs.Merged, cs.Entries, float64(cs.Bytes)/(1<<20))
 	}
 	if cfg.Batch != nil {
 		bs := cfg.Batch.Stats()
-		fmt.Printf("batch        : %d solves in %d flushes (%d shared a batch, largest %d)\n",
+		fmt.Fprintf(stdout, "batch        : %d solves in %d batches (%d shared a batch, largest %d)\n",
 			bs.Requests, bs.Batches, bs.Batched, bs.MaxBatch)
 	}
 	if coord != nil {
 		ss := coord.Stats()
-		fmt.Printf("shard        : %d tiles over %d/%d workers in %d rounds (%d reassigned, %d quarantined, %d retries)\n",
+		fmt.Fprintf(stdout, "shard        : %d tiles over %d/%d workers in %d rounds (%d reassigned, %d quarantined, %d retries)\n",
 			ss.Tiles, coord.LiveWorkers(), len(strings.Split(*shardURLs, ",")), ss.Rounds,
 			ss.ReassignedTiles, ss.WorkersQuarantined, ss.RequestRetries)
-		fmt.Printf("shard bytes  : %.2f MiB halo + %.2f MiB full\n",
+		fmt.Fprintf(stdout, "shard bytes  : %.2f MiB halo + %.2f MiB full\n",
 			float64(ss.HaloBytes)/(1<<20), float64(ss.FullBytes)/(1<<20))
 	}
 	if *times && len(res.Timeline) > 0 {
-		fmt.Printf("stages       : %d executed\n", len(res.Timeline))
+		fmt.Fprintf(stdout, "stages       : %d executed\n", len(res.Timeline))
 		for _, st := range res.Timeline {
-			fmt.Printf("  %-8s %2d/%-2d %9.1f ms\n", st.Name, st.Iter, st.Total, float64(st.Wall.Microseconds())/1e3)
+			fmt.Fprintf(stdout, "  %-8s %2d/%-2d %9.1f ms\n", st.Name, st.Iter, st.Total, float64(st.Wall.Microseconds())/1e3)
 		}
 	}
 
@@ -302,64 +317,36 @@ func main() {
 	// shard-equivalence job compares with cmp.
 	if *maskRaw != "" {
 		ck := &core.Checkpoint{Flow: res.Method, Stage: 1, Total: 1, Mask: res.Mask}
-		if err := writeCheckpointFile(*maskRaw, ck); err != nil {
-			fatal(err)
+		if err := pipeline.WriteCheckpointFile(*maskRaw, ck); err != nil {
+			return err
 		}
-		fmt.Printf("wrote %s\n", *maskRaw)
+		fmt.Fprintf(stdout, "wrote %s\n", *maskRaw)
 	}
 
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
-		}
-		binary := res.Mask.Binarize(0.5)
-		dumps := []struct {
-			name string
-			m    *grid.Mat
-		}{
-			{"target.png", clip.Target},
-			{"mask.png", binary},
-			{"wafer.png", sim.Wafer(binary, sim.Nominal())},
-			{"overlay.png", imgio.Overlay(binary, res.Errors, cfg.StitchThreshold, cfg.Stitch.Window/2)},
-		}
-		for _, d := range dumps {
-			path := filepath.Join(*outDir, d.name)
-			if err := imgio.SavePNG(path, d.m); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
+	if *outDir == "" {
+		return nil
 	}
-}
-
-// writeCheckpointFile atomically replaces path with the serialised
-// checkpoint (versioned header + mask payload): a kill mid-write
-// leaves the previous snapshot intact.
-func writeCheckpointFile(path string, ck *core.Checkpoint) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}
-	if err := pipeline.WriteCheckpoint(f, ck); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	binary := res.Mask.Binarize(0.5)
+	dumps := []struct {
+		name string
+		m    *grid.Mat
+	}{
+		{"target.png", clip.Target},
+		{"mask.png", binary},
+		{"wafer.png", sim.Wafer(binary, sim.Nominal())},
+		{"overlay.png", imgio.Overlay(binary, res.Errors, cfg.StitchThreshold, cfg.Stitch.Window/2)},
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	for _, d := range dumps {
+		path := filepath.Join(*outDir, d.name)
+		if err := imgio.SavePNG(path, d.m); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
-	return os.Rename(tmp, path)
-}
-
-func readCheckpointFile(path string) (*core.Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return pipeline.ReadCheckpoint(f)
+	return nil
 }
 
 // parseSchedule parses a -fidelity flag value: comma-separated
@@ -375,9 +362,4 @@ func parseSchedule(s string) ([]float64, error) {
 		sched = append(sched, f)
 	}
 	return sched, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "iltrun:", err)
-	os.Exit(1)
 }

@@ -51,8 +51,7 @@ func main() {
 		faultSeed = flag.Int64("fault-seed", 1, "chaos: deterministic fault-schedule seed (used with -fault-rate)")
 		cacheMB   = flag.Int64("cache-mb", 0, "shared tile-result cache RAM budget in MiB (0 disables unless -cache-dir set)")
 		cacheDir  = flag.String("cache-dir", "", "tile-cache disk spill directory (enables the cache; survives restarts)")
-		batchSize = flag.Int("batch-size", 0, "cross-job batch scheduler flush threshold (<2 disables batching)")
-		batchWait = flag.Duration("batch-wait", 0, "max time a tile waits for batch peers (0 = scheduler default)")
+		batchSize = flag.Int("batch-size", 0, "largest lockstep batch of a round's tile solves (<2 disables batching)")
 		stateDir  = flag.String("state-dir", "", "durable job-queue journal directory; pending jobs resume after a restart")
 		shardURLs = flag.String("shard-workers", "", "comma-separated iltworker base URLs; every job's tile solves shard across them (byte-identical to in-process)")
 		solverSel = flag.String("solver", "", "default solver backend for jobs that do not set solver: "+strings.Join(opt.Names(), " | "))
@@ -92,7 +91,6 @@ func main() {
 		CacheBytes:       *cacheMB << 20,
 		CacheDir:         *cacheDir,
 		BatchSize:        *batchSize,
-		BatchWait:        *batchWait,
 		StateDir:         *stateDir,
 		ShardWorkers:     shardWorkers,
 		DefaultSolver:    *solverSel,

@@ -77,10 +77,12 @@ type entry struct {
 	m   *grid.Mat
 }
 
-// flight is one in-progress solve: followers block on done, then read
-// m/err. err is never handed to followers as their result — they retry
-// instead — but it signals them to do so.
-type flight struct {
+// Flight is one claimed key's solve in progress: followers block on
+// done, then read m/err. err is never handed to followers as their
+// result — they retry instead — but it signals them to do so.
+type Flight struct {
+	c    *Cache
+	k    Key
 	done chan struct{}
 	m    *grid.Mat
 	err  error
@@ -96,7 +98,7 @@ type Cache struct {
 	mu       sync.Mutex
 	lru      *list.List // front = most recently used; values are *entry
 	idx      map[Key]*list.Element
-	inflight map[Key]*flight
+	inflight map[Key]*Flight
 
 	bytes                                   int64
 	hits, diskHits, misses, merged, evicted uint64
@@ -118,7 +120,7 @@ func New(opts Options) (*Cache, error) {
 		dir:      opts.Dir,
 		lru:      list.New(),
 		idx:      make(map[Key]*list.Element),
-		inflight: make(map[Key]*flight),
+		inflight: make(map[Key]*Flight),
 	}, nil
 }
 
@@ -186,6 +188,16 @@ func (c *Cache) Put(k Key, m *grid.Mat) {
 // just observed; solves avoided here are counted under Stats.Merged.
 func (c *Cache) Do(k Key, solve func() (*grid.Mat, error)) (*grid.Mat, error) {
 	for {
+		if fl := c.Claim(k); fl != nil {
+			ms, errs := Lead([]*Flight{fl}, func() ([]*grid.Mat, []error) {
+				m, err := solve()
+				return []*grid.Mat{m}, []error{err}
+			})
+			if errs[0] != nil {
+				return nil, errs[0]
+			}
+			return ms[0], nil
+		}
 		c.mu.Lock()
 		if el, ok := c.idx[k]; ok {
 			c.lru.MoveToFront(el)
@@ -194,59 +206,77 @@ func (c *Cache) Do(k Key, solve func() (*grid.Mat, error)) (*grid.Mat, error) {
 			c.mu.Unlock()
 			return m, nil
 		}
-		if fl, ok := c.inflight[k]; ok {
-			c.mu.Unlock()
-			<-fl.done
-			if fl.err != nil {
-				continue // leader failed; retry as a potential leader
-			}
-			c.mu.Lock()
-			c.merged++
-			c.mu.Unlock()
-			return fl.m.Clone(), nil
-		}
-		fl := &flight{done: make(chan struct{})}
-		c.inflight[k] = fl
+		fl := c.inflight[k]
 		c.mu.Unlock()
-
-		m, err := fl.solve(c, k, solve)
-		if err != nil {
-			return nil, err
+		if fl == nil {
+			continue // published and evicted since Claim looked
 		}
-		return m, nil
+		<-fl.done
+		if fl.err != nil {
+			continue // leader failed; retry as a potential leader
+		}
+		c.mu.Lock()
+		c.merged++
+		c.mu.Unlock()
+		return fl.m.Clone(), nil
 	}
+}
+
+// Claim is the first half of Do, for a caller that solves several keys
+// at once: it makes the caller the leader of k, so Do calls on k wait
+// for the flight instead of solving, until Lead publishes it. It
+// returns nil when k is already in RAM or led by another caller, who
+// will publish it; the caller then takes the result through Do.
+func (c *Cache) Claim(k Key) *Flight {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, cached := c.idx[k]; cached || c.inflight[k] != nil {
+		return nil
+	}
+	fl := &Flight{c: c, k: k, done: make(chan struct{})}
+	c.inflight[k] = fl
+	return fl
 }
 
 // errLeaderPanicked is what followers see when the leader's solve did
 // not return; like any leader error it only tells them to retry.
 var errLeaderPanicked = errors.New("cache: leader solve panicked")
 
-// solve runs the leader's solve and publishes the outcome to waiting
-// followers. Publication is deferred, so a panicking solve (an injected
-// fault the device job boundary recovers and retries) still releases
-// the key before the panic continues up the stack.
-func (fl *flight) solve(c *Cache, k Key, solve func() (*grid.Mat, error)) (*grid.Mat, error) {
-	fl.err = errLeaderPanicked
-	func() {
-		defer fl.publish(c, k)
-		fl.m, fl.err = solve()
-	}()
-	if fl.err == nil && c.dir != "" {
-		_ = c.writeSpill(k, fl.m)
+// Lead is the second half: it runs solve, which returns one outcome per
+// claimed flight of fls, and publishes every outcome — a success is
+// stored and shared with the flight's followers, a failure sends them
+// to retry as leaders. Publication is deferred, so a panicking solve (an
+// injected fault the device job boundary recovers and retries) still
+// releases every key before the panic continues up the stack.
+func Lead(fls []*Flight, solve func() ([]*grid.Mat, []error)) ([]*grid.Mat, []error) {
+	ms, errs := make([]*grid.Mat, len(fls)), make([]error, len(fls))
+	for i := range errs {
+		errs[i] = errLeaderPanicked
 	}
-	return fl.m, fl.err
+	defer func() {
+		for i, fl := range fls {
+			fl.publish(ms[i], errs[i])
+		}
+	}()
+	ms, errs = solve()
+	return ms, errs
 }
 
-// publish retires the in-flight entry, stores a successful result and
-// wakes the followers.
-func (fl *flight) publish(c *Cache, k Key) {
+// publish retires the in-flight entry, stores a successful result,
+// wakes the followers and writes the spill.
+func (fl *Flight) publish(m *grid.Mat, err error) {
+	c := fl.c
+	fl.m, fl.err = m, err
 	c.mu.Lock()
-	delete(c.inflight, k)
-	if fl.err == nil {
-		c.insertLocked(k, fl.m.Clone())
+	delete(c.inflight, fl.k)
+	if err == nil {
+		c.insertLocked(fl.k, m.Clone())
 	}
 	c.mu.Unlock()
 	close(fl.done)
+	if err == nil && c.dir != "" {
+		_ = c.writeSpill(fl.k, m)
+	}
 }
 
 // insertLocked stores m (ownership transferred) under k and enforces
@@ -278,40 +308,17 @@ func (c *Cache) spillPath(k Key) string {
 }
 
 // writeSpill persists an entry via the versioned checkpoint encoding,
-// atomically (tmp + rename), so concurrent writers and killed
-// processes can never leave a torn file under the final name.
+// atomically, so concurrent writers and killed processes can never
+// leave a torn file under the final name.
 func (c *Cache) writeSpill(k Key, m *grid.Mat) error {
-	f, err := os.CreateTemp(c.dir, k.String()+".*.tmp")
-	if err != nil {
-		return err
-	}
-	ck := &pipeline.Checkpoint{Flow: spillFlow, Stage: 1, Total: 1, Mask: m}
-	if err := pipeline.WriteCheckpoint(f, ck); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), c.spillPath(k)); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
+	return pipeline.WriteCheckpointFile(c.spillPath(k), &pipeline.Checkpoint{Flow: spillFlow, Stage: 1, Total: 1, Mask: m})
 }
 
 // readSpill loads an entry from the spill directory. Any defect —
 // missing file, foreign flow tag, truncation — reads as an error and
 // is treated as a miss by the caller.
 func (c *Cache) readSpill(k Key) (*grid.Mat, error) {
-	f, err := os.Open(c.spillPath(k))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ck, err := pipeline.ReadCheckpoint(f)
+	ck, err := pipeline.ReadCheckpointFile(c.spillPath(k))
 	if err != nil {
 		return nil, err
 	}

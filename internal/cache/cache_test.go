@@ -413,6 +413,132 @@ func TestDoLeaderPanicWakesFollower(t *testing.T) {
 	<-leaderDone
 }
 
+// Claim takes the lead of a key nobody holds, and only of such a key:
+// not of a cached one, nor of one another caller leads.
+func TestClaim(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(14))
+	cached, free := mustKey(t, testInput(rng)), mustKey(t, testInput(rng))
+	c.Put(cached, randMat(rng, 16, 16))
+
+	if c.Claim(cached) != nil {
+		t.Fatal("claimed a cached key")
+	}
+	fl := c.Claim(free)
+	if fl == nil {
+		t.Fatal("could not claim a free key")
+	}
+	if c.Claim(free) != nil {
+		t.Fatal("claimed a key that is already led")
+	}
+	want := randMat(rng, 16, 16)
+	Lead([]*Flight{fl}, func() ([]*grid.Mat, []error) { return []*grid.Mat{want}, []error{nil} })
+	if m, ok := c.Get(free); !ok || !m.Equal(want) {
+		t.Fatal("a published result is not cached")
+	}
+	if st := c.Stats(); st.Merged != 0 {
+		t.Fatalf("claims counted %d merges", st.Merged)
+	}
+}
+
+// A batch leader publishes per key: a solved key is shared with its
+// followers, a failed one sends them to solve it themselves.
+func TestLeadPublishesEachKey(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(15))
+	ok, failed := mustKey(t, testInput(rng)), mustKey(t, testInput(rng))
+	want := randMat(rng, 16, 16)
+	fls := []*Flight{c.Claim(ok), c.Claim(failed)}
+
+	var solves atomic.Int64
+	follow := func(k Key) chan *grid.Mat {
+		ch := make(chan *grid.Mat, 1)
+		go func() {
+			m, _ := c.Do(k, func() (*grid.Mat, error) { solves.Add(1); return want, nil })
+			ch <- m
+		}()
+		return ch
+	}
+	okCh, failedCh := follow(ok), follow(failed)
+	Lead(fls, func() ([]*grid.Mat, []error) {
+		return []*grid.Mat{want, nil}, []error{nil, errors.New("cancelled")}
+	})
+	for _, ch := range []chan *grid.Mat{okCh, failedCh} {
+		if m := <-ch; !m.Equal(want) {
+			t.Fatal("a follower got the wrong result")
+		}
+	}
+	if n := solves.Load(); n != 1 {
+		t.Fatalf("followers solved %d times, want 1 (the failed key only)", n)
+	}
+}
+
+// A batch leader that panics releases every key it claimed, and each
+// key's followers retry as leaders.
+func TestLeadPanicReleasesEveryKey(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(16))
+	const n = 3
+	keys := make([]Key, n)
+	fls := make([]*Flight, n)
+	for i := range keys {
+		keys[i] = mustKey(t, testInput(rng))
+		fls[i] = c.Claim(keys[i])
+	}
+	want := randMat(rng, 16, 16)
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan any, 1)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		Lead(fls, func() ([]*grid.Mat, []error) {
+			close(started)
+			<-release
+			panic("injected")
+		})
+	}()
+	<-started
+
+	followers := make(chan *grid.Mat, n)
+	for _, k := range keys {
+		go func(k Key) {
+			m, _ := c.Do(k, func() (*grid.Mat, error) { return want, nil })
+			followers <- m
+		}(k)
+	}
+	// Give the followers time to park on the leader's flights; the test
+	// holds under either interleaving.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+
+	for i := 0; i < n; i++ {
+		select {
+		case m := <-followers:
+			if m == nil || !m.Equal(want) {
+				t.Fatal("follower of a panicking batch did not solve")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a follower never woke: the batch's panic stranded its key")
+		}
+	}
+	if r := <-leaderDone; r == nil {
+		t.Fatal("the batch's panic did not reach its caller")
+	}
+	if st := c.Stats(); st.Entries != n {
+		t.Fatalf("%d entries after the followers solved, want %d", st.Entries, n)
+	}
+}
+
 func TestDiskSpill(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(10))

@@ -2,14 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"mgsilt/internal/cache"
 	"mgsilt/internal/device"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/opt"
+	"mgsilt/internal/sched"
 )
 
 // TileRequest is one tile solve dispatched through a TileBackend: the
@@ -33,16 +34,16 @@ type TileRequest struct {
 	// Params are the solve knobs. Params.Ctx is overwritten by the
 	// backend with each attempt's context.
 	Params opt.Params
-	// Bare disables the content-addressed cache and the cross-job batch
-	// scheduler for this request. Coarse-grid solves keep their
-	// historical direct dispatch path.
+	// Bare disables the content-addressed cache and lockstep batching
+	// for this request: it runs as its own uncached device job.
+	// Coarse-grid solves keep this historical direct dispatch path.
 	Bare bool
 }
 
 // TileBackend executes one barrier-synchronised batch of tile solves —
 // the pluggable fan-out seam of the stage-pipeline flows. Two
 // implementations exist: the in-process device.Cluster path (the
-// default, with content-addressed caching and cross-job batching) and
+// default, with content-addressed caching and lockstep batching) and
 // the remote shard coordinator of internal/shard, which partitions the
 // batch over worker processes and exchanges only overlap-halo strips
 // between Schwarz stages.
@@ -112,11 +113,11 @@ func (c *Config) runStats(cl *device.Cluster) device.Stats {
 	return s
 }
 
-// clusterBackend is the in-process TileBackend: one device.Job per
-// request on the flow's device.Cluster, with the content-addressed
-// tile cache short-circuiting repeated solves before dispatch and the
-// cross-job batch scheduler coalescing cache misses into lockstep
-// batches.
+// clusterBackend is the in-process TileBackend. It sees every request
+// of a round, so it forms the round's device jobs itself: the
+// content-addressed tile cache answers repeated solves before dispatch,
+// identical misses collapse to one solve, and the batch policy cuts the
+// remaining misses into lockstep runs, one device job each.
 type clusterBackend struct {
 	cfg *Config
 	cl  *device.Cluster
@@ -139,79 +140,129 @@ func (b *clusterBackend) SolveTiles(ctx context.Context, reqs []TileRequest) ([]
 	if solverFP == "" {
 		tc = nil
 	}
-	batcher := c.Batch
-	batchSolver, canBatch := solver.(opt.BatchSolver)
-	if !canBatch || solverFP == "" {
-		batcher = nil
-	}
+	_, canBatch := solver.(opt.BatchSolver)
+	canBatch = canBatch && c.Batch != nil && solverFP != ""
 	classKey := optics + "|" + solverFP
 
 	out := make([]*grid.Mat, len(reqs))
-	var mu sync.Mutex
-	jobs := make([]device.Job, 0, len(reqs))
+	keys := make([]cache.Key, len(reqs))
+	var (
+		todo    []int // requests this round dispatches, in order
+		items   []sched.Item
+		claims  []*cache.Flight // the keys this round leads …
+		claimed []int           // … and their requests
+		waiting []int           // misses another solve answers, taken through Do after the round
+	)
 	for i, req := range reqs {
-		i, req := i, req
-		tileParams := req.Params
-
-		var key cache.Key
-		useCache := false
 		if tc != nil && !req.Bare {
+			p := req.Params
 			k, err := cache.KeyInput{
 				Optics: optics, Solver: solverFP,
-				Iters: tileParams.Iters, Stretch: tileParams.Stretch,
-				LR: tileParams.LR, PVWeight: tileParams.PVWeight,
-				Fidelity: tileParams.Fidelity,
-				Target:   req.Target, Init: req.Init, Freeze: tileParams.Freeze,
+				Iters: p.Iters, Stretch: p.Stretch, LR: p.LR, PVWeight: p.PVWeight,
+				Fidelity: p.Fidelity,
+				Target:   req.Target, Init: req.Init, Freeze: p.Freeze,
 			}.Key()
 			if err == nil {
-				key, useCache = k, true
 				// Pre-dispatch short-circuit: a hit never becomes a device
 				// job, so no virtual time is charged — cached tiles are
 				// free on the TAT clock, exactly the repeated-work saving
 				// the cache exists to realise.
-				if u, ok := tc.Get(key); ok {
+				if u, ok := tc.Get(k); ok {
 					out[i] = u
 					continue
 				}
+				// A miss is solved once: by this round if its first request
+				// of the key claims it, else by whoever leads the key.
+				keys[i] = k
+				fl := tc.Claim(k)
+				if fl == nil {
+					waiting = append(waiting, i)
+					continue
+				}
+				claims, claimed = append(claims, fl), append(claimed, i)
 			}
 		}
-		useBatch := batcher != nil && !req.Bare
-
-		jobs = append(jobs, device.Job{
+		todo = append(todo, i)
+		items = append(items, sched.Item{
+			Class:  sched.ClassOf(classKey, req.Init, req.Params),
+			Solo:   req.Bare || !canBatch,
 			Pixels: req.Pixels,
-			Work: func(ctx context.Context, _ int) error {
-				// The attempt context carries batch cancellation plus any
-				// per-attempt retry deadline; the solver polls it between
-				// iterations.
-				tp := tileParams
-				tp.Ctx = ctx
-				solve := func() (*grid.Mat, error) {
-					if useBatch {
-						return batcher.Solve(classKey, batchSolver, req.Target, req.Init, tp)
-					}
-					return solver.Solve(req.Target, req.Init, tp)
-				}
-				var u *grid.Mat
-				var err error
-				if useCache {
-					// Singleflight: concurrent identical misses (repeated
-					// cells dispatched in one batch) solve once and share.
-					u, err = tc.Do(key, solve)
-				} else {
-					u, err = solve()
-				}
-				if err != nil {
-					return fmt.Errorf("core: tile %d: %w", req.Index, err)
-				}
-				mu.Lock()
-				out[i] = u
-				mu.Unlock()
-				return nil
-			},
 		})
 	}
-	if err := b.cl.RunCtx(ctx, jobs); err != nil {
-		return nil, err
+
+	runs := c.Batch.Plan(items, b.cl.MemPixels())
+	jobs := make([]device.Job, len(runs))
+	for r, run := range runs {
+		members := make([]int, len(run))
+		for j, t := range run {
+			members[j] = todo[t]
+		}
+		jobs[r] = b.job(solver, reqs, members, !items[run[0]].Solo, out)
+	}
+
+	// The round leads the keys it claimed. Their publication is deferred
+	// past the dispatch, so a failed or panicking round still releases
+	// every one, and it happens before this round waits on anyone else's.
+	var runErr error
+	cache.Lead(claims, func() ([]*grid.Mat, []error) {
+		runErr = b.cl.RunCtx(ctx, jobs)
+		ms, errs := make([]*grid.Mat, len(claimed)), make([]error, len(claimed))
+		for j, i := range claimed {
+			if ms[j] = out[i]; ms[j] == nil {
+				errs[j] = fmt.Errorf("core: tile %d: not solved", reqs[i].Index)
+			}
+		}
+		return ms, errs
+	})
+	if runErr != nil {
+		return nil, runErr
+	}
+	for _, i := range waiting {
+		// The solve runs only when the key's leader failed: then this
+		// request dispatches its own device job.
+		u, err := tc.Do(keys[i], func() (*grid.Mat, error) {
+			err := b.cl.RunCtx(ctx, []device.Job{b.job(solver, reqs, []int{i}, false, out)})
+			return out[i], err
+		})
+		if err != nil {
+			return nil, err
+		}
+		out[i] = u
 	}
 	return out, nil
+}
+
+// job is the device job that solves the requests run into out: as one
+// lockstep batch through the batch policy, or a lone request directly.
+// Its working set is the run's. The attempt context carries batch
+// cancellation plus any per-attempt retry deadline; the solver polls it
+// between iterations.
+func (b *clusterBackend) job(solver opt.Solver, reqs []TileRequest, run []int, batch bool, out []*grid.Mat) device.Job {
+	job := device.Job{Work: func(ctx context.Context, _ int) error {
+		targets, inits := make([]*grid.Mat, len(run)), make([]*grid.Mat, len(run))
+		ps := make([]opt.Params, len(run))
+		for j, i := range run {
+			targets[j], inits[j], ps[j] = reqs[i].Target, reqs[i].Init, reqs[i].Params
+			ps[j].Ctx = ctx
+		}
+		outs, errs := make([]*grid.Mat, 1), make([]error, 1)
+		if batch {
+			outs, errs = b.cfg.Batch.SolveBatch(solver.(opt.BatchSolver), targets, inits, ps)
+		} else {
+			outs[0], errs[0] = solver.Solve(targets[0], inits[0], ps[0])
+		}
+		var failed []error
+		for j, i := range run {
+			if errs[j] != nil {
+				failed = append(failed, fmt.Errorf("core: tile %d: %w", reqs[i].Index, errs[j]))
+				continue
+			}
+			out[i] = outs[j]
+		}
+		return errors.Join(failed...)
+	}}
+	for _, i := range run {
+		job.Pixels += reqs[i].Pixels
+	}
+	return job
 }

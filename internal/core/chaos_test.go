@@ -142,10 +142,10 @@ func TestChaosMGSBitIdentical(t *testing.T) {
 // an injected fault deep inside the (pure) simulator surfaces as a
 // panic, is converted back to a retryable error at the device job
 // boundary, and the retried attempt reproduces the fault-free mask —
-// on the direct path, through the tile cache's singleflight (whose
-// leader the panic unwinds through) and through the batch scheduler
-// (whose flush may run on a timer goroutine). The fault trips inside
-// the first fine stage, where several tiles are in flight.
+// on the direct path, through the tile cache (whose round leads the
+// keys the panic unwinds past) and through lockstep batching (whose
+// batch runs inside the device job that recovers it). The fault trips
+// inside the first fine stage, where several tiles are in flight.
 func TestChaosAerialFaultRetried(t *testing.T) {
 	target := testClipTarget(t, 7)
 	clean, _ := chaosRun(t, target, nil, nil)
@@ -158,7 +158,7 @@ func TestChaosAerialFaultRetried(t *testing.T) {
 	}{
 		{name: "direct", maxRetries: 1, backend: func(*Config) {}},
 		{name: "cached", maxRetries: 1, backend: func(cfg *Config) { cfg.TileCache = newTileCache(t) }},
-		// Every tile of the failed batch retries once.
+		// The failed batch's job retries once, whatever its size.
 		{name: "batched", maxRetries: batchSize, backend: func(cfg *Config) {
 			cfg.Batch = sched.New(sched.Options{BatchSize: batchSize})
 		}},

@@ -56,18 +56,18 @@ type Config struct {
 	// whose content address (tile-local target/init/freeze + optics +
 	// solver fingerprints + solve params) is already cached: hits skip
 	// the device dispatch entirely — no job, no virtual time charged —
-	// and return the stored result bit-identically. Misses solve under
-	// singleflight and populate the cache. Requires a solver that
-	// implements opt.Fingerprinter; others bypass the cache. Safe to
-	// share across concurrent flows/jobs.
+	// and return the stored result bit-identically. Misses solve once
+	// per key, across the round and across concurrent flows sharing the
+	// cache, and populate it. Requires a solver that implements
+	// opt.Fingerprinter; others bypass the cache. Safe to share across
+	// concurrent flows/jobs.
 	TileCache *cache.Cache
 
 	// Batch, when non-nil and the solver implements opt.BatchSolver,
-	// routes cache-missing fine-grid tile solves through the cross-job
-	// batch scheduler, which coalesces compatible solves (from this and
-	// any concurrent flow sharing the Batcher) into lockstep batches.
-	// Results stay bit-identical to direct solves. Solvers without
-	// batch support solve directly.
+	// cuts each round's cache-missing fine-grid tile solves into
+	// lockstep runs of one class (sched.Batcher.Plan), each solved as
+	// one device job. Results stay bit-identical to direct solves.
+	// Solvers without batch support solve one tile per job.
 	Batch *sched.Batcher
 
 	// Tiles, when non-nil, replaces the in-process tile fan-out: every
@@ -194,7 +194,7 @@ type Config struct {
 	// (per-pixel RMS against its previous solution) for DropWindow
 	// consecutive stages is converged and drops out of the remaining
 	// fine stages. Dropped tiles are not dispatched to the backend at
-	// all — the tile cache, the batch scheduler and the shard
+	// all — the tile cache, lockstep batching and the shard
 	// coordinator simply see smaller batches — and contribute their
 	// current assembled state instead, which the partition-of-unity
 	// weights reproduce exactly. 0 (the default) disables dropout and

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -197,4 +199,36 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("pipeline: trailing data after checkpoint payload")
 	}
 	return ck, nil
+}
+
+// WriteCheckpointFile replaces path with the serialised checkpoint
+// atomically — a temporary file in the same directory, then a rename —
+// so a kill mid-write leaves the previous file intact and concurrent
+// writers never leave a torn one under the final name.
+func WriteCheckpointFile(path string, ck *Checkpoint) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	err = WriteCheckpoint(f, ck)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// ReadCheckpointFile reads the checkpoint file at path.
+func ReadCheckpointFile(path string) (*Checkpoint, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadCheckpoint(f)
 }

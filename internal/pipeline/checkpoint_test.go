@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -36,6 +38,37 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !got.Mask.Equal(ck.Mask) {
 		t.Fatal("mask payload not bit-identical after round trip")
+	}
+}
+
+// A checkpoint file is replaced whole: the new snapshot reads back, a
+// write that fails leaves the previous one, and no temporary file is
+// left behind either way.
+func TestCheckpointFileReplacedAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	first, second := sampleCheckpoint(), sampleCheckpoint()
+	second.Stage = 3
+	for _, ck := range []*Checkpoint{first, second} {
+		if err := WriteCheckpointFile(path, ck); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteCheckpointFile(path, &Checkpoint{Flow: "bad flow", Mask: grid.NewMat(1, 1)}); err == nil {
+		t.Fatal("an unserialisable checkpoint was written")
+	}
+	got, err := ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stage != second.Stage || !got.Mask.Equal(second.Mask) {
+		t.Fatalf("read back stage %d, want the last good write's %d", got.Stage, second.Stage)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("%d files in the directory, want the checkpoint alone", len(entries))
+	}
+	if _, err := ReadCheckpointFile(filepath.Join(dir, "missing.ckpt")); err == nil {
+		t.Fatal("a missing file read as a checkpoint")
 	}
 }
 

@@ -2,10 +2,10 @@ package sched
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mgsilt/internal/fault"
 	"mgsilt/internal/grid"
@@ -55,33 +55,48 @@ func mat(v float64) *grid.Mat { return grid.NewMat(4, 4).Fill(v) }
 
 func params() opt.Params { return opt.Params{Iters: 3, LR: 1, Stretch: 1} }
 
-// Concurrent compatible requests must coalesce into one SolveBatch.
+// round returns n requests of one class, the i-th with payload i.
+func round(n int) (targets, inits []*grid.Mat, ps []opt.Params) {
+	for i := 0; i < n; i++ {
+		targets = append(targets, mat(0))
+		inits = append(inits, mat(float64(i)))
+		ps = append(ps, params())
+	}
+	return targets, inits, ps
+}
+
+// solveRound solves round(n) as one batch.
+func solveRound(b *Batcher, fs *fakeSolver, n int) ([]*grid.Mat, []error) {
+	targets, inits, ps := round(n)
+	return b.SolveBatch(fs, targets, inits, ps)
+}
+
+// same returns n planning items of one class, each of the given size.
+func same(n, pixels int) []Item {
+	out := make([]Item, n)
+	for i := range out {
+		out[i] = Item{Class: ClassOf("k", mat(0), params()), Pixels: pixels}
+	}
+	return out
+}
+
+// Compatible requests of a round must coalesce into one run, solved by
+// one SolveBatch that hands each request its own result.
 func TestCoalesce(t *testing.T) {
 	fs := &fakeSolver{}
-	b := New(Options{BatchSize: 4, MaxWait: time.Second})
+	b := New(Options{BatchSize: 4})
 
 	const n = 4
-	var wg sync.WaitGroup
-	results := make([]*grid.Mat, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m, err := b.Solve("k", fs, mat(0), mat(float64(i)), params())
-			if err != nil {
-				t.Errorf("Solve: %v", err)
-			}
-			results[i] = m
-		}(i)
+	if runs := b.Plan(same(n, 16), 0); !reflect.DeepEqual(runs, [][]int{{0, 1, 2, 3}}) {
+		t.Fatalf("runs = %v, want one run of all %d", runs, n)
 	}
-	wg.Wait()
-
+	outs, errs := solveRound(b, fs, n)
 	if n := fs.solves.Load(); n != 1 {
 		t.Fatalf("SolveBatch ran %d times, want 1", n)
 	}
-	for i, m := range results {
-		if m.At(0, 0) != float64(i)+1 {
-			t.Errorf("request %d got payload %g, want %g", i, m.At(0, 0), float64(i)+1)
+	for i, m := range outs {
+		if errs[i] != nil || m.At(0, 0) != float64(i)+1 {
+			t.Errorf("request %d: payload %v, err %v; want %g", i, m, errs[i], float64(i)+1)
 		}
 	}
 	st := b.Stats()
@@ -91,57 +106,41 @@ func TestCoalesce(t *testing.T) {
 }
 
 // Requests in different classes (key, geometry, or lockstep params)
-// must never share a batch.
+// must never share a run.
 func TestClassSeparation(t *testing.T) {
-	fs := &fakeSolver{}
-	b := New(Options{BatchSize: 2, MaxWait: 10 * time.Millisecond})
+	b := New(Options{BatchSize: 2})
 
 	p2 := params()
 	p2.Iters++
-	var wg sync.WaitGroup
-	calls := []func() (*grid.Mat, error){
-		func() (*grid.Mat, error) { return b.Solve("a", fs, mat(0), mat(0), params()) },
-		func() (*grid.Mat, error) { return b.Solve("b", fs, mat(0), mat(0), params()) },
-		func() (*grid.Mat, error) { return b.Solve("a", fs, mat(0), mat(0), p2) },
-		func() (*grid.Mat, error) {
-			return b.Solve("a", fs, grid.NewMat(8, 8), grid.NewMat(8, 8), params())
-		},
+	its := []Item{
+		{Class: ClassOf("a", mat(0), params())},
+		{Class: ClassOf("b", mat(0), params())},
+		{Class: ClassOf("a", mat(0), p2)},
+		{Class: ClassOf("a", grid.NewMat(8, 8), params())},
 	}
-	for _, call := range calls {
-		wg.Add(1)
-		go func(call func() (*grid.Mat, error)) {
-			defer wg.Done()
-			if _, err := call(); err != nil {
-				t.Errorf("Solve: %v", err)
-			}
-		}(call)
-	}
-	wg.Wait()
-
-	if st := b.Stats(); st.Batched != 0 || st.MaxBatch != 1 {
-		t.Fatalf("incompatible requests shared a batch: %+v", st)
+	if runs := b.Plan(its, 0); !reflect.DeepEqual(runs, [][]int{{0}, {1}, {2}, {3}}) {
+		t.Fatalf("incompatible requests shared a run: %v", runs)
 	}
 }
 
-// A partial batch must flush after MaxWait instead of blocking for
-// peers that never arrive.
-func TestMaxWaitFlush(t *testing.T) {
-	fs := &fakeSolver{}
-	b := New(Options{BatchSize: 100, MaxWait: 5 * time.Millisecond})
-
-	start := time.Now()
-	m, err := b.Solve("k", fs, mat(0), mat(7), params())
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
+// Plan cuts in request order: a full run, or one the next request would
+// push past device memory, closes, and the class's next request opens a
+// new run at its own position. Solo requests run alone.
+func TestPlanCutsRuns(t *testing.T) {
+	b := New(Options{BatchSize: 3})
+	its := same(4, 16)
+	its = append(its,
+		Item{Class: ClassOf("other", mat(0), params()), Pixels: 16},
+		Item{Class: its[0].Class, Solo: true, Pixels: 16})
+	its = append(its, same(2, 16)...)
+	want := [][]int{{0, 1, 2}, {3, 6, 7}, {4}, {5}}
+	if runs := b.Plan(its, 0); !reflect.DeepEqual(runs, want) {
+		t.Fatalf("runs = %v, want %v", runs, want)
 	}
-	if m.At(0, 0) != 8 {
-		t.Fatalf("payload = %g, want 8", m.At(0, 0))
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("timeout flush took %v", waited)
-	}
-	if st := b.Stats(); st.Batches != 1 || st.Batched != 0 {
-		t.Fatalf("stats = %+v, want one singleton flush", st)
+	// Two requests fit a device; three do not.
+	want = [][]int{{0, 1}, {2, 3}}
+	if runs := b.Plan(same(4, 16), 32); !reflect.DeepEqual(runs, want) {
+		t.Fatalf("memory-bound runs = %v, want %v", runs, want)
 	}
 }
 
@@ -149,85 +148,56 @@ func TestMaxWaitFlush(t *testing.T) {
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	fs := &fakeSolver{err: boom}
-	b := New(Options{BatchSize: 2, MaxWait: time.Second})
+	b := New(Options{BatchSize: 2})
 
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := b.Solve("k", fs, mat(0), mat(0), params()); !errors.Is(err, boom) {
-				t.Errorf("err = %v, want %v", err, boom)
-			}
-		}()
+	_, errs := solveRound(b, fs, 2)
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Errorf("request %d: err = %v, want %v", i, err, boom)
+		}
 	}
-	wg.Wait()
+	if _, err := b.Solve("k", fs, mat(0), mat(0), params()); !errors.Is(err, boom) {
+		t.Errorf("Solve: err = %v, want %v", err, boom)
+	}
 }
 
-// A panicking SolveBatch must fail every request of its batch — on the
-// flush timer's goroutine without killing the process, on the
-// size-trigger caller without stranding its peers — and leave the class
-// usable. An injected fault reaches each caller as the retryable
-// fault.Error it carries.
+// A panicking SolveBatch unwinds to its caller — the device job
+// boundary, which turns an injected fault into a retryable error and
+// retries the job — carrying its value intact, and leaves the batcher
+// usable. No batch runs where nobody can recover it.
 func TestPanickingBatch(t *testing.T) {
 	const n = 2
-	// solveAll runs n concurrent requests of one class and returns their
-	// errors; the class flushes by size or by timer, whichever opts set.
-	solveAll := func(t *testing.T, b *Batcher, fs *fakeSolver) []error {
-		t.Helper()
-		ch := make(chan error, n)
-		for i := 0; i < n; i++ {
-			go func() {
-				_, err := b.Solve("k", fs, mat(0), mat(0), params())
-				ch <- err
-			}()
-		}
-		errs := make([]error, n)
-		for i := range errs {
-			select {
-			case errs[i] = <-ch:
-			case <-time.After(10 * time.Second):
-				t.Fatal("a request of the batch never returned")
-			}
-		}
-		return errs
-	}
-
 	injected := &fault.Error{Site: fault.SiteLithoAerial}
-	triggers := map[string]Options{
-		"timer-flush":  {BatchSize: 100, MaxWait: 100 * time.Millisecond},
-		"size-trigger": {BatchSize: n, MaxWait: time.Minute},
-	}
 	panics := map[string]any{"injected": fault.Panic{Err: injected}, "genuine": "bug"}
-	for trigger, opts := range triggers {
-		for kind, val := range panics {
-			t.Run(trigger+"/"+kind, func(t *testing.T) {
-				fs := &fakeSolver{panics: val}
-				b := New(opts)
+	for kind, val := range panics {
+		// A full run of BatchSize requests.
+		t.Run("size-trigger/"+kind, func(t *testing.T) {
+			fs := &fakeSolver{panics: val}
+			b := New(Options{BatchSize: n})
 
-				for _, err := range solveAll(t, b, fs) {
-					if err == nil {
-						t.Fatal("request of a panicked batch returned no error")
-					}
-					if fault.Transient(err) != (kind == "injected") {
-						t.Fatalf("err = %v; retryable: %v", err, fault.Transient(err))
-					}
-				}
-				for _, err := range solveAll(t, b, fs) {
-					if err != nil {
-						t.Fatalf("next batch of the class: %v", err)
-					}
-				}
-				if st := b.Stats(); st.Requests != 2*n || st.Batches != 2 || st.Batched != 2*n {
-					t.Fatalf("stats = %+v, want %d requests in 2 shared flushes", st, 2*n)
-				}
-			})
-		}
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				solveRound(b, fs, n)
+				return nil
+			}()
+			if r == nil {
+				t.Fatal("the batch's panic did not reach its caller")
+			}
+			if err, ok := fault.FromPanic(r); ok != (kind == "injected") || (ok && !fault.Transient(err)) {
+				t.Fatalf("recovered %v; injected: %v", r, ok)
+			}
+			if _, errs := solveRound(b, fs, n); errs[0] != nil || errs[1] != nil {
+				t.Fatalf("next batch of the class: %v", errs)
+			}
+			if st := b.Stats(); st.Requests != 2*n || st.Batches != 2 || st.Batched != 2*n {
+				t.Fatalf("stats = %+v, want %d requests in 2 shared batches", st, 2*n)
+			}
+		})
 	}
 }
 
 // A nil Batcher and a sub-2 batch size both degenerate to direct
-// solves.
+// solves and runs of one.
 func TestDisabledFallback(t *testing.T) {
 	fs := &fakeSolver{}
 	var nilB *Batcher
@@ -247,5 +217,23 @@ func TestDisabledFallback(t *testing.T) {
 	}
 	if n := fs.solves.Load(); n != 2 {
 		t.Fatalf("direct solves = %d, want 2", n)
+	}
+	for _, b := range []*Batcher{nilB, b} {
+		if runs := b.Plan(same(2, 16), 0); !reflect.DeepEqual(runs, [][]int{{0}, {1}}) {
+			t.Fatalf("disabled batcher planned %v", runs)
+		}
+	}
+}
+
+// Solve is a recorded batch of one, run on the caller.
+func TestSolveIsBatchOfOne(t *testing.T) {
+	fs := &fakeSolver{}
+	b := New(Options{BatchSize: 4})
+	m, err := b.Solve("k", fs, mat(0), mat(7), params())
+	if err != nil || m.At(0, 0) != 8 {
+		t.Fatalf("Solve = %v, %v; want payload 8", m, err)
+	}
+	if st := b.Stats(); st != (Stats{Requests: 1, Batches: 1, MaxBatch: 1}) {
+		t.Fatalf("stats = %+v, want one batch of one", st)
 	}
 }

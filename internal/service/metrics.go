@@ -171,8 +171,8 @@ func (r *registry) write(out io.Writer, snap snapshot) {
 		w.Counter("ilt_shard_workers_quarantined_total", "Workers quarantined after exhausting the request retry policy.", ss.WorkersQuarantined)
 	}
 	if bs := snap.sched; bs != nil {
-		w.Counter("ilt_sched_requests_total", "Tile solves routed through the batch scheduler.", bs.Requests)
-		w.Counter("ilt_sched_batches_total", "Batch flushes executed (including singleton timeouts).", bs.Batches)
-		w.Counter("ilt_sched_batched_requests_total", "Requests that shared a flush with at least one peer.", bs.Batched)
+		w.Counter("ilt_sched_requests_total", "Tile solves run in lockstep batches.", bs.Requests)
+		w.Counter("ilt_sched_batches_total", "Lockstep batches solved, one device job each.", bs.Batches)
+		w.Counter("ilt_sched_batched_requests_total", "Requests that shared a batch with at least one peer.", bs.Batched)
 	}
 }

@@ -271,15 +271,12 @@ type Options struct {
 	// cached results survive restarts and outgrow the RAM budget.
 	CacheDir string
 
-	// BatchSize, when >= 2, enables the cross-job batch scheduler:
-	// cache-missing tile solves from all concurrently running jobs are
-	// coalesced into shared lockstep batches of up to BatchSize tiles
-	// (flushed after BatchWait when a batch does not fill), so the
-	// engine's batched FFT transforms amortise across the whole queue.
+	// BatchSize, when >= 2, enables lockstep batching: each round's
+	// cache-missing tile solves are cut into batches of up to BatchSize
+	// tiles of one class, each solved as one device job, so the engine's
+	// batched FFT transforms amortise across the round. The batch
+	// counters are shared by all jobs.
 	BatchSize int
-	// BatchWait bounds how long a tile may wait for batch peers; 0
-	// selects the scheduler default.
-	BatchWait time.Duration
 
 	// StateDir, when set, makes the job queue durable: submissions,
 	// state transitions and stage checkpoints are journalled there, and
@@ -307,7 +304,7 @@ type Options struct {
 	// local cluster (internal/shard). Each job gets its own
 	// coordinator (and worker-side session), and results stay
 	// byte-identical to in-process runs at any worker count. The
-	// shared tile cache and batch scheduler do not apply to sharded
+	// shared tile cache and lockstep batching do not apply to sharded
 	// tile solves.
 	ShardWorkers []string
 }
@@ -392,7 +389,7 @@ func New(opts Options) (*Server, error) {
 		s.cache = c
 	}
 	if opts.BatchSize >= 2 {
-		s.batcher = sched.New(sched.Options{BatchSize: opts.BatchSize, MaxWait: opts.BatchWait})
+		s.batcher = sched.New(sched.Options{BatchSize: opts.BatchSize})
 	}
 	if opts.StateDir != "" {
 		st, err := openJobStore(opts.StateDir)
@@ -864,8 +861,9 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 	cfg := core.DefaultConfig(sim, spec.ClipSize, spec.Iters)
 	cfg.Cluster = cl
 	cfg.Ctx = ctx
-	// The cache and batch scheduler are shared across all workers: that
-	// is what turns per-job tile reuse into cross-job reuse.
+	// The cache is shared across all workers: that is what turns per-job
+	// tile reuse into cross-job reuse (a key another job is solving is
+	// waited for, not solved again). The batcher shares its counters.
 	cfg.TileCache = s.cache
 	cfg.Batch = s.batcher
 	// Remote tile sharding: each job gets a fresh coordinator (its own
@@ -1030,7 +1028,7 @@ type snapshot struct {
 	uptime          time.Duration
 	device          device.Stats
 	cache           *cache.Stats // nil when the tile cache is disabled
-	sched           *sched.Stats // nil when the batch scheduler is disabled
+	sched           *sched.Stats // nil when lockstep batching is disabled
 	// shard aggregates the finished jobs' coordinator accounting;
 	// nil when the server is not sharding. shardWorkers is the
 	// configured worker-URL count.

@@ -190,9 +190,7 @@ func (st *jobStore) saveCheckpoint(id string, ck *core.Checkpoint) error {
 	if _, err := jobIDNum(id); err != nil {
 		return err
 	}
-	return st.writeAtomic(id+".ckpt", func(f *os.File) error {
-		return pipeline.WriteCheckpoint(f, ck)
-	})
+	return pipeline.WriteCheckpointFile(filepath.Join(st.dir, id+".ckpt"), ck)
 }
 
 // load replays the journal directory: records sorted by job number,
@@ -220,11 +218,8 @@ func (st *jobStore) load() ([]jobRecord, map[string]*core.Checkpoint, error) {
 			continue
 		}
 		recs = append(recs, rec)
-		if f, err := os.Open(filepath.Join(st.dir, rec.ID+".ckpt")); err == nil {
-			if ck, err := pipeline.ReadCheckpoint(f); err == nil {
-				cks[rec.ID] = ck
-			}
-			f.Close()
+		if ck, err := pipeline.ReadCheckpointFile(filepath.Join(st.dir, rec.ID+".ckpt")); err == nil {
+			cks[rec.ID] = ck
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool {
