@@ -12,8 +12,6 @@
 //	cache    — shared tile-cache cold vs warm on a repeated-cell clip
 //	scaling  — two-level vs one-level Schwarz iterations-to-quality on
 //	           2×2 → 8×8 tile grids, plus the convergence-dropout rate
-//	fidelity — progressive-fidelity kernel-truncation schedules: work
-//	           and TAT vs quality drift against the full-fidelity run
 //	solvers  — every registered opt backend under the "Ours" flow on
 //	           the first clip, with the ADMM-vs-Pixel L2 gate
 //	all      — everything above
@@ -50,7 +48,7 @@ import (
 func main() {
 	var (
 		scaleName  = flag.String("scale", "small", "experiment scale: small | default | full")
-		experiment = flag.String("experiment", "table1", "comma-separated list of table1 | fig6 | fig7 | fig8 | speedup | penalty | ablation | mrc | cache | scaling | fidelity | solvers, or all")
+		experiment = flag.String("experiment", "table1", "comma-separated list of table1 | fig6 | fig7 | fig8 | speedup | penalty | ablation | mrc | cache | scaling | solvers, or all")
 		solverSel  = flag.String("solver", "", "solver backend for the \"Ours\" flow rows: "+strings.Join(opt.Names(), " | ")+" (empty = pixel; recorded in -json provenance)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonPath   = flag.String("json", "", "also write machine-readable per-method metrics JSON to this file")
@@ -237,12 +235,6 @@ func main() {
 				doc.TilesDroppedRate = &dr
 			}
 			emit(name, "Scaling: two-level vs one-level Schwarz by tile count", res.Render(), nil)
-		case "fidelity":
-			res, err := env.RunFidelity(progress)
-			if err != nil {
-				fatal(err)
-			}
-			emit(name, "Fidelity: kernel-truncation schedules vs full", res.Render(), nil)
 		case "solvers":
 			res, err := env.RunSolvers(progress)
 			if err != nil {
@@ -256,7 +248,7 @@ func main() {
 	}
 
 	if *experiment == "all" {
-		for _, name := range []string{"table1", "fig6", "fig7", "fig8", "speedup", "penalty", "ablation", "mrc", "cache", "scaling", "fidelity", "solvers"} {
+		for _, name := range []string{"table1", "fig6", "fig7", "fig8", "speedup", "penalty", "ablation", "mrc", "cache", "scaling", "solvers"} {
 			run(name)
 		}
 	} else {

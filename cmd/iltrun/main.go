@@ -19,7 +19,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"mgsilt/internal/cache"
@@ -94,7 +93,6 @@ func run(args []string, stdout io.Writer) error {
 		dropTol   = fs.Float64("drop-tol", 0, "per-tile convergence dropout tolerance (per-pixel RMS; 0 disables; method ours only)")
 		dropWin   = fs.Int("drop-window", 0, "consecutive stages drop-tol must hold before a tile retires (0 = default)")
 		fineStg   = fs.Int("fine-stages", 0, "fine Schwarz stage count (0 = default; method ours only)")
-		fidelity  = fs.String("fidelity", "", "comma-separated per-fine-stage kernel energy budgets, e.g. 0.75,1 (empty = full fidelity; one entry per fine stage, last must be 1)")
 		maskRaw   = fs.String("mask-raw", "", "write the final mask to this file in the versioned checkpoint format, for byte-level comparison (cmp) across runs")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -207,12 +205,6 @@ func run(args []string, stdout io.Writer) error {
 	cfg.DropWindow = *dropWin
 	if *fineStg > 0 {
 		cfg.FineStages = *fineStg
-	}
-	if *fidelity != "" {
-		cfg.FidelitySchedule, err = parseSchedule(*fidelity)
-		if err != nil {
-			return err
-		}
 	}
 	chaos := *faultRate > 0 || *faultHard > 0
 	if chaos {
@@ -347,19 +339,4 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
 	return nil
-}
-
-// parseSchedule parses a -fidelity flag value: comma-separated
-// per-fine-stage kernel energy budgets. Range and length validation is
-// core.Config.Validate's job; this only requires well-formed floats.
-func parseSchedule(s string) ([]float64, error) {
-	var sched []float64
-	for _, tok := range strings.Split(s, ",") {
-		f, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil {
-			return nil, fmt.Errorf("fidelity schedule %q: %w", s, err)
-		}
-		sched = append(sched, f)
-	}
-	return sched, nil
 }

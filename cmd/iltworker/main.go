@@ -25,8 +25,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -38,15 +41,31 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "iltworker:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and serves solve requests until ctx is cancelled.
+// Log lines go to stderr.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("iltworker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", ":9301", "listen address")
-		devices   = flag.Int("devices", 1, "simulated devices in the worker cluster")
-		compute   = flag.Int("compute-workers", 0, "process-wide compute pool width for FFT/convolution fan-out (0 = ILT_WORKERS env or GOMAXPROCS)")
-		maxBodyMB = flag.Int64("max-body-mb", 64, "largest accepted solve request body in MiB")
-		sessions  = flag.Int("max-sessions", 8, "cached coordinator sessions before LRU eviction")
-		failAfter = flag.Int("fail-after-solves", 0, "chaos: serve this many solve batches then fail every further one with a 500 (0 disables)")
+		addr      = fs.String("addr", ":9301", "listen address")
+		devices   = fs.Int("devices", 1, "simulated devices in the worker cluster")
+		compute   = fs.Int("compute-workers", 0, "process-wide compute pool width for FFT/convolution fan-out (0 = ILT_WORKERS env or GOMAXPROCS)")
+		maxBodyMB = fs.Int64("max-body-mb", 64, "largest accepted solve request body in MiB")
+		sessions  = fs.Int("max-sessions", 8, "cached coordinator sessions before LRU eviction")
+		failAfter = fs.Int("fail-after-solves", 0, "chaos: serve this many solve batches then fail every further one with a 500 (0 disables)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *compute > 0 {
 		parallel.SetWorkers(*compute)
 	}
@@ -58,43 +77,36 @@ func main() {
 		FailAfterSolves: *failAfter,
 	})
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
 	}
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           w.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "iltworker: listening on %s (%d devices)\n", *addr, *devices)
-		if *failAfter > 0 {
-			fmt.Fprintf(os.Stderr, "iltworker: chaos enabled — failing after %d solve batches\n", *failAfter)
-		}
-		errc <- httpSrv.ListenAndServe()
-	}()
+	fmt.Fprintf(stderr, "iltworker: listening on %s (%d devices)\n", ln.Addr(), *devices)
+	if *failAfter > 0 {
+		fmt.Fprintf(stderr, "iltworker: chaos enabled — failing after %d solve batches\n", *failAfter)
+	}
+	go func() { errc <- httpSrv.Serve(ln) }()
 
 	select {
 	case err := <-errc:
-		fatal(err)
+		return err
 	case <-ctx.Done():
 	}
 
-	fmt.Fprintln(os.Stderr, "iltworker: shutting down...")
+	fmt.Fprintln(stderr, "iltworker: shutting down...")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "iltworker: http shutdown:", err)
+		fmt.Fprintln(stderr, "iltworker: http shutdown:", err)
 	}
-	fmt.Fprintln(os.Stderr, "iltworker: bye")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "iltworker:", err)
-	os.Exit(1)
+	fmt.Fprintln(stderr, "iltworker: bye")
+	return nil
 }

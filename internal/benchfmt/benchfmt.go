@@ -115,16 +115,7 @@ type Doc struct {
 	// Tri-state like IterationsToQuality; a drop means tiles stopped
 	// reaching the DropTol criterion, i.e. per-tile convergence got
 	// slower.
-	TilesDroppedRate *float64 `json:"tiles_dropped_rate,omitempty"`
-	// FidelitySchedule is the progressive-fidelity schedule the run's
-	// table1 flows executed under (core.Config.FidelitySchedule;
-	// provenance, like Workers). Tri-state: nil or empty means full
-	// fidelity — documents predating the schedule stay comparable with
-	// full-fidelity runs, as does an explicit all-ones schedule. TATs
-	// measured under different schedules exercise different kernel
-	// counts and are not comparable, so benchdiff treats any other
-	// mismatch as incomparable rather than as a regression.
-	FidelitySchedule []float64    `json:"fidelity_schedule,omitempty"`
+	TilesDroppedRate *float64     `json:"tiles_dropped_rate,omitempty"`
 	Experiments      []Experiment `json:"experiments"`
 }
 
@@ -213,11 +204,6 @@ func (d *Doc) Validate() error {
 	}
 	if s := d.Solver; s != nil && *s == "" {
 		return fmt.Errorf("benchfmt: solver present but empty (omit the field for the default)")
-	}
-	for i, f := range d.FidelitySchedule {
-		if math.IsNaN(f) || f <= 0 || f > 1 {
-			return fmt.Errorf("benchfmt: fidelity_schedule[%d] = %v outside (0,1]", i, f)
-		}
 	}
 	for i := range d.Experiments {
 		e := &d.Experiments[i]
@@ -394,13 +380,6 @@ func Compare(base, cur *Doc, opts CompareOptions) (*Result, error) {
 	if solverOf(base) != solverOf(cur) {
 		return nil, incomparable("solver", solverOf(base), solverOf(cur))
 	}
-	// Fidelity-schedule provenance: tri-state like shard_count — nil,
-	// empty and all-ones schedules are all "full fidelity" and mutually
-	// comparable; any other difference changes the kernel counts the
-	// TATs measured, so the runs are incomparable.
-	if !sameSchedule(base.FidelitySchedule, cur.FidelitySchedule) {
-		return nil, incomparable("fidelity_schedule", scheduleString(base.FidelitySchedule), scheduleString(cur.FidelitySchedule))
-	}
 	tatScale := func(d *Doc) (float64, error) {
 		if opts.AbsoluteTAT {
 			return 1, nil
@@ -492,41 +471,6 @@ func Compare(base, cur *Doc, opts CompareOptions) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// sameSchedule canonicalises the tri-state fidelity provenance: two
-// schedules compare equal element-wise, with any fully-full schedule
-// (nil, empty, or all entries 1) matching any other — a budget of 1
-// evaluates the complete kernel set regardless of schedule length.
-func sameSchedule(a, b []float64) bool {
-	full := func(s []float64) bool {
-		for _, f := range s {
-			if f != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if full(a) && full(b) {
-		return true
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scheduleString renders a schedule for the incomparable error.
-func scheduleString(s []float64) string {
-	if len(s) == 0 {
-		return "full"
-	}
-	return fmt.Sprintf("%v", s)
 }
 
 func findExperiment(d *Doc, name string) *Experiment {

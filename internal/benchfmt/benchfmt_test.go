@@ -3,7 +3,6 @@ package benchfmt
 import (
 	"encoding/json"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -459,95 +458,6 @@ func TestCompareSolverProvenance(t *testing.T) {
 		base.Solver, cur.Solver = tc.base, tc.cur
 		if _, err := Compare(base, cur, CompareOptions{}); err == nil {
 			t.Errorf("%s: incomparable solvers accepted", tc.name)
-		}
-	}
-}
-
-func TestValidateRejectsBadFidelitySchedule(t *testing.T) {
-	for _, bad := range [][]float64{
-		{0, 1}, {-0.5, 1}, {1.5, 1}, {math.NaN(), 1}, {0.9, math.Inf(1)},
-	} {
-		d := sample()
-		d.FidelitySchedule = bad
-		if err := d.Validate(); err == nil {
-			t.Errorf("fidelity_schedule=%v accepted", bad)
-		}
-	}
-	d := sample()
-	d.FidelitySchedule = []float64{0.9, 0.95, 1}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("valid schedule rejected: %v", err)
-	}
-}
-
-func TestFidelityScheduleRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	d := sample()
-	d.FidelitySchedule = []float64{0.75, 1}
-	if err := d.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.FidelitySchedule) != 2 ||
-		math.Float64bits(got.FidelitySchedule[0]) != math.Float64bits(0.75) ||
-		got.FidelitySchedule[1] != 1 {
-		t.Fatalf("schedule lost in round trip: %v", got.FidelitySchedule)
-	}
-	// Omission: a full-fidelity document must not serialise the field,
-	// so pre-schedule baselines and new full runs stay byte-compatible.
-	d = sample()
-	if err := d.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(raw), "fidelity_schedule") {
-		t.Fatal("nil schedule serialised")
-	}
-}
-
-// TestCompareFidelityScheduleProvenance covers the tri-state
-// fidelity_schedule gate: nil, empty and all-ones schedules all mean
-// full fidelity and stay mutually comparable (pre-schedule baselines
-// keep gating full runs); any other difference changes the measured
-// kernel counts and is incomparable provenance, never a regression.
-func TestCompareFidelityScheduleProvenance(t *testing.T) {
-	compat := []struct {
-		name      string
-		base, cur []float64
-	}{
-		{"nil-nil", nil, nil},
-		{"nil-empty", nil, []float64{}},
-		{"nil-ones", nil, []float64{1, 1}},
-		{"ones-nil", []float64{1}, nil},
-		{"same", []float64{0.9, 1}, []float64{0.9, 1}},
-	}
-	for _, tc := range compat {
-		base, cur := sample(), sample()
-		base.FidelitySchedule, cur.FidelitySchedule = tc.base, tc.cur
-		if _, err := Compare(base, cur, CompareOptions{}); err != nil {
-			t.Errorf("%s: comparable runs rejected: %v", tc.name, err)
-		}
-	}
-	mismatch := []struct {
-		name      string
-		base, cur []float64
-	}{
-		{"nil-truncated", nil, []float64{0.9, 1}},
-		{"truncated-nil", []float64{0.9, 1}, nil},
-		{"different-budgets", []float64{0.9, 1}, []float64{0.75, 1}},
-		{"different-lengths", []float64{0.9, 1}, []float64{0.9, 0.95, 1}},
-	}
-	for _, tc := range mismatch {
-		base, cur := sample(), sample()
-		base.FidelitySchedule, cur.FidelitySchedule = tc.base, tc.cur
-		if _, err := Compare(base, cur, CompareOptions{}); err == nil {
-			t.Errorf("%s: incomparable schedules accepted", tc.name)
 		}
 	}
 }

@@ -31,9 +31,6 @@ func TestParseRejectsInvalidDocs(t *testing.T) {
 		`{"experiments":[{"experiment":"t","methods":[{"name":""}]}]}`,
 		`{"experiments":[{"experiment":"t","methods":[{"name":"m","metrics":{"L2":-1}}]}]}`,
 		`{"experiments":[{"experiment":"t","headers":["a","b"],"rows":[["x"]]}]}`,
-		`{"fidelity_schedule":[0.9,0]}`,
-		`{"fidelity_schedule":[1.5]}`,
-		`{"fidelity_schedule":[-0.1,1]}`,
 		`not json`,
 	}
 	for _, s := range bad {
@@ -54,7 +51,7 @@ func FuzzParseTrajectory(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"scale":"small","n":64,"clip":128,"calib_ns":1,"experiments":[{"experiment":"table1","headers":["a"],"rows":[["1"]]}]}`))
 	f.Add([]byte(`{"experiments":[{"experiment":"t","methods":[{"name":"m","metrics":{"L2":1e308,"TATSec":0.5}}]}]}`))
-	f.Add([]byte(`{"fidelity_schedule":[0.9,0.95,1],"experiments":[]}`))
+	f.Add([]byte(`{"iterations_to_quality":12,"tiles_dropped_rate":0.04,"experiments":[]}`))
 	f.Add([]byte(`{"solver":"admm","shard_count":1,"experiments":[{"experiment":"solvers","headers":["Solver","L2"],"rows":[["admm","1200"]]}]}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -79,7 +79,6 @@ func TestKeyConfigSensitivity(t *testing.T) {
 		"stretch":  func(in *KeyInput) { in.Stretch++ },
 		"lr":       func(in *KeyInput) { in.LR *= 1.5 },
 		"pv":       func(in *KeyInput) { in.PVWeight += 0.1 },
-		"fidelity": func(in *KeyInput) { in.Fidelity = 0.9 },
 		"target":   func(in *KeyInput) { in.Target = in.Target.Clone(); in.Target.Data[0] += 1e-9 },
 		"init":     func(in *KeyInput) { in.Init = in.Init.Clone(); in.Init.Data[7] += 1e-9 },
 		"freeze":   func(in *KeyInput) { in.Freeze = in.Freeze.Clone(); in.Freeze.Data[3] = 1 - in.Freeze.Data[3] },
@@ -125,9 +124,6 @@ func TestKeyValidation(t *testing.T) {
 		"zero stretch":   func(in *KeyInput) { in.Stretch = 0 },
 		"nan lr":         func(in *KeyInput) { in.LR = nan() },
 		"inf pv":         func(in *KeyInput) { in.PVWeight = inf() },
-		"nan fidelity":   func(in *KeyInput) { in.Fidelity = nan() },
-		"neg fidelity":   func(in *KeyInput) { in.Fidelity = -0.1 },
-		"big fidelity":   func(in *KeyInput) { in.Fidelity = 1.5 },
 	}
 	for name, mutate := range cases {
 		in := testInput(rng)
@@ -140,26 +136,6 @@ func TestKeyValidation(t *testing.T) {
 
 func nan() float64 { z := 0.0; return z / z }
 func inf() float64 { z := 0.0; return 1 / z }
-
-// A zero (unset) fidelity and an explicit 1.0 both mean "evaluate the
-// full kernel set", so they must canonicalise to the same key — a
-// full-fidelity request written either way hits the same cached tile —
-// while any real truncation budget keys separately.
-func TestKeyFidelityCanonical(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	base := testInput(rng)
-	unset := mustKey(t, base)
-	full := base
-	full.Fidelity = 1
-	if mustKey(t, full) != unset {
-		t.Fatalf("Fidelity 0 and 1 must produce the same key")
-	}
-	trunc := base
-	trunc.Fidelity = 0.9
-	if mustKey(t, trunc) == unset {
-		t.Fatalf("Fidelity 0.9 must not share the full-fidelity key")
-	}
-}
 
 func TestParseKeyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

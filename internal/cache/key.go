@@ -36,9 +36,10 @@ import (
 // simulator fingerprint (a hash of the kernel sets as given) stayed.
 const codeVersion = "mgsilt-tile-solve-v4"
 
-// keyMagic versions the key serialisation itself. v2 added the
-// canonicalised kernel-fidelity budget.
-const keyMagic = "mgsilt-tile-key v2\n"
+// keyMagic versions the key serialisation itself. v2 added a per-solve
+// kernel energy budget; v3 removed it again, so a key of either layout
+// never equals one of the other.
+const keyMagic = "mgsilt-tile-key v3\n"
 
 // Key is the content address of one tile solve: a SHA-256 over the
 // canonical serialisation of every solve input.
@@ -75,11 +76,6 @@ type KeyInput struct {
 	Stretch  int
 	LR       float64
 	PVWeight float64
-	// Fidelity is the solve's kernel energy budget (opt.Params
-	// .Fidelity). 0 and 1 both evaluate the full kernel set, so they
-	// are canonicalised to the same hashed value — a full-fidelity
-	// solve keys identically however the caller spelled it.
-	Fidelity float64
 
 	Target *grid.Mat
 	Init   *grid.Mat
@@ -113,9 +109,6 @@ func (in KeyInput) keyAt(version string) (Key, error) {
 	if !finite(in.LR) || !finite(in.PVWeight) {
 		return k, fmt.Errorf("cache: non-finite solve parameters (lr %v, pv %v)", in.LR, in.PVWeight)
 	}
-	if !finite(in.Fidelity) || in.Fidelity < 0 || in.Fidelity > 1 {
-		return k, fmt.Errorf("cache: fidelity %v out of [0,1]", in.Fidelity)
-	}
 
 	h := sha256.New()
 	w := keyWriter{h: h}
@@ -127,11 +120,6 @@ func (in KeyInput) keyAt(version string) (Key, error) {
 	w.u64(uint64(in.Stretch))
 	w.f64(in.LR)
 	w.f64(in.PVWeight)
-	fidelity := in.Fidelity
-	if fidelity == 0 {
-		fidelity = 1
-	}
-	w.f64(fidelity)
 	w.mat(in.Target)
 	w.mat(in.Init)
 	w.mat(in.Freeze)

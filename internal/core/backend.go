@@ -159,8 +159,7 @@ func (b *clusterBackend) SolveTiles(ctx context.Context, reqs []TileRequest) ([]
 			k, err := cache.KeyInput{
 				Optics: optics, Solver: solverFP,
 				Iters: p.Iters, Stretch: p.Stretch, LR: p.LR, PVWeight: p.PVWeight,
-				Fidelity: p.Fidelity,
-				Target:   req.Target, Init: req.Init, Freeze: p.Freeze,
+				Target: req.Target, Init: req.Init, Freeze: p.Freeze,
 			}.Key()
 			if err == nil {
 				// Pre-dispatch short-circuit: a hit never becomes a device

@@ -208,23 +208,6 @@ type Config struct {
 	// DropWindow is the number of consecutive stages DropTol must hold
 	// for before a tile is declared converged; 0 selects 1.
 	DropWindow int
-
-	// FidelitySchedule sets the per-stage kernel energy budget of the
-	// fine Schwarz stages: fine stage i (0-based) runs every litho
-	// evaluation with opt.Params.Fidelity = FidelitySchedule[i], so the
-	// Hopkins sum evaluates only the energy-ranked kernel prefix
-	// covering that weight fraction (kernels.Set.Truncate). A
-	// coarse-correct step between fine stages i and i+1 inherits stage
-	// i's budget. nil (the default) runs every stage at full fidelity
-	// and is bit-identical to the pre-schedule behaviour. When set, the
-	// schedule must have exactly FineStages entries, each in (0, 1],
-	// and the last must be 1 — the final fine stage always runs the
-	// full kernel set, so truncation shapes the optimisation trajectory
-	// but never the converged evaluation. Coarse-cascade, refine,
-	// baseline and healing solves always run at full fidelity. The
-	// schedule participates in the tile-cache key (via the per-solve
-	// budget), the shard wire params and the checkpoint header.
-	FidelitySchedule []float64
 }
 
 // Sentinel validation errors, matchable with errors.Is; Validate wraps
@@ -239,10 +222,6 @@ var (
 	ErrCoarseCorrectScale = errors.New("invalid coarse-correct scale")
 	// ErrDropSchedule rejects a negative dropout tolerance or window.
 	ErrDropSchedule = errors.New("invalid dropout schedule")
-	// ErrFidelitySchedule rejects a progressive-fidelity schedule whose
-	// length does not match FineStages, whose entries leave (0, 1], or
-	// whose final stage is not full fidelity.
-	ErrFidelitySchedule = errors.New("invalid fidelity schedule")
 )
 
 // DefaultConfig returns the experiment configuration used throughout
@@ -330,19 +309,6 @@ func (c *Config) Validate() error {
 	if c.FineStages < 1 || c.FineIters < c.FineStages {
 		return fmt.Errorf("core: fine schedule %d iters / %d stages invalid", c.FineIters, c.FineStages)
 	}
-	if s := c.FidelitySchedule; len(s) > 0 {
-		if len(s) != c.FineStages {
-			return fmt.Errorf("core: %w: %d entries for %d fine stages", ErrFidelitySchedule, len(s), c.FineStages)
-		}
-		for i, f := range s {
-			if f <= 0 || f > 1 {
-				return fmt.Errorf("core: %w: stage %d budget %g out of (0,1]", ErrFidelitySchedule, i+1, f)
-			}
-		}
-		if s[len(s)-1] != 1 {
-			return fmt.Errorf("core: %w: final fine stage budget %g must be 1", ErrFidelitySchedule, s[len(s)-1])
-		}
-	}
 	if c.CoarseIters < 0 || c.RefineIters < 0 || c.BaselineIters < 1 {
 		return fmt.Errorf("core: negative or zero iteration counts")
 	}
@@ -356,15 +322,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: heal band %d out of range", c.HealBand)
 	}
 	return nil
-}
-
-// fineFidelity returns the kernel energy budget of fine stage `stage`
-// (0-based): the schedule entry when one is set, else 0 (full set).
-func (c *Config) fineFidelity(stage int) float64 {
-	if len(c.FidelitySchedule) == 0 {
-		return 0
-	}
-	return c.FidelitySchedule[stage]
 }
 
 // coarseCorrectScale resolves the correction grid's restriction
@@ -427,7 +384,6 @@ func (c *Config) engine(flow string, stages []pipeline.Stage) *pipeline.Pipeline
 		Flow:       flow,
 		Clip:       c.ClipSize,
 		Stages:     stages,
-		Fidelity:   c.FidelitySchedule,
 		Ctx:        c.Ctx,
 		Progress:   c.Progress,
 		Checkpoint: c.Checkpoint,

@@ -237,7 +237,7 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 		stages = append(stages, pipeline.Stage{
 			Name: "fine", Iter: stage + 1, Total: cfg.FineStages,
 			Run: func(_ context.Context, m *grid.Mat) (*grid.Mat, error) {
-				params := opt.Params{Iters: iters, LR: cfg.LR, Stretch: 1, PVWeight: cfg.PVWeight, Fidelity: c.fineFidelity(stage)}
+				params := opt.Params{Iters: iters, LR: cfg.LR, Stretch: 1, PVWeight: cfg.PVWeight}
 				if cfg.DropTol <= 0 {
 					tiles, err := c.solveTiles(cl, p, m, target, params, nil, freeze)
 					if err != nil {
@@ -299,7 +299,7 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 			stages = append(stages, pipeline.Stage{
 				Name: "coarse-correct", Iter: stage + 1, Total: correctTotal,
 				Run: func(_ context.Context, m *grid.Mat) (*grid.Mat, error) {
-					out, err := c.coarseCorrect(cl, m, target, c.fineFidelity(stage))
+					out, err := c.coarseCorrect(cl, m, target)
 					if err != nil {
 						return nil, err
 					}
@@ -356,11 +356,7 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 // lacks: residual components spanning many tiles are fixed in one
 // coarse solve instead of leaking across tile borders one overlap per
 // stage (SNIPPETS.md Snippet 1).
-//
-// fidelity is the kernel energy budget inherited from the preceding
-// fine stage (0 = full set): the correction shapes the trajectory, so
-// it runs at the trajectory's fidelity.
-func (c *Config) coarseCorrect(cl *device.Cluster, m, target *grid.Mat, fidelity float64) (*grid.Mat, error) {
+func (c *Config) coarseCorrect(cl *device.Cluster, m, target *grid.Mat) (*grid.Mat, error) {
 	s := c.coarseCorrectScale()
 	pc, err := tile.Part(c.ClipSize, c.ClipSize, s*c.TileSize, s*c.Margin)
 	if err != nil {
@@ -373,7 +369,7 @@ func (c *Config) coarseCorrect(cl *device.Cluster, m, target *grid.Mat, fidelity
 			iters = 1
 		}
 	}
-	params := opt.Params{Iters: iters, LR: c.LR, Stretch: s, PVWeight: c.PVWeight, Fidelity: fidelity}
+	params := opt.Params{Iters: iters, LR: c.LR, Stretch: s, PVWeight: c.PVWeight}
 	sols, err := c.solveCoarseTiles(cl, pc, m, target, s, params)
 	if err != nil {
 		return nil, err

@@ -44,11 +44,6 @@ type Set struct {
 	P       int      // diameter of the centred low-pass support, in bins
 	Defocus float64  // defocus in Rayleigh units (0 = nominal focus)
 	Kernels []Kernel // the coherent kernels
-	// Dropped is the cumulative weight of the kernels removed by
-	// Truncate (0 for a full set). The truncated aerial image differs
-	// from the full one by at most this weight pointwise on |M| ≤ 1
-	// masks, which is the bound the fidelity schedule leans on.
-	Dropped float64
 }
 
 // Config controls synthetic kernel generation.
@@ -193,7 +188,7 @@ func Defocused(cfg Config, z float64) (*Set, error) {
 // of size outSize with pixel stretch factor `stretch` (see
 // fft.ResampleCentered and Eq. 3/9 of the paper).
 func (s *Set) Resampled(outSize, stretch int) *Set {
-	out := &Set{N: outSize, P: s.P * stretch, Defocus: s.Defocus, Dropped: s.Dropped}
+	out := &Set{N: outSize, P: s.P * stretch, Defocus: s.Defocus}
 	if out.P > outSize {
 		out.P = outSize
 	}

@@ -28,10 +28,6 @@ func (s *Simulator) Fingerprint() string {
 		f64(s.cfg.Threshold)
 		f64(s.cfg.SigmoidSteep)
 		f64(s.cfg.DoseDelta)
-		// The default kernel budget changes outputs when < 1, so it is
-		// part of the content identity (per-call budgets are hashed by
-		// the tile-cache key instead, see internal/cache.KeyInput).
-		f64(canonFidelity(s.cfg.Fidelity))
 		hashSet := func(set *kernels.Set) {
 			w64(uint64(set.N))
 			w64(uint64(set.P))

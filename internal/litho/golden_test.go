@@ -18,33 +18,20 @@ import (
 // runs over six doubled weights instead of twelve); against the bits
 // before it TestFoldedMatchesUnfolded is the bound.
 //
-// The truncated rows run at 0.75: the default source folds to six equal
-// weights, so any budget above 5/6 retains all of them and would pin the
-// full set a second time. Each truncated row therefore also shows that it
-// evaluated fewer kernels than its full row.
-//
 // amd64 only, like core.TestGoldenMaskHash.
 func TestGoldenLossGrad(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden hashes are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	want := map[string]string{
-		"n64/pv0/stretch1/fidelity1":       "4a4ffe07ba4ec26d2bb678dfc5d2e047a0e096426be3f6c4aeff7f21cb1acd3d",
-		"n64/pv0/stretch1/fidelity0.75":    "23d432d96e20be0216d7a43bb2648dd6689dd27c79c2bc711e2bffeed6a89348",
-		"n64/pv0/stretch2/fidelity1":       "d12e03b3db2d38f2ad6255d7c60ea6217b27eec3a50afbd1f4058fac196c4d2e",
-		"n64/pv0/stretch2/fidelity0.75":    "e2d2605af316566b4d353c00b6f2cc6428448776363f18474f4ec2ceab2bbcd2",
-		"n64/pv0.5/stretch1/fidelity1":     "1df972231568539fcd1dae8796dd15496a1380d7fa49df259d33ab9ca8ae9ddc",
-		"n64/pv0.5/stretch1/fidelity0.75":  "e9bd45912302eba8290dd9292f2e0457b1ba8149c6184f3bf3902ca0e00b2744",
-		"n64/pv0.5/stretch2/fidelity1":     "ea4bd92792c75888ccd968d1e045db9895f1e45f59f9874340a31a61c1eadb30",
-		"n64/pv0.5/stretch2/fidelity0.75":  "a3f50b367ec7de93f844f0cdd487bd48d3215b139b6de320f9f6a58ba52cb8ac",
-		"n128/pv0/stretch1/fidelity1":      "4c0fafeb3afcd305c4deedbe26e25f75ad786f53ec61b26cbfc1a73d88d48867",
-		"n128/pv0/stretch1/fidelity0.75":   "5fad3fbffa1eaa1b50926f0205ed8941bf7d73edebc34dc1b243d09425682eaa",
-		"n128/pv0/stretch2/fidelity1":      "15fc92aed4c3c5811fd3ac6b6b73b776013b64f23c5784cafd2b066761bc5da1",
-		"n128/pv0/stretch2/fidelity0.75":   "16d260cbcb45d196f7ce4374ba066fd606ac8e20080f1296c7aa0f6401c2bee9",
-		"n128/pv0.5/stretch1/fidelity1":    "5063a86f68ed0c403d53fd597cd09f53d63e333a93471b607d50e9908e513c3d",
-		"n128/pv0.5/stretch1/fidelity0.75": "8093e2fc0a528e105c1a6d3ad9c7a609e0c50ab057fff766528f08cce185099c",
-		"n128/pv0.5/stretch2/fidelity1":    "123369c2f8e0010e16112f3c24a3000687879ccf79db5f17adf64e3d71d15643",
-		"n128/pv0.5/stretch2/fidelity0.75": "e2bb90e9e7d5e999db5826220229cb18068e397916ff8c789af85cd0a11ed43f",
+		"n64/pv0/stretch1":    "4a4ffe07ba4ec26d2bb678dfc5d2e047a0e096426be3f6c4aeff7f21cb1acd3d",
+		"n64/pv0/stretch2":    "d12e03b3db2d38f2ad6255d7c60ea6217b27eec3a50afbd1f4058fac196c4d2e",
+		"n64/pv0.5/stretch1":  "1df972231568539fcd1dae8796dd15496a1380d7fa49df259d33ab9ca8ae9ddc",
+		"n64/pv0.5/stretch2":  "ea4bd92792c75888ccd968d1e045db9895f1e45f59f9874340a31a61c1eadb30",
+		"n128/pv0/stretch1":   "4c0fafeb3afcd305c4deedbe26e25f75ad786f53ec61b26cbfc1a73d88d48867",
+		"n128/pv0/stretch2":   "15fc92aed4c3c5811fd3ac6b6b73b776013b64f23c5784cafd2b066761bc5da1",
+		"n128/pv0.5/stretch1": "5063a86f68ed0c403d53fd597cd09f53d63e333a93471b607d50e9908e513c3d",
+		"n128/pv0.5/stretch2": "123369c2f8e0010e16112f3c24a3000687879ccf79db5f17adf64e3d71d15643",
 	}
 	for _, n := range []int{64, 128} {
 		sim, err := NewStandard(n)
@@ -54,26 +41,16 @@ func TestGoldenLossGrad(t *testing.T) {
 		mask, target := greyMask(rand.New(rand.NewSource(int64(n))), n), centredSquare(n, n/3)
 		for _, pv := range []float64{0, 0.5} {
 			for _, stretch := range []int{1, 2} {
-				var fullKernels int64
-				for _, fidelity := range []float64{1, 0.75} {
-					name := fmt.Sprintf("n%d/pv%g/stretch%d/fidelity%g", n, pv, stretch, fidelity)
-					before := KernelsEvaluatedTotal()
-					loss, grad := sim.LossGrad(mask, target, LossOpts{Stretch: stretch, PVWeight: pv, Fidelity: fidelity})
-					switch evaluated := KernelsEvaluatedTotal() - before; {
-					case fidelity == 1:
-						fullKernels = evaluated
-					case evaluated >= fullKernels:
-						t.Errorf("%s: evaluated %d kernels, not below the full row's %d: the budget truncates nothing", name, evaluated, fullKernels)
-					}
-					h := sha256.New()
-					var b [8]byte
-					for _, v := range append([]float64{loss}, grad.Data...) {
-						binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-						h.Write(b[:])
-					}
-					if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[name] {
-						t.Errorf("%s: hash %s, want %s", name, got, want[name])
-					}
+				name := fmt.Sprintf("n%d/pv%g/stretch%d", n, pv, stretch)
+				loss, grad := sim.LossGrad(mask, target, LossOpts{Stretch: stretch, PVWeight: pv})
+				h := sha256.New()
+				var b [8]byte
+				for _, v := range append([]float64{loss}, grad.Data...) {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+					h.Write(b[:])
+				}
+				if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[name] {
+					t.Errorf("%s: hash %s, want %s", name, got, want[name])
 				}
 			}
 		}

@@ -68,7 +68,7 @@ func TestAerialMatchesFullGrid(t *testing.T) {
 			}
 			mask := greyMask(rand.New(rand.NewSource(int64(c.n+c.size))), c.size)
 			for _, focus := range []Focus{FocusNominal, FocusDefocus} {
-				if m := sim.preparedFor(focus, c.size, sim.kernelStretch(c.size, c.stretch), 1).m; m != c.wantM {
+				if m := sim.preparedFor(focus, c.size, sim.kernelStretch(c.size, c.stretch)).m; m != c.wantM {
 					t.Fatalf("focus %d: M=%d, want %d", focus, m, c.wantM)
 				}
 				got, want := image(mask, Condition{focus, 1}), fullGridAerial(sim, mask, c.stretch, focus)
@@ -129,11 +129,11 @@ func TestImagingHoldsNoClipSizedSpectra(t *testing.T) {
 
 	_, grad := sim.LossGrad(greyMask(rng, testN), centredSquare(testN, 24), LossOpts{Stretch: 1})
 	grid.PutMat(grad)
-	tile := sim.preparedFor(FocusNominal, testN, 1, 1)
+	tile := sim.preparedFor(FocusNominal, testN, 1)
 	if len(tile.adj) != len(tile.freq) || tile.adjRows == nil || tile.rows1 == nil {
 		t.Errorf("LossGrad left its set with %d adjoint spectra for %d kernels", len(tile.adj), len(tile.freq))
 	}
-	if r := sim.preparedFor(FocusNominal, size, size/testN, 1); r.adj != nil {
+	if r := sim.preparedFor(FocusNominal, size, size/testN); r.adj != nil {
 		t.Error("a LossGrad over a tile built the clip's adjoint spectra")
 	}
 }

@@ -76,13 +76,6 @@ type Config struct {
 	// DoseDelta is the ± dose variation of the process window (0.02
 	// in the paper).
 	DoseDelta float64
-	// Fidelity is the default kernel energy budget of every evaluation:
-	// each Hopkins sum runs only the energy-ranked kernel prefix
-	// covering this weight fraction (kernels.Set.Truncate semantics).
-	// 0 or 1 evaluates the full set — bit-identical to a simulator
-	// without the knob. Per-call budgets (LossOpts.Fidelity) override
-	// this default. Values outside [0, 1] are rejected by New.
-	Fidelity float64
 }
 
 // DefaultConfig returns the resist parameters used by the experiment
@@ -93,7 +86,7 @@ func DefaultConfig() Config {
 
 // Simulator evaluates the forward model and its adjoint for one pair
 // of kernel sets. It is safe for concurrent use; prepared kernel sets
-// are cached per (focus, grid size, stretch, fidelity).
+// are cached per (focus, grid size, stretch).
 type Simulator struct {
 	n   int
 	cfg Config
@@ -119,16 +112,15 @@ type Simulator struct {
 }
 
 type prepKey struct {
-	focus    Focus
-	size     int
-	stretch  int
-	fidelity float64 // canonical: 1 means the full set
+	focus   Focus
+	size    int
+	stretch int
 }
 
-// reduced is a prepared kernel set — one (focus, grid, stretch,
-// fidelity) combination of the folded sets, only the kept kernels ever
-// resampled — held on the smallest alias-free grid, where imaging and
-// the solver path evaluate the Hopkins sum and its adjoint.
+// reduced is a prepared kernel set — one (focus, grid, stretch)
+// combination of the folded sets — held on the smallest alias-free grid,
+// where imaging and the solver path evaluate the Hopkins sum and its
+// adjoint.
 //
 // The kernel spectra vanish outside |f| ≤ B per axis, so every coherent
 // field A_k = F⁻¹(H_k ⊙ F(mask)) is band-limited to ±B and is fully
@@ -155,7 +147,18 @@ type prepKey struct {
 // entry is exactly +0, which is what fft.Inverse2DPruned's exactness
 // contract requires.
 type reduced struct {
-	axes
+	size, m int
+	b       int // band half-width B of the spectra
+
+	// Crop/embed index maps between the two grids, nil when M == size:
+	// entry i of band1 (band2) is the corner-layout index of the i-th
+	// frequency of the ±B (±2B) band on the full grid, and of band1M
+	// (band2M) on the M grid.
+	band1, band1M []int
+	band2, band2M []int
+	rows2         []bool // full-grid rows of the ±2B band: the up-sampling inverse
+	rows2M        []bool // M-grid rows of the ±2B band: the low-pass inverse of g
+
 	weights []float64
 	// freq are the forward spectra on the M grid: the ±B block of H_k
 	// scaled by (M/size)², the ratio of the two inverse-DFT
@@ -163,12 +166,6 @@ type reduced struct {
 	// yields samples of the full-size field. At M == size they are H_k.
 	freq    []*grid.CMat
 	fwdLive []bool // union row support of freq
-
-	// full and keep identify a truncated view: the full-fidelity set it
-	// shares spectra with and the retained kernel indices, in energy
-	// order. Both are zero for a full set.
-	full *reduced
-	keep []int
 
 	// The adjoint half, built by solver on the first LossGrad over the
 	// set. adj are the ±B blocks of 2·w_k·H_k(−f), unscaled: the
@@ -181,22 +178,6 @@ type reduced struct {
 	adjLive []bool // union row support of adj
 	adjRows []int  // indices of the true entries of adjLive
 	rows1   []bool // full-grid rows of adjLive: the final inverse
-}
-
-// axes is the geometry of a reduced grid, shared by a set and its
-// truncated views.
-type axes struct {
-	size, m int
-	b       int // band half-width B of the spectra
-
-	// Crop/embed index maps between the two grids, nil when M == size:
-	// entry i of band1 (band2) is the corner-layout index of the i-th
-	// frequency of the ±B (±2B) band on the full grid, and of band1M
-	// (band2M) on the M grid.
-	band1, band1M []int
-	band2, band2M []int
-	rows2         []bool // full-grid rows of the ±2B band: the up-sampling inverse
-	rows2M        []bool // M-grid rows of the ±2B band: the low-pass inverse of g
 }
 
 // New builds a Simulator from a nominal and a defocused kernel set,
@@ -216,9 +197,6 @@ func New(nominal, defocus *kernels.Set, cfg Config) (*Simulator, error) {
 	}
 	if cfg.DoseDelta < 0 || cfg.DoseDelta >= 1 {
 		return nil, fmt.Errorf("litho: dose delta %v out of [0,1)", cfg.DoseDelta)
-	}
-	if cfg.Fidelity < 0 || cfg.Fidelity > 1 {
-		return nil, fmt.Errorf("litho: fidelity %v out of [0,1]", cfg.Fidelity)
 	}
 	return &Simulator{
 		n:       nominal.N,
@@ -269,45 +247,26 @@ func (s *Simulator) Inner() Condition { return Condition{FocusDefocus, 1 - s.cfg
 // nominal focus with +DoseDelta dose.
 func (s *Simulator) Outer() Condition { return Condition{FocusNominal, 1 + s.cfg.DoseDelta} }
 
-// canonFidelity maps a kernel energy budget onto the canonical cache
-// key: anything outside (0,1) means "evaluate the full set".
-func canonFidelity(f float64) float64 {
-	if f <= 0 || f >= 1 {
-		return 1
-	}
-	return f
-}
-
-// preparedFor returns the set evaluated for one (focus, grid, stretch,
-// fidelity) combination, preparing it on first use. The full-size
-// resampled spectra live only as long as it takes to measure their band
-// and crop it, unless the set runs on the full grid.
-func (s *Simulator) preparedFor(focus Focus, size, stretch int, fidelity float64) *reduced {
-	fidelity = canonFidelity(fidelity)
-	key := prepKey{focus, size, stretch, fidelity}
+// preparedFor returns the set evaluated for one (focus, grid, stretch)
+// combination, preparing it on first use. The full-size resampled
+// spectra live only as long as it takes to measure their band and crop
+// it, unless the set runs on the full grid.
+func (s *Simulator) preparedFor(focus Focus, size, stretch int) *reduced {
+	key := prepKey{focus, size, stretch}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.cache[key]; ok {
 		return r
 	}
-	fullKey := prepKey{focus, size, stretch, 1}
-	full, ok := s.cache[fullKey]
-	if !ok {
-		rs := s.folded[focus].Resampled(size, stretch)
-		freq := make([]*grid.CMat, len(rs.Kernels))
-		weights := make([]float64, len(rs.Kernels))
-		for i, k := range rs.Kernels {
-			// Resampled kernels are freshly allocated, so the layout swap
-			// can run in place instead of copying.
-			freq[i], weights[i] = fft.SwapQuadrants(k.Freq), k.Weight
-		}
-		full = newReduced(freq, weights, s.forceDense)
-		s.cache[fullKey] = full
+	rs := s.folded[focus].Resampled(size, stretch)
+	freq := make([]*grid.CMat, len(rs.Kernels))
+	weights := make([]float64, len(rs.Kernels))
+	for i, k := range rs.Kernels {
+		// Resampled kernels are freshly allocated, so the layout swap
+		// can run in place instead of copying.
+		freq[i], weights[i] = fft.SwapQuadrants(k.Freq), k.Weight
 	}
-	if fidelity == 1 {
-		return full
-	}
-	r := full.truncate(fidelity)
+	r := newReduced(freq, weights, s.forceDense)
 	s.cache[key] = r
 	return r
 }
@@ -341,48 +300,20 @@ func isPosZero(v complex128) bool {
 	return math.Float64bits(real(v)) == 0 && math.Float64bits(imag(v)) == 0
 }
 
-// truncate returns the energy-ranked subset view of a full set covering
-// the given weight fraction, on the full set's grid: the retained
-// kernels' spectra are shared (no copies), ordered by descending weight
-// — the canonical truncation order of kernels.Set.Truncate — and the
-// row-support masks are recomputed for the retained subset.
-func (r *reduced) truncate(fidelity float64) *reduced {
-	order := kernels.EnergyOrder(r.weights)
-	m := kernels.RetainCount(r.weights, order, fidelity)
-	if m >= len(r.weights) {
-		return r
-	}
-	sub := &reduced{axes: r.axes, full: r, keep: order[:m]}
-	for _, idx := range sub.keep {
-		sub.weights = append(sub.weights, r.weights[idx])
-		sub.freq = append(sub.freq, r.freq[idx])
-	}
-	sub.fwdLive = unionRowSupport(sub.freq)
-	return sub
-}
-
 // solver returns r with its adjoint spectra, building them on first use:
 // sets that only ever image (the clip-sized ones inspection prepares)
-// never hold them. A truncated view picks its kernels out of the full
-// set's.
+// never hold them.
 func (r *reduced) solver() *reduced {
 	r.adjOnce.Do(func() {
-		if r.full != nil {
-			full := r.full.solver()
-			for _, idx := range r.keep {
-				r.adj = append(r.adj, full.adj[idx])
-			}
-		} else {
-			// Fold the 2·w_k adjoint weight into the flipped spectrum once:
-			// the products are the bits the inner loop would produce, as
-			// complex multiplication commutes in floating point. freq
-			// carries the (M/size)² forward factor; scaling it by
-			// 2·w_k·(size/M)² in one product gives the bits of 2·w_k times
-			// the unscaled crop, because the two powers of two cancel exactly.
-			unscale := float64(r.size*r.size) / float64(r.m*r.m)
-			for i, h := range r.freq {
-				r.adj = append(r.adj, fft.FlipFreq(h).Scale(complex(2*r.weights[i]*unscale, 0)))
-			}
+		// Fold the 2·w_k adjoint weight into the flipped spectrum once:
+		// the products are the bits the inner loop would produce, as
+		// complex multiplication commutes in floating point. freq
+		// carries the (M/size)² forward factor; scaling it by
+		// 2·w_k·(size/M)² in one product gives the bits of 2·w_k times
+		// the unscaled crop, because the two powers of two cancel exactly.
+		unscale := float64(r.size*r.size) / float64(r.m*r.m)
+		for i, h := range r.freq {
+			r.adj = append(r.adj, fft.FlipFreq(h).Scale(complex(2*r.weights[i]*unscale, 0)))
 		}
 		r.adjLive = unionRowSupport(r.adj)
 		for y, live := range r.adjLive {
@@ -433,7 +364,7 @@ func reducedSide(b, size int) int {
 func newReduced(freq []*grid.CMat, weights []float64, dense bool) *reduced {
 	size := freq[0].H
 	b := bandHalfWidth(freq)
-	r := &reduced{axes: axes{size: size, m: size, b: b}, weights: weights, freq: freq}
+	r := &reduced{size: size, m: size, b: b, weights: weights, freq: freq}
 	if !dense {
 		r.m = reducedSide(b, size)
 	}
@@ -591,8 +522,8 @@ func (s *Simulator) aerial(mask *grid.Mat, pixelStretch int, focus Focus) *grid.
 	injectAerial()
 	e := evaluationPool.Get().(*evaluation)
 	e.pair[0] = mask
-	e.begin(s, e.pair[:1], pixelStretch, canonFidelity(s.cfg.Fidelity))
-	r := s.preparedFor(focus, e.size, e.kernelStretch, e.fidelity)
+	e.begin(s, e.pair[:1], pixelStretch)
+	r := s.preparedFor(focus, e.size, e.kernelStretch)
 	e.band = r.maskBand()
 	e.transform(0)
 	e.forward(r)
@@ -605,8 +536,7 @@ func (s *Simulator) aerial(mask *grid.Mat, pixelStretch int, focus Focus) *grid.
 }
 
 // kernelsEvaluated counts every coherent kernel run through a Hopkins
-// sum since process start — the denominator of the progressive-fidelity
-// savings story, exported to the service /metrics endpoint as
+// sum since process start, exported to the service /metrics endpoint as
 // ilt_kernels_evaluated_total.
 var kernelsEvaluated atomic.Int64
 
@@ -668,13 +598,6 @@ type LossOpts struct {
 	// loss: L = L2(nominal) + PVWeight·(L2(inner) + L2(outer)), the
 	// standard robust-ILT objective.
 	PVWeight float64
-	// Fidelity is the per-call kernel energy budget: the evaluation
-	// runs only the energy-ranked kernel prefix covering this weight
-	// fraction. 0 defers to Config.Fidelity; 0 there too (or 1 here)
-	// evaluates the full set, bit-identical to a build without the
-	// knob. The progressive schedule (core.FidelitySchedule) drives
-	// this per stage.
-	Fidelity float64
 }
 
 // LossGrad evaluates the sigmoid-resist L2 loss against target and its
@@ -697,24 +620,16 @@ func (s *Simulator) LossGrad(mask, target *grid.Mat, opts LossOpts) (float64, *g
 // maskBand returns the half-width of the column band of F(mask) that one
 // evaluation reads: the widest over its conditions (the nominal one,
 // plus the process-window corners when pv is set).
-func (s *Simulator) maskBand(size, kernelStretch int, fidelity float64, pv bool) int {
+func (s *Simulator) maskBand(size, kernelStretch int, pv bool) int {
 	conds := []Condition{s.Nominal(), s.Inner(), s.Outer()}
 	if !pv {
 		conds = conds[:1]
 	}
 	band := 0
 	for _, c := range conds {
-		band = max(band, s.preparedFor(c.Focus, size, kernelStretch, fidelity).maskBand())
+		band = max(band, s.preparedFor(c.Focus, size, kernelStretch).maskBand())
 	}
 	return band
-}
-
-// effFidelity resolves a per-call budget against the simulator default.
-func (s *Simulator) effFidelity(opt float64) float64 {
-	if opt == 0 {
-		return canonFidelity(s.cfg.Fidelity)
-	}
-	return canonFidelity(opt)
 }
 
 // evaluation is the state of one loss-gradient evaluation over T (mask,
@@ -729,7 +644,6 @@ type evaluation struct {
 	pair           [2]*grid.Mat // LossGrad's mask and target, sliced into masks/targets
 	size, band     int
 	kernelStretch  int
-	fidelity       float64
 
 	losses []float64
 	grads  []*grid.Mat
@@ -773,11 +687,10 @@ func resize[E any](s []E, n int) []E {
 
 // begin binds the evaluation to s and a batch of same-sized masks, and
 // draws their mask-spectrum buffers.
-func (e *evaluation) begin(s *Simulator, masks []*grid.Mat, pixelStretch int, fidelity float64) {
+func (e *evaluation) begin(s *Simulator, masks []*grid.Mat, pixelStretch int) {
 	T, size := len(masks), masks[0].H
 	e.s, e.masks, e.size = s, masks, size
 	e.kernelStretch = s.kernelStretch(size, pixelStretch)
-	e.fidelity = fidelity
 	e.fms, e.specs, e.intens = resize(e.fms, T), resize(e.specs, T), resize(e.intens, T)
 	for i := range e.fms {
 		e.fms[i] = grid.GetCMat(size, size)
@@ -804,9 +717,9 @@ func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts
 		panic("litho: LossOpts.Stretch must be >= 1")
 	}
 	T := len(masks)
-	e.begin(s, masks, opts.Stretch, s.effFidelity(opts.Fidelity))
+	e.begin(s, masks, opts.Stretch)
 	e.targets = targets
-	e.band = s.maskBand(size, e.kernelStretch, e.fidelity, opts.PVWeight > 0)
+	e.band = s.maskBand(size, e.kernelStretch, opts.PVWeight > 0)
 	e.losses, e.grads = resize(e.losses, T), resize(e.grads, T)
 	e.gs, e.accs, e.terms = resize(e.gs, T), resize(e.accs, T), resize(e.terms, T)
 	e.sums, e.summed = resize(e.sums, T), resize(e.summed, T)
@@ -862,7 +775,7 @@ func (e *evaluation) release() {
 // never changes an individual matrix's bits, so a pair's result does not
 // depend on the worker count or on what else is in the batch.
 func (e *evaluation) condition(cond Condition, weight float64) {
-	r := e.s.preparedFor(cond.Focus, e.size, e.kernelStretch, e.fidelity).solver()
+	r := e.s.preparedFor(cond.Focus, e.size, e.kernelStretch).solver()
 	e.cond, e.weight = cond, weight
 
 	// Forward pass: intensities, then per pair resist and loss.

@@ -335,12 +335,12 @@ func TestGradientDescentStepReducesLoss(t *testing.T) {
 
 func TestPreparedCacheIsStable(t *testing.T) {
 	sim := testSim(t)
-	p1 := sim.preparedFor(FocusNominal, testN, 1, 1)
-	p2 := sim.preparedFor(FocusNominal, testN, 1, 1)
+	p1 := sim.preparedFor(FocusNominal, testN, 1)
+	p2 := sim.preparedFor(FocusNominal, testN, 1)
 	if p1 != p2 {
 		t.Fatal("prepared kernels must be cached")
 	}
-	p3 := sim.preparedFor(FocusDefocus, testN, 1, 1)
+	p3 := sim.preparedFor(FocusDefocus, testN, 1)
 	if p3 == p1 {
 		t.Fatal("focus conditions must not share cache entries")
 	}

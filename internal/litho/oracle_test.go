@@ -135,7 +135,7 @@ func TestDirectHopkinsReference(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			n := c.kc.N
 			sim := simFor(t, c.kc, false)
-			if m := sim.preparedFor(FocusNominal, n, 1, 1).solver().m; m != c.wantM {
+			if m := sim.preparedFor(FocusNominal, n, 1).solver().m; m != c.wantM {
 				t.Fatalf("solver grid M=%d, want %d", m, c.wantM)
 			}
 			mask := greyMask(rand.New(rand.NewSource(int64(n))), n)
@@ -169,12 +169,10 @@ func TestLossGradCentralDifference(t *testing.T) {
 	sim := testSim(t)
 	for _, stretch := range []int{1, 2} {
 		for _, pv := range []float64{0, 0.5} {
-			for _, fidelity := range []float64{1, 0.75} {
-				opts := LossOpts{Stretch: stretch, PVWeight: pv, Fidelity: fidelity}
-				t.Run(fmt.Sprintf("stretch=%d/pv=%g/fidelity=%g", stretch, pv, fidelity), func(t *testing.T) {
-					checkGradient(t, sim, opts)
-				})
-			}
+			opts := LossOpts{Stretch: stretch, PVWeight: pv}
+			t.Run(fmt.Sprintf("stretch=%d/pv=%g", stretch, pv), func(t *testing.T) {
+				checkGradient(t, sim, opts)
+			})
 		}
 	}
 }
@@ -217,44 +215,36 @@ func checkGradient(t *testing.T, sim *Simulator, opts LossOpts) {
 // TestReducedMatchesDense is the differential oracle of the reduced-grid
 // evaluation: the same routine forced onto the full grid (M == size, no
 // crop, no up-sampling) must give the same loss and gradient to
-// rounding, also for a truncated kernel set.
+// rounding.
 func TestReducedMatchesDense(t *testing.T) {
-	for _, c := range []struct {
-		n        int
-		fidelity float64
-		wantM    int
-	}{
-		{64, 1, 32},
-		{128, 1, 64},
-		{128, 0.75, 64},
-	} {
+	for _, c := range []struct{ n, wantM int }{{64, 32}, {128, 64}} {
 		red, dense := simN(t, c.n, false), simN(t, c.n, true)
-		if m := red.preparedFor(FocusNominal, c.n, 1, c.fidelity).solver().m; m != c.wantM {
+		if m := red.preparedFor(FocusNominal, c.n, 1).solver().m; m != c.wantM {
 			t.Fatalf("N=%d: reduced grid M=%d, want %d", c.n, m, c.wantM)
 		}
-		if m := dense.preparedFor(FocusNominal, c.n, 1, c.fidelity).solver().m; m != c.n {
+		if m := dense.preparedFor(FocusNominal, c.n, 1).solver().m; m != c.n {
 			t.Fatalf("N=%d: forced-dense grid M=%d, want %d", c.n, m, c.n)
 		}
 		mask := randomMask(c.n, int64(c.n))
 		target := centredSquare(c.n, c.n/3)
-		opts := LossOpts{Stretch: 1, PVWeight: 0.5, Fidelity: c.fidelity}
+		opts := LossOpts{Stretch: 1, PVWeight: 0.5}
 		lr, gr := red.LossGrad(mask, target, opts)
 		ld, gd := dense.LossGrad(mask, target, opts)
 		lossRel := math.Abs(lr-ld) / math.Abs(ld)
 		gradDiff := gr.Clone().Sub(gd).MaxAbs()
 		if lossRel > 1e-12 || gradDiff > 1e-12*gd.MaxAbs() {
-			t.Errorf("N=%d fidelity=%g: loss %v vs dense %v (rel %g), gradient off by %g on max |g| = %g",
-				c.n, c.fidelity, lr, ld, lossRel, gradDiff, gd.MaxAbs())
+			t.Errorf("N=%d: loss %v vs dense %v (rel %g), gradient off by %g on max |g| = %g",
+				c.n, lr, ld, lossRel, gradDiff, gd.MaxAbs())
 		}
-		t.Logf("N=%d fidelity=%g: loss rel diff %.2g, gradient max-abs diff %.2g on max |g| = %.3g",
-			c.n, c.fidelity, lossRel, gradDiff, gd.MaxAbs())
+		t.Logf("N=%d: loss rel diff %.2g, gradient max-abs diff %.2g on max |g| = %.3g",
+			c.n, lossRel, gradDiff, gd.MaxAbs())
 	}
 }
 
 // TestReducedGridGuard: every prepared set the default optics produce
 // gets the smallest alias-free grid — M > 4B, or the grid itself — for
-// every geometry the flows prepare and every fidelity, and a band too
-// wide for a smaller grid degrades to the dense evaluation.
+// every geometry the flows prepare, and a band too wide for a smaller
+// grid degrades to the dense evaluation.
 func TestReducedGridGuard(t *testing.T) {
 	check := func(t *testing.T, sim *Simulator, size, stretch int) *reduced {
 		t.Helper()
@@ -262,26 +252,20 @@ func TestReducedGridGuard(t *testing.T) {
 		var r *reduced
 		for _, focus := range []Focus{FocusNominal, FocusDefocus} {
 			// B of the full-size resampled spectra, which the simulator only
-			// holds while it prepares the set; a truncated set keeps a subset
-			// of them on the full set's grid.
+			// holds while it prepares the set.
 			var freq []*grid.CMat
 			for _, k := range sim.folded[focus].Resampled(size, ks).Kernels {
 				freq = append(freq, fft.SwapQuadrants(k.Freq))
 			}
 			b := bandHalfWidth(freq)
-			for _, fidelity := range []float64{1, 0.75, 0.6} {
-				r = sim.preparedFor(focus, size, ks, fidelity).solver()
-				switch {
-				case r.m > size || r.m&(r.m-1) != 0:
-					t.Fatalf("size %d stretch %d: M=%d is not a power of two within the grid", size, stretch, r.m)
-				case r.m < size && r.m <= 4*b:
-					t.Fatalf("size %d stretch %d fidelity %g: M=%d aliases a band of ±%d", size, stretch, fidelity, r.m, b)
-				case fidelity == 1 && r.m/2 > 4*b:
-					t.Fatalf("size %d stretch %d: M=%d is not the smallest grid above 4B=%d", size, stretch, r.m, 4*b)
-				}
-				if full := sim.preparedFor(focus, size, ks, 1).solver(); fidelity < 1 && r.freq[0] != full.freq[kernels.EnergyOrder(full.weights)[0]] {
-					t.Fatalf("size %d stretch %d fidelity %g: truncated set copied its reduced spectra", size, stretch, fidelity)
-				}
+			r = sim.preparedFor(focus, size, ks).solver()
+			switch {
+			case r.m > size || r.m&(r.m-1) != 0:
+				t.Fatalf("size %d stretch %d: M=%d is not a power of two within the grid", size, stretch, r.m)
+			case r.m < size && r.m <= 4*b:
+				t.Fatalf("size %d stretch %d: M=%d aliases a band of ±%d", size, stretch, r.m, b)
+			case r.m/2 > 4*b:
+				t.Fatalf("size %d stretch %d: M=%d is not the smallest grid above 4B=%d", size, stretch, r.m, 4*b)
 			}
 		}
 		return r
@@ -322,7 +306,7 @@ func TestReducedParallelAndBatchEquivalence(t *testing.T) {
 	opts := LossOpts{Stretch: 1, PVWeight: 0.5}
 
 	sim := testSim(t)
-	r := sim.preparedFor(FocusNominal, size, size/testN, 1).solver()
+	r := sim.preparedFor(FocusNominal, size, size/testN).solver()
 	if r.m >= size || len(r.freq)*r.m*r.m < 2*parallel.Grain {
 		t.Fatalf("M=%d with %d kernels does not exercise the reduced fan-out", r.m, len(r.freq))
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mgsilt/internal/grid"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/parallel"
 )
 
@@ -204,36 +203,4 @@ func BenchmarkLossGrad(b *testing.B) {
 
 func benchName(workers int) string {
 	return fmt.Sprintf("workers=%d", workers)
-}
-
-// BenchmarkAerialTruncated measures the energy-ranked kernel
-// truncation win on the forward model: the same Aerial call under
-// simulator-default budgets of 1.0 (the full set, six folded kernels),
-// 0.75 (five) and 0.6 (four). Paired with BenchmarkInversePruned in
-// internal/fft this is the per-layer view of the progressive-fidelity
-// hot path.
-func BenchmarkAerialTruncated(b *testing.B) {
-	mask := randomMask(testN, 3)
-	for _, fidelity := range []float64{1, 0.75, 0.6} {
-		b.Run(fmt.Sprintf("fidelity=%g", fidelity), func(b *testing.B) {
-			prev := parallel.SetWorkers(1)
-			defer parallel.SetWorkers(prev)
-			kc := kernels.DefaultConfig(testN)
-			nom := kernels.MustGenerate(kc)
-			def, err := kernels.Defocused(kc, 0.8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := DefaultConfig()
-			cfg.Fidelity = fidelity
-			sim, err := New(nom, def, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				grid.PutMat(sim.Aerial(mask, sim.Nominal()))
-			}
-		})
-	}
 }

@@ -67,7 +67,7 @@ type BatchSolver interface {
 	// SolveBatch solves tiles i = 0..T-1 from (targets[i], inits[i],
 	// ps[i]) and returns per-tile results and errors (outs[i] is nil
 	// exactly when errs[i] is non-nil). The lockstep fields of ps —
-	// Iters, LR, Stretch, PVWeight, Fidelity — must agree across
+	// Iters, LR, Stretch, PVWeight — must agree across
 	// the batch; Ctx and Freeze may differ per tile, and a tile whose
 	// context cancels drops out of the batch without disturbing the
 	// others.
@@ -78,5 +78,5 @@ type BatchSolver interface {
 // batch.
 func lockstepCompatible(a, b Params) bool {
 	return a.Iters == b.Iters && a.LR == b.LR && a.Stretch == b.Stretch &&
-		a.PVWeight == b.PVWeight && a.Fidelity == b.Fidelity
+		a.PVWeight == b.PVWeight
 }

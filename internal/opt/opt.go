@@ -48,13 +48,6 @@ type Params struct {
 	// hold the adjacent tiles' data so the subdomain solve cannot
 	// contradict its neighbours. Must match the mask shape.
 	Freeze *grid.Mat
-	// Fidelity is the kernel energy budget of every litho evaluation in
-	// this solve: the Hopkins sum runs only the energy-ranked kernel
-	// prefix covering this weight fraction (litho.LossOpts.Fidelity).
-	// 0 or 1 evaluates the full set. The progressive schedule
-	// (core.FidelitySchedule) sets this per stage; the final fine stage
-	// is always full.
-	Fidelity float64
 }
 
 // Interrupted returns the context's error when Params carries a
@@ -105,9 +98,6 @@ func (p Params) validate() error {
 	}
 	if p.PVWeight < 0 {
 		return fmt.Errorf("opt: negative PV weight %v", p.PVWeight)
-	}
-	if p.Fidelity < 0 || p.Fidelity > 1 {
-		return fmt.Errorf("opt: fidelity %v out of [0,1]", p.Fidelity)
 	}
 	return nil
 }
@@ -188,5 +178,5 @@ func logit(x, lo float64) float64 {
 
 // sharedLossGrad evaluates the litho objective for a solver.
 func sharedLossGrad(sim *litho.Simulator, mask, target *grid.Mat, p Params) (float64, *grid.Mat) {
-	return sim.LossGrad(mask, target, litho.LossOpts{Stretch: p.Stretch, PVWeight: p.PVWeight, Fidelity: p.Fidelity})
+	return sim.LossGrad(mask, target, litho.LossOpts{Stretch: p.Stretch, PVWeight: p.PVWeight})
 }

@@ -168,7 +168,7 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 			masks = append(masks, st.mask)
 			tgts = append(tgts, st.target)
 		}
-		_, gms := s.Sim.LossGradBatch(masks, tgts, litho.LossOpts{Stretch: p0.Stretch, PVWeight: p0.PVWeight, Fidelity: p0.Fidelity})
+		_, gms := s.Sim.LossGradBatch(masks, tgts, litho.LossOpts{Stretch: p0.Stretch, PVWeight: p0.PVWeight})
 		lr := p0.LR
 		if w := s.WarmupIters; w > 0 && it < w {
 			lr *= float64(it+1) / float64(w+1)

@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"mgsilt/internal/grid"
@@ -26,43 +24,9 @@ type Checkpoint struct {
 	Stage int
 	// Total is the schedule's stage count, for progress reporting.
 	Total int
-	// Fidelity is the progressive-fidelity schedule the run executed
-	// under (nil = full fidelity). Resume validates it against the new
-	// run's schedule: the skipped stages' masks depend on the kernel
-	// budgets they ran with, so a checkpoint must not silently seed a
-	// run with a different schedule.
-	Fidelity []float64
 	// Mask is the working layout after Stage stages (a clone; safe to
 	// retain).
 	Mask *grid.Mat
-}
-
-// SameSchedule reports whether two fidelity schedules are
-// interchangeable for resume: equal element-wise, with the special
-// case that any fully-full schedule (nil, empty, or all entries 1)
-// matches any other — a budget of 1 evaluates the complete kernel set,
-// so those runs are numerically identical regardless of length.
-func SameSchedule(a, b []float64) bool {
-	full := func(s []float64) bool {
-		for _, f := range s {
-			if f != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if full(a) && full(b) {
-		return true
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ValidFor checks that the checkpoint can seed the given flow and
@@ -84,19 +48,15 @@ func (ck *Checkpoint) ValidFor(flow string, clip, total int) error {
 // mask payload (H·W float64 values, little-endian, row-major). The
 // header is human-inspectable (`head -4 run.ckpt`) and the version
 // line lets the format evolve without silently misreading old files.
-// A non-empty fidelity schedule adds one optional header line
-// ("fidelity <hex>,<hex>,..." — Float64bits, so the round trip is
-// bit-exact); full-fidelity checkpoints omit it, keeping their files
-// byte-identical to the pre-schedule format.
+// The mask line follows the stage line directly: a file carrying any
+// other header line (older builds wrote an optional kernel-budget line
+// there) is rejected rather than resumed under different numerics.
 const (
 	checkpointMagic = "mgsilt-checkpoint v1"
 	// MaxCheckpointSide caps the mask dimensions accepted from disk,
 	// like imgio's PGM reader: a corrupt or hostile header must not
 	// provoke a multi-gigabyte allocation.
 	MaxCheckpointSide = 1 << 14
-	// maxFidelityStages caps the schedule entries accepted from disk,
-	// for the same reason.
-	maxFidelityStages = 1 << 12
 )
 
 // WriteCheckpoint serialises the checkpoint.
@@ -110,16 +70,6 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%s\nflow %s\nstage %d %d\n",
 		checkpointMagic, ck.Flow, ck.Stage, ck.Total)
-	if len(ck.Fidelity) > 0 {
-		bw.WriteString("fidelity ")
-		for i, f := range ck.Fidelity {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, "%016x", math.Float64bits(f))
-		}
-		bw.WriteByte('\n')
-	}
 	fmt.Fprintf(bw, "mask %d %d\n", ck.Mask.H, ck.Mask.W)
 	if err := WriteMatData(bw, ck.Mask); err != nil {
 		return err
@@ -166,23 +116,6 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	ml, err := line()
 	if err != nil {
 		return nil, err
-	}
-	if rest, ok := strings.CutPrefix(ml, "fidelity "); ok {
-		toks := strings.Split(rest, ",")
-		if len(toks) > maxFidelityStages {
-			return nil, fmt.Errorf("pipeline: fidelity schedule with %d entries out of bounds", len(toks))
-		}
-		ck.Fidelity = make([]float64, len(toks))
-		for i, tok := range toks {
-			bits, err := strconv.ParseUint(tok, 16, 64)
-			if err != nil || len(tok) != 16 {
-				return nil, fmt.Errorf("pipeline: bad fidelity token %q", tok)
-			}
-			ck.Fidelity[i] = math.Float64frombits(bits)
-		}
-		if ml, err = line(); err != nil {
-			return nil, err
-		}
 	}
 	var h, w int
 	if _, err := fmt.Sscanf(ml, "mask %d %d", &h, &w); err != nil {

@@ -70,13 +70,6 @@ type Pipeline struct {
 	// Stages is the ordered schedule. Stage k (1-based) corresponds to
 	// checkpoint stage k.
 	Stages []Stage
-	// Fidelity is the flow's progressive-fidelity schedule (per fine
-	// stage kernel energy budget; nil = full fidelity throughout). The
-	// engine records it in every emitted Checkpoint and validates it on
-	// resume: a checkpoint taken under one schedule must not seed a run
-	// with another, because the skipped stages' masks depend on the
-	// budgets they ran with.
-	Fidelity []float64
 
 	// Ctx carries the flow's deadline/cancellation; it is checked
 	// between stages and passed to every Stage.Run. nil means
@@ -114,9 +107,6 @@ func (p *Pipeline) Run(init *grid.Mat) (*grid.Mat, []StageTiming, error) {
 		if err := p.Resume.ValidFor(p.Flow, p.Clip, total); err != nil {
 			return nil, nil, err
 		}
-		if !SameSchedule(p.Resume.Fidelity, p.Fidelity) {
-			return nil, nil, fmt.Errorf("pipeline: checkpoint fidelity schedule %v cannot resume schedule %v", p.Resume.Fidelity, p.Fidelity)
-		}
 		resumeFrom = p.Resume.Stage
 		m = p.Resume.Mask.Clone()
 	}
@@ -153,7 +143,7 @@ func (p *Pipeline) Run(init *grid.Mat) (*grid.Mat, []StageTiming, error) {
 			// The clone is deliberately inside the guard: snapshotting a
 			// full layout is O(clip²) and must cost nothing when nobody
 			// listens.
-			p.Checkpoint(Checkpoint{Flow: p.Flow, Stage: i + 1, Total: total, Fidelity: p.Fidelity, Mask: m.Clone()})
+			p.Checkpoint(Checkpoint{Flow: p.Flow, Stage: i + 1, Total: total, Mask: m.Clone()})
 		}
 	}
 	return m, timeline, nil

@@ -186,40 +186,6 @@ func TestResumeValidation(t *testing.T) {
 	}
 }
 
-// TestResumeFidelityValidation: a checkpoint from a run under one
-// fidelity schedule must not resume a pipeline configured with a
-// different one — the remaining stages would optimise under different
-// truncation than the trajectory that produced the mask. Any spelling
-// of "full fidelity" (nil, empty, all-ones) is one schedule.
-func TestResumeFidelityValidation(t *testing.T) {
-	mk := func(sched []float64) *Checkpoint {
-		return &Checkpoint{Flow: "test-flow", Stage: 1, Total: 1, Mask: grid.NewMat(4, 4), Fidelity: sched}
-	}
-	cases := []struct {
-		ck   []float64
-		pipe []float64
-		ok   bool
-	}{
-		{nil, nil, true},
-		{nil, []float64{1, 1}, true},
-		{[]float64{1}, nil, true},
-		{[]float64{0.9, 1}, []float64{0.9, 1}, true},
-		{[]float64{0.9, 1}, nil, false},
-		{nil, []float64{0.9, 1}, false},
-		{[]float64{0.9, 1}, []float64{0.75, 1}, false},
-		{[]float64{0.9, 1}, []float64{0.9, 0.95, 1}, false},
-	}
-	for i, c := range cases {
-		p := testPipe(addStage("x", 1, 1, 1))
-		p.Resume = mk(c.ck)
-		p.Fidelity = c.pipe
-		_, _, err := p.Run(grid.NewMat(4, 4))
-		if ok := err == nil; ok != c.ok {
-			t.Errorf("case %d (ck %v, pipe %v): ok=%v, want %v (err %v)", i, c.ck, c.pipe, ok, c.ok, err)
-		}
-	}
-}
-
 func TestStageErrorStopsPipeline(t *testing.T) {
 	boom := errors.New("boom")
 	ran := false

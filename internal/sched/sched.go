@@ -45,7 +45,6 @@ type Class struct {
 	h, w           int
 	iters, stretch int
 	lr, pv         float64
-	fidelity       float64
 }
 
 // ClassOf returns the class of one request. key must encode the optics
@@ -55,7 +54,6 @@ func ClassOf(key string, init *grid.Mat, p opt.Params) Class {
 	return Class{
 		key: key, h: init.H, w: init.W,
 		iters: p.Iters, stretch: p.Stretch, lr: p.LR, pv: p.PVWeight,
-		fidelity: p.Fidelity,
 	}
 }
 

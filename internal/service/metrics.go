@@ -44,17 +44,12 @@ type registry struct {
 
 	nTilesConverged    uint64
 	nCoarseCorrections uint64
-
-	// fidelity is the kernel budget of the most recently started fine
-	// stage across all running jobs (1 = full fidelity).
-	fidelity float64
 }
 
 func newRegistry() *registry {
 	return &registry{
 		nFinished: make(map[State]uint64),
 		stages:    make(map[string]*histogram),
-		fidelity:  1,
 	}
 }
 
@@ -89,12 +84,6 @@ func (r *registry) twoLevel(tilesConverged, coarseCorrections int) {
 	r.mu.Unlock()
 }
 
-func (r *registry) fidelityStage(budget float64) {
-	r.mu.Lock()
-	r.fidelity = budget
-	r.mu.Unlock()
-}
-
 func (r *registry) observeStage(stage string, d time.Duration) {
 	r.mu.Lock()
 	h, ok := r.stages[stage]
@@ -120,7 +109,6 @@ func (r *registry) write(out io.Writer, snap snapshot) {
 	}
 	w.Counter("ilt_tiles_converged_total", "Tiles retired early by per-tile convergence dropout across finished jobs.", r.nTilesConverged)
 	w.Counter("ilt_coarse_corrections_total", "Two-level Schwarz coarse-grid corrections applied across finished jobs.", r.nCoarseCorrections)
-	w.Gauge("ilt_fidelity_stage", "Kernel energy budget of the most recently started fine stage (1 = full fidelity).", r.fidelity)
 	w.Family("ilt_stage_duration_seconds", "Wall time per flow stage.", "histogram")
 	names := make([]string, 0, len(r.stages))
 	for name := range r.stages {
@@ -140,7 +128,7 @@ func (r *registry) write(out io.Writer, snap snapshot) {
 	w.Gauge("ilt_workers", "Worker pool size.", snap.workers)
 	w.Gauge("ilt_compute_workers", "Process-wide compute pool width (internal/parallel): per-kernel convolution and FFT fan-out.", snap.computeWorkers)
 	w.Gauge("ilt_uptime_seconds", "Time since the server started.", snap.uptime.Seconds())
-	w.Counter("ilt_kernels_evaluated_total", "Hopkins kernels evaluated by the litho engine (truncated evaluations count only the retained prefix; process-wide).", snap.kernelsEvaluated)
+	w.Counter("ilt_kernels_evaluated_total", "Hopkins kernels evaluated by the litho engine (a folded conjugate pair counts once; process-wide).", snap.kernelsEvaluated)
 
 	w.Counter("ilt_device_jobs_total", "Tile jobs executed on the simulated clusters.", snap.device.Jobs)
 	w.Counter("ilt_device_busy_seconds_total", "Cumulative simulated device busy time.", snap.device.TotalBusy.Seconds())

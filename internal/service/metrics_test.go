@@ -30,7 +30,6 @@ func TestMetricsGolden(t *testing.T) {
 	r.finished(StateDone)
 	r.finished(StateCancelled)
 	r.twoLevel(7, 3)
-	r.fidelityStage(0.9)
 	r.observeStage("fine", 40*time.Millisecond)
 	r.observeStage("fine", 3*time.Second)
 	r.observeStage("fine", 400*time.Second) // beyond the last bound: +Inf only

@@ -111,11 +111,6 @@ type JobSpec struct {
 	// fall back to the server-wide Options defaults when nil.
 	CoarseCorrect *bool    `json:"coarse_correct,omitempty"`
 	DropTol       *float64 `json:"drop_tol,omitempty"`
-	// FidelitySchedule sets the per-fine-stage kernel energy budget
-	// (core.Config.FidelitySchedule: one entry per fine stage, each in
-	// (0,1], last 1). nil falls back to the server-wide Options default;
-	// an explicit empty list forces full fidelity.
-	FidelitySchedule *[]float64 `json:"fidelity_schedule,omitempty"`
 }
 
 // Progress is the latest core.Config.Progress event of a job, plus a
@@ -292,12 +287,6 @@ type Options struct {
 	// per submit via JobSpec.
 	CoarseCorrect bool
 	DropTol       float64
-	// FidelitySchedule is the default progressive-fidelity schedule of
-	// jobs that do not override it (core.Config.FidelitySchedule; nil =
-	// full fidelity every stage). Jobs with a non-default FineStages
-	// count must override it per submit, since the schedule length must
-	// match the stage count.
-	FidelitySchedule []float64
 
 	// ShardWorkers, when non-empty, distributes every job's tile
 	// fan-out across these remote iltworker base URLs instead of the
@@ -457,9 +446,14 @@ func (s *Server) recover() error {
 		}
 		// Journalled specs are normally already normalized by Submit,
 		// but the journal is external input: re-normalize, and fail a
-		// record this server cannot run (e.g. its MaxN shrank) instead
-		// of crashing the flow later.
-		if err := s.normalize(&j.spec); err != nil {
+		// record this server cannot run (e.g. its MaxN shrank, or the
+		// spec names a knob this build dropped) instead of crashing the
+		// flow later or running it without the knob.
+		err := rec.unknown
+		if err == nil {
+			err = s.normalize(&j.spec)
+		}
+		if err != nil {
 			j.state = StateFailed
 			j.err = err.Error()
 			j.finished = time.Now()
@@ -929,32 +923,11 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 	}
 	cfg.CoarseCorrect = s.opts.CoarseCorrect
 	cfg.DropTol = s.opts.DropTol
-	cfg.FidelitySchedule = s.opts.FidelitySchedule
 	if spec.CoarseCorrect != nil {
 		cfg.CoarseCorrect = *spec.CoarseCorrect
 	}
 	if spec.DropTol != nil {
 		cfg.DropTol = *spec.DropTol
-	}
-	if spec.FidelitySchedule != nil {
-		cfg.FidelitySchedule = *spec.FidelitySchedule
-	}
-	// Surface the running kernel budget: the ilt_fidelity_stage gauge
-	// tracks the budget of the most recently started fine stage (1 when
-	// no schedule is set or outside fine stages).
-	fidSched := cfg.FidelitySchedule
-	inner := cfg.Progress
-	cfg.Progress = func(stage string, iter, total int) {
-		if stage == "fine" {
-			b := 1.0
-			if iter >= 1 && iter <= len(fidSched) {
-				b = fidSched[iter-1]
-			}
-			s.metrics.fidelityStage(b)
-		}
-		if inner != nil {
-			inner(stage, iter, total)
-		}
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -46,6 +46,11 @@ type jobRecord struct {
 	Created     time.Time `json:"created_at"`
 	Started     time.Time `json:"started_at"`
 	Finished    time.Time `json:"finished_at"`
+
+	// unknown is set by parseJobRecord when the record names a field this
+	// build does not have, such as a retired spec knob: replay fails the
+	// job instead of running it without that knob. Never journalled.
+	unknown error
 }
 
 // recordOf snapshots a job into its persisted form. Caller holds s.mu.
@@ -91,6 +96,11 @@ func parseJobRecord(data []byte) (jobRecord, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(&rec); err != nil {
 		return rec, fmt.Errorf("service: bad job record: %w", err)
+	}
+	strict := json.NewDecoder(bytes.NewReader(body))
+	strict.DisallowUnknownFields()
+	if err := strict.Decode(&jobRecord{}); err != nil {
+		rec.unknown = fmt.Errorf("service: journalled job cannot run on this build: %w", err)
 	}
 	if err := validateJobRecord(rec); err != nil {
 		return rec, err

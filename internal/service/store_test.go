@@ -158,6 +158,40 @@ func TestRecoveryCompletesJournalledJobs(t *testing.T) {
 	}
 }
 
+// A running job journalled by an older build whose spec names a knob
+// this build dropped (testdata/budget.job: a per-stage kernel budget)
+// must replay as failed with an error naming the field. Decoded
+// leniently it would restart without the knob, and its checkpoint,
+// taken under that knob, would silently fail to load.
+func TestRecoveryFailsRecordWithRetiredField(t *testing.T) {
+	dir := t.TempDir()
+	data, err := os.ReadFile(filepath.Join("testdata", "budget.job"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "j000001.job"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := testOpts()
+	opts.StateDir = dir
+	_, ts := newTestServer(t, opts)
+
+	st := getStatus(t, ts, "j000001")
+	if st.State != StateFailed || !strings.Contains(st.Error, "unknown field") {
+		t.Fatalf("journalled job with a retired field recovered as %s (%q), want failed naming the field", st.State, st.Error)
+	}
+	if m := metricsBody(t, ts.URL); !strings.Contains(m, "ilt_jobs_recovered_total 0") {
+		t.Fatalf("a failed replay must not count as recovered:\n%s", m)
+	}
+	// The failure is journalled: a second restart keeps it as history.
+	if data, err = os.ReadFile(filepath.Join(dir, "j000001.job")); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := parseJobRecord(data); err != nil || rec.State != StateFailed || rec.Error != st.Error {
+		t.Fatalf("journal after replay: %+v, %v", rec, err)
+	}
+}
+
 // A server that shut down cleanly leaves a journal of terminal states;
 // a restart serves them as history and keeps accepting work.
 func TestRestartPreservesTerminalHistory(t *testing.T) {
@@ -261,6 +295,9 @@ func FuzzJobStore(f *testing.F) {
 	f.Add([]byte(jobMagic + "\n" + `{"id":"j000003","state":"sideways"}`))
 	f.Add([]byte("mgsilt-checkpoint v1\nwrong format"))
 	f.Add([]byte{})
+	if data, err := os.ReadFile(filepath.Join("testdata", "budget.job")); err == nil {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := parseJobRecord(data)

@@ -492,7 +492,6 @@ func (c *Coordinator) encodeShard(w *workerState, reqs []core.TileRequest, poss 
 			Pixels: req.Pixels,
 			Iters:  req.Params.Iters, Stretch: req.Params.Stretch,
 			LR: req.Params.LR, PVWeight: req.Params.PVWeight,
-			Fidelity: req.Params.Fidelity,
 		}
 		mt := w.mirror[req.Index]
 		if mt != nil && mt.targetSent != nil && matsBitEqual(mt.targetSent, req.Target) {

@@ -75,10 +75,6 @@ type TileWire struct {
 	Stretch  int
 	LR       float64
 	PVWeight float64
-	// Fidelity is the solve's kernel energy budget (opt.Params
-	// .Fidelity; 0 = full set). On the wire it is an optional fifth
-	// params field, omitted when zero.
-	Fidelity float64
 	// Target is the tile-local target; nil with TargetCached set means
 	// the worker already holds it for this session.
 	Target       *grid.Mat
@@ -258,12 +254,8 @@ func WriteSolveRequest(w io.Writer, req *SolveRequest) error {
 		wireMagic, req.Session, req.N, solver, len(req.Tiles))
 	for i := range req.Tiles {
 		t := &req.Tiles[i]
-		fmt.Fprintf(bw, "tile %d %d\nparams %d %d %s %s",
+		fmt.Fprintf(bw, "tile %d %d\nparams %d %d %s %s\n",
 			t.Index, t.Pixels, t.Iters, t.Stretch, fbits(t.LR), fbits(t.PVWeight))
-		if t.Fidelity != 0 {
-			fmt.Fprintf(bw, " %s", fbits(t.Fidelity))
-		}
-		fmt.Fprintf(bw, "\n")
 		switch {
 		case t.Target != nil:
 			if err := writeMatSection(bw, "target", t.Target); err != nil {
@@ -498,7 +490,7 @@ func (r *wireReader) readTile() (*TileWire, error) {
 	if f, err = r.fields("params"); err != nil {
 		return nil, err
 	}
-	if len(f) != 4 && len(f) != 5 {
+	if len(f) != 4 {
 		return nil, fmt.Errorf("shard: bad params line")
 	}
 	if t.Iters, err = parseInt(f[0], 0, maxWireIters); err != nil {
@@ -512,11 +504,6 @@ func (r *wireReader) readTile() (*TileWire, error) {
 	}
 	if t.PVWeight, err = parseFbits(f[3]); err != nil {
 		return nil, err
-	}
-	if len(f) == 5 {
-		if t.Fidelity, err = parseFbits(f[4]); err != nil {
-			return nil, err
-		}
 	}
 
 	// target: full h w | cached

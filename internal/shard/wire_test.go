@@ -43,7 +43,7 @@ func testRequest(rn *rand.Rand) *SolveRequest {
 		Solver:  "pixel",
 		Tiles: []TileWire{
 			{
-				Index: 0, Pixels: 64, Iters: 5, Stretch: 1, LR: 0.4, PVWeight: 0.1, Fidelity: 0.9,
+				Index: 0, Pixels: 64, Iters: 5, Stretch: 1, LR: 0.4, PVWeight: 0.1,
 				Target: randMat(rn, 8, 8), Freeze: randMat(rn, 8, 8), Init: randMat(rn, 8, 8),
 			},
 			{
@@ -83,8 +83,7 @@ func TestSolveRequestRoundTrip(t *testing.T) {
 			t.Fatalf("tile %d header mismatch: %+v vs %+v", i, a, b)
 		}
 		if math.Float64bits(a.LR) != math.Float64bits(b.LR) ||
-			math.Float64bits(a.PVWeight) != math.Float64bits(b.PVWeight) ||
-			math.Float64bits(a.Fidelity) != math.Float64bits(b.Fidelity) {
+			math.Float64bits(a.PVWeight) != math.Float64bits(b.PVWeight) {
 			t.Fatalf("tile %d param bits drifted", i)
 		}
 		if (a.Target == nil) != (b.Target == nil) || a.TargetCached != b.TargetCached {
@@ -222,6 +221,10 @@ func TestWireRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := good.String()
+	params4 := "params 5 1 " + fbits(0.4) + " " + fbits(0.1)
+	if !strings.Contains(g, params4+"\n") {
+		t.Fatalf("request lacks %q", params4)
+	}
 
 	cases := []struct {
 		name string
@@ -245,6 +248,9 @@ func TestWireRejectsCorruption(t *testing.T) {
 		{"run out of bounds", strings.Replace(g, "run 2 3 1", "run 2 7 5", 1)},
 		{"run bomb", strings.Replace(g, "init patch 8 8 2", "init patch 8 8 9999", 1)},
 		{"bad float bits", strings.Replace(g, fbits(0.4), "zz", 1)},
+		// The params line carries exactly four fields; a fifth (a kernel
+		// budget older builds sent) names a knob this build does not have.
+		{"fifth params field", strings.Replace(g, params4, params4+" "+fbits(0.75), 1)},
 		{"missing end", strings.Replace(g, "end\n", "", 1)},
 	}
 	for _, tc := range cases {

@@ -231,7 +231,6 @@ func (w *Worker) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 		wk.params = opt.Params{
 			Iters: t.Iters, LR: t.LR, Stretch: t.Stretch,
 			PVWeight: t.PVWeight, Freeze: freeze,
-			Fidelity: t.Fidelity,
 		}
 		works = append(works, wk)
 	}
