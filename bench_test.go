@@ -178,25 +178,6 @@ func BenchmarkAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathAllocs reports the steady-state heap allocations per
-// LossGrad evaluation, the larger of pool widths 1 and 2 — the same
-// measurement cmd/iltbench embeds in the trajectory document
-// (lossgrad_allocs_per_op) and benchdiff gates — and fails above the
-// engine's contract of 0: every spectrum, field buffer and FFT scratch
-// in the hot path comes from a size-keyed pool once the pools are warm,
-// and a fanned-out section runs through pooled descriptors and step
-// functions bound ahead of time.
-func BenchmarkHotPathAllocs(b *testing.B) {
-	env := newEnv(b)
-	for i := 0; i < b.N; i++ {
-		allocs := env.MeasureLossGradAllocs()
-		b.ReportMetric(allocs, "lossgrad-allocs/op")
-		if allocs > 0.5 {
-			b.Fatalf("LossGrad steady state allocates %.1f times per op at pool width 1 or 2, want 0", allocs)
-		}
-	}
-}
-
 // BenchmarkMRCViolations quantifies the Section 2.3 manufacturability
 // claim: stitch discontinuities create mask-rule violations (necks,
 // notches, slivers) concentrated near tile boundaries. Ours should

@@ -1,94 +1,89 @@
-// Command benchdiff is the benchmark-regression gate: it compares a
-// fresh `cmd/iltbench -json` document against a committed baseline and
-// exits non-zero when performance or quality regressed.
+// Command benchdiff compares a fresh `cmd/iltbench -json` document
+// against a committed baseline and exits non-zero when a result moved.
 //
-//	go run ./cmd/iltbench -scale small -json BENCH_fresh.json
+//	go run ./cmd/iltbench -scale small -experiment table1,cache,scaling,solvers -json BENCH_fresh.json
 //	go run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fresh.json
 //
-// Gate rules (see internal/benchfmt.Compare):
+// Every compared number is deterministic per code version, so the rule
+// is exact equality (see internal/benchfmt.Compare): the provenance
+// must match, and every cell and every method's L2 / PVBand / Stitch of
+// the baseline must be present and equal in the current document. TAT
+// is recorded, not compared; benchmark/ measures time end to end.
 //
-//   - Quality (L2 / PVBand / Stitch): any growth beyond a tiny epsilon
-//     fails — the experiments are deterministic, so growth means the
-//     code got worse, not the run noisier.
-//   - TAT: growth beyond -tat-threshold (default 10%) fails. TATs are
-//     normalised by each document's host-calibration measurement
-//     (calib_ns) so a committed baseline remains meaningful on a
-//     differently-sized CI runner; -abs-tat compares raw seconds
-//     instead.
-//   - Provenance (scale, optics, worker count) must match exactly, or
-//     benchdiff refuses the comparison (exit 2) rather than produce a
-//     meaningless verdict.
-//
-// Exit codes: 0 pass, 1 regression detected, 2 usage / incomparable
-// documents.
+// Exit codes: 0 unchanged, 1 a compared number changed or is missing,
+// 2 usage error, unreadable or incomparable documents, or nothing to
+// compare.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mgsilt/internal/benchfmt"
 )
 
-func main() {
-	var (
-		baselinePath = flag.String("baseline", "BENCH_baseline.json", "committed baseline document")
-		currentPath  = flag.String("current", "", "fresh iltbench -json document (required)")
-		tatThreshold = flag.Float64("tat-threshold", 0.10, "tolerated relative TAT growth")
-		qualityEps   = flag.Float64("quality-eps", 1e-9, "tolerated relative quality-metric growth")
-		absTAT       = flag.Bool("abs-tat", false, "compare raw TAT seconds instead of calibration-normalised")
-	)
-	flag.Parse()
-	if *currentPath == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -current is required")
-		flag.Usage()
-		os.Exit(2)
-	}
+// errChanged reports that a compared number differs from the baseline.
+var errChanged = errors.New("results differ from the baseline")
 
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+	}
+	os.Exit(exitCode(err))
+}
+
+// exitCode maps run's error to the documented exit status.
+func exitCode(err error) int {
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errChanged):
+		return 1
+	}
+	return 2
+}
+
+// run compares the two documents named by args and writes the verdict
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	baselinePath := fs.String("baseline", "BENCH_baseline.json", "committed baseline document")
+	currentPath := fs.String("current", "", "fresh iltbench -json document (required)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *currentPath == "" {
+		return errors.New("-current is required")
+	}
 	base, err := benchfmt.ReadFile(*baselinePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cur, err := benchfmt.ReadFile(*currentPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	res, err := benchfmt.Compare(base, cur, benchfmt.CompareOptions{
-		TATThreshold: *tatThreshold,
-		QualityEps:   *qualityEps,
-		AbsoluteTAT:  *absTAT,
-	})
+	res, err := benchfmt.Compare(base, cur)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("benchdiff: baseline %s (git %s, calib %dns) vs current %s (git %s, calib %dns)\n",
-		base.GeneratedAt, orUnknown(base.GitDescribe), base.CalibNS,
-		cur.GeneratedAt, orUnknown(cur.GitDescribe), cur.CalibNS)
-	fmt.Printf("benchdiff: %d comparisons, %d regressions\n", res.Checked, len(res.Regressions))
+	fmt.Fprintf(stdout, "benchdiff: baseline %s (git %s) vs current %s (git %s)\n",
+		base.GeneratedAt, base.GitDescribe, cur.GeneratedAt, cur.GitDescribe)
+	fmt.Fprintf(stdout, "benchdiff: %d comparisons, %d changed\n", res.Checked, len(res.Changed))
 	if res.Checked == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: no overlapping per-method experiments — vacuous pass refused")
-		os.Exit(2)
+		return errors.New("no overlapping comparisons: vacuous pass refused")
+	}
+	for _, f := range res.Changed {
+		fmt.Fprintf(stdout, "CHANGED %s\n", f)
 	}
 	if !res.OK() {
-		for _, f := range res.Regressions {
-			fmt.Printf("REGRESSION %s\n", f)
-		}
-		os.Exit(1)
+		return fmt.Errorf("%w: %d of %d compared numbers", errChanged, len(res.Changed), res.Checked)
 	}
-	fmt.Println("benchdiff: OK")
-}
-
-func orUnknown(s string) string {
-	if s == "" {
-		return "unknown"
-	}
-	return s
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(2)
+	fmt.Fprintln(stdout, "benchdiff: OK")
+	return nil
 }

@@ -19,22 +19,26 @@
 // Scale is selected with -scale (small | default | full); "full" is
 // the paper-shaped 20-clip run. -experiment accepts a comma-separated
 // list (e.g. "table1,cache"), which is how the CI gate records both
-// the Table 1 metrics and the cache hit rate in one document.
+// the Table 1 metrics and the cache hit rate in one document. The whole
+// list is checked before the first experiment runs.
 //
 // With -json the run also writes a benchfmt trajectory document
-// (BENCH_*.json) carrying full provenance — scale, optics, compute
-// pool width, git describe, and a host-calibration measurement — so
-// cmd/benchdiff can gate PRs against a committed baseline without
-// ever comparing incomparable runs.
+// (BENCH_*.json) carrying its provenance and deterministic cells, which
+// cmd/benchdiff compares against a committed baseline.
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -46,21 +50,42 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "iltbench:", err)
+		os.Exit(1)
+	}
+}
+
+// experimentNames lists the experiments in the order "all" runs them.
+var experimentNames = []string{"table1", "fig6", "fig7", "fig8", "speedup", "penalty", "ablation", "mrc", "cache", "scaling", "solvers"}
+
+// renderer is what every experiment result is: a table source.
+type renderer interface{ Render() *report.Table }
+
+// rendered converts an experiment's typed result to a renderer.
+func rendered[R renderer](res R, err error) (renderer, error) { return res, err }
+
+// run parses args, runs the selected experiments and writes their
+// tables to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("iltbench", flag.ContinueOnError)
 	var (
-		scaleName  = flag.String("scale", "small", "experiment scale: small | default | full")
-		experiment = flag.String("experiment", "table1", "comma-separated list of table1 | fig6 | fig7 | fig8 | speedup | penalty | ablation | mrc | cache | scaling | solvers, or all")
-		solverSel  = flag.String("solver", "", "solver backend for the \"Ours\" flow rows: "+strings.Join(opt.Names(), " | ")+" (empty = pixel; recorded in -json provenance)")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonPath   = flag.String("json", "", "also write machine-readable per-method metrics JSON to this file")
-		verbose    = flag.Bool("v", false, "print per-run progress")
-		devices    = flag.Int("devices", 4, "maximum simulated devices for the speedup sweep")
-		workers    = flag.Int("workers", 0, "compute pool width for FFT/convolution fan-out (0 = ILT_WORKERS env or GOMAXPROCS)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU pprof profile of the experiment run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap pprof profile (taken after the run) to this file")
+		scaleName  = fs.String("scale", "small", "experiment scale: small | default | full")
+		experiment = fs.String("experiment", "table1", "comma-separated list of "+strings.Join(experimentNames, " | ")+", or all")
+		solverSel  = fs.String("solver", "", "solver backend for the \"Ours\" flow rows: "+strings.Join(opt.Names(), " | ")+" (empty = pixel; recorded in -json provenance)")
+		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		jsonPath   = fs.String("json", "", "also write machine-readable per-method metrics JSON to this file")
+		verbose    = fs.Bool("v", false, "print per-run progress")
+		devices    = fs.Int("devices", 4, "maximum simulated devices for the speedup sweep")
+		workers    = fs.Int("workers", 0, "compute pool width for FFT/convolution fan-out (0 = ILT_WORKERS env or GOMAXPROCS)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU pprof profile of the experiment run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap pprof profile (taken after the run) to this file")
 	)
-	flag.Parse()
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	var scale bench.Scale
@@ -72,8 +97,23 @@ func main() {
 	case "full":
 		scale = bench.ScaleFull
 	default:
-		fmt.Fprintf(os.Stderr, "iltbench: unknown scale %q\n", *scaleName)
-		os.Exit(2)
+		return fmt.Errorf("unknown scale %q", *scaleName)
+	}
+	selected := experimentNames
+	if *experiment != "all" {
+		selected = strings.Split(*experiment, ",")
+		for i, name := range selected {
+			selected[i] = strings.TrimSpace(name)
+			if !slices.Contains(experimentNames, selected[i]) {
+				return fmt.Errorf("unknown experiment %q", name)
+			}
+		}
+	}
+	if *solverSel != "" && !opt.Known(*solverSel) {
+		return fmt.Errorf("%w %q (registered: %v)", opt.ErrUnknownSolver, *solverSel, opt.Names())
+	}
+	if *workers > 0 {
+		parallel.SetWorkers(*workers)
 	}
 
 	progress := func(string) {}
@@ -83,183 +123,117 @@ func main() {
 
 	env, err := bench.NewEnv(scale)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if *solverSel != "" {
-		if !opt.Known(*solverSel) {
-			fatal(fmt.Errorf("%w %q (registered: %v)", opt.ErrUnknownSolver, *solverSel, opt.Names()))
-		}
-		env.Solver = *solverSel
-	}
-
+	env.Solver = *solverSel
 	doc := benchfmt.Doc{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       scale.Name,
-		N:           scale.N,
-		Clip:        scale.Clip,
-		Cases:       scale.Cases,
-		Iters:       scale.Iters,
+		Provenance: map[string]string{
+			"scale":   scale.Name,
+			"n":       strconv.Itoa(scale.N),
+			"clip":    strconv.Itoa(scale.Clip),
+			"cases":   strconv.Itoa(scale.Cases),
+			"iters":   strconv.Itoa(scale.Iters),
+			"kernels": env.KernelProvenance(),
+			"solver":  cmp.Or(*solverSel, opt.DefaultSolver),
+		},
 		Workers:     parallel.Workers(),
-		Kernels:     env.KernelProvenance(),
 		GitDescribe: gitDescribe(),
-	}
-	// The bench harness always runs its flows in-process, which is
-	// shard count 1 by definition; recording it explicitly keeps these
-	// documents comparable with (and only with) future unsharded runs.
-	shardCount := 1
-	doc.ShardCount = &shardCount
-	// Solver provenance is tri-state: untouched runs leave it nil
-	// (≡ "pixel"), keeping documents comparable with pre-registry
-	// baselines; an explicit -solver pins the document to that backend.
-	if *solverSel != "" {
-		doc.Solver = solverSel
-	}
-	if *jsonPath != "" {
-		// Calibrate before running experiments so the measurement is
-		// taken on an otherwise-quiet process, and record the hot-path
-		// allocation count while the heap is equally quiet. Both happen
-		// before CPU profiling starts so neither pollutes the profile.
-		doc.CalibNS = benchfmt.Calibrate()
-		allocs := env.MeasureLossGradAllocs()
-		doc.LossGradAllocs = &allocs
+		Cells:       map[string]float64{},
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	emit := func(name, title string, tab *report.Table, methods []benchfmt.Method) {
-		fmt.Printf("== %s (scale=%s, N=%d, clip=%d, %d cases, %d iters, %d workers)\n",
-			title, scale.Name, scale.N, scale.Clip, scale.Cases, scale.Iters, parallel.Workers())
-		var err error
-		if *csv {
-			err = tab.FprintCSV(os.Stdout)
-		} else {
-			err = tab.Fprint(os.Stdout)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-		if *jsonPath != "" {
-			doc.Experiments = append(doc.Experiments, benchfmt.Experiment{
-				Name:    name,
-				Methods: methods,
-				Headers: tab.Headers(),
-				Rows:    tab.Rows(),
-			})
-		}
-	}
-
-	run := func(name string) {
+	for _, name := range selected {
+		var (
+			title string
+			res   renderer
+			err   error
+		)
 		switch name {
 		case "table1":
-			res, err := env.RunTable1(progress)
-			if err != nil {
-				fatal(err)
-			}
-			var methods []benchfmt.Method
-			for i, m := range res.Methods {
-				methods = append(methods, benchfmt.Method{Name: m, Metrics: res.Average[i], Ratio: res.Ratio[i]})
-			}
-			emit(name, "Table 1: method comparison", res.Render(), methods)
+			title = "Table 1: method comparison"
+			res, err = rendered(env.RunTable1(progress))
 		case "fig6":
-			res, err := env.RunFig6(progress)
-			if err != nil {
-				fatal(err)
-			}
-			emit(name, "Fig. 6: weighted smoothing ablation", res.Render(), nil)
+			title = "Fig. 6: weighted smoothing ablation"
+			res, err = rendered(env.RunFig6(progress))
 		case "fig7":
-			res, err := env.RunFig7(progress)
-			if err != nil {
-				fatal(err)
-			}
-			emit(name, "Fig. 7: stitch-and-heal critique", res.Render(), nil)
+			title = "Fig. 7: stitch-and-heal critique"
+			res, err = rendered(env.RunFig7(progress))
 		case "fig8":
-			res, err := env.RunFig8(progress)
-			if err != nil {
-				fatal(err)
-			}
-			emit(name, "Fig. 8: stitch errors above threshold", res.Render(), nil)
+			title = "Fig. 8: stitch errors above threshold"
+			res, err = rendered(env.RunFig8(progress))
 		case "speedup":
-			res, err := env.RunSpeedup(*devices, 2, progress)
-			if err != nil {
-				fatal(err)
-			}
-			emit(name, "Section 4: parallel speedup", res.Render(), nil)
+			title = "Section 4: parallel speedup"
+			res, err = rendered(env.RunSpeedup(*devices, 2, progress))
 		case "penalty":
-			res, err := env.RunPenalty(progress)
-			if err != nil {
-				fatal(err)
-			}
-			emit(name, "Section 2.3: tile-assembly penalty", res.Render(), nil)
+			title = "Section 2.3: tile-assembly penalty"
+			res, err = rendered(env.RunPenalty(progress))
 		case "ablation":
-			res, err := env.RunAblations(progress)
-			if err != nil {
-				fatal(err)
-			}
-			emit(name, "Ablations: multigrid-Schwarz design choices", res.Render(), nil)
+			title = "Ablations: multigrid-Schwarz design choices"
+			res, err = rendered(env.RunAblations(progress))
 		case "mrc":
-			res, err := env.RunMRC(progress)
-			if err != nil {
-				fatal(err)
-			}
-			emit(name, "MRC: rule violations at stitch lines", res.Render(), nil)
+			title = "MRC: rule violations at stitch lines"
+			res, err = rendered(env.RunMRC(progress))
 		case "cache":
-			res, err := env.RunCache(progress)
-			if err != nil {
-				fatal(err)
-			}
-			if *jsonPath != "" {
-				hr := res.WarmHitRate()
-				doc.CacheHitRate = &hr
-			}
-			emit(name, "Serving: shared tile cache, cold vs warm", res.Render(), nil)
+			title = "Serving: shared tile cache, cold vs warm"
+			res, err = rendered(env.RunCache(progress))
 		case "scaling":
-			res, err := env.RunScaling(progress)
-			if err != nil {
-				fatal(err)
-			}
-			if *jsonPath != "" {
-				itq := res.IterationsToQuality()
-				doc.IterationsToQuality = &itq
-				dr := res.DroppedRate()
-				doc.TilesDroppedRate = &dr
-			}
-			emit(name, "Scaling: two-level vs one-level Schwarz by tile count", res.Render(), nil)
+			title = "Scaling: two-level vs one-level Schwarz by tile count"
+			res, err = rendered(env.RunScaling(progress))
 		case "solvers":
-			res, err := env.RunSolvers(progress)
-			if err != nil {
-				fatal(err)
+			title = "Solvers: registered backends under the ours flow"
+			res, err = rendered(env.RunSolvers(progress))
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		var methods []benchfmt.Method
+		switch r := res.(type) {
+		case *bench.Table1Result:
+			for i, m := range r.Methods {
+				methods = append(methods, benchfmt.Method{Name: m, Metrics: r.Average[i], Ratio: r.Ratio[i]})
 			}
-			emit(name, "Solvers: registered backends under the ours flow", res.Render(), nil)
-		default:
-			fmt.Fprintf(os.Stderr, "iltbench: unknown experiment %q\n", name)
-			os.Exit(2)
+		case *bench.CacheResult:
+			doc.Cells["cache_hit_rate"] = r.WarmHitRate()
+		case *bench.ScalingResult:
+			doc.Cells["iterations_to_quality"] = r.IterationsToQuality()
+			doc.Cells["tiles_dropped_rate"] = r.DroppedRate()
 		}
-	}
 
-	if *experiment == "all" {
-		for _, name := range []string{"table1", "fig6", "fig7", "fig8", "speedup", "penalty", "ablation", "mrc", "cache", "scaling", "solvers"} {
-			run(name)
+		tab := res.Render()
+		fmt.Fprintf(stdout, "== %s (scale=%s, N=%d, clip=%d, %d cases, %d iters, %d workers)\n",
+			title, scale.Name, scale.N, scale.Clip, scale.Cases, scale.Iters, parallel.Workers())
+		if *csv {
+			err = tab.FprintCSV(stdout)
+		} else {
+			err = tab.Fprint(stdout)
 		}
-	} else {
-		for _, name := range strings.Split(*experiment, ",") {
-			run(strings.TrimSpace(name))
+		if err != nil {
+			return err
 		}
+		fmt.Fprintln(stdout)
+		doc.Experiments = append(doc.Experiments, benchfmt.Experiment{
+			Name:    name,
+			Methods: methods,
+			Headers: tab.Headers(),
+			Rows:    tab.Rows(),
+		})
 	}
 
 	if *jsonPath != "" {
 		if err := doc.WriteFile(*jsonPath); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "iltbench: wrote %s\n", *jsonPath)
 	}
@@ -267,31 +241,27 @@ func main() {
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		runtime.GC() // materialise the retained heap before snapshotting
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "iltbench: wrote %s\n", *memProfile)
 	}
+	return nil
 }
 
 // gitDescribe records the producing tree for artifact forensics;
-// empty when git (or the repository) is unavailable, which benchdiff
-// tolerates — it gates on semantic provenance, not on tree identity.
+// empty when git (or the repository) is unavailable.
 func gitDescribe() string {
 	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
 	if err != nil {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "iltbench:", err)
-	os.Exit(1)
 }

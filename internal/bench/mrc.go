@@ -14,7 +14,6 @@ import (
 // discontinuities violate the manufacturability rule check: mask-shop
 // rule violations within a band around the stitch lines, per method.
 type MRCResult struct {
-	Band    int // audit band half-width around each line
 	Methods []string
 	Cases   []string
 	// NearLine[caseIdx][methodIdx]: violations inside the band.
@@ -28,7 +27,7 @@ type MRCResult struct {
 func (e *Env) RunMRC(progress func(string)) (*MRCResult, error) {
 	rules := mrc.DefaultRules()
 	band := e.BaseConfig().Margin / 2
-	out := &MRCResult{Band: band, Methods: []string{"Multi-level-ILT(D&C)", "Full-chip", "Ours"}}
+	out := &MRCResult{Methods: []string{"Multi-level-ILT(D&C)", "Full-chip", "Ours"}}
 
 	part, err := tile.Part(e.Scale.Clip, e.Scale.Clip, e.Scale.N, e.Scale.N/4)
 	if err != nil {

@@ -51,8 +51,7 @@ const (
 
 // ScalingPoint is one tile-count grid point of the sweep.
 type ScalingPoint struct {
-	Tiles     int // per axis (grid is Tiles×Tiles)
-	TileSize  int
+	Tiles     int     // per axis (grid is Tiles×Tiles)
 	Threshold float64 // the fixed quality bar (scalingQualityFrac × no-ILT L2)
 
 	OneLevelIters int // iterations-to-quality, one-level Schwarz
@@ -65,21 +64,17 @@ type ScalingPoint struct {
 // the two-level flow at the largest grid (where dropout has the most
 // tiles to harvest).
 type ScalingDropout struct {
-	Tiles          int
-	TilesConverged int
-	SolvesSkipped  int
-	TotalSolves    int     // FineStages × tile count
-	Rate           float64 // SolvesSkipped / TotalSolves
-	MaskRMS        float64 // per-pixel RMS vs the no-dropout two-level mask
+	Tiles         int
+	SolvesSkipped int
+	TotalSolves   int     // FineStages × tile count
+	Rate          float64 // SolvesSkipped / TotalSolves
+	MaskRMS       float64 // per-pixel RMS vs the no-dropout two-level mask
 }
 
 // ScalingResult is the full sweep.
 type ScalingResult struct {
-	Clip          string
-	Stages        int
-	ItersPerStage int
-	Points        []ScalingPoint
-	Dropout       ScalingDropout
+	Points  []ScalingPoint
+	Dropout ScalingDropout
 }
 
 // IterationsToQuality is the trajectory-document field: the two-level
@@ -121,7 +116,7 @@ func (e *Env) runScaling(progress func(string), tileSizes []int) (*ScalingResult
 	// the state every run starts from.
 	bar := scalingQualityFrac * metrics.L2(sim, clip.Target, clip.Target)
 
-	res := &ScalingResult{Clip: clip.ID, Stages: scalingStages, ItersPerStage: scalingItersPerStage}
+	res := &ScalingResult{}
 	var lastTwoLevel *core.Result
 	for _, tileSize := range tileSizes {
 		tiles := scalingClip / tileSize
@@ -135,7 +130,6 @@ func (e *Env) runScaling(progress func(string), tileSizes []int) (*ScalingResult
 		}
 		pt := ScalingPoint{
 			Tiles:      tiles,
-			TileSize:   tileSize,
 			Threshold:  bar,
 			OneLevelL2: one.stageL2[len(one.stageL2)-1],
 			TwoLevelL2: two.stageL2[len(two.stageL2)-1],
@@ -165,10 +159,9 @@ func (e *Env) runScaling(progress func(string), tileSizes []int) (*ScalingResult
 	}
 	tiles := (scalingClip / fine) * (scalingClip / fine)
 	d := ScalingDropout{
-		Tiles:          scalingClip / fine,
-		TilesConverged: drop.result.TilesConverged,
-		SolvesSkipped:  drop.result.TileSolvesSkipped,
-		TotalSolves:    scalingStages * tiles,
+		Tiles:         scalingClip / fine,
+		SolvesSkipped: drop.result.TileSolvesSkipped,
+		TotalSolves:   scalingStages * tiles,
 	}
 	d.Rate = float64(d.SolvesSkipped) / float64(d.TotalSolves)
 	d.MaskRMS = math.Sqrt(drop.result.Mask.L2Diff(lastTwoLevel.Mask) / float64(scalingClip*scalingClip))

@@ -35,7 +35,6 @@ type SolverRow struct {
 
 // SolversResult is the per-backend comparison.
 type SolversResult struct {
-	Clip string
 	Rows []SolverRow
 }
 
@@ -43,7 +42,7 @@ type SolversResult struct {
 // under the "Ours" flow and gates ADMM against Pixel.
 func (e *Env) RunSolvers(progress func(string)) (*SolversResult, error) {
 	clip := e.Clips[0]
-	res := &SolversResult{Clip: clip.ID}
+	res := &SolversResult{}
 	byName := map[string]report.Metrics{}
 	for _, name := range opt.Names() {
 		progress(fmt.Sprintf("solvers: %s on %s", name, clip.ID))

@@ -3,30 +3,38 @@ package benchfmt
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
 // TestParseAcceptsCommittedBaseline pins the hardened parser against
-// the repository's own regression baseline: tightening Validate must
-// never orphan the committed artifact the CI gate diffs against.
+// the repository's committed documents: tightening Validate must never
+// orphan the baseline the CI gate diffs against, nor the older points
+// of the trajectory, whose retired fields are ignored.
 func TestParseAcceptsCommittedBaseline(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_baseline.json")
-	if err != nil {
-		t.Fatal(err)
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed documents: %v", err)
 	}
-	d, err := Parse(data)
-	if err != nil {
-		t.Fatalf("committed baseline rejected: %v", err)
-	}
-	if len(d.Experiments) == 0 || d.CalibNS <= 0 {
-		t.Fatalf("baseline parsed implausibly: %+v", d)
+	for _, path := range paths {
+		d, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("committed document rejected: %v", err)
+		}
+		if len(d.Experiments) == 0 {
+			t.Fatalf("%s parsed implausibly: %+v", path, d)
+		}
+		if filepath.Base(path) == "BENCH_baseline.json" && (len(d.Provenance) == 0 || len(d.Cells) == 0) {
+			t.Fatalf("baseline has no provenance or cells: %+v", d)
+		}
 	}
 }
 
 func TestParseRejectsInvalidDocs(t *testing.T) {
 	bad := []string{
-		`{"n":-1}`,
-		`{"calib_ns":-5}`,
+		`{"workers":-1}`,
+		`{"cells":{"iterations_to_quality":-1}}`,
+		`{"cells":{"cache_hit_rate":1.5}}`,
 		`{"experiments":[{"experiment":""}]}`,
 		`{"experiments":[{"experiment":"t","methods":[{"name":""}]}]}`,
 		`{"experiments":[{"experiment":"t","methods":[{"name":"m","metrics":{"L2":-1}}]}]}`,
@@ -49,10 +57,10 @@ func FuzzParseTrajectory(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"scale":"small","n":64,"clip":128,"calib_ns":1,"experiments":[{"experiment":"table1","headers":["a"],"rows":[["1"]]}]}`))
+	f.Add([]byte(`{"provenance":{"scale":"small","n":"64"},"workers":2,"experiments":[{"experiment":"table1","headers":["a"],"rows":[["1"]]}]}`))
 	f.Add([]byte(`{"experiments":[{"experiment":"t","methods":[{"name":"m","metrics":{"L2":1e308,"TATSec":0.5}}]}]}`))
-	f.Add([]byte(`{"iterations_to_quality":12,"tiles_dropped_rate":0.04,"experiments":[]}`))
-	f.Add([]byte(`{"solver":"admm","shard_count":1,"experiments":[{"experiment":"solvers","headers":["Solver","L2"],"rows":[["admm","1200"]]}]}`))
+	f.Add([]byte(`{"cells":{"iterations_to_quality":12,"tiles_dropped_rate":0.04},"experiments":[]}`))
+	f.Add([]byte(`{"provenance":{"solver":"admm"},"experiments":[{"experiment":"solvers","headers":["Solver","L2"],"rows":[["admm","1200"]]}]}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Parse(data)

@@ -48,20 +48,6 @@ type Key [sha256.Size]byte
 // String renders the key as lowercase hex — the spill file basename.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// ParseKey parses the hex form produced by String.
-func ParseKey(s string) (Key, error) {
-	var k Key
-	if len(s) != 2*sha256.Size {
-		return k, fmt.Errorf("cache: key %q has length %d, want %d", s, len(s), 2*sha256.Size)
-	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return k, fmt.Errorf("cache: bad key %q: %w", s, err)
-	}
-	copy(k[:], b)
-	return k, nil
-}
-
 // KeyInput collects every input a tile solve result depends on.
 // Target and Init are tile-local crops; Freeze may be nil (no
 // Dirichlet condition). Optics and Solver are the configuration

@@ -172,7 +172,7 @@ func TestChaosAerialFaultRetried(t *testing.T) {
 				}
 				return fault.Fault{}
 			}))
-			defer fault.Disable()
+			defer fault.Enable(nil)
 
 			armAfterCoarse := func(cfg *Config) {
 				cfg.StageDone = func(pipeline.StageTiming) { armed.Store(true) }

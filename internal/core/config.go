@@ -372,10 +372,6 @@ func (c *Config) progress(stage string, iter, total int) {
 // serialisation (pipeline.WriteCheckpoint / ReadCheckpoint).
 type Checkpoint = pipeline.Checkpoint
 
-// StageTiming is the engine's per-stage wall-time record, re-exported
-// for the same reason.
-type StageTiming = pipeline.StageTiming
-
 // engine assembles the pipeline run for one flow, wiring the Config's
 // cross-cutting hooks (ctx, progress, checkpoint, resume, timing) so
 // every flow is uniformly instrumented and resumable.
@@ -413,10 +409,9 @@ type Result struct {
 	PVBand     float64 // Definition 3
 	StitchLoss float64 // Definition 1, on the partition's stitch lines
 	Errors     []metrics.StitchError
-	TAT        time.Duration // optimisation wall time (excludes inspection)
+	TAT        time.Duration // virtual device-clock makespan of the optimisation (excludes inspection)
 	Area       float64       // target area in pixels
 
-	Lines    []tile.StitchLine // stitch lines evaluated
 	AuxLines []tile.StitchLine // extra boundaries (stitch-and-heal windows)
 	Stats    device.Stats      // cluster accounting snapshot
 
@@ -451,7 +446,6 @@ func (c *Config) evaluate(method string, mask, target *grid.Mat, lines []tile.St
 		PVBand: pvband,
 		TAT:    tat,
 		Area:   target.Sum(),
-		Lines:  lines,
 	}
 	res.StitchLoss, res.Errors = metrics.StitchLoss(binary, lines, c.Stitch)
 	res.Stats = c.runStats(cl)

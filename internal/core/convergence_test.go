@@ -83,9 +83,8 @@ func TestTwoLevelBeatsOneLevelAcrossTileCounts(t *testing.T) {
 				p.Tiles, p.Tiles, p.TwoLevelIters, p.OneLevelIters)
 		}
 	}
-	if res.Dropout.SolvesSkipped == 0 || res.Dropout.TilesConverged == 0 {
-		t.Errorf("dropout phase skipped %d solves / converged %d tiles, want both > 0",
-			res.Dropout.SolvesSkipped, res.Dropout.TilesConverged)
+	if res.Dropout.SolvesSkipped == 0 {
+		t.Error("dropout phase skipped no solves")
 	}
 }
 

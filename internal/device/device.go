@@ -52,7 +52,7 @@ type Cluster struct {
 
 	// Injector, when non-nil, is consulted at the device.run and
 	// device.transfer sites of every job attempt. Set it before the
-	// first Run; it must not be swapped while a batch is in flight.
+	// first RunCtx; it must not be swapped while a batch is in flight.
 	Injector fault.Injector
 	// Retry tunes the per-job retry policy (attempts, backoff shape,
 	// budget, per-attempt timeout). nil uses the fault.Retry defaults.
@@ -101,14 +101,6 @@ func (c *Cluster) Devices() int { return c.n }
 // MemPixels returns the per-device capacity (0 = unlimited).
 func (c *Cluster) MemPixels() int { return c.memPixels }
 
-// Quarantined returns the number of devices currently quarantined by
-// hard faults.
-func (c *Cluster) Quarantined() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nQuar
-}
-
 // Revive returns every quarantined device to the pool — the fresh
 // hardware lease a scheduler grants a new job.
 func (c *Cluster) Revive() {
@@ -124,13 +116,6 @@ func (c *Cluster) Revive() {
 // one device. Algorithm 1 downsamples coarse tiles until this holds.
 func (c *Cluster) Fits(pixels int) bool {
 	return c.memPixels == 0 || pixels <= c.memPixels
-}
-
-// Run executes one barrier-synchronised batch of jobs, then advances
-// the virtual clock by the batch's simulated makespan. It is
-// RunCtx with a background context; see RunCtx for the semantics.
-func (c *Cluster) Run(jobs []Job) error {
-	return c.RunCtx(context.Background(), jobs)
 }
 
 // unit is one pending attempt of one job.
@@ -483,17 +468,4 @@ func (c *Cluster) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// Reset clears the accounting counters (quarantine flags included).
-func (c *Cluster) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.busy = make([]time.Duration, c.n)
-	c.elapsed = 0
-	c.transfer = 0
-	c.jobs = 0
-	c.retries = 0
-	c.quarantined = make([]bool, c.n)
-	c.nQuar = 0
 }

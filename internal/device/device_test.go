@@ -54,7 +54,7 @@ func TestRunExecutesAllJobs(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(jobs); err != nil {
+	if err := c.RunCtx(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if count.Load() != 10 {
@@ -84,7 +84,7 @@ func TestRunConcurrencyBoundedByDevices(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(jobs); err != nil {
+	if err := c.RunCtx(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	// Real concurrency is bounded by the device count (it is further
@@ -109,11 +109,11 @@ func TestVirtualScheduleSpeedup(t *testing.T) {
 		return jobs
 	}
 	c1, _ := NewCluster(1, 0)
-	if err := c1.Run(mkJobs()); err != nil {
+	if err := c1.RunCtx(context.Background(), mkJobs()); err != nil {
 		t.Fatal(err)
 	}
 	c4, _ := NewCluster(4, 0)
-	if err := c4.Run(mkJobs()); err != nil {
+	if err := c4.RunCtx(context.Background(), mkJobs()); err != nil {
 		t.Fatal(err)
 	}
 	t1 := c1.Stats().SimElapsed
@@ -131,7 +131,7 @@ func TestVirtualScheduleSpeedup(t *testing.T) {
 func TestRunRejectsOversizedJob(t *testing.T) {
 	c, _ := NewCluster(1, 10)
 	ran := false
-	err := c.Run([]Job{{Pixels: 11, Work: func(context.Context, int) error { ran = true; return nil }}})
+	err := c.RunCtx(context.Background(), []Job{{Pixels: 11, Work: func(context.Context, int) error { ran = true; return nil }}})
 	if err == nil {
 		t.Fatal("expected memory error")
 	}
@@ -144,7 +144,7 @@ func TestRunPropagatesWorkErrors(t *testing.T) {
 	c, _ := NewCluster(2, 0)
 	boom := errors.New("boom")
 	var good atomic.Int32
-	err := c.Run([]Job{
+	err := c.RunCtx(context.Background(), []Job{
 		{Pixels: 1, Work: func(context.Context, int) error { return boom }},
 		{Pixels: 1, Work: func(context.Context, int) error { good.Add(1); return nil }},
 		{Pixels: 1, Work: func(context.Context, int) error { good.Add(1); return nil }},
@@ -164,7 +164,7 @@ func TestStatsAccounting(t *testing.T) {
 		{Pixels: 1 << 20, Work: func(context.Context, int) error { time.Sleep(3 * time.Millisecond); return nil }},
 		{Pixels: 1 << 20, Work: func(context.Context, int) error { time.Sleep(3 * time.Millisecond); return nil }},
 	}
-	if err := c.Run(jobs); err != nil {
+	if err := c.RunCtx(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -176,10 +176,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if st.Transfer < 20*time.Millisecond {
 		t.Fatalf("transfer %v, want ≥ 2·(2^20/1e6)·10ms", st.Transfer)
-	}
-	c.Reset()
-	if st := c.Stats(); st.Jobs != 0 || st.TotalBusy != 0 || st.Transfer != 0 {
-		t.Fatalf("reset left %+v", st)
 	}
 }
 
@@ -195,7 +191,7 @@ func TestDeviceIndexInRange(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(jobs); err != nil {
+	if err := c.RunCtx(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if bad.Load() != 0 {
@@ -206,7 +202,7 @@ func TestDeviceIndexInRange(t *testing.T) {
 func TestTransferChargedToTimeline(t *testing.T) {
 	c, _ := NewCluster(1, 0)
 	c.TransferPerMPixel = 100 * time.Millisecond
-	err := c.Run([]Job{ok(1 << 20)})
+	err := c.RunCtx(context.Background(), []Job{ok(1 << 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +220,11 @@ func TestTransferChargedToTimeline(t *testing.T) {
 func TestSimElapsedAccumulatesAcrossRuns(t *testing.T) {
 	c, _ := NewCluster(2, 0)
 	job := Job{Pixels: 1, Work: func(context.Context, int) error { time.Sleep(2 * time.Millisecond); return nil }}
-	if err := c.Run([]Job{job, job}); err != nil {
+	if err := c.RunCtx(context.Background(), []Job{job, job}); err != nil {
 		t.Fatal(err)
 	}
 	first := c.Stats().SimElapsed
-	if err := c.Run([]Job{job}); err != nil {
+	if err := c.RunCtx(context.Background(), []Job{job}); err != nil {
 		t.Fatal(err)
 	}
 	second := c.Stats().SimElapsed
@@ -256,7 +252,7 @@ func TestTransientFaultsRetriedToSuccess(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(jobs); err != nil {
+	if err := c.RunCtx(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	// The injected failure pre-empts Work, so Work runs exactly once per
@@ -282,7 +278,7 @@ func TestTransientFaultExhaustsAttempts(t *testing.T) {
 		}
 		return fault.Fault{}
 	})
-	err := c.Run([]Job{ok(1)})
+	err := c.RunCtx(context.Background(), []Job{ok(1)})
 	if err == nil || !fault.Transient(err) {
 		t.Fatalf("want transient exhaustion error, got %v", err)
 	}
@@ -310,14 +306,14 @@ func TestHardFaultQuarantinesDevice(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(jobs); err != nil {
+	if err := c.RunCtx(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 12 {
 		t.Fatalf("work ran %d times, want 12", runs.Load())
 	}
 	st := c.Stats()
-	if st.Quarantined != 1 || c.Quarantined() != 1 {
+	if st.Quarantined != 1 {
 		t.Fatalf("quarantined %d devices, want 1", st.Quarantined)
 	}
 	if st.Retries != 1 {
@@ -342,7 +338,7 @@ func TestHardFaultQuarantinesDevice(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(next); err != nil {
+	if err := c.RunCtx(context.Background(), next); err != nil {
 		t.Fatal(err)
 	}
 	if onQuar.Load() != 0 {
@@ -350,8 +346,8 @@ func TestHardFaultQuarantinesDevice(t *testing.T) {
 	}
 	// Revive restores the full pool.
 	c.Revive()
-	if c.Quarantined() != 0 {
-		t.Fatalf("revive left %d quarantined", c.Quarantined())
+	if c.Stats().Quarantined != 0 {
+		t.Fatalf("revive left %d quarantined", c.Stats().Quarantined)
 	}
 }
 
@@ -368,20 +364,20 @@ func TestAllDevicesLostReturnsErrNoDevices(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = ok(1)
 	}
-	err := c.Run(jobs)
+	err := c.RunCtx(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("losing the whole pool must fail the batch")
 	}
-	if c.Quarantined() != 2 {
-		t.Fatalf("quarantined %d of 2 devices", c.Quarantined())
+	if c.Stats().Quarantined != 2 {
+		t.Fatalf("quarantined %d of 2 devices", c.Stats().Quarantined)
 	}
 	// A subsequent batch on the dead pool fails immediately.
-	if err := c.Run([]Job{ok(1)}); !errors.Is(err, ErrNoDevices) {
+	if err := c.RunCtx(context.Background(), []Job{ok(1)}); !errors.Is(err, ErrNoDevices) {
 		t.Fatalf("dead pool returned %v, want ErrNoDevices", err)
 	}
 	c.Revive()
 	c.Injector = nil
-	if err := c.Run([]Job{ok(1)}); err != nil {
+	if err := c.RunCtx(context.Background(), []Job{ok(1)}); err != nil {
 		t.Fatalf("revived pool failed: %v", err)
 	}
 }
@@ -395,7 +391,7 @@ func TestInjectedLatencyChargedToTimeline(t *testing.T) {
 		return fault.Fault{}
 	})
 	start := time.Now()
-	if err := c.Run([]Job{ok(1)}); err != nil {
+	if err := c.RunCtx(context.Background(), []Job{ok(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if wall := time.Since(start); wall > 250*time.Millisecond {
@@ -416,7 +412,7 @@ func TestLatencySpikeBeyondDeadlineRetried(t *testing.T) {
 		}
 		return fault.Fault{}
 	})
-	if err := c.Run([]Job{ok(1)}); err != nil {
+	if err := c.RunCtx(context.Background(), []Job{ok(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Retries != 1 {
@@ -435,7 +431,7 @@ func TestInjectedPanicRecoveredAsRetryable(t *testing.T) {
 		}
 		return nil
 	}}}
-	if err := c.Run(jobs); err != nil {
+	if err := c.RunCtx(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -467,7 +463,7 @@ func TestRetryBudgetCapsRedispatch(t *testing.T) {
 		}
 		return fault.Fault{}
 	})
-	err := c.Run([]Job{ok(1), ok(1)})
+	err := c.RunCtx(context.Background(), []Job{ok(1), ok(1)})
 	if err == nil {
 		t.Fatal("budget-starved batch must fail")
 	}
@@ -544,7 +540,7 @@ func TestSeededChaosBatchIsDeterministic(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = ok(100)
 		}
-		err := c.Run(jobs)
+		err := c.RunCtx(context.Background(), jobs)
 		return c.Stats(), err
 	}
 	s1, err1 := run()

@@ -54,7 +54,7 @@ func TestWidthBoundCountsDispatchers(t *testing.T) {
 			return nil
 		}}
 	}
-	if err := c.Run(jobs); err != nil {
+	if err := c.RunCtx(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if p, w := peak.Load(), int32(parallel.Workers()); p > w {
@@ -104,7 +104,7 @@ func TestLastJobGetsTheHelperBack(t *testing.T) {
 			return nil
 		}},
 	}
-	if err := c.Run(jobs); err != nil {
+	if err := c.RunCtx(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 }

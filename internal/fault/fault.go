@@ -165,9 +165,6 @@ func (s *Seeded) Site(site Site, r Rates) *Seeded {
 	return s
 }
 
-// Seed returns the injector's seed, for chaos-run logging.
-func (s *Seeded) Seed() int64 { return s.seed }
-
 // At implements Injector.
 func (s *Seeded) At(site Site, k Key) Fault {
 	r, ok := s.sites[site]
@@ -240,9 +237,6 @@ func Enable(inj Injector) {
 	}
 	global.Store(&injectorBox{inj: inj})
 }
-
-// Disable removes the process-global injector.
-func Disable() { global.Store(nil) }
 
 // Enabled reports whether a process-global injector is installed.
 func Enabled() bool { return global.Load() != nil }

@@ -114,16 +114,16 @@ func TestGlobalHookDisabledByDefault(t *testing.T) {
 		t.Fatalf("disabled hook injected %+v", f)
 	}
 	Enable(NewSeeded(1).Site(SiteLithoAerial, Rates{Transient: 1}))
-	defer Disable()
+	defer Enable(nil)
 	if !Enabled() {
 		t.Fatal("Enable did not install")
 	}
 	if f := At(SiteLithoAerial, Key{}); f.Err == nil {
 		t.Fatal("enabled hook must inject at rate 1")
 	}
-	Disable()
+	Enable(nil)
 	if Enabled() {
-		t.Fatal("Disable did not remove")
+		t.Fatal("Enable(nil) did not remove")
 	}
 }
 

@@ -101,14 +101,6 @@ func (r *Retry) Take() bool {
 	return r.used.Add(1) <= r.Budget
 }
 
-// Used returns the number of budget units consumed so far.
-func (r *Retry) Used() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.used.Load()
-}
-
 // retryable classifies err under the policy.
 func (r *Retry) retryable(err error) bool {
 	if r != nil && r.Retryable != nil {

@@ -96,8 +96,8 @@ func TestDoBudgetShared(t *testing.T) {
 	if calls != 1 || err == nil {
 		t.Fatalf("second op made %d calls (err %v), want budget-starved single attempt", calls, err)
 	}
-	if r.Used() < 3 {
-		t.Fatalf("budget accounting %d, want >= 3", r.Used())
+	if r.used.Load() < 3 {
+		t.Fatalf("budget accounting %d, want >= 3", r.used.Load())
 	}
 }
 
@@ -158,7 +158,7 @@ func TestZeroValueDefaults(t *testing.T) {
 		t.Fatal("unlimited budget must always grant")
 	}
 	var nilR *Retry
-	if nilR.Attempts() != DefaultMaxAttempts || !nilR.Take() || nilR.Used() != 0 {
+	if nilR.Attempts() != DefaultMaxAttempts || !nilR.Take() {
 		t.Fatal("nil policy must behave as defaults")
 	}
 	if nilR.Backoff(2) != 4*DefaultBaseDelay {

@@ -10,16 +10,16 @@
 // The 2-D complex transform is one routine (xform2D): a row pass over
 // the live rows and a column pass over every column, in either order,
 // over one matrix or a same-shaped batch. The exported entry points are
-// its settings: Forward2D/Inverse2D (every row live, rows first),
-// Inverse2DPruned (row mask, rows first), Forward2DBand (row mask,
-// columns first), and Batch2D, Batch2DInversePruned and
-// Batch2DForwardBand, the same three over a batch whose rows and column
+// its settings: Inverse2DPruned (row mask, rows first), Forward2DBand
+// (row mask, columns first), and Batch2D (every row live, rows first),
+// Batch2DInversePruned and Batch2DForwardBand, the same over a batch
+// whose rows and column
 // strips each fan out over the shared worker pool in one parallel
 // section.
 //
 // Conventions: the forward transform is unnormalised and the inverse
-// carries the 1/n factor per dimension, so Inverse(Forward(x)) == x.
-// Spectra produced by Forward2D have DC at index (0,0) ("corner"
+// carries the 1/n factor per dimension, so a round trip returns the
+// input. Spectra produced by ForwardReal2D have DC at index (0,0) ("corner"
 // layout); SwapQuadrants converts between that and the DC-at-centre
 // layout used for human-readable kernel definitions. Sizes must be
 // powers of two.
@@ -279,14 +279,6 @@ func radix2Pass(x []complex128, tw []complex128, size int) {
 	}
 }
 
-// Forward computes the in-place forward FFT of x (length must be a
-// power of two).
-func Forward(x []complex128) { planFor(len(x)).transform(x, false) }
-
-// Inverse computes the in-place inverse FFT of x, including the 1/n
-// normalisation.
-func Inverse(x []complex128) { planFor(len(x)).transform(x, true) }
-
 // scratch is a pooled []complex128 used for column strips and packed
 // real rows. Pools are keyed by length and shared by
 // the serial and parallel paths; the wrapper struct (instead of a bare
@@ -325,13 +317,6 @@ func putScratch(s *scratch) {
 	scratchPoolFor(len(s.buf)).Put(s)
 }
 
-// Forward2D computes the in-place 2-D forward FFT of m (rows then
-// columns). m must be square or rectangular with power-of-two sides.
-func Forward2D(m *grid.CMat) { xform2D{}.one(m) }
-
-// Inverse2D computes the in-place 2-D inverse FFT of m.
-func Inverse2D(m *grid.CMat) { xform2D{inverse: true}.one(m) }
-
 // Dir selects the transform direction of a batched 2-D pass.
 type Dir int
 
@@ -344,7 +329,7 @@ const (
 )
 
 // Batch2D transforms every matrix of the batch in place, equivalent to
-// calling Forward2D/Inverse2D on each — bit-identically so — but with
+// transforming each alone — bit-identically so — but with
 // two parallel sections for the whole batch instead of two per matrix.
 // All matrices must share one power-of-two shape.
 func Batch2D(ms []*grid.CMat, dir Dir) { Batch2DLimit(ms, dir, 0) }
@@ -519,15 +504,6 @@ func (f *fan) strips(lo, hi int) {
 	putScratch(s)
 }
 
-// ForwardReal transforms a real matrix into a freshly allocated
-// corner-layout spectrum. It routes through ForwardReal2D, so it costs
-// roughly half a complex 2-D transform.
-func ForwardReal(m *grid.Mat) *grid.CMat {
-	c := grid.NewCMat(m.H, m.W)
-	ForwardReal2D(c, m)
-	return c
-}
-
 // SwapQuadrants converts between corner and centre spectrum layouts in
 // place and returns m. Both dimensions must be even, which makes the
 // quadrant swap a perfect 2-cycle: element (y, x) trades places with
@@ -619,17 +595,4 @@ func bilinearAt(m *grid.CMat, y0, x0 int, fy, fx float64) complex128 {
 	top := a*complex(1-fx, 0) + b*complex(fx, 0)
 	bot := c*complex(1-fx, 0) + d*complex(fx, 0)
 	return top*complex(1-fy, 0) + bot*complex(fy, 0)
-}
-
-// Convolve multiplies the corner-layout spectrum of m by kernel (also
-// corner layout) and inverse-transforms, returning the complex result:
-// IFFT(H ⊙ FFT(m)). kernel must match m's shape.
-func Convolve(m *grid.Mat, kernel *grid.CMat) *grid.CMat {
-	if kernel.H != m.H || kernel.W != m.W {
-		panic(fmt.Sprintf("fft: Convolve shape mismatch %dx%d vs kernel %dx%d", m.H, m.W, kernel.H, kernel.W))
-	}
-	spec := ForwardReal(m)
-	spec.MulElem(kernel)
-	Inverse2D(spec)
-	return spec
 }

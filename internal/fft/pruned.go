@@ -19,7 +19,7 @@ import "mgsilt/internal/grid"
 // the row pass only transforms the live rows; the column pass then runs
 // exactly as in the dense transform (after the row pass the live rows
 // are spatially dense, so no column can be skipped). The
-// result is bit-identical to Inverse2D — pruning is exact, not
+// result is bit-identical to the dense inverse — pruning is exact, not
 // approximate — provided the contract holds that every dead row contains
 // only +0 entries. The litho hot path guarantees that by writing its
 // per-kernel products row-restricted and explicitly zero-filling dead
@@ -47,7 +47,7 @@ import "mgsilt/internal/grid"
 // Inverse2DPruned computes the in-place 2-D inverse FFT of m, skipping
 // the 1-D row transforms of rows whose rowLive entry is false. Every
 // dead row must contain only +0 entries; the output is then
-// bit-identical to Inverse2D(m) at any worker count.
+// bit-identical to the dense inverse at any worker count.
 func Inverse2DPruned(m *grid.CMat, rowLive []bool) {
 	xform2D{rowLive: rowLive, inverse: true}.one(m)
 }

@@ -32,7 +32,7 @@ func TestForwardReal2DMatchesComplex(t *testing.T) {
 	for _, s := range shapes {
 		h, w := s[0], s[1]
 		src := randMat(rng, h, w)
-		want := grid.NewCMatFromReal(src)
+		want := complexOf(src)
 		Forward2D(want)
 		got := ForwardReal2D(grid.NewCMat(h, w), src)
 		var maxDiff, maxMag float64

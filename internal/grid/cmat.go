@@ -53,68 +53,12 @@ func (m *CMat) Zero() *CMat {
 	return m
 }
 
-// ProdOf sets m = a ⊙ b element-wise and returns m. Compared to
-// copy-then-MulElem it touches every cache line once instead of twice,
-// which matters in the Hopkins hot path where the mask spectrum is
-// multiplied by every kernel spectrum per condition. The products are
-// bit-identical to MulElem's.
-func (m *CMat) ProdOf(a, b *CMat) *CMat {
-	m.mustSameShape(a, "ProdOf")
-	m.mustSameShape(b, "ProdOf")
-	bd := b.Data
-	for i, av := range a.Data {
-		m.Data[i] = av * bd[i]
-	}
-	return m
-}
-
-// MulElem multiplies m element-wise by o and returns m.
-func (m *CMat) MulElem(o *CMat) *CMat {
-	m.mustSameShape(o, "MulElem")
-	for i, v := range o.Data {
-		m.Data[i] *= v
-	}
-	return m
-}
-
 // Scale multiplies every element by s and returns m.
 func (m *CMat) Scale(s complex128) *CMat {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// Conj conjugates every element in place and returns m.
-func (m *CMat) Conj() *CMat {
-	for i, v := range m.Data {
-		m.Data[i] = cmplx.Conj(v)
-	}
-	return m
-}
-
-// Real extracts the real part into a fresh Mat.
-func (m *CMat) Real() *Mat {
-	out := NewMat(m.H, m.W)
-	for i, v := range m.Data {
-		out.Data[i] = real(v)
-	}
-	return out
-}
-
-// AbsSq writes |m|² element-wise into dst (allocated when nil) and
-// returns dst.
-func (m *CMat) AbsSq(dst *Mat) *Mat {
-	if dst == nil {
-		dst = NewMat(m.H, m.W)
-	} else if dst.H != m.H || dst.W != m.W {
-		panic("grid: AbsSq shape mismatch")
-	}
-	for i, v := range m.Data {
-		re, im := real(v), imag(v)
-		dst.Data[i] = re*re + im*im
-	}
-	return dst
 }
 
 // AddAbsSqScaled adds s*|m|² element-wise into dst and returns dst.
@@ -127,23 +71,6 @@ func (m *CMat) AddAbsSqScaled(dst *Mat, s float64) *Mat {
 		dst.Data[i] += s * (re*re + im*im)
 	}
 	return dst
-}
-
-// FromReal copies a real matrix into m (imaginary parts zero) and
-// returns m.
-func (m *CMat) FromReal(r *Mat) *CMat {
-	if m.H != r.H || m.W != r.W {
-		panic("grid: FromReal shape mismatch")
-	}
-	for i, v := range r.Data {
-		m.Data[i] = complex(v, 0)
-	}
-	return m
-}
-
-// NewCMatFromReal returns a fresh complex matrix with real part r.
-func NewCMatFromReal(r *Mat) *CMat {
-	return NewCMat(r.H, r.W).FromReal(r)
 }
 
 // MaxAbs returns the largest element magnitude.

@@ -30,49 +30,22 @@ func TestCMatBasics(t *testing.T) {
 	}
 }
 
-func TestCMatMulElemScaleConj(t *testing.T) {
+func TestCMatScale(t *testing.T) {
 	a := NewCMat(1, 2)
-	a.Data[0], a.Data[1] = 1+1i, 2
-	b := NewCMat(1, 2)
-	b.Data[0], b.Data[1] = 2, 3i
-	a.MulElem(b)
-	if a.Data[0] != 2+2i || a.Data[1] != 6i {
-		t.Fatalf("MulElem got %v", a.Data)
-	}
+	a.Data[0], a.Data[1] = 2+2i, 6i
 	a.Scale(1i)
-	if a.Data[0] != -2+2i {
+	if a.Data[0] != -2+2i || a.Data[1] != -6 {
 		t.Fatalf("Scale got %v", a.Data)
-	}
-	a.Conj()
-	if a.Data[0] != -2-2i {
-		t.Fatalf("Conj got %v", a.Data)
 	}
 }
 
 func TestCMatAbsSqAndReal(t *testing.T) {
 	m := NewCMat(1, 2)
 	m.Data[0], m.Data[1] = 3+4i, -2i
-	sq := m.AbsSq(nil)
-	if sq.Data[0] != 25 || sq.Data[1] != 4 {
-		t.Fatalf("AbsSq got %v", sq.Data)
-	}
-	re := m.Real()
-	if re.Data[0] != 3 || re.Data[1] != 0 {
-		t.Fatalf("Real got %v", re.Data)
-	}
 	dst := NewMat(1, 2).Fill(1)
 	m.AddAbsSqScaled(dst, 0.5)
 	if dst.Data[0] != 13.5 || dst.Data[1] != 3 {
 		t.Fatalf("AddAbsSqScaled got %v", dst.Data)
-	}
-}
-
-func TestCMatFromRealRoundTrip(t *testing.T) {
-	r := MatFromData(2, 2, []float64{1, 2, 3, 4})
-	c := NewCMatFromReal(r)
-	back := c.Real()
-	if !back.Equal(r) {
-		t.Fatal("FromReal/Real round trip failed")
 	}
 }
 

@@ -26,15 +26,6 @@ func NewMat(h, w int) *Mat {
 	return &Mat{H: h, W: w, Data: make([]float64, h*w)}
 }
 
-// MatFromData wraps an existing row-major slice as an h×w matrix.
-// The slice is used directly, not copied.
-func MatFromData(h, w int, data []float64) *Mat {
-	if len(data) != h*w {
-		panic(fmt.Sprintf("grid: data length %d does not match %dx%d", len(data), h, w))
-	}
-	return &Mat{H: h, W: w, Data: data}
-}
-
 // At returns the element at row y, column x.
 func (m *Mat) At(y, x int) float64 { return m.Data[y*m.W+x] }
 
@@ -71,29 +62,11 @@ func (m *Mat) Fill(v float64) *Mat {
 // Zero sets every element to 0 and returns m.
 func (m *Mat) Zero() *Mat { return m.Fill(0) }
 
-// Add adds o element-wise into m and returns m.
-func (m *Mat) Add(o *Mat) *Mat {
-	m.mustSameShape(o, "Add")
-	for i, v := range o.Data {
-		m.Data[i] += v
-	}
-	return m
-}
-
 // Sub subtracts o element-wise from m and returns m.
 func (m *Mat) Sub(o *Mat) *Mat {
 	m.mustSameShape(o, "Sub")
 	for i, v := range o.Data {
 		m.Data[i] -= v
-	}
-	return m
-}
-
-// Mul multiplies m element-wise by o and returns m.
-func (m *Mat) Mul(o *Mat) *Mat {
-	m.mustSameShape(o, "Mul")
-	for i, v := range o.Data {
-		m.Data[i] *= v
 	}
 	return m
 }
@@ -127,29 +100,11 @@ func (m *Mat) Clamp(lo, hi float64) *Mat {
 	return m
 }
 
-// Apply replaces every element x with f(x) and returns m.
-func (m *Mat) Apply(f func(float64) float64) *Mat {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-	return m
-}
-
 // Sum returns the sum of all elements.
 func (m *Mat) Sum() float64 {
 	s := 0.0
 	for _, v := range m.Data {
 		s += v
-	}
-	return s
-}
-
-// Dot returns the element-wise inner product of m and o.
-func (m *Mat) Dot(o *Mat) float64 {
-	m.mustSameShape(o, "Dot")
-	s := 0.0
-	for i, v := range m.Data {
-		s += v * o.Data[i]
 	}
 	return s
 }
@@ -274,14 +229,6 @@ func (m *Mat) AccumulateWeighted(src, w *Mat, y0, x0 int) *Mat {
 		}
 	}
 	return m
-}
-
-// PadTo returns a fresh h×w matrix with m copied at offset (y0, x0) and
-// zeros elsewhere.
-func (m *Mat) PadTo(h, w, y0, x0 int) *Mat {
-	out := NewMat(h, w)
-	out.Paste(m, y0, x0)
-	return out
 }
 
 // Equal reports whether m and o have the same shape and identical data.

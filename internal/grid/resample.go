@@ -32,26 +32,6 @@ func (m *Mat) Downsample(s int) *Mat {
 	return out
 }
 
-// UpsampleNearest returns m enlarged by the integer factor s using pixel
-// replication.
-func (m *Mat) UpsampleNearest(s int) *Mat {
-	if s <= 0 {
-		panic("grid: UpsampleNearest factor must be positive")
-	}
-	if s == 1 {
-		return m.Clone()
-	}
-	out := NewMat(m.H*s, m.W*s)
-	for y := 0; y < out.H; y++ {
-		src := m.Row(y / s)
-		dst := out.Row(y)
-		for x := 0; x < out.W; x++ {
-			dst[x] = src[x/s]
-		}
-	}
-	return out
-}
-
 // UpsampleBilinear returns m enlarged by the integer factor s using
 // bilinear interpolation with half-pixel-centre alignment. It is the
 // interpolation operator that lifts the coarse-grid ILT solution onto

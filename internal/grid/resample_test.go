@@ -8,7 +8,7 @@ import (
 )
 
 func TestDownsampleBlockAverage(t *testing.T) {
-	m := MatFromData(2, 4, []float64{
+	m := matOf(2, 4, []float64{
 		1, 3, 5, 7,
 		5, 7, 9, 11,
 	})
@@ -22,7 +22,7 @@ func TestDownsampleBlockAverage(t *testing.T) {
 }
 
 func TestDownsampleFactorOneClones(t *testing.T) {
-	m := MatFromData(1, 2, []float64{1, 2})
+	m := matOf(1, 2, []float64{1, 2})
 	d := m.Downsample(1)
 	if !d.Equal(m) {
 		t.Fatal("factor 1 must be identity")
@@ -40,17 +40,6 @@ func TestDownsamplePanicsOnIndivisible(t *testing.T) {
 		}
 	}()
 	NewMat(3, 4).Downsample(2)
-}
-
-func TestUpsampleNearest(t *testing.T) {
-	m := MatFromData(1, 2, []float64{1, 2})
-	u := m.UpsampleNearest(2)
-	want := []float64{1, 1, 2, 2, 1, 1, 2, 2}
-	for i, v := range u.Data {
-		if v != want[i] {
-			t.Fatalf("up[%d]=%v want %v", i, v, want[i])
-		}
-	}
 }
 
 func TestUpsampleBilinearConstant(t *testing.T) {
@@ -76,13 +65,17 @@ func TestQuickDownsampleMass(t *testing.T) {
 	}
 }
 
-// Property: Downsample(Upsample(m, s), s) == m for nearest-neighbour
-// replication (average of a constant block equals the constant).
+// Property: Downsample undoes nearest-neighbour replication (the
+// average of a constant block equals the constant).
 func TestQuickUpDownRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := randMat(r, 6, 6)
-		return m.UpsampleNearest(2).Downsample(2).AlmostEqual(m, 1e-12)
+		up := NewMat(12, 12)
+		for i := range up.Data {
+			up.Data[i] = m.At(i/12/2, i%12/2)
+		}
+		return up.Downsample(2).AlmostEqual(m, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -108,7 +101,7 @@ func TestQuickBilinearRange(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m := MatFromData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := matOf(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	tr := m.Transpose()
 	if tr.H != 3 || tr.W != 2 {
 		t.Fatalf("shape %dx%d", tr.H, tr.W)

@@ -200,24 +200,3 @@ func (s *Set) Resampled(outSize, stretch int) *Set {
 	}
 	return out
 }
-
-// WeightSum returns the sum of kernel weights (1 after normalisation).
-func (s *Set) WeightSum() float64 {
-	sum := 0.0
-	for _, k := range s.Kernels {
-		sum += k.Weight
-	}
-	return sum
-}
-
-// ClearFieldIntensity returns the aerial intensity a fully clear mask
-// images to: Σ w_k·|H_k(DC)|². Generation normalises this to ≈1.
-func (s *Set) ClearFieldIntensity() float64 {
-	sum := 0.0
-	c := s.N / 2
-	for _, k := range s.Kernels {
-		v := k.Freq.At(c, c)
-		sum += k.Weight * (real(v)*real(v) + imag(v)*imag(v))
-	}
-	return sum
-}

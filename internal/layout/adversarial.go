@@ -23,11 +23,6 @@ import "fmt"
 // can be promoted into the bench suite and the convergence tests
 // without carrying seeds.
 
-// AdversarialNames lists the named adversarial cases in suite order.
-func AdversarialNames() []string {
-	return []string{"line-end-forest", "isolated-contact", "giant-polygon"}
-}
-
 // Adversarial builds the named adversarial clip at the given size.
 // Size must be at least 64; geometry scales proportionally while
 // feature widths stay at the ≈10 px resolution regime of
@@ -48,20 +43,6 @@ func Adversarial(name string, size int) (*Clip, error) {
 		return nil, fmt.Errorf("layout: unknown adversarial case %q", name)
 	}
 	return FromRects(name, size, rects)
-}
-
-// AdversarialSuite builds every named case at the given size.
-func AdversarialSuite(size int) ([]*Clip, error) {
-	names := AdversarialNames()
-	clips := make([]*Clip, 0, len(names))
-	for _, name := range names {
-		c, err := Adversarial(name, size)
-		if err != nil {
-			return nil, err
-		}
-		clips = append(clips, c)
-	}
-	return clips, nil
 }
 
 // lineEndForest tiles the interior with columns of short vertical

@@ -470,20 +470,6 @@ func (s *Simulator) Aerial(mask *grid.Mat, cond Condition) *grid.Mat {
 	return s.aerial(mask, 1, cond.Focus)
 }
 
-// AerialScaled computes the coarse-grid aerial image of Eq. (9): mask
-// is a factor-`stretch` downsampled representation (each mask pixel
-// spans stretch fine pixels), simulated with stretched kernels on the
-// mask's own grid.
-func (s *Simulator) AerialScaled(mask *grid.Mat, stretch int, cond Condition) *grid.Mat {
-	if mask.H != mask.W || !fft.IsPow2(mask.H) {
-		panic(fmt.Sprintf("litho: scaled mask must be square power-of-two, got %dx%d", mask.H, mask.W))
-	}
-	if stretch < 1 {
-		panic("litho: stretch must be >= 1")
-	}
-	return s.aerial(mask, stretch, cond.Focus)
-}
-
 // workersFor resolves the kernel-loop parallelism for a k-kernel
 // evaluation: the shared pool width capped at k.
 func workersFor(k int) int {
@@ -546,8 +532,8 @@ var kernelsEvaluated atomic.Int64
 func KernelsEvaluatedTotal() int64 { return kernelsEvaluated.Load() }
 
 // prodLive writes dst = a ⊙ b on the live rows and zero-fills the dead
-// rows. The products on live rows are the same complex multiplications
-// ProdOf performs; the dead rows of the product are known zero because
+// rows. The products on live rows are the plain element-wise complex
+// multiplications; the dead rows of the product are known zero because
 // b's dead rows are zero, but dst is a pooled buffer carrying stale
 // bits, so they are explicitly reset to +0 — exactly the dead-row
 // contract fft.Inverse2DPruned requires.

@@ -189,7 +189,7 @@ func TestEq3LargeAreaConsistency(t *testing.T) {
 	mask := centredSquare(testN, 16)
 	native := sim.Aerial(mask, sim.Nominal())
 
-	big := mask.PadTo(2*testN, 2*testN, testN/2, testN/2)
+	big := grid.NewMat(2*testN, 2*testN).Paste(mask, testN/2, testN/2)
 	large := sim.Aerial(big, sim.Nominal())
 	crop := large.Crop(testN/2, testN/2, testN, testN)
 

@@ -6,6 +6,15 @@ import (
 	"mgsilt/internal/grid"
 )
 
+// AerialScaled computes the coarse-grid aerial image of Eq. (9): mask
+// is a factor-stretch downsampled representation (each mask pixel spans
+// stretch fine pixels), simulated with stretched kernels on the mask's
+// own grid. The flows reach this evaluation through LossGrad's Stretch;
+// the tests call it directly.
+func (s *Simulator) AerialScaled(mask *grid.Mat, stretch int, cond Condition) *grid.Mat {
+	return s.aerial(mask, stretch, cond.Focus)
+}
+
 func TestKernelStretchCases(t *testing.T) {
 	sim := testSim(t) // N = 64
 	cases := []struct {

@@ -44,11 +44,10 @@ func (r Rules) Validate() error {
 	return nil
 }
 
-// Violation is one rule violation: a representative pixel plus extent.
+// Violation is one rule violation, at a representative pixel; the
+// Report slice it is in names the rule.
 type Violation struct {
-	Kind   string // "width", "space" or "area"
-	Y, X   int    // representative pixel
-	Pixels int    // number of offending pixels (or component area)
+	Y, X int
 }
 
 // Report summarises a check.
@@ -109,7 +108,7 @@ func neckViolations(b *grid.Mat, minWidth int) []Violation {
 		}
 		seen[orig]++
 		if seen[orig] > 1 {
-			out = append(out, Violation{Kind: "width", Y: c.Y, X: c.X, Pixels: c.Area})
+			out = append(out, Violation{Y: c.Y, X: c.X})
 		}
 	}
 	return out
@@ -133,7 +132,7 @@ func widthViolations(b *grid.Mat, minWidth int) []Violation {
 			thin.Data[i] = 1
 		}
 	}
-	return clusters(thin, "width")
+	return clusters(thin)
 }
 
 // spaceViolations finds gaps narrower than minSpace: background pixels
@@ -153,7 +152,7 @@ func spaceViolations(b *grid.Mat, minSpace int) []Violation {
 			notch.Data[i] = 1
 		}
 	}
-	return clusters(notch, "space")
+	return clusters(notch)
 }
 
 // areaViolations finds connected mask components smaller than minArea.
@@ -165,7 +164,7 @@ func areaViolations(b *grid.Mat, minArea int) []Violation {
 	comps := Components(b)
 	for _, c := range comps {
 		if c.Area < minArea {
-			out = append(out, Violation{Kind: "area", Y: c.Y, X: c.X, Pixels: c.Area})
+			out = append(out, Violation{Y: c.Y, X: c.X})
 		}
 	}
 	return out
@@ -173,10 +172,10 @@ func areaViolations(b *grid.Mat, minArea int) []Violation {
 
 // clusters groups marked pixels into 8-connected clusters and emits
 // one violation per cluster.
-func clusters(marked *grid.Mat, kind string) []Violation {
+func clusters(marked *grid.Mat) []Violation {
 	var out []Violation
 	for _, c := range Components(marked) {
-		out = append(out, Violation{Kind: kind, Y: c.Y, X: c.X, Pixels: c.Area})
+		out = append(out, Violation{Y: c.Y, X: c.X})
 	}
 	return out
 }

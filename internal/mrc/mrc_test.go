@@ -45,9 +45,8 @@ func TestWidthViolation(t *testing.T) {
 	if len(rep.WidthViolations) == 0 {
 		t.Fatal("1px wire not flagged as width violation")
 	}
-	v := rep.WidthViolations[0]
-	if v.Kind != "width" || v.Pixels < 10 {
-		t.Fatalf("violation %+v", v)
+	if v := rep.WidthViolations[0]; v.Y != 8 || v.X < 4 || v.X >= 24 {
+		t.Fatalf("violation %+v off the wire", v)
 	}
 }
 
@@ -62,8 +61,8 @@ func TestSpaceViolation(t *testing.T) {
 	if len(rep.SpaceViolations) == 0 {
 		t.Fatal("1px gap not flagged")
 	}
-	if rep.SpaceViolations[0].Kind != "space" {
-		t.Fatalf("violation %+v", rep.SpaceViolations[0])
+	if v := rep.SpaceViolations[0]; v.X != 14 {
+		t.Fatalf("violation %+v off the gap", v)
 	}
 }
 
@@ -91,8 +90,8 @@ func TestAreaViolation(t *testing.T) {
 	if len(rep.AreaViolations) != 1 {
 		t.Fatalf("area violations %+v", rep.AreaViolations)
 	}
-	if rep.AreaViolations[0].Pixels != 4 {
-		t.Fatalf("sliver area %d", rep.AreaViolations[0].Pixels)
+	if v := rep.AreaViolations[0]; v.Y < 4 || v.Y >= 6 || v.X < 4 || v.X >= 6 {
+		t.Fatalf("violation %+v off the sliver", v)
 	}
 }
 
@@ -161,8 +160,8 @@ func TestNeckViolation(t *testing.T) {
 
 func TestCheckNearLinesFilters(t *testing.T) {
 	rep := &Report{
-		WidthViolations: []Violation{{Kind: "width", Y: 10, X: 100}},
-		AreaViolations:  []Violation{{Kind: "area", Y: 50, X: 10}},
+		WidthViolations: []Violation{{Y: 10, X: 100}},
+		AreaViolations:  []Violation{{Y: 50, X: 10}},
 	}
 	near := rep.CheckNearLines([]int{98}, []int{50}, 3)
 	if len(near.WidthViolations) != 1 || len(near.AreaViolations) != 1 {

@@ -31,9 +31,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Rows returns a copy of the data rows (cells are shared).
 func (t *Table) Rows() [][]string {
 	out := make([][]string, len(t.rows))

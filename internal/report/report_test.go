@@ -27,8 +27,8 @@ func TestTableFprint(t *testing.T) {
 	if lines[2][off:off+3] != "123" {
 		t.Fatalf("misaligned columns:\n%s", buf.String())
 	}
-	if tab.NumRows() != 2 {
-		t.Fatalf("NumRows=%d", tab.NumRows())
+	if len(tab.Rows()) != 2 {
+		t.Fatalf("%d rows", len(tab.Rows()))
 	}
 }
 

@@ -46,7 +46,7 @@ func (f *fakeSolver) SolveBatch(targets, inits []*grid.Mat, ps []opt.Params) ([]
 			errs[i] = f.err
 			continue
 		}
-		outs[i] = m.Clone().Apply(func(v float64) float64 { return v + 1 })
+		outs[i] = m.Clone().AddScaled(grid.NewMat(m.H, m.W).Fill(1), 1)
 	}
 	return outs, errs
 }

@@ -245,7 +245,7 @@ func TestPartitionOfUnityAcrossShardGroups(t *testing.T) {
 							}
 						}
 					}
-					total.Add(groupSum)
+					total.AddScaled(groupSum, 1)
 				}
 				for y := 0; y < gm.h; y++ {
 					for x := 0; x < gm.w; x++ {

@@ -281,10 +281,3 @@ func (p *Partition) Colors() [][]int {
 	}
 	return out
 }
-
-// Overlap reports whether tiles i and j share any pixels.
-func (p *Partition) Overlap(i, j int) bool {
-	a, b := p.Tiles[i], p.Tiles[j]
-	return a.Y0 < b.Y0+p.Tile && b.Y0 < a.Y0+p.Tile &&
-		a.X0 < b.X0+p.Tile && b.X0 < a.X0+p.Tile
-}

@@ -281,6 +281,14 @@ func TestColorsSeparateOverlappingTiles(t *testing.T) {
 	}
 }
 
+// Overlap reports whether tiles i and j share any pixels: the
+// rectangle test the colouring tests check Colors against.
+func (p *Partition) Overlap(i, j int) bool {
+	a, b := p.Tiles[i], p.Tiles[j]
+	return a.Y0 < b.Y0+p.Tile && b.Y0 < a.Y0+p.Tile &&
+		a.X0 < b.X0+p.Tile && b.X0 < a.X0+p.Tile
+}
+
 func TestOverlap(t *testing.T) {
 	p := paperGeometry(t)
 	if !p.Overlap(0, 1) || !p.Overlap(0, 4) || !p.Overlap(0, 3) {
