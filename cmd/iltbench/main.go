@@ -109,9 +109,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 	}
-	if *solverSel != "" && !opt.Known(*solverSel) {
-		return fmt.Errorf("%w %q (registered: %v)", opt.ErrUnknownSolver, *solverSel, opt.Names())
-	}
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
 	}
@@ -125,7 +122,11 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	env.Solver = *solverSel
+	if *solverSel != "" {
+		if env.Solver, err = opt.New(*solverSel, env.Sim); err != nil {
+			return err
+		}
+	}
 	doc := benchfmt.Doc{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Provenance: map[string]string{

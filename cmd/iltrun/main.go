@@ -181,7 +181,6 @@ func run(args []string, stdout io.Writer) error {
 		solver.(*opt.MultiLevel).Levels = 3
 	}
 	cfg.Solver = solver
-	cfg.SolverName = solverName
 
 	// Remote tile sharding: the flow's tile fan-out goes through a
 	// shard coordinator instead of the local cluster. The worker-side

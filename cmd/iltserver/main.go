@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"mgsilt/internal/opt"
 	"mgsilt/internal/service"
 )
 
@@ -70,17 +69,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		batchSize = fs.Int("batch-size", 0, "largest lockstep batch of a round's tile solves (<2 disables batching)")
 		stateDir  = fs.String("state-dir", "", "durable job-queue journal directory; pending jobs resume after a restart")
 		shardURLs = fs.String("shard-workers", "", "comma-separated iltworker base URLs; every job's tile solves shard across them (byte-identical to in-process)")
-		solverSel = fs.String("solver", "", "default solver backend for jobs that do not set solver: "+strings.Join(opt.Names(), " | "))
-		correct   = fs.Bool("coarse-correct", false, "default two-level Schwarz coarse correction for jobs that do not override coarse_correct")
-		dropTol   = fs.Float64("drop-tol", 0, "default per-tile convergence dropout tolerance for jobs that do not override drop_tol (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *solverSel != "" && !opt.Known(*solverSel) {
-		return fmt.Errorf("%w %q (registered: %v)", opt.ErrUnknownSolver, *solverSel, opt.Names())
-	}
 	var shardWorkers []string
 	if *shardURLs != "" {
 		shardWorkers = strings.Split(*shardURLs, ",")
@@ -104,9 +97,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		BatchSize:        *batchSize,
 		StateDir:         *stateDir,
 		ShardWorkers:     shardWorkers,
-		DefaultSolver:    *solverSel,
-		CoarseCorrect:    *correct,
-		DropTol:          *dropTol,
 	})
 	if err != nil {
 		ln.Close()

@@ -13,8 +13,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"mgsilt/internal/opt"
 )
 
 // syncBuffer is a stderr the test reads while run writes it.
@@ -55,20 +53,19 @@ func retiredFlags(t *testing.T) [][]string {
 	return out
 }
 
-// Arguments that must not start a server: -h, a retired flag, an
-// unknown solver.
+// Arguments that must not start a server: -h, a retired flag, and the
+// server-wide job defaults that jobs now set only per submit (iltrun
+// still accepts all three, so they are not in the shared list).
 func TestBadArguments(t *testing.T) {
 	ctx := context.Background()
 	if err := run(ctx, []string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h: %v, want flag.ErrHelp", err)
 	}
-	for _, args := range retiredFlags(t) {
+	jobDefaults := [][]string{{"-solver", "pixel"}, {"-coarse-correct"}, {"-drop-tol", "0.05"}}
+	for _, args := range append(retiredFlags(t), jobDefaults...) {
 		if err := run(ctx, args, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%v: %v, want an unknown-flag error", args, err)
 		}
-	}
-	if err := run(ctx, []string{"-solver", "bogus"}, io.Discard); !errors.Is(err, opt.ErrUnknownSolver) {
-		t.Errorf("-solver bogus: %v, want opt.ErrUnknownSolver", err)
 	}
 }
 

@@ -63,11 +63,10 @@ type Env struct {
 	Scale Scale
 	Sim   *litho.Simulator
 	Clips []*layout.Clip
-	// Solver, when non-empty, is the opt registry name the "Ours"
-	// multigrid-Schwarz rows solve tiles with; empty keeps the default
-	// (pixel). Reference methods keep their paper-mandated solvers
-	// regardless.
-	Solver string
+	// Solver, when non-nil, is the solver the "Ours" multigrid-Schwarz
+	// rows solve tiles with; nil keeps the default (pixel). Reference
+	// methods keep their paper-mandated solvers regardless.
+	Solver opt.Solver
 }
 
 // NewEnv builds the optics and the clip suite for a scale.
@@ -95,20 +94,25 @@ func (e *Env) KernelProvenance() string {
 // BaseConfig returns the shared experiment configuration.
 func (e *Env) BaseConfig() core.Config {
 	cfg := core.DefaultConfig(e.Sim, e.Scale.Clip, e.Scale.Iters)
-	cfg.SolverName = e.Solver
+	cfg.Solver = e.Solver
 	return cfg
+}
+
+// stock resolves a solver the experiments name themselves through the
+// registry, like every other selection site.
+func (e *Env) stock(name string) opt.Solver {
+	sv, err := opt.New(name, e.Sim)
+	if err != nil {
+		panic(err) // a stock registry name cannot be missing
+	}
+	return sv
 }
 
 // fullChipSolver builds the paper's full-chip reference solver: the
 // Multi-level-ILT of [4] with enough pyramid levels to reach below the
-// native grid on the whole clip. Resolved through the registry like
-// every other selection site, then deepened.
+// native grid on the whole clip.
 func (e *Env) fullChipSolver() opt.Solver {
-	sv, err := opt.New("multilevel", e.Sim)
-	if err != nil {
-		panic(err) // a stock registry name cannot be missing
-	}
-	ml := sv.(*opt.MultiLevel)
+	ml := e.stock("multilevel").(*opt.MultiLevel)
 	levels := 2
 	for c := e.Scale.Clip; c > e.Scale.N; c /= 2 {
 		levels++
@@ -131,13 +135,13 @@ func (e *Env) Methods() []Method {
 		{Name: "GLS-ILT", Run: func(t *grid.Mat, cl *device.Cluster) (*core.Result, error) {
 			cfg := e.BaseConfig()
 			cfg.Cluster = cl
-			cfg.Solver, cfg.SolverName = nil, "levelset"
+			cfg.Solver = e.stock("levelset")
 			return core.DivideAndConquer(cfg, t)
 		}},
 		{Name: "Multi-level-ILT", Run: func(t *grid.Mat, cl *device.Cluster) (*core.Result, error) {
 			cfg := e.BaseConfig()
 			cfg.Cluster = cl
-			cfg.Solver, cfg.SolverName = nil, "multilevel"
+			cfg.Solver = e.stock("multilevel")
 			return core.DivideAndConquer(cfg, t)
 		}},
 		{Name: "Full-chip", Run: func(t *grid.Mat, cl *device.Cluster) (*core.Result, error) {

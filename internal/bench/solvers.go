@@ -52,7 +52,7 @@ func (e *Env) RunSolvers(progress func(string)) (*SolversResult, error) {
 		}
 		cfg := e.BaseConfig()
 		cfg.Cluster = cl
-		cfg.Solver, cfg.SolverName = nil, name
+		cfg.Solver = e.stock(name)
 		r, err := core.MultigridSchwarz(cfg, clip.Target)
 		if err != nil {
 			return nil, fmt.Errorf("solvers: %s: %w", name, err)

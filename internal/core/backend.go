@@ -9,6 +9,7 @@ import (
 	"mgsilt/internal/cache"
 	"mgsilt/internal/device"
 	"mgsilt/internal/grid"
+	"mgsilt/internal/litho"
 	"mgsilt/internal/opt"
 	"mgsilt/internal/sched"
 )
@@ -42,11 +43,11 @@ type TileRequest struct {
 
 // TileBackend executes one barrier-synchronised batch of tile solves —
 // the pluggable fan-out seam of the stage-pipeline flows. Two
-// implementations exist: the in-process device.Cluster path (the
-// default, with content-addressed caching and lockstep batching) and
+// implementations exist: Local, the in-process device.Cluster path (the
+// default, with content-addressed caching and lockstep batching), and
 // the remote shard coordinator of internal/shard, which partitions the
-// batch over worker processes and exchanges only overlap-halo strips
-// between Schwarz stages.
+// batch over worker processes — each solving its share through Local —
+// and exchanges only overlap-halo strips between Schwarz stages.
 //
 // SolveTiles returns one solution per request, aligned with reqs. The
 // contract inherited from the flows is bit-identity: a tile solution
@@ -76,7 +77,7 @@ func (c *Config) backend(cl *device.Cluster) TileBackend {
 	if c.Tiles != nil {
 		return c.Tiles
 	}
-	return &clusterBackend{cfg: c, cl: cl}
+	return &Local{Cluster: cl, Sim: c.Sim, Solver: c.solver(), Cache: c.TileCache, Batch: c.Batch}
 }
 
 // simElapsed returns the virtual clock a flow's tile work is charged
@@ -84,10 +85,8 @@ func (c *Config) backend(cl *device.Cluster) TileBackend {
 // is installed, the backend's.
 func (c *Config) simElapsed(cl *device.Cluster) time.Duration {
 	t := cl.Stats().SimElapsed
-	if c.Tiles != nil {
-		if bs, ok := c.Tiles.(BackendStats); ok {
-			t += bs.SimElapsed()
-		}
+	if bs, ok := c.Tiles.(BackendStats); ok {
+		t += bs.SimElapsed()
 	}
 	return t
 }
@@ -96,52 +95,48 @@ func (c *Config) simElapsed(cl *device.Cluster) time.Duration {
 // backend's, when one is installed.
 func (c *Config) runStats(cl *device.Cluster) device.Stats {
 	s := cl.Stats()
-	if c.Tiles != nil {
-		if bs, ok := c.Tiles.(BackendStats); ok {
-			r := bs.ClusterStats()
-			s.Jobs += r.Jobs
-			s.TotalBusy += r.TotalBusy
-			s.Transfer += r.Transfer
-			s.SimElapsed += r.SimElapsed
-			s.Retries += r.Retries
-			s.Quarantined += r.Quarantined
-			if r.MaxBusy > s.MaxBusy {
-				s.MaxBusy = r.MaxBusy
-			}
-		}
+	if bs, ok := c.Tiles.(BackendStats); ok {
+		s = s.Add(bs.ClusterStats())
 	}
 	return s
 }
 
-// clusterBackend is the in-process TileBackend. It sees every request
-// of a round, so it forms the round's device jobs itself: the
-// content-addressed tile cache answers repeated solves before dispatch,
-// identical misses collapse to one solve, and the batch policy cuts the
-// remaining misses into lockstep runs, one device job each.
-type clusterBackend struct {
-	cfg *Config
-	cl  *device.Cluster
+// Local is the in-process TileBackend and the one place a tile solve
+// becomes a device job: the flows' default backend, FullChip's ideal
+// job and the shard worker's batches all dispatch through it. It sees
+// every request of a round, so it forms the round's device jobs itself:
+// the content-addressed tile cache answers repeated solves before
+// dispatch, identical misses collapse to one solve, and the batch policy
+// cuts the remaining misses into lockstep runs, one device job each.
+type Local struct {
+	Cluster *device.Cluster
+	// Sim is the optics whose fingerprint enters cache keys and batch
+	// classes; only read when Cache or Batch is set.
+	Sim    *litho.Simulator
+	Solver opt.Solver
+	// Cache, when non-nil, content-addresses requests of a fingerprinted
+	// solver; Batch, when non-nil, cuts a batch solver's misses into
+	// lockstep runs. With both nil every request is its own device job.
+	Cache *cache.Cache
+	Batch *sched.Batcher
 }
 
-func (b *clusterBackend) SolveTiles(ctx context.Context, reqs []TileRequest) ([]*grid.Mat, error) {
-	c := b.cfg
-	solver := c.solver()
-
+func (b *Local) SolveTiles(ctx context.Context, reqs []TileRequest) ([]*grid.Mat, error) {
 	// Content addressing and batching both require a configuration
 	// fingerprint; solvers without one bypass the whole machinery.
 	var optics, solverFP string
-	if c.TileCache != nil || c.Batch != nil {
-		if f, ok := solver.(opt.Fingerprinter); ok {
-			optics = c.Sim.Fingerprint()
+	if b.Cache != nil || b.Batch != nil {
+		if f, ok := b.Solver.(opt.Fingerprinter); ok {
+			optics = b.Sim.Fingerprint()
 			solverFP = f.Fingerprint()
 		}
 	}
-	tc := c.TileCache
+	tc := b.Cache
 	if solverFP == "" {
 		tc = nil
 	}
-	_, canBatch := solver.(opt.BatchSolver)
-	canBatch = canBatch && c.Batch != nil && solverFP != ""
+	_, canBatch := b.Solver.(opt.BatchSolver)
+	canBatch = canBatch && b.Batch != nil && solverFP != ""
 	classKey := optics + "|" + solverFP
 
 	out := make([]*grid.Mat, len(reqs))
@@ -189,14 +184,14 @@ func (b *clusterBackend) SolveTiles(ctx context.Context, reqs []TileRequest) ([]
 		})
 	}
 
-	runs := c.Batch.Plan(items, b.cl.MemPixels())
+	runs := b.Batch.Plan(items, b.Cluster.MemPixels())
 	jobs := make([]device.Job, len(runs))
 	for r, run := range runs {
 		members := make([]int, len(run))
 		for j, t := range run {
 			members[j] = todo[t]
 		}
-		jobs[r] = b.job(solver, reqs, members, !items[run[0]].Solo, out)
+		jobs[r] = b.job(reqs, members, !items[run[0]].Solo, out)
 	}
 
 	// The round leads the keys it claimed. Their publication is deferred
@@ -204,7 +199,7 @@ func (b *clusterBackend) SolveTiles(ctx context.Context, reqs []TileRequest) ([]
 	// every one, and it happens before this round waits on anyone else's.
 	var runErr error
 	cache.Lead(claims, func() ([]*grid.Mat, []error) {
-		runErr = b.cl.RunCtx(ctx, jobs)
+		runErr = b.Cluster.RunCtx(ctx, jobs)
 		ms, errs := make([]*grid.Mat, len(claimed)), make([]error, len(claimed))
 		for j, i := range claimed {
 			if ms[j] = out[i]; ms[j] == nil {
@@ -220,7 +215,7 @@ func (b *clusterBackend) SolveTiles(ctx context.Context, reqs []TileRequest) ([]
 		// The solve runs only when the key's leader failed: then this
 		// request dispatches its own device job.
 		u, err := tc.Do(keys[i], func() (*grid.Mat, error) {
-			err := b.cl.RunCtx(ctx, []device.Job{b.job(solver, reqs, []int{i}, false, out)})
+			err := b.Cluster.RunCtx(ctx, []device.Job{b.job(reqs, []int{i}, false, out)})
 			return out[i], err
 		})
 		if err != nil {
@@ -236,7 +231,7 @@ func (b *clusterBackend) SolveTiles(ctx context.Context, reqs []TileRequest) ([]
 // Its working set is the run's. The attempt context carries batch
 // cancellation plus any per-attempt retry deadline; the solver polls it
 // between iterations.
-func (b *clusterBackend) job(solver opt.Solver, reqs []TileRequest, run []int, batch bool, out []*grid.Mat) device.Job {
+func (b *Local) job(reqs []TileRequest, run []int, batch bool, out []*grid.Mat) device.Job {
 	job := device.Job{Work: func(ctx context.Context, _ int) error {
 		targets, inits := make([]*grid.Mat, len(run)), make([]*grid.Mat, len(run))
 		ps := make([]opt.Params, len(run))
@@ -246,9 +241,9 @@ func (b *clusterBackend) job(solver opt.Solver, reqs []TileRequest, run []int, b
 		}
 		outs, errs := make([]*grid.Mat, 1), make([]error, 1)
 		if batch {
-			outs, errs = b.cfg.Batch.SolveBatch(solver.(opt.BatchSolver), targets, inits, ps)
+			outs, errs = b.Batch.SolveBatch(b.Solver.(opt.BatchSolver), targets, inits, ps)
 		} else {
-			outs[0], errs[0] = solver.Solve(targets[0], inits[0], ps[0])
+			outs[0], errs[0] = b.Solver.Solve(targets[0], inits[0], ps[0])
 		}
 		var failed []error
 		for j, i := range run {

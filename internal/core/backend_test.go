@@ -70,8 +70,8 @@ func TestBackendStatsMerge(t *testing.T) {
 	// Without a backend the local cluster numbers pass through and the
 	// default in-process backend is returned.
 	plain := Config{}
-	if _, ok := plain.backend(cl).(*clusterBackend); !ok {
-		t.Fatalf("default backend is %T, want *clusterBackend", plain.backend(cl))
+	if _, ok := plain.backend(cl).(*Local); !ok {
+		t.Fatalf("default backend is %T, want *Local", plain.backend(cl))
 	}
 	if got := plain.simElapsed(cl); got != cl.Stats().SimElapsed {
 		t.Fatalf("simElapsed without backend = %v", got)

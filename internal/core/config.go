@@ -40,15 +40,11 @@ import (
 // Config describes one experiment setup: the optics, the solver φ(·),
 // the tiling geometry and the iteration schedule of Section 4.
 type Config struct {
-	Sim    *litho.Simulator
-	Solver opt.Solver // φ(·); overrides SolverName when non-nil
-
-	// SolverName selects φ(·) by opt registry name ("pixel", "admm",
-	// …) when Solver is nil; empty means opt.DefaultSolver. This is
-	// the string that flag values, service JobSpecs and shard wire
-	// sessions thread down to the flows — Validate rejects names the
-	// registry does not know.
-	SolverName string
+	Sim *litho.Simulator
+	// Solver is φ(·); nil means opt.NewPixel(Sim), the
+	// opt.DefaultSolver. Callers that select by registry name resolve
+	// it once with opt.New.
+	Solver opt.Solver
 
 	Cluster *device.Cluster // nil → single device, unlimited memory
 
@@ -80,9 +76,8 @@ type Config struct {
 	// tile-index order, results are bit-identical at any shard count.
 	// FullChip's single whole-clip job always runs on the local cluster
 	// (the paper's ideal-device baseline has no tile fan-out to shard).
-	// When Tiles is set, TileCache and Batch apply only to solves the
-	// backend chooses to honour them for (the shard workers solve
-	// directly).
+	// When Tiles is set, TileCache and Batch do not apply: the shard
+	// workers solve through their own Local, with neither.
 	Tiles TileBackend
 
 	// Ctx carries the flow's deadline/cancellation. It is threaded
@@ -273,9 +268,6 @@ func (c *Config) Validate() error {
 	if c.Sim == nil {
 		return fmt.Errorf("core: Sim is required")
 	}
-	if c.Solver == nil && c.SolverName != "" && !opt.Known(c.SolverName) {
-		return fmt.Errorf("core: %w %q (registered: %v)", opt.ErrUnknownSolver, c.SolverName, opt.Names())
-	}
 	n := c.Sim.N()
 	if c.ClipSize < n || c.ClipSize%n != 0 || !fft.IsPow2(c.ClipSize/n) {
 		return fmt.Errorf("core: clip %d is not a power-of-two multiple of N=%d", c.ClipSize, n)
@@ -340,13 +332,6 @@ func (c *Config) coarseCorrectScale() int {
 func (c *Config) solver() opt.Solver {
 	if c.Solver != nil {
 		return c.Solver
-	}
-	if c.SolverName != "" {
-		if sv, err := opt.New(c.SolverName, c.Sim); err == nil {
-			return sv
-		}
-		// Unknown names are caught by Validate; flows that skip
-		// validation fall through to the default below.
 	}
 	return opt.NewPixel(c.Sim)
 }

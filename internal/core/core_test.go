@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"mgsilt/internal/cache"
 	"mgsilt/internal/device"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/kernels"
@@ -12,6 +13,7 @@ import (
 	"mgsilt/internal/litho"
 	"mgsilt/internal/opt"
 	"mgsilt/internal/pipeline"
+	"mgsilt/internal/sched"
 )
 
 // StageTiming is the name TestStageSequenceFreeze gives the engine's
@@ -121,7 +123,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{name: "negative refine LR", mutate: func(c *Config) { c.RefineLR = -1 }},
 		{name: "heal band zero", mutate: func(c *Config) { c.HealBand = 0 }},
 		{name: "heal band too wide", mutate: func(c *Config) { c.HealBand = 32 }},
-		{name: "unknown solver name", mutate: func(c *Config) { c.SolverName = "quantum" }, want: opt.ErrUnknownSolver},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,21 +139,17 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// TestSolverResolution pins the three-way precedence of the solver
-// seam: an explicit Solver instance wins, then the registry name, then
-// the pixel default.
+// TestSolverResolution pins the solver seam: an explicit Solver
+// instance wins, and nil is the registry's default backend.
 func TestSolverResolution(t *testing.T) {
 	sim := testSim(t)
 	cfg := DefaultConfig(sim, testClip, 10)
-	if got := cfg.solver().Name(); got != "pixel-ilt" {
-		t.Fatalf("default solver = %q", got)
-	}
-	cfg.SolverName = "levelset"
-	if err := cfg.Validate(); err != nil {
+	def, err := opt.New(opt.DefaultSolver, sim)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.solver().Name(); got != "gls-ilt" {
-		t.Fatalf("named solver = %q", got)
+	if got := cfg.solver().Name(); got != def.Name() {
+		t.Fatalf("default solver = %q, registry default %q", got, def.Name())
 	}
 	cfg.Solver = identitySolver{}
 	if got := cfg.solver().Name(); got != "identity" {
@@ -494,6 +491,23 @@ func TestFullChipBypassesMemoryGate(t *testing.T) {
 	}
 	if res.Stats.Jobs != 1 {
 		t.Fatalf("full-chip should run as one cluster job, got %d", res.Stats.Jobs)
+	}
+
+	// The ideal job is never cached or batched: with both installed and
+	// a fingerprinted batch solver, it is still one job and touches
+	// neither.
+	cfg.Solver = nil
+	cfg.TileCache = newTileCache(t)
+	cfg.Batch = sched.New(sched.Options{BatchSize: 4})
+	if cfg.Cluster, err = device.NewCluster(1, 16); err != nil {
+		t.Fatal(err)
+	}
+	res, err = FullChip(cfg, testClipTarget(t, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs, bs := cfg.TileCache.Stats(), cfg.Batch.Stats(); res.Stats.Jobs != 1 || cs != (cache.Stats{}) || bs != (sched.Stats{}) {
+		t.Fatalf("full-chip with cache and batcher: %d jobs, cache %+v, batch %+v; want 1 job and untouched counters", res.Stats.Jobs, cs, bs)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"mgsilt/internal/device"
 	"mgsilt/internal/filter"
@@ -445,29 +444,20 @@ func FullChip(cfg Config, target *grid.Mat) (res *Result, err error) {
 	stages := []pipeline.Stage{{
 		Name: "solve", Iter: 1, Total: 1,
 		Run: func(_ context.Context, _ *grid.Mat) (*grid.Mat, error) {
-			params := opt.Params{Iters: cfg.BaselineIters, LR: cfg.LR, Stretch: 1, PVWeight: cfg.PVWeight}
-			// One ideal job: the paper charges full-chip ILT no
+			// One ideal request on the local cluster, whatever backend the
+			// tile flows use: the paper charges full-chip ILT no
 			// communication overhead and assumes a device large enough to
-			// hold the clip, so the job bypasses the per-device memory
-			// gate by construction (Pixels = 0 always fits).
-			var m *grid.Mat
-			var mmu sync.Mutex
-			job := device.Job{Work: func(ctx context.Context, _ int) error {
-				p := params
-				p.Ctx = ctx
-				u, err := c.solver().Solve(target, target, p)
-				if err != nil {
-					return err
-				}
-				mmu.Lock()
-				m = u
-				mmu.Unlock()
-				return nil
-			}}
-			if err := cl.RunCtx(c.ctx(), []device.Job{job}); err != nil {
+			// hold the clip, so the job bypasses the per-device memory gate
+			// by construction (Pixels = 0 always fits), and it is never
+			// cached or batched.
+			sols, err := (&Local{Cluster: cl, Solver: c.solver()}).SolveTiles(c.ctx(), []TileRequest{{
+				Target: target, Init: target,
+				Params: opt.Params{Iters: cfg.BaselineIters, LR: cfg.LR, Stretch: 1, PVWeight: cfg.PVWeight},
+			}})
+			if err != nil {
 				return nil, err
 			}
-			return m, nil
+			return sols[0], nil
 		},
 	}}
 	m, timeline, err := c.engine("full-chip", stages).Run(target)

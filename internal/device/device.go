@@ -456,6 +456,32 @@ type Stats struct {
 	Quarantined int           // devices currently quarantined by hard faults
 }
 
+// Add merges the accounting of another pool: counters and times sum,
+// and MaxBusy is the busier of the two.
+func (s Stats) Add(o Stats) Stats {
+	s.Jobs += o.Jobs
+	s.TotalBusy += o.TotalBusy
+	s.MaxBusy = max(s.MaxBusy, o.MaxBusy)
+	s.Transfer += o.Transfer
+	s.SimElapsed += o.SimElapsed
+	s.Retries += o.Retries
+	s.Quarantined += o.Quarantined
+	return s
+}
+
+// Sub is the accounting accrued since the earlier snapshot o of the same
+// pool, field by field.
+func (s Stats) Sub(o Stats) Stats {
+	s.Jobs -= o.Jobs
+	s.TotalBusy -= o.TotalBusy
+	s.MaxBusy -= o.MaxBusy
+	s.Transfer -= o.Transfer
+	s.SimElapsed -= o.SimElapsed
+	s.Retries -= o.Retries
+	s.Quarantined -= o.Quarantined
+	return s
+}
+
 // Stats returns a snapshot of the accounting counters.
 func (c *Cluster) Stats() Stats {
 	c.mu.Lock()

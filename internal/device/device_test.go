@@ -179,6 +179,33 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// Add sums every field except MaxBusy, which takes the busier pool; Sub
+// is the field-by-field delta from an earlier snapshot.
+func TestStatsAddSub(t *testing.T) {
+	a := Stats{Jobs: 3, TotalBusy: 5 * time.Second, MaxBusy: 2 * time.Second, Transfer: time.Second,
+		SimElapsed: 4 * time.Second, Retries: 1, Quarantined: 1}
+	b := Stats{Jobs: 7, TotalBusy: 6 * time.Second, MaxBusy: 3 * time.Second, Transfer: 2 * time.Second,
+		SimElapsed: time.Second, Retries: 2}
+	cases := []struct {
+		name string
+		got  Stats
+		want Stats
+	}{
+		{"add", a.Add(b), Stats{Jobs: 10, TotalBusy: 11 * time.Second, MaxBusy: 3 * time.Second,
+			Transfer: 3 * time.Second, SimElapsed: 5 * time.Second, Retries: 3, Quarantined: 1}},
+		{"add keeps the larger max", b.Add(a).Add(Stats{MaxBusy: time.Second}), a.Add(b)},
+		{"add zero", a.Add(Stats{}), a},
+		{"sub", a.Add(b).Sub(a), Stats{Jobs: 7, TotalBusy: 6 * time.Second, MaxBusy: time.Second,
+			Transfer: 2 * time.Second, SimElapsed: time.Second, Retries: 2}},
+		{"sub itself", a.Sub(a), Stats{}},
+	}
+	for _, tc := range cases {
+		if tc.got != tc.want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
 func TestDeviceIndexInRange(t *testing.T) {
 	c, _ := NewCluster(3, 0)
 	var bad atomic.Int32

@@ -10,10 +10,10 @@ import (
 )
 
 // The registry is the single seam through which every layer picks a
-// tile solver: flows (core.Config.SolverName), the shard wire protocol
-// (SolveRequest.Solver), the service JobSpec, and the cmd tools all
-// resolve backends with New and derive their validation and flag help
-// from Names. Backends self-register from an init() in their own file,
+// tile solver: the shard wire protocol (SolveRequest.Solver), the
+// service JobSpec, internal/bench and the cmd tools all resolve a name
+// once with New and hand the instance to the flows as core.Config.Solver;
+// validation and flag help derive from Names. Backends self-register from an init() in their own file,
 // so adding a solver is one file plus one Register call — no switch
 // statements to chase across packages.
 

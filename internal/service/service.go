@@ -79,7 +79,7 @@ type JobSpec struct {
 	Flow string `json:"flow"`
 	// Solver selects φ(·) by opt registry name — opt.Names() is the
 	// accepted vocabulary (admm, curvy, levelset, multilevel, pixel);
-	// empty means the server's default solver (normally "pixel").
+	// empty means opt.DefaultSolver.
 	Solver string `json:"solver,omitempty"`
 	// N is the native simulator grid (power of two; default 64).
 	N int `json:"n,omitempty"`
@@ -107,8 +107,8 @@ type JobSpec struct {
 	PVWeight    *float64 `json:"pv_weight,omitempty"`
 	// CoarseCorrect toggles the two-level Schwarz coarse-grid
 	// correction between fine stages; DropTol enables per-tile
-	// convergence dropout (per-pixel RMS tolerance, 0 = off). Both
-	// fall back to the server-wide Options defaults when nil.
+	// convergence dropout (per-pixel RMS tolerance, 0 = off). Both are
+	// off when nil.
 	CoarseCorrect *bool    `json:"coarse_correct,omitempty"`
 	DropTol       *float64 `json:"drop_tol,omitempty"`
 }
@@ -231,10 +231,6 @@ type Options struct {
 	// monopolise the pool.
 	MaxN     int
 	MaxIters int
-	// DefaultSolver is the opt registry name substituted for JobSpecs
-	// that leave Solver empty (default opt.DefaultSolver). Must be a
-	// registered name.
-	DefaultSolver string
 	// ComputeWorkers, when positive, sets the process-wide
 	// internal/parallel pool width that every flow's FFT/convolution
 	// hot path draws from (kernel-level fan-out inside each tile
@@ -280,14 +276,6 @@ type Options struct {
 	// jobs reappear as history without their result payloads.
 	StateDir string
 
-	// CoarseCorrect, when true, turns on the two-level Schwarz
-	// coarse-grid correction for every mgs job that does not override
-	// it; DropTol likewise sets the default per-tile convergence
-	// dropout tolerance (0 disables dropout). Jobs may override either
-	// per submit via JobSpec.
-	CoarseCorrect bool
-	DropTol       float64
-
 	// ShardWorkers, when non-empty, distributes every job's tile
 	// fan-out across these remote iltworker base URLs instead of the
 	// local cluster (internal/shard). Each job gets its own
@@ -313,9 +301,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 10000
-	}
-	if o.DefaultSolver == "" {
-		o.DefaultSolver = opt.DefaultSolver
 	}
 	return o
 }
@@ -508,10 +493,10 @@ func (s *Server) normalize(spec *JobSpec) error {
 		return fmt.Errorf("service: unknown flow %q", spec.Flow)
 	}
 	if spec.Solver == "" {
-		spec.Solver = s.opts.DefaultSolver
+		spec.Solver = opt.DefaultSolver
 	}
-	if spec.Solver != "" && !opt.Known(spec.Solver) {
-		return fmt.Errorf("service: unknown solver %q (registered: %v)", spec.Solver, opt.Names())
+	if !opt.Known(spec.Solver) {
+		return fmt.Errorf("service: %w %q (registered: %v)", opt.ErrUnknownSolver, spec.Solver, opt.Names())
 	}
 	if spec.N == 0 {
 		spec.N = 64
@@ -853,6 +838,9 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 		return nil, err
 	}
 	cfg := core.DefaultConfig(sim, spec.ClipSize, spec.Iters)
+	if cfg.Solver, err = opt.New(spec.Solver, sim); err != nil {
+		return nil, err
+	}
 	cfg.Cluster = cl
 	cfg.Ctx = ctx
 	// The cache is shared across all workers: that is what turns per-job
@@ -865,14 +853,10 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 	// bases. The coordinator's accounting is folded into the service's
 	// shard metrics when the flow returns.
 	if len(s.opts.ShardWorkers) > 0 {
-		solver := spec.Solver
-		if solver == "" {
-			solver = opt.DefaultSolver
-		}
 		coord, err := shard.NewCoordinator(shard.Config{
 			Workers: s.opts.ShardWorkers,
 			N:       spec.N,
-			Solver:  solver,
+			Solver:  spec.Solver,
 			RunID:   fmt.Sprintf("svc-%d-%d", os.Getpid(), s.shardRunID()),
 		})
 		if err != nil {
@@ -899,7 +883,6 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 	// checkpoints and resumes uniformly.
 	cfg.Checkpoint = onCheckpoint
 	cfg.Resume = resume
-	cfg.SolverName = spec.Solver
 	if spec.CoarseScale != nil {
 		cfg.CoarseScale = *spec.CoarseScale
 	}
@@ -921,8 +904,6 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 	if spec.PVWeight != nil {
 		cfg.PVWeight = *spec.PVWeight
 	}
-	cfg.CoarseCorrect = s.opts.CoarseCorrect
-	cfg.DropTol = s.opts.DropTol
 	if spec.CoarseCorrect != nil {
 		cfg.CoarseCorrect = *spec.CoarseCorrect
 	}
@@ -1032,13 +1013,7 @@ func (s *Server) snapshot() snapshot {
 	}
 	s.mu.Unlock()
 	for _, cl := range s.clusters {
-		st := cl.Stats()
-		snap.device.Jobs += st.Jobs
-		snap.device.TotalBusy += st.TotalBusy
-		snap.device.Transfer += st.Transfer
-		snap.device.SimElapsed += st.SimElapsed
-		snap.device.Retries += st.Retries
-		snap.device.Quarantined += st.Quarantined
+		snap.device = snap.device.Add(cl.Stats())
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()

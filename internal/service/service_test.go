@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"mgsilt/internal/layout"
+	"mgsilt/internal/opt"
 )
 
 // testOpts keeps jobs tiny (N=32 optics, 64² clips) so the whole
@@ -351,6 +353,37 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		if !st.State.Terminal() {
 			_, _ = s.Cancel(st.ID)
 		}
+	}
+}
+
+// A job names its solver by registry name: a known one runs that
+// backend, and an unknown one is refused at submit with the registry's
+// sentinel, which the HTTP boundary answers with 400.
+func TestJobSolverSelection(t *testing.T) {
+	s, ts := newTestServer(t, testOpts())
+	sr := postJob(t, ts, JobSpec{Flow: "dc", N: 32, Iters: 3, Solver: "levelset"})
+	st := waitFor(t, ts, sr.Job.ID, 60*time.Second, func(st Status) bool { return st.State.Terminal() })
+	if st.State != StateDone {
+		t.Fatalf("levelset job finished %s (%s)", st.State, st.Error)
+	}
+	res, _, err := s.Result(sr.Job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Method != "divide-and-conquer/gls-ilt" {
+		t.Fatalf("levelset job ran %q", res.Method)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"flow":"dc","solver":"quantum"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown solver answered %d, want 400", resp.StatusCode)
+	}
+	if _, err := s.Submit(JobSpec{Flow: "dc", Solver: "quantum"}); !errors.Is(err, opt.ErrUnknownSolver) {
+		t.Fatalf("unknown solver: %v, want opt.ErrUnknownSolver", err)
 	}
 }
 

@@ -108,11 +108,10 @@ type Coordinator struct {
 	client *http.Client
 	retry  *fault.Retry
 
-	mu         sync.Mutex
-	workers    []*workerState
-	stats      Stats
-	simElapsed time.Duration
-	clStats    device.Stats
+	mu      sync.Mutex
+	workers []*workerState
+	stats   Stats
+	clStats device.Stats
 }
 
 // Coordinator is a core.TileBackend with accounting.
@@ -149,13 +148,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			Retryable:   RetryableRequestError,
 		}
 	}
-	for i, u := range cfg.Workers {
+	for _, u := range cfg.Workers {
 		c.workers = append(c.workers, &workerState{
 			url:    u,
 			alive:  true,
 			mirror: make(map[int]*mirrorTile),
 		})
-		_ = i
 	}
 	return c, nil
 }
@@ -195,7 +193,7 @@ func (e *httpStatusError) Error() string {
 func (c *Coordinator) SimElapsed() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.simElapsed
+	return c.clStats.SimElapsed
 }
 
 // ClusterStats implements core.BackendStats: the workers' aggregated
@@ -282,7 +280,7 @@ func (c *Coordinator) SolveTiles(ctx context.Context, reqs []core.TileRequest) (
 			w     *workerState
 			poss  []int
 			sols  map[int]*grid.Mat // by position
-			stats WorkerStats
+			stats device.Stats
 			err   error
 		}
 		results := make([]result, 0, len(live))
@@ -323,18 +321,12 @@ func (c *Coordinator) SolveTiles(ctx context.Context, reqs []core.TileRequest) (
 			for _, pos := range r.poss {
 				out[pos] = r.sols[pos]
 			}
-			if r.stats.Makespan > roundMakespan {
-				roundMakespan = r.stats.Makespan
-			}
-			c.clStats.Jobs += r.stats.Jobs
-			c.clStats.Retries += r.stats.Retries
-			c.clStats.TotalBusy += r.stats.TotalBusy
-			c.clStats.Transfer += r.stats.Transfer
-			if r.stats.MaxBusy > c.clStats.MaxBusy {
-				c.clStats.MaxBusy = r.stats.MaxBusy
-			}
+			// The shards ran side by side: the clock advances by the
+			// slowest one's makespan, not their sum.
+			roundMakespan = max(roundMakespan, r.stats.SimElapsed)
+			r.stats.SimElapsed = 0
+			c.clStats = c.clStats.Add(r.stats)
 		}
-		c.simElapsed += roundMakespan
 		c.clStats.SimElapsed += roundMakespan
 		pending = next
 		c.mu.Unlock()
@@ -359,7 +351,7 @@ func (c *Coordinator) liveWorkers() []*workerState {
 // the worker mirror. On a stale-session conflict (the worker lost
 // state the mirror assumed) the mirror is reset — renaming the
 // session — and the shard is resent in full.
-func (c *Coordinator) solveOn(ctx context.Context, w *workerState, reqs []core.TileRequest, poss []int) (map[int]*grid.Mat, WorkerStats, error) {
+func (c *Coordinator) solveOn(ctx context.Context, w *workerState, reqs []core.TileRequest, poss []int) (map[int]*grid.Mat, device.Stats, error) {
 	resp, err := c.roundTrip(ctx, w, reqs, poss)
 	var he *httpStatusError
 	if errors.As(err, &he) && he.status == http.StatusConflict {
@@ -370,7 +362,7 @@ func (c *Coordinator) solveOn(ctx context.Context, w *workerState, reqs []core.T
 		resp, err = c.roundTrip(ctx, w, reqs, poss)
 	}
 	if err != nil {
-		return nil, WorkerStats{}, err
+		return nil, device.Stats{}, err
 	}
 
 	// Validate and align the response with the shard.
@@ -385,7 +377,7 @@ func (c *Coordinator) solveOn(ctx context.Context, w *workerState, reqs []core.T
 		req := &reqs[pos]
 		m := byIndex[req.Index]
 		if m == nil || !m.SameShape(req.Init) {
-			return nil, WorkerStats{}, fmt.Errorf("shard: worker %s returned no valid solution for tile %d", w.url, req.Index)
+			return nil, device.Stats{}, fmt.Errorf("shard: worker %s returned no valid solution for tile %d", w.url, req.Index)
 		}
 		sols[pos] = m
 		mt := w.mirror[req.Index]
@@ -474,14 +466,10 @@ func (c *Coordinator) roundTrip(ctx context.Context, w *workerState, reqs []core
 func (c *Coordinator) encodeShard(w *workerState, reqs []core.TileRequest, poss []int) (wreq *SolveRequest, sentTargets, sentFreezes map[int]bool, haloBytes, fullBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	solver := c.cfg.Solver
-	if solver == "" {
-		solver = opt.DefaultSolver
-	}
 	wreq = &SolveRequest{
 		Session: fmt.Sprintf("%s-e%d", c.cfg.RunID, w.epoch),
 		N:       c.cfg.N,
-		Solver:  solver,
+		Solver:  c.cfg.Solver, // the encoder writes an empty name as opt.DefaultSolver
 	}
 	sentTargets = make(map[int]bool)
 	sentFreezes = make(map[int]bool)

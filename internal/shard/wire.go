@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"mgsilt/internal/device"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/opt"
 	"mgsilt/internal/pipeline"
@@ -110,22 +111,13 @@ type TileResult struct {
 	Mask  *grid.Mat
 }
 
-// WorkerStats is the worker-cluster accounting delta for one solve
-// batch, merged by the coordinator into the flow's device.Stats.
-type WorkerStats struct {
-	Jobs      int
-	Retries   int
-	TotalBusy time.Duration
-	MaxBusy   time.Duration
-	// Makespan is the batch's simulated makespan on the worker cluster;
-	// the coordinator's virtual clock advances by the slowest shard's.
-	Makespan time.Duration
-	Transfer time.Duration
-}
-
-// SolveResponse carries the solved tiles and the accounting delta.
+// SolveResponse carries the solved tiles and the worker cluster's
+// accounting delta for the batch. The wire carries six of its numbers:
+// Jobs, Retries, TotalBusy, MaxBusy, SimElapsed (the batch's simulated
+// makespan; the coordinator's virtual clock advances by the slowest
+// shard's) and Transfer.
 type SolveResponse struct {
-	Stats WorkerStats
+	Stats device.Stats
 	Tiles []TileResult
 }
 
@@ -314,7 +306,7 @@ func WriteSolveResponse(w io.Writer, resp *SolveResponse) error {
 	fmt.Fprintf(bw, "%s\nresponse solve\nstats %d %d %d %d %d %d\ntiles %d\n",
 		wireMagic, s.Jobs, s.Retries,
 		s.TotalBusy.Nanoseconds(), s.MaxBusy.Nanoseconds(),
-		s.Makespan.Nanoseconds(), s.Transfer.Nanoseconds(), len(resp.Tiles))
+		s.SimElapsed.Nanoseconds(), s.Transfer.Nanoseconds(), len(resp.Tiles))
 	for _, t := range resp.Tiles {
 		if t.Mask == nil {
 			return fmt.Errorf("shard: tile %d has no mask", t.Index)
@@ -638,13 +630,13 @@ func ReadSolveResponse(rd io.Reader) (*SolveResponse, error) {
 	if ns[0] > MaxWireTiles*int64(maxStatsJobsPerTile) {
 		return nil, fmt.Errorf("shard: stats jobs %d out of bounds", ns[0])
 	}
-	resp.Stats = WorkerStats{
-		Jobs:      int(ns[0]),
-		Retries:   int(ns[1]),
-		TotalBusy: time.Duration(ns[2]),
-		MaxBusy:   time.Duration(ns[3]),
-		Makespan:  time.Duration(ns[4]),
-		Transfer:  time.Duration(ns[5]),
+	resp.Stats = device.Stats{
+		Jobs:       int(ns[0]),
+		Retries:    int(ns[1]),
+		TotalBusy:  time.Duration(ns[2]),
+		MaxBusy:    time.Duration(ns[3]),
+		SimElapsed: time.Duration(ns[4]),
+		Transfer:   time.Duration(ns[5]),
 	}
 	if f, err = r.fields("tiles"); err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mgsilt/internal/device"
 	"mgsilt/internal/grid"
 )
 
@@ -123,10 +124,10 @@ func TestSolveRequestRoundTrip(t *testing.T) {
 func TestSolveResponseRoundTrip(t *testing.T) {
 	rn := rand.New(rand.NewSource(11))
 	resp := &SolveResponse{
-		Stats: WorkerStats{
+		Stats: device.Stats{
 			Jobs: 3, Retries: 1,
 			TotalBusy: 5 * time.Millisecond, MaxBusy: 2 * time.Millisecond,
-			Makespan: 3 * time.Millisecond, Transfer: time.Microsecond,
+			SimElapsed: 3 * time.Millisecond, Transfer: time.Microsecond,
 		},
 		Tiles: []TileResult{
 			{Index: 4, Mask: randMat(rn, 16, 16)},
@@ -149,6 +150,31 @@ func TestSolveResponseRoundTrip(t *testing.T) {
 	}
 	bitsEqual(t, resp.Tiles[0].Mask, got.Tiles[0].Mask, "mask 0")
 	bitsEqual(t, resp.Tiles[1].Mask, got.Tiles[1].Mask, "mask 1")
+}
+
+// The response header carries the six accounting numbers in the order
+// and form earlier builds wrote them — jobs, retries, then total busy,
+// max busy, makespan and transfer in nanoseconds — so coordinators and
+// workers of either build read each other's stats. Quarantined devices
+// stay off the wire.
+func TestSolveResponseStatsLine(t *testing.T) {
+	var buf bytes.Buffer
+	err := WriteSolveResponse(&buf, &SolveResponse{
+		Stats: device.Stats{
+			Jobs: 3, Retries: 1,
+			TotalBusy: 5 * time.Millisecond, MaxBusy: 2 * time.Millisecond,
+			SimElapsed: 3 * time.Millisecond, Transfer: time.Microsecond,
+			Quarantined: 2,
+		},
+		Tiles: []TileResult{{Index: 0, Mask: grid.NewMat(1, 1)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = wireMagic + "\nresponse solve\nstats 3 1 5000000 2000000 3000000 1000\ntiles 1\ntile 0 1 1\n"
+	if got := buf.String(); !strings.HasPrefix(got, want) {
+		t.Fatalf("response header\n%q\nwant\n%q", got[:min(len(got), len(want))], want)
+	}
 }
 
 // TestDiffPatchBitIdentity is the halo-exchange correctness core:

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"mgsilt/internal/core"
 	"mgsilt/internal/device"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/litho"
@@ -88,7 +89,6 @@ type Worker struct {
 	mu       sync.Mutex
 	sims     map[int]*litho.Simulator
 	sessions map[string]*session
-	solves   int
 	clock    int // logical clock for session LRU
 
 	// Metrics counters (guarded by mu).
@@ -155,7 +155,7 @@ func (w *Worker) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 	w.mu.Lock()
 	defer w.mu.Unlock()
 
-	if w.opts.FailAfterSolves > 0 && w.solves >= w.opts.FailAfterSolves {
+	if w.opts.FailAfterSolves > 0 && w.mBatches >= int64(w.opts.FailAfterSolves) {
 		w.mFailures++
 		return nil, fmt.Errorf("shard: worker failing after %d solves (chaos)", w.opts.FailAfterSolves)
 	}
@@ -175,14 +175,8 @@ func (w *Worker) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 	// Resolve every tile's inputs from the wire and the session cache
 	// before any solve runs, so a stale reference fails the whole batch
 	// cleanly (the coordinator resends in full).
-	type work struct {
-		st           *tileState
-		target, init *grid.Mat
-		params       opt.Params
-		pixels       int
-		index        int
-	}
-	works := make([]work, 0, len(req.Tiles))
+	states := make([]*tileState, len(req.Tiles))
+	reqs := make([]core.TileRequest, len(req.Tiles))
 	halo, full := 0, 0
 	for i := range req.Tiles {
 		t := &req.Tiles[i]
@@ -191,7 +185,7 @@ func (w *Worker) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 			st = &tileState{}
 			sess.tiles[t.Index] = st
 		}
-		wk := work{st: st, index: t.Index, pixels: t.Pixels}
+		states[i] = st
 		switch {
 		case t.Target != nil:
 			st.target = t.Target
@@ -202,7 +196,6 @@ func (w *Worker) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 			w.mFailures++
 			return nil, &staleSessionError{fmt.Sprintf("shard: tile %d target not cached in session %s", t.Index, req.Session)}
 		}
-		wk.target = st.target
 		var freeze *grid.Mat
 		switch {
 		case t.Freeze != nil:
@@ -215,84 +208,49 @@ func (w *Worker) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 			}
 			freeze = st.freeze
 		}
-		switch {
-		case t.Init != nil:
-			wk.init = t.Init
+		init := t.Init
+		if init != nil {
 			full++
-		default:
-			init, err := t.Patch.Apply(st.base)
-			if err != nil {
+		} else {
+			if init, err = t.Patch.Apply(st.base); err != nil {
 				w.mFailures++
 				return nil, &staleSessionError{fmt.Sprintf("shard: tile %d has no base for halo patch in session %s", t.Index, req.Session)}
 			}
-			wk.init = init
 			halo++
 		}
-		wk.params = opt.Params{
-			Iters: t.Iters, LR: t.LR, Stretch: t.Stretch,
-			PVWeight: t.PVWeight, Freeze: freeze,
+		reqs[i] = core.TileRequest{
+			Index: t.Index, Pixels: t.Pixels,
+			Target: st.target, Init: init,
+			Params: opt.Params{Iters: t.Iters, LR: t.LR, Stretch: t.Stretch, PVWeight: t.PVWeight, Freeze: freeze},
 		}
-		works = append(works, wk)
 	}
 
-	// Solve the shard on the local cluster. The stats snapshot pair
-	// around RunCtx is why batches are serialised: the delta is this
+	// Solve the shard on the local cluster, through the same in-process
+	// backend as a flow without cache or batcher. The stats snapshot
+	// pair around it is why batches are serialised: the delta is this
 	// batch's accounting.
 	before := w.cl.Stats()
 	wallStart := time.Now()
-	out := make([]*grid.Mat, len(works))
-	var omu sync.Mutex
-	jobs := make([]device.Job, len(works))
-	for i := range works {
-		i := i
-		wk := works[i]
-		jobs[i] = device.Job{
-			Pixels: wk.pixels,
-			Work: func(ctx context.Context, _ int) error {
-				p := wk.params
-				p.Ctx = ctx
-				u, err := solver.Solve(wk.target, wk.init, p)
-				if err != nil {
-					return fmt.Errorf("shard: tile %d: %w", wk.index, err)
-				}
-				omu.Lock()
-				out[i] = u
-				omu.Unlock()
-				return nil
-			},
-		}
-	}
-	if err := w.cl.RunCtx(ctx, jobs); err != nil {
+	out, err := (&core.Local{Cluster: w.cl, Solver: solver}).SolveTiles(ctx, reqs)
+	if err != nil {
 		w.mFailures++
 		return nil, err
 	}
-	after := w.cl.Stats()
-
-	resp := &SolveResponse{
-		Stats: WorkerStats{
-			Jobs:      after.Jobs - before.Jobs,
-			Retries:   after.Retries - before.Retries,
-			TotalBusy: after.TotalBusy - before.TotalBusy,
-			MaxBusy:   after.MaxBusy - before.MaxBusy,
-			Makespan:  after.SimElapsed - before.SimElapsed,
-			Transfer:  after.Transfer - before.Transfer,
-		},
-	}
-	for i, wk := range works {
-		wk.st.base = out[i]
-		resp.Tiles = append(resp.Tiles, TileResult{Index: wk.index, Mask: out[i]})
+	resp := &SolveResponse{Stats: w.cl.Stats().Sub(before)}
+	for i, r := range reqs {
+		states[i].base = out[i]
+		resp.Tiles = append(resp.Tiles, TileResult{Index: r.Index, Mask: out[i]})
 	}
 
-	w.solves++
 	w.mBatches++
-	w.mTiles += int64(len(works))
+	w.mTiles += int64(len(reqs))
 	w.mHaloInits += int64(halo)
 	w.mFullInits += int64(full)
 	w.timeline = append(w.timeline, BatchRecord{
 		Session: req.Session, Solver: req.Solver, N: req.N,
-		Tiles: len(works), HaloInits: halo, FullInits: full,
+		Tiles: len(reqs), HaloInits: halo, FullInits: full,
 		WallMS: float64(time.Since(wallStart).Microseconds()) / 1e3,
-		SimMS:  float64(resp.Stats.Makespan.Microseconds()) / 1e3,
+		SimMS:  float64(resp.Stats.SimElapsed.Microseconds()) / 1e3,
 	})
 	if len(w.timeline) > maxTimeline {
 		w.timeline = w.timeline[len(w.timeline)-maxTimeline:]
