@@ -3,9 +3,9 @@
 //
 // The library lives under internal/ (see README.md for the package
 // map); the public surface of this repository is its executables
-// (cmd/...), its runnable examples (examples/...), and the root
-// benchmarks in bench_test.go that regenerate every table and figure
-// of the paper's evaluation. DESIGN.md documents the system inventory
+// (cmd/...), among them cmd/iltbench, which regenerates every table and
+// figure of the paper's evaluation, and its runnable examples
+// (examples/...). DESIGN.md documents the system inventory
 // and the substitutions made for proprietary dependencies;
 // EXPERIMENTS.md records paper-vs-measured outcomes.
 package mgsilt

@@ -2,14 +2,12 @@
 // figure of the paper (see DESIGN.md, per-experiment index). It builds
 // the synthetic evaluation environment (optics + clip suite), runs the
 // four Table 1 methods plus the figure-specific flows, and renders
-// rows in the paper's format. Both cmd/iltbench and the root
-// bench_test.go drive this package, so command-line runs and
-// `go test -bench` produce identical experiments.
+// rows in the paper's format. cmd/iltbench drives it, one experiment
+// per -experiment name.
 package bench
 
 import (
 	"fmt"
-	"os"
 
 	"mgsilt/internal/core"
 	"mgsilt/internal/device"
@@ -43,20 +41,6 @@ var (
 	// ScaleFull is the Table 1 run: 20 clips at the default optics.
 	ScaleFull = Scale{Name: "full", N: 128, Clip: 256, Cases: 20, Iters: 100, Seed: 1000}
 )
-
-// ScaleFromEnv picks the scale from the ILT_SCALE environment variable
-// (small | default | full), defaulting to small so `go test -bench=.`
-// stays fast.
-func ScaleFromEnv() Scale {
-	switch os.Getenv("ILT_SCALE") {
-	case "default":
-		return ScaleDefault
-	case "full":
-		return ScaleFull
-	default:
-		return ScaleSmall
-	}
-}
 
 // Env is a fully-built experiment environment.
 type Env struct {

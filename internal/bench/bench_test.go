@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 
@@ -22,22 +21,6 @@ func tinyEnv(t *testing.T) *Env {
 		t.Fatal(err)
 	}
 	return env
-}
-
-func TestScaleFromEnv(t *testing.T) {
-	t.Setenv("ILT_SCALE", "")
-	if got := ScaleFromEnv(); got.Name != "small" {
-		t.Fatalf("default scale %q", got.Name)
-	}
-	t.Setenv("ILT_SCALE", "default")
-	if got := ScaleFromEnv(); got.Name != "default" {
-		t.Fatalf("scale %q", got.Name)
-	}
-	t.Setenv("ILT_SCALE", "full")
-	if got := ScaleFromEnv(); got.Name != "full" || got.Cases != 20 {
-		t.Fatalf("scale %+v", got)
-	}
-	os.Unsetenv("ILT_SCALE")
 }
 
 func TestNewEnv(t *testing.T) {

@@ -14,17 +14,18 @@ import (
 	"mgsilt/internal/sched"
 )
 
-// TileRequest is one tile solve dispatched through a TileBackend: the
-// tile-local target and starting mask plus the solve parameters (with
-// the tile's Dirichlet freeze mask already installed in Params.Freeze).
-// Requests in one SolveTiles batch are independent — the backend may
-// execute them in any order and with any placement, because the flow
-// assembles the returned solutions itself in tile-index order; that is
-// what keeps the result bit-identical at any backend parallelism or
-// shard count.
+// TileRequest is one window of a Schwarz sweep dispatched through a
+// TileBackend: the window-local (restricted) target and starting mask
+// plus the solve parameters (with the window's Dirichlet freeze mask
+// already installed in Params.Freeze). Requests in one SolveTiles batch
+// are independent — the backend may execute them in any order and with
+// any placement, because the sweep puts the returned solutions back
+// itself in window order; that is what keeps the result bit-identical
+// at any backend parallelism or shard count.
 type TileRequest struct {
-	// Index is the tile's index in its partition, used for placement
-	// affinity and error reports.
+	// Index is the window's index in its partition (a healing window's
+	// position along its line), used for placement affinity and error
+	// reports.
 	Index int
 	// Pixels is the device working-set hint (the downsampled size for
 	// coarse-grid tiles), checked against device memory and charged to
@@ -36,13 +37,13 @@ type TileRequest struct {
 	// backend with each attempt's context.
 	Params opt.Params
 	// Bare disables the content-addressed cache and lockstep batching
-	// for this request: it runs as its own uncached device job.
-	// Coarse-grid solves keep this historical direct dispatch path.
+	// for this request: it runs as its own uncached device job. The
+	// sweep sets it for restricted (coarse-grid) solves only.
 	Bare bool
 }
 
-// TileBackend executes one barrier-synchronised batch of tile solves —
-// the pluggable fan-out seam of the stage-pipeline flows. Two
+// TileBackend executes one barrier-synchronised round of tile solves —
+// the pluggable fan-out seam of the flows' one Schwarz sweep. Two
 // implementations exist: Local, the in-process device.Cluster path (the
 // default, with content-addressed caching and lockstep batching), and
 // the remote shard coordinator of internal/shard, which partitions the

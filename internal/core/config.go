@@ -48,8 +48,9 @@ type Config struct {
 
 	Cluster *device.Cluster // nil → single device, unlimited memory
 
-	// TileCache, when non-nil, short-circuits fine-grid tile solves
-	// whose content address (tile-local target/init/freeze + optics +
+	// TileCache, when non-nil, short-circuits full-resolution tile
+	// solves (fine stages, refine, D&C, healing windows) whose content
+	// address (tile-local target/init/freeze + optics +
 	// solver fingerprints + solve params) is already cached: hits skip
 	// the device dispatch entirely — no job, no virtual time charged —
 	// and return the stored result bit-identically. Misses solve once
@@ -60,20 +61,21 @@ type Config struct {
 	TileCache *cache.Cache
 
 	// Batch, when non-nil and the solver implements opt.BatchSolver,
-	// cuts each round's cache-missing fine-grid tile solves into
+	// cuts each round's cache-missing full-resolution tile solves into
 	// lockstep runs of one class (sched.Batcher.Plan), each solved as
 	// one device job. Results stay bit-identical to direct solves.
 	// Solvers without batch support solve one tile per job.
 	Batch *sched.Batcher
 
 	// Tiles, when non-nil, replaces the in-process tile fan-out: every
-	// batch of tile solves (fine Schwarz stages, refine colour groups,
-	// coarse grids, D&C, healing windows) is dispatched through this
-	// backend instead of the flow's device.Cluster. internal/shard's
-	// Coordinator implements it by partitioning each batch over remote
-	// worker processes, exchanging only overlap-halo strips between
-	// Schwarz stages. Because the flow performs all assembly itself in
-	// tile-index order, results are bit-identical at any shard count.
+	// round of the one Schwarz sweep (fine stages, refine colour groups,
+	// coarse grids, coarse corrections, D&C, healing windows) is
+	// dispatched through this backend instead of the flow's
+	// device.Cluster. internal/shard's Coordinator implements it by
+	// partitioning each round over remote worker processes, exchanging
+	// only overlap-halo strips between Schwarz stages. Because the sweep
+	// puts the solutions back itself in window order, results are
+	// bit-identical at any shard count.
 	// FullChip's single whole-clip job always runs on the local cluster
 	// (the paper's ideal-device baseline has no tile fan-out to shard).
 	// When Tiles is set, TileCache and Batch do not apply: the shard
@@ -161,8 +163,9 @@ type Config struct {
 	// consecutive fine Schwarz stages the flow restricts the assembled
 	// layout to a coarse grid, runs a short coarse ILT correction step
 	// against the restricted target, lifts the result back and adds the
-	// difference against the layout's own restrict-then-lift round trip
-	// (an FAS-style coarse-space correction). One-level Schwarz
+	// full difference against the layout's own restrict-then-lift round
+	// trip, clamped to [0, 1] (an FAS-style coarse-space correction with
+	// unit step). One-level Schwarz
 	// convergence degrades as the tile count grows because information
 	// crosses at most one overlap per stage; the coarse space restores
 	// global coupling, making iterations-to-quality near tile-count
@@ -180,9 +183,6 @@ type Config struct {
 	// CoarseCorrectIters is the solver budget of each correction step;
 	// 0 selects max(1, CoarseIters/4).
 	CoarseCorrectIters int
-	// CoarseCorrectBlend is the step size α applied to the lifted
-	// correction (layout ← clamp(layout + α·δ)); in (0, 1], 0 selects 1.
-	CoarseCorrectBlend float64
 
 	// DropTol enables per-tile convergence dropout when positive: a
 	// tile whose fine-stage solution changes by at most DropTol
@@ -292,8 +292,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: %w: resolved scale %d for clip %d / tile %d", ErrCoarseCorrectScale, s, c.ClipSize, c.TileSize)
 		}
 	}
-	if c.CoarseCorrectIters < 0 || c.CoarseCorrectBlend < 0 || c.CoarseCorrectBlend > 1 {
-		return fmt.Errorf("core: coarse-correct schedule %d iters / blend %g invalid", c.CoarseCorrectIters, c.CoarseCorrectBlend)
+	if c.CoarseCorrectIters < 0 {
+		return fmt.Errorf("core: coarse-correct schedule %d iters invalid", c.CoarseCorrectIters)
 	}
 	if c.DropTol < 0 || c.DropWindow < 0 {
 		return fmt.Errorf("core: %w: tol %g / window %d", ErrDropSchedule, c.DropTol, c.DropWindow)

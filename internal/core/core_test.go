@@ -115,7 +115,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{name: "negative drop tolerance", mutate: func(c *Config) { c.DropTol = -0.1 }, want: ErrDropSchedule},
 		{name: "negative drop window", mutate: func(c *Config) { c.DropWindow = -1 }, want: ErrDropSchedule},
 		{name: "negative correct iters", mutate: func(c *Config) { c.CoarseCorrectIters = -1 }},
-		{name: "correct blend above 1", mutate: func(c *Config) { c.CoarseCorrectBlend = 1.5 }},
 		{name: "no fine stages", mutate: func(c *Config) { c.FineStages = 0 }},
 		{name: "fine iters below stages", mutate: func(c *Config) { c.FineIters = 1; c.FineStages = 2 }},
 		{name: "zero baseline iters", mutate: func(c *Config) { c.BaselineIters = 0 }},

@@ -13,83 +13,90 @@ import (
 	"mgsilt/internal/tile"
 )
 
-// solveTiles optimises the selected tiles of the current layout m
-// against target and returns the per-tile solutions (indexed like
-// p.Tiles; unselected entries are nil). Each tile is cropped from the
-// *current* layout, so margins carry the neighbours' latest values —
-// the modified-Schwarz boundary condition of Eq. (11).
+// sweep is one Schwarz round, the one routine every partitioned stage
+// runs (SNIPPETS.md Snippet 2's copy_to_square / add_from_square pair).
+// Each size×size window is cropped from the *current* layout m and from
+// target — so margins carry the neighbours' latest values, the
+// modified-Schwarz boundary condition of Eq. (11) — and restricted by
+// scale; all windows are solved in one backend round, lifted back by
+// scale, and handed to put in window order. put decides how a solution
+// enters the layout: weighted assembly, in-place blend or band paste.
+// freeze, when non-nil, holds each window's Dirichlet mask by
+// Spec.Index.
 //
-// The fan-out itself is pluggable (Config.Tiles): by default the batch
+// The fan-out itself is pluggable (Config.Tiles): by default the round
 // runs on the flow's in-process device.Cluster, where parallelism is
 // two-level and shares one budget — the cluster dispatches up to
-// min(devices, parallel.Workers()) tile solves concurrently and each
-// solve's litho evaluations fan their per-kernel convolutions out over
-// the same internal/parallel pool. With a shard coordinator installed,
-// the batch is partitioned over remote worker processes instead, and
-// only overlap-halo strips travel between Schwarz stages. Either way
-// the flow assembles the returned solutions itself, in tile-index
-// order, so the result is bit-identical at any parallelism or shard
-// count.
-func (c *Config) solveTiles(cl *device.Cluster, p *tile.Partition, m, target *grid.Mat, params opt.Params, indices []int, freeze []*grid.Mat) ([]*grid.Mat, error) {
-	if indices == nil {
-		indices = make([]int, len(p.Tiles))
-		for i := range indices {
-			indices[i] = i
+// min(devices, parallel.Workers()) solves concurrently and each solve's
+// litho evaluations fan their per-kernel convolutions out over the same
+// internal/parallel pool. With a shard coordinator installed, the round
+// is partitioned over remote worker processes instead, and only
+// overlap-halo strips travel between Schwarz stages. Either way put
+// sees the solutions in window order, so the result is bit-identical at
+// any parallelism or shard count.
+//
+// Restricted (scale > 1) solves keep the uncached, unbatched dispatch
+// of TileRequest.Bare; every full-resolution window is content-addressed.
+func (c *Config) sweep(cl *device.Cluster, m, target *grid.Mat, size, scale int, wins []tile.Spec, params opt.Params, freeze []*grid.Mat, put func(tile.Spec, *grid.Mat)) error {
+	solved := size / scale
+	reqs := make([]TileRequest, len(wins))
+	for i, w := range wins {
+		req := TileRequest{
+			Index:  w.Index,
+			Pixels: solved * solved, // the restricted working set
+			Target: target.Crop(w.Y0, w.X0, size, size),
+			Init:   m.Crop(w.Y0, w.X0, size, size),
+			Params: params,
+			Bare:   scale > 1,
 		}
-	}
-	reqs := make([]TileRequest, 0, len(indices))
-	for _, idx := range indices {
-		s := p.Tiles[idx]
-		tp := params
+		if scale > 1 {
+			req.Target, req.Init = req.Target.Downsample(scale), req.Init.Downsample(scale)
+		}
 		if freeze != nil {
-			tp.Freeze = freeze[idx]
+			req.Params.Freeze = freeze[w.Index]
 		}
-		reqs = append(reqs, TileRequest{
-			Index:  s.Index,
-			Pixels: p.Tile * p.Tile,
-			Target: target.Crop(s.Y0, s.X0, p.Tile, p.Tile),
-			Init:   m.Crop(s.Y0, s.X0, p.Tile, p.Tile),
-			Params: tp,
-		})
+		reqs[i] = req
 	}
 	sols, err := c.backend(cl).SolveTiles(c.ctx(), reqs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]*grid.Mat, len(p.Tiles))
-	for i, req := range reqs {
-		out[req.Index] = sols[i]
+	for i, w := range wins {
+		u := sols[i]
+		if scale > 1 {
+			u = u.UpsampleBilinear(scale)
+		}
+		put(w, u)
 	}
-	return out, nil
+	return nil
 }
 
-// solveCoarseTiles is solveTiles for one coarse grid of Algorithm 1:
-// tiles of size s·TileSize are downsampled by s before optimisation
-// (lines 8-10) so they fit on one device, and the solutions are lifted
-// back to the fine grid bilinearly. The lift happens on the flow side,
-// so a remote backend ships only the downsampled solves.
-func (c *Config) solveCoarseTiles(cl *device.Cluster, p *tile.Partition, m, target *grid.Mat, s int, params opt.Params) ([]*grid.Mat, error) {
-	solvedSize := p.Tile / s
-	reqs := make([]TileRequest, 0, len(p.Tiles))
-	for _, spec := range p.Tiles {
-		reqs = append(reqs, TileRequest{
-			Index:  spec.Index,
-			Pixels: solvedSize * solvedSize, // the downsampled working set
-			Target: target.Crop(spec.Y0, spec.X0, p.Tile, p.Tile).Downsample(s),
-			Init:   m.Crop(spec.Y0, spec.X0, p.Tile, p.Tile).Downsample(s),
-			Params: params,
-			Bare:   true,
-		})
-	}
-	sols, err := c.backend(cl).SolveTiles(c.ctx(), reqs)
+// ras is one restricted additive Schwarz round (Eq. 6) on the grid of
+// tiles s·TileSize wide: every tile is solved from m for iters
+// iterations and assembled with the hard RAS weights. For s > 1 it is
+// one coarse grid of Algorithm 1 (lines 8-12): tiles are downsampled by
+// s so they fit on one device and the solutions are lifted back
+// bilinearly. s = 1 is the divide-and-conquer solve of the fine
+// partition. It returns the assembly together with its grid and
+// weights.
+func (c *Config) ras(cl *device.Cluster, m, target *grid.Mat, s, iters int) (*grid.Mat, *tile.Partition, []*grid.Mat, error) {
+	p, err := tile.Part(c.ClipSize, c.ClipSize, s*c.TileSize, s*c.Margin)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, fmt.Errorf("core: grid s=%d: %w", s, err)
 	}
-	out := make([]*grid.Mat, len(p.Tiles))
-	for i, req := range reqs {
-		out[req.Index] = sols[i].UpsampleBilinear(s)
+	w, err := p.Weights(0)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return out, nil
+	params := opt.Params{Iters: iters, LR: c.LR, Stretch: s, PVWeight: c.PVWeight}
+	tiles := make([]*grid.Mat, len(p.Tiles))
+	err = c.sweep(cl, m, target, p.Tile, s, p.Tiles, params, nil, func(spec tile.Spec, u *grid.Mat) {
+		tiles[spec.Index] = u
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return p.Assemble(tiles, w), p, w, nil
 }
 
 // checkTarget validates the target geometry shared by every flow.
@@ -101,23 +108,6 @@ func (c *Config) checkTarget(target *grid.Mat) error {
 		return fmt.Errorf("core: target %dx%d does not match clip %d", target.H, target.W, c.ClipSize)
 	}
 	return nil
-}
-
-// dcSolve is the divide-and-conquer solve+assembly shared by the
-// DivideAndConquer flow and StitchAndHeal's inner pass: every tile
-// optimised independently to its full budget, assembled once with the
-// hard RAS operator of Eq. (6).
-func (c *Config) dcSolve(cl *device.Cluster, p *tile.Partition, target *grid.Mat) (*grid.Mat, error) {
-	params := opt.Params{Iters: c.BaselineIters, LR: c.LR, Stretch: 1, PVWeight: c.PVWeight}
-	tiles, err := c.solveTiles(cl, p, target, target, params, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	w, err := p.Weights(0)
-	if err != nil {
-		return nil, err
-	}
-	return p.Assemble(tiles, w), nil
 }
 
 // MultigridSchwarz runs the paper's full flow on one target clip:
@@ -154,25 +144,10 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 		stages = append(stages, pipeline.Stage{
 			Name: "coarse", Iter: lvl, Total: levels,
 			Run: func(_ context.Context, m *grid.Mat) (*grid.Mat, error) {
-				coarseTile := s * cfg.TileSize
-				p, err := tile.Part(cfg.ClipSize, cfg.ClipSize, coarseTile, s*cfg.Margin)
-				if err != nil {
-					return nil, fmt.Errorf("core: coarse grid s=%d: %w", s, err)
-				}
-				iters := cfg.CoarseIters / levels
-				if iters < 1 {
-					iters = 1
-				}
-				params := opt.Params{Iters: iters, LR: cfg.LR, Stretch: s, PVWeight: cfg.PVWeight}
-				tiles, err := c.solveCoarseTiles(cl, p, m, target, s, params)
+				m, _, _, err := c.ras(cl, m, target, s, max(1, cfg.CoarseIters/levels))
 				if err != nil {
 					return nil, err
 				}
-				w, err := p.Weights(0) // Eq. (6)
-				if err != nil {
-					return nil, err
-				}
-				m = p.Assemble(tiles, w)
 				// Hand a manufacturable (binary) mask to the next grid: the
 				// bilinear lift leaves gray, wobbly edges that the fine solver
 				// would otherwise spend its whole budget re-sharpening.
@@ -209,21 +184,36 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 	if cfg.CoarseCorrect && cfg.FineStages > 1 {
 		correctTotal = cfg.FineStages - 1
 	}
-	dropWindow := cfg.DropWindow
-	if dropWindow < 1 {
-		dropWindow = 1
-	}
+	dropWindow := max(1, cfg.DropWindow)
 	var (
-		prevSol    []*grid.Mat // last fine solution per tile
-		belowCount []int
-		converged  []bool
+		prevSol    = make([]*grid.Mat, len(p.Tiles)) // last fine solution per tile
+		belowCount = make([]int, len(p.Tiles))
+		converged  = make([]bool, len(p.Tiles))
 
 		tilesConverged, solvesSkipped, corrections int
 	)
-	if cfg.DropTol > 0 {
-		prevSol = make([]*grid.Mat, len(p.Tiles))
-		belowCount = make([]int, len(p.Tiles))
-		converged = make([]bool, len(p.Tiles))
+	// Convergence detection on a solved tile: per-pixel RMS change
+	// against its previous fine solution, DropTol held for DropWindow
+	// consecutive stages. Decisions are a pure function of the
+	// (deterministic) solutions, so any backend at any parallelism drops
+	// the same tiles.
+	observe := func(i int, u *grid.Mat) {
+		if cfg.DropTol <= 0 {
+			return
+		}
+		if prev := prevSol[i]; prev != nil {
+			rms := math.Sqrt(u.L2Diff(prev) / float64(p.Tile*p.Tile))
+			if rms <= cfg.DropTol {
+				belowCount[i]++
+				if belowCount[i] >= dropWindow {
+					converged[i] = true
+					tilesConverged++
+				}
+			} else {
+				belowCount[i] = 0
+			}
+		}
+		prevSol[i] = u
 	}
 
 	perStage := cfg.FineIters / cfg.FineStages
@@ -236,52 +226,29 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 		stages = append(stages, pipeline.Stage{
 			Name: "fine", Iter: stage + 1, Total: cfg.FineStages,
 			Run: func(_ context.Context, m *grid.Mat) (*grid.Mat, error) {
-				params := opt.Params{Iters: iters, LR: cfg.LR, Stretch: 1, PVWeight: cfg.PVWeight}
-				if cfg.DropTol <= 0 {
-					tiles, err := c.solveTiles(cl, p, m, target, params, nil, freeze)
-					if err != nil {
-						return nil, err
-					}
-					return p.Assemble(tiles, weights), nil
-				}
-
-				// Dropout: only non-converged tiles are dispatched.
-				indices := make([]int, 0, len(p.Tiles))
-				for i := range p.Tiles {
-					if !converged[i] {
-						indices = append(indices, i)
+				// Dropout filters the window list: converged tiles are not
+				// dispatched (none converge while DropTol is 0).
+				live := make([]tile.Spec, 0, len(p.Tiles))
+				for _, spec := range p.Tiles {
+					if !converged[spec.Index] {
+						live = append(live, spec)
 					}
 				}
-				solvesSkipped += len(p.Tiles) - len(indices)
-				if len(indices) == 0 {
+				solvesSkipped += len(p.Tiles) - len(live)
+				if len(live) == 0 {
 					// Every tile is converged: the partition-of-unity
 					// assembly of unmodified crops reproduces m exactly,
 					// so the stage is a no-op.
 					return m, nil
 				}
-				tiles, err := c.solveTiles(cl, p, m, target, params, indices, freeze)
+				params := opt.Params{Iters: iters, LR: cfg.LR, Stretch: 1, PVWeight: cfg.PVWeight}
+				tiles := make([]*grid.Mat, len(p.Tiles))
+				err := c.sweep(cl, m, target, p.Tile, 1, live, params, freeze, func(spec tile.Spec, u *grid.Mat) {
+					tiles[spec.Index] = u
+					observe(spec.Index, u)
+				})
 				if err != nil {
 					return nil, err
-				}
-				// Convergence detection on the solved tiles: per-pixel
-				// RMS change against the previous fine solution, DropTol
-				// held for DropWindow consecutive stages. Decisions are a
-				// pure function of the (deterministic) solutions, so any
-				// backend at any parallelism drops the same tiles.
-				for _, idx := range indices {
-					if prev := prevSol[idx]; prev != nil {
-						rms := math.Sqrt(tiles[idx].L2Diff(prev) / float64(p.Tile*p.Tile))
-						if rms <= cfg.DropTol {
-							belowCount[idx]++
-							if belowCount[idx] >= dropWindow {
-								converged[idx] = true
-								tilesConverged++
-							}
-						} else {
-							belowCount[idx] = 0
-						}
-					}
-					prevSol[idx] = tiles[idx]
 				}
 				// Dropped tiles contribute their current assembled state:
 				// cropping m is the identity update, which the weights
@@ -312,19 +279,25 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 	// Refine: multi-colour multiplicative Schwarz. Same-colour tiles
 	// never overlap, so they run in parallel; colours run sequentially
 	// so each colour sees the previous colours' updates.
-	colors := p.Colors()
+	var colors [][]tile.Spec
+	for _, group := range p.Colors() {
+		specs := make([]tile.Spec, len(group))
+		for j, i := range group {
+			specs[j] = p.Tiles[i]
+		}
+		colors = append(colors, specs)
+	}
 	for it := 0; it < cfg.RefineIters; it++ {
 		stages = append(stages, pipeline.Stage{
 			Name: "refine", Iter: it + 1, Total: cfg.RefineIters,
 			Run: func(_ context.Context, m *grid.Mat) (*grid.Mat, error) {
+				params := opt.Params{Iters: cfg.RefineVisitIters, LR: cfg.RefineLR, Stretch: 1, PVWeight: cfg.PVWeight}
 				for _, group := range colors {
-					params := opt.Params{Iters: cfg.RefineVisitIters, LR: cfg.RefineLR, Stretch: 1, PVWeight: cfg.PVWeight}
-					sols, err := c.solveTiles(cl, p, m, target, params, group, freeze)
+					err := c.sweep(cl, m, target, p.Tile, 1, group, params, freeze, func(spec tile.Spec, u *grid.Mat) {
+						p.BlendInto(m, u, weights[spec.Index], spec.Index)
+					})
 					if err != nil {
 						return nil, err
-					}
-					for _, idx := range group {
-						p.BlendInto(m, sols[idx], weights[idx], idx)
 					}
 				}
 				return m, nil
@@ -357,27 +330,14 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 // stage (SNIPPETS.md Snippet 1).
 func (c *Config) coarseCorrect(cl *device.Cluster, m, target *grid.Mat) (*grid.Mat, error) {
 	s := c.coarseCorrectScale()
-	pc, err := tile.Part(c.ClipSize, c.ClipSize, s*c.TileSize, s*c.Margin)
-	if err != nil {
-		return nil, fmt.Errorf("core: coarse-correct grid s=%d: %w", s, err)
-	}
 	iters := c.CoarseCorrectIters
 	if iters < 1 {
-		iters = c.CoarseIters / 4
-		if iters < 1 {
-			iters = 1
-		}
+		iters = max(1, c.CoarseIters/4)
 	}
-	params := opt.Params{Iters: iters, LR: c.LR, Stretch: s, PVWeight: c.PVWeight}
-	sols, err := c.solveCoarseTiles(cl, pc, m, target, s, params)
+	solved, pc, w, err := c.ras(cl, m, target, s, iters)
 	if err != nil {
 		return nil, err
 	}
-	w, err := pc.Weights(0)
-	if err != nil {
-		return nil, err
-	}
-	solved := pc.Assemble(sols, w)
 	// The FAS base state: m itself through the same restriction and
 	// lift, so δ measures only what the coarse solver changed, not the
 	// resampling blur.
@@ -386,11 +346,7 @@ func (c *Config) coarseCorrect(cl *device.Cluster, m, target *grid.Mat) (*grid.M
 		base[i] = m.Crop(spec.Y0, spec.X0, pc.Tile, pc.Tile).Downsample(s).UpsampleBilinear(s)
 	}
 	delta := solved.Sub(pc.Assemble(base, w))
-	alpha := c.CoarseCorrectBlend
-	if alpha == 0 {
-		alpha = 1
-	}
-	return m.Clone().AddScaled(delta, alpha).Clamp(0, 1), nil
+	return m.Clone().AddScaled(delta, 1).Clamp(0, 1), nil
 }
 
 // DivideAndConquer runs the traditional baseline: every tile optimised
@@ -414,7 +370,8 @@ func DivideAndConquer(cfg Config, target *grid.Mat) (res *Result, err error) {
 	stages := []pipeline.Stage{{
 		Name: "solve", Iter: 1, Total: 1,
 		Run: func(_ context.Context, _ *grid.Mat) (*grid.Mat, error) {
-			return c.dcSolve(cl, p, target)
+			m, _, _, err := c.ras(cl, target, target, 1, cfg.BaselineIters)
+			return m, err
 		},
 	}}
 	m, timeline, err := c.engine("divide-and-conquer", stages).Run(target)

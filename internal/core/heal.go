@@ -44,7 +44,8 @@ func StitchAndHeal(cfg Config, target *grid.Mat) (res *Result, err error) {
 	stages = append(stages, pipeline.Stage{
 		Name: "solve", Iter: 1, Total: 1,
 		Run: func(_ context.Context, _ *grid.Mat) (*grid.Mat, error) {
-			return c.dcSolve(cl, p, target)
+			m, _, _, err := c.ras(cl, target, target, 1, cfg.BaselineIters)
+			return m, err
 		},
 	})
 	for i, line := range lines {
@@ -69,95 +70,62 @@ func StitchAndHeal(cfg Config, target *grid.Mat) (res *Result, err error) {
 	return res, nil
 }
 
-// healLine re-optimises windows along one stitch line and pastes back
-// the central band, returning the updated layout. The window solves go
-// through the pluggable tile backend like every other tile fan-out, so
-// healing shards across remote workers too.
+// healLine re-optimises the windows along one stitch line and pastes
+// back the central band of each, in place: one sweep whose put is the
+// band paste. The windows are disjoint and every crop is taken before
+// the first paste, so the order of pastes cannot matter.
 func (c *Config) healLine(cl *device.Cluster, m, target *grid.Mat, line tile.StitchLine) (*grid.Mat, error) {
-	size := c.ClipSize
 	t := c.TileSize
 	band := c.HealBand
-	perp := healPerp(line, t, size)
-
 	params := opt.Params{Iters: c.FineIters, LR: c.LR, Stretch: 1, PVWeight: c.PVWeight}
-	var reqs []TileRequest
-	var origins [][2]int
-	for along := 0; along+t <= size; along += t {
-		var y0, x0 int
+	err := c.sweep(cl, m, target, t, 1, c.healWindows(line), params, nil, func(w tile.Spec, u *grid.Mat) {
 		if line.Vertical {
-			y0, x0 = along, perp
+			m.Paste(u.Crop(0, line.Pos-band-w.X0, t, 2*band), w.Y0, line.Pos-band)
 		} else {
-			y0, x0 = perp, along
+			m.Paste(u.Crop(line.Pos-band-w.Y0, 0, 2*band, t), line.Pos-band, w.X0)
 		}
-		origins = append(origins, [2]int{y0, x0})
-		reqs = append(reqs, TileRequest{
-			Index:  len(reqs),
-			Pixels: t * t,
-			Target: target.Crop(y0, x0, t, t),
-			Init:   m.Crop(y0, x0, t, t),
-			Params: params,
-			Bare:   true,
-		})
-	}
-	sols, err := c.backend(cl).SolveTiles(c.ctx(), reqs)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := m.Clone()
-	for i, u := range sols {
-		y0, x0 := origins[i][0], origins[i][1]
-		// Paste back only the band straddling the line.
-		var bY0, bX0, bH, bW int
-		if line.Vertical {
-			bY0, bX0 = y0, line.Pos-band
-			bH, bW = t, 2*band
-		} else {
-			bY0, bX0 = line.Pos-band, x0
-			bH, bW = 2*band, t
-		}
-		out.Paste(u.Crop(bY0-y0, bX0-x0, bH, bW), bY0, bX0)
-	}
-	return out, nil
+	return m, nil
 }
 
-// healPerp is the healing window origin perpendicular to the line,
-// clamped into the clip.
-func healPerp(line tile.StitchLine, t, size int) int {
-	perp := line.Pos - t/2
-	if perp < 0 {
-		perp = 0
+// healWindows are the tile-size windows that heal one stitch line:
+// centred on the line (clamped into the clip) and stacked along it
+// without overlap, indexed in that order.
+func (c *Config) healWindows(line tile.StitchLine) []tile.Spec {
+	t := c.TileSize
+	perp := min(max(line.Pos-t/2, 0), c.ClipSize-t)
+	var wins []tile.Spec
+	for along := 0; along+t <= c.ClipSize; along += t {
+		w := tile.Spec{Index: len(wins), Y0: perp, X0: along}
+		if line.Vertical {
+			w.Y0, w.X0 = along, perp
+		}
+		wins = append(wins, w)
 	}
-	if perp+t > size {
-		perp = size - t
-	}
-	return perp
+	return wins
 }
 
 // healEdges returns the new partition boundaries created by healing
 // one line: the band edges of Fig. 7 plus the joints between stacked
 // windows inside the band. The edges are pure geometry — they depend
-// only on the line, the band width and the window size, never on the
+// only on the line, the band width and the windows, never on the
 // solved masks — which is what lets a resumed run reconstruct the full
 // AuxLines list without re-healing skipped lines.
 func (c *Config) healEdges(line tile.StitchLine) []tile.StitchLine {
-	size := c.ClipSize
-	t := c.TileSize
 	band := c.HealBand
-	var edges []tile.StitchLine
-	if line.Vertical {
-		edges = append(edges,
-			tile.StitchLine{Vertical: true, Pos: line.Pos - band, Lo: 0, Hi: size},
-			tile.StitchLine{Vertical: true, Pos: line.Pos + band, Lo: 0, Hi: size})
-		for along := t; along+t <= size; along += t {
-			edges = append(edges, tile.StitchLine{Vertical: false, Pos: along, Lo: line.Pos - band, Hi: line.Pos + band})
+	edges := []tile.StitchLine{
+		{Vertical: line.Vertical, Pos: line.Pos - band, Lo: 0, Hi: c.ClipSize},
+		{Vertical: line.Vertical, Pos: line.Pos + band, Lo: 0, Hi: c.ClipSize},
+	}
+	for _, w := range c.healWindows(line)[1:] {
+		joint := tile.StitchLine{Vertical: true, Pos: w.X0, Lo: line.Pos - band, Hi: line.Pos + band}
+		if line.Vertical {
+			joint.Vertical, joint.Pos = false, w.Y0
 		}
-	} else {
-		edges = append(edges,
-			tile.StitchLine{Vertical: false, Pos: line.Pos - band, Lo: 0, Hi: size},
-			tile.StitchLine{Vertical: false, Pos: line.Pos + band, Lo: 0, Hi: size})
-		for along := t; along+t <= size; along += t {
-			edges = append(edges, tile.StitchLine{Vertical: true, Pos: along, Lo: line.Pos - band, Hi: line.Pos + band})
-		}
+		edges = append(edges, joint)
 	}
 	return edges
 }

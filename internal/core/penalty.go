@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"mgsilt/internal/grid"
 	"mgsilt/internal/metrics"
 	"mgsilt/internal/opt"
@@ -27,13 +25,10 @@ func (p PenaltyResult) Increase() float64 { return p.AssembledL2 - p.SingleTileL
 // against the same window cropped out of the full divide-and-conquer
 // assembly.
 func TileAssemblyPenalty(cfg Config, target *grid.Mat) (*PenaltyResult, error) {
-	if err := cfg.Validate(); err != nil {
+	c := &cfg
+	if err := c.checkTarget(target); err != nil {
 		return nil, err
 	}
-	if target.H != cfg.ClipSize || target.W != cfg.ClipSize {
-		return nil, fmt.Errorf("core: target %dx%d does not match clip %d", target.H, target.W, cfg.ClipSize)
-	}
-	c := &cfg
 	p, err := tile.Part(cfg.ClipSize, cfg.ClipSize, cfg.TileSize, cfg.Margin)
 	if err != nil {
 		return nil, err
