@@ -19,8 +19,9 @@ import (
 )
 
 // TestReachabilityAudit fails on every exported name of the module that
-// no non-test code uses, and every exported field that code writes but
-// never reads, unless audit_allowlist.txt lists it with a reason. The
+// no non-test code uses, every exported field that code writes but
+// never reads, and every one it reads but never sets (a knob only tests
+// turn), unless audit_allowlist.txt lists it with a reason. The
 // benchmark module and the examples count as callers. An allowlist line
 // that matches nothing fails too, so the list only shrinks.
 func TestReachabilityAudit(t *testing.T) {
@@ -31,7 +32,7 @@ func TestReachabilityAudit(t *testing.T) {
 	allowed := readAllowlist(t, "audit_allowlist.txt")
 	for _, e := range found {
 		if _, ok := allowed[e]; !ok {
-			t.Errorf("%s: nothing outside tests uses it; delete it, or allowlist it with a reason", e)
+			t.Errorf("%s: outside tests it is unused, only written or never set; delete it, or allowlist it with a reason", e)
 		}
 	}
 	for e := range allowed {
@@ -41,8 +42,8 @@ func TestReachabilityAudit(t *testing.T) {
 	}
 }
 
-// The fixture module plants four candidates; the audit reports exactly
-// the three that are dead code.
+// The fixture module plants six candidates; the audit reports exactly
+// the four that are dead code or an unset knob.
 func TestReachabilityAuditFixture(t *testing.T) {
 	found, err := audit(t, filepath.Join("testdata", "audit"))
 	if err != nil {
@@ -51,6 +52,7 @@ func TestReachabilityAuditFixture(t *testing.T) {
 	want := []string{
 		"fixture.DeadFunc",
 		"fixture/shapes.Square.DeadMethod",
+		"fixture/shapes.Square.Scale:never-set",
 		"fixture/shapes.Square.Tag:write-only",
 	}
 	if !slices.Equal(found, want) {
@@ -191,16 +193,16 @@ func modulePath(gomod []byte) string {
 
 // auditDecl is one exported declaration under audit.
 type auditDecl struct {
-	name       string
-	start, end token.Pos // uses inside this span are the declaration's own
-	field      bool
-	read, used bool
+	name            string
+	start, end      token.Pos // uses inside this span are the declaration's own
+	field           bool
+	read, used, set bool
 }
 
 // audit loads the module at root, with the caller directories, and
 // returns its dead entries sorted: "pkg.Name", "pkg.Type.Method" or
 // "pkg.Type.Field", with ":write-only" on a field that is assigned but
-// never read.
+// never read and ":never-set" on one that is read but never assigned.
 func audit(t *testing.T, root string, callers ...string) ([]string, error) {
 	// The source importer would run cgo over the standard library's cgo
 	// packages; their pure-Go variants declare the same API.
@@ -276,13 +278,14 @@ func audit(t *testing.T, root string, callers ...string) ([]string, error) {
 				continue
 			}
 			d.used = true
+			d.set = d.set || writes.pos[id.Pos()] || writes.update[id.Pos()]
 			if !writes.pos[id.Pos()] {
 				d.read = true
 			}
 		}
 		for obj := range writes.all {
 			if d := decls[origin(obj)]; d != nil {
-				d.used = true
+				d.used, d.set = true, true
 			}
 		}
 	}
@@ -290,6 +293,8 @@ func audit(t *testing.T, root string, callers ...string) ([]string, error) {
 	var out []string
 	for obj, d := range decls {
 		switch {
+		case d.field && d.read && !d.set:
+			out = append(out, d.name+":never-set")
 		case d.used && (d.read || !d.field):
 		case !d.used && satisfies(obj, ifaces):
 		case d.used:
@@ -304,7 +309,8 @@ func audit(t *testing.T, root string, callers ...string) ([]string, error) {
 
 // collectDecls records the exported names one top-level declaration
 // introduces: funcs, methods, types, consts, vars and the named fields
-// of a struct type. A field with a json tag is read by encoding/json.
+// of a struct type. A field with a json tag is read and set by
+// encoding/json.
 func collectDecls(p *auditPkg, d ast.Decl, decls map[types.Object]*auditDecl) {
 	add := func(id *ast.Ident, name string, n ast.Node) *auditDecl {
 		if !id.IsExported() || id.Name == "_" {
@@ -355,7 +361,7 @@ func collectDecls(p *auditPkg, d ast.Decl, decls map[types.Object]*auditDecl) {
 						if ad := add(id, p.path+"."+s.Name.Name+"."+id.Name, fld); ad != nil {
 							ad.field = true
 							if json {
-								ad.used, ad.read = true, true
+								ad.used, ad.read, ad.set = true, true, true
 							}
 						}
 					}
@@ -371,22 +377,25 @@ func collectDecls(p *auditPkg, d ast.Decl, decls map[types.Object]*auditDecl) {
 
 // writeSet holds the field identifiers a package only stores to: the
 // selector on the left of = or :=, ++ and --, and keys of struct
-// literals; all holds the fields of unkeyed struct literals.
+// literals; update holds the selectors an op= both reads and stores;
+// all holds the fields of unkeyed struct literals.
 type writeSet struct {
-	pos map[token.Pos]bool
-	all map[types.Object]bool
+	pos, update map[token.Pos]bool
+	all         map[types.Object]bool
 }
 
 func fieldWrites(info *types.Info, files []*ast.File) writeSet {
-	w := writeSet{pos: map[token.Pos]bool{}, all: map[types.Object]bool{}}
+	w := writeSet{pos: map[token.Pos]bool{}, update: map[token.Pos]bool{}, all: map[types.Object]bool{}}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
-					for _, lhs := range n.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
 							w.pos[sel.Sel.Pos()] = true
+						} else {
+							w.update[sel.Sel.Pos()] = true
 						}
 					}
 				}

@@ -257,7 +257,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "L2           : %.0f\n", res.L2)
 	fmt.Fprintf(stdout, "PVBand       : %.0f\n", res.PVBand)
 	fmt.Fprintf(stdout, "stitch loss  : %.1f over %d crossings (max %.1f)\n", res.StitchLoss, len(res.Errors), metrics.MaxLoss(res.Errors))
-	fmt.Fprintf(stdout, "errors > %.0f : %d\n", cfg.StitchThreshold, metrics.CountAbove(res.Errors, cfg.StitchThreshold))
+	fmt.Fprintf(stdout, "errors > %.0f : %d\n", metrics.StitchThreshold, metrics.CountAbove(res.Errors, metrics.StitchThreshold))
 	fmt.Fprintf(stdout, "TAT          : %v (devices: %d, device busy: %v)\n", res.TAT.Round(1e6), *devices, res.Stats.TotalBusy.Round(1e6))
 	if *mrcCheck {
 		rep, err := mrc.Check(res.Mask.Binarize(0.5), mrc.DefaultRules())
@@ -328,7 +328,7 @@ func run(args []string, stdout io.Writer) error {
 		{"target.png", clip.Target},
 		{"mask.png", binary},
 		{"wafer.png", sim.Wafer(binary, sim.Nominal())},
-		{"overlay.png", imgio.Overlay(binary, res.Errors, cfg.StitchThreshold, cfg.Stitch.Window/2)},
+		{"overlay.png", imgio.Overlay(binary, res.Errors, metrics.StitchThreshold, cfg.Stitch.Window/2)},
 	}
 	for _, d := range dumps {
 		path := filepath.Join(*outDir, d.name)

@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"mgsilt/internal/parallel"
 	"mgsilt/internal/service"
 )
 
@@ -79,6 +80,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		shardWorkers = strings.Split(*shardURLs, ",")
 	}
 
+	if *compute > 0 {
+		parallel.SetWorkers(*compute)
+	}
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -89,7 +94,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		QueueCap:         *queue,
 		DefaultTimeout:   *timeout,
 		MaxN:             *maxN,
-		ComputeWorkers:   *compute,
 		FaultRate:        *faultRate,
 		FaultSeed:        *faultSeed,
 		CacheBytes:       *cacheMB << 20,

@@ -4,8 +4,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -14,61 +16,71 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "layoutgen:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, writes one .png and one .rects file per clip into
+// -out, and prints the geometry summary to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("layoutgen", flag.ContinueOnError)
 	var (
-		count   = flag.Int("count", 20, "number of clips")
-		size    = flag.Int("size", 256, "clip side length in pixels")
-		seed    = flag.Int64("seed", 1000, "suite base seed")
-		outDir  = flag.String("out", "clips", "output directory")
-		repeat  = flag.Bool("repeat-cells", false, "generate repeated standard-cell clips instead of random routing")
-		cell    = flag.Int("cell", 32, "repeat-cells: cell placement pitch in pixels")
-		library = flag.Int("library", 3, "repeat-cells: distinct cells in the library")
+		count   = fs.Int("count", 20, "number of clips")
+		size    = fs.Int("size", 256, "clip side length in pixels")
+		seed    = fs.Int64("seed", 1000, "suite base seed")
+		outDir  = fs.String("out", "clips", "output directory")
+		repeat  = fs.Bool("repeat-cells", false, "generate repeated standard-cell clips instead of random routing")
+		cell    = fs.Int("cell", 32, "repeat-cells: cell placement pitch in pixels")
+		library = fs.Int("library", 3, "repeat-cells: distinct cells in the library")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var clips []*layout.Clip
-	var err error
 	if *repeat {
 		for i := 0; i < *count; i++ {
 			c, err := layout.GenerateRepeat(layout.RepeatConfig{
 				Size: *size, Seed: *seed + int64(i) + 1, Cell: *cell, Library: *library,
 			})
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			clips = append(clips, c)
 		}
 	} else {
-		clips, err = layout.Suite(*count, *size, *seed)
-	}
-	if err != nil {
-		fatal(err)
+		var err error
+		if clips, err = layout.Suite(*count, *size, *seed); err != nil {
+			return err
+		}
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%-8s %-10s %-10s %s\n", "clip", "area(px)", "density", "rects")
+	fmt.Fprintf(stdout, "%-8s %-10s %-10s %s\n", "clip", "area(px)", "density", "rects")
 	for _, c := range clips {
-		path := filepath.Join(*outDir, c.ID+".png")
-		if err := imgio.SavePNG(path, c.Target); err != nil {
-			fatal(err)
+		if err := imgio.SavePNG(filepath.Join(*outDir, c.ID+".png"), c.Target); err != nil {
+			return err
 		}
 		rf, err := os.Create(filepath.Join(*outDir, c.ID+".rects"))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := layout.WriteRects(rf, c); err != nil {
-			fatal(err)
+			rf.Close()
+			return err
 		}
 		if err := rf.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		density := float64(c.AreaPx()) / float64(*size**size)
-		fmt.Printf("%-8s %-10d %-10.3f %d\n", c.ID, c.AreaPx(), density, len(c.Rects))
+		fmt.Fprintf(stdout, "%-8s %-10d %-10.3f %d\n", c.ID, c.AreaPx(), density, len(c.Rects))
 	}
-	fmt.Printf("wrote %d clips to %s\n", len(clips), *outDir)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "layoutgen:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "wrote %d clips to %s\n", len(clips), *outDir)
+	return nil
 }

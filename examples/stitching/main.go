@@ -45,8 +45,8 @@ func main() {
 	show := func(r *core.Result) {
 		fmt.Printf("\n%s\n", r.Method)
 		fmt.Printf("  total stitch loss: %.1f, errors > %.0f: %d of %d crossings\n",
-			r.StitchLoss, base.StitchThreshold,
-			metrics.CountAbove(r.Errors, base.StitchThreshold), len(r.Errors))
+			r.StitchLoss, metrics.StitchThreshold,
+			metrics.CountAbove(r.Errors, metrics.StitchThreshold), len(r.Errors))
 		// Worst crossings first, Fig. 3 style.
 		errs := append([]metrics.StitchError(nil), r.Errors...)
 		sort.Slice(errs, func(i, j int) bool { return errs[i].Loss > errs[j].Loss })
@@ -65,11 +65,11 @@ func main() {
 	}
 	half := base.Stitch.Window / 2
 	if err := imgio.SavePNG("out/dc_overlay.png",
-		imgio.Overlay(dc.Mask.Binarize(0.5), dc.Errors, base.StitchThreshold, half)); err != nil {
+		imgio.Overlay(dc.Mask.Binarize(0.5), dc.Errors, metrics.StitchThreshold, half)); err != nil {
 		log.Fatal(err)
 	}
 	if err := imgio.SavePNG("out/ours_overlay.png",
-		imgio.Overlay(ours.Mask.Binarize(0.5), ours.Errors, base.StitchThreshold, half)); err != nil {
+		imgio.Overlay(ours.Mask.Binarize(0.5), ours.Errors, metrics.StitchThreshold, half)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nwrote out/dc_overlay.png and out/ours_overlay.png (boxes mark stitch errors)")

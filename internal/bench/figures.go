@@ -117,12 +117,11 @@ func (f *Fig7Result) Render() *report.Table {
 	return tab
 }
 
-// Fig8Result counts stitch errors above the threshold per method (the
-// red boxes of Fig. 8).
+// Fig8Result counts stitch errors above metrics.StitchThreshold per
+// method (the red boxes of Fig. 8).
 type Fig8Result struct {
-	Threshold float64
-	Methods   []string
-	Cases     []string
+	Methods []string
+	Cases   []string
 	// Counts[caseIdx][methodIdx]
 	Counts [][]int
 }
@@ -130,7 +129,7 @@ type Fig8Result struct {
 // RunFig8 counts per-crossing stitch errors for every Table 1 method.
 func (e *Env) RunFig8(progress func(string)) (*Fig8Result, error) {
 	methods := e.Methods()
-	out := &Fig8Result{Threshold: e.BaseConfig().StitchThreshold}
+	out := &Fig8Result{}
 	for _, m := range methods {
 		out.Methods = append(out.Methods, m.Name)
 	}
@@ -148,7 +147,7 @@ func (e *Env) RunFig8(progress func(string)) (*Fig8Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, metrics.CountAbove(r.Errors, out.Threshold))
+			row = append(row, metrics.CountAbove(r.Errors, metrics.StitchThreshold))
 		}
 		out.Cases = append(out.Cases, clip.ID)
 		out.Counts = append(out.Counts, row)

@@ -197,7 +197,6 @@ func scalingConfig(sim *litho.Simulator, tileSize int) core.Config {
 	cfg.FineIters = scalingStages * scalingItersPerStage
 	cfg.RefineIters = 0
 	cfg.BaselineIters = 1 // unused by the flow; Validate wants ≥ 1
-	cfg.HealBand = tileSize / 4
 	return cfg
 }
 

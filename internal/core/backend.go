@@ -230,8 +230,7 @@ func (b *Local) SolveTiles(ctx context.Context, reqs []TileRequest) ([]*grid.Mat
 // job is the device job that solves the requests run into out: as one
 // lockstep batch through the batch policy, or a lone request directly.
 // Its working set is the run's. The attempt context carries batch
-// cancellation plus any per-attempt retry deadline; the solver polls it
-// between iterations.
+// cancellation; the solver polls it between iterations.
 func (b *Local) job(reqs []TileRequest, run []int, batch bool, out []*grid.Mat) device.Job {
 	job := device.Job{Work: func(ctx context.Context, _ int) error {
 		targets, inits := make([]*grid.Mat, len(run)), make([]*grid.Mat, len(run))

@@ -55,7 +55,7 @@ func chaosRun(t *testing.T, target *grid.Mat, inj fault.Injector, retry *fault.R
 
 // TestChaosMGSBitIdentical is the tentpole acceptance test at the core
 // layer: a full multigrid-Schwarz flow under seeded transient faults,
-// a mid-run device loss, and latency spikes must complete with a final
+// transfer faults and a mid-run device loss must complete with a final
 // mask bit-identical to the fault-free run — retries may cost time,
 // never correctness.
 func TestChaosMGSBitIdentical(t *testing.T) {
@@ -75,31 +75,13 @@ func TestChaosMGSBitIdentical(t *testing.T) {
 	})
 
 	cases := []struct {
-		name        string
-		inj         fault.Injector
-		wantRetries bool
-		wantQuar    int
+		name     string
+		inj      fault.Injector
+		wantQuar int
 	}{
-		{
-			name:        "transient-faults",
-			inj:         fault.NewSeeded(42).Site(fault.SiteDeviceRun, fault.Rates{Transient: 0.25}),
-			wantRetries: true,
-		},
-		{
-			name:        "transfer-faults",
-			inj:         fault.NewSeeded(9).Site(fault.SiteDeviceTransfer, fault.Rates{Transient: 0.1}),
-			wantRetries: true,
-		},
-		{
-			name:        "one-device-dead",
-			inj:         deviceDead,
-			wantRetries: true,
-			wantQuar:    1,
-		},
-		{
-			name: "latency-spikes",
-			inj:  fault.NewSeeded(7).Site(fault.SiteDeviceRun, fault.Rates{Latency: 0.5, Spike: 250 * time.Millisecond}),
-		},
+		{name: "transient-faults", inj: fault.NewSeeded(42).Site(fault.SiteDeviceRun, fault.Rates{Transient: 0.25})},
+		{name: "transfer-faults", inj: fault.NewSeeded(9).Site(fault.SiteDeviceTransfer, fault.Rates{Transient: 0.1})},
+		{name: "one-device-dead", inj: deviceDead, wantQuar: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,19 +92,11 @@ func TestChaosMGSBitIdentical(t *testing.T) {
 			if res.L2 != clean.L2 || res.PVBand != clean.PVBand || res.StitchLoss != clean.StitchLoss {
 				t.Fatal("chaos run changed the reported metrics")
 			}
-			if tc.wantRetries && stats.Retries == 0 {
+			if stats.Retries == 0 {
 				t.Fatal("expected retries, saw none — injector not reaching the dispatch path")
-			}
-			if !tc.wantRetries && stats.Retries != 0 {
-				t.Fatalf("unexpected retries: %d", stats.Retries)
 			}
 			if stats.Quarantined != tc.wantQuar {
 				t.Fatalf("quarantined %d devices, want %d", stats.Quarantined, tc.wantQuar)
-			}
-
-			// Injected latency is charged to the virtual timeline.
-			if tc.name == "latency-spikes" && res.TAT <= clean.TAT {
-				t.Fatalf("latency spikes did not lengthen TAT: %v <= %v", res.TAT, clean.TAT)
 			}
 
 			// Seeded chaos is reproducible: a second identical run must

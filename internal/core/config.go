@@ -140,16 +140,9 @@ type Config struct {
 	BaselineIters    int // per-tile iterations for D&C / full-chip / healing
 
 	LR       float64 // solver learning rate
-	RefineLR float64 // small learning rate of the refine pass
 	PVWeight float64 // process-window weight in the objective
 
-	Stitch          metrics.StitchConfig
-	StitchThreshold float64 // per-crossing error threshold (Fig. 8 red boxes)
-
-	// HealBand is the half-width of the band pasted back by the
-	// stitch-and-heal flow; its edges become the new partition
-	// boundaries of Fig. 7. Defaults to Margin.
-	HealBand int
+	Stitch metrics.StitchConfig
 
 	// CoarseClean is the radius of the morphological open/close pass
 	// applied to the binarised coarse-grid hand-off. The factor-s lift
@@ -254,11 +247,8 @@ func DefaultConfig(sim *litho.Simulator, clipSize, iters int) Config {
 		RefineVisitIters: 2,
 		BaselineIters:    iters,
 		LR:               0.4,
-		RefineLR:         0.08,
 		PVWeight:         0,
 		Stitch:           stitch,
-		StitchThreshold:  5,
-		HealBand:         n / 4,
 		CoarseClean:      2,
 	}
 }
@@ -307,11 +297,8 @@ func (c *Config) Validate() error {
 	if c.RefineIters > 0 && c.RefineVisitIters < 1 {
 		return fmt.Errorf("core: RefineVisitIters must be >= 1 when refining")
 	}
-	if c.LR <= 0 || c.RefineLR <= 0 {
-		return fmt.Errorf("core: learning rates must be positive")
-	}
-	if c.HealBand < 1 || c.HealBand >= c.TileSize/2 {
-		return fmt.Errorf("core: heal band %d out of range", c.HealBand)
+	if c.LR <= 0 {
+		return fmt.Errorf("core: learning rate must be positive")
 	}
 	return nil
 }

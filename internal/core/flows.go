@@ -13,6 +13,10 @@ import (
 	"mgsilt/internal/tile"
 )
 
+// refineLR is the small learning rate of the multiplicative refine pass
+// (Section 3.4).
+const refineLR = 0.08
+
 // sweep is one Schwarz round, the one routine every partitioned stage
 // runs (SNIPPETS.md Snippet 2's copy_to_square / add_from_square pair).
 // Each size×size window is cropped from the *current* layout m and from
@@ -276,9 +280,10 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 		}
 	}
 
-	// Refine: multi-colour multiplicative Schwarz. Same-colour tiles
-	// never overlap, so they run in parallel; colours run sequentially
-	// so each colour sees the previous colours' updates.
+	// Refine: multi-colour multiplicative Schwarz at the small learning
+	// rate refineLR. Same-colour tiles never overlap, so they run in
+	// parallel; colours run sequentially so each colour sees the previous
+	// colours' updates.
 	var colors [][]tile.Spec
 	for _, group := range p.Colors() {
 		specs := make([]tile.Spec, len(group))
@@ -291,7 +296,7 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 		stages = append(stages, pipeline.Stage{
 			Name: "refine", Iter: it + 1, Total: cfg.RefineIters,
 			Run: func(_ context.Context, m *grid.Mat) (*grid.Mat, error) {
-				params := opt.Params{Iters: cfg.RefineVisitIters, LR: cfg.RefineLR, Stretch: 1, PVWeight: cfg.PVWeight}
+				params := opt.Params{Iters: cfg.RefineVisitIters, LR: refineLR, Stretch: 1, PVWeight: cfg.PVWeight}
 				for _, group := range colors {
 					err := c.sweep(cl, m, target, p.Tile, 1, group, params, freeze, func(spec tile.Spec, u *grid.Mat) {
 						p.BlendInto(m, u, weights[spec.Index], spec.Index)

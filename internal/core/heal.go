@@ -13,7 +13,7 @@ import (
 // StitchAndHeal reproduces the 'stitch-and-heal' methodology of [6]
 // that Fig. 7 critiques: after a divide-and-conquer pass, windows of
 // tile size are centred on every stitch line and re-optimised, and the
-// band of half-width HealBand around the line is pasted back. The
+// band of half-width healBand around the line is pasted back. The
 // paste-band edges are new partition boundaries; the returned Result
 // carries them in AuxLines so the Fig. 7 bench can show stitch errors
 // reappearing there. FineIters is used as the healing budget per
@@ -76,7 +76,7 @@ func StitchAndHeal(cfg Config, target *grid.Mat) (res *Result, err error) {
 // the first paste, so the order of pastes cannot matter.
 func (c *Config) healLine(cl *device.Cluster, m, target *grid.Mat, line tile.StitchLine) (*grid.Mat, error) {
 	t := c.TileSize
-	band := c.HealBand
+	band := c.healBand()
 	params := opt.Params{Iters: c.FineIters, LR: c.LR, Stretch: 1, PVWeight: c.PVWeight}
 	err := c.sweep(cl, m, target, t, 1, c.healWindows(line), params, nil, func(w tile.Spec, u *grid.Mat) {
 		if line.Vertical {
@@ -90,6 +90,11 @@ func (c *Config) healLine(cl *device.Cluster, m, target *grid.Mat, line tile.Sti
 	}
 	return m, nil
 }
+
+// healBand is the half-width of the band a healed window pastes back:
+// a quarter tile, the paper's margin l. Its edges become the new
+// partition boundaries of Fig. 7.
+func (c *Config) healBand() int { return c.TileSize / 4 }
 
 // healWindows are the tile-size windows that heal one stitch line:
 // centred on the line (clamped into the clip) and stacked along it
@@ -115,7 +120,7 @@ func (c *Config) healWindows(line tile.StitchLine) []tile.Spec {
 // solved masks — which is what lets a resumed run reconstruct the full
 // AuxLines list without re-healing skipped lines.
 func (c *Config) healEdges(line tile.StitchLine) []tile.StitchLine {
-	band := c.HealBand
+	band := c.healBand()
 	edges := []tile.StitchLine{
 		{Vertical: line.Vertical, Pos: line.Pos - band, Lo: 0, Hi: c.ClipSize},
 		{Vertical: line.Vertical, Pos: line.Pos + band, Lo: 0, Hi: c.ClipSize},

@@ -13,13 +13,13 @@
 // on one device, motivating the coarse-grid downsampling of
 // Algorithm 1, and the transfer model charges host staging per job.
 //
-// Resilience: production accelerator pools treat flaky devices and
-// stragglers as routine. When a fault.Injector is installed the
-// cluster consults it at the device.run and device.transfer sites of
-// every job attempt; transient failures are retried (on any surviving
-// device) under the cluster's fault.Retry policy with backoff charged
-// to the simulated timeline, and a hard device failure quarantines the
-// device from the pool for the cluster's lifetime (see Revive).
+// Resilience: production accelerator pools treat flaky devices as
+// routine. When a fault.Injector is installed the cluster consults it
+// at the device.run and device.transfer sites of every job attempt;
+// transient failures are retried (on any surviving device) under the
+// cluster's fault.Retry policy with backoff charged to the simulated
+// timeline, and a hard device failure quarantines the device from the
+// pool for the cluster's lifetime (see Revive).
 // Injected panics escaping a job's compute (the litho.aerial site) are
 // recovered at the job boundary and classified like any other injected
 // error, so a chaos run can never crash the process.
@@ -54,9 +54,8 @@ type Cluster struct {
 	// device.transfer sites of every job attempt. Set it before the
 	// first RunCtx; it must not be swapped while a batch is in flight.
 	Injector fault.Injector
-	// Retry tunes the per-job retry policy (attempts, backoff shape,
-	// budget, per-attempt timeout). nil uses the fault.Retry defaults.
-	// Share by pointer; the budget counter is part of the value.
+	// Retry tunes the per-job retry policy (attempts and backoff
+	// shape). nil uses the fault.Retry defaults.
 	Retry *fault.Retry
 
 	mu          sync.Mutex
@@ -76,10 +75,8 @@ type Job struct {
 	// and charged to the transfer model.
 	Pixels int
 	// Work runs on the assigned device. ctx carries the batch's
-	// cancellation plus, when the cluster's Retry policy sets a
-	// per-attempt timeout, this attempt's deadline; long-running Work
-	// should observe it. dev is the executing device index, provided
-	// for logging/affinity.
+	// cancellation; long-running Work should observe it. dev is the
+	// executing device index, provided for logging/affinity.
 	Work func(ctx context.Context, dev int) error
 }
 
@@ -155,12 +152,11 @@ const (
 //
 // With an Injector installed, transiently failed attempts are requeued
 // (FIFO, so surviving devices pick them up) until the Retry policy's
-// attempt bound or budget is exhausted; injected backoff and latency
-// spikes are charged to the job's simulated timeline, never slept. A
-// hard fault quarantines the executing device: its dispatch goroutine
-// re-arms with an unbound healthy device when one exists and otherwise
-// leaves the pool. If every device is lost mid-batch the remaining
-// jobs fail with ErrNoDevices.
+// attempt bound is exhausted; backoff is charged to the job's simulated
+// timeline, never slept. A hard fault quarantines the executing device:
+// its dispatch goroutine re-arms with an unbound healthy device when
+// one exists and otherwise leaves the pool. If every device is lost
+// mid-batch the remaining jobs fail with ErrNoDevices.
 //
 // Once ctx is cancelled no further queued attempts are dispatched:
 // attempts already running finish their Work (Work receives ctx and
@@ -201,7 +197,7 @@ func (c *Cluster) RunCtx(ctx context.Context, jobs []Job) error {
 	maxAttempts := pol.Attempts()
 
 	durations := make([]time.Duration, total) // accumulated compute across attempts
-	extra := make([]time.Duration, total)     // injected latency + backoff (virtual)
+	extra := make([]time.Duration, total)     // backoff (virtual)
 	errs := make([]error, total)
 	ran := make([]bool, total)
 
@@ -242,7 +238,7 @@ func (c *Cluster) RunCtx(ctx context.Context, jobs []Job) error {
 	// requeue re-dispatches u's next attempt if the policy allows,
 	// otherwise finishes the job with err. Under mu.
 	requeue := func(u unit, err error) {
-		if u.attempt+1 < maxAttempts && pol.Take() {
+		if u.attempt+1 < maxAttempts {
 			retries++
 			extra[u.idx] += pol.Backoff(u.attempt)
 			queue = append(queue, unit{idx: u.idx, attempt: u.attempt + 1})
@@ -270,11 +266,10 @@ func (c *Cluster) RunCtx(ctx context.Context, jobs []Job) error {
 				queue = queue[1:]
 				mu.Unlock()
 
-				kind, err, dur, lat := c.attempt(ctx, batch, dev, u, jobs[u.idx], inj, pol)
+				kind, err, dur := c.attempt(ctx, batch, dev, u, jobs[u.idx], inj)
 
 				mu.Lock()
 				durations[u.idx] += dur
-				extra[u.idx] += lat
 				leave := false
 				switch kind {
 				case oDone:
@@ -358,53 +353,34 @@ func (c *Cluster) RunCtx(ctx context.Context, jobs []Job) error {
 
 // attempt executes one attempt of one job on one device, consulting
 // the injector at the transfer and run sites. It returns the outcome
-// classification, the attempt's error, its measured compute duration
-// and any injected latency to charge to the virtual timeline.
-func (c *Cluster) attempt(ctx context.Context, batch int64, dev int, u unit, job Job, inj fault.Injector, pol *fault.Retry) (outcome, error, time.Duration, time.Duration) {
+// classification, the attempt's error and its measured compute
+// duration.
+func (c *Cluster) attempt(ctx context.Context, batch int64, dev int, u unit, job Job, inj fault.Injector) (outcome, error, time.Duration) {
 	if !c.Fits(job.Pixels) {
-		return oFatal, fmt.Errorf("device: job of %d pixels exceeds device memory %d", job.Pixels, c.memPixels), 0, 0
+		return oFatal, fmt.Errorf("device: job of %d pixels exceeds device memory %d", job.Pixels, c.memPixels), 0
 	}
-	var lat time.Duration
 	if inj != nil {
 		key := fault.Key{Batch: batch, Unit: int64(u.idx), Attempt: int64(u.attempt), Device: int64(dev)}
-		ft := inj.At(fault.SiteDeviceTransfer, key)
-		lat += ft.Latency
-		if ft.Err != nil {
-			return classify(ft), ft.Err, 0, lat
-		}
-		fr := inj.At(fault.SiteDeviceRun, key)
-		lat += fr.Latency
-		if fr.Err != nil {
-			return classify(fr), fr.Err, 0, lat
-		}
-		if pa := perAttempt(pol); pa > 0 && fr.Latency >= pa {
-			// The spike exceeds the attempt deadline: the scheduler
-			// kills the straggler and re-dispatches.
-			return oRetry, fmt.Errorf("device: attempt %d of job %d exceeded per-attempt deadline %v (injected latency %v): %w",
-				u.attempt, u.idx, pa, fr.Latency, context.DeadlineExceeded), 0, lat
+		for _, site := range []fault.Site{fault.SiteDeviceTransfer, fault.SiteDeviceRun} {
+			if f := inj.At(site, key); f.Err != nil {
+				return classify(f), f.Err, 0
+			}
 		}
 	}
 
-	actx, cancel := ctx, context.CancelFunc(func() {})
-	if pa := perAttempt(pol); pa > 0 {
-		actx, cancel = context.WithTimeout(ctx, pa)
-	}
 	start := time.Now()
-	err := runWork(actx, job, dev)
+	err := runWork(ctx, job, dev)
 	dur := time.Since(start)
-	cancel()
 
 	switch {
 	case err == nil:
-		return oDone, nil, dur, lat
-	case actx.Err() != nil && ctx.Err() == nil:
-		return oRetry, fmt.Errorf("device: attempt %d of job %d killed by per-attempt deadline: %w", u.attempt, u.idx, err), dur, lat
+		return oDone, nil, dur
 	case fault.Hard(err):
-		return oHard, err, dur, lat
+		return oHard, err, dur
 	case fault.Transient(err):
-		return oRetry, err, dur, lat
+		return oRetry, err, dur
 	default:
-		return oFatal, err, dur, lat
+		return oFatal, err, dur
 	}
 }
 
@@ -413,13 +389,6 @@ func classify(f fault.Fault) outcome {
 		return oHard
 	}
 	return oRetry
-}
-
-func perAttempt(pol *fault.Retry) time.Duration {
-	if pol == nil {
-		return 0
-	}
-	return pol.PerAttempt
 }
 
 // runWork invokes the job's Work as a registered computing goroutine of

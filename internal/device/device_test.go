@@ -409,44 +409,6 @@ func TestAllDevicesLostReturnsErrNoDevices(t *testing.T) {
 	}
 }
 
-func TestInjectedLatencyChargedToTimeline(t *testing.T) {
-	c, _ := NewCluster(1, 0)
-	c.Injector = fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
-		if site == fault.SiteDeviceRun {
-			return fault.Fault{Latency: 500 * time.Millisecond}
-		}
-		return fault.Fault{}
-	})
-	start := time.Now()
-	if err := c.RunCtx(context.Background(), []Job{ok(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if wall := time.Since(start); wall > 250*time.Millisecond {
-		t.Fatalf("injected latency was slept (%v), must be virtual", wall)
-	}
-	if st := c.Stats(); st.SimElapsed < 500*time.Millisecond {
-		t.Fatalf("latency spike not charged to virtual clock: %v", st.SimElapsed)
-	}
-}
-
-func TestLatencySpikeBeyondDeadlineRetried(t *testing.T) {
-	c, _ := NewCluster(2, 0)
-	c.Retry = &fault.Retry{MaxAttempts: 4, PerAttempt: 10 * time.Millisecond}
-	// First attempt stalls past the per-attempt deadline; retries clean.
-	c.Injector = fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
-		if site == fault.SiteDeviceRun && k.Attempt == 0 {
-			return fault.Fault{Latency: time.Second}
-		}
-		return fault.Fault{}
-	})
-	if err := c.RunCtx(context.Background(), []Job{ok(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Retries != 1 {
-		t.Fatalf("straggler retries %d, want 1", st.Retries)
-	}
-}
-
 func TestInjectedPanicRecoveredAsRetryable(t *testing.T) {
 	c, _ := NewCluster(2, 0)
 	var calls atomic.Int32
@@ -479,24 +441,6 @@ func TestGenuinePanicPropagates(t *testing.T) {
 		}
 	}()
 	_ = runWork(context.Background(), Job{Work: func(context.Context, int) error { panic("genuine bug") }}, 0)
-}
-
-func TestRetryBudgetCapsRedispatch(t *testing.T) {
-	c, _ := NewCluster(1, 0)
-	c.Retry = &fault.Retry{MaxAttempts: 10, Budget: 2}
-	c.Injector = fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
-		if site == fault.SiteDeviceRun {
-			return fault.Fault{Err: &fault.Error{Site: site, Key: k}}
-		}
-		return fault.Fault{}
-	})
-	err := c.RunCtx(context.Background(), []Job{ok(1), ok(1)})
-	if err == nil {
-		t.Fatal("budget-starved batch must fail")
-	}
-	if st := c.Stats(); st.Retries > 2 {
-		t.Fatalf("budget 2 but %d retries granted", st.Retries)
-	}
 }
 
 func TestRunCtxCancelledMidBatch(t *testing.T) {
@@ -560,7 +504,7 @@ func TestSeededChaosBatchIsDeterministic(t *testing.T) {
 	run := func() (Stats, error) {
 		c, _ := NewCluster(4, 0)
 		c.Injector = fault.NewSeeded(99).
-			Site(fault.SiteDeviceRun, fault.Rates{Transient: 0.3, Latency: 0.2, Spike: 5 * time.Millisecond}).
+			Site(fault.SiteDeviceRun, fault.Rates{Transient: 0.3}).
 			Site(fault.SiteDeviceTransfer, fault.Rates{Transient: 0.1})
 		c.Retry = &fault.Retry{MaxAttempts: 6}
 		jobs := make([]Job, 32)

@@ -1,18 +1,16 @@
 // Package fault is the deterministic fault-injection and resilience
 // layer of the compute path. Production-scale ILT treats device
-// flakiness and stragglers as routine, not fatal (cf. the GPU
-// full-chip pipelines in PAPERS.md); this package provides the
-// machinery the rest of the repository uses to reproduce — and test —
-// that operational posture:
+// flakiness as routine, not fatal (cf. the GPU full-chip pipelines in
+// PAPERS.md); this package provides the machinery the rest of the
+// repository uses to reproduce — and test — that operational posture:
 //
 //   - Injector: a seedable source of scheduled faults (transient
-//     errors, latency spikes, hard device failures) consulted at named
-//     Sites of the compute path. The decision for one opportunity is a
-//     pure hash of (seed, site, key), so a chaos run is exactly
+//     errors and hard device failures) consulted at named Sites of
+//     the compute path. The decision for one opportunity is a pure
+//     hash of (seed, site, key), so a chaos run is exactly
 //     reproducible from its seed regardless of goroutine scheduling.
 //   - Retry: a context-aware retry policy (capped exponential backoff
-//     with full jitter, optional per-attempt timeouts, an optional
-//     global retry budget) wrapped around per-job device dispatch by
+//     with full jitter) wrapped around per-job device dispatch by
 //     internal/device and available as a standalone combinator (Do).
 //   - A process-global hook (Enable/At) for sites buried inside pure
 //     compute code that cannot thread an injector value through their
@@ -30,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // Site names an injection point in the compute path.
@@ -77,10 +74,6 @@ type Fault struct {
 	// Hard marks a device-fatal failure: the executing device must be
 	// quarantined from the pool.
 	Hard bool
-	// Latency is simulated extra duration charged to the operation's
-	// timeline (a straggler). Consumers decide whether to sleep it or
-	// charge it to a virtual clock; internal/device charges it.
-	Latency time.Duration
 }
 
 // Injector decides the fault (if any) for one opportunity. At must be
@@ -129,15 +122,12 @@ func Hard(err error) bool {
 	return errors.As(err, &fe) && fe.IsHard
 }
 
-// Rates configures one site of the Seeded injector. The three
+// Rates configures one site of the Seeded injector. The two
 // probabilities partition the unit interval: Hard is checked first,
-// then Transient, then Latency; their sum must be at most 1.
+// then Transient; their sum must be at most 1.
 type Rates struct {
 	Transient float64 // probability of a retryable failure
 	Hard      float64 // probability of a device-fatal failure
-	Latency   float64 // probability of a latency spike
-	// Spike is the duration of an injected latency spike.
-	Spike time.Duration
 }
 
 // Seeded is the deterministic injector: the fault for an opportunity
@@ -158,7 +148,7 @@ func NewSeeded(seed int64) *Seeded {
 // Site configures the rates of one site and returns the injector for
 // chaining. It must not be called concurrently with At.
 func (s *Seeded) Site(site Site, r Rates) *Seeded {
-	if r.Transient < 0 || r.Hard < 0 || r.Latency < 0 || r.Transient+r.Hard+r.Latency > 1 {
+	if r.Transient < 0 || r.Hard < 0 || r.Transient+r.Hard > 1 {
 		panic(fmt.Sprintf("fault: invalid rates %+v for site %s", r, site))
 	}
 	s.sites[site] = r
@@ -177,8 +167,6 @@ func (s *Seeded) At(site Site, k Key) Fault {
 		return Fault{Err: &Error{Site: site, Key: k, IsHard: true}, Hard: true}
 	case u < r.Hard+r.Transient:
 		return Fault{Err: &Error{Site: site, Key: k}}
-	case u < r.Hard+r.Transient+r.Latency:
-		return Fault{Latency: r.Spike}
 	}
 	return Fault{}
 }

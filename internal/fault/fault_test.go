@@ -4,18 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestSeededIsDeterministic(t *testing.T) {
-	a := NewSeeded(42).Site(SiteDeviceRun, Rates{Transient: 0.3, Hard: 0.05, Latency: 0.1, Spike: time.Millisecond})
-	b := NewSeeded(42).Site(SiteDeviceRun, Rates{Transient: 0.3, Hard: 0.05, Latency: 0.1, Spike: time.Millisecond})
+	a := NewSeeded(42).Site(SiteDeviceRun, Rates{Transient: 0.3, Hard: 0.05})
+	b := NewSeeded(42).Site(SiteDeviceRun, Rates{Transient: 0.3, Hard: 0.05})
 	for batch := int64(0); batch < 4; batch++ {
 		for unit := int64(0); unit < 32; unit++ {
 			for attempt := int64(0); attempt < 3; attempt++ {
 				k := Key{Batch: batch, Unit: unit, Attempt: attempt, Device: unit % 2}
 				fa, fb := a.At(SiteDeviceRun, k), b.At(SiteDeviceRun, k)
-				if (fa.Err == nil) != (fb.Err == nil) || fa.Hard != fb.Hard || fa.Latency != fb.Latency {
+				if (fa.Err == nil) != (fb.Err == nil) || fa.Hard != fb.Hard {
 					t.Fatalf("same seed diverged at %+v: %+v vs %+v", k, fa, fb)
 				}
 			}
@@ -27,12 +26,12 @@ func TestSeededIsDeterministic(t *testing.T) {
 // which physical device executes a unit is a scheduler race, so the
 // seeded fault decision must not vary with Key.Device.
 func TestSeededIgnoresDevice(t *testing.T) {
-	inj := NewSeeded(42).Site(SiteDeviceRun, Rates{Transient: 0.3, Hard: 0.05, Latency: 0.1, Spike: time.Millisecond})
+	inj := NewSeeded(42).Site(SiteDeviceRun, Rates{Transient: 0.3, Hard: 0.05})
 	for unit := int64(0); unit < 64; unit++ {
 		base := inj.At(SiteDeviceRun, Key{Unit: unit})
 		for dev := int64(1); dev < 8; dev++ {
 			f := inj.At(SiteDeviceRun, Key{Unit: unit, Device: dev})
-			if (f.Err == nil) != (base.Err == nil) || f.Hard != base.Hard || f.Latency != base.Latency {
+			if (f.Err == nil) != (base.Err == nil) || f.Hard != base.Hard {
 				t.Fatalf("fault decision for unit %d changed with device %d: %+v vs %+v", unit, dev, f, base)
 			}
 		}
@@ -73,7 +72,7 @@ func TestSeededRatesRoughlyHonoured(t *testing.T) {
 func TestSeededUnconfiguredSiteNeverFaults(t *testing.T) {
 	inj := NewSeeded(3).Site(SiteDeviceRun, Rates{Transient: 1})
 	for i := int64(0); i < 100; i++ {
-		if f := inj.At(SiteLithoAerial, Key{Unit: i}); f.Err != nil || f.Latency != 0 {
+		if f := inj.At(SiteLithoAerial, Key{Unit: i}); f.Err != nil {
 			t.Fatalf("unconfigured site faulted: %+v", f)
 		}
 	}
@@ -110,7 +109,7 @@ func TestGlobalHookDisabledByDefault(t *testing.T) {
 	if Enabled() {
 		t.Fatal("global injector enabled at start-up")
 	}
-	if f := At(SiteLithoAerial, Key{}); f.Err != nil || f.Latency != 0 {
+	if f := At(SiteLithoAerial, Key{}); f.Err != nil {
 		t.Fatalf("disabled hook injected %+v", f)
 	}
 	Enable(NewSeeded(1).Site(SiteLithoAerial, Rates{Transient: 1}))

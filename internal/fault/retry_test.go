@@ -79,28 +79,6 @@ func TestDoExhaustsAttempts(t *testing.T) {
 	}
 }
 
-func TestDoBudgetShared(t *testing.T) {
-	r := noJitter(&Retry{MaxAttempts: 10, Budget: 3})
-	fail := func(context.Context, int) error { return transientErr(1) }
-	// First op consumes the whole budget (3 retries = 4 attempts).
-	err := r.Do(context.Background(), fail)
-	if err == nil || !strings.Contains(err.Error(), "budget exhausted") {
-		t.Fatalf("first op: %v", err)
-	}
-	// Second op gets no retries at all.
-	calls := 0
-	err = r.Do(context.Background(), func(context.Context, int) error {
-		calls++
-		return transientErr(2)
-	})
-	if calls != 1 || err == nil {
-		t.Fatalf("second op made %d calls (err %v), want budget-starved single attempt", calls, err)
-	}
-	if r.used.Load() < 3 {
-		t.Fatalf("budget accounting %d, want >= 3", r.used.Load())
-	}
-}
-
 func TestDoHonoursParentCancellation(t *testing.T) {
 	r := noJitter(&Retry{MaxAttempts: 100})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -117,25 +95,9 @@ func TestDoHonoursParentCancellation(t *testing.T) {
 	}
 }
 
-func TestDoPerAttemptTimeoutRetriesStraggler(t *testing.T) {
-	r := noJitter(&Retry{MaxAttempts: 3, PerAttempt: 20 * time.Millisecond})
-	calls := 0
-	err := r.Do(context.Background(), func(actx context.Context, attempt int) error {
-		calls++
-		if attempt == 0 {
-			<-actx.Done() // simulated straggler: stalls until killed
-			return actx.Err()
-		}
-		return nil
-	})
-	if err != nil || calls != 2 {
-		t.Fatalf("straggler not retried: err %v after %d calls", err, calls)
-	}
-}
-
 func TestBackoffCappedExponential(t *testing.T) {
-	r := &Retry{BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond}
-	want := []time.Duration{2, 4, 8, 10, 10}
+	r := &Retry{BaseDelay: 40 * time.Millisecond}
+	want := []time.Duration{40, 80, 160, 250, 250} // capped at DefaultMaxDelay
 	for k, w := range want {
 		if got := r.Backoff(k); got != w*time.Millisecond {
 			t.Fatalf("Backoff(%d) = %v, want %v", k, got, w*time.Millisecond)
@@ -154,11 +116,8 @@ func TestZeroValueDefaults(t *testing.T) {
 	if r.Attempts() != DefaultMaxAttempts {
 		t.Fatalf("attempts %d", r.Attempts())
 	}
-	if !r.Take() {
-		t.Fatal("unlimited budget must always grant")
-	}
 	var nilR *Retry
-	if nilR.Attempts() != DefaultMaxAttempts || !nilR.Take() {
+	if nilR.Attempts() != DefaultMaxAttempts {
 		t.Fatal("nil policy must behave as defaults")
 	}
 	if nilR.Backoff(2) != 4*DefaultBaseDelay {

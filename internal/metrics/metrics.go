@@ -189,6 +189,10 @@ func windowSum(diff *grid.Mat, cy, cx, w int) float64 {
 	return sum
 }
 
+// StitchThreshold is the per-crossing stitch error (px) above which
+// Fig. 8 draws a red box.
+const StitchThreshold = 5.0
+
 // CountAbove returns how many stitch errors exceed the threshold — the
 // quantity highlighted by the red boxes of Fig. 8.
 func CountAbove(errors []StitchError, threshold float64) int {

@@ -231,13 +231,6 @@ type Options struct {
 	// monopolise the pool.
 	MaxN     int
 	MaxIters int
-	// ComputeWorkers, when positive, sets the process-wide
-	// internal/parallel pool width that every flow's FFT/convolution
-	// hot path draws from (kernel-level fan-out inside each tile
-	// solve). 0 leaves the pool at its start-up default (ILT_WORKERS
-	// env or GOMAXPROCS). This is distinct from Workers, which is the
-	// number of concurrently running jobs.
-	ComputeWorkers int
 
 	// FaultRate, when positive, installs a deterministic chaos
 	// injector on every worker cluster: each tile-job attempt fails
@@ -341,9 +334,6 @@ type Server struct {
 // re-enqueued (ahead of any new submission) before the workers start.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	if opts.ComputeWorkers > 0 {
-		parallel.SetWorkers(opts.ComputeWorkers)
-	}
 	s := &Server{
 		opts:    opts,
 		start:   time.Now(),

@@ -30,8 +30,6 @@ type Config struct {
 	// defaults to opt.DefaultSolver). It must match the flow's solver
 	// or the distributed result diverges from the in-process one.
 	Solver string
-	// Client is the HTTP client; nil builds one with sane timeouts.
-	Client *http.Client
 	// Retry is the per-request policy; nil uses the default (network
 	// errors and 5xx responses are retryable, everything else is not).
 	Retry *fault.Retry
@@ -137,10 +135,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if !ValidSession(cfg.RunID) {
 		return nil, fmt.Errorf("shard: run id %q not serialisable", cfg.RunID)
 	}
-	c := &Coordinator{cfg: cfg, client: cfg.Client, retry: cfg.Retry}
-	if c.client == nil {
-		c.client = &http.Client{Timeout: 10 * time.Minute}
-	}
+	c := &Coordinator{cfg: cfg, client: &http.Client{Timeout: 10 * time.Minute}, retry: cfg.Retry}
 	if c.retry == nil {
 		c.retry = &fault.Retry{
 			MaxAttempts: 3,

@@ -304,7 +304,8 @@ func (w *Worker) Handler() http.Handler {
 }
 
 func (w *Worker) handleSolve(rw http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(rw, r.Body, w.opts.MaxBodyBytes)
+	// Count what the decoder read: ContentLength is -1 for a chunked body.
+	body := &countReader{r: http.MaxBytesReader(rw, r.Body, w.opts.MaxBodyBytes)}
 	req, err := ReadSolveRequest(body)
 	if err != nil {
 		w.mu.Lock()
@@ -329,9 +330,20 @@ func (w *Worker) handleSolve(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	w.mBytesIn += r.ContentLength
+	w.mBytesIn += body.n
 	w.mBytesOut += cw.n
 	w.mu.Unlock()
+}
+
+type countReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 type countWriter struct {

@@ -3,10 +3,15 @@ package shard
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
+	"mgsilt/internal/grid"
 	"mgsilt/internal/promtext"
 )
 
@@ -45,5 +50,39 @@ func TestWorkerMetricsGolden(t *testing.T) {
 	}
 	if err := promtext.Lint(got); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWorkerCountsChunkedRequestBytes: a chunked request has no
+// Content-Length (the server sees -1), so the byte counter must count
+// what the decoder read, or it goes down.
+func TestWorkerCountsChunkedRequestBytes(t *testing.T) {
+	w, err := NewWorker(WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 32
+	var body bytes.Buffer
+	err = WriteSolveRequest(&body, &SolveRequest{Session: "chunked-e0", N: n, Tiles: []TileWire{{
+		Pixels: n * n, Iters: 1, Stretch: 1, LR: 0.4,
+		Target: grid.NewMat(n, n), Init: grid.NewMat(n, n),
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := body.Len()
+
+	req := httptest.NewRequest("POST", "/v1/shard/solve", io.NopCloser(&body))
+	req.ContentLength, req.TransferEncoding = -1, []string{"chunked"}
+	rec := httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("solve answered %d: %s", rec.Code, rec.Body)
+	}
+
+	rec = httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if want := fmt.Sprintf("\nilt_shard_worker_request_bytes_total %d\n", size); !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("/metrics does not count the %d-byte chunked body:\n%s", size, rec.Body)
 	}
 }

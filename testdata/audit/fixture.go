@@ -8,5 +8,8 @@ import "fixture/shapes"
 func Area(side float64) float64 {
 	s := shapes.Square{Side: side, Tag: "unit"}
 	s.Label = "square"
+	if s.Scale != 0 && s.Units != "" {
+		return s.Scale * s.Area()
+	}
 	return s.Area()
 }

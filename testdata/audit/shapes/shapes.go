@@ -8,6 +8,11 @@ type Square struct {
 	Tag string
 	// Label is only assigned, but encoding/json reads it.
 	Label string `json:"label"`
+	// Scale is read by fixture.Area and set by nothing: a knob only a
+	// test could turn.
+	Scale float64
+	// Units is only read, but encoding/json sets it.
+	Units string `json:"units"`
 }
 
 // Area is called.
