@@ -91,7 +91,6 @@ func run(args []string, stdout io.Writer) error {
 		shardURLs = fs.String("shard-workers", "", "comma-separated iltworker base URLs; tile solves shard across them (byte-identical to in-process at any count)")
 		correct   = fs.Bool("coarse-correct", false, "two-level Schwarz: run a coarse-grid correction between fine stages (method ours only)")
 		dropTol   = fs.Float64("drop-tol", 0, "per-tile convergence dropout tolerance (per-pixel RMS; 0 disables; method ours only)")
-		dropWin   = fs.Int("drop-window", 0, "consecutive stages drop-tol must hold before a tile retires (0 = default)")
 		fineStg   = fs.Int("fine-stages", 0, "fine Schwarz stage count (0 = default; method ours only)")
 		maskRaw   = fs.String("mask-raw", "", "write the final mask to this file in the versioned checkpoint format, for byte-level comparison (cmp) across runs")
 	)
@@ -171,16 +170,13 @@ func run(args []string, stdout io.Writer) error {
 	if *solverSel != "" {
 		solverName = *solverSel
 	}
-	solver, err := opt.New(solverName, sim)
-	if err != nil {
+	if *method == "fullchip" && *solverSel == "" {
+		// The full-chip reference runs a deeper pyramid than the stock
+		// multilevel default.
+		cfg.Solver = core.FullChipSolver(sim, clipSize)
+	} else if cfg.Solver, err = opt.New(solverName, sim); err != nil {
 		return err // the registry error lists the registered names
 	}
-	if *method == "fullchip" && *solverSel == "" {
-		// The full-chip reference historically runs a deeper pyramid
-		// than the stock multilevel default.
-		solver.(*opt.MultiLevel).Levels = 3
-	}
-	cfg.Solver = solver
 
 	// Remote tile sharding: the flow's tile fan-out goes through a
 	// shard coordinator instead of the local cluster. The worker-side
@@ -201,14 +197,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	cfg.CoarseCorrect = *correct
 	cfg.DropTol = *dropTol
-	cfg.DropWindow = *dropWin
 	if *fineStg > 0 {
 		cfg.FineStages = *fineStg
 	}
 	chaos := *faultRate > 0 || *faultHard > 0
 	if chaos {
-		cfg.Cluster.Injector = fault.NewSeeded(*faultSeed).
-			Site(fault.SiteDeviceRun, fault.Rates{Transient: *faultRate, Hard: *faultHard})
+		cfg.Cluster.Injector = fault.NewSeeded(*faultSeed, fault.Rates{Transient: *faultRate, Hard: *faultHard})
 		cfg.Cluster.Retry = &fault.Retry{}
 	}
 

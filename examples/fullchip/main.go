@@ -42,9 +42,7 @@ func main() {
 	print(dc)
 
 	fcCfg := base
-	ml := opt.NewMultiLevel(sim)
-	ml.Levels = 3
-	fcCfg.Solver = ml
+	fcCfg.Solver = core.FullChipSolver(sim, 2*n)
 	fc, err := core.FullChip(fcCfg, clip.Target)
 	if err != nil {
 		log.Fatal(err)

@@ -92,19 +92,6 @@ func (e *Env) stock(name string) opt.Solver {
 	return sv
 }
 
-// fullChipSolver builds the paper's full-chip reference solver: the
-// Multi-level-ILT of [4] with enough pyramid levels to reach below the
-// native grid on the whole clip.
-func (e *Env) fullChipSolver() opt.Solver {
-	ml := e.stock("multilevel").(*opt.MultiLevel)
-	levels := 2
-	for c := e.Scale.Clip; c > e.Scale.N; c /= 2 {
-		levels++
-	}
-	ml.Levels = levels
-	return ml
-}
-
 // Method is one Table 1 column group.
 type Method struct {
 	Name string
@@ -131,7 +118,7 @@ func (e *Env) Methods() []Method {
 		{Name: "Full-chip", Run: func(t *grid.Mat, cl *device.Cluster) (*core.Result, error) {
 			cfg := e.BaseConfig()
 			cfg.Cluster = cl
-			cfg.Solver = e.fullChipSolver()
+			cfg.Solver = core.FullChipSolver(e.Sim, e.Scale.Clip)
 			return core.FullChip(cfg, t)
 		}},
 		{Name: "Ours", Run: func(t *grid.Mat, cl *device.Cluster) (*core.Result, error) {

@@ -54,13 +54,6 @@ func TestMethodsOrder(t *testing.T) {
 	}
 }
 
-func TestFullChipSolverLevels(t *testing.T) {
-	env := tinyEnv(t)
-	if lv := env.fullChipSolver().(*opt.MultiLevel).Levels; lv != 3 {
-		t.Fatalf("levels %d want 3 for clip=2N", lv)
-	}
-}
-
 func TestRunTable1AndRender(t *testing.T) {
 	env := tinyEnv(t)
 	var seen []string
@@ -242,5 +235,18 @@ func TestRunMRC(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "near-line") {
 		t.Fatalf("table:\n%s", buf.String())
+	}
+}
+
+// TestRunSolversNilProgress runs the solvers experiment without a
+// progress callback, as every other experiment already allows.
+func TestRunSolversNilProgress(t *testing.T) {
+	env := tinyEnv(t)
+	res, err := env.RunSolvers(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(res.Rows), len(opt.Names()); got != want {
+		t.Fatalf("%d rows, want one per registered solver (%d)", got, want)
 	}
 }

@@ -51,7 +51,7 @@ func (e *Env) RunMRC(progress func(string)) (*MRCResult, error) {
 			},
 			func() (*core.Result, error) {
 				cfg := e.BaseConfig()
-				cfg.Solver = e.fullChipSolver()
+				cfg.Solver = core.FullChipSolver(e.Sim, e.Scale.Clip)
 				return core.FullChip(cfg, clip.Target)
 			},
 			func() (*core.Result, error) {

@@ -45,7 +45,9 @@ func (e *Env) RunSolvers(progress func(string)) (*SolversResult, error) {
 	res := &SolversResult{}
 	byName := map[string]report.Metrics{}
 	for _, name := range opt.Names() {
-		progress(fmt.Sprintf("solvers: %s on %s", name, clip.ID))
+		if progress != nil {
+			progress(fmt.Sprintf("solvers: %s on %s", name, clip.ID))
+		}
 		cl, err := device.NewCluster(1, 0)
 		if err != nil {
 			return nil, err

@@ -179,8 +179,8 @@ type Config struct {
 
 	// DropTol enables per-tile convergence dropout when positive: a
 	// tile whose fine-stage solution changes by at most DropTol
-	// (per-pixel RMS against its previous solution) for DropWindow
-	// consecutive stages is converged and drops out of the remaining
+	// (per-pixel RMS against its previous solution) from one fine
+	// stage to the next is converged and drops out of the remaining
 	// fine stages. Dropped tiles are not dispatched to the backend at
 	// all — the tile cache, lockstep batching and the shard
 	// coordinator simply see smaller batches — and contribute their
@@ -193,9 +193,6 @@ type Config struct {
 	// re-establishes, so a resume with DropTol > 0 may do (slightly
 	// more) work than the uninterrupted run would have.
 	DropTol float64
-	// DropWindow is the number of consecutive stages DropTol must hold
-	// for before a tile is declared converged; 0 selects 1.
-	DropWindow int
 }
 
 // Sentinel validation errors, matchable with errors.Is; Validate wraps
@@ -208,7 +205,7 @@ var (
 	// scale is not a power of two ≥ 2 or whose coarse tile exceeds the
 	// clip.
 	ErrCoarseCorrectScale = errors.New("invalid coarse-correct scale")
-	// ErrDropSchedule rejects a negative dropout tolerance or window.
+	// ErrDropSchedule rejects a negative dropout tolerance.
 	ErrDropSchedule = errors.New("invalid dropout schedule")
 )
 
@@ -285,8 +282,8 @@ func (c *Config) Validate() error {
 	if c.CoarseCorrectIters < 0 {
 		return fmt.Errorf("core: coarse-correct schedule %d iters invalid", c.CoarseCorrectIters)
 	}
-	if c.DropTol < 0 || c.DropWindow < 0 {
-		return fmt.Errorf("core: %w: tol %g / window %d", ErrDropSchedule, c.DropTol, c.DropWindow)
+	if c.DropTol < 0 {
+		return fmt.Errorf("core: %w: tol %g", ErrDropSchedule, c.DropTol)
 	}
 	if c.FineStages < 1 || c.FineIters < c.FineStages {
 		return fmt.Errorf("core: fine schedule %d iters / %d stages invalid", c.FineIters, c.FineStages)

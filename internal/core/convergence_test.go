@@ -137,7 +137,6 @@ func TestCoarseCorrectOffBitIdentical(t *testing.T) {
 	knobbed := core.DefaultConfig(sim, convClip, 4)
 	knobbed.CoarseCorrectScale = 2
 	knobbed.CoarseCorrectIters = 7
-	knobbed.DropWindow = 3
 	got, err := core.MultigridSchwarz(knobbed, target)
 	if err != nil {
 		t.Fatal(err)

@@ -113,7 +113,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			want: ErrCoarseScale,
 		},
 		{name: "negative drop tolerance", mutate: func(c *Config) { c.DropTol = -0.1 }, want: ErrDropSchedule},
-		{name: "negative drop window", mutate: func(c *Config) { c.DropWindow = -1 }, want: ErrDropSchedule},
 		{name: "negative correct iters", mutate: func(c *Config) { c.CoarseCorrectIters = -1 }},
 		{name: "no fine stages", mutate: func(c *Config) { c.FineStages = 0 }},
 		{name: "fine iters below stages", mutate: func(c *Config) { c.FineIters = 1; c.FineStages = 2 }},
@@ -204,6 +203,17 @@ func TestDivideAndConquerIdentitySolverReproducesTarget(t *testing.T) {
 	}
 	if res.Method != "divide-and-conquer/identity" {
 		t.Fatalf("method %q", res.Method)
+	}
+}
+
+// TestFullChipSolverLevels pins the full-chip reference pyramid at
+// 2 + log2(clip/N) levels: 3 at the experiments' clip = 2N.
+func TestFullChipSolverLevels(t *testing.T) {
+	sim := testSim(t)
+	for clip, want := range map[int]int{testN: 2, 2 * testN: 3, 4 * testN: 4} {
+		if lv := FullChipSolver(sim, clip).Levels; lv != want {
+			t.Fatalf("clip %d: levels %d want %d", clip, lv, want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"mgsilt/internal/device"
 	"mgsilt/internal/filter"
 	"mgsilt/internal/grid"
+	"mgsilt/internal/litho"
 	"mgsilt/internal/opt"
 	"mgsilt/internal/pipeline"
 	"mgsilt/internal/tile"
@@ -188,19 +189,16 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 	if cfg.CoarseCorrect && cfg.FineStages > 1 {
 		correctTotal = cfg.FineStages - 1
 	}
-	dropWindow := max(1, cfg.DropWindow)
 	var (
-		prevSol    = make([]*grid.Mat, len(p.Tiles)) // last fine solution per tile
-		belowCount = make([]int, len(p.Tiles))
-		converged  = make([]bool, len(p.Tiles))
+		prevSol   = make([]*grid.Mat, len(p.Tiles)) // last fine solution per tile
+		converged = make([]bool, len(p.Tiles))
 
 		tilesConverged, solvesSkipped, corrections int
 	)
-	// Convergence detection on a solved tile: per-pixel RMS change
-	// against its previous fine solution, DropTol held for DropWindow
-	// consecutive stages. Decisions are a pure function of the
-	// (deterministic) solutions, so any backend at any parallelism drops
-	// the same tiles.
+	// Convergence detection on a solved tile: a per-pixel RMS change
+	// of at most DropTol against its previous fine solution retires it.
+	// Decisions are a pure function of the (deterministic) solutions,
+	// so any backend at any parallelism drops the same tiles.
 	observe := func(i int, u *grid.Mat) {
 		if cfg.DropTol <= 0 {
 			return
@@ -208,13 +206,8 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 		if prev := prevSol[i]; prev != nil {
 			rms := math.Sqrt(u.L2Diff(prev) / float64(p.Tile*p.Tile))
 			if rms <= cfg.DropTol {
-				belowCount[i]++
-				if belowCount[i] >= dropWindow {
-					converged[i] = true
-					tilesConverged++
-				}
-			} else {
-				belowCount[i] = 0
+				converged[i] = true
+				tilesConverged++
 			}
 		}
 		prevSol[i] = u
@@ -435,4 +428,16 @@ func FullChip(cfg Config, target *grid.Mat) (res *Result, err error) {
 		return nil, err
 	}
 	return c.evaluate("full-chip", m, target, p.StitchLines(), tat, cl, timeline), nil
+}
+
+// FullChipSolver builds the paper's full-chip reference solver: the
+// Multi-level-ILT of [4] with 2 + log2(clip/N) pyramid levels, enough
+// to reach below the native grid N of sim on the whole clip.
+func FullChipSolver(sim *litho.Simulator, clip int) *opt.MultiLevel {
+	ml := opt.NewMultiLevel(sim)
+	ml.Levels = 2
+	for c := clip; c > sim.N(); c /= 2 {
+		ml.Levels++
+	}
+	return ml
 }

@@ -15,11 +15,11 @@
 //
 // Resilience: production accelerator pools treat flaky devices as
 // routine. When a fault.Injector is installed the cluster consults it
-// at the device.run and device.transfer sites of every job attempt;
-// transient failures are retried (on any surviving device) under the
-// cluster's fault.Retry policy with backoff charged to the simulated
-// timeline, and a hard device failure quarantines the device from the
-// pool for the cluster's lifetime (see Revive).
+// at the device.run site of every job attempt; transient failures are
+// retried (on any surviving device) under the cluster's fault.Retry
+// policy with backoff charged to the simulated timeline, and a hard
+// device failure quarantines the device from the pool for the
+// cluster's lifetime (see Revive).
 // Injected panics escaping a job's compute (the litho.aerial site) are
 // recovered at the job boundary and classified like any other injected
 // error, so a chaos run can never crash the process.
@@ -50,9 +50,8 @@ type Cluster struct {
 	// to the job's device timeline, not slept.
 	TransferPerMPixel time.Duration
 
-	// Injector, when non-nil, is consulted at the device.run and
-	// device.transfer sites of every job attempt. Set it before the
-	// first RunCtx; it must not be swapped while a batch is in flight.
+	// Injector, when non-nil, is consulted at the device.run site of
+	// every job attempt. Set it before the first RunCtx; it must not be swapped while a batch is in flight.
 	Injector fault.Injector
 	// Retry tunes the per-job retry policy (attempts and backoff
 	// shape). nil uses the fault.Retry defaults.
@@ -352,7 +351,7 @@ func (c *Cluster) RunCtx(ctx context.Context, jobs []Job) error {
 }
 
 // attempt executes one attempt of one job on one device, consulting
-// the injector at the transfer and run sites. It returns the outcome
+// the injector at the run site. It returns the outcome
 // classification, the attempt's error and its measured compute
 // duration.
 func (c *Cluster) attempt(ctx context.Context, batch int64, dev int, u unit, job Job, inj fault.Injector) (outcome, error, time.Duration) {
@@ -361,10 +360,8 @@ func (c *Cluster) attempt(ctx context.Context, batch int64, dev int, u unit, job
 	}
 	if inj != nil {
 		key := fault.Key{Batch: batch, Unit: int64(u.idx), Attempt: int64(u.attempt), Device: int64(dev)}
-		for _, site := range []fault.Site{fault.SiteDeviceTransfer, fault.SiteDeviceRun} {
-			if f := inj.At(site, key); f.Err != nil {
-				return classify(f), f.Err, 0
-			}
+		if f := inj.At(fault.SiteDeviceRun, key); f.Err != nil {
+			return classify(f), f.Err, 0
 		}
 	}
 

@@ -503,9 +503,7 @@ func TestRunCtxCancelDoesNotLeakGoroutines(t *testing.T) {
 func TestSeededChaosBatchIsDeterministic(t *testing.T) {
 	run := func() (Stats, error) {
 		c, _ := NewCluster(4, 0)
-		c.Injector = fault.NewSeeded(99).
-			Site(fault.SiteDeviceRun, fault.Rates{Transient: 0.3}).
-			Site(fault.SiteDeviceTransfer, fault.Rates{Transient: 0.1})
+		c.Injector = fault.NewSeeded(99, fault.Rates{Transient: 0.3})
 		c.Retry = &fault.Retry{MaxAttempts: 6}
 		jobs := make([]Job, 32)
 		for i := range jobs {

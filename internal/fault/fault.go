@@ -37,9 +37,6 @@ type Site string
 const (
 	// SiteDeviceRun wraps one tile job attempt on one device.
 	SiteDeviceRun Site = "device.run"
-	// SiteDeviceTransfer wraps the host-staging transfer of a job's
-	// working set to/from its device.
-	SiteDeviceTransfer Site = "device.transfer"
 	// SiteLithoAerial wraps one aerial-image evaluation inside the
 	// Hopkins convolution. The site cannot return an error (the litho
 	// API is pure), so injected failures are thrown as Panic values and
@@ -122,9 +119,9 @@ func Hard(err error) bool {
 	return errors.As(err, &fe) && fe.IsHard
 }
 
-// Rates configures one site of the Seeded injector. The two
-// probabilities partition the unit interval: Hard is checked first,
-// then Transient; their sum must be at most 1.
+// Rates configures the Seeded injector. The two probabilities
+// partition the unit interval: Hard is checked first, then Transient;
+// their sum must be at most 1.
 type Rates struct {
 	Transient float64 // probability of a retryable failure
 	Hard      float64 // probability of a device-fatal failure
@@ -133,39 +130,30 @@ type Rates struct {
 // Seeded is the deterministic injector: the fault for an opportunity
 // is a pure hash of (seed, site, key), so concurrent chaos runs with
 // the same seed inject exactly the same faults no matter how the
-// scheduler interleaves them. Configure sites with Site before use;
-// unconfigured sites never fault.
+// scheduler interleaves them. One set of rates applies at every site
+// it is consulted at; the device layer consults it only at
+// SiteDeviceRun.
 type Seeded struct {
 	seed  int64
-	sites map[Site]Rates
+	rates Rates
 }
 
-// NewSeeded builds a seeded injector with no sites configured.
-func NewSeeded(seed int64) *Seeded {
-	return &Seeded{seed: seed, sites: make(map[Site]Rates)}
-}
-
-// Site configures the rates of one site and returns the injector for
-// chaining. It must not be called concurrently with At.
-func (s *Seeded) Site(site Site, r Rates) *Seeded {
+// NewSeeded builds a seeded injector faulting at rates r. It panics on
+// negative rates or rates summing past 1.
+func NewSeeded(seed int64, r Rates) *Seeded {
 	if r.Transient < 0 || r.Hard < 0 || r.Transient+r.Hard > 1 {
-		panic(fmt.Sprintf("fault: invalid rates %+v for site %s", r, site))
+		panic(fmt.Sprintf("fault: invalid rates %+v", r))
 	}
-	s.sites[site] = r
-	return s
+	return &Seeded{seed: seed, rates: r}
 }
 
 // At implements Injector.
 func (s *Seeded) At(site Site, k Key) Fault {
-	r, ok := s.sites[site]
-	if !ok {
-		return Fault{}
-	}
 	u := unitFloat(s.seed, site, k)
 	switch {
-	case u < r.Hard:
+	case u < s.rates.Hard:
 		return Fault{Err: &Error{Site: site, Key: k, IsHard: true}, Hard: true}
-	case u < r.Hard+r.Transient:
+	case u < s.rates.Hard+s.rates.Transient:
 		return Fault{Err: &Error{Site: site, Key: k}}
 	}
 	return Fault{}

@@ -7,8 +7,8 @@ import (
 )
 
 func TestSeededIsDeterministic(t *testing.T) {
-	a := NewSeeded(42).Site(SiteDeviceRun, Rates{Transient: 0.3, Hard: 0.05})
-	b := NewSeeded(42).Site(SiteDeviceRun, Rates{Transient: 0.3, Hard: 0.05})
+	a := NewSeeded(42, Rates{Transient: 0.3, Hard: 0.05})
+	b := NewSeeded(42, Rates{Transient: 0.3, Hard: 0.05})
 	for batch := int64(0); batch < 4; batch++ {
 		for unit := int64(0); unit < 32; unit++ {
 			for attempt := int64(0); attempt < 3; attempt++ {
@@ -26,7 +26,7 @@ func TestSeededIsDeterministic(t *testing.T) {
 // which physical device executes a unit is a scheduler race, so the
 // seeded fault decision must not vary with Key.Device.
 func TestSeededIgnoresDevice(t *testing.T) {
-	inj := NewSeeded(42).Site(SiteDeviceRun, Rates{Transient: 0.3, Hard: 0.05})
+	inj := NewSeeded(42, Rates{Transient: 0.3, Hard: 0.05})
 	for unit := int64(0); unit < 64; unit++ {
 		base := inj.At(SiteDeviceRun, Key{Unit: unit})
 		for dev := int64(1); dev < 8; dev++ {
@@ -38,9 +38,41 @@ func TestSeededIgnoresDevice(t *testing.T) {
 	}
 }
 
+// TestSeededScheduleGolden pins the fault class of every key with
+// batch 0–1, unit 0–7 and attempt 0–1 at SiteDeviceRun for seed 42
+// ('.' none, 't' transient, 'H' hard; '|' separates the batches), so
+// any change to the hash or the rate partition shows as a diff here
+// rather than as moved retry counts in a chaos run.
+func TestSeededScheduleGolden(t *testing.T) {
+	const want = "...t.t...t....H.|t..t....t..t...t"
+	inj := NewSeeded(42, Rates{Transient: 0.3, Hard: 0.05})
+	var got []byte
+	for batch := int64(0); batch < 2; batch++ {
+		if batch > 0 {
+			got = append(got, '|')
+		}
+		for unit := int64(0); unit < 8; unit++ {
+			for attempt := int64(0); attempt < 2; attempt++ {
+				f := inj.At(SiteDeviceRun, Key{Batch: batch, Unit: unit, Attempt: attempt})
+				switch {
+				case f.Hard:
+					got = append(got, 'H')
+				case f.Err != nil:
+					got = append(got, 't')
+				default:
+					got = append(got, '.')
+				}
+			}
+		}
+	}
+	if string(got) != want {
+		t.Fatalf("seeded schedule moved:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestSeededSeedsDiffer(t *testing.T) {
-	a := NewSeeded(1).Site(SiteDeviceRun, Rates{Transient: 0.5})
-	b := NewSeeded(2).Site(SiteDeviceRun, Rates{Transient: 0.5})
+	a := NewSeeded(1, Rates{Transient: 0.5})
+	b := NewSeeded(2, Rates{Transient: 0.5})
 	same := 0
 	const n = 256
 	for i := int64(0); i < n; i++ {
@@ -55,7 +87,7 @@ func TestSeededSeedsDiffer(t *testing.T) {
 }
 
 func TestSeededRatesRoughlyHonoured(t *testing.T) {
-	inj := NewSeeded(7).Site(SiteDeviceRun, Rates{Transient: 0.25})
+	inj := NewSeeded(7, Rates{Transient: 0.25})
 	faults := 0
 	const n = 4000
 	for i := int64(0); i < n; i++ {
@@ -69,22 +101,13 @@ func TestSeededRatesRoughlyHonoured(t *testing.T) {
 	}
 }
 
-func TestSeededUnconfiguredSiteNeverFaults(t *testing.T) {
-	inj := NewSeeded(3).Site(SiteDeviceRun, Rates{Transient: 1})
-	for i := int64(0); i < 100; i++ {
-		if f := inj.At(SiteLithoAerial, Key{Unit: i}); f.Err != nil {
-			t.Fatalf("unconfigured site faulted: %+v", f)
-		}
-	}
-}
-
 func TestSeededInvalidRatesPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("rates summing past 1 must panic")
 		}
 	}()
-	NewSeeded(1).Site(SiteDeviceRun, Rates{Transient: 0.7, Hard: 0.7})
+	NewSeeded(1, Rates{Transient: 0.7, Hard: 0.7})
 }
 
 func TestErrorClassification(t *testing.T) {
@@ -112,7 +135,7 @@ func TestGlobalHookDisabledByDefault(t *testing.T) {
 	if f := At(SiteLithoAerial, Key{}); f.Err != nil {
 		t.Fatalf("disabled hook injected %+v", f)
 	}
-	Enable(NewSeeded(1).Site(SiteLithoAerial, Rates{Transient: 1}))
+	Enable(NewSeeded(1, Rates{Transient: 1}))
 	defer Enable(nil)
 	if !Enabled() {
 		t.Fatal("Enable did not install")

@@ -2,6 +2,7 @@ package litho
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mgsilt/internal/grid"
@@ -137,5 +138,43 @@ func TestNewStandardFingerprint(t *testing.T) {
 	}
 	if _, err := NewStandard(48); err == nil {
 		t.Error("NewStandard accepted a grid size kernels.Generate rejects")
+	}
+}
+
+// Standard hands every caller, from any goroutine, the one simulator it
+// built for a grid size, with the standard optics, and remembers no
+// failed build.
+func TestStandardShared(t *testing.T) {
+	const callers = 4
+	sims := make([]*Simulator, callers)
+	var wg sync.WaitGroup
+	for i := range sims {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sim, err := Standard(32)
+			if err != nil {
+				t.Error(err)
+			}
+			sims[i] = sim
+		}(i)
+	}
+	wg.Wait()
+	want, err := NewStandard(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sim := range sims {
+		if sim != sims[0] {
+			t.Fatalf("caller %d got a different simulator", i)
+		}
+	}
+	if sims[0].Fingerprint() != want.Fingerprint() {
+		t.Fatal("Standard(32) is not the standard optics")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := Standard(48); err == nil {
+			t.Fatal("Standard accepted a grid size kernels.Generate rejects")
+		}
 	}
 }

@@ -230,6 +230,30 @@ func NewStandard(n int) (*Simulator, error) {
 	return New(nominal, defocus, DefaultConfig())
 }
 
+var (
+	standardMu sync.Mutex
+	standard   = map[int]*Simulator{}
+)
+
+// Standard returns the process-wide standard simulator for grid n,
+// building it with NewStandard on first use. Long-lived servers that
+// see the same grid sizes job after job share it; a Simulator is safe
+// for concurrent use, so every caller may hold the same one. Callers
+// that build one simulator for a run call NewStandard directly.
+func Standard(n int) (*Simulator, error) {
+	standardMu.Lock()
+	defer standardMu.Unlock()
+	if sim, ok := standard[n]; ok {
+		return sim, nil
+	}
+	sim, err := NewStandard(n)
+	if err != nil {
+		return nil, err
+	}
+	standard[n] = sim
+	return sim, nil
+}
+
 // N returns the native simulation grid size.
 func (s *Simulator) N() int { return s.n }
 

@@ -46,10 +46,6 @@ func NewADMM(sim *litho.Simulator) *ADMM {
 	return &ADMM{Sim: sim, Rho: 0.6, Binary: 0.1, WarmupIters: 6}
 }
 
-func init() {
-	Register("admm", func(sim *litho.Simulator) Solver { return NewADMM(sim) })
-}
-
 // Name implements Solver.
 func (s *ADMM) Name() string { return "admm-ilt" }
 

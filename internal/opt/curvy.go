@@ -42,10 +42,6 @@ func NewCurvy(sim *litho.Simulator) *Curvy {
 	return &Curvy{Pixel: NewPixel(sim), CurvWeight: 0.12, Rules: mrc.DefaultRules(), MaxLegalize: 8}
 }
 
-func init() {
-	Register("curvy", func(sim *litho.Simulator) Solver { return NewCurvy(sim) })
-}
-
 // Name implements Solver.
 func (s *Curvy) Name() string { return "curvy-ilt" }
 

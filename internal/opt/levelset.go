@@ -37,10 +37,6 @@ func NewLevelSet(sim *litho.Simulator) *LevelSet {
 	return &LevelSet{Sim: sim, Epsilon: 1.5, Curvature: 0.12, ReinitEvery: 10}
 }
 
-func init() {
-	Register("levelset", func(sim *litho.Simulator) Solver { return NewLevelSet(sim) })
-}
-
 // Name implements Solver.
 func (s *LevelSet) Name() string { return "gls-ilt" }
 

@@ -43,10 +43,6 @@ func NewMultiLevel(sim *litho.Simulator) *MultiLevel {
 	return &MultiLevel{Sim: sim, Levels: 2, CoarseFrac: 0.5, CleanRadius: 2, Pixel: NewPixel(sim)}
 }
 
-func init() {
-	Register("multilevel", func(sim *litho.Simulator) Solver { return NewMultiLevel(sim) })
-}
-
 // Name implements Solver.
 func (s *MultiLevel) Name() string { return "multi-level-ilt" }
 

@@ -49,10 +49,6 @@ func NewPixel(sim *litho.Simulator) *Pixel {
 	return &Pixel{Sim: sim, Slope: 4, FinalSlope: 12, BackgroundBias: 0.08, WarmupIters: 6, SmoothWeight: 0.2}
 }
 
-func init() {
-	Register("pixel", func(sim *litho.Simulator) Solver { return NewPixel(sim) })
-}
-
 // Name implements Solver.
 func (s *Pixel) Name() string { return "pixel-ilt" }
 

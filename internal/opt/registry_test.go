@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mgsilt/internal/grid"
-	"mgsilt/internal/litho"
 	"mgsilt/internal/mrc"
 )
 
@@ -49,21 +48,6 @@ func TestKnown(t *testing.T) {
 	if !Known(DefaultSolver) {
 		t.Fatalf("DefaultSolver %q is not registered", DefaultSolver)
 	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, f Factory, why string) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("Register did not panic on %s", why)
-			}
-		}()
-		Register(name, f)
-	}
-	mustPanic("pixel", func(sim *litho.Simulator) Solver { return NewPixel(sim) }, "duplicate registration")
-	mustPanic("", func(sim *litho.Simulator) Solver { return NewPixel(sim) }, "empty name")
-	mustPanic("nilfactory", nil, "nil factory")
 }
 
 // TestRegisteredSolversAreCacheable pins the registry contract every

@@ -226,11 +226,9 @@ type Options struct {
 	// DefaultTimeout bounds jobs that do not set TimeoutMS; 0 means
 	// no deadline.
 	DefaultTimeout time.Duration
-	// MaxN bounds the per-job simulator grid (default 256) and MaxIters
-	// the per-job iteration budget (default 10000) so one submit cannot
-	// monopolise the pool.
-	MaxN     int
-	MaxIters int
+	// MaxN bounds the per-job simulator grid (default 256) so one
+	// submit cannot monopolise the pool.
+	MaxN int
 
 	// FaultRate, when positive, installs a deterministic chaos
 	// injector on every worker cluster: each tile-job attempt fails
@@ -279,6 +277,10 @@ type Options struct {
 	ShardWorkers []string
 }
 
+// maxIters bounds the per-job iteration budget so one submit cannot
+// monopolise the pool.
+const maxIters = 10000
+
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 2
@@ -291,9 +293,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxN <= 0 {
 		o.MaxN = 256
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 10000
 	}
 	return o
 }
@@ -312,9 +311,6 @@ type Server struct {
 
 	wg       sync.WaitGroup
 	clusters []*device.Cluster
-
-	simMu sync.Mutex
-	sims  map[int]*litho.Simulator
 
 	cache   *cache.Cache   // nil when disabled
 	batcher *sched.Batcher // nil when disabled
@@ -339,7 +335,6 @@ func New(opts Options) (*Server, error) {
 		start:   time.Now(),
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, opts.QueueCap),
-		sims:    make(map[int]*litho.Simulator),
 		metrics: newRegistry(),
 	}
 	if opts.FaultRate < 0 || opts.FaultRate > 1 {
@@ -371,8 +366,7 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		if opts.FaultRate > 0 {
-			cl.Injector = fault.NewSeeded(opts.FaultSeed).
-				Site(fault.SiteDeviceRun, fault.Rates{Transient: opts.FaultRate})
+			cl.Injector = fault.NewSeeded(opts.FaultSeed, fault.Rates{Transient: opts.FaultRate})
 			cl.Retry = &fault.Retry{}
 		}
 		s.clusters = append(s.clusters, cl)
@@ -503,8 +497,8 @@ func (s *Server) normalize(spec *JobSpec) error {
 	if spec.Iters == 0 {
 		spec.Iters = 20
 	}
-	if spec.Iters < 1 || spec.Iters > s.opts.MaxIters {
-		return fmt.Errorf("service: iters %d out of [1, %d]", spec.Iters, s.opts.MaxIters)
+	if spec.Iters < 1 || spec.Iters > maxIters {
+		return fmt.Errorf("service: iters %d out of [1, %d]", spec.Iters, maxIters)
 	}
 	if spec.Seed == 0 {
 		spec.Seed = 1
@@ -819,7 +813,7 @@ func (s *Server) runJob(j *job, cl *device.Cluster) {
 // execute builds the environment (simulator, clip, config) and runs
 // the selected flow under ctx.
 func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, progress func(string, int, int), resume *core.Checkpoint, onCheckpoint func(core.Checkpoint), onStage func(pipeline.StageTiming)) (*core.Result, error) {
-	sim, err := s.simulator(spec.N)
+	sim, err := litho.Standard(spec.N)
 	if err != nil {
 		return nil, err
 	}
@@ -914,24 +908,6 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 		return core.StitchAndHeal(cfg, target)
 	}
 	return nil, fmt.Errorf("service: unknown flow %q", spec.Flow)
-}
-
-// simulator returns the cached optics for grid size n, building it on
-// first use. Kernel generation is deterministic, so the cache is
-// shared safely between workers; litho.Simulator itself is safe for
-// concurrent use (tile solves already share one per flow).
-func (s *Server) simulator(n int) (*litho.Simulator, error) {
-	s.simMu.Lock()
-	defer s.simMu.Unlock()
-	if sim, ok := s.sims[n]; ok {
-		return sim, nil
-	}
-	sim, err := litho.NewStandard(n)
-	if err != nil {
-		return nil, err
-	}
-	s.sims[n] = sim
-	return sim, nil
 }
 
 // target materialises the job's clip: an uploaded .rects layout when

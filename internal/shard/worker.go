@@ -87,7 +87,6 @@ type Worker struct {
 	cl   *device.Cluster
 
 	mu       sync.Mutex
-	sims     map[int]*litho.Simulator
 	sessions map[string]*session
 	clock    int // logical clock for session LRU
 
@@ -109,23 +108,8 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	return &Worker{
 		opts:     opts,
 		cl:       cl,
-		sims:     make(map[int]*litho.Simulator),
 		sessions: make(map[string]*session),
 	}, nil
-}
-
-// simulator returns the cached optics for grid n: the standard optics,
-// like the job service's, or cross-process bit-identity would break.
-func (w *Worker) simulator(n int) (*litho.Simulator, error) {
-	if sim, ok := w.sims[n]; ok {
-		return sim, nil
-	}
-	sim, err := litho.NewStandard(n)
-	if err != nil {
-		return nil, err
-	}
-	w.sims[n] = sim
-	return sim, nil
 }
 
 // solverFor builds φ(·) by wire name through the opt registry — the
@@ -160,7 +144,7 @@ func (w *Worker) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 		return nil, fmt.Errorf("shard: worker failing after %d solves (chaos)", w.opts.FailAfterSolves)
 	}
 
-	sim, err := w.simulator(req.N)
+	sim, err := litho.Standard(req.N)
 	if err != nil {
 		w.mFailures++
 		return nil, err
