@@ -552,7 +552,7 @@ func TestDiskSpill(t *testing.T) {
 // An entry spilled by a build with older tile-solve numerics must read
 // as a miss, never be mixed into a layout solved by this build.
 func TestOlderCodeVersionNotServed(t *testing.T) {
-	for _, version := range []string{"mgsilt-tile-solve-v1", "mgsilt-tile-solve-v3"} {
+	for _, version := range []string{"mgsilt-tile-solve-v1", "mgsilt-tile-solve-v3", "mgsilt-tile-solve-v4"} {
 		dir := t.TempDir()
 		rng := rand.New(rand.NewSource(12))
 		in := testInput(rng)

@@ -33,8 +33,10 @@ import (
 // result moved; the key lost the Plain field, so keys of the two
 // layouts must not be compared. v4: litho evaluates conjugate kernel
 // pairs once, which moved every solve at rounding level while the
-// simulator fingerprint (a hash of the kernel sets as given) stayed.
-const codeVersion = "mgsilt-tile-solve-v4"
+// simulator fingerprint (a hash of the kernel sets as given) stayed. v5:
+// the Hopkins sums run on 3·2^k reduced grids and end in real-output
+// inverses, which moved every solve at rounding level again.
+const codeVersion = "mgsilt-tile-solve-v5"
 
 // keyMagic versions the key serialisation itself. v2 added a per-solve
 // kernel energy budget; v3 removed it again, so a key of either layout

@@ -29,8 +29,8 @@ func maskHash(m *grid.Mat) string {
 // that is meant to be bit-identical — an engine rewrite, a refactor, a
 // new backend — fails here if it moves one bit; a change that is meant to
 // move results regenerates the constants and says so. The constants were
-// last recorded with PR 23's conjugate-pair fold of the Hopkins sum, which
-// moves every mask at rounding level.
+// last recorded with the 3·2^k reduced grids and real-output inverses of
+// the Hopkins evaluation, which move every mask at rounding level.
 //
 // amd64 only: other architectures contract a·b+c into fused
 // multiply-adds and carry their own math.Exp, so their bits differ.
@@ -53,7 +53,7 @@ func TestGoldenMaskHash(t *testing.T) {
 			iters:  8,
 			run:    MultigridSchwarz,
 			target: func(t *testing.T) *grid.Mat { return testClipTarget(t, 4) },
-			want:   "0d4c29c7a04393e3a9805edc32233a21011b2e57d1f3e8b9da5571a72cc48666",
+			want:   "53b1d95ad924a34854b02aa77d182d22db70519d524d5174146890939327a04b",
 		},
 		{
 			name:   "multigrid-schwarz/pv-weight",
@@ -61,7 +61,7 @@ func TestGoldenMaskHash(t *testing.T) {
 			mutate: func(_ *testing.T, c *Config) { c.PVWeight = 0.5 },
 			run:    MultigridSchwarz,
 			target: func(t *testing.T) *grid.Mat { return testClipTarget(t, 5) },
-			want:   "26cf36d031f2a603079f98f7555ec25536a7915d251d06cd8911e173aebbbd1f",
+			want:   "1a7ab411c1b1651def8c4ee459db703b096002cd7a0a30f8bd28830c7dc01354",
 		},
 		{
 			name:  "divide-and-conquer/batched",
@@ -76,14 +76,14 @@ func TestGoldenMaskHash(t *testing.T) {
 			},
 			run:    DivideAndConquer,
 			target: func(t *testing.T) *grid.Mat { return repeatTarget(t).Target },
-			want:   "77ee2a0878fd17f828b1d93828f00ab3934f9c25282fe7cd59aee119e86de8c3",
+			want:   "263fc4931d2662df621cc1a8980edb1d6295abd8fb5d3339b5bdd6bfd9879cfa",
 		},
 		{
 			name:   "full-chip",
 			iters:  6,
 			run:    FullChip,
 			target: func(t *testing.T) *grid.Mat { return testClipTarget(t, 7) },
-			want:   "25874f98d6d5dcd733c1f93197a917b728bf244054fec7da26d4b458b3d3d825",
+			want:   "72cdda2174d86d475788913dfdf75242a6626de35672af004ec5706f410584b9",
 		},
 	}
 	for _, tc := range cases {

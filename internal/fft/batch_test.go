@@ -38,6 +38,9 @@ func TestBatch2DBitIdenticalToLooped(t *testing.T) {
 		{1, 32},  // single matrix, below crossover
 		{5, 64},  // small batch, below crossover
 		{3, 256}, // above crossover
+		{6, 24},  // 3·2^k, below crossover
+		{3, 48},  // 3·2^k, above crossover
+		{2, 96},  // 3·2^k with the radix-2 tail, above crossover
 	}
 	for _, c := range cases {
 		src := randBatch(rng, c.k, c.n, c.n)

@@ -21,7 +21,7 @@ import "mgsilt/internal/grid"
 // scratch: power-of-two row strides map the rows of one column onto a few
 // L1 sets, while a contiguous H×colStrip block does not alias and is
 // 32 KiB at H = 128. Staging also pays for itself: the copy in performs
-// the bit-reversal permutation and the copy out the inverse 1/n, so
+// the digit-reversal permutation and the copy out the inverse 1/n, so
 // neither is a sweep of its own. Measured against the same butterflies
 // run in place on the matrix rows, staging is 9 % faster at 64 rows, 13 %
 // at 128, 15 % at 256 and 35 % at 512, and 7 % slower at 32. 16 columns
@@ -44,10 +44,10 @@ func (p *plan) columnsPass(m *grid.CMat, x0, x1 int, inverse bool) {
 func (p *plan) stripPass(m *grid.CMat, b0, nb int, inverse bool, scratch []complex128) {
 	h, w := m.H, m.W
 	buf := scratch[:nb*h]
-	// Row y of the strip lands on row rev[y] of the scratch: rev is an
-	// involution, so this is the swap loop of transform.
-	for y, ry := range p.rev {
-		copy(buf[ry*nb:ry*nb+nb], m.Data[y*w+b0:])
+	// Row i of the scratch is row perm[i] of the strip: the permutation
+	// transform realises with its swaps.
+	for i, y := range p.perm {
+		copy(buf[i*nb:i*nb+nb], m.Data[y*w+b0:])
 	}
 	for si := range p.stages {
 		st := &p.stages[si]
@@ -56,7 +56,9 @@ func (p *plan) stripPass(m *grid.CMat, b0, nb int, inverse bool, scratch []compl
 			tw = st.twi
 		}
 		switch {
-		case st.radix2:
+		case st.kind == radix3:
+			radix3Rows(buf, nb, tw)
+		case st.kind == radix2:
 			radix2Rows(buf, nb, tw, st.size)
 		case st.size == 4:
 			base4Rows(buf, nb, tw)
@@ -75,6 +77,26 @@ func (p *plan) stripPass(m *grid.CMat, b0, nb int, inverse bool, scratch []compl
 		dst := m.Data[y*w+b0 : y*w+b0+nb]
 		for c, v := range buf[y*nb : y*nb+nb] {
 			dst[c] = complex(real(v)*inv, imag(v)*inv)
+		}
+	}
+}
+
+// radix3Rows is radix3Pass over the rows of an nb-column strip: rows
+// 3i…3i+2 play the part of x[3i…3i+2].
+func radix3Rows(x []complex128, nb int, tw []complex128) {
+	c, s := real(tw[0]), imag(tw[0])
+	for o := 0; o+3*nb <= len(x); o += 3 * nb {
+		r0 := x[o : o+nb]
+		r1 := x[o+nb:][:len(r0)]
+		r2 := x[o+2*nb:][:len(r0)]
+		for k, x0 := range r0 {
+			x1, x2 := r1[k], r2[k]
+			tr, ti := real(x1)+real(x2), imag(x1)+imag(x2)
+			mr, mi := real(x0)+c*tr, imag(x0)+c*ti
+			vr, vi := s*(real(x1)-real(x2)), s*(imag(x1)-imag(x2))
+			r0[k] = complex(real(x0)+tr, imag(x0)+ti)
+			r1[k] = complex(mr-vi, mi+vr)
+			r2[k] = complex(mr+vi, mi-vr)
 		}
 	}
 }

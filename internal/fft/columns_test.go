@@ -51,14 +51,14 @@ func signedZeroCMat(rng *rand.Rand, h, w int) *grid.CMat {
 	return m
 }
 
-// TestColumnsPassBitIdentical: at every power-of-two height (odd log₂
-// sizes run the radix-2 tail), widths that are not a multiple of the
+// TestColumnsPassBitIdentical: at every height of allSizes (2^k and
+// 3·2^k; odd k runs the radix-2 tail, 3·2^k the radix-3 head), widths that are not a multiple of the
 // strip, sub-ranges with unaligned ends and both directions, columnsPass
 // leaves exactly the bits of the column-at-a-time transform inside
 // [x0, x1) and does not touch the columns outside it.
 func TestColumnsPassBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
-	for h := 2; h <= 1024; h *= 2 {
+	for _, h := range allSizes {
 		p := planFor(h)
 		for _, w := range []int{1, 5, colStrip, colStrip + 3, 2*colStrip + 5} {
 			for _, r := range [][2]int{{0, w}, {1, w}, {0, w - 1}, {w / 3, w/3 + w/2}, {w / 2, w / 2}} {
@@ -84,7 +84,7 @@ func TestColumnsPassBitIdentical(t *testing.T) {
 // TestZeroColumnsPass is the column-direction twin of
 // TestZeroRowTransform: an all-(+0) matrix comes out all (+0).
 func TestZeroColumnsPass(t *testing.T) {
-	for h := 2; h <= 512; h *= 2 {
+	for _, h := range allSizes {
 		for _, inverse := range []bool{false, true} {
 			m := grid.NewCMat(h, colStrip+3)
 			planFor(h).columnsPass(m, 0, m.W, inverse)
@@ -97,7 +97,8 @@ func TestZeroColumnsPass(t *testing.T) {
 
 // BenchmarkColumnsPass times the column direction alone at the heights
 // the flows run, over the full width and over the 21-column band the
-// band-aware real transform hands it.
+// band-aware real transform hands it. The 3·2^k heights 48 and 96 beside
+// 64 and 128 price the radix-3 pass against the points it saves.
 func BenchmarkColumnsPass(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	for _, h := range benchSizes {

@@ -49,11 +49,12 @@ func relError(got, want []complex128) float64 {
 	return maxDiff / maxMag
 }
 
-// allSizes is every power of two the engine supports in the test
-// budget. Odd log2 sizes (2, 8, 32, 128, 512) exercise the trailing
-// radix-2 pass after the fused radix-4 stages; even log2 sizes (4, 16,
-// 64, 256, 1024) run pure fused stages.
-var allSizes = []int{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+// allSizes is every length the engine supports in the test budget, 2^k
+// and 3·2^k. Odd k (2, 8, 32, 128, 512; 6, 24, 96, 384) exercises the
+// trailing radix-2 pass after the fused radix-4 stages; even k (4, 16,
+// 64, 256, 1024; 3, 12, 48, 192, 768) runs pure fused stages. Every
+// 3·2^k length starts with the radix-3 pass.
+var allSizes = []int{2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024}
 
 func TestForwardMatchesNaiveDFTAllSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -96,31 +97,39 @@ func TestRoundTripAllSizes(t *testing.T) {
 	}
 }
 
-// TestPlanStageStructure pins the fused-stage decomposition: even
-// log2(n) is all radix-4, odd log2(n) ends with exactly one radix-2
-// pass over the full length.
+// TestPlanStageStructure pins the fused-stage decomposition of
+// n = r·2^k: a 3·2^k plan opens with one radix-3 pass of span 3, then
+// even k is all radix-4, odd k ends with exactly one radix-2 pass over
+// the full length.
 func TestPlanStageStructure(t *testing.T) {
 	for _, n := range allSizes {
 		p := planFor(n)
-		log2 := 0
-		for 1<<log2 < n {
-			log2++
+		r := radixOf(n)
+		k := 0
+		for r<<k < n {
+			k++
 		}
-		wantStages := log2 / 2
-		wantTail := log2%2 == 1
-		if wantTail {
+		wantStages := k/2 + k%2
+		if r == 3 {
 			wantStages++
 		}
+		wantTail := k%2 == 1
 		if len(p.stages) != wantStages {
 			t.Fatalf("n=%d: %d stages, want %d", n, len(p.stages), wantStages)
 		}
 		for i, s := range p.stages {
 			last := i == len(p.stages)-1
-			if s.radix2 && !(last && wantTail) {
-				t.Fatalf("n=%d: unexpected radix-2 stage at %d", n, i)
-			}
-			if last && wantTail && (!s.radix2 || s.size != n) {
-				t.Fatalf("n=%d: tail stage radix2=%v size=%d, want radix-2 size %d", n, s.radix2, s.size, n)
+			switch {
+			case i == 0 && r == 3:
+				if s.kind != radix3 || s.size != 3 {
+					t.Fatalf("n=%d: first stage kind %d size %d, want radix-3 size 3", n, s.kind, s.size)
+				}
+			case last && wantTail:
+				if s.kind != radix2 || s.size != n {
+					t.Fatalf("n=%d: tail stage kind %d size %d, want radix-2 size %d", n, s.kind, s.size, n)
+				}
+			case s.kind != radix4:
+				t.Fatalf("n=%d: stage %d has kind %d, want radix-4", n, i, s.kind)
 			}
 		}
 	}

@@ -1,9 +1,10 @@
 // Package fft implements the fast Fourier transforms used by the
-// lithography simulator: a mixed radix-4/radix-2 complex transform with
-// cached per-stage twiddle tables, one 2-D complex transform over
-// grid.CMat, a real-input forward transform exploiting Hermitian
-// symmetry and the consumer's column band (ForwardReal2D,
-// ForwardReal2DBand), centre-shift utilities, and the fractional
+// lithography simulator: a mixed radix-4/radix-2 complex transform, with
+// a radix-3 head for lengths 3·2^k, and cached per-stage twiddle tables,
+// one 2-D complex transform over grid.CMat, a real-input forward
+// transform exploiting Hermitian symmetry and the consumer's column band
+// (ForwardReal2D, ForwardReal2DBand) and its real-output mirror
+// (InverseRealBand), centre-shift utilities, and the fractional
 // frequency interpolation behind the sN-grid kernel resampling of
 // Eq. (3)/(8).
 //
@@ -21,8 +22,8 @@
 // carries the 1/n factor per dimension, so a round trip returns the
 // input. Spectra produced by ForwardReal2D have DC at index (0,0) ("corner"
 // layout); SwapQuadrants converts between that and the DC-at-centre
-// layout used for human-readable kernel definitions. Sizes must be
-// powers of two.
+// layout used for human-readable kernel definitions. Every length is
+// 2^k or 3·2^k.
 //
 // Performance design (see README "Performance engineering"): the 1-D
 // kernel is a decimation-in-time transform whose radix-2 stages are
@@ -31,10 +32,21 @@
 // registers, and stores four, halving the number of sweeps over the
 // data array relative to a plain radix-2 loop. Every pass reads a
 // contiguous per-stage twiddle table (no strided indexing into one
-// master table). For odd log2(n) the final unpaired stage runs as a
-// radix-2 pass, so all power-of-two sizes are supported. The arithmetic
-// performed per element is identical, operation for operation, to the
-// textbook radix-2 algorithm, so results are bit-identical to it.
+// master table). For odd k the final unpaired stage runs as a radix-2
+// pass. The arithmetic performed per element is identical, operation
+// for operation, to the textbook radix-2 algorithm, so results are
+// bit-identical to it.
+//
+// A length 3·2^k is the same plan with one more stage kind in front: a
+// radix-3 pass over consecutive triples, twiddle-free like the first
+// radix-4 pass, after which the radix-4 and radix-2 passes run at spans
+// 12, 48, … or 6, 24, 96, … with the same generic butterflies. The input
+// order is the matching digit reversal (position 3q + j holds
+// x[rev(q) + j·n/3]), no longer an involution, so it is applied as a
+// precomputed list of transpositions. The one extra stage kind gives the
+// row, column, pruned, band, batched and real-input paths 3·2^k sizes for
+// free; it exists so the litho reduced grids can be 24, 48 or 96 points
+// where a power of two would need 32, 64 or 128.
 //
 // The column direction of a 2-D transform never transposes: the same
 // passes run over row segments, each butterfly as one loop over the
@@ -59,33 +71,49 @@ import (
 	"mgsilt/internal/parallel"
 )
 
-// plan holds the precomputed bit-reversal permutation and per-stage
-// twiddle tables for a transform of a fixed power-of-two length. Plans
-// are immutable once built and safe for concurrent use.
+// plan holds the precomputed digit-reversal permutation and per-stage
+// twiddle tables for a transform of a fixed length n = r·2^k, r ∈ {1, 3}.
+// Plans are immutable once built and safe for concurrent use.
 type plan struct {
-	n   int
-	rev []int // bit-reversal permutation
-	// stages are executed in order over bit-reversed input. Each entry
-	// is either a fused radix-4 pass covering the two radix-2 stages of
-	// sizes size/2 and size, or — as the final entry when log2(n) is
-	// odd — a plain radix-2 pass of size n.
+	n int
+	// perm is the input order of the decimation-in-time stages: position
+	// r·q + j holds x[rev_k(q) + 2^k·j], rev_k the k-bit reversal — the
+	// bit-reversal permutation when r = 1. swaps realises it in place as
+	// a sequence of transpositions (pairs of positions).
+	perm  []int
+	swaps []int
+	// stages are executed in order over the permuted input: for r = 3 a
+	// radix-3 pass of span 3 first, then fused radix-4 passes each
+	// covering the two radix-2 stages of sizes size/2 and size, and — as
+	// the final entry when k is odd — a plain radix-2 pass of size n.
 	stages []stage
 }
 
-// stage is one butterfly pass. tw holds size/2 twiddles
-// w^j = exp(-2πi·j/size) for j in [0, size/2); a fused radix-4 pass
-// finds the twiddles of both constituent radix-2 stages inside that one
-// contiguous table (stage size/2 uses tw[2j], stage size uses tw[j] and
-// tw[j+size/4]). twi is the element-wise conjugate of tw, precomputed so
-// the inverse transform reads its twiddles from a table instead of
-// negating inside the butterfly loop; conjugation only flips the sign
-// bit of the imaginary part, so the inverse arithmetic is bit-identical
-// to the former in-loop negation.
+// stageKind selects the butterfly of a pass.
+type stageKind int
+
+const (
+	radix4 stageKind = iota
+	radix2
+	radix3
+)
+
+// stage is one butterfly pass. For the radix-2 and radix-4 kinds tw
+// holds size/2 twiddles w^j = exp(-2πi·j/size) for j in [0, size/2); a
+// fused radix-4 pass finds the twiddles of both constituent radix-2
+// stages inside that one contiguous table (stage size/2 uses tw[2j],
+// stage size uses tw[j] and tw[j+size/4]). The radix-3 pass holds the
+// one cube root of unity exp(-2πi/3) = −1/2 − i·√3/2 it multiplies by.
+// twi is the element-wise conjugate of tw, precomputed so the inverse
+// transform reads its twiddles from a table instead of negating inside
+// the butterfly loop; conjugation only flips the sign bit of the
+// imaginary part, so the inverse arithmetic is bit-identical to the
+// former in-loop negation.
 type stage struct {
-	size   int
-	radix2 bool
-	tw     []complex128
-	twi    []complex128
+	size int
+	kind stageKind
+	tw   []complex128
+	twi  []complex128
 }
 
 var (
@@ -96,36 +124,82 @@ var (
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
+// radixOf returns r for a transform length n = r·2^k, r ∈ {1, 3}, and 0
+// for every other length.
+func radixOf(n int) int {
+	switch {
+	case IsPow2(n):
+		return 1
+	case n%3 == 0 && IsPow2(n/3):
+		return 3
+	}
+	return 0
+}
+
 func planFor(n int) *plan {
-	if !IsPow2(n) {
-		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
+	r := radixOf(n)
+	if r == 0 {
+		panic(fmt.Sprintf("fft: length %d is neither 2^k nor 3·2^k", n))
 	}
 	plansMu.Lock()
 	defer plansMu.Unlock()
 	if p, ok := plans[n]; ok {
 		return p
 	}
-	p := &plan{n: n, rev: make([]int, n)}
-	shift := bits.UintSize - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		p.rev[i] = int(bits.Reverse(uint(i)) >> shift)
+	p := &plan{n: n, perm: make([]int, n)}
+	blocks := n / r
+	shift := bits.UintSize - uint(bits.TrailingZeros(uint(blocks)))
+	for q := 0; q < blocks; q++ {
+		rq := int(bits.Reverse(uint(q)) >> shift)
+		for j := 0; j < r; j++ {
+			p.perm[r*q+j] = rq + blocks*j
+		}
 	}
-	// Fuse radix-2 stages in pairs from the bottom: sizes (2,4) →
-	// radix-4 pass of span 4, (8,16) → span 16, … When log2(n) is odd
-	// one stage of span n remains and runs as a radix-2 pass.
+	p.swaps = swapsFor(p.perm)
+	// A radix-3 pass of span 3 first, then radix-2 stages fused in pairs
+	// from the bottom: sizes (2,4) → radix-4 pass of span 4, (8,16) →
+	// span 16, … (r = 3: (6,12) → span 12, …). When k is odd one stage of
+	// span n remains and runs as a radix-2 pass.
 	done := 1
+	if r == 3 {
+		w3 := []complex128{complex(-0.5, -math.Sqrt(3)/2)}
+		p.stages = append(p.stages, stage{size: 3, kind: radix3, tw: w3, twi: conjugated(w3)})
+		done = 3
+	}
 	for done*4 <= n {
 		size := done * 4
 		tw := twiddles(size)
-		p.stages = append(p.stages, stage{size: size, tw: tw, twi: conjugated(tw)})
+		p.stages = append(p.stages, stage{size: size, kind: radix4, tw: tw, twi: conjugated(tw)})
 		done = size
 	}
 	if done < n {
 		tw := twiddles(n)
-		p.stages = append(p.stages, stage{size: n, radix2: true, tw: tw, twi: conjugated(tw)})
+		p.stages = append(p.stages, stage{size: n, kind: radix2, tw: tw, twi: conjugated(tw)})
 	}
 	plans[n] = p
 	return p
+}
+
+// swapsFor lists the transpositions that gather x[perm[i]] into
+// position i in place, applied in order. For an involution such as the
+// bit reversal they are the pairs (i, perm[i]) with i < perm[i].
+func swapsFor(perm []int) []int {
+	n := len(perm)
+	at := make([]int, n)    // at[i]: the input index now at position i
+	where := make([]int, n) // where[v]: the position now holding input v
+	for i := range at {
+		at[i], where[i] = i, i
+	}
+	var swaps []int
+	for i, v := range perm {
+		if j := where[v]; j != i {
+			swaps = append(swaps, i, j)
+			a := at[i]
+			at[i], at[j] = v, a
+			where[v], where[a] = i, j
+		}
+	}
+	return swaps
 }
 
 // twiddles builds the forward half-table for one stage:
@@ -156,10 +230,9 @@ func (p *plan) transform(x []complex128, inverse bool) {
 	if len(x) != n {
 		panic(fmt.Sprintf("fft: buffer length %d does not match plan %d", len(x), n))
 	}
-	for i, j := range p.rev {
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
+	for k := 0; k < len(p.swaps); k += 2 {
+		i, j := p.swaps[k], p.swaps[k+1]
+		x[i], x[j] = x[j], x[i]
 	}
 	for si := range p.stages {
 		st := &p.stages[si]
@@ -168,7 +241,9 @@ func (p *plan) transform(x []complex128, inverse bool) {
 			tw = st.twi
 		}
 		switch {
-		case st.radix2:
+		case st.kind == radix3:
+			radix3Pass(x, tw)
+		case st.kind == radix2:
 			radix2Pass(x, tw, st.size)
 		case st.size == 4:
 			base4Pass(x, tw)
@@ -181,6 +256,28 @@ func (p *plan) transform(x []complex128, inverse bool) {
 		for i, v := range x {
 			x[i] = complex(real(v)*inv, imag(v)*inv)
 		}
+	}
+}
+
+// radix3Pass is the first pass of a 3·2^k plan: a 3-point DFT over every
+// triple of the permuted data. With w = tw[0] = c + i·s (the
+// direction-selected cube root of unity, c = −1/2 exactly) and w² = w̄,
+//
+//	X0 = x0 + (x1+x2),  X1,2 = x0 + c·(x1+x2) ± i·s·(x1−x2),
+//
+// so a butterfly takes two real multiplications per component. Every
+// output is an additive chain rooted at x0, which keeps an all-(+0)
+// triple all (+0) (TestZeroRowTransform).
+func radix3Pass(x []complex128, tw []complex128) {
+	c, s := real(tw[0]), imag(tw[0])
+	for base := 0; base+2 < len(x); base += 3 {
+		x0, x1, x2 := x[base], x[base+1], x[base+2]
+		tr, ti := real(x1)+real(x2), imag(x1)+imag(x2)
+		mr, mi := real(x0)+c*tr, imag(x0)+c*ti
+		vr, vi := s*(real(x1)-real(x2)), s*(imag(x1)-imag(x2))
+		x[base] = complex(real(x0)+tr, imag(x0)+ti)
+		x[base+1] = complex(mr-vi, mi+vr)
+		x[base+2] = complex(mr+vi, mi-vr)
 	}
 }
 
@@ -260,7 +357,7 @@ func radix4Pass(x []complex128, tw []complex128, size int) {
 	}
 }
 
-// radix2Pass is the final unpaired stage for odd log2(n): one plain
+// radix2Pass is the final unpaired stage for odd k: one plain
 // radix-2 sweep of span size with its own contiguous twiddle table
 // (direction-selected by the caller).
 func radix2Pass(x []complex128, tw []complex128, size int) {
@@ -442,24 +539,31 @@ type fan struct {
 	rowPlan, colPlan *plan
 	live             []int // live row indices; every row when t.rowLive is nil
 
-	// The real forward transform (ForwardReal2DBand) into lone[0].
-	src *grid.Mat
-	b   int
+	// The real forward transform (ForwardReal2DBand) into lone[0], and the
+	// real-output inverse (InverseRealBand) of spec through lone[0] into
+	// out.
+	src   *grid.Mat
+	spec  *grid.CMat
+	out   *grid.Mat
+	b     int
+	scale float64
 
 	rowsStep, stripsStep, pairsStep, bandStep, reflectStep func(lo, hi int)
+	hermitianStep, unpairStep                              func(lo, hi int)
 }
 
 var fanPool = sync.Pool{New: func() any {
 	f := &fan{}
 	f.rowsStep, f.stripsStep = f.rows, f.strips
 	f.pairsStep, f.bandStep, f.reflectStep = f.pairs, f.band, f.reflect
+	f.hermitianStep, f.unpairStep = f.hermitian, f.unpair
 	return f
 }}
 
 // release drops the references into the caller's data and returns f to
 // its pool.
 func (f *fan) release() {
-	f.t, f.ms, f.lone[0], f.src = xform2D{}, nil, nil, nil
+	f.t, f.ms, f.lone[0], f.src, f.spec, f.out = xform2D{}, nil, nil, nil, nil, nil
 	fanPool.Put(f)
 }
 

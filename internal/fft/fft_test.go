@@ -31,13 +31,19 @@ func TestIsPow2(t *testing.T) {
 	}
 }
 
+// TestForwardPanicsOnNonPow2: a length that is neither 2^k nor 3·2^k
+// has no plan.
 func TestForwardPanicsOnNonPow2(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Forward(make([]complex128, 6))
+	for _, n := range []int{5, 9, 10, 18, 36, 80, 1000} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("n=%d: expected panic", n)
+				}
+			}()
+			Forward(make([]complex128, n))
+		}()
+	}
 }
 
 func TestForwardDelta(t *testing.T) {

@@ -76,7 +76,7 @@ func TestTransform2DBelowCrossoverStaysSerial(t *testing.T) {
 // TestTransform2DSteadyStateAllocs guards the contract the 2-D entries
 // carry into litho.LossGrad's allocation gate: a warm transform
 // allocates nothing, whether it stays on its caller (pool width 1, or a
-// 32² matrix at any width) or fans out (64², 128² and the batches at
+// 32² matrix at any width) or fans out (48² and up, and the batches at
 // width 2) — the fanned-out passes run through a
 // pooled descriptor with its chunk functions bound ahead of time, not
 // through a closure per section.
@@ -88,10 +88,10 @@ func TestTransform2DSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, width := range []int{1, 2} {
 		parallel.SetWorkers(width)
-		for _, n := range []int{32, 64, 128} {
+		for _, n := range []int{32, 48, 64, 96, 128} {
 			m := randCMat(rng, n, n)
 			batch := []*grid.CMat{randCMat(rng, n, n), randCMat(rng, n, n), randCMat(rng, n, n)}
-			src := randMat(rng, n, n)
+			src, out := randMat(rng, n, n), grid.NewMat(n, n)
 			live := make([]bool, n)
 			for y := range live {
 				live[y] = y < n/8 || y >= n-n/8
@@ -102,6 +102,7 @@ func TestTransform2DSteadyStateAllocs(t *testing.T) {
 				"Inverse2DPruned":      func() { Inverse2DPruned(m, live) },
 				"Forward2DBand":        func() { Forward2DBand(m, live) },
 				"ForwardReal2DBand":    func() { ForwardReal2DBand(m, src, n/8) },
+				"InverseRealBand":      func() { InverseRealBand(out, m, n/8, 1) },
 				"Batch2D":              func() { Batch2D(batch, DirForward) },
 				"Batch2DInversePruned": func() { Batch2DInversePruned(batch, live, 0) },
 				"Batch2DForwardBand":   func() { Batch2DForwardBand(batch, live, 0) },

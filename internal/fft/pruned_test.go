@@ -61,7 +61,7 @@ func randMaskedCMat(rng *rand.Rand, h, w int, live []bool) *grid.CMat {
 // FFT kernel rewrite ever broke this, skipping dead rows would no
 // longer be bit-identical to transforming them.
 func TestZeroRowTransform(t *testing.T) {
-	for n := 2; n <= 512; n *= 2 {
+	for _, n := range allSizes {
 		for _, inverse := range []bool{false, true} {
 			x := make([]complex128, n)
 			planFor(n).transform(x, inverse)
@@ -81,7 +81,7 @@ func TestZeroRowTransform(t *testing.T) {
 // pruned inverse must match the dense inverse bit for bit.
 func TestInverse2DPrunedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{8, 16, 32, 64, 128, 256, 512} {
+	for _, n := range []int{8, 16, 24, 32, 48, 64, 96, 128, 256, 512} {
 		masks := [][]bool{
 			pupilMask(n, max(2, n/4)),
 			pupilMask(n, n),       // fully live
@@ -128,7 +128,7 @@ func randomMask(rng *rand.Rand, n, liveEvery int) []bool {
 // parallel crossover.
 func TestBatch2DInversePruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	for _, n := range []int{32, 64, 256} {
+	for _, n := range []int{32, 48, 64, 256} {
 		for _, limit := range []int{1, 0} {
 			live := pupilMask(n, max(2, n/4))
 			const k = 5
@@ -179,7 +179,7 @@ func colsFirstForward(m *grid.CMat) *grid.CMat {
 // match the dense columns-first forward bit for bit.
 func TestForward2DBandBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	for _, n := range []int{8, 16, 32, 64, 128, 256, 512} {
+	for _, n := range []int{8, 16, 24, 32, 48, 64, 96, 128, 256, 512} {
 		masks := [][]bool{
 			pupilMask(n, max(2, n/4)),
 			pupilMask(n, n), // fully live: plain columns-first transform
@@ -243,7 +243,7 @@ func cmplxAbs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }
 // parallel crossover.
 func TestBatch2DForwardBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
-	for _, n := range []int{32, 64, 256} {
+	for _, n := range []int{32, 48, 64, 256} {
 		for _, limit := range []int{1, 0} {
 			live := pupilMask(n, max(2, n/4))
 			const k = 5
@@ -295,10 +295,11 @@ func TestInverse2DPrunedMaskLengthPanics(t *testing.T) {
 	Inverse2DPruned(grid.NewCMat(8, 8), make([]bool, 4))
 }
 
-// benchSizes are the grids the flows transform: 32 and 64 are the reduced
-// grids of N=64 and N=128 tiles, 128 the dense stretch-2 coarse grid and
-// the full N=128 tile, 256 and 512 the inspected clips.
-var benchSizes = []int{32, 64, 128, 256, 512}
+// benchSizes are the grids the flows transform: 24 and 48 are the reduced
+// grids of N=64 and N=128 tiles, 48 and 96 those of the stretch-2 coarse
+// grids, 32, 64 and 128 the power-of-two grids they replace (128 is also
+// the full N=128 tile), 256 and 512 the inspected clips.
+var benchSizes = []int{24, 32, 48, 64, 96, 128, 256, 512}
 
 // BenchmarkInversePruned compares the dense inverse with the pruned
 // inverse under the pupil-support live fraction the Hopkins hot path

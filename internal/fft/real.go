@@ -50,23 +50,12 @@ func ForwardReal2DBand(dst *grid.CMat, src *grid.Mat, b int) *grid.CMat {
 	if b < 0 || b > w/2 {
 		panic(fmt.Sprintf("fft: band half-width %d outside [0, %d]", b, w/2))
 	}
-	rowPlan := planFor(w)
-	colPlan := planFor(h)
-	if h == 1 {
-		// Degenerate single-row matrix: no pair packing possible.
-		for i, v := range src.Data {
-			dst.Data[i] = complex(v, 0)
-		}
-		rowPlan.transform(dst.Row(0), false)
-		return dst
-	}
-
 	// One goroutine or many, the three passes are the same chunk functions
 	// (a limit of one keeps DoChunks on the caller).
 	limit := fanOut(0, h*w)
 	f := fanPool.Get().(*fan)
-	f.lone[0], f.src, f.b, f.rowPlan, f.colPlan = dst, src, b, rowPlan, colPlan
-	parallel.DoChunks(h/2, limit, f.pairsStep)
+	f.lone[0], f.src, f.b, f.rowPlan, f.colPlan = dst, src, b, planFor(w), planFor(h)
+	parallel.DoChunks((h+1)/2, limit, f.pairsStep)
 	parallel.DoChunks(b+1, limit, f.bandStep)
 	parallel.DoChunks(h, limit, f.reflectStep)
 	f.release()
@@ -90,20 +79,27 @@ func (f *fan) reflect(lo, hi int) { reflectColumns(f.lone[0], f.b, lo, hi) }
 
 // packedRowPair transforms real source rows 2·pi and 2·pi+1 through one
 // packed complex transform and writes columns 0..b of their spectra to
-// the matching dst rows. z must have length src.W.
+// the matching dst rows. The last row of an odd height has no partner:
+// it is transformed alone, as the complex embedding. z must have length
+// src.W.
 func packedRowPair(dst *grid.CMat, src *grid.Mat, pi, b int, rowPlan *plan, z []complex128) {
 	w := src.W
-	r0 := src.Row(2 * pi)
-	r1 := src.Row(2*pi + 1)
+	r0, out0 := src.Row(2*pi), dst.Row(2*pi)
+	if 2*pi+1 == src.H {
+		for j, v := range r0 {
+			z[j] = complex(v, 0)
+		}
+		rowPlan.transform(z, false)
+		copy(out0[:b+1], z)
+		return
+	}
+	r1, out1 := src.Row(2*pi+1), dst.Row(2*pi+1)
 	for j := 0; j < w; j++ {
 		z[j] = complex(r0[j], r1[j])
 	}
 	rowPlan.transform(z, false)
-	out0 := dst.Row(2 * pi)
-	out1 := dst.Row(2*pi + 1)
-	mask := w - 1
 	for j := 0; j <= b; j++ {
-		jm := (w - j) & mask
+		jm := (w - j) % w
 		ar, ai := real(z[j]), imag(z[j])
 		br, bi := real(z[jm]), imag(z[jm])
 		// R0 = (Z[j] + conj(Z[-j]))/2, R1 = -i·(Z[j] − conj(Z[-j]))/2.
@@ -129,4 +125,118 @@ func reflectColumns(m *grid.CMat, b, y0, y1 int) {
 			dst[x] = complex(real(v), -imag(v))
 		}
 	}
+}
+
+// InverseRealBand writes scale·Re F⁻¹ of the ±b band of the corner-layout
+// spectrum src into the real matrix dst — the mirror of
+// ForwardReal2DBand. The band is every entry of src whose row and column
+// frequencies both lie in −b…b; it is read as if zero-padded (or
+// cropped) onto dst's grid, and F⁻¹ is the inverse transform of that
+// grid, 1/(H·W) included. src need not be Hermitian: Re F⁻¹(S) is the
+// inverse of its Hermitian part (S(f) + conj(S(−f)))/2, so the band's
+// columns 0..b determine the output. A band on a different grid than
+// dst's must stay below both Nyquist frequencies; on the same grid b may
+// reach W/2 and H/2.
+//
+// Two passes, one parallel section each, every output owned by one
+// goroutine (bit-identical at any worker count):
+//
+//   - Column pass: the Hermitian part of columns 0..b is built into an
+//     H×(b+1) buffer and inverse-transformed along y — b+1 column
+//     transforms instead of W.
+//   - Row pass: each row of the result has a Hermitian spectrum, so two
+//     rows are packed into one complex row (row y as the real part, row
+//     y+1 as the imaginary part), the mirrored half is filled from the
+//     conjugates, and one inverse transform yields both real rows — H/2
+//     row transforms instead of H.
+//
+// No dst-sized complex buffer is involved.
+func InverseRealBand(dst *grid.Mat, src *grid.CMat, b int, scale float64) {
+	h, w := dst.H, dst.W
+	lim := min(h, w, src.H, src.W)
+	if src.H != h || src.W != w {
+		lim-- // the two copies of a Nyquist frequency would fold onto one
+	}
+	if b < 0 || 2*b > lim {
+		panic(fmt.Sprintf("fft: band half-width %d outside [0, %d] for a %dx%d spectrum into %dx%d", b, lim/2, src.H, src.W, h, w))
+	}
+	g := grid.GetCMat(h, b+1)
+	limit := fanOut(0, h*w)
+	f := fanPool.Get().(*fan)
+	f.lone[0], f.spec, f.out, f.b, f.scale, f.rowPlan, f.colPlan = g, src, dst, b, scale, planFor(w), planFor(h)
+	parallel.DoChunks(b+1, limit, f.hermitianStep)
+	parallel.DoChunks((h+1)/2, limit, f.unpairStep)
+	f.release()
+	grid.PutCMat(g)
+}
+
+// hermitian builds columns [lo, hi) of the band's Hermitian part on the
+// output grid and inverse-transforms them along y.
+func (f *fan) hermitian(lo, hi int) {
+	g, s, b := f.lone[0], f.spec, f.b
+	h, hs, ws := g.H, s.H, s.W
+	for y := 0; y < h; y++ {
+		row := g.Row(y)[lo:hi]
+		if y > b && y < h-b {
+			clear(row)
+			continue
+		}
+		fy := y
+		if y > b {
+			fy -= h
+		}
+		ys := (fy + hs) % hs
+		sr, mr := s.Row(ys), s.Row((hs-ys)%hs)
+		for k := range row {
+			a, c := sr[lo+k], mr[(ws-lo-k)%ws]
+			row[k] = complex(0.5*(real(a)+real(c)), 0.5*(imag(a)-imag(c)))
+		}
+	}
+	f.colPlan.columnsPass(g, lo, hi, true)
+}
+
+// unpair runs the packed inverse row pass of output row pairs [lo, hi):
+// z = G_y + i·G_{y+1} on columns 0..b, conj(G_y) + i·conj(G_{y+1}) of the
+// mirrored column on W−b..W−1, zero between. The last row of an odd
+// height has no partner and is inverted alone.
+func (f *fan) unpair(lo, hi int) {
+	g, b, w := f.lone[0], f.b, f.out.W
+	x1 := max(w-b, b+1)
+	s := getScratch(w)
+	z := s.buf
+	for pi := lo; pi < hi; pi++ {
+		y := 2 * pi
+		g0, lone := g.Row(y), y+1 == g.H
+		var g1 []complex128
+		if !lone {
+			g1 = g.Row(y + 1)
+		}
+		for x := 0; x <= b; x++ {
+			var cr, ci float64
+			if !lone {
+				cr, ci = real(g1[x]), imag(g1[x])
+			}
+			z[x] = complex(real(g0[x])-ci, imag(g0[x])+cr)
+		}
+		clear(z[b+1 : x1])
+		for x := x1; x < w; x++ {
+			var cr, ci float64
+			if !lone {
+				cr, ci = real(g1[w-x]), imag(g1[w-x])
+			}
+			z[x] = complex(real(g0[w-x])+ci, cr-imag(g0[w-x]))
+		}
+		f.rowPlan.transform(z, true)
+		out0 := f.out.Row(y)
+		for x, v := range z {
+			out0[x] = f.scale * real(v)
+		}
+		if !lone {
+			out1 := f.out.Row(y + 1)
+			for x, v := range z {
+				out1[x] = f.scale * imag(v)
+			}
+		}
+	}
+	putScratch(s)
 }

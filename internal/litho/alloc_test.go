@@ -48,7 +48,7 @@ func TestLossGradSteadyStateAllocs(t *testing.T) {
 }
 
 // TestAerialSteadyStateAllocs is the same gate for the imaging path, on
-// a tile and on a 4N clip (N=64: M=128, whose six fields fan out at
+// a tile and on a 4N clip (N=64: M=96, whose six fields fan out at
 // width 2), at pool widths 1 and 2.
 func TestAerialSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {

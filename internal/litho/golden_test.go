@@ -13,10 +13,10 @@ import (
 // TestGoldenLossGrad pins (loss, gradient) of LossGrad: the SHA-256 of
 // Float64bits(loss) followed by the gradient's, little endian.
 // LossGradBatch ≡ LossGrad compares one routine with itself, so this is
-// the independent reference. Recorded with the conjugate-pair fold of
-// PR 23, which moved every row at rounding level (the nominal-focus sum
-// runs over six doubled weights instead of twelve); against the bits
-// before it TestFoldedMatchesUnfolded is the bound.
+// the independent reference. Recorded with the 3·2^k reduced grids and
+// the real-output inverses (fft.InverseRealBand), which moved every row
+// at rounding level; against the bits before them TestReducedMatchesDense
+// and TestDirectHopkinsReference are the bound.
 //
 // amd64 only, like core.TestGoldenMaskHash.
 func TestGoldenLossGrad(t *testing.T) {
@@ -24,14 +24,14 @@ func TestGoldenLossGrad(t *testing.T) {
 		t.Skipf("golden hashes are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	want := map[string]string{
-		"n64/pv0/stretch1":    "4a4ffe07ba4ec26d2bb678dfc5d2e047a0e096426be3f6c4aeff7f21cb1acd3d",
-		"n64/pv0/stretch2":    "d12e03b3db2d38f2ad6255d7c60ea6217b27eec3a50afbd1f4058fac196c4d2e",
-		"n64/pv0.5/stretch1":  "1df972231568539fcd1dae8796dd15496a1380d7fa49df259d33ab9ca8ae9ddc",
-		"n64/pv0.5/stretch2":  "ea4bd92792c75888ccd968d1e045db9895f1e45f59f9874340a31a61c1eadb30",
-		"n128/pv0/stretch1":   "4c0fafeb3afcd305c4deedbe26e25f75ad786f53ec61b26cbfc1a73d88d48867",
-		"n128/pv0/stretch2":   "15fc92aed4c3c5811fd3ac6b6b73b776013b64f23c5784cafd2b066761bc5da1",
-		"n128/pv0.5/stretch1": "5063a86f68ed0c403d53fd597cd09f53d63e333a93471b607d50e9908e513c3d",
-		"n128/pv0.5/stretch2": "123369c2f8e0010e16112f3c24a3000687879ccf79db5f17adf64e3d71d15643",
+		"n64/pv0/stretch1":    "e2771fd48cc1058ec58b0d86b9d9be4fcf521e265e186db82449c17b4b3c0add",
+		"n64/pv0/stretch2":    "89b7000e21d54715c0dbc82c31790948aeb2b41581b028b602cb8f0c9f09b21b",
+		"n64/pv0.5/stretch1":  "b1b0bfd61fd25f45eed5d558ef7c40316176e71589b97b096efce50b8e2708bd",
+		"n64/pv0.5/stretch2":  "9f1b1644275b8490d0816bc5bfb4c9cdc059716aa3161f8d8e2f5bd22d382e61",
+		"n128/pv0/stretch1":   "1fd47ceac2e5046b82a9089b32e892a6e3a74fef118dbb4a45e317d2a8981081",
+		"n128/pv0/stretch2":   "93ffb0486802e7b86799eba554a84e9df91ba3526cb1e6ee665d8858e65c1775",
+		"n128/pv0.5/stretch1": "19e08ef7237288b58c7b7b850f41380ac5a3948785f6783b2c1fc5a9909613ad",
+		"n128/pv0.5/stretch2": "10d587f1f4a0eee77746e64b7e83df313a8c91cf39668db91de0fe16b4d15f63",
 	}
 	for _, n := range []int{64, 128} {
 		sim, err := NewStandard(n)

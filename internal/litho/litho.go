@@ -131,10 +131,11 @@ type prepKey struct {
 // which see g only through its ±2B low-pass; the product of that
 // low-passed g with conj(A_k) has band ±3B, and sampling it on M points
 // folds frequency f onto f ± M, so the ±B block stays clean when
-// M − 3B > B. Both conditions are M > 4B; M is the smallest power of two
-// satisfying it, or the grid size itself when that is no smaller (the
-// Eq. 9 coarse grids at stretch ≥ 2) — then nothing is cropped and the
-// evaluation is the plain dense one.
+// M − 3B > B. Both conditions are M > 4B; M is the smallest length of the
+// form 2^k or 3·2^k satisfying it (B = 5, 10, 21 → 24, 48, 96: 0.5625×
+// the points of the power of two above 4B), or the grid size itself when
+// that is no smaller (a band too wide for the grid) — then nothing is
+// cropped and the evaluation is the plain dense one.
 //
 // B is measured at the bit level from the resampled spectra, like the
 // row-support masks, so nothing here depends on how the kernels were
@@ -150,14 +151,12 @@ type reduced struct {
 	size, m int
 	b       int // band half-width B of the spectra
 
-	// Crop/embed index maps between the two grids, nil when M == size:
-	// entry i of band1 (band2) is the corner-layout index of the i-th
-	// frequency of the ±B (±2B) band on the full grid, and of band1M
-	// (band2M) on the M grid.
+	// Crop index maps between the two grids, nil when M == size: entry i
+	// of band1 is the corner-layout index of the i-th frequency of the ±B
+	// band on the full grid, and of band1M on the M grid. The steps that
+	// leave the M grid (upsample, lowpass, the gradient's inverse) need no
+	// map: fft.InverseRealBand reads a band by frequency.
 	band1, band1M []int
-	band2, band2M []int
-	rows2         []bool // full-grid rows of the ±2B band: the up-sampling inverse
-	rows2M        []bool // M-grid rows of the ±2B band: the low-pass inverse of g
 
 	weights []float64
 	// freq are the forward spectra on the M grid: the ±B block of H_k
@@ -171,13 +170,14 @@ type reduced struct {
 	// set. adj are the ±B blocks of 2·w_k·H_k(−f), unscaled: the
 	// low-passed g is carried (size/M)² too large (its spectrum is cropped
 	// without rescaling), which is exactly the factor between the M-point
-	// and the full-size forward DFT of the adjoint source. Every factor is
-	// a power of two, so folding them costs no rounding.
+	// and the full-size forward DFT of the adjoint source. On a 3·2^k grid
+	// (size/M)² is not a power of two (64/9 for a 128-point tile on 48
+	// points, 16/9 for a 128-point coarse grid on 96), so undoing freq's
+	// factor rounds once per entry.
 	adjOnce sync.Once
 	adj     []*grid.CMat
 	adjLive []bool // union row support of adj
 	adjRows []int  // indices of the true entries of adjLive
-	rows1   []bool // full-grid rows of adjLive: the final inverse
 }
 
 // New builds a Simulator from a nominal and a defocused kernel set,
@@ -332,9 +332,10 @@ func (r *reduced) solver() *reduced {
 		// Fold the 2·w_k adjoint weight into the flipped spectrum once:
 		// the products are the bits the inner loop would produce, as
 		// complex multiplication commutes in floating point. freq
-		// carries the (M/size)² forward factor; scaling it by
-		// 2·w_k·(size/M)² in one product gives the bits of 2·w_k times
-		// the unscaled crop, because the two powers of two cancel exactly.
+		// carries the (M/size)² forward factor; one product by
+		// 2·w_k·(size/M)² removes it — exactly when M is a power of two,
+		// to within a rounding of 2·w_k times the unscaled crop when it
+		// is 3·2^k.
 		unscale := float64(r.size*r.size) / float64(r.m*r.m)
 		for i, h := range r.freq {
 			r.adj = append(r.adj, fft.FlipFreq(h).Scale(complex(2*r.weights[i]*unscale, 0)))
@@ -343,13 +344,6 @@ func (r *reduced) solver() *reduced {
 		for y, live := range r.adjLive {
 			if live {
 				r.adjRows = append(r.adjRows, y)
-			}
-		}
-		r.rows1 = r.adjLive
-		if r.m != r.size {
-			r.rows1 = make([]bool, r.size)
-			for i, y := range r.band1M {
-				r.rows1[r.band1[i]] = r.adjLive[y]
 			}
 		}
 	})
@@ -374,13 +368,16 @@ func bandHalfWidth(ms []*grid.CMat) int {
 }
 
 // reducedSide returns M for a band half-width b on a size-point grid:
-// the smallest power of two above 4b, or size when that is no smaller.
+// the smallest 2^k or 3·2^k above 4b, or size when that is no smaller.
 func reducedSide(b, size int) int {
-	m := 1
-	for m <= 4*b {
-		m <<= 1
+	m2, m3 := 1, 3
+	for m2 <= 4*b {
+		m2 <<= 1
 	}
-	return min(m, size)
+	for m3 <= 4*b {
+		m3 <<= 1
+	}
+	return min(m2, m3, size)
 }
 
 // newReduced prepares a full set from its full-size corner-layout
@@ -394,13 +391,11 @@ func newReduced(freq []*grid.CMat, weights []float64, dense bool) *reduced {
 	}
 	if m := r.m; m != size {
 		r.band1, r.band1M = bandIndex(b, size), bandIndex(b, m)
-		r.band2, r.band2M = bandIndex(2*b, size), bandIndex(2*b, m)
-		r.rows2, r.rows2M = rowMask(r.band2, size), rowMask(r.band2M, m)
 		scale := complex(float64(m*m)/float64(size*size), 0)
 		r.freq = make([]*grid.CMat, len(freq))
 		for i, h := range freq {
 			r.freq[i] = grid.NewCMat(m, m)
-			copyBand(r.freq[i], r.band1M, h, r.band1, 1)
+			copyBand(r.freq[i], r.band1M, h, r.band1)
 			r.freq[i].Scale(scale)
 		}
 	}
@@ -431,24 +426,14 @@ func bandIndex(b, n int) []int {
 	return idx
 }
 
-// rowMask marks the listed rows of an n-row grid.
-func rowMask(rows []int, n int) []bool {
-	mask := make([]bool, n)
-	for _, y := range rows {
-		mask[y] = true
-	}
-	return mask
-}
-
 // copyBand moves one frequency band between grids: entry (dstIdx[i],
-// dstIdx[j]) of dst becomes scale times entry (srcIdx[i], srcIdx[j]) of
-// src. Entries of dst outside the band are left alone.
-func copyBand(dst *grid.CMat, dstIdx []int, src *grid.CMat, srcIdx []int, scale float64) {
+// dstIdx[j]) of dst becomes entry (srcIdx[i], srcIdx[j]) of src. Entries
+// of dst outside the band are left alone.
+func copyBand(dst *grid.CMat, dstIdx []int, src *grid.CMat, srcIdx []int) {
 	for i, sy := range srcIdx {
 		sr, dr := src.Row(sy), dst.Row(dstIdx[i])
 		for j, sx := range srcIdx {
-			v := sr[sx]
-			dr[dstIdx[j]] = complex(scale*real(v), scale*imag(v))
+			dr[dstIdx[j]] = sr[sx]
 		}
 	}
 }
@@ -660,13 +645,14 @@ type evaluation struct {
 	fms    []*grid.CMat // F(mask) per pair, shared by the conditions
 
 	// The condition being evaluated and its per-pair intermediates.
-	r      *reduced
-	cond   Condition
-	weight float64
-	specs  []*grid.CMat // cropped mask spectra
-	fields []*grid.CMat // field i*k+j is pair i's kernel j
-	gs     []*grid.Mat  // ∂L/∂I at full size, then low-passed on the M grid
-	accs   []*grid.CMat // adjoint accumulators
+	r        *reduced
+	cond     Condition
+	weight   float64
+	addGrads bool         // add to the gradients an earlier condition wrote
+	specs    []*grid.CMat // cropped mask spectra
+	fields   []*grid.CMat // field i*k+j is pair i's kernel j
+	gs       []*grid.Mat  // ∂L/∂I at full size, then low-passed on the M grid
+	accs     []*grid.CMat // adjoint accumulators on the M grid
 
 	// The resist sweep: full-size intensities in, per-pixel loss terms
 	// out, and how far into each pair the sweep summed them itself.
@@ -714,6 +700,9 @@ func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts
 		panic(fmt.Sprintf("litho: %d masks vs %d targets", len(masks), len(targets)))
 	}
 	size := masks[0].H
+	if !fft.IsPow2(size) {
+		panic(fmt.Sprintf("litho: mask size %d is not a power of two", size))
+	}
 	for i, m := range masks {
 		if !m.SameShape(targets[i]) {
 			panic(fmt.Sprintf("litho: mask %dx%d vs target %dx%d", m.H, m.W, targets[i].H, targets[i].W))
@@ -735,10 +724,11 @@ func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts
 	e.sums, e.summed = resize(e.sums, T), resize(e.summed, T)
 	for i := range masks {
 		e.losses[i] = 0
-		e.grads[i] = grid.GetMat(size, size).Zero()
+		e.grads[i] = grid.GetMat(size, size) // written by the nominal condition
 	}
 	parallel.Do(T, workersFor(T), e.transformStep)
 	e.condition(s.Nominal(), 1)
+	e.addGrads = true
 	if opts.PVWeight > 0 {
 		e.condition(s.Inner(), opts.PVWeight)
 		e.condition(s.Outer(), opts.PVWeight)
@@ -751,7 +741,7 @@ func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts
 func (e *evaluation) release() {
 	clear(e.grads)
 	clear(e.pair[:])
-	e.s, e.masks, e.targets, e.r = nil, nil, nil, nil
+	e.s, e.masks, e.targets, e.r, e.addGrads = nil, nil, nil, nil, false
 	evaluationPool.Put(e)
 }
 
@@ -772,9 +762,11 @@ func (e *evaluation) release() {
 // Everything per-kernel — the fields, |A_k|², g ⊙ conj(A_k) and the
 // adjoint products — lives on the set's reduced M×M grid (see reduced);
 // only the resist sweep against the target and the transforms entering
-// and leaving it (cropMask, upsample, lowpass, embed) run at full size.
-// When M equals the grid size those four are the identity and this is
-// the plain dense evaluation.
+// and leaving it (cropMask, upsample, lowpass and the gradient's inverse)
+// run at full size. When M equals the grid size the first three are the
+// identity and this is the plain dense evaluation. Every transform whose
+// output is real — the up-sampled intensity, the low-passed g, the
+// gradient — is one fft.InverseRealBand straight into a real matrix.
 //
 // The k·T field buffers of the whole batch go through ONE batched
 // transform (fft.Batch2D) in each direction, and the element-wise steps
@@ -811,9 +803,8 @@ func (e *evaluation) condition(cond Condition, weight float64) {
 	parallel.Do(k*T, limit, e.sourceStep)
 	fft.Batch2DForwardBand(e.fields, r.adjLive, limit)
 	parallel.Do(T, tiles, e.reduceStep)
-	// The accumulators are full-size again: their transform fans out on
-	// its own above the fft crossover, like upsample's and lowpass's.
-	fft.Batch2DInversePruned(e.accs, r.rows1, 0)
+	// The gradient's inverse is full-size again: it fans out on its own
+	// above the fft crossover, like upsample's and lowpass's.
 	parallel.Do(T, tiles, e.gradStep)
 	grid.PutCMats(e.fields)
 }
@@ -922,8 +913,8 @@ func (e *evaluation) lowpass(i int) {
 func (e *evaluation) source(f int) { mulRealConj(e.fields[f], e.gs[f/len(e.r.freq)]) }
 
 // reduce accumulates pair i's kernel contributions (2w_j·H_j(-f)) ⊙ F(q_j)
-// in kernel order — the flipped spectra carry the 2w_j factor from
-// preparation — and embeds the sum into a full-size spectrum.
+// in kernel order on the M grid — the flipped spectra carry the 2w_j
+// factor from preparation.
 func (e *evaluation) reduce(i int) {
 	r, k := e.r, len(e.r.freq)
 	grid.PutMat(e.gs[i])
@@ -932,15 +923,23 @@ func (e *evaluation) reduce(i int) {
 	for j, a := range e.fields[i*k : (i+1)*k] {
 		mulAddRows(acc, r.adj[j], a, r.adjRows)
 	}
-	e.accs[i] = r.embed(acc)
+	e.accs[i] = acc
 }
 
-// addGrad adds the weighted real part of pair i's inverted accumulator
-// to its gradient.
+// addGrad inverts pair i's ±B accumulator onto the full grid, real part
+// only, weighted: into its gradient under the first condition, added to
+// it under the others.
 func (e *evaluation) addGrad(i int) {
 	grad, acc := e.grads[i], e.accs[i]
-	for j := range grad.Data {
-		grad.Data[j] += e.weight * real(acc.Data[j])
+	if !e.addGrads {
+		fft.InverseRealBand(grad, acc, e.r.b, e.weight)
+	} else {
+		term := grid.GetMat(e.size, e.size)
+		fft.InverseRealBand(term, acc, e.r.b, e.weight)
+		for j, v := range term.Data {
+			grad.Data[j] += v
+		}
+		grid.PutMat(term)
 	}
 	grid.PutCMat(acc)
 	e.accs[i] = nil
@@ -956,76 +955,52 @@ func mulAddRows(acc, adj, a *grid.CMat, rows []int) {
 	}
 }
 
-// The four steps below carry one matrix between the full grid and the
+// The three steps below carry one matrix between the full grid and the
 // reduced grid. Each consumes its pooled argument and returns a pooled
 // replacement; at M == size each returns its argument untouched.
 
 // cropMask returns the ±B block of the mask spectrum on the M grid.
-// Unlike the other three it leaves fm alone (the conditions share it):
+// Unlike the other two it leaves fm alone (the conditions share it):
 // the caller returns the crop to the pool when it differs from fm.
 func (r *reduced) cropMask(fm *grid.CMat) *grid.CMat {
 	if r.m == r.size {
 		return fm
 	}
 	spec := grid.GetCMat(r.m, r.m).Zero()
-	copyBand(spec, r.band1M, fm, r.band1, 1)
+	copyBand(spec, r.band1M, fm, r.band1)
 	return spec
 }
 
 // upsample interpolates the M-grid intensity onto the full grid. The
 // intensity is band-limited to ±2B < M/2, so Fourier interpolation —
-// real forward transform at M, zero-padding of the ±2B band into a
-// full-size spectrum, pruned inverse — is exact. (size/M)² restores the
-// normalisation of the larger inverse transform.
+// real forward transform at M, real-output inverse of its ±2B band at
+// full size — is exact. (size/M)² restores the normalisation of the
+// larger inverse transform.
 func (r *reduced) upsample(intensity *grid.Mat) *grid.Mat {
 	if r.m == r.size {
 		return intensity
 	}
 	spec := fft.ForwardReal2DBand(grid.GetCMat(r.m, r.m), intensity, 2*r.b)
 	grid.PutMat(intensity)
-	up := grid.GetCMat(r.size, r.size).Zero()
-	copyBand(up, r.band2, spec, r.band2M, float64(r.size*r.size)/float64(r.m*r.m))
+	up := grid.GetMat(r.size, r.size)
+	fft.InverseRealBand(up, spec, 2*r.b, float64(r.size*r.size)/float64(r.m*r.m))
 	grid.PutCMat(spec)
-	fft.Inverse2DPruned(up, r.rows2)
-	return realPart(up)
+	return up
 }
 
 // lowpass returns the ±2B low-pass of g sampled on the M grid, times
-// (size/M)²: the cropped spectrum is inverted at M without rescaling,
-// the factor the unscaled adjoint spectra expect (see reduced).
+// (size/M)²: the band is inverted at M without rescaling, the factor the
+// unscaled adjoint spectra expect (see reduced).
 func (r *reduced) lowpass(g *grid.Mat) *grid.Mat {
 	if r.m == r.size {
 		return g
 	}
 	spec := fft.ForwardReal2DBand(grid.GetCMat(r.size, r.size), g, 2*r.b)
 	grid.PutMat(g)
-	low := grid.GetCMat(r.m, r.m).Zero()
-	copyBand(low, r.band2M, spec, r.band2, 1)
+	low := grid.GetMat(r.m, r.m)
+	fft.InverseRealBand(low, spec, 2*r.b, 1)
 	grid.PutCMat(spec)
-	fft.Inverse2DPruned(low, r.rows2M)
-	return realPart(low)
-}
-
-// embed zero-pads the ±B adjoint accumulator into a full-size spectrum.
-func (r *reduced) embed(acc *grid.CMat) *grid.CMat {
-	if r.m == r.size {
-		return acc
-	}
-	out := grid.GetCMat(r.size, r.size).Zero()
-	copyBand(out, r.band1, acc, r.band1M, 1)
-	grid.PutCMat(acc)
-	return out
-}
-
-// realPart moves the real part of c into a pooled matrix and returns c
-// to its pool.
-func realPart(c *grid.CMat) *grid.Mat {
-	out := grid.GetMat(c.H, c.W)
-	for i, v := range c.Data {
-		out.Data[i] = real(v)
-	}
-	grid.PutCMat(c)
-	return out
+	return low
 }
 
 // mulRealConj sets a = g ⊙ conj(a) element-wise for real g — the

@@ -3,6 +3,7 @@ package litho
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mgsilt/internal/grid"
@@ -317,6 +318,19 @@ func TestLossGradShapePanic(t *testing.T) {
 		}
 	}()
 	sim.LossGrad(grid.NewMat(testN, testN), grid.NewMat(testN/2, testN/2), LossOpts{Stretch: 1})
+}
+
+// TestLossGradGridSizePanic: LossGrad takes power-of-two grids only. A
+// 96² mask at stretch 2 covers a whole multiple of N=64 and 96 is a
+// transform length of package fft, so the check has to be LossGrad's own.
+func TestLossGradGridSizePanic(t *testing.T) {
+	sim := testSim(t)
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "litho: ") {
+			t.Fatalf("96² mask: got panic %q, want a litho: grid-size panic", msg)
+		}
+	}()
+	sim.LossGrad(grid.NewMat(96, 96), grid.NewMat(96, 96), LossOpts{Stretch: 2})
 }
 
 func TestGradientDescentStepReducesLoss(t *testing.T) {

@@ -44,7 +44,7 @@ func simN(t testing.TB, n int, dense bool) *Simulator {
 }
 
 // wideConfig is an optics whose kernel band is too wide for any reduced
-// grid: no power of two above 4B is smaller than the grid, so the engine
+// grid: no 2^k or 3·2^k above 4B is smaller than the grid, so the engine
 // must stay dense.
 func wideConfig(n int) kernels.Config {
 	kc := kernels.DefaultConfig(n)
@@ -121,15 +121,16 @@ func directLoss(sim *Simulator, mask, target *grid.Mat, pvWeight float64) float6
 
 // TestDirectHopkinsReference checks Aerial and LossGrad's loss against
 // the spatial-domain reference: on reduced grids (the default optics:
-// N=16 → M=8, N=32 → M=16) and on a wide-band set that has none.
+// N=16 → M=6, N=32 → M=12, both 3·2^k) and on a wide-band set that has
+// none.
 func TestDirectHopkinsReference(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		kc    kernels.Config
 		wantM int
 	}{
-		{"N=16", kernels.DefaultConfig(16), 8},
-		{"N=32", kernels.DefaultConfig(32), 16},
+		{"N=16", kernels.DefaultConfig(16), 6},
+		{"N=32", kernels.DefaultConfig(32), 12},
 		{"N=32/wide", wideConfig(32), 32},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -164,7 +165,7 @@ func TestDirectHopkinsReference(t *testing.T) {
 
 // TestLossGradCentralDifference checks the adjoint gradient against
 // central differences of the loss over the option grid the flows use.
-// Stretch 1 runs on the reduced grid (N=64 → M=32), stretch 2 densely.
+// Stretch 1 runs on the reduced grid N=64 → M=24, stretch 2 on M=48.
 func TestLossGradCentralDifference(t *testing.T) {
 	sim := testSim(t)
 	for _, stretch := range []int{1, 2} {
@@ -215,36 +216,36 @@ func checkGradient(t *testing.T, sim *Simulator, opts LossOpts) {
 // TestReducedMatchesDense is the differential oracle of the reduced-grid
 // evaluation: the same routine forced onto the full grid (M == size, no
 // crop, no up-sampling) must give the same loss and gradient to
-// rounding.
+// rounding — on the fine tiles and on the N=128 coarse grid at stretch 2.
 func TestReducedMatchesDense(t *testing.T) {
-	for _, c := range []struct{ n, wantM int }{{64, 32}, {128, 64}} {
+	for _, c := range []struct{ n, stretch, wantM int }{{64, 1, 24}, {128, 1, 48}, {128, 2, 96}} {
 		red, dense := simN(t, c.n, false), simN(t, c.n, true)
-		if m := red.preparedFor(FocusNominal, c.n, 1).solver().m; m != c.wantM {
-			t.Fatalf("N=%d: reduced grid M=%d, want %d", c.n, m, c.wantM)
+		if m := red.preparedFor(FocusNominal, c.n, c.stretch).solver().m; m != c.wantM {
+			t.Fatalf("N=%d stretch %d: reduced grid M=%d, want %d", c.n, c.stretch, m, c.wantM)
 		}
-		if m := dense.preparedFor(FocusNominal, c.n, 1).solver().m; m != c.n {
-			t.Fatalf("N=%d: forced-dense grid M=%d, want %d", c.n, m, c.n)
+		if m := dense.preparedFor(FocusNominal, c.n, c.stretch).solver().m; m != c.n {
+			t.Fatalf("N=%d stretch %d: forced-dense grid M=%d, want %d", c.n, c.stretch, m, c.n)
 		}
 		mask := randomMask(c.n, int64(c.n))
 		target := centredSquare(c.n, c.n/3)
-		opts := LossOpts{Stretch: 1, PVWeight: 0.5}
+		opts := LossOpts{Stretch: c.stretch, PVWeight: 0.5}
 		lr, gr := red.LossGrad(mask, target, opts)
 		ld, gd := dense.LossGrad(mask, target, opts)
 		lossRel := math.Abs(lr-ld) / math.Abs(ld)
 		gradDiff := gr.Clone().Sub(gd).MaxAbs()
 		if lossRel > 1e-12 || gradDiff > 1e-12*gd.MaxAbs() {
-			t.Errorf("N=%d: loss %v vs dense %v (rel %g), gradient off by %g on max |g| = %g",
-				c.n, lr, ld, lossRel, gradDiff, gd.MaxAbs())
+			t.Errorf("N=%d stretch %d: loss %v vs dense %v (rel %g), gradient off by %g on max |g| = %g",
+				c.n, c.stretch, lr, ld, lossRel, gradDiff, gd.MaxAbs())
 		}
-		t.Logf("N=%d: loss rel diff %.2g, gradient max-abs diff %.2g on max |g| = %.3g",
-			c.n, lossRel, gradDiff, gd.MaxAbs())
+		t.Logf("N=%d stretch %d: loss rel diff %.2g, gradient max-abs diff %.2g on max |g| = %.3g",
+			c.n, c.stretch, lossRel, gradDiff, gd.MaxAbs())
 	}
 }
 
 // TestReducedGridGuard: every prepared set the default optics produce
-// gets the smallest alias-free grid — M > 4B, or the grid itself — for
-// every geometry the flows prepare, and a band too wide for a smaller
-// grid degrades to the dense evaluation.
+// gets the smallest alias-free grid — the smallest 2^k or 3·2^k above
+// 4B, or the grid itself — for every geometry the flows prepare, and a
+// band too wide for a smaller grid degrades to the dense evaluation.
 func TestReducedGridGuard(t *testing.T) {
 	check := func(t *testing.T, sim *Simulator, size, stretch int) *reduced {
 		t.Helper()
@@ -260,12 +261,15 @@ func TestReducedGridGuard(t *testing.T) {
 			b := bandHalfWidth(freq)
 			r = sim.preparedFor(focus, size, ks).solver()
 			switch {
-			case r.m > size || r.m&(r.m-1) != 0:
-				t.Fatalf("size %d stretch %d: M=%d is not a power of two within the grid", size, stretch, r.m)
+			case r.m > size || !fftSide(r.m):
+				t.Fatalf("size %d stretch %d: M=%d is not 2^k or 3·2^k within the grid", size, stretch, r.m)
 			case r.m < size && r.m <= 4*b:
 				t.Fatalf("size %d stretch %d: M=%d aliases a band of ±%d", size, stretch, r.m, b)
-			case r.m/2 > 4*b:
-				t.Fatalf("size %d stretch %d: M=%d is not the smallest grid above 4B=%d", size, stretch, r.m, 4*b)
+			}
+			for c := 4*b + 1; c < r.m; c++ {
+				if fftSide(c) {
+					t.Fatalf("size %d stretch %d: M=%d is not the smallest grid above 4B=%d: %d is", size, stretch, r.m, 4*b, c)
+				}
 			}
 		}
 		return r
@@ -274,13 +278,14 @@ func TestReducedGridGuard(t *testing.T) {
 		sim := simN(t, n, false)
 		// Fine tiles, Eq. 9 coarse grids, the multi-level solver's
 		// sub-native grid, and Eq. 3 multi-tile layouts.
-		if r := check(t, sim, n, 1); r.m != n/2 {
-			t.Errorf("N=%d fine tile: M=%d, want %d", n, r.m, n/2)
+		if r := check(t, sim, n, 1); r.m != 3*n/8 {
+			t.Errorf("N=%d fine tile: M=%d, want %d", n, r.m, 3*n/8)
 		}
-		for _, stretch := range []int{2, 4} {
-			if r := check(t, sim, n, stretch); r.m != n {
-				t.Errorf("N=%d coarse grid at stretch %d: M=%d, want the grid itself", n, stretch, r.m)
-			}
+		if r := check(t, sim, n, 2); r.m != 3*n/4 {
+			t.Errorf("N=%d coarse grid at stretch 2: M=%d, want %d", n, r.m, 3*n/4)
+		}
+		if r := check(t, sim, n, 4); r.m != n {
+			t.Errorf("N=%d coarse grid at stretch 4: M=%d, want the grid itself", n, r.m)
 		}
 		check(t, sim, n/2, 2)
 		check(t, sim, 2*n, 1)
@@ -290,9 +295,15 @@ func TestReducedGridGuard(t *testing.T) {
 	}
 }
 
+// fftSide reports whether n is a transform length of package fft: 2^k or
+// 3·2^k.
+func fftSide(n int) bool {
+	return fft.IsPow2(n) || (n%3 == 0 && fft.IsPow2(n/3))
+}
+
 // TestReducedParallelAndBatchEquivalence extends the serial ≡ parallel
 // and batch ≡ lone contracts to reduced grids large enough to fan out:
-// a 4N layout (N=64: 256² on M=128, 6 fields above the crossover) and a
+// a 4N layout (N=64: 256² on M=96, 6 fields above the crossover) and a
 // three-tile batch of them.
 func TestReducedParallelAndBatchEquivalence(t *testing.T) {
 	const size = 4 * testN

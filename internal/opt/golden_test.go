@@ -13,9 +13,9 @@ import (
 // one frozen-ring tile: the SHA-256 of the mask's Float64bits, little
 // endian. It covers Curvy's extraGrad entry into the descent loop and the
 // solvers that only share the loss evaluation (ADMM, LevelSet,
-// MultiLevel). Last recorded with PR 23's conjugate-pair fold of the
-// Hopkins sum, which moves every continuous mask at rounding level;
-// Curvy's output is binary and did not move.
+// MultiLevel). Last recorded with the 3·2^k reduced grids and real-output
+// inverses of the Hopkins evaluation, which move every continuous mask at
+// rounding level; Curvy's output is binary and did not move.
 //
 // amd64 only, like core.TestGoldenMaskHash.
 func TestGoldenSolveHash(t *testing.T) {
@@ -23,11 +23,11 @@ func TestGoldenSolveHash(t *testing.T) {
 		t.Skipf("golden hashes are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	want := map[string]string{
-		"admm":       "cc1664f88408a6286ecd6b155cbb8235157fb9adeef4cb247cb3f1a2a28c1cde",
+		"admm":       "0221cc6c2fa77e60d572d35533d5bd04f4496ae9e594f4a859d0099f6f952aa5",
 		"curvy":      "72bf381d82bb4dd580de27eed5261e80b264de5c2003a909f0c43b12548bdfed",
-		"levelset":   "38443927977cdc2f0c00ff0a21328997d9c0bd5ed8fb3d0f69a212100efc7444",
-		"multilevel": "9a64fb5157679aa8f9fcbff9822b11c560d2ec353e1bee9c94c9ac9b8ef2e75a",
-		"pixel":      "b97844d4575e7518e2b9f64780c07faf7ae8a886216c237d5f4c4ce31763c4cd",
+		"levelset":   "f2ad2cfc11c549bc5353461bf8040e1ae297f2447446f17a1349df0e67bfb093",
+		"multilevel": "56804a4d0458dab624a1543b08e2c5e634da5881caa2ec684871cd1507100425",
+		"pixel":      "bbadc3996f7aedfed3df70fd3a3ce2cbe2e3c35dd93f7dc89f882fe7ac91dd15",
 	}
 	sim := testSim(t)
 	target := testTarget()
