@@ -148,13 +148,13 @@ func TestGetPutCloneSemantics(t *testing.T) {
 	want := m.Clone()
 
 	c.Put(k, m)
-	m.Fill(-1) // caller mutates after Put: cache must be unaffected
+	m.Scale(-1) // caller mutates after Put: cache must be unaffected
 
 	got, ok := c.Get(k)
 	if !ok || !got.Equal(want) {
 		t.Fatalf("Get returned wrong payload after caller mutation")
 	}
-	got.Fill(-2) // caller mutates the hit: cache must be unaffected
+	got.Scale(-2) // caller mutates the hit: cache must be unaffected
 	got2, ok := c.Get(k)
 	if !ok || !got2.Equal(want) {
 		t.Fatalf("Get returned mutated payload")
@@ -552,7 +552,7 @@ func TestDiskSpill(t *testing.T) {
 // An entry spilled by a build with older tile-solve numerics must read
 // as a miss, never be mixed into a layout solved by this build.
 func TestOlderCodeVersionNotServed(t *testing.T) {
-	for _, version := range []string{"mgsilt-tile-solve-v1", "mgsilt-tile-solve-v3", "mgsilt-tile-solve-v4"} {
+	for _, version := range []string{"mgsilt-tile-solve-v1", "mgsilt-tile-solve-v3", "mgsilt-tile-solve-v4", "mgsilt-tile-solve-v5"} {
 		dir := t.TempDir()
 		rng := rand.New(rand.NewSource(12))
 		in := testInput(rng)

@@ -35,8 +35,10 @@ import (
 // pairs once, which moved every solve at rounding level while the
 // simulator fingerprint (a hash of the kernel sets as given) stayed. v5:
 // the Hopkins sums run on 3·2^k reduced grids and end in real-output
-// inverses, which moved every solve at rounding level again.
-const codeVersion = "mgsilt-tile-solve-v5"
+// inverses, which moved every solve at rounding level again. v6: the
+// mask and resist sigmoids take e^x from a table-driven exponential
+// instead of math.Exp, a few ulps apart.
+const codeVersion = "mgsilt-tile-solve-v6"
 
 // keyMagic versions the key serialisation itself. v2 added a per-solve
 // kernel energy budget; v3 removed it again, so a key of either layout

@@ -29,8 +29,8 @@ func maskHash(m *grid.Mat) string {
 // that is meant to be bit-identical — an engine rewrite, a refactor, a
 // new backend — fails here if it moves one bit; a change that is meant to
 // move results regenerates the constants and says so. The constants were
-// last recorded with the 3·2^k reduced grids and real-output inverses of
-// the Hopkins evaluation, which move every mask at rounding level.
+// last recorded with the table-driven exponential of litho.Sigmoid in the
+// mask and resist sweeps, which moves every mask at rounding level.
 //
 // amd64 only: other architectures contract a·b+c into fused
 // multiply-adds and carry their own math.Exp, so their bits differ.
@@ -53,7 +53,7 @@ func TestGoldenMaskHash(t *testing.T) {
 			iters:  8,
 			run:    MultigridSchwarz,
 			target: func(t *testing.T) *grid.Mat { return testClipTarget(t, 4) },
-			want:   "53b1d95ad924a34854b02aa77d182d22db70519d524d5174146890939327a04b",
+			want:   "ac60858a1a9b2b81a11cca782e003730dd0dd2ce9ccd33dd5cb7a4eba38b7b01",
 		},
 		{
 			name:   "multigrid-schwarz/pv-weight",
@@ -61,7 +61,7 @@ func TestGoldenMaskHash(t *testing.T) {
 			mutate: func(_ *testing.T, c *Config) { c.PVWeight = 0.5 },
 			run:    MultigridSchwarz,
 			target: func(t *testing.T) *grid.Mat { return testClipTarget(t, 5) },
-			want:   "1a7ab411c1b1651def8c4ee459db703b096002cd7a0a30f8bd28830c7dc01354",
+			want:   "948195c1f24b551ff6b066d4a2576d6c13dfbdaf4baae7356c28f26b53d325d0",
 		},
 		{
 			name:  "divide-and-conquer/batched",
@@ -76,14 +76,14 @@ func TestGoldenMaskHash(t *testing.T) {
 			},
 			run:    DivideAndConquer,
 			target: func(t *testing.T) *grid.Mat { return repeatTarget(t).Target },
-			want:   "263fc4931d2662df621cc1a8980edb1d6295abd8fb5d3339b5bdd6bfd9879cfa",
+			want:   "302d467fcd6f596c47d3dca681c637743b1f3e8e7de4aef1777c2531033324a1",
 		},
 		{
 			name:   "full-chip",
 			iters:  6,
 			run:    FullChip,
 			target: func(t *testing.T) *grid.Mat { return testClipTarget(t, 7) },
-			want:   "72cdda2174d86d475788913dfdf75242a6626de35672af004ec5706f410584b9",
+			want:   "3282dc2db01f36dba4eb07b2c7883124406b3c9513a40d6e8b18b84cef1dd2f9",
 		},
 	}
 	for _, tc := range cases {

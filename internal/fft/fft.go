@@ -547,9 +547,12 @@ type fan struct {
 	out   *grid.Mat
 	b     int
 	scale float64
+	// bandStrips is the number of strips the column pass over the band's
+	// columns 0..b is cut into (see cutBand).
+	bandStrips int
 
-	rowsStep, stripsStep, pairsStep, bandStep, reflectStep func(lo, hi int)
-	hermitianStep, unpairStep                              func(lo, hi int)
+	rowsStep, stripsStep, pairsStep, reflectStep, unpairStep func(lo, hi int)
+	bandStep, hermitianStep                                  func(strip int)
 }
 
 var fanPool = sync.Pool{New: func() any {

@@ -50,13 +50,13 @@ func ForwardReal2DBand(dst *grid.CMat, src *grid.Mat, b int) *grid.CMat {
 	if b < 0 || b > w/2 {
 		panic(fmt.Sprintf("fft: band half-width %d outside [0, %d]", b, w/2))
 	}
-	// One goroutine or many, the three passes are the same chunk functions
-	// (a limit of one keeps DoChunks on the caller).
+	// One goroutine or many, the three passes are the same step functions
+	// (a limit of one keeps Do and DoChunks on the caller).
 	limit := fanOut(0, h*w)
 	f := fanPool.Get().(*fan)
 	f.lone[0], f.src, f.b, f.rowPlan, f.colPlan = dst, src, b, planFor(w), planFor(h)
 	parallel.DoChunks((h+1)/2, limit, f.pairsStep)
-	parallel.DoChunks(b+1, limit, f.bandStep)
+	parallel.Do(f.cutBand(limit), limit, f.bandStep)
 	parallel.DoChunks(h, limit, f.reflectStep)
 	f.release()
 	return dst
@@ -71,8 +71,32 @@ func (f *fan) pairs(lo, hi int) {
 	putScratch(s)
 }
 
-// band transforms columns [lo, hi) of the split row spectra.
-func (f *fan) band(lo, hi int) { f.colPlan.columnsPass(f.lone[0], lo, hi, false) }
+// cutBand cuts the band's columns 0..b into strips for a column pass on
+// limit goroutines and returns their number: the fewest colStrip-wide
+// strips, rounded up to a multiple of limit so that every goroutine
+// starts on whole strips of its own, and no more strips than columns.
+// Handed out by parallel.Do, a strip is never cut further — a
+// DoChunks share of an 11–43-column band is a quarter of its half, 2–6
+// columns, and columnsPass runs strips that narrow about 30 % slower per
+// column. The column bits do not depend on where a strip starts or ends.
+func (f *fan) cutBand(limit int) int {
+	n := f.b + 1
+	f.bandStrips = min(n, limit*(((n+colStrip-1)/colStrip+limit-1)/limit))
+	return f.bandStrips
+}
+
+// bandCols returns the columns [lo, hi) of band strip i, the strips as
+// even as the column count allows.
+func (f *fan) bandCols(i int) (lo, hi int) {
+	n := f.b + 1
+	return i * n / f.bandStrips, (i + 1) * n / f.bandStrips
+}
+
+// band transforms band strip i of the split row spectra.
+func (f *fan) band(i int) {
+	lo, hi := f.bandCols(i)
+	f.colPlan.columnsPass(f.lone[0], lo, hi, false)
+}
 
 // reflect fills the mirrored band of rows [lo, hi).
 func (f *fan) reflect(lo, hi int) { reflectColumns(f.lone[0], f.b, lo, hi) }
@@ -164,15 +188,16 @@ func InverseRealBand(dst *grid.Mat, src *grid.CMat, b int, scale float64) {
 	limit := fanOut(0, h*w)
 	f := fanPool.Get().(*fan)
 	f.lone[0], f.spec, f.out, f.b, f.scale, f.rowPlan, f.colPlan = g, src, dst, b, scale, planFor(w), planFor(h)
-	parallel.DoChunks(b+1, limit, f.hermitianStep)
+	parallel.Do(f.cutBand(limit), limit, f.hermitianStep)
 	parallel.DoChunks((h+1)/2, limit, f.unpairStep)
 	f.release()
 	grid.PutCMat(g)
 }
 
-// hermitian builds columns [lo, hi) of the band's Hermitian part on the
-// output grid and inverse-transforms them along y.
-func (f *fan) hermitian(lo, hi int) {
+// hermitian builds the columns of band strip i of the band's Hermitian
+// part on the output grid and inverse-transforms them along y.
+func (f *fan) hermitian(i int) {
+	lo, hi := f.bandCols(i)
 	g, s, b := f.lone[0], f.spec, f.b
 	h, hs, ws := g.H, s.H, s.W
 	for y := 0; y < h; y++ {

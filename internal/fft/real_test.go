@@ -131,13 +131,19 @@ func TestForwardReal2DBandBitIdentical(t *testing.T) {
 		src := randMat(rng, h, w)
 		workers := []int{1}
 		if h*w >= 2*parallel.Grain {
-			workers = []int{1, 2, 3}
+			workers = []int{1, 2, 3, 4}
+		}
+		litho := max(1, w/13) // the B of the litho spectra: 10 at 128, 5 at 64
+		bands := []int{0, 1, litho, 2 * litho, w/2 - 1, w / 2}
+		if w == 128 {
+			// The B = 21 of the coarse grid's set and its 2B: two and three
+			// strips' worth of band columns.
+			bands = append(bands, 21, 42)
 		}
 		for _, nw := range workers {
 			parallel.SetWorkers(nw)
 			want := ForwardReal2D(grid.NewCMat(h, w), src)
-			litho := max(1, w/13) // the B of the litho spectra: 10 at 128, 5 at 64
-			for _, b := range []int{0, 1, litho, 2 * litho, w/2 - 1, w / 2} {
+			for _, b := range bands {
 				got := grid.NewCMat(h, w)
 				for i := range got.Data {
 					got.Data[i] = complex(math.NaN(), math.Inf(-1))
@@ -242,8 +248,10 @@ func TestInverseRealBand(t *testing.T) {
 		{64, 64, 64, 64, 32},
 		{3, 3, 3, 3, 1},
 		{3, 3, 12, 6, 1},
-		{12, 24, 48, 16, 5}, // rectangular both sides
-		{64, 64, 32, 64, 0}, // DC alone
+		{12, 24, 48, 16, 5},      // rectangular both sides
+		{64, 64, 32, 64, 0},      // DC alone
+		{128, 128, 128, 128, 21}, // two strips' worth of band columns
+		{128, 128, 128, 128, 42}, // three
 	} {
 		name := fmt.Sprintf("%dx%d→%dx%d/b=%d", c.sh, c.sw, c.h, c.w, c.b)
 		src := randCMat(rng, c.sh, c.sw)
@@ -258,7 +266,7 @@ func TestInverseRealBand(t *testing.T) {
 		ref := embeddedBand(src, c.b, c.h, c.w)
 		Inverse2D(ref)
 		var want *grid.Mat
-		for _, nw := range []int{1, 2, 3} {
+		for _, nw := range []int{1, 2, 3, 4} {
 			parallel.SetWorkers(nw)
 			got := grid.NewMat(c.h, c.w)
 			for i := range got.Data {

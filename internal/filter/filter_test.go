@@ -53,7 +53,10 @@ func TestReflectIndex(t *testing.T) {
 }
 
 func TestGaussianPreservesConstant(t *testing.T) {
-	m := grid.NewMat(16, 16).Fill(3)
+	m := grid.NewMat(16, 16)
+	for i := range m.Data {
+		m.Data[i] = 3
+	}
 	out := Gaussian(m, 1.5)
 	if !out.AlmostEqual(m, 1e-10) {
 		t.Fatal("Gaussian must preserve constants with mirror boundaries")

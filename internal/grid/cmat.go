@@ -61,18 +61,6 @@ func (m *CMat) Scale(s complex128) *CMat {
 	return m
 }
 
-// AddAbsSqScaled adds s*|m|² element-wise into dst and returns dst.
-func (m *CMat) AddAbsSqScaled(dst *Mat, s float64) *Mat {
-	if dst.H != m.H || dst.W != m.W {
-		panic("grid: AddAbsSqScaled shape mismatch")
-	}
-	for i, v := range m.Data {
-		re, im := real(v), imag(v)
-		dst.Data[i] += s * (re*re + im*im)
-	}
-	return dst
-}
-
 // MaxAbs returns the largest element magnitude.
 func (m *CMat) MaxAbs() float64 {
 	mx := 0.0

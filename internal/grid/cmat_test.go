@@ -39,16 +39,6 @@ func TestCMatScale(t *testing.T) {
 	}
 }
 
-func TestCMatAbsSqAndReal(t *testing.T) {
-	m := NewCMat(1, 2)
-	m.Data[0], m.Data[1] = 3+4i, -2i
-	dst := NewMat(1, 2).Fill(1)
-	m.AddAbsSqScaled(dst, 0.5)
-	if dst.Data[0] != 13.5 || dst.Data[1] != 3 {
-		t.Fatalf("AddAbsSqScaled got %v", dst.Data)
-	}
-}
-
 func TestCMatAlmostEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randCMat(rng, 3, 3)

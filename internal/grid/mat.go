@@ -51,17 +51,6 @@ func (m *Mat) mustSameShape(o *Mat, op string) {
 	}
 }
 
-// Fill sets every element to v and returns m.
-func (m *Mat) Fill(v float64) *Mat {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-	return m
-}
-
-// Zero sets every element to 0 and returns m.
-func (m *Mat) Zero() *Mat { return m.Fill(0) }
-
 // Sub subtracts o element-wise from m and returns m.
 func (m *Mat) Sub(o *Mat) *Mat {
 	m.mustSameShape(o, "Sub")

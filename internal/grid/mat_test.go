@@ -184,10 +184,19 @@ func TestCropPanicsOutOfBounds(t *testing.T) {
 	NewMat(4, 4).Crop(2, 2, 3, 3)
 }
 
+// filled returns an h×w matrix with every element v.
+func filled(h, w int, v float64) *Mat {
+	m := NewMat(h, w)
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+	return m
+}
+
 func TestPasteWeightedBlends(t *testing.T) {
-	dst := NewMat(2, 2).Fill(10)
-	src := NewMat(2, 2).Fill(20)
-	w := NewMat(2, 2).Fill(0.25)
+	dst := filled(2, 2, 10)
+	src := filled(2, 2, 20)
+	w := filled(2, 2, 0.25)
 	dst.PasteWeighted(src, w, 0, 0)
 	for _, v := range dst.Data {
 		if math.Abs(v-12.5) > 1e-12 {
@@ -197,9 +206,9 @@ func TestPasteWeightedBlends(t *testing.T) {
 }
 
 func TestAccumulateWeighted(t *testing.T) {
-	dst := NewMat(2, 2).Fill(1)
-	src := NewMat(2, 2).Fill(4)
-	w := NewMat(2, 2).Fill(0.5)
+	dst := filled(2, 2, 1)
+	src := filled(2, 2, 4)
+	w := filled(2, 2, 0.5)
 	dst.AccumulateWeighted(src, w, 0, 0)
 	for _, v := range dst.Data {
 		if v != 3 {
@@ -209,8 +218,8 @@ func TestAccumulateWeighted(t *testing.T) {
 }
 
 func TestAlmostEqual(t *testing.T) {
-	a := NewMat(2, 2).Fill(1)
-	b := NewMat(2, 2).Fill(1.0000001)
+	a := filled(2, 2, 1)
+	b := filled(2, 2, 1.0000001)
 	if !a.AlmostEqual(b, 1e-6) {
 		t.Fatal("should be almost equal")
 	}
@@ -263,7 +272,7 @@ func TestPoolRoundTrip(t *testing.T) {
 	if m.H != 4 || m.W != 8 || len(m.Data) != 32 {
 		t.Fatalf("pooled mat shape %dx%d", m.H, m.W)
 	}
-	m.Fill(7)
+	m.Scale(7)
 	PutMat(m)
 	// A re-acquired matrix of the same size may carry prior contents;
 	// shape bookkeeping must still be right (including a different

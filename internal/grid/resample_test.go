@@ -43,7 +43,7 @@ func TestDownsamplePanicsOnIndivisible(t *testing.T) {
 }
 
 func TestUpsampleBilinearConstant(t *testing.T) {
-	m := NewMat(3, 3).Fill(2.5)
+	m := filled(3, 3, 2.5)
 	u := m.UpsampleBilinear(4)
 	for i, v := range u.Data {
 		if math.Abs(v-2.5) > 1e-12 {

@@ -89,7 +89,10 @@ func TestSavePNGBadPath(t *testing.T) {
 }
 
 func TestOverlayMarksOnlyAboveThreshold(t *testing.T) {
-	mask := grid.NewMat(32, 32).Fill(0.5)
+	mask := grid.NewMat(32, 32)
+	for i := range mask.Data {
+		mask.Data[i] = 0.5
+	}
 	errs := []metrics.StitchError{
 		{Y: 8, X: 8, Loss: 100},
 		{Y: 24, X: 24, Loss: 1},

@@ -13,10 +13,11 @@ import (
 // TestGoldenLossGrad pins (loss, gradient) of LossGrad: the SHA-256 of
 // Float64bits(loss) followed by the gradient's, little endian.
 // LossGradBatch ≡ LossGrad compares one routine with itself, so this is
-// the independent reference. Recorded with the 3·2^k reduced grids and
-// the real-output inverses (fft.InverseRealBand), which moved every row
-// at rounding level; against the bits before them TestReducedMatchesDense
-// and TestDirectHopkinsReference are the bound.
+// the independent reference. Recorded with the table-driven exponential
+// of Sigmoid, which moved every row at rounding level (a few ulps per
+// resist value); against the bits before it TestSigmoidAccuracy,
+// TestLossGradCentralDifference and TestDirectHopkinsReference are the
+// bound.
 //
 // amd64 only, like core.TestGoldenMaskHash.
 func TestGoldenLossGrad(t *testing.T) {
@@ -24,14 +25,14 @@ func TestGoldenLossGrad(t *testing.T) {
 		t.Skipf("golden hashes are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	want := map[string]string{
-		"n64/pv0/stretch1":    "e2771fd48cc1058ec58b0d86b9d9be4fcf521e265e186db82449c17b4b3c0add",
-		"n64/pv0/stretch2":    "89b7000e21d54715c0dbc82c31790948aeb2b41581b028b602cb8f0c9f09b21b",
-		"n64/pv0.5/stretch1":  "b1b0bfd61fd25f45eed5d558ef7c40316176e71589b97b096efce50b8e2708bd",
-		"n64/pv0.5/stretch2":  "9f1b1644275b8490d0816bc5bfb4c9cdc059716aa3161f8d8e2f5bd22d382e61",
-		"n128/pv0/stretch1":   "1fd47ceac2e5046b82a9089b32e892a6e3a74fef118dbb4a45e317d2a8981081",
-		"n128/pv0/stretch2":   "93ffb0486802e7b86799eba554a84e9df91ba3526cb1e6ee665d8858e65c1775",
-		"n128/pv0.5/stretch1": "19e08ef7237288b58c7b7b850f41380ac5a3948785f6783b2c1fc5a9909613ad",
-		"n128/pv0.5/stretch2": "10d587f1f4a0eee77746e64b7e83df313a8c91cf39668db91de0fe16b4d15f63",
+		"n64/pv0/stretch1":    "7afa00ec89b8dc7a0eb4dd4e4412fe41b8b8906bb99bfe0c0e0d6a9b678e0a29",
+		"n64/pv0/stretch2":    "b12c48fb50a8df2f5a2c9a0214d31fb228e902200e3badbe470841e474e266ce",
+		"n64/pv0.5/stretch1":  "3c4068d58d3198b44a0d13b0c174ed3c6bb3a8fec36a78acbeade6b42bb4e46c",
+		"n64/pv0.5/stretch2":  "0b985a94b2009b9c55019eb045684986b5322fc0d8751fdfd6c46e08621142a3",
+		"n128/pv0/stretch1":   "61e47e9320dc780740780f0ef1488d0d08c7219ce7ba933beb805a38e42733e3",
+		"n128/pv0/stretch2":   "6f541dcda9ce9111a1c545e8946944639e1b72ca103beee8fd48b75613aa57c3",
+		"n128/pv0.5/stretch1": "57ea31a11ae60e008aeab7e9f56c2249fc36446f935bb8e25c0b94cabf36c2f1",
+		"n128/pv0.5/stretch2": "527a29933c57b613663b0531ecd47afaf9f5cc66a9f5697cce97534b45ac1680",
 	}
 	for _, n := range []int{64, 128} {
 		sim, err := NewStandard(n)

@@ -177,7 +177,6 @@ type reduced struct {
 	adjOnce sync.Once
 	adj     []*grid.CMat
 	adjLive []bool // union row support of adj
-	adjRows []int  // indices of the true entries of adjLive
 }
 
 // New builds a Simulator from a nominal and a defocused kernel set,
@@ -341,11 +340,6 @@ func (r *reduced) solver() *reduced {
 			r.adj = append(r.adj, fft.FlipFreq(h).Scale(complex(2*r.weights[i]*unscale, 0)))
 		}
 		r.adjLive = unionRowSupport(r.adj)
-		for y, live := range r.adjLive {
-			if live {
-				r.adjRows = append(r.adjRows, y)
-			}
-		}
 	})
 	return r
 }
@@ -572,17 +566,6 @@ func (s *Simulator) Wafer(mask *grid.Mat, cond Condition) *grid.Mat {
 	return s.PrintResist(s.Aerial(mask, cond), cond.Dose)
 }
 
-func sigmoid(x float64) float64 {
-	// Guard both tails to keep exp from overflowing.
-	switch {
-	case x > 40:
-		return 1
-	case x < -40:
-		return 0
-	}
-	return 1 / (1 + math.Exp(-x))
-}
-
 // LossOpts configures LossGrad.
 type LossOpts struct {
 	// Stretch is the pixel stretch factor: 1 for full-resolution
@@ -660,14 +643,15 @@ type evaluation struct {
 	sums          []float64
 	summed        []int
 
-	transformStep, cropStep, productStep, intensityStep, lowpassStep, sourceStep, reduceStep, gradStep func(int)
-	resistStep                                                                                         func(lo, hi int)
+	transformStep, cropStep, productStep, upsampleStep, lowpassStep, sourceStep, gradStep func(int)
+	intensityStep, resistStep, reduceStep                                                 func(lo, hi int)
 }
 
 var evaluationPool = sync.Pool{New: func() any {
 	e := &evaluation{}
 	e.transformStep, e.cropStep, e.productStep = e.transform, e.crop, e.product
-	e.intensityStep, e.resistStep, e.lowpassStep = e.intensity, e.resist, e.lowpass
+	e.intensityStep, e.upsampleStep = e.intensity, e.upsample
+	e.resistStep, e.lowpassStep = e.resist, e.lowpass
 	e.sourceStep, e.reduceStep, e.gradStep = e.source, e.reduce, e.addGrad
 	return e
 }}
@@ -771,10 +755,12 @@ func (e *evaluation) release() {
 // The k·T field buffers of the whole batch go through ONE batched
 // transform (fft.Batch2D) in each direction, and the element-wise steps
 // between them fan out over the same index space; below two parallel.Grain
-// all of it runs inline on the caller. Every order-sensitive reduction —
-// a pair's intensity, its scalar loss, its adjoint accumulator — is
-// performed by one goroutine in kernel order, and batching a transform
-// never changes an individual matrix's bits, so a pair's result does not
+// all of it runs inline on the caller. The two kernel reductions, a
+// pair's intensity and its adjoint accumulator, fan out by rows of the
+// whole batch — a lone tile's as much as a batch's — with every pixel
+// summed in kernel order by the goroutine that owns its row; the scalar
+// loss is summed in pixel order (see resist). Batching a transform never
+// changes an individual matrix's bits either, so a pair's result does not
 // depend on the worker count or on what else is in the batch.
 func (e *evaluation) condition(cond Condition, weight float64) {
 	r := e.s.preparedFor(cond.Focus, e.size, e.kernelStretch).solver()
@@ -798,11 +784,16 @@ func (e *evaluation) condition(cond Condition, weight float64) {
 	// run the band-limited columns-first transform and skip the row
 	// transforms of every dead output row. Dead rows of the field buffers
 	// are left mid-transform; that is safe because the reduction only
-	// touches r.adjRows and prodLive rewrites (or clears) every row on
-	// the next use of the pooled buffers.
+	// reads the rows of r.adjLive and prodLive rewrites (or clears) every
+	// row on the next use of the pooled buffers.
 	parallel.Do(k*T, limit, e.sourceStep)
 	fft.Batch2DForwardBand(e.fields, r.adjLive, limit)
-	parallel.Do(T, tiles, e.reduceStep)
+	for i := range e.masks {
+		grid.PutMat(e.gs[i])
+		e.gs[i] = nil
+		e.accs[i] = grid.GetCMat(r.m, r.m) // every row overwritten by the reduction
+	}
+	parallel.DoChunks(T*r.m, limit, e.reduceStep)
 	// The gradient's inverse is full-size again: it fans out on its own
 	// above the fft crossover, like upsample's and lowpass's.
 	parallel.Do(T, tiles, e.gradStep)
@@ -828,7 +819,15 @@ func (e *evaluation) forward(r *reduced) (limit, tiles int) {
 	parallel.Do(T, tiles, e.cropStep)
 	parallel.Do(k*T, limit, e.productStep)
 	fft.Batch2DInversePruned(e.fields, r.fwdLive, limit)
-	parallel.Do(T, tiles, e.intensityStep)
+	for i := range e.masks {
+		if e.specs[i] != e.fms[i] {
+			grid.PutCMat(e.specs[i])
+		}
+		e.specs[i] = nil
+		e.intens[i] = grid.GetMat(m, m) // every row overwritten by the sum
+	}
+	parallel.DoChunks(T*m, limit, e.intensityStep)
+	parallel.Do(T, tiles, e.upsampleStep)
 	return limit, tiles
 }
 
@@ -846,20 +845,27 @@ func (e *evaluation) product(f int) {
 	prodLive(e.fields[f], e.specs[f/k], e.r.freq[f%k], e.r.fwdLive)
 }
 
-// intensity sums pair i's intensity in kernel order and interpolates it
-// onto the full grid.
-func (e *evaluation) intensity(i int) {
-	r, k := e.r, len(e.r.freq)
-	if e.specs[i] != e.fms[i] {
-		grid.PutCMat(e.specs[i])
+// intensity sums rows [lo, hi) of the batch's intensities on the M grid,
+// row y of pair i at index i·M + y, every pixel Σ w_j·|A_j|² in kernel
+// order: the bits do not depend on how the rows are split.
+func (e *evaluation) intensity(lo, hi int) {
+	r, k, m := e.r, len(e.r.freq), e.r.m
+	for row := lo; row < hi; row++ {
+		i, y := row/m, row%m
+		out := e.intens[i].Row(y)
+		clear(out)
+		for j, a := range e.fields[i*k : (i+1)*k] {
+			w := r.weights[j]
+			for x, v := range a.Row(y) {
+				re, im := real(v), imag(v)
+				out[x] += w * (re*re + im*im)
+			}
+		}
 	}
-	e.specs[i] = nil
-	intensity := grid.GetMat(r.m, r.m).Zero()
-	for j, a := range e.fields[i*k : (i+1)*k] {
-		a.AddAbsSqScaled(intensity, r.weights[j])
-	}
-	e.intens[i] = r.upsample(intensity)
 }
+
+// upsample interpolates pair i's intensity onto the full grid.
+func (e *evaluation) upsample(i int) { e.intens[i] = e.r.upsample(e.intens[i]) }
 
 // resist sweeps the sigmoid resist over pixels [lo, hi) of the batch,
 // pixel p of pair i at index i·size² + p: it writes ∂L/∂I into gs[i] and
@@ -878,7 +884,7 @@ func (e *evaluation) resist(lo, hi int) {
 		g, terms := e.gs[i].Data[p0:p1], e.terms[i].Data[p0:p1]
 		sum := 0.0
 		for j, v := range in {
-			z := sigmoid(steep * (dose*v - th))
+			z := Sigmoid(steep * (dose*v - th))
 			d := z - tg[j]
 			// The conversion rounds the product on its own, so that adding
 			// it here and adding the stored term later give the same bits
@@ -912,18 +918,27 @@ func (e *evaluation) lowpass(i int) {
 // field is not needed once q is formed.
 func (e *evaluation) source(f int) { mulRealConj(e.fields[f], e.gs[f/len(e.r.freq)]) }
 
-// reduce accumulates pair i's kernel contributions (2w_j·H_j(-f)) ⊙ F(q_j)
-// in kernel order on the M grid — the flipped spectra carry the 2w_j
-// factor from preparation.
-func (e *evaluation) reduce(i int) {
-	r, k := e.r, len(e.r.freq)
-	grid.PutMat(e.gs[i])
-	e.gs[i] = nil
-	acc := grid.GetCMat(r.m, r.m).Zero()
-	for j, a := range e.fields[i*k : (i+1)*k] {
-		mulAddRows(acc, r.adj[j], a, r.adjRows)
+// reduce accumulates rows [lo, hi) of the batch's adjoint accumulators on
+// the M grid, row y of pair i at index i·M + y: every entry is the sum of
+// the kernel contributions (2w_j·H_j(-f)) ⊙ F(q_j) in kernel order — the
+// flipped spectra carry the 2w_j factor from preparation — and zero on
+// the rows outside the adjoint support.
+func (e *evaluation) reduce(lo, hi int) {
+	r, k, m := e.r, len(e.r.freq), e.r.m
+	for row := lo; row < hi; row++ {
+		i, y := row/m, row%m
+		cr := e.accs[i].Row(y)
+		clear(cr)
+		if !r.adjLive[y] {
+			continue
+		}
+		for j, a := range e.fields[i*k : (i+1)*k] {
+			jr := r.adj[j].Row(y)
+			for x, qv := range a.Row(y) {
+				cr[x] += jr[x] * qv
+			}
+		}
 	}
-	e.accs[i] = acc
 }
 
 // addGrad inverts pair i's ±B accumulator onto the full grid, real part
@@ -943,16 +958,6 @@ func (e *evaluation) addGrad(i int) {
 	}
 	grid.PutCMat(acc)
 	e.accs[i] = nil
-}
-
-// mulAddRows accumulates adj ⊙ a into acc on the listed rows.
-func mulAddRows(acc, adj, a *grid.CMat, rows []int) {
-	for _, y := range rows {
-		ar, jr, cr := a.Row(y), adj.Row(y), acc.Row(y)
-		for x, qv := range ar {
-			cr[x] += jr[x] * qv
-		}
-	}
 }
 
 // The three steps below carry one matrix between the full grid and the

@@ -67,7 +67,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestClearAndDarkField(t *testing.T) {
 	sim := testSim(t)
-	clear := grid.NewMat(testN, testN).Fill(1)
+	clear := centredSquare(testN, testN) // every pixel open
 	aerial := sim.Aerial(clear, sim.Nominal())
 	for i, v := range aerial.Data {
 		if math.Abs(v-1) > 0.05 {
@@ -239,7 +239,7 @@ func TestEq9CoarseGridConsistency(t *testing.T) {
 // applies, Z = σ(steep·(dose·I − threshold)).
 func TestSigmoidResistRange(t *testing.T) {
 	cfg := testSim(t).Config()
-	resist := func(v float64) float64 { return sigmoid(cfg.SigmoidSteep * (v - cfg.Threshold)) }
+	resist := func(v float64) float64 { return Sigmoid(cfg.SigmoidSteep * (v - cfg.Threshold)) }
 	for _, v := range []float64{0, 0.225, 0.5, 2} {
 		if z := resist(v); z < 0 || z > 1 {
 			t.Fatalf("sigmoid out of range: %v", z)
@@ -252,7 +252,7 @@ func TestSigmoidResistRange(t *testing.T) {
 }
 
 func TestSigmoidSaturation(t *testing.T) {
-	if sigmoid(1000) != 1 || sigmoid(-1000) != 0 {
+	if Sigmoid(1000) != 1 || Sigmoid(-1000) != 0 {
 		t.Fatal("sigmoid tails must saturate without overflow")
 	}
 }

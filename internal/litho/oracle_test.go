@@ -107,7 +107,7 @@ func directLoss(sim *Simulator, mask, target *grid.Mat, pvWeight float64) float6
 	cond := func(c Condition, set *kernels.Set) float64 {
 		loss := 0.0
 		for i, v := range directAerial(set, mask).Data {
-			d := sigmoid(sim.cfg.SigmoidSteep*(c.Dose*v-sim.cfg.Threshold)) - target.Data[i]
+			d := Sigmoid(sim.cfg.SigmoidSteep*(c.Dose*v-sim.cfg.Threshold)) - target.Data[i]
 			loss += d * d
 		}
 		return loss

@@ -201,6 +201,32 @@ func BenchmarkLossGrad(b *testing.B) {
 	}
 }
 
+// BenchmarkSigmoid sweeps Sigmoid over the 128² pixels of an N=128 tile,
+// arguments spread over the clamp range like the resist's and the mask's,
+// against the math.Exp form it replaced.
+func BenchmarkSigmoid(b *testing.B) {
+	xs := make([]float64, 128*128)
+	rng := rand.New(rand.NewSource(4))
+	for i := range xs {
+		xs[i] = 30 * (2*rng.Float64() - 1)
+	}
+	out := make([]float64, len(xs))
+	b.Run("table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, x := range xs {
+				out[j] = Sigmoid(x)
+			}
+		}
+	})
+	b.Run("math.Exp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, x := range xs {
+				out[j] = 1 / (1 + math.Exp(-x))
+			}
+		}
+	})
+}
+
 func benchName(workers int) string {
 	return fmt.Sprintf("workers=%d", workers)
 }

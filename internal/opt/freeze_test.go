@@ -10,7 +10,10 @@ import (
 
 // ringFreeze freezes everything outside the central half of the grid.
 func ringFreeze(n int) *grid.Mat {
-	f := grid.NewMat(n, n).Fill(1)
+	f := grid.NewMat(n, n)
+	for i := range f.Data {
+		f.Data[i] = 1
+	}
 	for y := n / 4; y < 3*n/4; y++ {
 		for x := n / 4; x < 3*n/4; x++ {
 			f.Set(y, x, 0)

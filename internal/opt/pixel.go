@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math"
 
 	"mgsilt/internal/grid"
 	"mgsilt/internal/litho"
@@ -125,8 +124,9 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 			idx: i, p: ps[i], target: targets[i], init: inits[i],
 			theta: make([]float64, n), dTheta: make([]float64, n),
 			mask: grid.NewMat(inits[i].H, inits[i].W), adam: NewAdam(n),
+			smooth: s.SmoothWeight,
 		}
-		st.maskStep, st.descentStep = st.maskSweep, st.descentSweep
+		st.maskStep, st.descentStep, st.laplacianStep = st.maskSweep, st.descentSweep, st.laplacianSweep
 		for j, v := range inits[i].Data {
 			// Lift dead-zero pixels to the background bias so they keep a
 			// usable gradient — except frozen pixels, which must reproduce
@@ -171,13 +171,13 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 		}
 		for bi, st := range active {
 			gm := gms[bi]
-			if s.SmoothWeight > 0 {
-				addLaplacian(gm, st.mask, s.SmoothWeight)
+			st.gm, st.lr = gm, lr
+			if st.smooth > 0 {
+				parallel.DoChunks(st.mask.H, parallel.Limit(n), st.laplacianStep)
 			}
 			if extraGrad != nil {
 				extraGrad(gm, st.mask)
 			}
-			st.gm, st.lr = gm, lr
 			st.adam.tick()
 			sweep(n, st.descentStep)
 			st.gm = nil
@@ -198,9 +198,9 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 	return outs, errs
 }
 
-// tileState is one tile of the descent loop. Its two per-pixel sweeps
-// are methods bound once per solve, so handing them to the worker pool
-// every iteration allocates nothing.
+// tileState is one tile of the descent loop. Its per-pixel sweeps and
+// its row sweep are methods bound once per solve, so handing them to the
+// worker pool every iteration allocates nothing.
 type tileState struct {
 	idx    int
 	p      Params
@@ -211,19 +211,22 @@ type tileState struct {
 	mask   *grid.Mat
 	adam   *Adam
 
+	// smooth is the weight of the smoothness regulariser.
+	smooth float64
+
 	// The iteration in flight: the annealed slope, the ramped learning
 	// rate and the gradient with respect to the mask.
 	slope, lr float64
 	gm        *grid.Mat
 
-	maskStep, descentStep func(lo, hi int)
+	maskStep, descentStep, laplacianStep func(lo, hi int)
 }
 
 // maskSweep writes the mask M = σ(slope·θ) on pixels [lo, hi).
 func (st *tileState) maskSweep(lo, hi int) {
 	mask := st.mask.Data[lo:hi]
 	for j, t := range st.theta[lo:hi] {
-		mask[j] = sigmoidAt(st.slope * t)
+		mask[j] = litho.Sigmoid(st.slope * t)
 	}
 }
 
@@ -239,6 +242,9 @@ func (st *tileState) descentSweep(lo, hi int) {
 	st.adam.stepRange(st.theta, st.dTheta, st.lr, lo, hi)
 }
 
+// laplacianSweep adds the smoothness gradient to rows [lo, hi) of gm.
+func (st *tileState) laplacianSweep(lo, hi int) { addLaplacian(st.gm, st.mask, st.smooth, lo, hi) }
+
 // sweep runs a per-pixel step over [0, n), on as many goroutines of the
 // worker pool as n is worth. Every pixel is written by exactly one
 // goroutine and depends on no other, so the result is the serial one to
@@ -248,14 +254,16 @@ func sweep(n int, step func(lo, hi int)) {
 }
 
 // addLaplacian accumulates the gradient of the smoothness energy
-// ½·Σ|∇M|² into gm: d/dM = -ΔM, computed with mirrored boundaries.
+// ½·Σ|∇M|² into rows [y0, y1) of gm: d/dM = -ΔM, computed with mirrored
+// boundaries. A row reads three rows of mask and writes only its own, so
+// the rows split anywhere.
 //
 // Every pixel is 4·m − up − down − left − right in that order. Clamping a
 // row index selects the row slice once per row; only the first and last
 // column clamp a column index, the rest index their three rows directly.
-func addLaplacian(gm, mask *grid.Mat, w float64) {
+func addLaplacian(gm, mask *grid.Mat, w float64, y0, y1 int) {
 	h, last := mask.H, mask.W-1
-	for y := 0; y < h; y++ {
+	for y := y0; y < y1; y++ {
 		up, mid, down := mask.Row(max(y-1, 0)), mask.Row(y), mask.Row(min(y+1, h-1))
 		g := gm.Row(y)
 		g[0] += w * (4*mid[0] - up[0] - down[0] - mid[0] - mid[min(1, last)])
@@ -266,14 +274,4 @@ func addLaplacian(gm, mask *grid.Mat, w float64) {
 			g[last] += w * (4*mid[last] - up[last] - down[last] - mid[last-1] - mid[last])
 		}
 	}
-}
-
-func sigmoidAt(x float64) float64 {
-	switch {
-	case x > 40:
-		return 1
-	case x < -40:
-		return 0
-	}
-	return 1 / (1 + math.Exp(-x))
 }

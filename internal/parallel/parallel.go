@@ -56,9 +56,10 @@
 //
 // Determinism is the caller's contract: work functions must write only
 // to their own index/chunk. Both entry points guarantee nothing about
-// execution order, so order-sensitive reductions (e.g. the bit-exact
-// ordered accumulation in litho) must be performed by the caller after
-// the parallel section.
+// execution order, so an order-sensitive reduction must keep its order
+// inside one work item (litho sums each pixel's kernel terms in kernel
+// order within the row that owns it) or run on the caller after the
+// parallel section.
 //
 // A panic on a helper is carried to the caller and re-raised there
 // after the join, where the device job boundary (or any other recover)

@@ -46,12 +46,22 @@ func (f *fakeSolver) SolveBatch(targets, inits []*grid.Mat, ps []opt.Params) ([]
 			errs[i] = f.err
 			continue
 		}
-		outs[i] = m.Clone().AddScaled(grid.NewMat(m.H, m.W).Fill(1), 1)
+		out := m.Clone()
+		for j := range out.Data {
+			out.Data[j]++
+		}
+		outs[i] = out
 	}
 	return outs, errs
 }
 
-func mat(v float64) *grid.Mat { return grid.NewMat(4, 4).Fill(v) }
+func mat(v float64) *grid.Mat {
+	m := grid.NewMat(4, 4)
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+	return m
+}
 
 func params() opt.Params { return opt.Params{Iters: 3, LR: 1, Stretch: 1} }
 

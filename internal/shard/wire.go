@@ -38,14 +38,15 @@ import (
 // input (caps below, bounded line length, allocation proportional to
 // bytes actually received).
 //
-// The version also stands for the solve numerics behind the wire: v3 and
-// v4 changed no field, but a v2 worker sums the nominal Hopkins set over
-// twelve kernels where this build folds them to six, and a v3 worker
+// The version also stands for the solve numerics behind the wire: v3, v4
+// and v5 changed no field, but a v2 worker sums the nominal Hopkins set
+// over twelve kernels where this build folds them to six, a v3 worker
 // evaluates it on power-of-two reduced grids where this build uses
-// 3·2^k ones; the tiles of either would differ from an in-process solve
-// at rounding level.
+// 3·2^k ones, and a v4 worker takes the sigmoids' e^x from math.Exp
+// where this build uses a table-driven exponential; the tiles of any of
+// them would differ from an in-process solve at rounding level.
 const (
-	wireMagic = "mgsilt-shard v4"
+	wireMagic = "mgsilt-shard v5"
 	// MaxWireTiles caps the tiles accepted in one request or response.
 	MaxWireTiles = 4096
 	// MaxWireSide caps mask dimensions on the wire, like the checkpoint

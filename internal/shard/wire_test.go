@@ -258,9 +258,10 @@ func TestWireRejectsCorruption(t *testing.T) {
 	}{
 		{"empty", ""},
 		{"bad magic", "mgsilt-shard v9\n" + g[len(wireMagic)+1:]},
-		// Same fields, older numerics: v2 and v3 peers must be refused.
+		// Same fields, older numerics: v2, v3 and v4 peers must be refused.
 		{"version 2", "mgsilt-shard v2\n" + g[len(wireMagic)+1:]},
-		{"previous version", "mgsilt-shard v3\n" + g[len(wireMagic)+1:]},
+		{"version 3", "mgsilt-shard v3\n" + g[len(wireMagic)+1:]},
+		{"previous version", "mgsilt-shard v4\n" + g[len(wireMagic)+1:]},
 		{"wrong kind", strings.Replace(g, "request solve", "response solve", 1)},
 		{"bad session", strings.Replace(g, "session run-1.e0_x", "session bad session", 1)},
 		{"huge n", strings.Replace(g, "n 64", "n 99999999", 1)},

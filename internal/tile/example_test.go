@@ -31,7 +31,10 @@ func ExamplePart() {
 // Schwarz iteration.
 func ExamplePartition_Assemble() {
 	p := tile.MustPart(128, 128, 64, 16)
-	layout := grid.NewMat(128, 128).Fill(0.25)
+	layout := grid.NewMat(128, 128)
+	for i := range layout.Data {
+		layout.Data[i] = 0.25
+	}
 	weights, err := p.Weights(16)
 	if err != nil {
 		panic(err)

@@ -20,6 +20,15 @@ func paperGeometry(t *testing.T) *Partition {
 	return p
 }
 
+// filled returns an h×w matrix with every element v.
+func filled(h, w int, v float64) *grid.Mat {
+	m := grid.NewMat(h, w)
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+	return m
+}
+
 func TestPartGeometry(t *testing.T) {
 	p := paperGeometry(t)
 	if p.Rows != 3 || p.Cols != 3 || len(p.Tiles) != 9 {
@@ -105,7 +114,7 @@ func TestWeightsPartitionOfUnity(t *testing.T) {
 		}
 		sum := grid.NewMat(p.H, p.W)
 		for i, s := range p.Tiles {
-			sum.AccumulateWeighted(grid.NewMat(p.Tile, p.Tile).Fill(1), ws[i], s.Y0, s.X0)
+			sum.AccumulateWeighted(filled(p.Tile, p.Tile, 1), ws[i], s.Y0, s.X0)
 		}
 		for i, v := range sum.Data {
 			if math.Abs(v-1) > 1e-12 {
@@ -204,7 +213,7 @@ func TestAssembleUsesCoreOwnership(t *testing.T) {
 	}
 	tiles := make([]*grid.Mat, len(p.Tiles))
 	for i := range tiles {
-		tiles[i] = grid.NewMat(p.Tile, p.Tile).Fill(float64(i))
+		tiles[i] = filled(p.Tile, p.Tile, float64(i))
 	}
 	out := p.Assemble(tiles, ws)
 	for _, s := range p.Tiles {
@@ -220,8 +229,8 @@ func TestBlendIntoLocalUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := grid.NewMat(p.H, p.W).Fill(1)
-	update := grid.NewMat(p.Tile, p.Tile).Fill(5)
+	layout := filled(p.H, p.W, 1)
+	update := filled(p.Tile, p.Tile, 5)
 	p.BlendInto(layout, update, ws[4], 4)
 	s := p.Tiles[4]
 	// Core centre takes the update fully.
@@ -329,7 +338,7 @@ func TestRectangularPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := grid.NewMat(p.H, p.W)
-	ones := grid.NewMat(p.Tile, p.Tile).Fill(1)
+	ones := filled(p.Tile, p.Tile, 1)
 	for i, s := range p.Tiles {
 		sum.AccumulateWeighted(ones, ws[i], s.Y0, s.X0)
 	}
