@@ -9,7 +9,13 @@
 // service's POST /v1/jobs/{id}/resume:
 //
 //	iltrun -method ours -checkpoint-file run.ckpt   # killed mid-flow
-//	iltrun -method ours -resume-file run.ckpt       # resumes, bit-identical
+//	iltrun -method ours -resume-file run.ckpt       # resumes
+//
+// The resumed run's mask is bit-identical to the uninterrupted run's
+// with -drop-tol 0 (the default). With -drop-tol > 0 it can differ:
+// the checkpoint does not carry which tiles had converged, so the
+// resumed run re-solves tiles the uninterrupted one skipped (ROADMAP
+// item 12).
 package main
 
 import (

@@ -188,10 +188,12 @@ type Config struct {
 	// weights reproduce exactly. 0 (the default) disables dropout and
 	// keeps every flow bit-identical to the always-solve schedule.
 	//
-	// Dropout state is not part of the checkpoint: a resumed run
-	// conservatively re-solves every tile until the criterion
-	// re-establishes, so a resume with DropTol > 0 may do (slightly
-	// more) work than the uninterrupted run would have.
+	// Dropout state is not part of the checkpoint: a resumed run starts
+	// with no tile converged and re-solves tiles the uninterrupted run
+	// would have skipped, whose solutions enter the assembly. With
+	// DropTol > 0 a resume can therefore produce a different mask than
+	// the uninterrupted run; with DropTol 0 it is bit-identical. The
+	// fix is ROADMAP item 12 (checkpoint the converged-tile state).
 	DropTol float64
 }
 

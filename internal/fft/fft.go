@@ -4,9 +4,10 @@
 // one 2-D complex transform over grid.CMat, a real-input forward
 // transform exploiting Hermitian symmetry and the consumer's column band
 // (ForwardReal2D, ForwardReal2DBand) and its real-output mirror
-// (InverseRealBand), centre-shift utilities, and the fractional
-// frequency interpolation behind the sN-grid kernel resampling of
-// Eq. (3)/(8).
+// (InverseRealBand), the frequency reversal of the adjoint pass, and
+// the fractional frequency interpolation behind the sN-grid kernel
+// resampling of Eq. (3)/(9), which evaluates only the window its
+// source's support reaches (ResampleCentered).
 //
 // The 2-D complex transform is one routine (xform2D): a row pass over
 // the live rows and a column pass over every column, in either order,
@@ -21,9 +22,9 @@
 // Conventions: the forward transform is unnormalised and the inverse
 // carries the 1/n factor per dimension, so a round trip returns the
 // input. Spectra produced by ForwardReal2D have DC at index (0,0) ("corner"
-// layout); SwapQuadrants converts between that and the DC-at-centre
-// layout used for human-readable kernel definitions. Every length is
-// 2^k or 3·2^k.
+// layout); kernel definitions and ResampleCentered use the DC-at-centre
+// layout, and the caller places the resampled window in corner layout.
+// Every length is 2^k or 3·2^k.
 //
 // Performance design (see README "Performance engineering"): the 1-D
 // kernel is a decimation-in-time transform whose radix-2 stages are
@@ -611,26 +612,6 @@ func (f *fan) strips(lo, hi int) {
 	putScratch(s)
 }
 
-// SwapQuadrants converts between corner and centre spectrum layouts in
-// place and returns m. Both dimensions must be even, which makes the
-// quadrant swap a perfect 2-cycle: element (y, x) trades places with
-// ((y+H/2) mod H, (x+W/2) mod W) and no scratch matrix is needed.
-func SwapQuadrants(m *grid.CMat) *grid.CMat {
-	if m.H%2 != 0 || m.W%2 != 0 {
-		panic("fft: quadrant swap requires even dimensions")
-	}
-	hh, hw := m.H/2, m.W/2
-	for y := 0; y < hh; y++ {
-		a := m.Row(y)
-		b := m.Row(y + hh)
-		for x := 0; x < hw; x++ {
-			a[x], b[x+hw] = b[x+hw], a[x]
-			a[x+hw], b[x] = b[x], a[x+hw]
-		}
-	}
-	return m
-}
-
 // FlipFreq returns the corner-layout spectrum H(-f) for a corner-layout
 // spectrum H(f): index k maps to (n-k) mod n per dimension. It is the
 // frequency-domain form of spatial coordinate reversal, used by the
@@ -649,7 +630,7 @@ func FlipFreq(m *grid.CMat) *grid.CMat {
 }
 
 // ResampleCentered samples a square centre-layout spectrum at fractional
-// frequencies: the output is outSize×outSize with
+// frequencies onto an outSize×outSize centre-layout grid, with
 // out(u) = src(u/stretch) for centred index offsets u, interpolated
 // bilinearly. It unifies the two kernel resamplings of the paper:
 //
@@ -661,45 +642,93 @@ func FlipFreq(m *grid.CMat) *grid.CMat {
 //
 // Source support of diameter p maps to diameter stretch·p, which must
 // fit inside outSize or the kernel is silently truncated.
-func ResampleCentered(src *grid.CMat, outSize, stretch int) *grid.CMat {
+//
+// Only a window of the output grid is evaluated: the rows and columns
+// whose bilinear neighbours touch the bounding box of src's non-(+0)
+// entries. Every other point has four +0 neighbours and is exactly +0,
+// so the window, whose entry (0, 0) is output point (y0, x0), is the
+// whole result. A source holding only +0 gives an empty window.
+func ResampleCentered(src *grid.CMat, outSize, stretch int) (win *grid.CMat, y0, x0 int) {
 	if src.H != src.W {
 		panic("fft: ResampleCentered requires a square spectrum")
 	}
 	if outSize < 2 || stretch < 1 {
 		panic(fmt.Sprintf("fft: invalid resample outSize=%d stretch=%d", outSize, stretch))
 	}
-	out := grid.NewCMat(outSize, outSize)
-	cSrc := float64(src.H / 2)
-	cOut := outSize / 2
-	fs := float64(stretch)
-	for y := 0; y < outSize; y++ {
-		// Centred frequency of output row y is (y-cOut); the matching
-		// source frequency is (y-cOut)/stretch.
-		sy := float64(y-cOut)/fs + cSrc
-		y0 := int(math.Floor(sy))
-		fy := sy - float64(y0)
-		for x := 0; x < outSize; x++ {
-			sx := float64(x-cOut)/fs + cSrc
-			x0 := int(math.Floor(sx))
-			fx := sx - float64(x0)
-			out.Set(y, x, bilinearAt(src, y0, x0, fy, fx))
+	// Both axes map alike: centred frequency i−outSize/2 of the output
+	// sits at source index (i−outSize/2)/stretch + H/2, between lo[i] and
+	// lo[i]+1 at fraction frac[i].
+	lo := make([]int, outSize)
+	frac := make([]float64, outSize)
+	cSrc, cOut, fs := float64(src.H/2), outSize/2, float64(stretch)
+	for i := range lo {
+		s := float64(i-cOut)/fs + cSrc
+		lo[i] = int(math.Floor(s))
+		frac[i] = s - float64(lo[i])
+	}
+	rlo, rhi, clo, chi := supportBox(src)
+	y0, y1 := touching(lo, rlo, rhi)
+	x0, x1 := touching(lo, clo, chi)
+	if y0 == y1 || x0 == x1 {
+		return &grid.CMat{}, 0, 0
+	}
+	win = grid.NewCMat(y1-y0, x1-x0)
+	for y := y0; y < y1; y++ {
+		fy := frac[y]
+		a, c := srcRow(src, lo[y]), srcRow(src, lo[y]+1)
+		dst := win.Row(y - y0)
+		for x := x0; x < x1; x++ {
+			l, fx := lo[x], frac[x]
+			top := at(a, l)*complex(1-fx, 0) + at(a, l+1)*complex(fx, 0)
+			bot := at(c, l)*complex(1-fx, 0) + at(c, l+1)*complex(fx, 0)
+			dst[x-x0] = top*complex(1-fy, 0) + bot*complex(fy, 0)
 		}
 	}
-	return out
+	return win, y0, x0
 }
 
-func bilinearAt(m *grid.CMat, y0, x0 int, fy, fx float64) complex128 {
-	sample := func(y, x int) complex128 {
-		if y < 0 || y >= m.H || x < 0 || x >= m.W {
-			return 0
+// supportBox returns the rows rlo…rhi and columns clo…chi that bound the
+// entries of m whose bits are not those of +0; rlo > rhi when there are
+// none.
+func supportBox(m *grid.CMat) (rlo, rhi, clo, chi int) {
+	rlo, rhi, clo, chi = m.H, -1, m.W, -1
+	for y := 0; y < m.H; y++ {
+		for x, v := range m.Row(y) {
+			if math.Float64bits(real(v)) != 0 || math.Float64bits(imag(v)) != 0 {
+				rlo, rhi = min(rlo, y), max(rhi, y)
+				clo, chi = min(clo, x), max(chi, x)
+			}
 		}
-		return m.At(y, x)
 	}
-	a := sample(y0, x0)
-	b := sample(y0, x0+1)
-	c := sample(y0+1, x0)
-	d := sample(y0+1, x0+1)
-	top := a*complex(1-fx, 0) + b*complex(fx, 0)
-	bot := c*complex(1-fx, 0) + d*complex(fx, 0)
-	return top*complex(1-fy, 0) + bot*complex(fy, 0)
+	return rlo, rhi, clo, chi
+}
+
+// touching returns the range [i0, i1) of output indices whose neighbours
+// lo[i] or lo[i]+1 fall in the source range slo…shi. lo is
+// non-decreasing, so the range is contiguous.
+func touching(lo []int, slo, shi int) (i0, i1 int) {
+	for i0 < len(lo) && lo[i0]+1 < slo {
+		i0++
+	}
+	i1 = i0
+	for i1 < len(lo) && lo[i1] <= shi {
+		i1++
+	}
+	return i0, i1
+}
+
+// srcRow returns row y of m, or nil outside it.
+func srcRow(m *grid.CMat, y int) []complex128 {
+	if y < 0 || y >= m.H {
+		return nil
+	}
+	return m.Row(y)
+}
+
+// at returns row[x], or 0 outside the row.
+func at(row []complex128, x int) complex128 {
+	if x < 0 || x >= len(row) {
+		return 0
+	}
+	return row[x]
 }

@@ -176,7 +176,7 @@ func TestForward2DSeparability(t *testing.T) {
 	Forward(fv)
 	for y := 0; y < n; y++ {
 		for x := 0; x < n; x++ {
-			if cmplx.Abs(m.At(y, x)-fu[y]*fv[x]) > 1e-8 {
+			if cmplx.Abs(m.Row(y)[x]-fu[y]*fv[x]) > 1e-8 {
 				t.Fatalf("separability mismatch at %d,%d", y, x)
 			}
 		}
@@ -223,26 +223,6 @@ func TestConvolutionTheorem(t *testing.T) {
 	}
 }
 
-func TestQuadrantSwapInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := grid.NewCMat(8, 8)
-	for i := range m.Data {
-		m.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	if !SwapQuadrants(SwapQuadrants(m.Clone())).AlmostEqual(m, 0) {
-		t.Fatal("SwapQuadrants must be an involution")
-	}
-}
-
-func TestToCenteredMovesDC(t *testing.T) {
-	m := grid.NewCMat(8, 8)
-	m.Set(0, 0, 42)
-	c := SwapQuadrants(m.Clone())
-	if c.At(4, 4) != 42 {
-		t.Fatalf("DC not moved to centre: %v", c.At(4, 4))
-	}
-}
-
 func TestFlipFreqMatchesSpatialReversal(t *testing.T) {
 	// F(x[-n]) (circular) equals X[-k]: flipping the spectrum must match
 	// transforming the circularly-reversed signal.
@@ -267,61 +247,6 @@ func TestFlipFreqMatchesSpatialReversal(t *testing.T) {
 	}
 }
 
-func TestInterpolateCenteredIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := grid.NewCMat(8, 8)
-	for i := range m.Data {
-		m.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	out := ResampleCentered(m, 8, 1)
-	if !out.AlmostEqual(m, 0) {
-		t.Fatal("s=1 must be the identity")
-	}
-}
-
-func TestInterpolateCenteredDCAndGridPoints(t *testing.T) {
-	m := grid.NewCMat(8, 8)
-	m.Set(4, 4, 2) // DC in centre layout
-	m.Set(4, 5, 1) // frequency (0, +1)
-	out := ResampleCentered(m, 16, 2)
-	if out.H != 16 || out.W != 16 {
-		t.Fatalf("shape %dx%d", out.H, out.W)
-	}
-	// DC must be preserved exactly.
-	if cmplx.Abs(out.At(8, 8)-2) > 1e-12 {
-		t.Fatalf("DC=%v want 2", out.At(8, 8))
-	}
-	// Output frequency (0, +2) maps exactly onto source (0, +1).
-	if cmplx.Abs(out.At(8, 10)-1) > 1e-12 {
-		t.Fatalf("grid point=%v want 1", out.At(8, 10))
-	}
-	// Output frequency (0, +1) is halfway between source 2 and 1 → 1.5.
-	if cmplx.Abs(out.At(8, 9)-1.5) > 1e-12 {
-		t.Fatalf("midpoint=%v want 1.5", out.At(8, 9))
-	}
-}
-
-func TestInterpolateCenteredSupportScales(t *testing.T) {
-	// Support of diameter p must grow to about s·p.
-	m := grid.NewCMat(16, 16)
-	for y := 6; y < 10; y++ {
-		for x := 6; x < 10; x++ {
-			m.Set(y, x, 1)
-		}
-	}
-	out := ResampleCentered(m, 32, 2)
-	for y := 0; y < out.H; y++ {
-		for x := 0; x < out.W; x++ {
-			if out.At(y, x) != 0 {
-				dy, dx := y-16, x-16
-				if dy < -5 || dy > 4 || dx < -5 || dx > 4 {
-					t.Fatalf("energy leaked to %d,%d", y, x)
-				}
-			}
-		}
-	}
-}
-
 func BenchmarkForward2D256(b *testing.B) {
 	m := grid.NewCMat(256, 256)
 	for i := range m.Data {
@@ -331,42 +256,5 @@ func BenchmarkForward2D256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Forward2D(m)
-	}
-}
-
-func TestResampleCenteredValidation(t *testing.T) {
-	square := grid.NewCMat(8, 8)
-	for _, f := range []func(){
-		func() { ResampleCentered(grid.NewCMat(4, 8), 8, 1) }, // non-square
-		func() { ResampleCentered(square, 1, 1) },             // outSize too small
-		func() { ResampleCentered(square, 8, 0) },             // zero stretch
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestResampleCenteredCropKeepsDC(t *testing.T) {
-	// outSize < srcSize with stretch 1 takes the central crop.
-	src := grid.NewCMat(16, 16)
-	src.Set(8, 8, 5)  // DC
-	src.Set(8, 9, 2)  // +1 bin
-	src.Set(8, 15, 9) // high frequency, outside the crop
-	out := ResampleCentered(src, 8, 1)
-	if out.At(4, 4) != 5 || out.At(4, 5) != 2 {
-		t.Fatalf("crop misaligned: DC=%v, +1=%v", out.At(4, 4), out.At(4, 5))
-	}
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			if (y != 4 || x < 4 || x > 5) && out.At(y, x) != 0 {
-				t.Fatalf("unexpected energy at %d,%d", y, x)
-			}
-		}
 	}
 }

@@ -160,7 +160,7 @@ func colsFirstForward(m *grid.CMat) *grid.CMat {
 	col := make([]complex128, out.H)
 	for x := 0; x < out.W; x++ {
 		for y := 0; y < out.H; y++ {
-			col[y] = out.At(y, x)
+			col[y] = out.Row(y)[x]
 		}
 		Forward(col)
 		for y := 0; y < out.H; y++ {
@@ -197,7 +197,7 @@ func TestForward2DBandBitIdentical(t *testing.T) {
 					continue
 				}
 				for x, gv := range got.Row(y) {
-					wv := want.At(y, x)
+					wv := want.Row(y)[x]
 					if math.Float64bits(real(gv)) != math.Float64bits(real(wv)) ||
 						math.Float64bits(imag(gv)) != math.Float64bits(imag(wv)) {
 						t.Fatalf("n=%d mask %d: band forward differs from dense at row %d col %d", n, mi, y, x)
@@ -265,7 +265,7 @@ func TestBatch2DForwardBand(t *testing.T) {
 						continue
 					}
 					for x, gv := range got[i].Row(y) {
-						wv := want[i].At(y, x)
+						wv := want[i].Row(y)[x]
 						if math.Float64bits(real(gv)) != math.Float64bits(real(wv)) ||
 							math.Float64bits(imag(gv)) != math.Float64bits(imag(wv)) {
 							t.Fatalf("n=%d limit=%d: batched band forward differs at matrix %d row %d", n, limit, i, y)

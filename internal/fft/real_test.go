@@ -64,8 +64,8 @@ func TestForwardReal2DHermitianSymmetry(t *testing.T) {
 		h, w := f.H, f.W
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
-				a := f.At(y, x)
-				b := cmplx.Conj(f.At((h-y)%h, (w-x)%w))
+				a := f.Row(y)[x]
+				b := cmplx.Conj(f.Row((h - y) % h)[(w-x)%w])
 				if cmplx.Abs(a-b) > 1e-9 {
 					t.Fatalf("n=%d: Hermitian violation at (%d,%d): %v vs %v", n, y, x, a, b)
 				}
@@ -154,7 +154,7 @@ func TestForwardReal2DBandBitIdentical(t *testing.T) {
 						if min(x, w-x) > b {
 							continue
 						}
-						if g, r := got.At(y, x), want.At(y, x); !sameBits(g, r) {
+						if g, r := got.Row(y)[x], want.Row(y)[x]; !sameBits(g, r) {
 							t.Fatalf("%dx%d b=%d workers=%d: (%d,%d) = %v, ForwardReal2D gives %v", h, w, b, nw, y, x, g, r)
 						}
 					}
@@ -221,7 +221,7 @@ func embeddedBand(src *grid.CMat, b, h, w int) *grid.CMat {
 	out := grid.NewCMat(h, w)
 	for fy := -b; fy <= b; fy++ {
 		for fx := -b; fx <= b; fx++ {
-			out.Set((fy+h)%h, (fx+w)%w, src.At((fy+src.H)%src.H, (fx+src.W)%src.W))
+			out.Set((fy+h)%h, (fx+w)%w, src.Row((fy + src.H) % src.H)[(fx+src.W)%src.W])
 		}
 	}
 	return out

@@ -20,9 +20,6 @@ func NewCMat(h, w int) *CMat {
 	return &CMat{H: h, W: w, Data: make([]complex128, h*w)}
 }
 
-// At returns the element at row y, column x.
-func (m *CMat) At(y, x int) complex128 { return m.Data[y*m.W+x] }
-
 // Set assigns the element at row y, column x.
 func (m *CMat) Set(y, x int, v complex128) { m.Data[y*m.W+x] = v }
 

@@ -17,15 +17,15 @@ func randCMat(rng *rand.Rand, h, w int) *CMat {
 func TestCMatBasics(t *testing.T) {
 	m := NewCMat(2, 3)
 	m.Set(1, 2, 3+4i)
-	if m.At(1, 2) != 3+4i {
-		t.Fatalf("At=%v", m.At(1, 2))
+	if m.Row(1)[2] != 3+4i {
+		t.Fatalf("At=%v", m.Row(1)[2])
 	}
 	if m.Row(1)[2] != 3+4i {
 		t.Fatal("Row mismatch")
 	}
 	c := m.Clone()
 	c.Set(0, 0, 1)
-	if m.At(0, 0) != 0 {
+	if m.Row(0)[0] != 0 {
 		t.Fatal("clone shares storage")
 	}
 }

@@ -183,20 +183,3 @@ func Defocused(cfg Config, z float64) (*Set, error) {
 	cfg.Defocus = z
 	return Generate(cfg)
 }
-
-// Resampled returns the set's kernels resampled for a simulation grid
-// of size outSize with pixel stretch factor `stretch` (see
-// fft.ResampleCentered and Eq. 3/9 of the paper).
-func (s *Set) Resampled(outSize, stretch int) *Set {
-	out := &Set{N: outSize, P: s.P * stretch, Defocus: s.Defocus}
-	if out.P > outSize {
-		out.P = outSize
-	}
-	for _, k := range s.Kernels {
-		out.Kernels = append(out.Kernels, Kernel{
-			Freq:   fft.ResampleCentered(k.Freq, outSize, stretch),
-			Weight: k.Weight,
-		})
-	}
-	return out
-}

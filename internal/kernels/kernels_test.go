@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
+
+	"mgsilt/internal/fft"
+	"mgsilt/internal/grid"
 )
 
 func testConfig() Config { return DefaultConfig(128) }
@@ -57,7 +60,7 @@ func clearField(s *Set) float64 {
 	sum := 0.0
 	c := s.N / 2
 	for _, k := range s.Kernels {
-		v := k.Freq.At(c, c)
+		v := k.Freq.Row(c)[c]
 		sum += k.Weight * (real(v)*real(v) + imag(v)*imag(v))
 	}
 	return sum
@@ -90,7 +93,7 @@ func TestSupportRespected(t *testing.T) {
 	for ki, k := range set.Kernels {
 		for y := 0; y < set.N; y++ {
 			for x := 0; x < set.N; x++ {
-				if k.Freq.At(y, x) != 0 {
+				if k.Freq.Row(y)[x] != 0 {
 					if y < c-set.P/2 || y >= c+set.P/2 || x < c-set.P/2 || x >= c+set.P/2 {
 						t.Fatalf("kernel %d has energy outside support at %d,%d", ki, y, x)
 					}
@@ -148,16 +151,29 @@ func TestDefocusAddsPhase(t *testing.T) {
 
 func sq(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
 
+// resampled is the set resampled for a grid of outSize with the given
+// stretch (fft.ResampleCentered), each kernel's window embedded in zeros
+// on the whole grid.
+func resampled(s *Set, outSize, stretch int) *Set {
+	out := &Set{N: outSize}
+	for _, k := range s.Kernels {
+		win, y0, x0 := fft.ResampleCentered(k.Freq, outSize, stretch)
+		h := grid.NewCMat(outSize, outSize)
+		for y := 0; y < win.H; y++ {
+			copy(h.Row(y0 + y)[x0:], win.Row(y))
+		}
+		out.Kernels = append(out.Kernels, Kernel{Freq: h, Weight: k.Weight})
+	}
+	return out
+}
+
 func TestResampledFullArea(t *testing.T) {
 	set := MustGenerate(testConfig())
-	rs := set.Resampled(set.N*2, 2)
-	if rs.N != 256 || rs.P != set.P*2 {
-		t.Fatalf("resampled N=%d P=%d", rs.N, rs.P)
-	}
+	rs := resampled(set, set.N*2, 2)
 	// DC must be preserved per kernel.
 	for i := range set.Kernels {
-		a := set.Kernels[i].Freq.At(set.N/2, set.N/2)
-		b := rs.Kernels[i].Freq.At(rs.N/2, rs.N/2)
+		a := set.Kernels[i].Freq.Row(set.N / 2)[set.N/2]
+		b := rs.Kernels[i].Freq.Row(rs.N / 2)[rs.N/2]
 		if cmplx.Abs(a-b) > 1e-12 {
 			t.Fatalf("kernel %d DC changed: %v vs %v", i, a, b)
 		}
@@ -169,17 +185,27 @@ func TestResampledFullArea(t *testing.T) {
 
 func TestResampledCoarseGrid(t *testing.T) {
 	set := MustGenerate(testConfig())
-	rs := set.Resampled(set.N, 2) // Eq. (9): same grid, stretch 2
-	if rs.N != set.N {
-		t.Fatalf("coarse resample changed N: %d", rs.N)
+	rs := resampled(set, set.N, 2) // Eq. (9): same grid, stretch 2
+	// Support diameter doubles (clamped at N): every entry lies within the
+	// centred 2P block, and some lie outside the native P block.
+	c, half := set.N/2, min(set.P, set.N/2)
+	grew := false
+	for _, k := range rs.Kernels {
+		for y := 0; y < set.N; y++ {
+			for x, v := range k.Freq.Row(y) {
+				if v == 0 {
+					continue
+				}
+				dy, dx := max(y-c, c-y), max(x-c, c-x)
+				if dy > half || dx > half {
+					t.Fatalf("entry at (%d, %d) outside the centred %d block", y, x, 2*half)
+				}
+				grew = grew || max(dy, dx) > set.P/2
+			}
+		}
 	}
-	// Support diameter doubles (clamped at N).
-	want := set.P * 2
-	if want > set.N {
-		want = set.N
-	}
-	if rs.P != want {
-		t.Fatalf("coarse support %d want %d", rs.P, want)
+	if !grew {
+		t.Fatal("stretch 2 did not widen the support")
 	}
 }
 

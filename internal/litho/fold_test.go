@@ -95,7 +95,11 @@ func TestFoldFindsConjugatePairs(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			set := kernels.MustGenerate(c.kc)
 			if c.stretch > 1 {
-				set = set.Resampled(c.kc.N, c.stretch)
+				rs := &kernels.Set{N: set.N}
+				for i, h := range fullGrid(set, set.N, c.stretch, false) {
+					rs.Kernels = append(rs.Kernels, kernels.Kernel{Freq: h, Weight: set.Kernels[i].Weight})
+				}
+				set = rs
 			}
 			checkFold(t, set, foldConjugatePairs(set), c.kept, c.single)
 		})
@@ -116,7 +120,7 @@ func TestFoldVerifiesEachPair(t *testing.T) {
 		{"weight+1ulp", func(k *kernels.Kernel) { k.Weight = math.Nextafter(k.Weight, 1) }, brokenPair},
 		{"entry+1e-6", func(k *kernels.Kernel) {
 			c := k.Freq.H / 2
-			k.Freq.Set(c+1, c-2, k.Freq.At(c+1, c-2)+1e-6)
+			k.Freq.Set(c+1, c-2, k.Freq.Row(c + 1)[c-2]+1e-6)
 		}, brokenPair},
 		{"entry=NaN", func(k *kernels.Kernel) { k.Freq.Set(0, 0, complex(math.NaN(), 0)) }, nil},
 	} {

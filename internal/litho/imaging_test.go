@@ -3,6 +3,7 @@ package litho
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mgsilt/internal/fft"
@@ -19,11 +20,8 @@ import (
 // spectra from the simulator's folded sets.
 func fullGridAerial(sim *Simulator, mask *grid.Mat, pixelStretch int, focus Focus) *grid.Mat {
 	size := mask.H
-	set := sim.folded[focus].Resampled(size, sim.kernelStretch(size, pixelStretch))
-	freq := make([]*grid.CMat, len(set.Kernels))
-	for i, k := range set.Kernels {
-		freq[i] = fft.SwapQuadrants(k.Freq)
-	}
+	set := sim.folded[focus]
+	freq := fullGrid(set, size, sim.kernelStretch(size, pixelStretch), true)
 	live := unionRowSupport(freq)
 	fm := fft.ForwardReal2D(grid.NewCMat(size, size), mask)
 	buf := grid.NewCMat(size, size)
@@ -139,5 +137,28 @@ func TestImagingHoldsNoClipSizedSpectra(t *testing.T) {
 	}
 	if r := sim.preparedFor(FocusNominal, size, size/testN); r.adj != nil {
 		t.Error("a LossGrad over a tile built the clip's adjoint spectra")
+	}
+}
+
+// TestPreparedSetAllocatesItsBand: preparing the defocused set — twelve
+// kernels, none folded — for a 16·testN grid allocates, beyond the
+// M-grid spectra it keeps, less than one size×size spectrum: each
+// kernel is resampled on the window its band reaches, never on the grid.
+func TestPreparedSetAllocatesItsBand(t *testing.T) {
+	const size = 16 * testN
+	sim := testSim(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := sim.preparedFor(FocusDefocus, size, sim.kernelStretch(size, 1))
+	runtime.ReadMemStats(&after)
+	grown := after.TotalAlloc - before.TotalAlloc
+	kept := uint64(len(r.freq) * r.m * r.m * 16)
+	clip := uint64(size * size * 16)
+	t.Logf("%d kernels on M=%d: %d B allocated, %d B of them kept; one %d² spectrum is %d B", len(r.freq), r.m, grown, kept, size, clip)
+	if r.m >= size {
+		t.Fatalf("M=%d, want a grid below %d", r.m, size)
+	}
+	if grown-kept >= clip {
+		t.Errorf("preparation allocated %d B beyond the %d B it keeps, want less than one %d² spectrum (%d B)", grown-kept, kept, size, clip)
 	}
 }

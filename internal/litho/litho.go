@@ -139,8 +139,10 @@ type prepKey struct {
 //
 // B is measured at the bit level from the resampled spectra, like the
 // row-support masks, so nothing here depends on how the kernels were
-// generated. The full-size spectra it is measured on are a transient of
-// Simulator.preparedFor: below M == size only their ±B blocks are kept.
+// generated. Preparation never holds a full-size spectrum below
+// M == size: each kernel is resampled on the window its support reaches
+// (fft.ResampleCentered), B is measured there, and the ±B block goes
+// straight from the window onto the M grid (newReduced).
 //
 // The row-support masks drive the pruned transforms: the spectra are
 // band-limited, so in corner layout only the rows intersecting the
@@ -271,9 +273,7 @@ func (s *Simulator) Inner() Condition { return Condition{FocusDefocus, 1 - s.cfg
 func (s *Simulator) Outer() Condition { return Condition{FocusNominal, 1 + s.cfg.DoseDelta} }
 
 // preparedFor returns the set evaluated for one (focus, grid, stretch)
-// combination, preparing it on first use. The full-size resampled
-// spectra live only as long as it takes to measure their band and crop
-// it, unless the set runs on the full grid.
+// combination, preparing it on first use.
 func (s *Simulator) preparedFor(focus Focus, size, stretch int) *reduced {
 	key := prepKey{focus, size, stretch}
 	s.mu.Lock()
@@ -281,15 +281,7 @@ func (s *Simulator) preparedFor(focus Focus, size, stretch int) *reduced {
 	if r, ok := s.cache[key]; ok {
 		return r
 	}
-	rs := s.folded[focus].Resampled(size, stretch)
-	freq := make([]*grid.CMat, len(rs.Kernels))
-	weights := make([]float64, len(rs.Kernels))
-	for i, k := range rs.Kernels {
-		// Resampled kernels are freshly allocated, so the layout swap
-		// can run in place instead of copying.
-		freq[i], weights[i] = fft.SwapQuadrants(k.Freq), k.Weight
-	}
-	r := newReduced(freq, weights, s.forceDense)
+	r := newReduced(s.folded[focus], size, stretch, s.forceDense)
 	s.cache[key] = r
 	return r
 }
@@ -344,15 +336,23 @@ func (r *reduced) solver() *reduced {
 	return r
 }
 
+// window is one kernel resampled onto a size-point grid: the
+// centre-layout block fft.ResampleCentered evaluates, whose entry (0, 0)
+// is point (y0, x0) of the grid. Every point outside it is +0.
+type window struct {
+	*grid.CMat
+	y0, x0 int
+}
+
 // bandHalfWidth returns B, the largest per-axis frequency magnitude at
-// which any of the corner-layout spectra holds a non-(+0) entry.
-func bandHalfWidth(ms []*grid.CMat) int {
+// which any of the windows of a size-point grid holds a non-(+0) entry.
+func bandHalfWidth(wins []window, size int) int {
 	b := 0
-	for _, m := range ms {
-		for y := 0; y < m.H; y++ {
-			fy := min(y, m.H-y)
-			for x, v := range m.Row(y) {
-				if f := max(fy, min(x, m.W-x)); f > b && !isPosZero(v) {
+	for _, w := range wins {
+		for y := 0; y < w.H; y++ {
+			fy := abs(w.y0 + y - size/2)
+			for x, v := range w.Row(y) {
+				if f := max(fy, abs(w.x0+x-size/2)); f > b && !isPosZero(v) {
 					b = f
 				}
 			}
@@ -360,6 +360,8 @@ func bandHalfWidth(ms []*grid.CMat) int {
 	}
 	return b
 }
+
+func abs(v int) int { return max(v, -v) }
 
 // reducedSide returns M for a band half-width b on a size-point grid:
 // the smallest 2^k or 3·2^k above 4b, or size when that is no smaller.
@@ -374,24 +376,53 @@ func reducedSide(b, size int) int {
 	return min(m2, m3, size)
 }
 
-// newReduced prepares a full set from its full-size corner-layout
-// spectra; dense keeps it on the full grid.
-func newReduced(freq []*grid.CMat, weights []float64, dense bool) *reduced {
-	size := freq[0].H
-	b := bandHalfWidth(freq)
-	r := &reduced{size: size, m: size, b: b, weights: weights, freq: freq}
+// newReduced prepares set for a size-point grid at the given kernel
+// stretch; dense keeps it on the full grid. Each kernel is resampled on
+// its window alone, B is measured on the windows, and the ±B block of
+// each — scaled by (M/size)² below M == size — is written straight into
+// its M×M corner-layout spectrum: no size×size spectrum exists unless M
+// is size.
+func newReduced(set *kernels.Set, size, stretch int, dense bool) *reduced {
+	wins := make([]window, len(set.Kernels))
+	weights := make([]float64, len(set.Kernels))
+	for i, k := range set.Kernels {
+		w := &wins[i]
+		w.CMat, w.y0, w.x0 = fft.ResampleCentered(k.Freq, size, stretch)
+		weights[i] = k.Weight
+	}
+	b := bandHalfWidth(wins, size)
+	r := &reduced{size: size, m: size, b: b, weights: weights}
 	if !dense {
 		r.m = reducedSide(b, size)
 	}
-	if m := r.m; m != size {
+	m := r.m
+	if m != size {
 		r.band1, r.band1M = bandIndex(b, size), bandIndex(b, m)
-		scale := complex(float64(m*m)/float64(size*size), 0)
-		r.freq = make([]*grid.CMat, len(freq))
-		for i, h := range freq {
-			r.freq[i] = grid.NewCMat(m, m)
-			copyBand(r.freq[i], r.band1M, h, r.band1)
-			r.freq[i].Scale(scale)
+	}
+	scale := complex(float64(m*m)/float64(size*size), 0)
+	r.freq = make([]*grid.CMat, len(wins))
+	for i, w := range wins {
+		h := grid.NewCMat(m, m)
+		for y := 0; y < w.H; y++ {
+			fy := w.y0 + y - size/2
+			if abs(fy) > b {
+				continue
+			}
+			dst := h.Row((fy + m) % m)
+			for x, v := range w.Row(y) {
+				fx := w.x0 + x - size/2
+				if abs(fx) > b {
+					continue
+				}
+				// At M == size the spectrum is H_k as resampled: a
+				// product by 1 could flip the sign of a zero.
+				if m != size {
+					v *= scale
+				}
+				dst[(fx+m)%m] = v
+			}
 		}
+		r.freq[i] = h
 	}
 	r.fwdLive = unionRowSupport(r.freq)
 	return r

@@ -14,17 +14,7 @@ const testN = 64
 
 func testSim(t testing.TB) *Simulator {
 	t.Helper()
-	cfg := kernels.DefaultConfig(testN)
-	nom := kernels.MustGenerate(cfg)
-	def, err := kernels.Defocused(cfg, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := New(nom, def, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim
+	return simN(t, testN, false)
 }
 
 func centredSquare(n, side int) *grid.Mat {

@@ -35,7 +35,69 @@ func simFor(t testing.TB, kc kernels.Config, dense bool) *Simulator {
 		t.Fatal(err)
 	}
 	sim.forceDense = dense
+	checkBands(t, sim)
 	return sim
+}
+
+// fullGrid returns set resampled for a size-point grid at the given
+// kernel stretch as whole-grid spectra, which preparation never builds:
+// each kernel's window embedded in zeros, in corner layout or in centre
+// layout.
+func fullGrid(set *kernels.Set, size, stretch int, corner bool) []*grid.CMat {
+	shift := 0
+	if corner {
+		shift = size / 2
+	}
+	out := make([]*grid.CMat, len(set.Kernels))
+	for i, k := range set.Kernels {
+		win, y0, x0 := fft.ResampleCentered(k.Freq, size, stretch)
+		h := grid.NewCMat(size, size)
+		for y := 0; y < win.H; y++ {
+			dst := h.Row((y0 + y + shift) % size)
+			for x, v := range win.Row(y) {
+				dst[(x0+x+shift)%size] = v
+			}
+		}
+		out[i] = h
+	}
+	return out
+}
+
+// fullGridBand is B measured on whole-grid corner-layout spectra: the
+// largest per-axis frequency magnitude min(k, n−k) of any non-(+0)
+// entry.
+func fullGridBand(ms []*grid.CMat) int {
+	b := 0
+	for _, m := range ms {
+		for y := 0; y < m.H; y++ {
+			fy := min(y, m.H-y)
+			for x, v := range m.Row(y) {
+				if f := max(fy, min(x, m.W-x)); f > b && !isPosZero(v) {
+					b = f
+				}
+			}
+		}
+	}
+	return b
+}
+
+// checkBands has every set sim prepares checked when t ends: its B and M
+// must be those measured on the embedded full grid, so measuring on the
+// windows loses no entry.
+func checkBands(t testing.TB, sim *Simulator) {
+	t.Cleanup(func() {
+		sim.mu.Lock()
+		defer sim.mu.Unlock()
+		for key, r := range sim.cache {
+			b, m := fullGridBand(fullGrid(sim.folded[key.focus], key.size, key.stretch, true)), key.size
+			if !sim.forceDense {
+				m = reducedSide(b, key.size)
+			}
+			if r.b != b || r.m != m {
+				t.Errorf("%+v: prepared with B=%d M=%d, the full grid gives B=%d M=%d", key, r.b, r.m, b, m)
+			}
+		}
+	})
 }
 
 // simN is simFor with the default optics on an n-point native grid.
@@ -67,7 +129,7 @@ func directAerial(set *kernels.Set, mask *grid.Mat) *grid.Mat {
 		h := make([]complex128, n*n)
 		for fy := 0; fy < n; fy++ {
 			for fx := 0; fx < n; fx++ {
-				c := k.Freq.At(fy, fx)
+				c := k.Freq.Row(fy)[fx]
 				if c == 0 {
 					continue
 				}
@@ -252,13 +314,9 @@ func TestReducedGridGuard(t *testing.T) {
 		ks := sim.kernelStretch(size, stretch)
 		var r *reduced
 		for _, focus := range []Focus{FocusNominal, FocusDefocus} {
-			// B of the full-size resampled spectra, which the simulator only
-			// holds while it prepares the set.
-			var freq []*grid.CMat
-			for _, k := range sim.folded[focus].Resampled(size, ks).Kernels {
-				freq = append(freq, fft.SwapQuadrants(k.Freq))
-			}
-			b := bandHalfWidth(freq)
+			// B of the full-size resampled spectra, which the simulator
+			// never builds.
+			b := fullGridBand(fullGrid(sim.folded[focus], size, ks, true))
 			r = sim.preparedFor(focus, size, ks).solver()
 			switch {
 			case r.m > size || !fftSide(r.m):
