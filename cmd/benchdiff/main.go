@@ -1,7 +1,7 @@
 // Command benchdiff compares a fresh `cmd/iltbench -json` document
 // against a committed baseline and exits non-zero when a result moved.
 //
-//	go run ./cmd/iltbench -scale small -experiment table1,cache,scaling,solvers -json BENCH_fresh.json
+//	go run ./cmd/iltbench -scale small -experiment table1,cache,scaling -json BENCH_fresh.json
 //	go run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fresh.json
 //
 // Every compared number is deterministic per code version, so the rule

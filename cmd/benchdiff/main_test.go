@@ -57,7 +57,7 @@ func TestExitCodes(t *testing.T) {
 			m.L2 = math.Nextafter(m.L2, math.Inf(1))
 		}, 1},
 		{"cell missing", func(_, cur *benchfmt.Doc) { cur.Cells = nil }, 1},
-		{"provenance mismatch", func(_, cur *benchfmt.Doc) { cur.Provenance["solver"] = "admm" }, 2},
+		{"provenance mismatch", func(_, cur *benchfmt.Doc) { cur.Provenance["solver"] = "levelset" }, 2},
 		{"experiment missing", func(_, cur *benchfmt.Doc) { cur.Experiments = nil }, 2},
 		{"nothing to compare", func(base, _ *benchfmt.Doc) {
 			base.Cells = nil

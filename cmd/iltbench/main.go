@@ -12,8 +12,6 @@
 //	cache    — shared tile-cache cold vs warm on a repeated-cell clip
 //	scaling  — two-level vs one-level Schwarz iterations-to-quality on
 //	           2×2 → 8×8 tile grids, plus the convergence-dropout rate
-//	solvers  — every registered opt backend under the "Ours" flow on
-//	           the first clip, with the ADMM-vs-Pixel L2 gate
 //	all      — everything above
 //
 // Scale is selected with -scale (small | default | full); "full" is
@@ -60,7 +58,7 @@ func main() {
 }
 
 // experimentNames lists the experiments in the order "all" runs them.
-var experimentNames = []string{"table1", "fig6", "fig7", "fig8", "speedup", "penalty", "ablation", "mrc", "cache", "scaling", "solvers"}
+var experimentNames = []string{"table1", "fig6", "fig7", "fig8", "speedup", "penalty", "ablation", "mrc", "cache", "scaling"}
 
 // renderer is what every experiment result is: a table source.
 type renderer interface{ Render() *report.Table }
@@ -192,9 +190,6 @@ func run(args []string, stdout io.Writer) error {
 		case "scaling":
 			title = "Scaling: two-level vs one-level Schwarz by tile count"
 			res, err = rendered(env.RunScaling(progress))
-		case "solvers":
-			title = "Solvers: registered backends under the ours flow"
-			res, err = rendered(env.RunSolvers(progress))
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)

@@ -9,13 +9,16 @@ import (
 	"testing"
 )
 
-// A misspelt experiment anywhere in the list fails before the first
-// one runs: nothing is printed and no document is written.
+// A misspelt or retired experiment anywhere in the list, or a retired
+// solver, fails before the first experiment runs: nothing is printed
+// and no document is written.
 func TestUnknownExperimentRunsNothing(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "f.json")
 	for _, args := range [][]string{
 		{"-experiment", "cache,tabel1", "-json", jsonPath},
 		{"-experiment", "cache", "-scale", "huge", "-json", jsonPath},
+		{"-experiment", "table1,solvers", "-json", jsonPath},
+		{"-experiment", "cache", "-solver", "admm", "-json", jsonPath},
 	} {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {

@@ -58,7 +58,7 @@ func TestCacheAndBatchMaskBytesEqual(t *testing.T) {
 
 // -list-solvers prints the registry, one name per line.
 func TestListSolvers(t *testing.T) {
-	const want = "admm\ncurvy\nlevelset\nmultilevel\npixel\n"
+	const want = "levelset\nmultilevel\npixel\n"
 	if got := runArgs(t, "-list-solvers"); got != want {
 		t.Fatalf("-list-solvers printed\n%s\nwant\n%s", got, want)
 	}
@@ -70,6 +70,7 @@ func TestBadArguments(t *testing.T) {
 		{"-no-such-flag"},
 		{"-method", "no-such-method", "-n", "32"},
 		{"-solver", "no-such-solver", "-n", "32"},
+		{"-solver", "curvy", "-n", "32"}, // a retired backend
 	} {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"mgsilt/internal/opt"
 )
 
 // tinyScale keeps harness tests fast: the mechanics are identical at
@@ -235,18 +233,5 @@ func TestRunMRC(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "near-line") {
 		t.Fatalf("table:\n%s", buf.String())
-	}
-}
-
-// TestRunSolversNilProgress runs the solvers experiment without a
-// progress callback, as every other experiment already allows.
-func TestRunSolversNilProgress(t *testing.T) {
-	env := tinyEnv(t)
-	res, err := env.RunSolvers(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(res.Rows), len(opt.Names()); got != want {
-		t.Fatalf("%d rows, want one per registered solver (%d)", got, want)
 	}
 }

@@ -185,7 +185,7 @@ func TestCompareHitRateGate(t *testing.T) {
 
 func TestParseSolverRoundTrip(t *testing.T) {
 	d := sample()
-	d.Provenance["solver"] = "curvy"
+	d.Provenance["solver"] = "multilevel"
 	raw, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestParseSolverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Provenance["solver"] != "curvy" {
+	if got.Provenance["solver"] != "multilevel" {
 		t.Fatalf("solver round-trip = %q", got.Provenance["solver"])
 	}
 }
@@ -203,12 +203,12 @@ func TestParseSolverRoundTrip(t *testing.T) {
 // regression of this one.
 func TestCompareSolverProvenance(t *testing.T) {
 	base, cur := sample(), sample()
-	base.Provenance["solver"], cur.Provenance["solver"] = "admm", "admm"
+	base.Provenance["solver"], cur.Provenance["solver"] = "levelset", "levelset"
 	if _, err := Compare(base, cur); err != nil {
 		t.Errorf("same solver rejected: %v", err)
 	}
 	cur.Provenance["solver"] = "pixel"
 	if _, err := Compare(base, cur); err == nil {
-		t.Error("admm against pixel accepted")
+		t.Error("levelset against pixel accepted")
 	}
 }

@@ -194,14 +194,6 @@ func Components(b *grid.Mat) []Component {
 	return comps
 }
 
-// LabelComponents is Components plus the per-pixel label map (-1 for
-// background; labels index the component list). Mask-repair passes —
-// opt's curvy legalization — use the map to zero whole components by
-// area without re-running their own flood fill.
-func LabelComponents(b *grid.Mat) ([]int, []Component) {
-	return labelComponents(b)
-}
-
 // labelComponents returns a per-pixel component label (-1 for
 // background) alongside the component list; labels index into it.
 func labelComponents(b *grid.Mat) ([]int, []Component) {

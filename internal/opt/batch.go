@@ -42,21 +42,6 @@ func (s *MultiLevel) Fingerprint() string {
 		s.Levels, s.CoarseFrac, s.CleanRadius, inner)
 }
 
-// Fingerprint implements Fingerprinter.
-func (s *ADMM) Fingerprint() string {
-	return fmt.Sprintf("admm:rho=%g,binary=%g,warmup=%d", s.Rho, s.Binary, s.WarmupIters)
-}
-
-// Fingerprint implements Fingerprinter.
-func (s *Curvy) Fingerprint() string {
-	inner := "default"
-	if s.Pixel != nil {
-		inner = s.Pixel.Fingerprint()
-	}
-	return fmt.Sprintf("curvy:curv=%g,rules=(w=%d,s=%d,a=%d),legalize=%d,pixel=(%s)",
-		s.CurvWeight, s.Rules.MinWidth, s.Rules.MinSpace, s.Rules.MinArea, s.MaxLegalize, inner)
-}
-
 // BatchSolver is a Solver that can optimise several tiles in lockstep,
 // sharing the frequency-domain work of each iteration across the whole
 // batch (litho.LossGradBatch). Each tile's result must be bit-identical

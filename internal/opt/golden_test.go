@@ -11,12 +11,10 @@ import (
 
 // TestGoldenSolveHash pins the output mask of every registered solver on
 // one frozen-ring tile: the SHA-256 of the mask's Float64bits, little
-// endian. It covers Curvy's extraGrad entry into the descent loop and the
-// solvers that only share the loss evaluation (ADMM, LevelSet,
-// MultiLevel). Last recorded with the table-driven exponential of
-// litho.Sigmoid in the mask and resist sweeps, which moves every
-// continuous mask at rounding level; Curvy's output is binary and did not
-// move.
+// endian. It covers the Pixel descent loop and the solvers that only
+// share the loss evaluation (LevelSet, MultiLevel). Last recorded with the
+// table-driven exponential of litho.Sigmoid in the mask and resist sweeps,
+// which moves every continuous mask at rounding level.
 //
 // amd64 only, like core.TestGoldenMaskHash.
 func TestGoldenSolveHash(t *testing.T) {
@@ -24,8 +22,6 @@ func TestGoldenSolveHash(t *testing.T) {
 		t.Skipf("golden hashes are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	want := map[string]string{
-		"admm":       "5fa7232d50667455496413afb252994e6b1f15cae8f5503262edce452317cba6",
-		"curvy":      "72bf381d82bb4dd580de27eed5261e80b264de5c2003a909f0c43b12548bdfed",
 		"levelset":   "b583ec88a176aa221b1e4de1568decae636bf27dc4ce4e24eb463cf9b913be71",
 		"multilevel": "9f7747c3e5bb355a750eb0e9be342ec54be7d5d6a32f7db7fe00d20144635067",
 		"pixel":      "2309ee2d407e0ec9a454c4a357fce621068465b952705322aa4a80edc29d3a97",

@@ -9,9 +9,6 @@
 //     of "GLS-ILT" [3] (clean contours, no SRAF nucleation).
 //   - MultiLevel: a coarse-to-fine litho-resolution schedule
 //     reproducing "Multi-level-ILT" [4] (best quality, most SRAFs).
-//   - ADMM: operator splitting with an exact binarisation prox.
-//   - Curvy: the Pixel loop plus a curvature-flow term, then MRC
-//     legalisation.
 //
 // All solvers consume and produce continuous masks in [0,1]; callers
 // binarise at 0.5 for inspection.
@@ -138,19 +135,14 @@ func NewAdam(n int) *Adam {
 	}
 }
 
-// Step applies one bias-corrected Adam update: params -= lr·m̂/(√v̂+ε).
-func (a *Adam) Step(params, gradient []float64, lr float64) {
-	a.tick()
-	a.stepRange(params, gradient, lr, 0, len(a.m))
-}
-
 // tick starts the next update: it advances the step count the bias
 // corrections are computed from.
 func (a *Adam) tick() { a.t++ }
 
-// stepRange applies the update tick started to parameters [lo, hi).
-// Every parameter has its own moments, so ranges can be stepped in any
-// order, or at once, with the result Step gives.
+// stepRange applies the bias-corrected update tick started,
+// params -= lr·m̂/(√v̂+ε), to parameters [lo, hi). Every parameter has
+// its own moments, so ranges can be stepped in any order, or at once,
+// with the same result.
 func (a *Adam) stepRange(params, gradient []float64, lr float64, lo, hi int) {
 	if len(params) != len(a.m) || len(gradient) != len(a.m) {
 		panic(fmt.Sprintf("opt: Adam size mismatch: %d params, %d grads, state %d", len(params), len(gradient), len(a.m)))

@@ -1,7 +1,9 @@
 package opt
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"mgsilt/internal/grid"
@@ -79,7 +81,8 @@ func TestAdamMinimisesQuadratic(t *testing.T) {
 		for i := range params {
 			g[i] = 2 * (params[i] - float64(i))
 		}
-		adam.Step(params, g, 0.05)
+		adam.tick()
+		adam.stepRange(params, g, 0.05, 0, len(params))
 	}
 	for i, v := range params {
 		if math.Abs(v-float64(i)) > 0.05 {
@@ -94,7 +97,9 @@ func TestAdamPanicsOnSizeMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewAdam(3).Step(make([]float64, 4), make([]float64, 4), 0.1)
+	adam := NewAdam(3)
+	adam.tick()
+	adam.stepRange(make([]float64, 4), make([]float64, 4), 0.1, 0, 4)
 }
 
 func TestLogitInvertsSigmoid(t *testing.T) {
@@ -307,6 +312,91 @@ func TestAddLaplacianBitIdentical(t *testing.T) {
 			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("%dx%d: pixel %d is %v, the closure form gives %v", sh[0], sh[1], i, v, want.Data[i])
 			}
+		}
+	}
+}
+
+// smoothEnergy is the smoothness energy ½·Σ|∇M|² with forward
+// differences and no flux through the border: every pair of 4-adjacent
+// pixels contributes ½·(difference)² once.
+func smoothEnergy(m *grid.Mat) float64 {
+	e := 0.0
+	for y := 0; y < m.H; y++ {
+		for x := 0; x < m.W; x++ {
+			if x+1 < m.W {
+				d := m.At(y, x+1) - m.At(y, x)
+				e += d * d
+			}
+			if y+1 < m.H {
+				d := m.At(y+1, x) - m.At(y, x)
+				e += d * d
+			}
+		}
+	}
+	return e / 2
+}
+
+// TestPixelGradCentralDifference is the gradient oracle of the Pixel
+// descent loop. ∂F/∂θ is assembled from the loop's own sweeps in its
+// order — LossGrad, the smoothness term of laplacianSweep, the sigmoid
+// chain rule of descentSweep — and compared with a central difference
+// of F(θ) = loss(σ(slope·θ)) + w·E(σ(slope·θ)), E being smoothEnergy.
+// litho's TestLossGradCentralDifference covers the loss term alone.
+func TestPixelGradCentralDifference(t *testing.T) {
+	sim := testSim(t)
+	target := testTarget()
+	const slope = 4.0
+	for _, w := range []float64{0, 0.2} {
+		for _, pv := range []float64{0, 0.3} {
+			t.Run(fmt.Sprintf("w=%g/pv=%g", w, pv), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(7))
+				n := testN * testN
+				st := &tileState{
+					theta: make([]float64, n), dTheta: make([]float64, n),
+					mask: grid.NewMat(testN, testN), adam: NewAdam(n),
+					smooth: w, slope: slope,
+				}
+				for i := range st.theta {
+					st.theta[i] = logit(target.Data[i]*0.8+0.1+0.05*rng.Float64(), 1e-4) / slope
+				}
+				opts := litho.LossOpts{Stretch: 1, PVWeight: pv}
+				objective := func() float64 {
+					st.maskSweep(0, n)
+					loss, g := sim.LossGrad(st.mask, target, opts)
+					grid.PutMat(g)
+					return loss + w*smoothEnergy(st.mask)
+				}
+
+				st.maskSweep(0, n)
+				_, st.gm = sim.LossGrad(st.mask, target, opts)
+				st.laplacianSweep(0, testN)
+				st.adam.tick()
+				st.descentSweep(0, n) // lr 0: fills dTheta, leaves θ alone
+				grad := append([]float64(nil), st.dTheta...)
+
+				const eps = 1e-5
+				checks := 0
+				for trial := 0; trial < 400 && checks < 10; trial++ {
+					i := rng.Intn(n)
+					if math.Abs(grad[i]) < 1e-4 {
+						continue // numerically flat pixel
+					}
+					orig := st.theta[i]
+					st.theta[i] = orig + eps
+					fp := objective()
+					st.theta[i] = orig - eps
+					fm := objective()
+					st.theta[i] = orig
+					fd := (fp - fm) / (2 * eps)
+					if math.Abs(fd-grad[i]) > 1e-4*(math.Abs(fd)+math.Abs(grad[i]))+1e-6 {
+						t.Fatalf("pixel %d: assembled ∂F/∂θ %v vs central difference %v", i, grad[i], fd)
+					}
+					checks++
+				}
+				if checks < 8 {
+					t.Fatalf("only %d gradient checks ran", checks)
+				}
+			})
 		}
 	}
 }

@@ -53,19 +53,13 @@ func (s *Pixel) Name() string { return "pixel-ilt" }
 
 // Solve implements Solver.
 func (s *Pixel) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
-	return s.solve(target, init, p, nil)
-}
-
-// solve is the batch-of-one entry into the descent loop, shared by Pixel
-// and Curvy.
-func (s *Pixel) solve(target, init *grid.Mat, p Params, extraGrad func(gm, mask *grid.Mat)) (*grid.Mat, error) {
-	outs, errs := s.descend([]*grid.Mat{target}, []*grid.Mat{init}, []Params{p}, extraGrad)
+	outs, errs := s.descend([]*grid.Mat{target}, []*grid.Mat{init}, []Params{p})
 	return outs[0], errs[0]
 }
 
 // SolveBatch implements BatchSolver.
 func (s *Pixel) SolveBatch(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, []error) {
-	return s.descend(targets, inits, ps, nil)
+	return s.descend(targets, inits, ps)
 }
 
 // descend is the descent loop: T tiles optimised in lockstep, every
@@ -74,9 +68,7 @@ func (s *Pixel) SolveBatch(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat
 // annealing are per tile, so a tile's mask does not depend on what else
 // is in the batch; a tile that fails validation or whose context cancels
 // drops out (outs[i] nil, errs[i] set) without disturbing the others.
-// extraGrad, when non-nil, may accumulate additional ∂loss/∂M terms into
-// gm after the smoothness regulariser and before the sigmoid chain rule.
-func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(gm, mask *grid.Mat)) ([]*grid.Mat, []error) {
+func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, []error) {
 	T := len(inits)
 	outs := make([]*grid.Mat, T)
 	errs := make([]error, T)
@@ -174,9 +166,6 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params, extraGrad func(
 			st.gm, st.lr = gm, lr
 			if st.smooth > 0 {
 				parallel.DoChunks(st.mask.H, parallel.Limit(n), st.laplacianStep)
-			}
-			if extraGrad != nil {
-				extraGrad(gm, st.mask)
 			}
 			st.adam.tick()
 			sweep(n, st.descentStep)

@@ -29,8 +29,6 @@ var ErrUnknownSolver = errors.New("opt: unknown solver")
 // default tuning. Instances are not shared: each New call returns a
 // new value, so callers may tweak exported fields without aliasing.
 var registry = map[string]func(sim *litho.Simulator) Solver{
-	"admm":       func(sim *litho.Simulator) Solver { return NewADMM(sim) },
-	"curvy":      func(sim *litho.Simulator) Solver { return NewCurvy(sim) },
 	"levelset":   func(sim *litho.Simulator) Solver { return NewLevelSet(sim) },
 	"multilevel": func(sim *litho.Simulator) Solver { return NewMultiLevel(sim) },
 	"pixel":      func(sim *litho.Simulator) Solver { return NewPixel(sim) },

@@ -18,9 +18,8 @@
 // Because the engine is the only stage loop in the system, every flow
 // built on it is checkpoint/resumable and uniformly instrumented by
 // construction. Staged-schedule ILT pipelines are the norm in scaled
-// implementations (multi-stage curvy-mask flows, alternating ADMM
-// schedules), which is why the stage abstraction is first-class here
-// rather than an implementation detail of one flow.
+// implementations, which is why the stage abstraction is first-class
+// here rather than an implementation detail of one flow.
 package pipeline
 
 import (

@@ -78,7 +78,7 @@ type JobSpec struct {
 	// (divide-and-conquer), "fullchip" or "heal" (stitch-and-heal).
 	Flow string `json:"flow"`
 	// Solver selects φ(·) by opt registry name — opt.Names() is the
-	// accepted vocabulary (admm, curvy, levelset, multilevel, pixel);
+	// accepted vocabulary (levelset, multilevel, pixel);
 	// empty means opt.DefaultSolver.
 	Solver string `json:"solver,omitempty"`
 	// N is the native simulator grid (power of two; default 64).

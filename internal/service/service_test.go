@@ -374,16 +374,19 @@ func TestJobSolverSelection(t *testing.T) {
 		t.Fatalf("levelset job ran %q", res.Method)
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"flow":"dc","solver":"quantum"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown solver answered %d, want 400", resp.StatusCode)
-	}
-	if _, err := s.Submit(JobSpec{Flow: "dc", Solver: "quantum"}); !errors.Is(err, opt.ErrUnknownSolver) {
-		t.Fatalf("unknown solver: %v, want opt.ErrUnknownSolver", err)
+	// admm and curvy were registered once; now they are unknown names.
+	for _, name := range []string{"quantum", "admm", "curvy"} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"flow":"dc","solver":"`+name+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("solver %s answered %d, want 400", name, resp.StatusCode)
+		}
+		if _, err := s.Submit(JobSpec{Flow: "dc", Solver: name}); !errors.Is(err, opt.ErrUnknownSolver) {
+			t.Fatalf("solver %s: %v, want opt.ErrUnknownSolver", name, err)
+		}
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mgsilt/internal/opt"
 )
 
 func metricsBody(t *testing.T, url string) string {
@@ -162,33 +164,51 @@ func TestRecoveryCompletesJournalledJobs(t *testing.T) {
 // this build dropped (testdata/budget.job: a per-stage kernel budget)
 // must replay as failed with an error naming the field. Decoded
 // leniently it would restart without the knob, and its checkpoint,
-// taken under that knob, would silently fail to load.
+// taken under that knob, would silently fail to load. A spec naming a
+// retired solver (admm, curvy) fails the same way, on the solver name.
 func TestRecoveryFailsRecordWithRetiredField(t *testing.T) {
-	dir := t.TempDir()
-	data, err := os.ReadFile(filepath.Join("testdata", "budget.job"))
+	budget, err := os.ReadFile(filepath.Join("testdata", "budget.job"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "j000001.job"), data, 0o644); err != nil {
-		t.Fatal(err)
+	retiredSolver := func(name string) []byte {
+		return []byte(jobMagic + "\n" + `{"id":"j000001","spec":{"flow":"mgs","n":32,"iters":8,"solver":"` + name +
+			`"},"state":"running","attempts":1,"created_at":"2026-10-01T12:00:00Z","started_at":"2026-10-01T12:00:00Z","finished_at":"0001-01-01T00:00:00Z"}` + "\n")
 	}
-	opts := testOpts()
-	opts.StateDir = dir
-	_, ts := newTestServer(t, opts)
+	for _, tc := range []struct {
+		name    string
+		record  []byte
+		wantErr string
+	}{
+		{"kernel budget", budget, "unknown field"},
+		{"admm solver", retiredSolver("admm"), opt.ErrUnknownSolver.Error()},
+		{"curvy solver", retiredSolver("curvy"), opt.ErrUnknownSolver.Error()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "j000001.job"), tc.record, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opts := testOpts()
+			opts.StateDir = dir
+			_, ts := newTestServer(t, opts)
 
-	st := getStatus(t, ts, "j000001")
-	if st.State != StateFailed || !strings.Contains(st.Error, "unknown field") {
-		t.Fatalf("journalled job with a retired field recovered as %s (%q), want failed naming the field", st.State, st.Error)
-	}
-	if m := metricsBody(t, ts.URL); !strings.Contains(m, "ilt_jobs_recovered_total 0") {
-		t.Fatalf("a failed replay must not count as recovered:\n%s", m)
-	}
-	// The failure is journalled: a second restart keeps it as history.
-	if data, err = os.ReadFile(filepath.Join(dir, "j000001.job")); err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := parseJobRecord(data); err != nil || rec.State != StateFailed || rec.Error != st.Error {
-		t.Fatalf("journal after replay: %+v, %v", rec, err)
+			st := getStatus(t, ts, "j000001")
+			if st.State != StateFailed || !strings.Contains(st.Error, tc.wantErr) {
+				t.Fatalf("journalled job recovered as %s (%q), want failed with %q", st.State, st.Error, tc.wantErr)
+			}
+			if m := metricsBody(t, ts.URL); !strings.Contains(m, "ilt_jobs_recovered_total 0") {
+				t.Fatalf("a failed replay must not count as recovered:\n%s", m)
+			}
+			// The failure is journalled: a second restart keeps it as history.
+			data, err := os.ReadFile(filepath.Join(dir, "j000001.job"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec, err := parseJobRecord(data); err != nil || rec.State != StateFailed || rec.Error != st.Error {
+				t.Fatalf("journal after replay: %+v, %v", rec, err)
+			}
+		})
 	}
 }
 

@@ -127,7 +127,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("shard: bad simulator grid %d", cfg.N)
 	}
 	if cfg.Solver != "" && !opt.Known(cfg.Solver) {
-		return nil, fmt.Errorf("shard: unknown solver %q (registered: %v)", cfg.Solver, opt.Names())
+		return nil, fmt.Errorf("shard: %w %q (registered: %v)", opt.ErrUnknownSolver, cfg.Solver, opt.Names())
 	}
 	if cfg.RunID == "" {
 		cfg.RunID = "run"

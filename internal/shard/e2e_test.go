@@ -367,11 +367,16 @@ func TestCoordinatorValidation(t *testing.T) {
 		{},
 		{Workers: []string{"http://x"}, N: 0},
 		{Workers: []string{"http://x"}, N: 32, Solver: "quantum"},
+		{Workers: []string{"http://x"}, N: 32, Solver: "admm"},
+		{Workers: []string{"http://x"}, N: 32, Solver: "curvy"},
 		{Workers: []string{"http://x"}, N: 32, RunID: "bad id"},
 	}
 	for i, cfg := range bad {
-		if _, err := NewCoordinator(cfg); err == nil {
+		_, err := NewCoordinator(cfg)
+		if err == nil {
 			t.Errorf("config %d should be rejected", i)
+		} else if cfg.Solver != "" && !errors.Is(err, opt.ErrUnknownSolver) {
+			t.Errorf("config %d: error %v does not wrap opt.ErrUnknownSolver", i, err)
 		}
 	}
 	if _, err := NewCoordinator(Config{Workers: []string{"http://x"}, N: 32}); err != nil {
@@ -389,7 +394,9 @@ func TestSolverForRegistry(t *testing.T) {
 			t.Fatalf("solverFor(%q) = %v, %v", name, s, err)
 		}
 	}
-	if _, err := solverFor("quantum", sim); !errors.Is(err, opt.ErrUnknownSolver) {
-		t.Fatalf("solverFor(quantum) error %v does not wrap opt.ErrUnknownSolver", err)
+	for _, name := range []string{"quantum", "admm", "curvy"} {
+		if _, err := solverFor(name, sim); !errors.Is(err, opt.ErrUnknownSolver) {
+			t.Fatalf("solverFor(%s) error %v does not wrap opt.ErrUnknownSolver", name, err)
+		}
 	}
 }

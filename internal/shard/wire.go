@@ -441,7 +441,7 @@ func ReadSolveRequest(rd io.Reader) (*SolveRequest, error) {
 		return nil, fmt.Errorf("shard: bad solver line")
 	}
 	if !opt.Known(f[0]) {
-		return nil, fmt.Errorf("shard: unknown solver %q", f[0])
+		return nil, fmt.Errorf("shard: %w %q", opt.ErrUnknownSolver, f[0])
 	}
 	req.Solver = f[0]
 	if f, err = r.fields("tiles"); err != nil {

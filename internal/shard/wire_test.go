@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"mgsilt/internal/device"
 	"mgsilt/internal/grid"
+	"mgsilt/internal/opt"
 )
 
 func randMat(rn *rand.Rand, h, w int) *grid.Mat {
@@ -266,6 +268,9 @@ func TestWireRejectsCorruption(t *testing.T) {
 		{"bad session", strings.Replace(g, "session run-1.e0_x", "session bad session", 1)},
 		{"huge n", strings.Replace(g, "n 64", "n 99999999", 1)},
 		{"unknown solver", strings.Replace(g, "solver pixel", "solver quantum", 1)},
+		// Retired backends are unknown names like any other.
+		{"admm solver", strings.Replace(g, "solver pixel", "solver admm", 1)},
+		{"curvy solver", strings.Replace(g, "solver pixel", "solver curvy", 1)},
 		{"tile bomb", strings.Replace(g, "tiles 3", "tiles 1000000", 1)},
 		{"zero tiles", strings.Replace(g, "tiles 3", "tiles 0", 1)},
 		{"huge mask", strings.Replace(g, "target full 8 8", "target full 16000 16000", 1)},
@@ -283,8 +288,12 @@ func TestWireRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadSolveRequest(strings.NewReader(tc.data)); err == nil {
+			_, err := ReadSolveRequest(strings.NewReader(tc.data))
+			if err == nil {
 				t.Fatalf("corrupt input accepted")
+			}
+			if strings.HasSuffix(tc.name, " solver") && !errors.Is(err, opt.ErrUnknownSolver) {
+				t.Fatalf("error %v does not wrap opt.ErrUnknownSolver", err)
 			}
 		})
 	}
