@@ -19,12 +19,14 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"mgsilt/internal/cache"
@@ -44,19 +46,28 @@ import (
 	"mgsilt/internal/shard"
 )
 
-// methodFlows orders the flow names for help text; methodDefaults
-// pairs each flow with its historical solver backend, overridable with
-// -solver. Both solver vocabularies — the override and the defaults —
-// are opt registry names, so worker processes resolve the identical
-// instance.
-var methodFlows = []string{"ours", "dc-multilevel", "dc-gls", "fullchip", "heal"}
+// methodRow is one -method: a core.Flow name plus the opt registry name
+// of the solver it runs unless -solver names another.
+type methodRow struct{ name, flow, solver string }
 
-var methodDefaults = map[string]string{
-	"ours":          opt.DefaultSolver,
-	"dc-multilevel": "multilevel",
-	"dc-gls":        "levelset",
-	"fullchip":      "multilevel",
-	"heal":          "multilevel",
+// methods are the -method rows in help order. Shard workers resolve the
+// same registry name, so sharded runs solve with the identical instance.
+// On the whole clip, fullchip's multilevel solver runs the
+// 2 + log2(clip/N) pyramid of Table 1's Full-chip.
+var methods = []methodRow{
+	{"ours", "mgs", opt.DefaultSolver},
+	{"dc-multilevel", "dc", "multilevel"},
+	{"dc-gls", "dc", "levelset"},
+	{"fullchip", "fullchip", "multilevel"},
+	{"heal", "heal", "multilevel"},
+}
+
+func methodNames() []string {
+	names := make([]string, len(methods))
+	for i, m := range methods {
+		names[i] = m.name
+	}
+	return names
 }
 
 func main() {
@@ -73,7 +84,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("iltrun", flag.ContinueOnError)
 	var (
-		method    = fs.String("method", "ours", "flow: "+strings.Join(methodFlows, " | "))
+		method    = fs.String("method", "ours", "flow: "+strings.Join(methodNames(), " | "))
 		solverSel = fs.String("solver", "", "solver backend: "+strings.Join(opt.Names(), " | ")+" (empty = the method's default)")
 		listSolve = fs.Bool("list-solvers", false, "print the registered solver names, one per line, and exit")
 		mrcCheck  = fs.Bool("mrc", false, "check the final binarised mask against mrc.DefaultRules and print the verdict")
@@ -165,22 +176,20 @@ func run(args []string, stdout io.Writer) error {
 	if *batchSize >= 2 {
 		cfg.Batch = sched.New(sched.Options{BatchSize: *batchSize})
 	}
-	// Solver selection: the -solver registry name wins, else the
-	// method's historical default. Resolving through opt.New here and
-	// shipping the same name to shard workers keeps distributed runs
-	// byte-identical to in-process ones.
-	solverName, ok := methodDefaults[*method]
-	if !ok {
-		return fmt.Errorf("unknown method %q (flows: %s)", *method, strings.Join(methodFlows, " | "))
+	// Method selection: the -solver registry name wins over the
+	// method's default. Resolving through opt.New here and shipping the
+	// same name to shard workers keeps distributed runs byte-identical to
+	// in-process ones.
+	i := slices.IndexFunc(methods, func(m methodRow) bool { return m.name == *method })
+	if i < 0 {
+		return fmt.Errorf("unknown method %q (flows: %s)", *method, strings.Join(methodNames(), " | "))
 	}
-	if *solverSel != "" {
-		solverName = *solverSel
+	flow, err := core.Flow(methods[i].flow)
+	if err != nil {
+		return err
 	}
-	if *method == "fullchip" && *solverSel == "" {
-		// The full-chip reference runs a deeper pyramid than the stock
-		// multilevel default.
-		cfg.Solver = core.FullChipSolver(sim, clipSize)
-	} else if cfg.Solver, err = opt.New(solverName, sim); err != nil {
+	solverName := cmp.Or(*solverSel, methods[i].solver)
+	if cfg.Solver, err = opt.New(solverName, sim); err != nil {
 		return err // the registry error lists the registered names
 	}
 
@@ -234,19 +243,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Flow dispatch only — the solver was resolved above, so this
-	// switch never names a solver.
-	var res *core.Result
-	switch *method {
-	case "ours":
-		res, err = core.MultigridSchwarz(cfg, clip.Target)
-	case "dc-multilevel", "dc-gls":
-		res, err = core.DivideAndConquer(cfg, clip.Target)
-	case "fullchip":
-		res, err = core.FullChip(cfg, clip.Target)
-	case "heal":
-		res, err = core.StitchAndHeal(cfg, clip.Target)
-	}
+	res, err := flow(cfg, clip.Target)
 	if err != nil {
 		return err
 	}

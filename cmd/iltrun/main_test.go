@@ -56,6 +56,28 @@ func TestCacheAndBatchMaskBytesEqual(t *testing.T) {
 	}
 }
 
+// -method fullchip is Table 1's Full-chip whichever way the solver is
+// named: the default and an explicit -solver multilevel run the same
+// 2 + log2(clip/N) pyramid and write the same mask file.
+func TestFullChipMultilevelIsTable1FullChip(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-method", "fullchip", "-n", "64", "-iters", "4", "-seed", "7", "-stage-times=false"}
+	def, explicit := filepath.Join(dir, "default.raw"), filepath.Join(dir, "explicit.raw")
+	runArgs(t, append(base, "-mask-raw", def)...)
+	runArgs(t, append(base, "-solver", "multilevel", "-mask-raw", explicit)...)
+	want, err := os.ReadFile(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("-solver multilevel wrote a different full-chip mask than the default")
+	}
+}
+
 // -list-solvers prints the registry, one name per line.
 func TestListSolvers(t *testing.T) {
 	const want = "levelset\nmultilevel\npixel\n"

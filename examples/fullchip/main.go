@@ -42,7 +42,7 @@ func main() {
 	print(dc)
 
 	fcCfg := base
-	fcCfg.Solver = core.FullChipSolver(sim, 2*n)
+	fcCfg.Solver = opt.NewMultiLevel(sim) // on the whole clip: the 2 + log2(clip/N) pyramid
 	fc, err := core.FullChip(fcCfg, clip.Target)
 	if err != nil {
 		log.Fatal(err)

@@ -82,51 +82,42 @@ func (e *Env) BaseConfig() core.Config {
 	return cfg
 }
 
-// stock resolves a solver the experiments name themselves through the
-// registry, like every other selection site.
-func (e *Env) stock(name string) opt.Solver {
-	sv, err := opt.New(name, e.Sim)
-	if err != nil {
-		panic(err) // a stock registry name cannot be missing
-	}
-	return sv
-}
-
-// Method is one Table 1 column group.
+// Method is one Table 1 column group: a flow run with a solver.
 type Method struct {
 	Name string
-	Run  func(target *grid.Mat, cluster *device.Cluster) (*core.Result, error)
+	// Flow is the core.Flow name the method runs.
+	Flow string
+	// Solver is the opt registry name of the method's solver; empty
+	// means Env.Solver, the solver of the Ours rows.
+	Solver string
 }
 
-// Methods returns the four Table 1 methods in paper order:
-// GLS-ILT [3] and Multi-level-ILT [4] under traditional
-// divide-and-conquer, Full-chip ILT, and Ours (multigrid-Schwarz).
-func (e *Env) Methods() []Method {
-	return []Method{
-		{Name: "GLS-ILT", Run: func(t *grid.Mat, cl *device.Cluster) (*core.Result, error) {
-			cfg := e.BaseConfig()
-			cfg.Cluster = cl
-			cfg.Solver = e.stock("levelset")
-			return core.DivideAndConquer(cfg, t)
-		}},
-		{Name: "Multi-level-ILT", Run: func(t *grid.Mat, cl *device.Cluster) (*core.Result, error) {
-			cfg := e.BaseConfig()
-			cfg.Cluster = cl
-			cfg.Solver = e.stock("multilevel")
-			return core.DivideAndConquer(cfg, t)
-		}},
-		{Name: "Full-chip", Run: func(t *grid.Mat, cl *device.Cluster) (*core.Result, error) {
-			cfg := e.BaseConfig()
-			cfg.Cluster = cl
-			cfg.Solver = core.FullChipSolver(e.Sim, e.Scale.Clip)
-			return core.FullChip(cfg, t)
-		}},
-		{Name: "Ours", Run: func(t *grid.Mat, cl *device.Cluster) (*core.Result, error) {
-			cfg := e.BaseConfig()
-			cfg.Cluster = cl
-			return core.MultigridSchwarz(cfg, t)
-		}},
+// Methods are the four Table 1 methods in paper order: GLS-ILT [3] and
+// Multi-level-ILT [4] under traditional divide-and-conquer, Full-chip
+// ILT, and Ours (multigrid-Schwarz). Full-chip runs the multilevel
+// solver on the whole clip, where its pyramid is 2 + log2(clip/N) deep.
+var Methods = []Method{
+	{Name: "GLS-ILT", Flow: "dc", Solver: "levelset"},
+	{Name: "Multi-level-ILT", Flow: "dc", Solver: "multilevel"},
+	{Name: "Full-chip", Flow: "fullchip", Solver: "multilevel"},
+	{Name: "Ours", Flow: "mgs"},
+}
+
+// Run runs method m on target with the shared experiment configuration.
+// A nil cluster is one device with unlimited memory.
+func (e *Env) Run(m Method, target *grid.Mat, cl *device.Cluster) (*core.Result, error) {
+	flow, err := core.Flow(m.Flow)
+	if err != nil {
+		return nil, err
 	}
+	cfg := e.BaseConfig()
+	cfg.Cluster = cl
+	if m.Solver != "" {
+		if cfg.Solver, err = opt.New(m.Solver, e.Sim); err != nil {
+			return nil, err
+		}
+	}
+	return flow(cfg, target)
 }
 
 func toMetrics(r *core.Result) report.Metrics {
@@ -146,15 +137,14 @@ type Table1Result struct {
 
 // RunTable1 executes the Table 1 comparison over the whole suite.
 func (e *Env) RunTable1(progress func(string)) (*Table1Result, error) {
-	methods := e.Methods()
 	res := &Table1Result{}
-	for _, m := range methods {
+	for _, m := range Methods {
 		res.Methods = append(res.Methods, m.Name)
 	}
-	avg := make([]report.Metrics, len(methods))
+	avg := make([]report.Metrics, len(Methods))
 	for _, clip := range e.Clips {
 		var row []report.Metrics
-		for _, m := range methods {
+		for _, m := range Methods {
 			if progress != nil {
 				progress(fmt.Sprintf("%s / %s", clip.ID, m.Name))
 			}
@@ -162,7 +152,7 @@ func (e *Env) RunTable1(progress func(string)) (*Table1Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := m.Run(clip.Target, cl)
+			r, err := e.Run(m, clip.Target, cl)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s on %s: %w", m.Name, clip.ID, err)
 			}

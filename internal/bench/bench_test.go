@@ -39,8 +39,7 @@ func TestNewEnv(t *testing.T) {
 }
 
 func TestMethodsOrder(t *testing.T) {
-	env := tinyEnv(t)
-	ms := env.Methods()
+	ms := Methods
 	want := []string{"GLS-ILT", "Multi-level-ILT", "Full-chip", "Ours"}
 	if len(ms) != len(want) {
 		t.Fatalf("%d methods", len(ms))

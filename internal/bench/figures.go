@@ -128,14 +128,13 @@ type Fig8Result struct {
 
 // RunFig8 counts per-crossing stitch errors for every Table 1 method.
 func (e *Env) RunFig8(progress func(string)) (*Fig8Result, error) {
-	methods := e.Methods()
 	out := &Fig8Result{}
-	for _, m := range methods {
+	for _, m := range Methods {
 		out.Methods = append(out.Methods, m.Name)
 	}
 	for _, clip := range e.Clips {
 		var row []int
-		for _, m := range methods {
+		for _, m := range Methods {
 			if progress != nil {
 				progress(fmt.Sprintf("%s / %s", clip.ID, m.Name))
 			}
@@ -143,7 +142,7 @@ func (e *Env) RunFig8(progress func(string)) (*Fig8Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := m.Run(clip.Target, cl)
+			r, err := e.Run(m, clip.Target, cl)
 			if err != nil {
 				return nil, err
 			}

@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"mgsilt/internal/core"
 	"mgsilt/internal/mrc"
-	"mgsilt/internal/opt"
 	"mgsilt/internal/report"
 	"mgsilt/internal/tile"
 )
@@ -27,7 +25,13 @@ type MRCResult struct {
 func (e *Env) RunMRC(progress func(string)) (*MRCResult, error) {
 	rules := mrc.DefaultRules()
 	band := e.BaseConfig().Margin / 2
-	out := &MRCResult{Methods: []string{"Multi-level-ILT(D&C)", "Full-chip", "Ours"}}
+	dc := Methods[1]
+	dc.Name += "(D&C)"
+	methods := []Method{dc, Methods[2], Methods[3]}
+	out := &MRCResult{}
+	for _, m := range methods {
+		out.Methods = append(out.Methods, m.Name)
+	}
 
 	part, err := tile.Part(e.Scale.Clip, e.Scale.Clip, e.Scale.N, e.Scale.N/4)
 	if err != nil {
@@ -43,27 +47,12 @@ func (e *Env) RunMRC(progress func(string)) (*MRCResult, error) {
 	}
 
 	for _, clip := range e.Clips {
-		runs := []func() (*core.Result, error){
-			func() (*core.Result, error) {
-				cfg := e.BaseConfig()
-				cfg.Solver = opt.NewMultiLevel(e.Sim)
-				return core.DivideAndConquer(cfg, clip.Target)
-			},
-			func() (*core.Result, error) {
-				cfg := e.BaseConfig()
-				cfg.Solver = core.FullChipSolver(e.Sim, e.Scale.Clip)
-				return core.FullChip(cfg, clip.Target)
-			},
-			func() (*core.Result, error) {
-				return core.MultigridSchwarz(e.BaseConfig(), clip.Target)
-			},
-		}
 		var nearRow, totalRow []int
-		for i, run := range runs {
+		for _, m := range methods {
 			if progress != nil {
-				progress(fmt.Sprintf("%s / %s", clip.ID, out.Methods[i]))
+				progress(fmt.Sprintf("%s / %s", clip.ID, m.Name))
 			}
-			res, err := run()
+			res, err := e.Run(m, clip.Target, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mgsilt/internal/cache"
@@ -206,13 +208,28 @@ func TestDivideAndConquerIdentitySolverReproducesTarget(t *testing.T) {
 	}
 }
 
-// TestFullChipSolverLevels pins the full-chip reference pyramid at
-// 2 + log2(clip/N) levels: 3 at the experiments' clip = 2N.
-func TestFullChipSolverLevels(t *testing.T) {
-	sim := testSim(t)
-	for clip, want := range map[int]int{testN: 2, 2 * testN: 3, 4 * testN: 4} {
-		if lv := FullChipSolver(sim, clip).Levels; lv != want {
-			t.Fatalf("clip %d: levels %d want %d", clip, lv, want)
+// TestFlowTable pins the flow vocabulary: each name resolves to its
+// flow, and any other name, the command-line method names included, is
+// an ErrUnknownFlow.
+func TestFlowTable(t *testing.T) {
+	for name, want := range map[string]func(Config, *grid.Mat) (*Result, error){
+		"mgs": MultigridSchwarz, "dc": DivideAndConquer, "fullchip": FullChip, "heal": StitchAndHeal,
+	} {
+		got, err := Flow(name)
+		if err != nil {
+			t.Fatalf("Flow(%q): %v", name, err)
+		}
+		if reflect.ValueOf(got).Pointer() != reflect.ValueOf(want).Pointer() {
+			t.Fatalf("Flow(%q) resolves to the wrong flow", name)
+		}
+	}
+	for _, name := range []string{"", "ours", "full-chip", "MGS"} {
+		_, err := Flow(name)
+		if !errors.Is(err, ErrUnknownFlow) {
+			t.Fatalf("Flow(%q) error %v does not wrap ErrUnknownFlow", name, err)
+		}
+		if !strings.Contains(err.Error(), "mgs | dc | fullchip | heal") {
+			t.Fatalf("Flow(%q) error %v does not list the flows", name, err)
 		}
 	}
 }

@@ -2,17 +2,49 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"mgsilt/internal/device"
 	"mgsilt/internal/filter"
 	"mgsilt/internal/grid"
-	"mgsilt/internal/litho"
 	"mgsilt/internal/opt"
 	"mgsilt/internal/pipeline"
 	"mgsilt/internal/tile"
 )
+
+// ErrUnknownFlow is the sentinel Flow wraps for a name no flow has.
+var ErrUnknownFlow = errors.New("core: unknown flow")
+
+// flows names each flow once, in the vocabulary the job service and the
+// command-line tools select by. A paper method is one of these names
+// plus an opt registry solver.
+var flows = []struct {
+	name string
+	run  func(Config, *grid.Mat) (*Result, error)
+}{
+	{"mgs", MultigridSchwarz},
+	{"dc", DivideAndConquer},
+	{"fullchip", FullChip},
+	{"heal", StitchAndHeal},
+}
+
+// Flow returns the flow called name: "mgs" (MultigridSchwarz), "dc"
+// (DivideAndConquer), "fullchip" (FullChip) or "heal" (StitchAndHeal).
+// Any other name returns an error wrapping ErrUnknownFlow that lists
+// the flow names.
+func Flow(name string) (func(Config, *grid.Mat) (*Result, error), error) {
+	names := make([]string, len(flows))
+	for i, f := range flows {
+		if f.name == name {
+			return f.run, nil
+		}
+		names[i] = f.name
+	}
+	return nil, fmt.Errorf("%w %q (flows: %s)", ErrUnknownFlow, name, strings.Join(names, " | "))
+}
 
 // refineLR is the small learning rate of the multiplicative refine pass
 // (Section 3.4).
@@ -115,6 +147,19 @@ func (c *Config) checkTarget(target *grid.Mat) error {
 	return nil
 }
 
+// run is the shell every flow ends in: it runs stages on the engine from
+// init, charges the device time the run took as the TAT, and evaluates
+// the final mask against target on the stitch lines.
+func (c *Config) run(name string, cl *device.Cluster, stages []pipeline.Stage, init, target *grid.Mat, lines []tile.StitchLine) (*Result, error) {
+	simStart := c.simElapsed(cl)
+	m, timeline, err := c.engine(name, stages).Run(init)
+	if err != nil {
+		return nil, err
+	}
+	tat := c.simElapsed(cl) - simStart
+	return c.evaluate(name, m, target, lines, tat, cl, timeline), nil
+}
+
 // MultigridSchwarz runs the paper's full flow on one target clip:
 // Algorithm 1 coarse grids, the staged fine-grid modified additive
 // Schwarz of Section 3.3 with Eq. (14) weighted assembly, and the
@@ -131,7 +176,6 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 		return nil, err
 	}
 	cl := c.cluster()
-	simStart := c.simElapsed(cl)
 
 	// Coarse grids: s = s_max, s_max/2, ..., 2. Stitch errors are not
 	// addressed here (line 12 uses the plain Eq. (6) assembly); the
@@ -304,12 +348,10 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 	}
 
 	// Algorithm 1, line 4: M ← Z_t.
-	m, timeline, err := c.engine("multigrid-schwarz", stages).Run(target.Clone())
+	res, err = c.run("multigrid-schwarz", cl, stages, target.Clone(), target, p.StitchLines())
 	if err != nil {
 		return nil, err
 	}
-	tat := c.simElapsed(cl) - simStart
-	res = c.evaluate("multigrid-schwarz", m, target, p.StitchLines(), tat, cl, timeline)
 	res.TilesConverged = tilesConverged
 	res.TileSolvesSkipped = solvesSkipped
 	res.CoarseCorrections = corrections
@@ -360,7 +402,6 @@ func DivideAndConquer(cfg Config, target *grid.Mat) (res *Result, err error) {
 		return nil, err
 	}
 	cl := c.cluster()
-	simStart := c.simElapsed(cl)
 	p, err := tile.Part(cfg.ClipSize, cfg.ClipSize, cfg.TileSize, cfg.Margin)
 	if err != nil {
 		return nil, err
@@ -372,13 +413,12 @@ func DivideAndConquer(cfg Config, target *grid.Mat) (res *Result, err error) {
 			return m, err
 		},
 	}}
-	m, timeline, err := c.engine("divide-and-conquer", stages).Run(target)
+	res, err = c.run("divide-and-conquer", cl, stages, target, target, p.StitchLines())
 	if err != nil {
 		return nil, err
 	}
-	tat := c.simElapsed(cl) - simStart
-	name := "divide-and-conquer/" + c.solver().Name()
-	return c.evaluate(name, m, target, p.StitchLines(), tat, cl, timeline), nil
+	res.Method += "/" + c.solver().Name()
+	return res, nil
 }
 
 // FullChip optimises the whole clip at once (no partitioning) — the
@@ -395,7 +435,13 @@ func FullChip(cfg Config, target *grid.Mat) (res *Result, err error) {
 		return nil, err
 	}
 	cl := c.cluster()
-	simStart := c.simElapsed(cl)
+	// Stitch loss is still measured on the tile geometry's lines, as
+	// the paper does (full-chip has a non-zero baseline from ordinary
+	// contour wiggle crossing those positions).
+	p, err := tile.Part(cfg.ClipSize, cfg.ClipSize, cfg.TileSize, cfg.Margin)
+	if err != nil {
+		return nil, err
+	}
 	stages := []pipeline.Stage{{
 		Name: "solve", Iter: 1, Total: 1,
 		Run: func(_ context.Context, _ *grid.Mat) (*grid.Mat, error) {
@@ -415,29 +461,5 @@ func FullChip(cfg Config, target *grid.Mat) (res *Result, err error) {
 			return sols[0], nil
 		},
 	}}
-	m, timeline, err := c.engine("full-chip", stages).Run(target)
-	if err != nil {
-		return nil, err
-	}
-	tat := c.simElapsed(cl) - simStart
-	// Stitch loss is still measured on the tile geometry's lines, as
-	// the paper does (full-chip has a non-zero baseline from ordinary
-	// contour wiggle crossing those positions).
-	p, err := tile.Part(cfg.ClipSize, cfg.ClipSize, cfg.TileSize, cfg.Margin)
-	if err != nil {
-		return nil, err
-	}
-	return c.evaluate("full-chip", m, target, p.StitchLines(), tat, cl, timeline), nil
-}
-
-// FullChipSolver builds the paper's full-chip reference solver: the
-// Multi-level-ILT of [4] with 2 + log2(clip/N) pyramid levels, enough
-// to reach below the native grid N of sim on the whole clip.
-func FullChipSolver(sim *litho.Simulator, clip int) *opt.MultiLevel {
-	ml := opt.NewMultiLevel(sim)
-	ml.Levels = 2
-	for c := clip; c > sim.N(); c /= 2 {
-		ml.Levels++
-	}
-	return ml
+	return c.run("full-chip", cl, stages, target, target, p.StitchLines())
 }

@@ -32,8 +32,6 @@ func StitchAndHeal(cfg Config, target *grid.Mat) (res *Result, err error) {
 		return nil, err
 	}
 	cl := c.cluster()
-	simStart := c.simElapsed(cl)
-
 	p, err := tile.Part(cfg.ClipSize, cfg.ClipSize, cfg.TileSize, cfg.Margin)
 	if err != nil {
 		return nil, err
@@ -57,13 +55,10 @@ func StitchAndHeal(cfg Config, target *grid.Mat) (res *Result, err error) {
 		})
 	}
 
-	m, timeline, err := c.engine("stitch-and-heal", stages).Run(target)
+	res, err = c.run("stitch-and-heal", cl, stages, target, target, lines)
 	if err != nil {
 		return nil, err
 	}
-	tat := c.simElapsed(cl) - simStart
-
-	res = c.evaluate("stitch-and-heal", m, target, lines, tat, cl, timeline)
 	for _, line := range lines {
 		res.AuxLines = append(res.AuxLines, c.healEdges(line)...)
 	}

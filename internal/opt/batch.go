@@ -1,46 +1,30 @@
 package opt
 
-import (
-	"fmt"
+import "mgsilt/internal/grid"
 
-	"mgsilt/internal/grid"
-)
-
-// Fingerprinter is implemented by solvers whose configuration can be
-// serialised into a stable content string. The fingerprint covers
-// every solver knob that changes solve outputs — not the simulator,
-// whose physics is fingerprinted separately (litho.Simulator
-// .Fingerprint) — and feeds the tile-result cache key: equal
-// fingerprints plus equal optics plus equal tile inputs imply
-// bit-equal results. Solvers that do not implement it are simply not
-// cached or batched. Fingerprints are prefixed with the backend's
-// registry name, so cache keys and the scheduler's compatibility
-// classes carry solver provenance in the same vocabulary as flags,
-// wire sessions, and JobSpecs.
+// Fingerprinter is implemented by solvers whose results can be
+// content-addressed. The fingerprint is the solver's registry name:
+// a solver has no settings, so its name and the simulator's physics
+// (fingerprinted separately, litho.Simulator.Fingerprint) fix its
+// numerics. It feeds the tile-result cache key — equal fingerprints
+// plus equal optics plus equal tile inputs imply bit-equal results —
+// and the scheduler's compatibility classes, in the same vocabulary as
+// flags, wire sessions and JobSpecs. The numerics themselves are
+// constants in code, so a change that moves one of them bumps
+// cache.codeVersion. Solvers that do not implement it are simply not
+// cached or batched.
 type Fingerprinter interface {
 	Fingerprint() string
 }
 
 // Fingerprint implements Fingerprinter.
-func (s *Pixel) Fingerprint() string {
-	return fmt.Sprintf("pixel:slope=%g,final=%g,bias=%g,warmup=%d,smooth=%g",
-		s.Slope, s.FinalSlope, s.BackgroundBias, s.WarmupIters, s.SmoothWeight)
-}
+func (s *Pixel) Fingerprint() string { return "pixel" }
 
 // Fingerprint implements Fingerprinter.
-func (s *LevelSet) Fingerprint() string {
-	return fmt.Sprintf("levelset:eps=%g,curv=%g,reinit=%d", s.Epsilon, s.Curvature, s.ReinitEvery)
-}
+func (s *LevelSet) Fingerprint() string { return "levelset" }
 
 // Fingerprint implements Fingerprinter.
-func (s *MultiLevel) Fingerprint() string {
-	inner := "default"
-	if s.Pixel != nil {
-		inner = s.Pixel.Fingerprint()
-	}
-	return fmt.Sprintf("multilevel:levels=%d,coarse=%g,clean=%d,pixel=(%s)",
-		s.Levels, s.CoarseFrac, s.CleanRadius, inner)
-}
+func (s *MultiLevel) Fingerprint() string { return "multilevel" }
 
 // BatchSolver is a Solver that can optimise several tiles in lockstep,
 // sharing the frequency-domain work of each iteration across the whole

@@ -114,9 +114,10 @@ func TestAnnealedSolveIsNearBinary(t *testing.T) {
 func TestNoAnnealKeepsConstantSlope(t *testing.T) {
 	sim := testSim(t)
 	solver := NewPixel(sim)
-	solver.FinalSlope = 0 // disable annealing
 	target := testTarget()
-	if _, err := solver.Solve(target, target, Params{Iters: 3, LR: 0.4, Stretch: 1}); err != nil {
+	// One iteration has nothing to anneal over: it runs, and the final
+	// mask is taken, at the initial slope.
+	if _, err := solver.Solve(target, target, Params{Iters: 1, LR: 0.4, Stretch: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -140,45 +141,6 @@ func TestWarmRestartIsGentle(t *testing.T) {
 	if l2 > 1.5*l1+1 {
 		t.Fatalf("warm restart degraded loss %v -> %v", l1, l2)
 	}
-}
-
-func TestSmoothWeightReducesPerimeter(t *testing.T) {
-	sim := testSim(t)
-	target := testTarget()
-	rough := NewPixel(sim)
-	rough.SmoothWeight = 0
-	smooth := NewPixel(sim)
-	smooth.SmoothWeight = 0.3
-	p := Params{Iters: 25, LR: 0.4, Stretch: 1}
-	mr, err := rough.Solve(target, target, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := smooth.Solve(target, target, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perim(ms.Binarize(0.5)) > perim(mr.Binarize(0.5)) {
-		t.Fatalf("smoothness regulariser did not reduce contour length: %v vs %v",
-			perim(ms.Binarize(0.5)), perim(mr.Binarize(0.5)))
-	}
-}
-
-// perim counts binary 4-neighbour transitions — a contour-length proxy.
-func perim(b *grid.Mat) int {
-	n := 0
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			v := b.At(y, x)
-			if x+1 < b.W && b.At(y, x+1) != v {
-				n++
-			}
-			if y+1 < b.H && b.At(y+1, x) != v {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 func lossOpts() litho.LossOpts { return litho.LossOpts{Stretch: 1} }

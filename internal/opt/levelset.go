@@ -23,18 +23,22 @@ import (
 // Table 1.
 type LevelSet struct {
 	Sim *litho.Simulator
-	// Epsilon is the Heaviside relaxation half-width in pixels.
-	Epsilon float64
-	// Curvature is the weight μ of the curvature smoothing term.
-	Curvature float64
-	// ReinitEvery redistances φ every so many iterations (0 = never).
-	ReinitEvery int
 }
 
-// NewLevelSet returns a LevelSet solver with the defaults used by the
-// experiment suite.
+// The LevelSet numerics. They are code, not settings: a change to one
+// moves solve outputs, so it bumps cache.codeVersion.
+const (
+	// levelSetEpsilon is the Heaviside relaxation half-width in pixels.
+	levelSetEpsilon = 1.5
+	// levelSetCurvature is the weight μ of the curvature smoothing term.
+	levelSetCurvature = 0.12
+	// levelSetReinit redistances φ every so many iterations.
+	levelSetReinit = 10
+)
+
+// NewLevelSet returns a LevelSet solver on sim.
 func NewLevelSet(sim *litho.Simulator) *LevelSet {
-	return &LevelSet{Sim: sim, Epsilon: 1.5, Curvature: 0.12, ReinitEvery: 10}
+	return &LevelSet{Sim: sim}
 }
 
 // Name implements Solver.
@@ -52,12 +56,12 @@ func (s *LevelSet) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
 		if err := p.Interrupted(); err != nil {
 			return nil, err
 		}
-		s.heaviside(phi, mask)
+		heaviside(phi, mask)
 		_, gm := sharedLossGrad(s.Sim, mask, target, p)
 		gradMag := filter.GradientMagnitude(phi)
 		curv := filter.Curvature(phi)
 		for i := range phi.Data {
-			v := gm.Data[i] - s.Curvature*curv.Data[i]
+			v := gm.Data[i] - levelSetCurvature*curv.Data[i]
 			vel[i] = v * gradMag.Data[i]
 		}
 		grid.PutMat(gm) // LossGrad hands over a pooled matrix
@@ -65,22 +69,22 @@ func (s *LevelSet) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
 		for i := range phi.Data {
 			phi.Data[i] -= p.LR * vel[i]
 		}
-		if s.ReinitEvery > 0 && (it+1)%s.ReinitEvery == 0 {
-			phi = SignedDistance(s.binaryOf(phi))
+		if (it+1)%levelSetReinit == 0 {
+			phi = SignedDistance(binaryOf(phi))
 		}
 	}
-	s.heaviside(phi, mask)
+	heaviside(phi, mask)
 	restoreFrozen(mask, init, p.Freeze)
 	return mask, nil
 }
 
-func (s *LevelSet) heaviside(phi, dst *grid.Mat) {
+func heaviside(phi, dst *grid.Mat) {
 	for i, v := range phi.Data {
-		dst.Data[i] = 0.5 * (1 + math.Tanh(v/s.Epsilon))
+		dst.Data[i] = 0.5 * (1 + math.Tanh(v/levelSetEpsilon))
 	}
 }
 
-func (s *LevelSet) binaryOf(phi *grid.Mat) *grid.Mat {
+func binaryOf(phi *grid.Mat) *grid.Mat {
 	out := grid.NewMat(phi.H, phi.W)
 	for i, v := range phi.Data {
 		if v > 0 {

@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"fmt"
-
 	"mgsilt/internal/filter"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/litho"
@@ -19,28 +17,47 @@ import (
 // Table 1 stitch-loss signature this paper targets).
 type MultiLevel struct {
 	Sim *litho.Simulator
-	// Levels is the number of resolution levels (≥1). Level k runs at
-	// downsample factor 2^(Levels-1-k); the final level is full
-	// resolution. The paper's solver uses 2 levels.
-	Levels int
-	// CoarseFrac is the fraction of iterations spent on the coarser
-	// levels combined.
-	CoarseFrac float64
-	// CleanRadius is the morphological open/close radius applied to
-	// the binarised inter-level hand-off; the bilinear lift of a
-	// coarse solution leaves gray edges and sub-resolution speckles
-	// that would waste the finer level's budget. 0 disables cleaning
-	// and hands the gray lift over directly.
-	CleanRadius int
-	// Pixel is the underlying pixel solver driven at every level;
-	// nil selects NewPixel defaults.
-	Pixel *Pixel
 }
 
-// NewMultiLevel returns a MultiLevel solver with the DAC'23-style
-// two-level schedule.
+// The MultiLevel schedule. Like the Pixel numerics it drives, it is
+// code, not settings: a change to one bumps cache.codeVersion.
+const (
+	// multiLevelCoarseFrac is the fraction of iterations spent on the
+	// coarser levels combined.
+	multiLevelCoarseFrac = 0.5
+	// multiLevelClean is the morphological open/close radius applied to
+	// the binarised inter-level hand-off; the bilinear lift of a coarse
+	// solution leaves gray edges and sub-resolution speckles that would
+	// waste the finer level's budget.
+	multiLevelClean = 2
+)
+
+// NewMultiLevel returns a MultiLevel solver on sim.
 func NewMultiLevel(sim *litho.Simulator) *MultiLevel {
-	return &MultiLevel{Sim: sim, Levels: 2, CoarseFrac: 0.5, CleanRadius: 2, Pixel: NewPixel(sim)}
+	return &MultiLevel{Sim: sim}
+}
+
+// depth is the height of the resolution pyramid on a size² input to a
+// simulator of native grid n: 2 + log2(size/n), so the coarsest level
+// reaches below n. That is the DAC'23 two-level schedule on a tile of
+// n, and the full-chip reference of Table 1 on a whole clip.
+func depth(size, n int) int {
+	d := 2
+	for c := size; c > n; c /= 2 {
+		d++
+	}
+	return d
+}
+
+// levels is depth clamped so the coarsest level is still a usable grid:
+// at least 32 px, at a litho stretch of at most 4. Level k runs at
+// downsample factor 2^(levels-1-k); the final level is full resolution.
+func levels(size, n, stretch int) int {
+	lv := depth(size, n)
+	for lv > 1 && (size>>(lv-1) < 32 || (1<<(lv-1))*stretch > 4) {
+		lv--
+	}
+	return lv
 }
 
 // Name implements Solver.
@@ -51,27 +68,11 @@ func (s *MultiLevel) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) 
 	if err := p.validateFor(init); err != nil {
 		return nil, err
 	}
-	if s.Levels < 1 {
-		return nil, fmt.Errorf("opt: MultiLevel.Levels must be >= 1, got %d", s.Levels)
-	}
-	if s.CoarseFrac < 0 || s.CoarseFrac >= 1 {
-		return nil, fmt.Errorf("opt: MultiLevel.CoarseFrac %v out of [0,1)", s.CoarseFrac)
-	}
-	// Use a local handle so a zero-value MultiLevel stays safe for
-	// concurrent Solve calls (tiles are optimised in parallel).
-	pixel := s.Pixel
-	if pixel == nil {
-		pixel = NewPixel(s.Sim)
-	}
-
+	pixel := NewPixel(s.Sim)
 	mask := init.Clone()
 	remaining := p.Iters
-	coarseBudget := int(float64(p.Iters) * s.CoarseFrac)
-	levels := s.Levels
-	// Clamp the pyramid so the coarsest level is still a usable grid.
-	for levels > 1 && (init.H>>(levels-1) < 32 || (1<<(levels-1))*p.Stretch > 4) {
-		levels--
-	}
+	coarseBudget := int(float64(p.Iters) * multiLevelCoarseFrac)
+	levels := levels(init.H, s.Sim.N(), p.Stretch)
 
 	for lvl := 0; lvl < levels-1; lvl++ {
 		if err := p.Interrupted(); err != nil {
@@ -95,11 +96,8 @@ func (s *MultiLevel) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) 
 		if err != nil {
 			return nil, err
 		}
-		mask = coarseMask.UpsampleBilinear(factor)
-		if r := s.CleanRadius; r > 0 {
-			mask.BinarizeInPlace(0.5)
-			mask = filter.Close(filter.Open(mask, r), r)
-		}
+		mask = coarseMask.UpsampleBilinear(factor).BinarizeInPlace(0.5)
+		mask = filter.Close(filter.Open(mask, multiLevelClean), multiLevelClean)
 	}
 
 	fp := p
@@ -111,12 +109,6 @@ func (s *MultiLevel) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) 
 	// The coarse levels may have drifted frozen pixels before the
 	// full-resolution level re-pinned them; restore the exact
 	// Dirichlet data from the original initial mask.
-	if p.Freeze != nil {
-		for i, f := range p.Freeze.Data {
-			if f >= 0.5 {
-				out.Data[i] = init.Data[i]
-			}
-		}
-	}
+	restoreFrozen(out, init, p.Freeze)
 	return out, nil
 }

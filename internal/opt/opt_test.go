@@ -196,8 +196,8 @@ func TestPixelZeroIterationsReturnsLiftedInit(t *testing.T) {
 	if mask.At(24, 30) < 0.9 {
 		t.Fatalf("foreground %v", mask.At(24, 30))
 	}
-	if bg := mask.At(0, 0); math.Abs(bg-solver.BackgroundBias) > 0.02 {
-		t.Fatalf("background %v want ≈%v", bg, solver.BackgroundBias)
+	if bg := mask.At(0, 0); math.Abs(bg-pixelBias) > 0.02 {
+		t.Fatalf("background %v want ≈%v", bg, pixelBias)
 	}
 }
 
@@ -253,28 +253,45 @@ func TestMultiLevelSolveImproves(t *testing.T) {
 	}
 }
 
-func TestMultiLevelValidation(t *testing.T) {
-	sim := testSim(t)
-	s := NewMultiLevel(sim)
-	s.Levels = 0
-	if _, err := s.Solve(testTarget(), testTarget(), Params{Iters: 4, LR: 0.5, Stretch: 1}); err == nil {
-		t.Fatal("expected levels error")
-	}
-	s = NewMultiLevel(sim)
-	s.CoarseFrac = 1.0
-	if _, err := s.Solve(testTarget(), testTarget(), Params{Iters: 4, LR: 0.5, Stretch: 1}); err == nil {
-		t.Fatal("expected coarse-frac error")
+// TestMultiLevelDepth pins the unclamped pyramid height 2 + log2(size/N):
+// the DAC'23 two levels on an N tile, one more per doubling of the input,
+// which on a whole clip is the Table 1 full-chip reference.
+func TestMultiLevelDepth(t *testing.T) {
+	for _, c := range []struct{ size, n, want int }{
+		{64, 64, 2}, {128, 64, 3}, {256, 64, 4},
+		{128, 128, 2}, {256, 128, 3}, {512, 128, 4},
+	} {
+		if got := depth(c.size, c.n); got != c.want {
+			t.Errorf("depth(%d, N=%d) = %d, want %d", c.size, c.n, got, c.want)
+		}
 	}
 }
 
+// TestMultiLevelClampsPyramidOnSmallGrids pins the clamps on the depth:
+// the coarsest level keeps at least 32 px and a litho stretch of at most
+// 4, and a pyramid that cannot keep both collapses to one level.
 func TestMultiLevelClampsPyramidOnSmallGrids(t *testing.T) {
-	// On a 64² grid a 3-level pyramid would hit 16² (<32) at the
-	// coarsest level; the solver must clamp rather than fail.
-	sim := testSim(t)
-	s := NewMultiLevel(sim)
-	s.Levels = 3
+	for _, c := range []struct{ size, n, stretch, want int }{
+		{64, 64, 1, 2},   // an N tile: the two-level schedule
+		{128, 64, 1, 3},  // a 2N clip: one level more
+		{256, 64, 1, 3},  // 4 levels would stretch the coarsest by 8
+		{64, 32, 1, 2},   // a 2N clip at N = 32: 3 levels would hit 16 px
+		{128, 128, 2, 2}, // a coarse grid's tile: 2·2 ≤ 4
+		{64, 64, 4, 1},   // stretch 4 leaves no room for a coarser level
+		{32, 32, 1, 1},   // a 16 px level is not a usable grid
+	} {
+		if got := levels(c.size, c.n, c.stretch); got != c.want {
+			t.Errorf("levels(%d, N=%d, stretch %d) = %d, want %d", c.size, c.n, c.stretch, got, c.want)
+		}
+	}
+	// On the 64² test grid at N = 32 the 3-level pyramid is clamped, and
+	// the solve runs rather than fails.
+	sim, err := litho.NewStandard(32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	target := testTarget()
-	if _, err := s.Solve(target, target, Params{Iters: 6, LR: 0.5, Stretch: 1}); err != nil {
+	if _, err := NewMultiLevel(sim).Solve(target, target, Params{Iters: 6, LR: 0.5, Stretch: 1}); err != nil {
 		t.Fatalf("clamped pyramid failed: %v", err)
 	}
 }
@@ -341,12 +358,13 @@ func smoothEnergy(m *grid.Mat) float64 {
 // order — LossGrad, the smoothness term of laplacianSweep, the sigmoid
 // chain rule of descentSweep — and compared with a central difference
 // of F(θ) = loss(σ(slope·θ)) + w·E(σ(slope·θ)), E being smoothEnergy.
+// The w = 0 rows leave the Laplacian step out.
 // litho's TestLossGradCentralDifference covers the loss term alone.
 func TestPixelGradCentralDifference(t *testing.T) {
 	sim := testSim(t)
 	target := testTarget()
 	const slope = 4.0
-	for _, w := range []float64{0, 0.2} {
+	for _, w := range []float64{0, pixelSmooth} {
 		for _, pv := range []float64{0, 0.3} {
 			t.Run(fmt.Sprintf("w=%g/pv=%g", w, pv), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(7))
@@ -354,7 +372,7 @@ func TestPixelGradCentralDifference(t *testing.T) {
 				st := &tileState{
 					theta: make([]float64, n), dTheta: make([]float64, n),
 					mask: grid.NewMat(testN, testN), adam: NewAdam(n),
-					smooth: w, slope: slope,
+					slope: slope,
 				}
 				for i := range st.theta {
 					st.theta[i] = logit(target.Data[i]*0.8+0.1+0.05*rng.Float64(), 1e-4) / slope
@@ -369,7 +387,9 @@ func TestPixelGradCentralDifference(t *testing.T) {
 
 				st.maskSweep(0, n)
 				_, st.gm = sim.LossGrad(st.mask, target, opts)
-				st.laplacianSweep(0, testN)
+				if w > 0 {
+					st.laplacianSweep(0, testN)
+				}
 				st.adam.tick()
 				st.descentSweep(0, n) // lr 0: fills dTheta, leaves θ alone
 				grad := append([]float64(nil), st.dTheta...)

@@ -15,37 +15,40 @@ import (
 // wherever the gradient asks for them.
 type Pixel struct {
 	Sim *litho.Simulator
-	// Slope is the mask-sigmoid steepness; larger values push the
-	// solution toward binary masks faster.
-	Slope float64
-	// FinalSlope, when larger than Slope, anneals the sigmoid
-	// steepness linearly from Slope to FinalSlope across the solve.
-	// Annealing drives the converged mask toward binary values, so the
-	// 0.5-threshold binarisation — and any later small-step refinement
-	// — no longer teeters on soft gray edges.
-	FinalSlope float64
-	// BackgroundBias seeds background parameters slightly above the
-	// hard-zero pole so SRAFs can nucleate (a hard 0 has zero sigmoid
-	// gradient). Expressed as the background mask level, e.g. 0.08.
-	BackgroundBias float64
-	// WarmupIters linearly ramps the learning rate over the first few
-	// iterations. Adam's first bias-corrected steps are ±lr sign steps
-	// (m̂/√v̂ = ±1), so a cold restart on a warm mask — exactly what
-	// every fine-grid Schwarz stage does — would churn converged
-	// pixels; the ramp makes warm restarts nearly free.
-	WarmupIters int
-	// SmoothWeight is the weight of the mask-smoothness regulariser
-	// (½·Σ|∇M|², applied through the sigmoid chain rule). GPU ILT
-	// solvers regularise contours for mask manufacturability; without
-	// it the binarised masks carry pixel-level jaggies that saturate
-	// the stitch-loss metric's baseline.
-	SmoothWeight float64
 }
 
-// NewPixel returns a Pixel solver with the defaults used throughout
-// the experiment suite.
+// The Pixel numerics. They are code, not settings: a change to one moves
+// solve outputs, so it bumps cache.codeVersion.
+const (
+	// pixelSlope is the mask-sigmoid steepness at the first iteration;
+	// larger values push the solution toward binary masks faster.
+	pixelSlope = 4
+	// pixelFinalSlope is the steepness the slope anneals to, linearly
+	// across the solve. Annealing drives the converged mask toward binary
+	// values, so the 0.5-threshold binarisation — and any later
+	// small-step refinement — no longer teeters on soft gray edges.
+	pixelFinalSlope = 12
+	// pixelBias seeds background parameters slightly above the hard-zero
+	// pole so SRAFs can nucleate (a hard 0 has zero sigmoid gradient).
+	// Expressed as the background mask level.
+	pixelBias = 0.08
+	// pixelWarmup is the number of iterations the learning rate ramps
+	// over. Adam's first bias-corrected steps are ±lr sign steps
+	// (m̂/√v̂ = ±1), so a cold restart on a warm mask — exactly what every
+	// fine-grid Schwarz stage does — would churn converged pixels; the
+	// ramp makes warm restarts nearly free.
+	pixelWarmup = 6
+	// pixelSmooth is the weight of the mask-smoothness regulariser
+	// (½·Σ|∇M|², applied through the sigmoid chain rule). GPU ILT solvers
+	// regularise contours for mask manufacturability; without it the
+	// binarised masks carry pixel-level jaggies that saturate the
+	// stitch-loss metric's baseline.
+	pixelSmooth = 0.2
+)
+
+// NewPixel returns a Pixel solver on sim.
 func NewPixel(sim *litho.Simulator) *Pixel {
-	return &Pixel{Sim: sim, Slope: 4, FinalSlope: 12, BackgroundBias: 0.08, WarmupIters: 6, SmoothWeight: 0.2}
+	return &Pixel{Sim: sim}
 }
 
 // Name implements Solver.
@@ -95,15 +98,11 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, [
 
 	p0 := ps[0]
 	n := len(inits[0].Data)
-	bias := s.BackgroundBias
-	if bias <= 0 {
-		bias = 1e-3
-	}
 	slopeAt := func(it int) float64 {
-		if s.FinalSlope <= s.Slope || p0.Iters <= 1 {
-			return s.Slope
+		if p0.Iters <= 1 {
+			return pixelSlope
 		}
-		return s.Slope + (s.FinalSlope-s.Slope)*float64(it)/float64(p0.Iters-1)
+		return pixelSlope + (pixelFinalSlope-pixelSlope)*float64(it)/float64(p0.Iters-1)
 	}
 
 	active := make([]*tileState, 0, T)
@@ -116,17 +115,16 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, [
 			idx: i, p: ps[i], target: targets[i], init: inits[i],
 			theta: make([]float64, n), dTheta: make([]float64, n),
 			mask: grid.NewMat(inits[i].H, inits[i].W), adam: NewAdam(n),
-			smooth: s.SmoothWeight,
 		}
 		st.maskStep, st.descentStep, st.laplacianStep = st.maskSweep, st.descentSweep, st.laplacianSweep
 		for j, v := range inits[i].Data {
 			// Lift dead-zero pixels to the background bias so they keep a
 			// usable gradient — except frozen pixels, which must reproduce
 			// their boundary data exactly.
-			if v < bias && (st.p.Freeze == nil || st.p.Freeze.Data[j] < 0.5) {
-				v = bias
+			if v < pixelBias && (st.p.Freeze == nil || st.p.Freeze.Data[j] < 0.5) {
+				v = pixelBias
 			}
-			st.theta[j] = logit(v, 1e-4) / s.Slope
+			st.theta[j] = logit(v, 1e-4) / pixelSlope
 		}
 		active = append(active, st)
 	}
@@ -158,15 +156,13 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, [
 		}
 		_, gms := s.Sim.LossGradBatch(masks, tgts, litho.LossOpts{Stretch: p0.Stretch, PVWeight: p0.PVWeight})
 		lr := p0.LR
-		if w := s.WarmupIters; w > 0 && it < w {
-			lr *= float64(it+1) / float64(w+1)
+		if it < pixelWarmup {
+			lr *= float64(it+1) / float64(pixelWarmup+1)
 		}
 		for bi, st := range active {
 			gm := gms[bi]
 			st.gm, st.lr = gm, lr
-			if st.smooth > 0 {
-				parallel.DoChunks(st.mask.H, parallel.Limit(n), st.laplacianStep)
-			}
+			parallel.DoChunks(st.mask.H, parallel.Limit(n), st.laplacianStep)
 			st.adam.tick()
 			sweep(n, st.descentStep)
 			st.gm = nil
@@ -175,9 +171,6 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, [
 	}
 
 	finalSlope := slopeAt(p0.Iters - 1)
-	if p0.Iters == 0 {
-		finalSlope = s.Slope
-	}
 	for _, st := range active {
 		st.slope = finalSlope
 		sweep(n, st.maskStep)
@@ -199,9 +192,6 @@ type tileState struct {
 	dTheta []float64
 	mask   *grid.Mat
 	adam   *Adam
-
-	// smooth is the weight of the smoothness regulariser.
-	smooth float64
 
 	// The iteration in flight: the annealed slope, the ramped learning
 	// rate and the gradient with respect to the mask.
@@ -232,7 +222,7 @@ func (st *tileState) descentSweep(lo, hi int) {
 }
 
 // laplacianSweep adds the smoothness gradient to rows [lo, hi) of gm.
-func (st *tileState) laplacianSweep(lo, hi int) { addLaplacian(st.gm, st.mask, st.smooth, lo, hi) }
+func (st *tileState) laplacianSweep(lo, hi int) { addLaplacian(st.gm, st.mask, pixelSmooth, lo, hi) }
 
 // sweep runs a per-pixel step over [0, n), on as many goroutines of the
 // worker pool as n is worth. Every pixel is written by exactly one

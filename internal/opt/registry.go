@@ -25,9 +25,8 @@ const DefaultSolver = "pixel"
 // backend registered. Selection sites surface it with errors.Is.
 var ErrUnknownSolver = errors.New("opt: unknown solver")
 
-// registry maps each solver name to a constructor with the backend's
-// default tuning. Instances are not shared: each New call returns a
-// new value, so callers may tweak exported fields without aliasing.
+// registry maps each solver name to its constructor. Instances are not
+// shared: each New call returns a new value.
 var registry = map[string]func(sim *litho.Simulator) Solver{
 	"levelset":   func(sim *litho.Simulator) Solver { return NewLevelSet(sim) },
 	"multilevel": func(sim *litho.Simulator) Solver { return NewMultiLevel(sim) },

@@ -53,8 +53,8 @@ func TestKnown(t *testing.T) {
 
 // TestRegisteredSolversAreCacheable pins the registry contract every
 // selection layer depends on: each factory builds a distinct instance
-// that satisfies Solver and Fingerprinter, with fingerprints prefixed
-// by the registry name so cache keys carry solver provenance.
+// that satisfies Solver and Fingerprinter, whose fingerprint is its
+// registry name, so cache keys carry solver provenance.
 func TestRegisteredSolversAreCacheable(t *testing.T) {
 	sim := testSim(t)
 	seen := map[string]string{}
@@ -71,8 +71,8 @@ func TestRegisteredSolversAreCacheable(t *testing.T) {
 			t.Fatalf("solver %q does not implement Fingerprinter", name)
 		}
 		fp := f.Fingerprint()
-		if !strings.HasPrefix(fp, name+":") {
-			t.Fatalf("solver %q fingerprint %q not prefixed with its registry name", name, fp)
+		if fp != name {
+			t.Fatalf("solver %q fingerprint %q is not its registry name", name, fp)
 		}
 		for other, ofp := range seen {
 			if ofp == fp {

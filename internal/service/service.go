@@ -74,8 +74,10 @@ func (s State) Terminal() bool {
 // JobSpec is the submit payload: which flow to run, on which clip, at
 // which scale, plus optional core.Config knob overrides.
 type JobSpec struct {
-	// Flow selects the core flow: "mgs" (multigrid-Schwarz), "dc"
-	// (divide-and-conquer), "fullchip" or "heal" (stitch-and-heal).
+	// Flow selects the core flow by core.Flow name: "mgs"
+	// (multigrid-Schwarz), "dc" (divide-and-conquer), "fullchip" or
+	// "heal" (stitch-and-heal). With Solver "multilevel", "fullchip" is
+	// Table 1's Full-chip reference.
 	Flow string `json:"flow"`
 	// Solver selects φ(·) by opt registry name — opt.Names() is the
 	// accepted vocabulary (levelset, multilevel, pixel);
@@ -469,12 +471,8 @@ func (s *Server) persistLocked(j *job) {
 // normalize fills spec defaults and validates the cheap invariants
 // (full validation happens in core.Config.Validate at run time).
 func (s *Server) normalize(spec *JobSpec) error {
-	switch spec.Flow {
-	case "mgs", "dc", "fullchip", "heal":
-	case "":
-		return fmt.Errorf("service: flow is required (mgs | dc | fullchip | heal)")
-	default:
-		return fmt.Errorf("service: unknown flow %q", spec.Flow)
+	if _, err := core.Flow(spec.Flow); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	if spec.Solver == "" {
 		spec.Solver = opt.DefaultSolver
@@ -813,6 +811,10 @@ func (s *Server) runJob(j *job, cl *device.Cluster) {
 // execute builds the environment (simulator, clip, config) and runs
 // the selected flow under ctx.
 func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, progress func(string, int, int), resume *core.Checkpoint, onCheckpoint func(core.Checkpoint), onStage func(pipeline.StageTiming)) (*core.Result, error) {
+	flow, err := core.Flow(spec.Flow)
+	if err != nil {
+		return nil, err
+	}
 	sim, err := litho.Standard(spec.N)
 	if err != nil {
 		return nil, err
@@ -849,15 +851,7 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 		cfg.Tiles = coord
 		defer func() {
 			s.shardMu.Lock()
-			st := coord.Stats()
-			s.shardStats.Batches += st.Batches
-			s.shardStats.Rounds += st.Rounds
-			s.shardStats.Tiles += st.Tiles
-			s.shardStats.HaloBytes += st.HaloBytes
-			s.shardStats.FullBytes += st.FullBytes
-			s.shardStats.ReassignedTiles += st.ReassignedTiles
-			s.shardStats.RequestRetries += st.RequestRetries
-			s.shardStats.WorkersQuarantined += st.WorkersQuarantined
+			s.shardStats = s.shardStats.Add(coord.Stats())
 			s.shardMu.Unlock()
 		}()
 	}
@@ -894,20 +888,7 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 	if spec.DropTol != nil {
 		cfg.DropTol = *spec.DropTol
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	switch spec.Flow {
-	case "mgs":
-		return core.MultigridSchwarz(cfg, target)
-	case "dc":
-		return core.DivideAndConquer(cfg, target)
-	case "fullchip":
-		return core.FullChip(cfg, target)
-	case "heal":
-		return core.StitchAndHeal(cfg, target)
-	}
-	return nil, fmt.Errorf("service: unknown flow %q", spec.Flow)
+	return flow(cfg, target)
 }
 
 // target materialises the job's clip: an uploaded .rects layout when

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"mgsilt/internal/core"
 	"mgsilt/internal/layout"
 	"mgsilt/internal/opt"
 )
@@ -332,6 +333,8 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 	// Spec validation at the HTTP boundary.
 	for _, bad := range []string{
 		`{"flow":"warp"}`,
+		`{"flow":"ours"}`,
+		`{"n":32}`,
 		`{"flow":"mgs","n":48}`,
 		`{"flow":"mgs","iters":-2}`,
 		`{"flow":"mgs","unknown_knob":1}`,
@@ -344,6 +347,13 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("spec %s accepted with %d", bad, resp.StatusCode)
+		}
+	}
+	// A flow is one of core.Flow's names; Submit refuses any other with
+	// its sentinel, a missing flow included.
+	for _, flow := range []string{"warp", "ours", ""} {
+		if _, err := s.Submit(JobSpec{Flow: flow}); !errors.Is(err, core.ErrUnknownFlow) {
+			t.Fatalf("flow %q: %v, want core.ErrUnknownFlow", flow, err)
 		}
 	}
 

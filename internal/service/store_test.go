@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mgsilt/internal/core"
 	"mgsilt/internal/opt"
 )
 
@@ -165,15 +166,16 @@ func TestRecoveryCompletesJournalledJobs(t *testing.T) {
 // must replay as failed with an error naming the field. Decoded
 // leniently it would restart without the knob, and its checkpoint,
 // taken under that knob, would silently fail to load. A spec naming a
-// retired solver (admm, curvy) fails the same way, on the solver name.
+// retired solver (admm, curvy) fails the same way, on the solver name,
+// and so does one naming a flow core.Flow does not know.
 func TestRecoveryFailsRecordWithRetiredField(t *testing.T) {
 	budget, err := os.ReadFile(filepath.Join("testdata", "budget.job"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	retiredSolver := func(name string) []byte {
-		return []byte(jobMagic + "\n" + `{"id":"j000001","spec":{"flow":"mgs","n":32,"iters":8,"solver":"` + name +
-			`"},"state":"running","attempts":1,"created_at":"2026-10-01T12:00:00Z","started_at":"2026-10-01T12:00:00Z","finished_at":"0001-01-01T00:00:00Z"}` + "\n")
+	running := func(spec string) []byte {
+		return []byte(jobMagic + "\n" + `{"id":"j000001","spec":{` + spec +
+			`},"state":"running","attempts":1,"created_at":"2026-10-01T12:00:00Z","started_at":"2026-10-01T12:00:00Z","finished_at":"0001-01-01T00:00:00Z"}` + "\n")
 	}
 	for _, tc := range []struct {
 		name    string
@@ -181,8 +183,9 @@ func TestRecoveryFailsRecordWithRetiredField(t *testing.T) {
 		wantErr string
 	}{
 		{"kernel budget", budget, "unknown field"},
-		{"admm solver", retiredSolver("admm"), opt.ErrUnknownSolver.Error()},
-		{"curvy solver", retiredSolver("curvy"), opt.ErrUnknownSolver.Error()},
+		{"admm solver", running(`"flow":"mgs","n":32,"iters":8,"solver":"admm"`), opt.ErrUnknownSolver.Error()},
+		{"curvy solver", running(`"flow":"mgs","n":32,"iters":8,"solver":"curvy"`), opt.ErrUnknownSolver.Error()},
+		{"unknown flow", running(`"flow":"ours","n":32,"iters":8`), core.ErrUnknownFlow.Error()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -64,6 +64,19 @@ type Stats struct {
 	WorkersQuarantined int64
 }
 
+// Add merges the accounting of another coordinator: every counter sums.
+func (s Stats) Add(o Stats) Stats {
+	s.Batches += o.Batches
+	s.Rounds += o.Rounds
+	s.Tiles += o.Tiles
+	s.HaloBytes += o.HaloBytes
+	s.FullBytes += o.FullBytes
+	s.ReassignedTiles += o.ReassignedTiles
+	s.RequestRetries += o.RequestRetries
+	s.WorkersQuarantined += o.WorkersQuarantined
+	return s
+}
+
 // workerState is the coordinator's view of one worker.
 type workerState struct {
 	url   string
