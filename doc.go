@@ -1,5 +1,7 @@
-// Package mgsilt is a pure-Go reproduction of "Efficient ILT via
-// Multigrid-Schwartz Method" (Sun et al., DAC 2024).
+// Package mgsilt is a Go reproduction of "Efficient ILT via
+// Multigrid-Schwartz Method" (Sun et al., DAC 2024). It uses the
+// standard library only; on amd64 six FFT butterfly loops run as AVX2
+// assembly twins, bit-identical to the Go loops.
 //
 // The library lives under internal/ (see README.md for the package
 // map); the public surface of this repository is its executables

@@ -56,12 +56,20 @@ func (p *plan) stripPass(m *grid.CMat, b0, nb int, inverse bool, scratch []compl
 			tw = st.twi
 		}
 		switch {
+		case st.kind == radix3 && useAVX2:
+			radix3RowsAVX2(buf, nb, tw)
 		case st.kind == radix3:
 			radix3Rows(buf, nb, tw)
+		case st.kind == radix2 && useAVX2:
+			radix2RowsAVX2(buf, nb, tw, st.size)
 		case st.kind == radix2:
 			radix2Rows(buf, nb, tw, st.size)
+		case st.size == 4 && useAVX2:
+			base4RowsAVX2(buf, nb, tw)
 		case st.size == 4:
 			base4Rows(buf, nb, tw)
+		case useAVX2:
+			radix4RowsAVX2(buf, nb, tw, st.size)
 		default:
 			radix4Rows(buf, nb, tw, st.size)
 		}

@@ -57,6 +57,12 @@
 // columns its consumer reads. Both are exact: every entry carries the
 // bits of the column-at-a-time transform.
 //
+// On amd64 with AVX2 the strip loops of the column passes and the
+// in-row radix-4 and radix-2 passes run as assembly twins
+// (butterflies_amd64.s), two complex128 per vector register, with the
+// IEEE operations of the Go loops in their order: the choice moves no
+// bit. The Go loops are the reference and every other CPU's path.
+//
 // All transient buffers (column strips, packed rows) come from
 // per-length pools shared by the serial and parallel paths, giving the
 // 2-D entry points an allocation-free steady state.
@@ -244,10 +250,14 @@ func (p *plan) transform(x []complex128, inverse bool) {
 		switch {
 		case st.kind == radix3:
 			radix3Pass(x, tw)
+		case st.kind == radix2 && useAVX2:
+			radix2PassAVX2(x, tw, st.size)
 		case st.kind == radix2:
 			radix2Pass(x, tw, st.size)
 		case st.size == 4:
 			base4Pass(x, tw)
+		case useAVX2:
+			radix4PassAVX2(x, tw, st.size)
 		default:
 			radix4Pass(x, tw, st.size)
 		}

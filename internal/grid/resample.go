@@ -46,60 +46,61 @@ func (m *Mat) UpsampleBilinear(s int) *Mat {
 	}
 	out := NewMat(m.H*s, m.W*s)
 	fs := float64(s)
+	// Every row reads the same two source columns at the same weight for
+	// a given output column: find them once.
+	cols := make([]bilinearTap, out.W)
+	for x := range cols {
+		cols[x] = tapOf(x, m.W, fs)
+	}
 	for y := 0; y < out.H; y++ {
-		// Source coordinate with half-pixel centres: the centre of output
-		// pixel y maps to (y+0.5)/s - 0.5 in source pixel-centre space.
-		sy := (float64(y)+0.5)/fs - 0.5
-		y0 := int(sy)
-		if sy < 0 {
-			sy, y0 = 0, 0
-		}
-		if y0 >= m.H-1 {
-			y0 = m.H - 2
-			if y0 < 0 {
-				y0 = 0
-			}
-		}
-		y1 := y0 + 1
-		if y1 >= m.H {
-			y1 = m.H - 1
-		}
-		fy := sy - float64(y0)
-		if fy < 0 {
-			fy = 0
-		} else if fy > 1 {
-			fy = 1
-		}
-		r0, r1 := m.Row(y0), m.Row(y1)
+		ty := tapOf(y, m.H, fs)
+		fy := ty.f
+		r0, r1 := m.Row(ty.i0), m.Row(ty.i1)
 		dst := out.Row(y)
-		for x := 0; x < out.W; x++ {
-			sx := (float64(x)+0.5)/fs - 0.5
-			x0 := int(sx)
-			if sx < 0 {
-				sx, x0 = 0, 0
-			}
-			if x0 >= m.W-1 {
-				x0 = m.W - 2
-				if x0 < 0 {
-					x0 = 0
-				}
-			}
-			x1 := x0 + 1
-			if x1 >= m.W {
-				x1 = m.W - 1
-			}
-			fx := sx - float64(x0)
-			if fx < 0 {
-				fx = 0
-			} else if fx > 1 {
-				fx = 1
-			}
+		for x, tx := range cols {
+			x0, x1, fx := tx.i0, tx.i1, tx.f
 			top := r0[x0]*(1-fx) + r0[x1]*fx
 			bot := r1[x0]*(1-fx) + r1[x1]*fx
 			dst[x] = top*(1-fy) + bot*fy
 		}
 	}
 	return out
+}
+
+// bilinearTap is where one output index of UpsampleBilinear reads along
+// one axis: source indices i0 and i1, and the weight f of i1.
+type bilinearTap struct {
+	i0, i1 int
+	f      float64
+}
+
+// tapOf returns the tap of output index i on an axis of n source pixels
+// enlarged by fs. With half-pixel centres, the centre of output pixel i
+// maps to (i+0.5)/fs − 0.5 in source pixel-centre space; the indices and
+// the weight are clamped to the axis.
+func tapOf(i, n int, fs float64) bilinearTap {
+	si := (float64(i)+0.5)/fs - 0.5
+	i0 := int(si)
+	if si < 0 {
+		si, i0 = 0, 0
+	}
+	if i0 >= n-1 {
+		i0 = n - 2
+		if i0 < 0 {
+			i0 = 0
+		}
+	}
+	i1 := i0 + 1
+	if i1 >= n {
+		i1 = n - 1
+	}
+	f := si - float64(i0)
+	if f < 0 {
+		f = 0
+	} else if f > 1 {
+		f = 1
+	}
+	return bilinearTap{i0, i1, f}
 }
 
 // Transpose returns a fresh transposed copy of m.

@@ -52,6 +52,83 @@ func TestUpsampleBilinearConstant(t *testing.T) {
 	}
 }
 
+// refUpsampleBilinear is the loop UpsampleBilinear ran before it
+// tabulated each column's source indices and weight, kept as the
+// reference: the tabulated loop must return the same bits.
+func refUpsampleBilinear(m *Mat, s int) *Mat {
+	out := NewMat(m.H*s, m.W*s)
+	fs := float64(s)
+	for y := 0; y < out.H; y++ {
+		sy := (float64(y)+0.5)/fs - 0.5
+		y0 := int(sy)
+		if sy < 0 {
+			sy, y0 = 0, 0
+		}
+		if y0 >= m.H-1 {
+			y0 = m.H - 2
+			if y0 < 0 {
+				y0 = 0
+			}
+		}
+		y1 := y0 + 1
+		if y1 >= m.H {
+			y1 = m.H - 1
+		}
+		fy := sy - float64(y0)
+		if fy < 0 {
+			fy = 0
+		} else if fy > 1 {
+			fy = 1
+		}
+		r0, r1 := m.Row(y0), m.Row(y1)
+		dst := out.Row(y)
+		for x := 0; x < out.W; x++ {
+			sx := (float64(x)+0.5)/fs - 0.5
+			x0 := int(sx)
+			if sx < 0 {
+				sx, x0 = 0, 0
+			}
+			if x0 >= m.W-1 {
+				x0 = m.W - 2
+				if x0 < 0 {
+					x0 = 0
+				}
+			}
+			x1 := x0 + 1
+			if x1 >= m.W {
+				x1 = m.W - 1
+			}
+			fx := sx - float64(x0)
+			if fx < 0 {
+				fx = 0
+			} else if fx > 1 {
+				fx = 1
+			}
+			top := r0[x0]*(1-fx) + r0[x1]*fx
+			bot := r1[x0]*(1-fx) + r1[x1]*fx
+			dst[x] = top*(1-fy) + bot*fy
+		}
+	}
+	return out
+}
+
+func TestUpsampleBilinearBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {8, 8}, {16, 9}, {32, 32}}
+	for _, s := range []int{2, 3, 4, 5, 8} {
+		for _, sh := range shapes {
+			m := randMat(rng, sh[0], sh[1])
+			m.Data[0] = math.Copysign(0, -1)
+			got, want := m.UpsampleBilinear(s), refUpsampleBilinear(m, s)
+			for i, v := range got.Data {
+				if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("s=%d on %dx%d: pixel %d is %v, the reference loop gives %v", s, sh[0], sh[1], i, v, want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 // Property: block-average downsampling preserves total mass (scaled by s²).
 func TestQuickDownsampleMass(t *testing.T) {
 	f := func(seed int64) bool {
