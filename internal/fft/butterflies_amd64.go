@@ -1,15 +1,5 @@
 package fft
 
-// useAVX2 routes the six hottest butterfly loops to their AVX2 twins in
-// butterflies_amd64.s, decided once from CPUID. Each twin performs the
-// IEEE operations of its Go loop in the same order, so the choice moves
-// no result bit; the tests clear it to run the Go loops.
-var useAVX2 = hasAVX2()
-
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// state.
-func hasAVX2() bool
-
 // The twins take the arguments of their Go loops and the same plan
 // stages: size a multiple of 4 (radix-4) or 2 (radix-2), tw the stage's
 // own table.
@@ -31,3 +21,29 @@ func radix4PassAVX2(x []complex128, tw []complex128, size int)
 
 //go:noescape
 func radix2PassAVX2(x []complex128, tw []complex128, size int)
+
+// The glue around the butterflies: the first radix-4 pass, the inverse
+// scaling and the packing loops of the real transforms. Each covers the
+// length the Go caller hands it (see the comment above each in
+// butterflies_amd64.s); the caller finishes the rest with its Go loop.
+
+//go:noescape
+func base4PassAVX2(x []complex128, tw []complex128)
+
+//go:noescape
+func scaleAVX2(dst, src []complex128, s float64)
+
+//go:noescape
+func interleaveAVX2(z []complex128, re, im []float64)
+
+//go:noescape
+func unzipScaledAVX2(out0, out1 []float64, z []complex128, s float64)
+
+//go:noescape
+func packAVX2(z, g0, g1 []complex128)
+
+//go:noescape
+func packMirrorAVX2(z, g0, g1 []complex128)
+
+//go:noescape
+func mirrorPairsAVX2(out0, out1, a, m []complex128)

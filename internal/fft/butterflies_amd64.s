@@ -79,40 +79,6 @@
 	VXORPD    Y13, Y4, Y4; \
 	VADDSUBPD Y4, Y5, Y2
 
-// func hasAVX2() bool
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JB   done
-
-	// CPUID.1:ECX: OSXSAVE (bit 27) and AVX (bit 28).
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  done
-
-	// XGETBV(0): the OS saves the XMM (bit 1) and YMM (bit 2) state.
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  done
-
-	// CPUID.7.0:EBX: AVX2 (bit 5).
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x20, BX
-	JZ   done
-	MOVB $1, ret+0(FP)
-
-done:
-	RET
-
 // func radix3RowsAVX2(x []complex128, nb int, tw []complex128)
 TEXT ·radix3RowsAVX2(SB), NOSPLIT, $0-56
 	MOVQ x_base+0(FP), DI
@@ -497,5 +463,258 @@ nextp2:
 	JMP  blockp2
 
 donep2:
+	VZEROUPPER
+	RET
+
+// func base4PassAVX2(x []complex128, tw []complex128)
+//
+// Two butterflies of four consecutive elements per round: the eight
+// elements are transposed into Y0…Y3 = (x0,x4), (x1,x5), (x2,x6),
+// (x3,x7), run through BASE4 like two strip columns, and transposed
+// back. A last lone butterfly goes through X registers.
+TEXT ·base4PassAVX2(SB), NOSPLIT, $0-48
+	MOVQ         x_base+0(FP), DI
+	MOVQ         x_len+8(FP), CX
+	SHLQ         $4, CX           // CX: bytes of x
+	MOVQ         tw_base+24(FP), DX
+	VBROADCASTSD 16(DX), Y14
+	VBROADCASTSD 24(DX), Y15
+	MOVQ         CX, R11
+	ANDQ         $-128, R11       // R11: bytes of the butterfly pairs
+	XORQ         AX, AX
+
+pairsq:
+	CMPQ       AX, R11
+	JAE        tailq
+	LEAQ       (DI)(AX*1), BX
+	VMOVUPD    (BX), Y4
+	VMOVUPD    32(BX), Y5
+	VMOVUPD    64(BX), Y6
+	VMOVUPD    96(BX), Y7
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x31, Y6, Y4, Y1
+	VPERM2F128 $0x20, Y7, Y5, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	BASE4
+	VPERM2F128 $0x20, Y1, Y0, Y4
+	VPERM2F128 $0x20, Y3, Y2, Y5
+	VPERM2F128 $0x31, Y1, Y0, Y6
+	VPERM2F128 $0x31, Y3, Y2, Y7
+	VMOVUPD    Y4, (BX)
+	VMOVUPD    Y5, 32(BX)
+	VMOVUPD    Y6, 64(BX)
+	VMOVUPD    Y7, 96(BX)
+	ADDQ       $128, AX
+	JMP        pairsq
+
+tailq:
+	LEAQ    64(AX), R8
+	CMPQ    R8, CX
+	JA      doneq
+	LEAQ    (DI)(AX*1), BX
+	VMOVUPD (BX), X0
+	VMOVUPD 16(BX), X1
+	VMOVUPD 32(BX), X2
+	VMOVUPD 48(BX), X3
+	BASE4
+	VMOVUPD X0, (BX)
+	VMOVUPD X1, 16(BX)
+	VMOVUPD X2, 32(BX)
+	VMOVUPD X3, 48(BX)
+
+doneq:
+	VZEROUPPER
+	RET
+
+// func scaleAVX2(dst, src []complex128, s float64)
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         src_base+24(FP), SI
+	MOVQ         src_len+32(FP), CX
+	SHLQ         $4, CX           // CX: bytes of src
+	VBROADCASTSD s+48(FP), Y0
+	MOVQ         CX, DX
+	ANDQ         $-32, DX         // DX: bytes of the element pairs
+	XORQ         AX, AX
+
+pairss:
+	CMPQ    AX, DX
+	JAE     tails
+	VMULPD  (SI)(AX*1), Y0, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     pairss
+
+tails:
+	CMPQ    AX, CX
+	JAE     dones
+	VMULPD  (SI)(AX*1), X0, X1
+	VMOVUPD X1, (DI)(AX*1)
+
+dones:
+	VZEROUPPER
+	RET
+
+// func interleaveAVX2(z []complex128, re, im []float64)
+//
+// len(z) is a multiple of 4. Data movement only.
+TEXT ·interleaveAVX2(SB), NOSPLIT, $0-72
+	MOVQ z_base+0(FP), DI
+	MOVQ z_len+8(FP), CX
+	SHLQ $3, CX                   // CX: bytes of re and of im read
+	MOVQ re_base+24(FP), SI
+	MOVQ im_base+48(FP), DX
+	XORQ AX, AX
+
+quadi:
+	CMPQ       AX, CX
+	JAE        donei
+	VMOVUPD    (SI)(AX*1), Y0     // (a0, a1, a2, a3)
+	VMOVUPD    (DX)(AX*1), Y1     // (b0, b1, b2, b3)
+	VUNPCKLPD  Y1, Y0, Y2         // (a0, b0, a2, b2)
+	VUNPCKHPD  Y1, Y0, Y3         // (a1, b1, a3, b3)
+	VPERM2F128 $0x20, Y3, Y2, Y4
+	VPERM2F128 $0x31, Y3, Y2, Y5
+	VMOVUPD    Y4, (DI)(AX*2)
+	VMOVUPD    Y5, 32(DI)(AX*2)
+	ADDQ       $32, AX
+	JMP        quadi
+
+donei:
+	VZEROUPPER
+	RET
+
+// func unzipScaledAVX2(out0, out1 []float64, z []complex128, s float64)
+//
+// len(z) is a multiple of 4. Every part is multiplied by s, then the
+// real parts go to out0 and the imaginary parts to out1.
+TEXT ·unzipScaledAVX2(SB), NOSPLIT, $0-80
+	MOVQ         out0_base+0(FP), DI
+	MOVQ         out1_base+24(FP), R8
+	MOVQ         z_base+48(FP), SI
+	MOVQ         z_len+56(FP), CX
+	SHLQ         $3, CX           // CX: bytes of out0 and of out1 written
+	VBROADCASTSD s+72(FP), Y6
+	XORQ         AX, AX
+
+quadu:
+	CMPQ      AX, CX
+	JAE       doneu
+	VMULPD    (SI)(AX*2), Y6, Y0  // (r0, i0, r1, i1)·s
+	VMULPD    32(SI)(AX*2), Y6, Y1 // (r2, i2, r3, i3)·s
+	VUNPCKLPD Y1, Y0, Y2          // (r0, r2, r1, r3)
+	VUNPCKHPD Y1, Y0, Y3          // (i0, i2, i1, i3)
+	VPERMPD   $0xD8, Y2, Y2
+	VPERMPD   $0xD8, Y3, Y3
+	VMOVUPD   Y2, (DI)(AX*1)
+	VMOVUPD   Y3, (R8)(AX*1)
+	ADDQ      $32, AX
+	JMP       quadu
+
+doneu:
+	VZEROUPPER
+	RET
+
+// func packAVX2(z, g0, g1 []complex128)
+//
+// len(z) is even: z[x] = (g0r − g1i, g0i + g1r), the swapped g1 through
+// one VADDSUBPD.
+TEXT ·packAVX2(SB), NOSPLIT, $0-72
+	MOVQ z_base+0(FP), DI
+	MOVQ z_len+8(FP), CX
+	SHLQ $4, CX                   // CX: bytes of z
+	MOVQ g0_base+24(FP), SI
+	MOVQ g1_base+48(FP), DX
+	XORQ AX, AX
+
+pairsk:
+	CMPQ      AX, CX
+	JAE       donek
+	VMOVUPD   (SI)(AX*1), Y0
+	VPERMILPD $5, (DX)(AX*1), Y1
+	VADDSUBPD Y1, Y0, Y2
+	VMOVUPD   Y2, (DI)(AX*1)
+	ADDQ      $32, AX
+	JMP       pairsk
+
+donek:
+	VZEROUPPER
+	RET
+
+// func packMirrorAVX2(z, g0, g1 []complex128)
+//
+// len(z) = n is even: z[x] = (ur + vi, vr − ui) for u = g0[n−1−x] and
+// v = g1[n−1−x]. Each round reads the pair of sources ending where the
+// last round's began and reverses it: VPERMPD $0x4E swaps u's halves,
+// VPERMPD $0x1B reverses v's four lanes into (vi, vr) order.
+TEXT ·packMirrorAVX2(SB), NOSPLIT, $0-72
+	MOVQ z_base+0(FP), DI
+	MOVQ z_len+8(FP), CX
+	SHLQ $4, CX                   // CX: bytes of z
+	MOVQ g0_base+24(FP), SI
+	MOVQ g1_base+48(FP), DX
+	LEAQ -32(CX), BX              // BX: offset of the last source pair
+	XORQ AX, AX
+
+pairsm:
+	CMPQ     AX, CX
+	JAE      donem
+	VPERMPD  $0x4E, (SI)(BX*1), Y0 // (u, u') of z[x], z[x+1]
+	VPERMPD  $0x1B, (DX)(BX*1), Y1 // (vi, vr, vi', vr')
+	VADDPD   Y1, Y0, Y2           // ur + vi in the even lanes
+	VSUBPD   Y0, Y1, Y3           // vr − ui in the odd lanes
+	VBLENDPD $10, Y3, Y2, Y2
+	VMOVUPD  Y2, (DI)(AX*1)
+	ADDQ     $32, AX
+	SUBQ     $32, BX
+	JMP      pairsm
+
+donem:
+	VZEROUPPER
+	RET
+
+// func mirrorPairsAVX2(out0, out1, a, m []complex128)
+//
+// len(out0) = n is even. With b = m[n−1−i] (the mirror, read backwards
+// like packMirrorAVX2's sources): out0[i] = (½(ar+br), ½(ai−bi)) and,
+// unless out1 is empty, out1[i] = (½(ai+bi), ½(br−ar)).
+TEXT ·mirrorPairsAVX2(SB), NOSPLIT, $0-96
+	MOVQ         out0_base+0(FP), DI
+	MOVQ         out0_len+8(FP), CX
+	SHLQ         $4, CX           // CX: bytes of out0
+	MOVQ         out1_base+24(FP), R8
+	MOVQ         out1_len+32(FP), R9
+	MOVQ         a_base+48(FP), SI
+	MOVQ         m_base+72(FP), DX
+	MOVQ         $0x3fe0000000000000, R10
+	MOVQ         R10, X7
+	VBROADCASTSD X7, Y7           // Y7: 0.5
+	LEAQ         -32(CX), BX      // BX: offset of the last mirror pair
+	XORQ         AX, AX
+
+pairsh:
+	CMPQ     AX, CX
+	JAE      doneh
+	VMOVUPD  (SI)(AX*1), Y0       // a
+	VPERMPD  $0x4E, (DX)(BX*1), Y1 // b
+	VADDPD   Y1, Y0, Y2           // a + b
+	VSUBPD   Y1, Y0, Y3           // a − b
+	VBLENDPD $10, Y3, Y2, Y4
+	VMULPD   Y7, Y4, Y4
+	VMOVUPD  Y4, (DI)(AX*1)
+	TESTQ    R9, R9
+	JZ       nexth
+	VSUBPD   Y0, Y1, Y5           // b − a
+	VBLENDPD $5, Y5, Y2, Y5       // (br − ar, ai + bi)
+	VPERMILPD $5, Y5, Y5
+	VMULPD   Y7, Y5, Y5
+	VMOVUPD  Y5, (R8)(AX*1)
+
+nexth:
+	ADDQ $32, AX
+	SUBQ $32, BX
+	JMP  pairsh
+
+doneh:
 	VZEROUPPER
 	RET

@@ -3,11 +3,9 @@
 package fft
 
 // Off amd64 there are no vector twins: every pass runs the Go loops.
-// The names exist so the dispatch in transform and stripPass compiles.
-
-var useAVX2 = false
-
-func hasAVX2() bool { return false }
+// The names exist so the dispatch compiles; useAVX2 is false, so the
+// glue twins, which cover only part of what their callers hand on, are
+// never reached.
 
 func radix3RowsAVX2(x []complex128, nb int, tw []complex128) { radix3Rows(x, nb, tw) }
 
@@ -24,3 +22,19 @@ func radix2RowsAVX2(x []complex128, nb int, tw []complex128, size int) {
 func radix4PassAVX2(x []complex128, tw []complex128, size int) { radix4Pass(x, tw, size) }
 
 func radix2PassAVX2(x []complex128, tw []complex128, size int) { radix2Pass(x, tw, size) }
+
+func base4PassAVX2(x []complex128, tw []complex128) { base4Pass(x, tw) }
+
+func scaleAVX2(dst, src []complex128, s float64) { panic("fft: no AVX2 twins off amd64") }
+
+func interleaveAVX2(z []complex128, re, im []float64) { panic("fft: no AVX2 twins off amd64") }
+
+func unzipScaledAVX2(out0, out1 []float64, z []complex128, s float64) {
+	panic("fft: no AVX2 twins off amd64")
+}
+
+func packAVX2(z, g0, g1 []complex128) { panic("fft: no AVX2 twins off amd64") }
+
+func packMirrorAVX2(z, g0, g1 []complex128) { panic("fft: no AVX2 twins off amd64") }
+
+func mirrorPairsAVX2(out0, out1, a, m []complex128) { panic("fft: no AVX2 twins off amd64") }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mgsilt/internal/cpu"
 	"mgsilt/internal/grid"
 )
 
@@ -34,6 +35,9 @@ var butterflyTwins = []butterflyTwin{
 		func(x []complex128, nb int, tw []complex128, _ int) { base4RowsAVX2(x, nb, tw) }},
 	{"radix4Rows", true, isRadix4, radix4Rows, radix4RowsAVX2},
 	{"radix2Rows", true, isRadix2, radix2Rows, radix2RowsAVX2},
+	{"base4Pass", false, isBase4,
+		func(x []complex128, _ int, tw []complex128, _ int) { base4Pass(x, tw) },
+		func(x []complex128, _ int, tw []complex128, _ int) { base4PassAVX2(x, tw) }},
 	{"radix4Pass", false, isRadix4,
 		func(x []complex128, _ int, tw []complex128, size int) { radix4Pass(x, tw, size) },
 		func(x []complex128, _ int, tw []complex128, size int) { radix4PassAVX2(x, tw, size) }},
@@ -49,7 +53,7 @@ var twinSizes = []int{2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 
 // needAVX2 skips a test on a CPU without the vector twins.
 func needAVX2(tb testing.TB) {
 	tb.Helper()
-	if !hasAVX2() {
+	if !cpu.HasAVX2() {
 		tb.Skip("no AVX2 on this CPU")
 	}
 }

@@ -82,10 +82,7 @@ func (p *plan) stripPass(m *grid.CMat, b0, nb int, inverse bool, scratch []compl
 	}
 	inv := 1 / float64(h)
 	for y := 0; y < h; y++ {
-		dst := m.Data[y*w+b0 : y*w+b0+nb]
-		for c, v := range buf[y*nb : y*nb+nb] {
-			dst[c] = complex(real(v)*inv, imag(v)*inv)
-		}
+		scaleInto(m.Data[y*w+b0:y*w+b0+nb], buf[y*nb:y*nb+nb], inv)
 	}
 }
 

@@ -57,11 +57,12 @@
 // columns its consumer reads. Both are exact: every entry carries the
 // bits of the column-at-a-time transform.
 //
-// On amd64 with AVX2 the strip loops of the column passes and the
-// in-row radix-4 and radix-2 passes run as assembly twins
-// (butterflies_amd64.s), two complex128 per vector register, with the
-// IEEE operations of the Go loops in their order: the choice moves no
-// bit. The Go loops are the reference and every other CPU's path.
+// On amd64 with AVX2 the strip loops of the column passes, the in-row
+// passes, the inverse 1/n scaling and the packing loops of the real
+// transforms run as assembly twins (butterflies_amd64.s), two complex128
+// per vector register, with the IEEE operations of the Go loops in their
+// order: the choice moves no bit. The Go loops are the reference, finish
+// what a twin leaves of a row, and are every other CPU's path.
 //
 // All transient buffers (column strips, packed rows) come from
 // per-length pools shared by the serial and parallel paths, giving the
@@ -74,9 +75,16 @@ import (
 	"math/bits"
 	"sync"
 
+	"mgsilt/internal/cpu"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/parallel"
 )
+
+// useAVX2 routes the hot loops to their AVX2 twins in
+// butterflies_amd64.s, decided once from CPUID. Each twin performs the
+// IEEE operations of its Go loop in the same order, so the choice moves
+// no result bit; the tests clear it to run the Go loops.
+var useAVX2 = cpu.HasAVX2()
 
 // plan holds the precomputed digit-reversal permutation and per-stage
 // twiddle tables for a transform of a fixed length n = r·2^k, r ∈ {1, 3}.
@@ -254,6 +262,8 @@ func (p *plan) transform(x []complex128, inverse bool) {
 			radix2PassAVX2(x, tw, st.size)
 		case st.kind == radix2:
 			radix2Pass(x, tw, st.size)
+		case st.size == 4 && useAVX2:
+			base4PassAVX2(x, tw)
 		case st.size == 4:
 			base4Pass(x, tw)
 		case useAVX2:
@@ -263,10 +273,19 @@ func (p *plan) transform(x []complex128, inverse bool) {
 		}
 	}
 	if inverse {
-		inv := 1 / float64(n)
-		for i, v := range x {
-			x[i] = complex(real(v)*inv, imag(v)*inv)
-		}
+		scaleInto(x, x, 1/float64(n))
+	}
+}
+
+// scaleInto sets dst[i] = src[i]·s, each part multiplied on its own:
+// the inverse transform's 1/n.
+func scaleInto(dst, src []complex128, s float64) {
+	if useAVX2 {
+		scaleAVX2(dst[:len(src)], src, s)
+		return
+	}
+	for i, v := range src {
+		dst[i] = complex(real(v)*s, imag(v)*s)
 	}
 }
 

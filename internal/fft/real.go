@@ -118,11 +118,43 @@ func packedRowPair(dst *grid.CMat, src *grid.Mat, pi, b int, rowPlan *plan, z []
 		return
 	}
 	r1, out1 := src.Row(2*pi+1), dst.Row(2*pi+1)
-	for j := 0; j < w; j++ {
-		z[j] = complex(r0[j], r1[j])
-	}
+	interleave(z[:w], r0, r1)
 	rowPlan.transform(z, false)
-	for j := 0; j <= b; j++ {
+	splitPacked(out0[:b+1], out1[:b+1], z)
+}
+
+// interleave sets z[j] = complex(re[j], im[j]).
+func interleave(z []complex128, re, im []float64) {
+	j := 0
+	if useAVX2 {
+		j = len(z) &^ 3
+		interleaveAVX2(z[:j], re[:j], im[:j])
+	}
+	for ; j < len(z); j++ {
+		z[j] = complex(re[j], im[j])
+	}
+}
+
+// splitPacked separates the spectra of two real rows packed into one
+// complex spectrum z (see ForwardReal2D) on columns j < len(out0). Column
+// 0 is its own mirror; from column 1 on the mirror −j is w−j, which runs
+// backwards, so the twin takes the columns in pairs from 1 and reads the
+// mirrors as a reversed slice.
+func splitPacked(out0, out1, z []complex128) {
+	n, j := len(out0), 0
+	if useAVX2 && n > 2 {
+		k := (n - 1) &^ 1
+		splitPackedGo(out0, out1, z, 0, 1)
+		mirrorPairsAVX2(out0[1:k+1], out1[1:k+1], z[1:k+1], z[len(z)-k:])
+		j = k + 1
+	}
+	splitPackedGo(out0, out1, z, j, n)
+}
+
+// splitPackedGo is splitPacked on columns [lo, hi), the reference loop.
+func splitPackedGo(out0, out1, z []complex128, lo, hi int) {
+	w := len(z)
+	for j := lo; j < hi; j++ {
 		jm := (w - j) % w
 		ar, ai := real(z[j]), imag(z[j])
 		br, bi := real(z[jm]), imag(z[jm])
@@ -199,7 +231,7 @@ func InverseRealBand(dst *grid.Mat, src *grid.CMat, b int, scale float64) {
 func (f *fan) hermitian(i int) {
 	lo, hi := f.bandCols(i)
 	g, s, b := f.lone[0], f.spec, f.b
-	h, hs, ws := g.H, s.H, s.W
+	h, hs := g.H, s.H
 	for y := 0; y < h; y++ {
 		row := g.Row(y)[lo:hi]
 		if y > b && y < h-b {
@@ -211,13 +243,38 @@ func (f *fan) hermitian(i int) {
 			fy -= h
 		}
 		ys := (fy + hs) % hs
-		sr, mr := s.Row(ys), s.Row((hs-ys)%hs)
-		for k := range row {
-			a, c := sr[lo+k], mr[(ws-lo-k)%ws]
-			row[k] = complex(0.5*(real(a)+real(c)), 0.5*(imag(a)-imag(c)))
-		}
+		hermitianRow(row, s.Row(ys), s.Row((hs-ys)%hs), lo)
 	}
 	f.colPlan.columnsPass(g, lo, hi, true)
+}
+
+// hermitianRow sets row[k] = (a + conj(c))/2 for a = sr[lo+k] and its
+// mirror c = mr[(ws−lo−k) mod ws]. Column 0 is its own mirror; past it
+// the mirrors run backwards, and the twin reads them as a reversed
+// slice.
+func hermitianRow(row, sr, mr []complex128, lo int) {
+	k0, k1 := 0, len(row)
+	if useAVX2 && k1 > 2 {
+		if lo == 0 {
+			hermitianRowGo(row, sr, mr, lo, 0, 1)
+			k0 = 1
+		}
+		k1 = k0 + (len(row)-k0)&^1
+		ws := len(mr)
+		mirrorPairsAVX2(row[k0:k1], nil, sr[lo+k0:lo+k1], mr[ws-lo-k1+1:ws-lo-k0+1])
+		k0 = k1
+	}
+	hermitianRowGo(row, sr, mr, lo, k0, len(row))
+}
+
+// hermitianRowGo is hermitianRow on entries [k0, k1), the reference
+// loop.
+func hermitianRowGo(row, sr, mr []complex128, lo, k0, k1 int) {
+	ws := len(mr)
+	for k := k0; k < k1; k++ {
+		a, c := sr[lo+k], mr[(ws-lo-k)%ws]
+		row[k] = complex(0.5*(real(a)+real(c)), 0.5*(imag(a)-imag(c)))
+	}
 }
 
 // unpair runs the packed inverse row pass of output row pairs [lo, hi):
@@ -231,37 +288,70 @@ func (f *fan) unpair(lo, hi int) {
 	z := s.buf
 	for pi := lo; pi < hi; pi++ {
 		y := 2 * pi
-		g0, lone := g.Row(y), y+1 == g.H
-		var g1 []complex128
-		if !lone {
-			g1 = g.Row(y + 1)
-		}
-		for x := 0; x <= b; x++ {
+		g0 := g.Row(y)
+		if y+1 == g.H {
+			// A lone row: G_{y+1} is zero.
 			var cr, ci float64
-			if !lone {
-				cr, ci = real(g1[x]), imag(g1[x])
+			for x := 0; x <= b; x++ {
+				z[x] = complex(real(g0[x])-ci, imag(g0[x])+cr)
 			}
-			z[x] = complex(real(g0[x])-ci, imag(g0[x])+cr)
-		}
-		clear(z[b+1 : x1])
-		for x := x1; x < w; x++ {
-			var cr, ci float64
-			if !lone {
-				cr, ci = real(g1[w-x]), imag(g1[w-x])
+			clear(z[b+1 : x1])
+			for x := x1; x < w; x++ {
+				z[x] = complex(real(g0[w-x])+ci, cr-imag(g0[w-x]))
 			}
-			z[x] = complex(real(g0[w-x])+ci, cr-imag(g0[w-x]))
-		}
-		f.rowPlan.transform(z, true)
-		out0 := f.out.Row(y)
-		for x, v := range z {
-			out0[x] = f.scale * real(v)
-		}
-		if !lone {
-			out1 := f.out.Row(y + 1)
+			f.rowPlan.transform(z, true)
+			out0 := f.out.Row(y)
 			for x, v := range z {
-				out1[x] = f.scale * imag(v)
+				out0[x] = f.scale * real(v)
 			}
+			continue
 		}
+		g1 := g.Row(y + 1)
+		pack(z[:b+1], g0, g1)
+		clear(z[b+1 : x1])
+		packMirror(z[x1:w], g0[1:w-x1+1], g1[1:w-x1+1])
+		f.rowPlan.transform(z, true)
+		unzipScaled(f.out.Row(y), f.out.Row(y+1), z, f.scale)
 	}
 	putScratch(s)
+}
+
+// pack sets z[x] = g0[x] + i·g1[x].
+func pack(z, g0, g1 []complex128) {
+	x := 0
+	if useAVX2 {
+		x = len(z) &^ 1
+		packAVX2(z[:x], g0[:x], g1[:x])
+	}
+	for ; x < len(z); x++ {
+		z[x] = complex(real(g0[x])-imag(g1[x]), imag(g0[x])+real(g1[x]))
+	}
+}
+
+// packMirror sets z[x] = conj(g0[m]) + i·conj(g1[m]) for the mirror
+// m = n−1−x of x, n = len(z): the mirrored half of a packed Hermitian
+// row, whose sources run backwards.
+func packMirror(z, g0, g1 []complex128) {
+	n, x := len(z), 0
+	if useAVX2 {
+		x = n &^ 1
+		packMirrorAVX2(z[:x], g0[n-x:n], g1[n-x:n])
+	}
+	for ; x < n; x++ {
+		u, v := g0[n-1-x], g1[n-1-x]
+		z[x] = complex(real(u)+imag(v), real(v)-imag(u))
+	}
+}
+
+// unzipScaled writes s·Re z into out0 and s·Im z into out1.
+func unzipScaled(out0, out1 []float64, z []complex128, s float64) {
+	x := 0
+	if useAVX2 {
+		x = len(z) &^ 3
+		unzipScaledAVX2(out0[:x], out1[:x], z[:x], s)
+	}
+	for ; x < len(z); x++ {
+		out0[x] = s * real(z[x])
+		out1[x] = s * imag(z[x])
+	}
 }

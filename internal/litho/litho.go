@@ -34,6 +34,13 @@
 // its defocused companion has a complex pupil, holds no such pair and is
 // evaluated as given. KernelsEvaluatedTotal counts the kernels evaluated,
 // so a folded pair counts once.
+//
+// On amd64 with AVX2 the per-pixel sweeps — the two sigmoids, the
+// intensity sum, the adjoint source and the complex products of the
+// forward and adjoint passes — run as assembly twins (sweeps_amd64.s)
+// with the IEEE operations of their Go loops in order: the choice moves
+// no bit. The Go loops are the reference, finish what a twin leaves of a
+// row, and are every other CPU's path.
 package litho
 
 import (
@@ -42,12 +49,18 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mgsilt/internal/cpu"
 	"mgsilt/internal/fault"
 	"mgsilt/internal/fft"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/kernels"
 	"mgsilt/internal/parallel"
 )
+
+// useAVX2 routes the per-pixel sweeps to their AVX2 twins in
+// sweeps_amd64.s, decided once from CPUID; the tests clear it to run the
+// Go loops.
+var useAVX2 = cpu.HasAVX2()
 
 // Focus selects between the nominal-focus and defocused kernel sets.
 type Focus int
@@ -578,10 +591,19 @@ func prodLive(dst, a, b *grid.CMat, live []bool) {
 			clear(dr)
 			continue
 		}
-		ar, br := a.Row(y), b.Row(y)
-		for x, av := range ar {
-			dr[x] = av * br[x]
-		}
+		prodRow(dr, a.Row(y), b.Row(y))
+	}
+}
+
+// prodRow sets dst[x] = a[x]·b[x].
+func prodRow(dst, a, b []complex128) {
+	x := 0
+	if useAVX2 {
+		x = len(dst) &^ 1
+		prodAVX2(dst[:x], a[:x], b[:x])
+	}
+	for ; x < len(dst); x++ {
+		dst[x] = a[x] * b[x]
 	}
 }
 
@@ -886,12 +908,21 @@ func (e *evaluation) intensity(lo, hi int) {
 		out := e.intens[i].Row(y)
 		clear(out)
 		for j, a := range e.fields[i*k : (i+1)*k] {
-			w := r.weights[j]
-			for x, v := range a.Row(y) {
-				re, im := real(v), imag(v)
-				out[x] += w * (re*re + im*im)
-			}
+			addIntensity(out, a.Row(y), r.weights[j])
 		}
+	}
+}
+
+// addIntensity adds w·|a[x]|² to out[x].
+func addIntensity(out []float64, a []complex128, w float64) {
+	x := 0
+	if useAVX2 {
+		x = len(out) &^ 3
+		intensityAVX2(out[:x], a[:x], w)
+	}
+	for ; x < len(out); x++ {
+		re, im := real(a[x]), imag(a[x])
+		out[x] += w * (re*re + im*im)
 	}
 }
 
@@ -911,23 +942,31 @@ func (e *evaluation) resist(lo, hi int) {
 		i, p0 := lo/n, lo%n
 		p1 := min(n, p0+hi-lo)
 		lo += p1 - p0
-		in, tg := e.intens[i].Data[p0:p1], e.targets[i].Data[p0:p1]
-		g, terms := e.gs[i].Data[p0:p1], e.terms[i].Data[p0:p1]
-		sum := 0.0
-		for j, v := range in {
-			z := Sigmoid(steep * (dose*v - th))
-			d := z - tg[j]
-			// The conversion rounds the product on its own, so that adding
-			// it here and adding the stored term later give the same bits
-			// on hardware that would otherwise fuse the two.
-			t := float64(d * d)
-			sum += t
-			terms[j] = t
-			g[j] = 2 * d * steep * dose * z * (1 - z)
-		}
+		terms := e.terms[i].Data[p0:p1]
+		resistSweep(e.gs[i].Data[p0:p1], terms, e.intens[i].Data[p0:p1], e.targets[i].Data[p0:p1], steep, dose, th)
 		if p0 == 0 {
+			sum := 0.0
+			for _, t := range terms {
+				sum += t
+			}
 			e.sums[i], e.summed[i] = sum, p1
 		}
+	}
+}
+
+// resistSweep writes, for every intensity v, the loss term (Z − Z_t)²
+// into terms and ∂L/∂I into g, Z = σ(steep·(dose·v − th)).
+func resistSweep(g, terms, in, tg []float64, steep, dose, th float64) {
+	j := 0
+	if useAVX2 {
+		j = len(in) &^ 3
+		resistAVX2(g[:j], terms[:j], in[:j], tg[:j], steep, dose, th)
+	}
+	for ; j < len(in); j++ {
+		z := Sigmoid(steep * (dose*in[j] - th))
+		d := z - tg[j]
+		terms[j] = d * d
+		g[j] = 2 * d * steep * dose * z * (1 - z)
 	}
 }
 
@@ -964,11 +1003,20 @@ func (e *evaluation) reduce(lo, hi int) {
 			continue
 		}
 		for j, a := range e.fields[i*k : (i+1)*k] {
-			jr := r.adj[j].Row(y)
-			for x, qv := range a.Row(y) {
-				cr[x] += jr[x] * qv
-			}
+			prodAddRow(cr, r.adj[j].Row(y), a.Row(y))
 		}
+	}
+}
+
+// prodAddRow adds a[x]·b[x] to acc[x].
+func prodAddRow(acc, a, b []complex128) {
+	x := 0
+	if useAVX2 {
+		x = len(acc) &^ 1
+		prodAddAVX2(acc[:x], a[:x], b[:x])
+	}
+	for ; x < len(acc); x++ {
+		acc[x] += a[x] * b[x]
 	}
 }
 
@@ -982,9 +1030,7 @@ func (e *evaluation) addGrad(i int) {
 	} else {
 		term := grid.GetMat(e.size, e.size)
 		fft.InverseRealBand(term, acc, e.r.b, e.weight)
-		for j, v := range term.Data {
-			grad.Data[j] += v
-		}
+		addInto(grad.Data, term.Data)
 		grid.PutMat(term)
 	}
 	grid.PutCMat(acc)
@@ -1044,9 +1090,25 @@ func (r *reduced) lowpass(g *grid.Mat) *grid.Mat {
 // field buffer. Written as two real multiplies per element instead of
 // a full complex product against complex(g, 0).
 func mulRealConj(a *grid.CMat, g *grid.Mat) {
-	gd := g.Data
-	for j, av := range a.Data {
-		gv := gd[j]
-		a.Data[j] = complex(gv*real(av), -(gv * imag(av)))
+	ad, gd, j := a.Data, g.Data, 0
+	if useAVX2 {
+		j = len(ad) &^ 1
+		mulRealConjAVX2(ad[:j], gd[:j])
+	}
+	for ; j < len(ad); j++ {
+		av, gv := ad[j], gd[j]
+		ad[j] = complex(gv*real(av), -(gv * imag(av)))
+	}
+}
+
+// addInto adds src[j] to dst[j].
+func addInto(dst, src []float64) {
+	j := 0
+	if useAVX2 {
+		j = len(dst) &^ 3
+		addAVX2(dst[:j], src[:j])
+	}
+	for ; j < len(dst); j++ {
+		dst[j] += src[j]
 	}
 }

@@ -24,6 +24,20 @@ func Sigmoid(x float64) float64 {
 	return 1 / (1 + expSmall(-x))
 }
 
+// Sigmoids sets dst[j] = Sigmoid(a·x[j]) for every j < len(x): the
+// sweep of the pixel solvers' mask M = σ(slope·θ). dst must be at least
+// as long as x.
+func Sigmoids(dst, x []float64, a float64) {
+	j := 0
+	if useAVX2 {
+		j = len(x) &^ 3
+		sigmoidsAVX2(dst[:j], x[:j], a)
+	}
+	for ; j < len(x); j++ {
+		dst[j] = Sigmoid(a * x[j])
+	}
+}
+
 // The exponential of Sigmoid follows the table scheme of the exp of musl
 // libc and ARM optimized-routines (Arm Limited, 2018; MIT licence), with
 // their constants for a 128-entry table and a degree-5 polynomial:
@@ -91,4 +105,20 @@ func expSmall(x float64) float64 {
 	r2 := r * r
 	tmp := tail + r + r2*(expC2+r*expC3) + r2*r2*(expC4+r*expC5)
 	return scale + scale*tmp
+}
+
+// vec4 is one float64 constant in the four lanes of a vector register,
+// the memory operand the twins of sweeps_amd64.s read it from.
+type vec4 [4]float64
+
+func splat(v float64) vec4 { return vec4{v, v, v, v} }
+
+// sigmoidK holds the constants of the vector sigmoid, in the order of
+// the K_ offsets of sweeps_amd64.s: expSmall's, then 1, the ±40 clamps,
+// the sign bit and the table-index mask (as bits).
+var sigmoidK = [...]vec4{
+	splat(invLn2N), splat(expShift), splat(negLn2hiN), splat(negLn2loN),
+	splat(expC2), splat(expC3), splat(expC4), splat(expC5),
+	splat(1), splat(40), splat(-40),
+	splat(math.Copysign(0, -1)), splat(math.Float64frombits(expN - 1)),
 }

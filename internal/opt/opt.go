@@ -12,6 +12,13 @@
 //
 // All solvers consume and produce continuous masks in [0,1]; callers
 // binarise at 0.5 for inspection.
+//
+// On amd64 with AVX2 the Pixel solver's per-pixel sweeps — the descent
+// step, the θ initialisation and the smoothness term — run as assembly
+// twins (sweeps_amd64.s) with the IEEE operations of their Go code in
+// order, and its mask sweep is litho's vector sigmoid: the choice moves
+// no bit. The Go loops are the reference, finish what a twin leaves of a
+// range, and are every other CPU's path.
 package opt
 
 import (
@@ -19,9 +26,15 @@ import (
 	"fmt"
 	"math"
 
+	"mgsilt/internal/cpu"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/litho"
 )
+
+// useAVX2 routes the per-pixel sweeps to their AVX2 twins in
+// sweeps_amd64.s, decided once from CPUID; the tests clear it to run the
+// Go loops.
+var useAVX2 = cpu.HasAVX2()
 
 // Params are the per-call knobs of a Solve invocation.
 type Params struct {
@@ -125,30 +138,53 @@ type Adam struct {
 	Beta1, Beta2, Eps float64
 	m, v              []float64
 	t                 int
+	// moments are the pooled matrices m and v live in.
+	moments [2]*grid.Mat
 }
 
-// NewAdam returns an Adam optimiser with the customary defaults.
+// NewAdam returns an Adam optimiser over n ≥ 1 parameters with the
+// customary defaults. Its moments are drawn from the grid pool and
+// zeroed; release hands them back.
 func NewAdam(n int) *Adam {
-	return &Adam{
-		Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make([]float64, n), v: make([]float64, n),
+	a := &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	for i := range a.moments {
+		a.moments[i] = grid.GetMat(1, n)
+		clear(a.moments[i].Data)
 	}
+	a.m, a.v = a.moments[0].Data, a.moments[1].Data
+	return a
+}
+
+// release returns the moments to the grid pool; a is unusable after.
+func (a *Adam) release() {
+	grid.PutMats(a.moments[:])
+	a.m, a.v = nil, nil
 }
 
 // tick starts the next update: it advances the step count the bias
 // corrections are computed from.
 func (a *Adam) tick() { a.t++ }
 
+// check panics unless params and gradient have the optimiser's size.
+func (a *Adam) check(params, gradient []float64) {
+	if len(params) != len(a.m) || len(gradient) != len(a.m) {
+		panic(fmt.Sprintf("opt: Adam size mismatch: %d params, %d grads, state %d", len(params), len(gradient), len(a.m)))
+	}
+}
+
+// corrections returns the bias corrections 1 − β1^t and 1 − β2^t of the
+// update tick started.
+func (a *Adam) corrections() (c1, c2 float64) {
+	return 1 - math.Pow(a.Beta1, float64(a.t)), 1 - math.Pow(a.Beta2, float64(a.t))
+}
+
 // stepRange applies the bias-corrected update tick started,
 // params -= lr·m̂/(√v̂+ε), to parameters [lo, hi). Every parameter has
 // its own moments, so ranges can be stepped in any order, or at once,
 // with the same result.
 func (a *Adam) stepRange(params, gradient []float64, lr float64, lo, hi int) {
-	if len(params) != len(a.m) || len(gradient) != len(a.m) {
-		panic(fmt.Sprintf("opt: Adam size mismatch: %d params, %d grads, state %d", len(params), len(gradient), len(a.m)))
-	}
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	a.check(params, gradient)
+	c1, c2 := a.corrections()
 	m, v, params := a.m[lo:hi], a.v[lo:hi], params[lo:hi]
 	for i, g := range gradient[lo:hi] {
 		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
@@ -156,6 +192,9 @@ func (a *Adam) stepRange(params, gradient []float64, lr float64, lo, hi int) {
 		params[i] -= lr * (m[i] / c1) / (math.Sqrt(v[i]/c2) + a.Eps)
 	}
 }
+
+// logitClamp is how far from the poles logit clamps its argument.
+const logitClamp = 1e-4
 
 // logit is the inverse sigmoid, clamped away from the poles.
 func logit(x, lo float64) float64 {
@@ -166,6 +205,45 @@ func logit(x, lo float64) float64 {
 		x = 1 - lo
 	}
 	return math.Log(x / (1 - x))
+}
+
+// logits sets x[j] = logit(x[j], logitClamp)/slope: the Pixel solver's
+// θ for a mask level.
+func logits(x []float64, slope float64) {
+	j := 0
+	if useAVX2 {
+		j = len(x) &^ 3
+		lo := float64(logitClamp)
+		logitsAVX2(x[:j], lo, 1-lo, slope) // 1−lo rounded as logit rounds it
+	}
+	for ; j < len(x); j++ {
+		x[j] = logit(x[j], logitClamp) / slope
+	}
+}
+
+// vec4 is one float64 constant in the four lanes of a vector register,
+// the memory operand the twins of sweeps_amd64.s read it from.
+type vec4 [4]float64
+
+func splat(v float64) vec4 { return vec4{v, v, v, v} }
+
+// splatBits is splat of the float64 with the given bits.
+func splatBits(b uint64) vec4 { return splat(math.Float64frombits(b)) }
+
+// logK holds the constants of logitsAVX2, in the order of its K_
+// offsets: 1, 2, 0.5, then those of math.Log's amd64 assembly (√2/2,
+// L1…L7, Ln2Hi, Ln2Lo) as its source spells them, then the mantissa and
+// exponent masks, the exponent bias and the 1.5·2^52 that converts an
+// integer lane to float64.
+var logK = [...]vec4{
+	splat(1), splat(2), splat(0.5),
+	splat(7.07106781186547524401e-01),
+	splat(6.666666666666735130e-01), splat(3.999999999940941908e-01),
+	splat(2.857142874366239149e-01), splat(2.222219843214978396e-01),
+	splat(1.818357216161805012e-01), splat(1.531383769920937332e-01),
+	splat(1.479819860511658591e-01),
+	splat(6.93147180369123816490e-01), splat(1.90821492927058770002e-10),
+	splatBits(1<<52 - 1), splatBits(0x7ff), splatBits(0x3fe), splat(0x1.8p52),
 }
 
 // sharedLossGrad evaluates the litho objective for a solver.

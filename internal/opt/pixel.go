@@ -111,21 +111,15 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, [
 			errs[i] = err
 			continue
 		}
+		h, w := inits[i].H, inits[i].W
 		st := &tileState{
 			idx: i, p: ps[i], target: targets[i], init: inits[i],
-			theta: make([]float64, n), dTheta: make([]float64, n),
-			mask: grid.NewMat(inits[i].H, inits[i].W), adam: NewAdam(n),
+			mask: grid.NewMat(h, w), adam: NewAdam(n),
+			thetaMat: grid.GetMat(h, w), dThetaMat: grid.GetMat(h, w),
 		}
+		st.theta, st.dTheta = st.thetaMat.Data, st.dThetaMat.Data
 		st.maskStep, st.descentStep, st.laplacianStep = st.maskSweep, st.descentSweep, st.laplacianSweep
-		for j, v := range inits[i].Data {
-			// Lift dead-zero pixels to the background bias so they keep a
-			// usable gradient — except frozen pixels, which must reproduce
-			// their boundary data exactly.
-			if v < pixelBias && (st.p.Freeze == nil || st.p.Freeze.Data[j] < 0.5) {
-				v = pixelBias
-			}
-			st.theta[j] = logit(v, 1e-4) / pixelSlope
-		}
+		sweep(n, st.thetaSweep)
 		active = append(active, st)
 	}
 
@@ -138,6 +132,7 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, [
 		for _, st := range active {
 			if err := st.p.Interrupted(); err != nil {
 				errs[st.idx] = err
+				st.release()
 				continue
 			}
 			live = append(live, st)
@@ -176,6 +171,7 @@ func (s *Pixel) descend(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, [
 		sweep(n, st.maskStep)
 		restoreFrozen(st.mask, st.init, st.p.Freeze)
 		outs[st.idx] = st.mask
+		st.release()
 	}
 	return outs, errs
 }
@@ -192,6 +188,9 @@ type tileState struct {
 	dTheta []float64
 	mask   *grid.Mat
 	adam   *Adam
+	// thetaMat and dThetaMat are the pooled matrices theta and dTheta
+	// live in.
+	thetaMat, dThetaMat *grid.Mat
 
 	// The iteration in flight: the annealed slope, the ramped learning
 	// rate and the gradient with respect to the mask.
@@ -201,24 +200,73 @@ type tileState struct {
 	maskStep, descentStep, laplacianStep func(lo, hi int)
 }
 
+// release hands the tile's pooled buffers back once its solve is over;
+// the mask, which the solve returns, is not one of them.
+func (st *tileState) release() {
+	grid.PutMat(st.thetaMat)
+	grid.PutMat(st.dThetaMat)
+	st.adam.release()
+	st.theta, st.dTheta, st.thetaMat, st.dThetaMat = nil, nil, nil, nil
+}
+
+// thetaSweep initialises θ on pixels [lo, hi) from the initial mask.
+func (st *tileState) thetaSweep(lo, hi int) {
+	theta := st.theta[lo:hi]
+	for j, v := range st.init.Data[lo:hi] {
+		// Lift dead-zero pixels to the background bias so they keep a
+		// usable gradient — except frozen pixels, which must reproduce
+		// their boundary data exactly.
+		if v < pixelBias && (st.p.Freeze == nil || st.p.Freeze.Data[lo+j] < 0.5) {
+			v = pixelBias
+		}
+		theta[j] = v
+	}
+	logits(theta, pixelSlope)
+}
+
 // maskSweep writes the mask M = σ(slope·θ) on pixels [lo, hi).
 func (st *tileState) maskSweep(lo, hi int) {
-	mask := st.mask.Data[lo:hi]
-	for j, t := range st.theta[lo:hi] {
-		mask[j] = litho.Sigmoid(st.slope * t)
-	}
+	litho.Sigmoids(st.mask.Data[lo:hi], st.theta[lo:hi], st.slope)
 }
 
 // descentSweep takes pixels [lo, hi) one descent step: the sigmoid chain
 // rule turns ∂loss/∂M into ∂loss/∂θ, frozen pixels drop out, Adam moves
-// θ. The caller has ticked the optimiser.
+// θ. The caller has ticked the optimiser. The twin does all three on the
+// head of the range; the Go loops do the rest.
 func (st *tileState) descentSweep(lo, hi int) {
+	if useAVX2 {
+		lo = st.descentTwin(lo, hi)
+	}
 	dTheta, mask, gm := st.dTheta[lo:hi], st.mask.Data[lo:hi], st.gm.Data[lo:hi]
 	for j, m := range mask {
 		dTheta[j] = gm[j] * st.slope * m * (1 - m)
 	}
 	maskFrozen(st.dTheta, st.p.Freeze, lo, hi)
 	st.adam.stepRange(st.theta, st.dTheta, st.lr, lo, hi)
+}
+
+// descentK are the per-call constants of descentAVX2, in the order of
+// its offsets.
+type descentK struct {
+	slope, lr, beta1, oneMinusBeta1, beta2, oneMinusBeta2, c1, c2, eps float64
+}
+
+// descentTwin runs descentSweep on the longest head of [lo, hi) that is
+// a multiple of 4 long and returns where it ends.
+func (st *tileState) descentTwin(lo, hi int) int {
+	a := st.adam
+	a.check(st.theta, st.dTheta)
+	end := lo + (hi-lo)&^3
+	var freeze []float64
+	if st.p.Freeze != nil {
+		freeze = st.p.Freeze.Data[lo:end]
+	}
+	k := descentK{slope: st.slope, lr: st.lr, beta1: a.Beta1, oneMinusBeta1: 1 - a.Beta1,
+		beta2: a.Beta2, oneMinusBeta2: 1 - a.Beta2, eps: a.Eps}
+	k.c1, k.c2 = a.corrections()
+	descentAVX2(st.theta[lo:end], st.dTheta[lo:end], a.m[lo:end], a.v[lo:end],
+		st.mask.Data[lo:end], st.gm.Data[lo:end], freeze, &k)
+	return end
 }
 
 // laplacianSweep adds the smoothness gradient to rows [lo, hi) of gm.
@@ -239,14 +287,21 @@ func sweep(n int, step func(lo, hi int)) {
 //
 // Every pixel is 4·m − up − down − left − right in that order. Clamping a
 // row index selects the row slice once per row; only the first and last
-// column clamp a column index, the rest index their three rows directly.
+// column clamp a column index, the rest index their three rows directly
+// (four at a time in the twin).
 func addLaplacian(gm, mask *grid.Mat, w float64, y0, y1 int) {
 	h, last := mask.H, mask.W-1
 	for y := y0; y < y1; y++ {
 		up, mid, down := mask.Row(max(y-1, 0)), mask.Row(y), mask.Row(min(y+1, h-1))
 		g := gm.Row(y)
 		g[0] += w * (4*mid[0] - up[0] - down[0] - mid[0] - mid[min(1, last)])
-		for x := 1; x < last; x++ {
+		x := 1
+		if useAVX2 && last > 1 {
+			k := (last - 1) &^ 3
+			laplacianAVX2(g[1:1+k], up[1:1+k], down[1:1+k], mid[:k+2], w)
+			x += k
+		}
+		for ; x < last; x++ {
 			g[x] += w * (4*mid[x] - up[x] - down[x] - mid[x-1] - mid[x+1])
 		}
 		if last > 0 {
