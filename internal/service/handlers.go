@@ -47,6 +47,8 @@ type errorPayload struct {
 func writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
+	case errors.Is(err, ErrResultLost):
+		code = http.StatusInternalServerError
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
@@ -137,7 +139,7 @@ func resultOf(id string, res *core.Result) resultPayload {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	res, _, err := s.Result(id)
+	res, _, err := s.summary(id) // the metrics only: no mask read
 	if err != nil {
 		writeErr(w, err)
 		return
