@@ -25,16 +25,52 @@ func radix2PassAVX2(x []complex128, tw []complex128, size int) { radix2Pass(x, t
 
 func base4PassAVX2(x []complex128, tw []complex128) { base4Pass(x, tw) }
 
-func scaleAVX2(dst, src []complex128, s float64) { panic("fft: no AVX2 twins off amd64") }
+func base4GatherAVX2(dst, src []complex128, perm []int, tw []complex128) {
+	base4Gather(dst, src, perm, tw)
+}
 
-func interleaveAVX2(z []complex128, re, im []float64) { panic("fft: no AVX2 twins off amd64") }
+func radix3GatherAVX2(dst, src []complex128, perm []int, tw []complex128) {
+	radix3Gather(dst, src, perm, tw)
+}
+
+func base4GatherPairAVX2(dst []complex128, re, im []float64, perm []int, tw []complex128) {
+	base4GatherPair(dst, re, im, perm, tw)
+}
+
+func radix3GatherPairAVX2(dst []complex128, re, im []float64, perm []int, tw []complex128) {
+	radix3GatherPair(dst, re, im, perm, tw)
+}
+
+func radix4StoreAVX2(dst, x, tw []complex128, s float64, scaled bool) {
+	radix4Store(dst, x, tw, s, scaled)
+}
+
+func radix2StoreAVX2(dst, x, tw []complex128, s float64, scaled bool) {
+	radix2Store(dst, x, tw, s, scaled)
+}
+
+func base4GatherRowsAVX2(x []complex128, nb int, src []complex128, stride int, perm []int, tw []complex128) {
+	base4GatherRows(x, nb, src, stride, perm, tw)
+}
+
+func radix3GatherRowsAVX2(x []complex128, nb int, src []complex128, stride int, perm []int, tw []complex128) {
+	radix3GatherRows(x, nb, src, stride, perm, tw)
+}
+
+func radix4StoreRowsAVX2(dst []complex128, stride int, x []complex128, nb int, tw []complex128, s float64, scaled bool) {
+	radix4StoreRows(dst, stride, x, nb, tw, s, scaled)
+}
+
+func radix2StoreRowsAVX2(dst []complex128, stride int, x []complex128, nb int, tw []complex128, s float64, scaled bool) {
+	radix2StoreRows(dst, stride, x, nb, tw, s, scaled)
+}
+
+func scaleAVX2(dst, src []complex128, s float64) { panic("fft: no AVX2 twins off amd64") }
 
 func unzipScaledAVX2(out0, out1 []float64, z []complex128, s float64) {
 	panic("fft: no AVX2 twins off amd64")
 }
 
-func packAVX2(z, g0, g1 []complex128) { panic("fft: no AVX2 twins off amd64") }
-
-func packMirrorAVX2(z, g0, g1 []complex128) { panic("fft: no AVX2 twins off amd64") }
-
 func mirrorPairsAVX2(out0, out1, a, m []complex128) { panic("fft: no AVX2 twins off amd64") }
+
+func reflectAVX2(dst, src []complex128) { panic("fft: no AVX2 twins off amd64") }

@@ -241,14 +241,53 @@ func TestTransformsTwinBitIdentical(t *testing.T) {
 // FuzzButterflies feeds each twin arbitrary float64 bit patterns, on a
 // plan stage, strip width and direction the fuzzer picks; the vector
 // twin must reproduce its Go loop as TestButterflyTwinsBitIdentical
-// requires.
+// and TestFusedTwinsBitIdentical require. Kernels past the in-place
+// butterflies are the gathering first and storing last passes, their
+// strips inside a row stride of up to three more columns.
 func FuzzButterflies(f *testing.F) {
 	f.Add(uint8(0), uint8(5), uint8(3), false, []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add(uint8(2), uint8(10), uint8(16), true, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(4), uint8(9), uint8(0), false, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f})
 	f.Add(uint8(5), uint8(11), uint8(1), true, []byte{1, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	f.Add(uint8(8), uint8(7), uint8(0), true, []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 1})
+	f.Add(uint8(13), uint8(3), uint8(37), false, []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xf0, 0xff})
+	f.Add(uint8(15), uint8(2), uint8(20), true, []byte{1, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, kernel, stageIdx, width uint8, inverse bool, data []byte) {
 		needAVX2(t)
+		// The data's bytes, eight at a time and cycled, are the float64
+		// bit patterns of the input.
+		next := 0
+		word := func() float64 {
+			var b [8]byte
+			for k := range b {
+				if len(data) > 0 {
+					b[k] = data[(8*next+k)%len(data)]
+				}
+			}
+			next++
+			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		draw := func(k int) []complex128 {
+			x := make([]complex128, k)
+			for i := range x {
+				x[i] = complex(word(), word())
+			}
+			return x
+		}
+		if k := int(kernel) % (len(butterflyTwins) + len(fusedTwins)); k >= len(butterflyTwins) {
+			tw := fusedTwins[k-len(butterflyTwins)]
+			stages := fusedStages(tw)
+			ps := stages[int(stageIdx)%len(stages)]
+			nb, stride := 1, 1
+			if tw.strip {
+				nb = int(width)%colStrip + 1
+				stride = nb + int(width)/colStrip%4
+			}
+			c := newFusedCase(planFor(ps.n), ps.st, nb, stride, inverse, draw)
+			c.alias = width%2 == 1
+			checkFused(t, tw, c, fmt.Sprintf("n=%d nb=%d stride=%d", ps.n, nb, stride))
+			return
+		}
 		tw := butterflyTwins[int(kernel)%len(butterflyTwins)]
 		stages := twinStages(tw)
 		ps := stages[int(stageIdx)%len(stages)]
@@ -256,21 +295,7 @@ func FuzzButterflies(f *testing.F) {
 		if tw.strip {
 			nb = int(width)%colStrip + 1
 		}
-		// The data's bytes, eight at a time and cycled, are the float64
-		// bit patterns of the input.
-		word := func(i int) float64 {
-			var b [8]byte
-			for k := range b {
-				if len(data) > 0 {
-					b[k] = data[(8*i+k)%len(data)]
-				}
-			}
-			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-		}
-		x := make([]complex128, nb*ps.n)
-		for i := range x {
-			x[i] = complex(word(2*i), word(2*i+1))
-		}
+		x := draw(nb * ps.n)
 		tab := ps.st.tw
 		if inverse {
 			tab = ps.st.twi
@@ -294,7 +319,10 @@ func lastStage(tw butterflyTwin, n int) *stage {
 // BenchmarkButterflies times each loop both ways on the same data: the
 // strip loops on a 16-column strip and the in-row loops on one row, at
 // the last stage they serve in the 128-point plan (96 for radix-3).
-// Only the path differs between go and avx2.
+// The gathering first and storing last passes run the first or last
+// stage of the same plans (64 points for the radix-4 stores, whose last
+// stage 128 and 96 do not end on), the strips inside rows of 128 columns
+// and the stores scaling. Only the path differs between go and avx2.
 func BenchmarkButterflies(b *testing.B) {
 	for _, tw := range butterflyTwins {
 		n := 128
@@ -324,6 +352,35 @@ func BenchmarkButterflies(b *testing.B) {
 						copy(x, x0)
 					}
 					path.loop(x, nb, st.tw, st.size)
+				}
+			})
+		}
+	}
+	for _, tw := range fusedTwins {
+		var p *plan
+		var st *stage
+		for _, n := range []int{128, 96, 64} {
+			if p, st = planFor(n), tw.stage(planFor(n)); st != nil {
+				break
+			}
+		}
+		nb, stride := 1, 1
+		if tw.strip {
+			nb, stride = colStrip, 128
+		}
+		c := newFusedCase(p, st, nb, stride, true, func(k int) []complex128 {
+			return randComplex(rand.New(rand.NewSource(7)), k)
+		})
+		for _, path := range []struct {
+			name string
+			loop func(c *fusedCase)
+		}{{"go", tw.goLoop}, {"avx2", tw.vec}} {
+			b.Run(tw.name+"/"+path.name, func(b *testing.B) {
+				if path.name == "avx2" {
+					needAVX2(b)
+				}
+				for i := 0; i < b.N; i++ {
+					path.loop(c)
 				}
 			})
 		}

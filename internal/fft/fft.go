@@ -43,11 +43,19 @@
 // radix-4 pass, after which the radix-4 and radix-2 passes run at spans
 // 12, 48, … or 6, 24, 96, … with the same generic butterflies. The input
 // order is the matching digit reversal (position 3q + j holds
-// x[rev(q) + j·n/3]), no longer an involution, so it is applied as a
-// precomputed list of transpositions. The one extra stage kind gives the
-// row, column, pruned, band, batched and real-input paths 3·2^k sizes for
-// free; it exists so the litho reduced grids can be 24, 48 or 96 points
-// where a power of two would need 32, 64 or 128.
+// x[rev(q) + j·n/3]), no longer an involution. The one extra stage kind
+// gives the row, column, pruned, band, batched and real-input paths
+// 3·2^k sizes for free; it exists so the litho reduced grids can be 24,
+// 48 or 96 points where a power of two would need 32, 64 or 128.
+//
+// Every pass sequence reads its input once and writes its output once.
+// The digit reversal is never a sweep of its own: the first pass (base-4
+// or radix-3) reads each butterfly's inputs straight from their
+// digit-reversed source positions, and the last pass (radix-4 or
+// radix-2, spanning the whole length) stores straight to the destination,
+// the inverse 1/n applied to each stored part. Only the passes in between
+// run in place on scratch. Plans of at most four points, one pass or
+// none, gather through a plain copy.
 //
 // The column direction of a 2-D transform never transposes: the same
 // passes run over row segments, each butterfly as one loop over the
@@ -58,8 +66,9 @@
 // bits of the column-at-a-time transform.
 //
 // On amd64 with AVX2 the strip loops of the column passes, the in-row
-// passes, the inverse 1/n scaling and the packing loops of the real
-// transforms run as assembly twins (butterflies_amd64.s), two complex128
+// passes, the gathering first and storing last passes, the inverse 1/n
+// scaling and the packing and reflection loops of the real transforms
+// run as assembly twins (butterflies_amd64.s), two complex128
 // per vector register, with the IEEE operations of the Go loops in their
 // order: the choice moves no bit. The Go loops are the reference, finish
 // what a twin leaves of a row, and are every other CPU's path.
@@ -93,10 +102,11 @@ type plan struct {
 	n int
 	// perm is the input order of the decimation-in-time stages: position
 	// r·q + j holds x[rev_k(q) + 2^k·j], rev_k the k-bit reversal — the
-	// bit-reversal permutation when r = 1. swaps realises it in place as
-	// a sequence of transpositions (pairs of positions).
-	perm  []int
-	swaps []int
+	// bit-reversal permutation when r = 1. The first pass reads its
+	// inputs through it; inv is its inverse, for writers that place
+	// values straight into permuted order (x[j] goes to position inv[j]).
+	perm []int
+	inv  []int
 	// stages are executed in order over the permuted input: for r = 3 a
 	// radix-3 pass of span 3 first, then fused radix-4 passes each
 	// covering the two radix-2 stages of sizes size/2 and size, and — as
@@ -161,16 +171,16 @@ func planFor(n int) *plan {
 	if p, ok := plans[n]; ok {
 		return p
 	}
-	p := &plan{n: n, perm: make([]int, n)}
+	p := &plan{n: n, perm: make([]int, n), inv: make([]int, n)}
 	blocks := n / r
 	shift := bits.UintSize - uint(bits.TrailingZeros(uint(blocks)))
 	for q := 0; q < blocks; q++ {
 		rq := int(bits.Reverse(uint(q)) >> shift)
 		for j := 0; j < r; j++ {
 			p.perm[r*q+j] = rq + blocks*j
+			p.inv[rq+blocks*j] = r*q + j
 		}
 	}
-	p.swaps = swapsFor(p.perm)
 	// A radix-3 pass of span 3 first, then radix-2 stages fused in pairs
 	// from the bottom: sizes (2,4) → radix-4 pass of span 4, (8,16) →
 	// span 16, … (r = 3: (6,12) → span 12, …). When k is odd one stage of
@@ -195,28 +205,6 @@ func planFor(n int) *plan {
 	return p
 }
 
-// swapsFor lists the transpositions that gather x[perm[i]] into
-// position i in place, applied in order. For an involution such as the
-// bit reversal they are the pairs (i, perm[i]) with i < perm[i].
-func swapsFor(perm []int) []int {
-	n := len(perm)
-	at := make([]int, n)    // at[i]: the input index now at position i
-	where := make([]int, n) // where[v]: the position now holding input v
-	for i := range at {
-		at[i], where[i] = i, i
-	}
-	var swaps []int
-	for i, v := range perm {
-		if j := where[v]; j != i {
-			swaps = append(swaps, i, j)
-			a := at[i]
-			at[i], at[j] = v, a
-			where[v], where[a] = i, j
-		}
-	}
-	return swaps
-}
-
 // twiddles builds the forward half-table for one stage:
 // w^j = exp(-2πi·j/size), j in [0, size/2).
 func twiddles(size int) []complex128 {
@@ -238,43 +226,143 @@ func conjugated(tw []complex128) []complex128 {
 	return out
 }
 
-// transform runs the in-place mixed-radix FFT over x. When inverse is
-// true the conjugate twiddles are used and the result is scaled by 1/n.
+// transform runs the mixed-radix FFT over x in place, through a pooled
+// scratch row. When inverse is true the conjugate twiddles are used and
+// the result is scaled by 1/n.
 func (p *plan) transform(x []complex128, inverse bool) {
-	n := p.n
-	if len(x) != n {
-		panic(fmt.Sprintf("fft: buffer length %d does not match plan %d", len(x), n))
+	s := getScratch(p.n)
+	p.transformWith(x, s.buf, inverse)
+	putScratch(s)
+}
+
+// transformWith is transform through the caller's scratch row work (at
+// least n long): the first pass gathers x into work, the passes between
+// run on work, and the last pass stores into x.
+func (p *plan) transformWith(x, work []complex128, inverse bool) {
+	if len(x) != p.n {
+		panic(fmt.Sprintf("fft: buffer length %d does not match plan %d", len(x), p.n))
 	}
-	for k := 0; k < len(p.swaps); k += 2 {
-		i, j := p.swaps[k], p.swaps[k+1]
-		x[i], x[j] = x[j], x[i]
+	work = work[:p.n]
+	if len(p.stages) < 2 {
+		for i, j := range p.perm {
+			work[i] = x[j]
+		}
+		p.finish(x, work, 0, inverse)
+		return
 	}
-	for si := range p.stages {
-		st := &p.stages[si]
-		tw := st.tw
+	st := &p.stages[0]
+	tw := st.table(inverse)
+	switch {
+	case st.kind == radix3 && useAVX2:
+		radix3GatherAVX2(work, x, p.perm, tw)
+	case st.kind == radix3:
+		radix3Gather(work, x, p.perm, tw)
+	case useAVX2:
+		base4GatherAVX2(work, x, p.perm, tw)
+	default:
+		base4Gather(work, x, p.perm, tw)
+	}
+	p.finish(x, work, 1, inverse)
+}
+
+// transformPair is the forward transform of the packed row re + i·im
+// into z: the first pass reads the two real rows in digit-reversed
+// order, so the packed row is never built.
+func (p *plan) transformPair(z []complex128, re, im []float64) {
+	z, re, im = z[:p.n], re[:p.n], im[:p.n]
+	if len(p.stages) < 2 {
+		for j := range z {
+			z[j] = complex(re[j], im[j])
+		}
+		p.transform(z, false)
+		return
+	}
+	st := &p.stages[0]
+	switch {
+	case st.kind == radix3 && useAVX2:
+		radix3GatherPairAVX2(z, re, im, p.perm, st.tw)
+	case st.kind == radix3:
+		radix3GatherPair(z, re, im, p.perm, st.tw)
+	case useAVX2:
+		base4GatherPairAVX2(z, re, im, p.perm, st.tw)
+	default:
+		base4GatherPair(z, re, im, p.perm, st.tw)
+	}
+	p.finish(z, z, 1, false)
+}
+
+// finish runs the stages from `from` on over the permuted data in work:
+// all but the last in place, the last storing into dst, which may be
+// work itself, with the inverse 1/n applied to each stored part. A plan
+// of at most four points runs its one pass in place and then copies.
+func (p *plan) finish(dst, work []complex128, from int, inverse bool) {
+	last := len(p.stages) - 1
+	for si := from; si < last; si++ {
+		p.pass(work, si, inverse)
+	}
+	s := 1 / float64(p.n)
+	if last < 0 {
 		if inverse {
-			tw = st.twi
+			scaleInto(dst, work, s)
+		} else {
+			copy(dst, work)
 		}
-		switch {
-		case st.kind == radix3:
-			radix3Pass(x, tw)
-		case st.kind == radix2 && useAVX2:
-			radix2PassAVX2(x, tw, st.size)
-		case st.kind == radix2:
-			radix2Pass(x, tw, st.size)
-		case st.size == 4 && useAVX2:
-			base4PassAVX2(x, tw)
-		case st.size == 4:
-			base4Pass(x, tw)
-		case useAVX2:
-			radix4PassAVX2(x, tw, st.size)
-		default:
-			radix4Pass(x, tw, st.size)
+		return
+	}
+	st := &p.stages[last]
+	tw := st.table(inverse)
+	switch {
+	case !inverse && &dst[0] == &work[0]:
+		p.pass(work, last, false)
+	case st.kind == radix2 && useAVX2:
+		radix2StoreAVX2(dst, work, tw, s, inverse)
+	case st.kind == radix2:
+		radix2Store(dst, work, tw, s, inverse)
+	case st.kind == radix4 && st.size > 4 && useAVX2:
+		radix4StoreAVX2(dst, work, tw, s, inverse)
+	case st.kind == radix4 && st.size > 4:
+		radix4Store(dst, work, tw, s, inverse)
+	default:
+		p.pass(work, last, inverse)
+		if inverse {
+			scaleInto(dst, work, s)
+		} else {
+			copy(dst, work)
 		}
 	}
+}
+
+// pass runs stage si over x in place.
+func (p *plan) pass(x []complex128, si int, inverse bool) {
+	st := &p.stages[si]
+	tw := st.table(inverse)
+	switch {
+	case st.kind == radix3 && useAVX2:
+		// The strip twin on one-column rows is radix3Pass.
+		radix3RowsAVX2(x, 1, tw)
+	case st.kind == radix3:
+		radix3Pass(x, tw)
+	case st.kind == radix2 && useAVX2:
+		radix2PassAVX2(x, tw, st.size)
+	case st.kind == radix2:
+		radix2Pass(x, tw, st.size)
+	case st.size == 4 && useAVX2:
+		base4PassAVX2(x, tw)
+	case st.size == 4:
+		base4Pass(x, tw)
+	case useAVX2:
+		radix4PassAVX2(x, tw, st.size)
+	default:
+		radix4Pass(x, tw, st.size)
+	}
+}
+
+// table returns the stage's twiddles for the direction.
+func (st *stage) table(inverse bool) []complex128 {
 	if inverse {
-		scaleInto(x, x, 1/float64(n))
+		return st.twi
 	}
+	return st.tw
 }
 
 // scaleInto sets dst[i] = src[i]·s, each part multiplied on its own:
@@ -406,6 +494,147 @@ func radix2Pass(x []complex128, tw []complex128, size int) {
 	}
 }
 
+// radix3Gather is radix3Pass as the first pass of a transform: the
+// inputs of triple q are src[perm[3q…3q+2]], its results go to
+// dst[3q…3q+2].
+func radix3Gather(dst, src []complex128, perm []int, tw []complex128) {
+	c, s := real(tw[0]), imag(tw[0])
+	perm = perm[:len(dst)]
+	for base := 0; base+2 < len(dst); base += 3 {
+		x0, x1, x2 := src[perm[base]], src[perm[base+1]], src[perm[base+2]]
+		tr, ti := real(x1)+real(x2), imag(x1)+imag(x2)
+		mr, mi := real(x0)+c*tr, imag(x0)+c*ti
+		vr, vi := s*(real(x1)-real(x2)), s*(imag(x1)-imag(x2))
+		dst[base] = complex(real(x0)+tr, imag(x0)+ti)
+		dst[base+1] = complex(mr-vi, mi+vr)
+		dst[base+2] = complex(mr+vi, mi-vr)
+	}
+}
+
+// radix3GatherPair is radix3Gather over the packed row re + i·im.
+func radix3GatherPair(dst []complex128, re, im []float64, perm []int, tw []complex128) {
+	c, s := real(tw[0]), imag(tw[0])
+	perm = perm[:len(dst)]
+	for base := 0; base+2 < len(dst); base += 3 {
+		j0, j1, j2 := perm[base], perm[base+1], perm[base+2]
+		x0r, x0i := re[j0], im[j0]
+		tr, ti := re[j1]+re[j2], im[j1]+im[j2]
+		mr, mi := x0r+c*tr, x0i+c*ti
+		vr, vi := s*(re[j1]-re[j2]), s*(im[j1]-im[j2])
+		dst[base] = complex(x0r+tr, x0i+ti)
+		dst[base+1] = complex(mr-vi, mi+vr)
+		dst[base+2] = complex(mr+vi, mi-vr)
+	}
+}
+
+// base4Gather is base4Pass as the first pass of a transform: the inputs
+// of butterfly b are src[perm[4b…4b+3]], its results go to dst[4b…4b+3].
+func base4Gather(dst, src []complex128, perm []int, tw []complex128) {
+	wr, wi := real(tw[1]), imag(tw[1])
+	perm = perm[:len(dst)]
+	for base := 0; base+3 < len(dst); base += 4 {
+		a0, a1, a2, a3 := src[perm[base]], src[perm[base+1]], src[perm[base+2]], src[perm[base+3]]
+		b0r, b0i := real(a0)+real(a1), imag(a0)+imag(a1)
+		b1r, b1i := real(a0)-real(a1), imag(a0)-imag(a1)
+		b2r, b2i := real(a2)+real(a3), imag(a2)+imag(a3)
+		b3r, b3i := real(a2)-real(a3), imag(a2)-imag(a3)
+		tr := wr*b3r - wi*b3i
+		ti := wr*b3i + wi*b3r
+		dst[base] = complex(b0r+b2r, b0i+b2i)
+		dst[base+1] = complex(b1r+tr, b1i+ti)
+		dst[base+2] = complex(b0r-b2r, b0i-b2i)
+		dst[base+3] = complex(b1r-tr, b1i-ti)
+	}
+}
+
+// base4GatherPair is base4Gather over the packed row re + i·im.
+func base4GatherPair(dst []complex128, re, im []float64, perm []int, tw []complex128) {
+	wr, wi := real(tw[1]), imag(tw[1])
+	perm = perm[:len(dst)]
+	for base := 0; base+3 < len(dst); base += 4 {
+		j0, j1, j2, j3 := perm[base], perm[base+1], perm[base+2], perm[base+3]
+		b0r, b0i := re[j0]+re[j1], im[j0]+im[j1]
+		b1r, b1i := re[j0]-re[j1], im[j0]-im[j1]
+		b2r, b2i := re[j2]+re[j3], im[j2]+im[j3]
+		b3r, b3i := re[j2]-re[j3], im[j2]-im[j3]
+		tr := wr*b3r - wi*b3i
+		ti := wr*b3i + wi*b3r
+		dst[base] = complex(b0r+b2r, b0i+b2i)
+		dst[base+1] = complex(b1r+tr, b1i+ti)
+		dst[base+2] = complex(b0r-b2r, b0i-b2i)
+		dst[base+3] = complex(b1r-tr, b1i-ti)
+	}
+}
+
+// radix4Store is radix4Pass as the last pass of a transform, one block
+// spanning x: the results go to dst, which may be x, and when scaled
+// each part is multiplied by s as scaleInto does.
+func radix4Store(dst, x, tw []complex128, s float64, scaled bool) {
+	size := len(x)
+	quarter := size >> 2
+	half := size >> 1
+	tw = tw[:half]
+	dst = dst[:size]
+	for j := 0; j < quarter; j++ {
+		i1 := j + quarter
+		i2 := j + half
+		i3 := i2 + quarter
+
+		war, wai := real(tw[2*j]), imag(tw[2*j])
+		wbr, wbi := real(tw[j]), imag(tw[j])
+		wcr, wci := real(tw[j+quarter]), imag(tw[j+quarter])
+
+		x0, x1, x2, x3 := x[j], x[i1], x[i2], x[i3]
+
+		tr := war*real(x1) - wai*imag(x1)
+		ti := war*imag(x1) + wai*real(x1)
+		a0r, a0i := real(x0)+tr, imag(x0)+ti
+		a1r, a1i := real(x0)-tr, imag(x0)-ti
+
+		tr = war*real(x3) - wai*imag(x3)
+		ti = war*imag(x3) + wai*real(x3)
+		a2r, a2i := real(x2)+tr, imag(x2)+ti
+		a3r, a3i := real(x2)-tr, imag(x2)-ti
+
+		tr = wbr*a2r - wbi*a2i
+		ti = wbr*a2i + wbi*a2r
+		y0r, y0i, y2r, y2i := a0r+tr, a0i+ti, a0r-tr, a0i-ti
+
+		tr = wcr*a3r - wci*a3i
+		ti = wcr*a3i + wci*a3r
+		y1r, y1i, y3r, y3i := a1r+tr, a1i+ti, a1r-tr, a1i-ti
+		if scaled {
+			y0r, y0i, y1r, y1i = y0r*s, y0i*s, y1r*s, y1i*s
+			y2r, y2i, y3r, y3i = y2r*s, y2i*s, y3r*s, y3i*s
+		}
+		dst[j] = complex(y0r, y0i)
+		dst[i1] = complex(y1r, y1i)
+		dst[i2] = complex(y2r, y2i)
+		dst[i3] = complex(y3r, y3i)
+	}
+}
+
+// radix2Store is radix2Pass as the last pass of a transform, one block
+// spanning x, storing and scaling as radix4Store does.
+func radix2Store(dst, x, tw []complex128, s float64, scaled bool) {
+	half := len(x) >> 1
+	tw = tw[:half]
+	dst = dst[:len(x)]
+	for j := 0; j < half; j++ {
+		wr, wi := real(tw[j]), imag(tw[j])
+		y := x[j+half]
+		tr := wr*real(y) - wi*imag(y)
+		ti := wr*imag(y) + wi*real(y)
+		xr, xi := real(x[j]), imag(x[j])
+		y0r, y0i, y1r, y1i := xr+tr, xi+ti, xr-tr, xi-ti
+		if scaled {
+			y0r, y0i, y1r, y1i = y0r*s, y0i*s, y1r*s, y1i*s
+		}
+		dst[j] = complex(y0r, y0i)
+		dst[j+half] = complex(y1r, y1i)
+	}
+}
+
 // scratch is a pooled []complex128 used for column strips and packed
 // real rows. Pools are keyed by length and shared by
 // the serial and parallel paths; the wrapper struct (instead of a bare
@@ -458,7 +687,7 @@ const (
 // Batch2D transforms every matrix of the batch in place, equivalent to
 // transforming each alone — bit-identically so — but with
 // two parallel sections for the whole batch instead of two per matrix.
-// All matrices must share one power-of-two shape.
+// All matrices must share one shape, each side 2^k or 3·2^k.
 func Batch2D(ms []*grid.CMat, dir Dir) { Batch2DLimit(ms, dir, 0) }
 
 // Batch2DLimit is Batch2D with the parallel fan-out capped at limit
@@ -497,20 +726,28 @@ func fanOut(limit, elems int) int {
 	return n
 }
 
-// serial is the kernel: both passes over m on the calling goroutine.
+// serial is the kernel: both passes over m on the calling goroutine,
+// through one scratch buffer that serves as the column strip and as the
+// row.
 func (t xform2D) serial(m *grid.CMat, rowPlan, colPlan *plan) {
+	s := getScratch(scratchLen(m))
 	if t.colsFirst {
-		colPlan.columnsPass(m, 0, m.W, t.inverse)
+		colPlan.columnsWith(m, 0, m.W, t.inverse, s.buf)
 	}
 	for y := 0; y < m.H; y++ {
 		if t.rowLive == nil || t.rowLive[y] {
-			rowPlan.transform(m.Row(y), t.inverse)
+			rowPlan.transformWith(m.Row(y), s.buf, t.inverse)
 		}
 	}
 	if !t.colsFirst {
-		colPlan.columnsPass(m, 0, m.W, t.inverse)
+		colPlan.columnsWith(m, 0, m.W, t.inverse, s.buf)
 	}
+	putScratch(s)
 }
+
+// scratchLen is the scratch a 2-D pass over m draws: a column strip,
+// or a row where that is longer. Rows and strips share the one pool.
+func scratchLen(m *grid.CMat) int { return max(colStrip*m.H, m.W) }
 
 // one transforms a lone matrix: a batch of one, without a slice of its
 // own to allocate.
@@ -622,18 +859,20 @@ func (f *fan) complex2D(t xform2D, ms []*grid.CMat, rowPlan, colPlan *plan, limi
 // rows transforms the live (matrix, row) pairs [lo, hi).
 func (f *fan) rows(lo, hi int) {
 	nl := len(f.live)
+	s := getScratch(scratchLen(f.ms[0]))
 	for idx := lo; idx < hi; idx++ {
-		f.rowPlan.transform(f.ms[idx/nl].Row(f.live[idx%nl]), f.t.inverse)
+		f.rowPlan.transformWith(f.ms[idx/nl].Row(f.live[idx%nl]), s.buf, f.t.inverse)
 	}
+	putScratch(s)
 }
 
 // strips runs the column pass of the (matrix, strip) pairs [lo, hi), one
 // strip per work item, so small matrices still load-balance across the
 // pool.
 func (f *fan) strips(lo, hi int) {
-	h, w := f.ms[0].H, f.ms[0].W
+	w := f.ms[0].W
 	strips := (w + colStrip - 1) / colStrip
-	s := getScratch(colStrip * h)
+	s := getScratch(scratchLen(f.ms[0]))
 	for t := lo; t < hi; t++ {
 		b0 := (t % strips) * colStrip
 		f.colPlan.stripPass(f.ms[t/strips], b0, min(colStrip, w-b0), f.t.inverse, s.buf)

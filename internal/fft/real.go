@@ -118,21 +118,8 @@ func packedRowPair(dst *grid.CMat, src *grid.Mat, pi, b int, rowPlan *plan, z []
 		return
 	}
 	r1, out1 := src.Row(2*pi+1), dst.Row(2*pi+1)
-	interleave(z[:w], r0, r1)
-	rowPlan.transform(z, false)
+	rowPlan.transformPair(z[:w], r0, r1)
 	splitPacked(out0[:b+1], out1[:b+1], z)
-}
-
-// interleave sets z[j] = complex(re[j], im[j]).
-func interleave(z []complex128, re, im []float64) {
-	j := 0
-	if useAVX2 {
-		j = len(z) &^ 3
-		interleaveAVX2(z[:j], re[:j], im[:j])
-	}
-	for ; j < len(z); j++ {
-		z[j] = complex(re[j], im[j])
-	}
 }
 
 // splitPacked separates the spectra of two real rows packed into one
@@ -173,13 +160,26 @@ func splitPackedGo(out0, out1, z []complex128, lo, hi int) {
 func reflectColumns(m *grid.CMat, b, y0, y1 int) {
 	h, w := m.H, m.W
 	x0 := max(w-b, w/2+1)
+	if x0 >= w {
+		return
+	}
 	for y := y0; y < y1; y++ {
-		dst := m.Row(y)
-		src := m.Row((h - y) % h)
-		for x := x0; x < w; x++ {
-			v := src[w-x]
-			dst[x] = complex(real(v), -imag(v))
-		}
+		reflectRow(m.Row(y)[x0:], m.Row((h - y) % h)[1:w-x0+1])
+	}
+}
+
+// reflectRow sets dst[i] = conj(src[n−1−i]), n = len(dst): the mirrored
+// columns of one row, whose sources run backwards. The conjugate only
+// flips the sign bit of the imaginary part.
+func reflectRow(dst, src []complex128) {
+	n, i := len(dst), 0
+	if useAVX2 {
+		i = n &^ 1
+		reflectAVX2(dst[:i], src[n-i:n])
+	}
+	for ; i < n; i++ {
+		v := src[n-1-i]
+		dst[i] = complex(real(v), -imag(v))
 	}
 }
 
@@ -279,8 +279,9 @@ func hermitianRowGo(row, sr, mr []complex128, lo, k0, k1 int) {
 
 // unpair runs the packed inverse row pass of output row pairs [lo, hi):
 // z = G_y + i·G_{y+1} on columns 0..b, conj(G_y) + i·conj(G_{y+1}) of the
-// mirrored column on W−b..W−1, zero between. The last row of an odd
-// height has no partner and is inverted alone.
+// mirrored column on W−b..W−1, zero between, built straight into the
+// digit-reversed order the first pass reads in place. The last row of an
+// odd height has no partner and is inverted alone.
 func (f *fan) unpair(lo, hi int) {
 	g, b, w := f.lone[0], f.b, f.out.W
 	x1 := max(w-b, b+1)
@@ -288,58 +289,37 @@ func (f *fan) unpair(lo, hi int) {
 	z := s.buf
 	for pi := lo; pi < hi; pi++ {
 		y := 2 * pi
-		g0 := g.Row(y)
 		if y+1 == g.H {
 			// A lone row: G_{y+1} is zero.
-			var cr, ci float64
-			for x := 0; x <= b; x++ {
-				z[x] = complex(real(g0[x])-ci, imag(g0[x])+cr)
-			}
-			clear(z[b+1 : x1])
-			for x := x1; x < w; x++ {
-				z[x] = complex(real(g0[w-x])+ci, cr-imag(g0[w-x]))
-			}
-			f.rowPlan.transform(z, true)
+			packPermuted(z, g.Row(y), nil, b, x1, f.rowPlan.inv)
+			f.rowPlan.finish(z, z, 0, true)
 			out0 := f.out.Row(y)
 			for x, v := range z {
 				out0[x] = f.scale * real(v)
 			}
 			continue
 		}
-		g1 := g.Row(y + 1)
-		pack(z[:b+1], g0, g1)
-		clear(z[b+1 : x1])
-		packMirror(z[x1:w], g0[1:w-x1+1], g1[1:w-x1+1])
-		f.rowPlan.transform(z, true)
+		packPermuted(z, g.Row(y), g.Row(y+1), b, x1, f.rowPlan.inv)
+		f.rowPlan.finish(z, z, 0, true)
 		unzipScaled(f.out.Row(y), f.out.Row(y+1), z, f.scale)
 	}
 	putScratch(s)
 }
 
-// pack sets z[x] = g0[x] + i·g1[x].
-func pack(z, g0, g1 []complex128) {
-	x := 0
-	if useAVX2 {
-		x = len(z) &^ 1
-		packAVX2(z[:x], g0[:x], g1[:x])
+// packPermuted writes the packed Hermitian row of unpair into z in the
+// transform's input order, z[inv[x]] for column x: g0[x] + i·g1[x] on
+// columns 0..b, conj(g0[w−x]) + i·conj(g1[w−x]) on x1..w−1 (w = len(z)),
+// zero elsewhere. A nil g1 is a row of zeros.
+func packPermuted(z, g0, g1 []complex128, b, x1 int, inv []int) {
+	clear(z)
+	w := len(z)
+	for x := 0; x <= b; x++ {
+		u, v := g0[x], at(g1, x)
+		z[inv[x]] = complex(real(u)-imag(v), imag(u)+real(v))
 	}
-	for ; x < len(z); x++ {
-		z[x] = complex(real(g0[x])-imag(g1[x]), imag(g0[x])+real(g1[x]))
-	}
-}
-
-// packMirror sets z[x] = conj(g0[m]) + i·conj(g1[m]) for the mirror
-// m = n−1−x of x, n = len(z): the mirrored half of a packed Hermitian
-// row, whose sources run backwards.
-func packMirror(z, g0, g1 []complex128) {
-	n, x := len(z), 0
-	if useAVX2 {
-		x = n &^ 1
-		packMirrorAVX2(z[:x], g0[n-x:n], g1[n-x:n])
-	}
-	for ; x < n; x++ {
-		u, v := g0[n-1-x], g1[n-1-x]
-		z[x] = complex(real(u)+imag(v), real(v)-imag(u))
+	for x := x1; x < w; x++ {
+		u, v := g0[w-x], at(g1, w-x)
+		z[inv[x]] = complex(real(u)+imag(v), real(v)-imag(u))
 	}
 }
 

@@ -55,22 +55,14 @@ var sweepTwins = []sweepTwin{
 		out := make([]complex128, n)
 		return func() { scaleInto(out, x[:n], imag(x[n])) }, outputs(out)
 	}},
-	{"interleave", func(x []complex128, n int) (func(), func() []complex128) {
-		z, re, im := make([]complex128, n), reals(x[:n]), reals(x[n:2*n])
-		return func() { interleave(z, re, im) }, outputs(z)
-	}},
 	{"unzipScaled", func(x []complex128, n int) (func(), func() []complex128) {
 		out0, out1 := make([]float64, n), make([]float64, n)
 		return func() { unzipScaled(out0, out1, x[:n], real(x[n])) },
 			func() []complex128 { return joined(out0, out1) }
 	}},
-	{"pack", func(x []complex128, n int) (func(), func() []complex128) {
-		z := make([]complex128, n)
-		return func() { pack(z, x[:n], x[n:2*n]) }, outputs(z)
-	}},
-	{"packMirror", func(x []complex128, n int) (func(), func() []complex128) {
-		z := make([]complex128, n)
-		return func() { packMirror(z, x[:n], x[n:2*n]) }, outputs(z)
+	{"reflectRow", func(x []complex128, n int) (func(), func() []complex128) {
+		dst := make([]complex128, n)
+		return func() { reflectRow(dst, x[:n]) }, outputs(dst)
 	}},
 	{"splitPacked", func(x []complex128, n int) (func(), func() []complex128) {
 		// A packed row of 2n+2 points, its columns 0…n−1 split: the
@@ -125,6 +117,38 @@ func TestSweepTwinsBitIdentical(t *testing.T) {
 					}
 				}
 				checkSweep(t, tw, x, n)
+			}
+		}
+	}
+}
+
+// TestReflectColumnsTwinBitIdentical: the conjugate reflection of the
+// real forward transform gives the same bits with the twin and with the
+// Go loop, on every band half-width of every width up to 34, so the
+// reflected block starts at, before and past w/2+1 and has every length
+// parity, over heights with and without a self-mirrored middle row.
+// NaNs keep their payload: the twin only flips a sign bit, as Go's
+// negation does.
+func TestReflectColumnsTwinBitIdentical(t *testing.T) {
+	needAVX2(t)
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	rng := rand.New(rand.NewSource(4343))
+	for w := 1; w <= 34; w++ {
+		for _, h := range []int{1, 2, 3, 6} {
+			src := &grid.CMat{H: h, W: w, Data: withNaNs(rng, hostileData(rng, h*w, true), 3)}
+			for b := 0; b <= w/2; b++ {
+				var out [2]*grid.CMat
+				for i, vec := range []bool{false, true} {
+					useAVX2 = vec
+					out[i] = src.Clone()
+					reflectColumns(out[i], b, 0, h)
+				}
+				for k := range out[0].Data {
+					g, want := out[1].Data[k], out[0].Data[k]
+					if math.Float64bits(real(g)) != math.Float64bits(real(want)) || math.Float64bits(imag(g)) != math.Float64bits(imag(want)) {
+						t.Fatalf("w=%d h=%d b=%d: entry (%d, %d): vector %v, Go %v", w, h, b, k/w, k%w, g, want)
+					}
+				}
 			}
 		}
 	}
