@@ -14,14 +14,16 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestReachabilityAudit fails on every exported name of the module that
 // no non-test code uses, every exported field that code writes but
-// never reads, and every one it reads but never sets (a knob only tests
-// turn), unless audit_allowlist.txt lists it with a reason. The
+// never reads, and every field it reads but never sets or package-level
+// var it reads but only tests assign (a knob only tests turn), unless
+// audit_allowlist.txt lists it with a reason. The
 // benchmark module and the examples count as callers. An allowlist line
 // that matches nothing fails too, so the list only shrinks.
 func TestReachabilityAudit(t *testing.T) {
@@ -42,8 +44,8 @@ func TestReachabilityAudit(t *testing.T) {
 	}
 }
 
-// The fixture module plants six candidates; the audit reports exactly
-// the four that are dead code or an unset knob.
+// The fixture module plants eight candidates; the audit reports exactly
+// the five that are dead code or an unset knob.
 func TestReachabilityAuditFixture(t *testing.T) {
 	found, err := audit(t, filepath.Join("testdata", "audit"))
 	if err != nil {
@@ -51,6 +53,7 @@ func TestReachabilityAuditFixture(t *testing.T) {
 	}
 	want := []string{
 		"fixture.DeadFunc",
+		"fixture.Verbose:never-set",
 		"fixture/shapes.Square.DeadMethod",
 		"fixture/shapes.Square.Scale:never-set",
 		"fixture/shapes.Square.Tag:write-only",
@@ -88,7 +91,8 @@ func readAllowlist(t *testing.T, path string) map[string]string {
 type auditPkg struct {
 	path   string
 	files  []*ast.File
-	report bool // false for callers, whose own names are not audited
+	tests  []*ast.File // parsed for their assignments only, never type-checked
+	report bool        // false for callers, whose own names are not audited
 	types  *types.Package
 	info   *types.Info
 }
@@ -162,6 +166,15 @@ func (l *auditLoader) load(root string, callers []string) error {
 				}
 				p.files = append(p.files, f)
 			}
+			for _, name := range slices.Concat(bp.TestGoFiles, bp.XTestGoFiles) {
+				// Object resolution marks which identifiers a test file
+				// declares itself, so a local never passes for a package var.
+				f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, 0)
+				if err != nil {
+					return err
+				}
+				p.tests = append(p.tests, f)
+			}
 			l.pkgs[path] = p
 		}
 		entries, err := os.ReadDir(dir)
@@ -197,12 +210,15 @@ type auditDecl struct {
 	start, end      token.Pos // uses inside this span are the declaration's own
 	field           bool
 	read, used, set bool
+	testSet         bool // a package-level var some test assigns
 }
 
 // audit loads the module at root, with the caller directories, and
 // returns its dead entries sorted: "pkg.Name", "pkg.Type.Method" or
 // "pkg.Type.Field", with ":write-only" on a field that is assigned but
-// never read and ":never-set" on one that is read but never assigned.
+// never read and ":never-set" on one that is read but never assigned,
+// or on a package-level var that is read but assigned, beyond its
+// declaration, only by tests.
 func audit(t *testing.T, root string, callers ...string) ([]string, error) {
 	// The source importer would run cgo over the standard library's cgo
 	// packages; their pure-Go variants declare the same API.
@@ -288,12 +304,17 @@ func audit(t *testing.T, root string, callers ...string) ([]string, error) {
 				d.used, d.set = true, true
 			}
 		}
+		for _, obj := range l.testAssigned(p) {
+			if d := decls[obj]; d != nil {
+				d.testSet = true
+			}
+		}
 	}
 
 	var out []string
 	for obj, d := range decls {
 		switch {
-		case d.field && d.read && !d.set:
+		case (d.field || d.testSet) && d.read && !d.set:
 			out = append(out, d.name+":never-set")
 		case d.used && (d.read || !d.field):
 		case !d.used && satisfies(obj, ifaces):
@@ -375,10 +396,10 @@ func collectDecls(p *auditPkg, d ast.Decl, decls map[types.Object]*auditDecl) {
 	}
 }
 
-// writeSet holds the field identifiers a package only stores to: the
-// selector on the left of = or :=, ++ and --, and keys of struct
-// literals; update holds the selectors an op= both reads and stores;
-// all holds the fields of unkeyed struct literals.
+// writeSet holds the identifiers a package only stores to: the selector
+// or name on the left of = or :=, ++ and --, and keys of struct
+// literals; update holds the ones an op= both reads and stores; all
+// holds the fields of unkeyed struct literals.
 type writeSet struct {
 	pos, update map[token.Pos]bool
 	all         map[types.Object]bool
@@ -391,17 +412,17 @@ func fieldWrites(info *types.Info, files []*ast.File) writeSet {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					if id := assigned(lhs); id != nil {
 						if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
-							w.pos[sel.Sel.Pos()] = true
+							w.pos[id.Pos()] = true
 						} else {
-							w.update[sel.Sel.Pos()] = true
+							w.update[id.Pos()] = true
 						}
 					}
 				}
 			case *ast.IncDecStmt:
-				if sel, ok := n.X.(*ast.SelectorExpr); ok {
-					w.pos[sel.Sel.Pos()] = true
+				if id := assigned(n.X); id != nil {
+					w.pos[id.Pos()] = true
 				}
 			case *ast.CompositeLit:
 				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
@@ -420,6 +441,71 @@ func fieldWrites(info *types.Info, files []*ast.File) writeSet {
 		})
 	}
 	return w
+}
+
+// assigned is the identifier an assignment to e stores to: the name
+// itself, or the selected name of a selector.
+func assigned(e ast.Expr) *ast.Ident {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e
+	case *ast.SelectorExpr:
+		return e.Sel
+	}
+	return nil
+}
+
+// testAssigned returns the package-level objects of loaded packages
+// that the test files of p assign: a bare name a file of the package
+// itself does not declare, or pkg.Name through one of the file's
+// imports.
+func (l *auditLoader) testAssigned(p *auditPkg) []types.Object {
+	var out []types.Object
+	for _, f := range p.tests {
+		imports := map[string]*types.Package{}
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			ip, ok := l.pkgs[path]
+			if !ok || ip.types == nil {
+				continue
+			}
+			name := ip.types.Name()
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			imports[name] = ip.types
+		}
+		lookup := func(e ast.Expr) {
+			switch e := e.(type) {
+			case *ast.Ident:
+				if e.Obj == nil && f.Name.Name == p.types.Name() {
+					if obj := p.types.Scope().Lookup(e.Name); obj != nil {
+						out = append(out, obj)
+					}
+				}
+			case *ast.SelectorExpr:
+				if x, ok := e.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] != nil {
+					if obj := imports[x.Name].Scope().Lookup(e.Sel.Name); obj != nil {
+						out = append(out, obj)
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						lookup(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				lookup(n.X)
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // origin maps an object of an instantiated generic type to its

@@ -65,13 +65,13 @@ func TestChaosMGSBitIdentical(t *testing.T) {
 		t.Fatalf("fault-free run recorded %d retries", cleanStats.Retries)
 	}
 
-	deviceDead := fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
+	deviceDead := fault.InjectorFunc(func(k fault.Key) error {
 		// Kill whichever device runs the first unit of batch 0:
 		// one device dies mid-flow and its work migrates to survivors.
-		if site == fault.SiteDeviceRun && k.Batch == 0 && k.Unit == 0 && k.Attempt == 0 {
-			return fault.Fault{Err: &fault.Error{Site: site, Key: k, IsHard: true}, Hard: true}
+		if k.Batch == 0 && k.Unit == 0 && k.Attempt == 0 {
+			return &fault.Error{Key: k, IsHard: true}
 		}
-		return fault.Fault{}
+		return nil
 	})
 
 	cases := []struct {
@@ -111,14 +111,39 @@ func TestChaosMGSBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosAerialFaultRetried exercises the litho.aerial global hook:
-// an injected fault deep inside the (pure) simulator surfaces as a
-// panic, is converted back to a retryable error at the device job
-// boundary, and the retried attempt reproduces the fault-free mask —
-// on the direct path, through the tile cache (whose round leads the
-// keys the panic unwinds past) and through lockstep batching (whose
-// batch runs inside the device job that recovers it). The fault trips
-// inside the first fine stage, where several tiles are in flight.
+// panicOnceSolver is the default pixel solver with one injected fault:
+// once armed, the first Solve or SolveBatch to start throws fault.Panic,
+// the way a compute site with no error return would. Embedding
+// *opt.Pixel keeps its Fingerprint, so the tile cache and the batcher
+// take it like the plain solver.
+type panicOnceSolver struct {
+	*opt.Pixel
+	armed, tripped atomic.Bool
+}
+
+func (s *panicOnceSolver) trip() {
+	if s.armed.Load() && s.tripped.CompareAndSwap(false, true) {
+		panic(fault.Panic{Err: &fault.Error{}})
+	}
+}
+
+func (s *panicOnceSolver) Solve(target, init *grid.Mat, p opt.Params) (*grid.Mat, error) {
+	s.trip()
+	return s.Pixel.Solve(target, init, p)
+}
+
+func (s *panicOnceSolver) SolveBatch(targets, inits []*grid.Mat, ps []opt.Params) ([]*grid.Mat, []error) {
+	s.trip()
+	return s.Pixel.SolveBatch(targets, inits, ps)
+}
+
+// TestChaosAerialFaultRetried: a fault thrown as a panic from inside a
+// tile solve is converted back to a retryable error at the device job
+// boundary, and the retried attempt reproduces the fault-free mask — on
+// the direct path, through the tile cache (whose round leads the keys
+// the panic unwinds past) and through lockstep batching (whose batch
+// runs inside the device job that recovers it). The fault trips inside
+// the first fine stage, where several tiles are in flight.
 func TestChaosAerialFaultRetried(t *testing.T) {
 	target := testClipTarget(t, 7)
 	clean, _ := chaosRun(t, target, nil, nil)
@@ -138,27 +163,21 @@ func TestChaosAerialFaultRetried(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			var armed, tripped atomic.Bool
-			fault.Enable(fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
-				if site == fault.SiteLithoAerial && armed.Load() && tripped.CompareAndSwap(false, true) {
-					return fault.Fault{Err: &fault.Error{Site: site, Key: k}}
-				}
-				return fault.Fault{}
-			}))
-			defer fault.Enable(nil)
-
-			armAfterCoarse := func(cfg *Config) {
-				cfg.StageDone = func(pipeline.StageTiming) { armed.Store(true) }
+			solver := &panicOnceSolver{}
+			withSolver := func(cfg *Config) {
+				solver.Pixel = opt.NewPixel(cfg.Sim)
+				cfg.Solver = solver
+				cfg.StageDone = func(pipeline.StageTiming) { solver.armed.Store(true) }
 			}
-			res, stats := chaosRun(t, target, nil, &fault.Retry{}, row.backend, armAfterCoarse)
-			if !tripped.Load() {
-				t.Fatal("aerial hook never fired")
+			res, stats := chaosRun(t, target, nil, &fault.Retry{}, row.backend, withSolver)
+			if !solver.tripped.Load() {
+				t.Fatal("injected solver fault never fired")
 			}
 			if stats.Retries < 1 || stats.Retries > row.maxRetries {
-				t.Fatalf("one injected aerial fault cost %d retries, want 1..%d", stats.Retries, row.maxRetries)
+				t.Fatalf("one injected solver fault cost %d retries, want 1..%d", stats.Retries, row.maxRetries)
 			}
 			if !res.Mask.Equal(clean.Mask) {
-				t.Fatal("aerial-fault run mask differs from fault-free run")
+				t.Fatal("solver-fault run mask differs from fault-free run")
 			}
 		})
 	}

@@ -169,8 +169,7 @@ func (c *Config) run(name string, cl *device.Cluster, stages []pipeline.Stage, i
 // Schwarz stage and refine sweep is one engine stage — so checkpoint,
 // resume, progress, cancellation and stage timing all come from
 // internal/pipeline.
-func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
-	defer pipeline.CatchFault(&err)
+func MultigridSchwarz(cfg Config, target *grid.Mat) (*Result, error) {
 	c := &cfg
 	if err := c.checkTarget(target); err != nil {
 		return nil, err
@@ -348,7 +347,7 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (res *Result, err error) {
 	}
 
 	// Algorithm 1, line 4: M ← Z_t.
-	res, err = c.run("multigrid-schwarz", cl, stages, target.Clone(), target, p.StitchLines())
+	res, err := c.run("multigrid-schwarz", cl, stages, target.Clone(), target, p.StitchLines())
 	if err != nil {
 		return nil, err
 	}
@@ -395,8 +394,7 @@ func (c *Config) coarseCorrect(cl *device.Cluster, m, target *grid.Mat) (*grid.M
 // what produces the Fig. 1/Fig. 3 stitch discontinuities. The pipeline
 // has a single "solve" stage; a valid checkpoint carries the fully
 // assembled mask, so resuming skips straight to evaluation.
-func DivideAndConquer(cfg Config, target *grid.Mat) (res *Result, err error) {
-	defer pipeline.CatchFault(&err)
+func DivideAndConquer(cfg Config, target *grid.Mat) (*Result, error) {
 	c := &cfg
 	if err := c.checkTarget(target); err != nil {
 		return nil, err
@@ -413,7 +411,7 @@ func DivideAndConquer(cfg Config, target *grid.Mat) (res *Result, err error) {
 			return m, err
 		},
 	}}
-	res, err = c.run("divide-and-conquer", cl, stages, target, target, p.StitchLines())
+	res, err := c.run("divide-and-conquer", cl, stages, target, target, p.StitchLines())
 	if err != nil {
 		return nil, err
 	}
@@ -428,8 +426,7 @@ func DivideAndConquer(cfg Config, target *grid.Mat) (res *Result, err error) {
 // under ideal conditions"). Running on the engine makes even this
 // single-stage flow checkpoint/resumable: a kill after the solve
 // restarts at evaluation instead of repaying the whole budget.
-func FullChip(cfg Config, target *grid.Mat) (res *Result, err error) {
-	defer pipeline.CatchFault(&err)
+func FullChip(cfg Config, target *grid.Mat) (*Result, error) {
 	c := &cfg
 	if err := c.checkTarget(target); err != nil {
 		return nil, err

@@ -25,8 +25,7 @@ import (
 // whole baseline budget. The healing windows' new boundaries are pure
 // geometry (independent of the solved masks), so AuxLines are complete
 // even on a resumed run.
-func StitchAndHeal(cfg Config, target *grid.Mat) (res *Result, err error) {
-	defer pipeline.CatchFault(&err)
+func StitchAndHeal(cfg Config, target *grid.Mat) (*Result, error) {
 	c := &cfg
 	if err := c.checkTarget(target); err != nil {
 		return nil, err
@@ -55,7 +54,7 @@ func StitchAndHeal(cfg Config, target *grid.Mat) (res *Result, err error) {
 		})
 	}
 
-	res, err = c.run("stitch-and-heal", cl, stages, target, target, lines)
+	res, err := c.run("stitch-and-heal", cl, stages, target, target, lines)
 	if err != nil {
 		return nil, err
 	}

@@ -15,14 +15,13 @@
 //
 // Resilience: production accelerator pools treat flaky devices as
 // routine. When a fault.Injector is installed the cluster consults it
-// at the device.run site of every job attempt; transient failures are
-// retried (on any surviving device) under the cluster's fault.Retry
-// policy with backoff charged to the simulated timeline, and a hard
-// device failure quarantines the device from the pool for the
-// cluster's lifetime (see Revive).
-// Injected panics escaping a job's compute (the litho.aerial site) are
-// recovered at the job boundary and classified like any other injected
-// error, so a chaos run can never crash the process.
+// before every job attempt, the one injection site (device.run);
+// transient failures are retried (on any surviving device) under the
+// cluster's fault.Retry policy with backoff charged to the simulated
+// timeline, and a hard device failure quarantines the device from the
+// pool for the cluster's lifetime (see Revive). A fault.Panic unwinding
+// out of a job's compute is recovered at the job boundary and
+// classified like any other injected error.
 package device
 
 import (
@@ -50,8 +49,9 @@ type Cluster struct {
 	// to the job's device timeline, not slept.
 	TransferPerMPixel time.Duration
 
-	// Injector, when non-nil, is consulted at the device.run site of
-	// every job attempt. Set it before the first RunCtx; it must not be swapped while a batch is in flight.
+	// Injector, when non-nil, is consulted before every job attempt.
+	// Set it before the first RunCtx; it must not be swapped while a
+	// batch is in flight.
 	Injector fault.Injector
 	// Retry tunes the per-job retry policy (attempts and backoff
 	// shape). nil uses the fault.Retry defaults.
@@ -351,47 +351,43 @@ func (c *Cluster) RunCtx(ctx context.Context, jobs []Job) error {
 }
 
 // attempt executes one attempt of one job on one device, consulting
-// the injector at the run site. It returns the outcome
-// classification, the attempt's error and its measured compute
-// duration.
+// the injector first. It returns the outcome classification, the
+// attempt's error and its measured compute duration; an injected fault
+// fails the attempt before it runs and charges no compute.
 func (c *Cluster) attempt(ctx context.Context, batch int64, dev int, u unit, job Job, inj fault.Injector) (outcome, error, time.Duration) {
 	if !c.Fits(job.Pixels) {
 		return oFatal, fmt.Errorf("device: job of %d pixels exceeds device memory %d", job.Pixels, c.memPixels), 0
 	}
 	if inj != nil {
-		key := fault.Key{Batch: batch, Unit: int64(u.idx), Attempt: int64(u.attempt), Device: int64(dev)}
-		if f := inj.At(fault.SiteDeviceRun, key); f.Err != nil {
-			return classify(f), f.Err, 0
+		if err := inj.At(fault.Key{Batch: batch, Unit: int64(u.idx), Attempt: int64(u.attempt), Device: int64(dev)}); err != nil {
+			return classify(err), err, 0
 		}
 	}
 
 	start := time.Now()
 	err := runWork(ctx, job, dev)
-	dur := time.Since(start)
-
-	switch {
-	case err == nil:
-		return oDone, nil, dur
-	case fault.Hard(err):
-		return oHard, err, dur
-	case fault.Transient(err):
-		return oRetry, err, dur
-	default:
-		return oFatal, err, dur
-	}
+	return classify(err), err, time.Since(start)
 }
 
-func classify(f fault.Fault) outcome {
-	if f.Hard {
+// classify maps an attempt's error, injected or the job's own, to its
+// outcome.
+func classify(err error) outcome {
+	switch {
+	case err == nil:
+		return oDone
+	case fault.Hard(err):
 		return oHard
+	case fault.Transient(err):
+		return oRetry
+	default:
+		return oFatal
 	}
-	return oRetry
 }
 
 // runWork invokes the job's Work as a registered computing goroutine of
-// the worker pool, converting injected panics (thrown by error-less
-// sites such as litho.aerial) into ordinary errors so the retry
-// machinery can classify them. Genuine panics propagate.
+// the worker pool, converting an injected fault.Panic unwinding out of
+// the job's compute into an ordinary error so the retry machinery can
+// classify it. Genuine panics propagate.
 func runWork(ctx context.Context, job Job, dev int) (err error) {
 	parallel.Enter()
 	defer parallel.Leave()

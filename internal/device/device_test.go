@@ -265,11 +265,11 @@ func TestSimElapsedAccumulatesAcrossRuns(t *testing.T) {
 func TestTransientFaultsRetriedToSuccess(t *testing.T) {
 	c, _ := NewCluster(2, 0)
 	// Fail the first attempt of every job; attempt ≥ 1 succeeds.
-	c.Injector = fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
-		if site == fault.SiteDeviceRun && k.Attempt == 0 {
-			return fault.Fault{Err: &fault.Error{Site: site, Key: k}}
+	c.Injector = fault.InjectorFunc(func(k fault.Key) error {
+		if k.Attempt == 0 {
+			return &fault.Error{Key: k}
 		}
-		return fault.Fault{}
+		return nil
 	})
 	var runs atomic.Int32
 	jobs := make([]Job, 6)
@@ -299,11 +299,8 @@ func TestTransientFaultsRetriedToSuccess(t *testing.T) {
 func TestTransientFaultExhaustsAttempts(t *testing.T) {
 	c, _ := NewCluster(2, 0)
 	c.Retry = &fault.Retry{MaxAttempts: 3}
-	c.Injector = fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
-		if site == fault.SiteDeviceRun {
-			return fault.Fault{Err: &fault.Error{Site: site, Key: k}}
-		}
-		return fault.Fault{}
+	c.Injector = fault.InjectorFunc(func(k fault.Key) error {
+		return &fault.Error{Key: k}
 	})
 	err := c.RunCtx(context.Background(), []Job{ok(1)})
 	if err == nil || !fault.Transient(err) {
@@ -319,11 +316,11 @@ func TestHardFaultQuarantinesDevice(t *testing.T) {
 	// The first attempt of job 0 hard-fails whichever device executes
 	// it; everything else is healthy, so the job must complete on a
 	// surviving device and exactly one device ends up quarantined.
-	c.Injector = fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
-		if site == fault.SiteDeviceRun && k.Unit == 0 && k.Attempt == 0 {
-			return fault.Fault{Err: &fault.Error{Site: site, Key: k, IsHard: true}, Hard: true}
+	c.Injector = fault.InjectorFunc(func(k fault.Key) error {
+		if k.Unit == 0 && k.Attempt == 0 {
+			return &fault.Error{Key: k, IsHard: true}
 		}
-		return fault.Fault{}
+		return nil
 	})
 	var runs atomic.Int32
 	jobs := make([]Job, 12)
@@ -381,11 +378,8 @@ func TestHardFaultQuarantinesDevice(t *testing.T) {
 func TestAllDevicesLostReturnsErrNoDevices(t *testing.T) {
 	c, _ := NewCluster(2, 0)
 	c.Retry = &fault.Retry{MaxAttempts: 10}
-	c.Injector = fault.InjectorFunc(func(site fault.Site, k fault.Key) fault.Fault {
-		if site == fault.SiteDeviceRun {
-			return fault.Fault{Err: &fault.Error{Site: site, Key: k, IsHard: true}, Hard: true}
-		}
-		return fault.Fault{}
+	c.Injector = fault.InjectorFunc(func(k fault.Key) error {
+		return &fault.Error{Key: k, IsHard: true}
 	})
 	jobs := make([]Job, 8)
 	for i := range jobs {
@@ -412,11 +406,11 @@ func TestAllDevicesLostReturnsErrNoDevices(t *testing.T) {
 func TestInjectedPanicRecoveredAsRetryable(t *testing.T) {
 	c, _ := NewCluster(2, 0)
 	var calls atomic.Int32
-	// Work panics with an injected fault on its first call (the
-	// litho.aerial path), then succeeds.
+	// Work panics with an injected fault on its first call, then
+	// succeeds.
 	jobs := []Job{{Pixels: 1, Work: func(context.Context, int) error {
 		if calls.Add(1) == 1 {
-			panic(fault.Panic{Err: &fault.Error{Site: fault.SiteLithoAerial}})
+			panic(fault.Panic{Err: &fault.Error{}})
 		}
 		return nil
 	}}}

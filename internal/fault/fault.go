@@ -5,21 +5,20 @@
 // repository uses to reproduce — and test — that operational posture:
 //
 //   - Injector: a seedable source of scheduled faults (transient
-//     errors and hard device failures) consulted at named Sites of
-//     the compute path. The decision for one opportunity is a pure
-//     hash of (seed, site, key), so a chaos run is exactly
-//     reproducible from its seed regardless of goroutine scheduling.
+//     errors and hard device failures) consulted by internal/device at
+//     its one site, device.run: every attempt of a job on a device.
+//     The decision for one attempt is a pure hash of (seed, key), so a
+//     chaos run is exactly reproducible from its seed regardless of
+//     goroutine scheduling.
 //   - Retry: a context-aware retry policy (capped exponential backoff
 //     with full jitter) wrapped around per-job device dispatch by
 //     internal/device and available as a standalone combinator (Do).
-//   - A process-global hook (Enable/At) for sites buried inside pure
-//     compute code that cannot thread an injector value through their
-//     call chain (litho.aerial). The default is disabled: At is a
-//     single atomic load returning the zero Fault, so production pays
-//     nothing.
+//
+// The numeric core (litho, opt and below) never imports this package:
+// a tile solve stays a pure function of its inputs.
 //
 // Determinism contract: an injector's At must be a pure function of
-// (site, key). The provided Seeded injector guarantees this; custom
+// its key. The provided Seeded injector guarantees this; custom
 // injectors used by the chaos tests should too, or retry counters stop
 // being reproducible.
 package fault
@@ -27,25 +26,14 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
-// Site names an injection point in the compute path.
-type Site string
+// site names the one injection point, one job attempt on one device,
+// in error messages and in the Seeded hash.
+const site = "device.run"
 
-// The sites currently wired into the repository.
-const (
-	// SiteDeviceRun wraps one tile job attempt on one device.
-	SiteDeviceRun Site = "device.run"
-	// SiteLithoAerial wraps one aerial-image evaluation inside the
-	// Hopkins convolution. The site cannot return an error (the litho
-	// API is pure), so injected failures are thrown as Panic values and
-	// recovered at the device job boundary.
-	SiteLithoAerial Site = "litho.aerial"
-)
-
-// Key identifies one injection opportunity. Together with the site and
-// the injector seed it fully determines the injected fault, which is
+// Key identifies one injection opportunity. Together with the injector
+// seed it fully determines the injected fault, which is
 // what makes chaos runs reproducible: the device layer derives Batch
 // from a per-cluster batch sequence number, Unit from the job index
 // within the batch, and Attempt from the retry attempt.
@@ -63,33 +51,24 @@ type Key struct {
 	Device  int64
 }
 
-// Fault is one injected event. The zero value means "no fault".
-type Fault struct {
-	// Err, when non-nil, fails the operation. Use Transient/Hard to
-	// classify it.
-	Err error
-	// Hard marks a device-fatal failure: the executing device must be
-	// quarantined from the pool.
-	Hard bool
-}
-
-// Injector decides the fault (if any) for one opportunity. At must be
-// safe for concurrent use and SHOULD be a pure function of its
-// arguments (see the package determinism contract).
+// Injector decides the fault, if any, for one job attempt: At returns
+// nil or an error the device layer classifies with Hard and Transient,
+// as it classifies a job's own error. At must be safe for concurrent
+// use and SHOULD be a pure function of its key (see the package
+// determinism contract).
 type Injector interface {
-	At(site Site, k Key) Fault
+	At(k Key) error
 }
 
 // InjectorFunc adapts a function to the Injector interface.
-type InjectorFunc func(site Site, k Key) Fault
+type InjectorFunc func(k Key) error
 
 // At implements Injector.
-func (f InjectorFunc) At(site Site, k Key) Fault { return f(site, k) }
+func (f InjectorFunc) At(k Key) error { return f(k) }
 
 // Error is an injected failure, carrying its provenance so a chaos
 // log line suffices to reproduce the event.
 type Error struct {
-	Site   Site
 	Key    Key
 	IsHard bool
 }
@@ -101,7 +80,7 @@ func (e *Error) Error() string {
 		kind = "hard"
 	}
 	return fmt.Sprintf("fault: injected %s failure at %s (batch %d, unit %d, attempt %d, device %d)",
-		kind, e.Site, e.Key.Batch, e.Key.Unit, e.Key.Attempt, e.Key.Device)
+		kind, site, e.Key.Batch, e.Key.Unit, e.Key.Attempt, e.Key.Device)
 }
 
 // Transient reports whether err is an injected transient fault — one
@@ -128,11 +107,9 @@ type Rates struct {
 }
 
 // Seeded is the deterministic injector: the fault for an opportunity
-// is a pure hash of (seed, site, key), so concurrent chaos runs with
-// the same seed inject exactly the same faults no matter how the
-// scheduler interleaves them. One set of rates applies at every site
-// it is consulted at; the device layer consults it only at
-// SiteDeviceRun.
+// is a pure hash of (seed, key), so concurrent chaos runs with the
+// same seed inject exactly the same faults no matter how the scheduler
+// interleaves them.
 type Seeded struct {
 	seed  int64
 	rates Rates
@@ -148,23 +125,25 @@ func NewSeeded(seed int64, r Rates) *Seeded {
 }
 
 // At implements Injector.
-func (s *Seeded) At(site Site, k Key) Fault {
-	u := unitFloat(s.seed, site, k)
+func (s *Seeded) At(k Key) error {
+	u := unitFloat(s.seed, k)
 	switch {
 	case u < s.rates.Hard:
-		return Fault{Err: &Error{Site: site, Key: k, IsHard: true}, Hard: true}
+		return &Error{Key: k, IsHard: true}
 	case u < s.rates.Hard+s.rates.Transient:
-		return Fault{Err: &Error{Site: site, Key: k}}
+		return &Error{Key: k}
 	}
-	return Fault{}
+	return nil
 }
 
-// unitFloat hashes (seed, site, key) into [0, 1) with a splitmix64
-// finaliser over an FNV-folded site name. Key.Device is deliberately
+// unitFloat hashes (seed, key) into [0, 1) with a splitmix64 finaliser
+// over the FNV-folded site name. The name is a constant, but dropping it
+// would move every seeded schedule (TestSeededScheduleGolden) and the
+// retry counts of every seeded chaos run. Key.Device is deliberately
 // NOT hashed — see the Key docs: unit-to-device assignment is a
 // scheduler race, and a schedule-dependent hash would break the
 // determinism contract.
-func unitFloat(seed int64, site Site, k Key) float64 {
+func unitFloat(seed int64, k Key) float64 {
 	h := uint64(seed) ^ 0x9e3779b97f4a7c15
 	for i := 0; i < len(site); i++ {
 		h = (h ^ uint64(site[i])) * 1099511628211
@@ -184,10 +163,11 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// Panic is the value thrown by injection sites that cannot return an
-// error (litho.aerial). The device job boundary recovers it with
-// FromPanic and converts it into an ordinary retryable error;
-// internal/parallel forwards it from helper goroutines to the caller.
+// Panic carries an injected fault through a panic instead of an error
+// return. The device job boundary recovers it with FromPanic and
+// converts it into an ordinary retryable error; internal/parallel
+// forwards it from helper goroutines to the caller, and the tile cache
+// and the batcher release what they hold as it unwinds past them.
 type Panic struct{ Err error }
 
 // FromPanic extracts an injected fault from a recovered panic value.
@@ -196,34 +176,4 @@ func FromPanic(r any) (error, bool) {
 		return p.Err, true
 	}
 	return nil, false
-}
-
-// global is the process-wide injector hook for sites that cannot
-// thread an Injector through their call chain. nil = disabled.
-var global atomic.Pointer[injectorBox]
-
-type injectorBox struct{ inj Injector }
-
-// Enable installs inj as the process-global injector consulted by At.
-// Passing nil disables injection (the production default).
-func Enable(inj Injector) {
-	if inj == nil {
-		global.Store(nil)
-		return
-	}
-	global.Store(&injectorBox{inj: inj})
-}
-
-// Enabled reports whether a process-global injector is installed.
-func Enabled() bool { return global.Load() != nil }
-
-// At consults the process-global injector. When none is installed (the
-// production default) it is a single atomic load returning the zero
-// Fault — effectively free on the hot path.
-func At(site Site, k Key) Fault {
-	b := global.Load()
-	if b == nil {
-		return Fault{}
-	}
-	return b.inj.At(site, k)
 }

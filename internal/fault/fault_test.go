@@ -13,8 +13,8 @@ func TestSeededIsDeterministic(t *testing.T) {
 		for unit := int64(0); unit < 32; unit++ {
 			for attempt := int64(0); attempt < 3; attempt++ {
 				k := Key{Batch: batch, Unit: unit, Attempt: attempt, Device: unit % 2}
-				fa, fb := a.At(SiteDeviceRun, k), b.At(SiteDeviceRun, k)
-				if (fa.Err == nil) != (fb.Err == nil) || fa.Hard != fb.Hard {
+				fa, fb := a.At(k), b.At(k)
+				if (fa == nil) != (fb == nil) || Hard(fa) != Hard(fb) {
 					t.Fatalf("same seed diverged at %+v: %+v vs %+v", k, fa, fb)
 				}
 			}
@@ -28,10 +28,10 @@ func TestSeededIsDeterministic(t *testing.T) {
 func TestSeededIgnoresDevice(t *testing.T) {
 	inj := NewSeeded(42, Rates{Transient: 0.3, Hard: 0.05})
 	for unit := int64(0); unit < 64; unit++ {
-		base := inj.At(SiteDeviceRun, Key{Unit: unit})
+		base := inj.At(Key{Unit: unit})
 		for dev := int64(1); dev < 8; dev++ {
-			f := inj.At(SiteDeviceRun, Key{Unit: unit, Device: dev})
-			if (f.Err == nil) != (base.Err == nil) || f.Hard != base.Hard {
+			f := inj.At(Key{Unit: unit, Device: dev})
+			if (f == nil) != (base == nil) || Hard(f) != Hard(base) {
 				t.Fatalf("fault decision for unit %d changed with device %d: %+v vs %+v", unit, dev, f, base)
 			}
 		}
@@ -39,7 +39,7 @@ func TestSeededIgnoresDevice(t *testing.T) {
 }
 
 // TestSeededScheduleGolden pins the fault class of every key with
-// batch 0–1, unit 0–7 and attempt 0–1 at SiteDeviceRun for seed 42
+// batch 0–1, unit 0–7 and attempt 0–1 for seed 42
 // ('.' none, 't' transient, 'H' hard; '|' separates the batches), so
 // any change to the hash or the rate partition shows as a diff here
 // rather than as moved retry counts in a chaos run.
@@ -53,11 +53,11 @@ func TestSeededScheduleGolden(t *testing.T) {
 		}
 		for unit := int64(0); unit < 8; unit++ {
 			for attempt := int64(0); attempt < 2; attempt++ {
-				f := inj.At(SiteDeviceRun, Key{Batch: batch, Unit: unit, Attempt: attempt})
+				f := inj.At(Key{Batch: batch, Unit: unit, Attempt: attempt})
 				switch {
-				case f.Hard:
+				case Hard(f):
 					got = append(got, 'H')
-				case f.Err != nil:
+				case f != nil:
 					got = append(got, 't')
 				default:
 					got = append(got, '.')
@@ -77,7 +77,7 @@ func TestSeededSeedsDiffer(t *testing.T) {
 	const n = 256
 	for i := int64(0); i < n; i++ {
 		k := Key{Unit: i}
-		if (a.At(SiteDeviceRun, k).Err == nil) == (b.At(SiteDeviceRun, k).Err == nil) {
+		if (a.At(k) == nil) == (b.At(k) == nil) {
 			same++
 		}
 	}
@@ -91,7 +91,7 @@ func TestSeededRatesRoughlyHonoured(t *testing.T) {
 	faults := 0
 	const n = 4000
 	for i := int64(0); i < n; i++ {
-		if inj.At(SiteDeviceRun, Key{Unit: i}).Err != nil {
+		if inj.At(Key{Unit: i}) != nil {
 			faults++
 		}
 	}
@@ -111,8 +111,8 @@ func TestSeededInvalidRatesPanic(t *testing.T) {
 }
 
 func TestErrorClassification(t *testing.T) {
-	tr := &Error{Site: SiteDeviceRun, Key: Key{Unit: 3}}
-	hd := &Error{Site: SiteDeviceRun, IsHard: true}
+	tr := &Error{Key: Key{Unit: 3}}
+	hd := &Error{IsHard: true}
 	if !Transient(tr) || Transient(hd) {
 		t.Fatal("transient classification wrong")
 	}
@@ -128,29 +128,18 @@ func TestErrorClassification(t *testing.T) {
 	}
 }
 
-func TestGlobalHookDisabledByDefault(t *testing.T) {
-	if Enabled() {
-		t.Fatal("global injector enabled at start-up")
-	}
-	if f := At(SiteLithoAerial, Key{}); f.Err != nil {
-		t.Fatalf("disabled hook injected %+v", f)
-	}
-	Enable(NewSeeded(1, Rates{Transient: 1}))
-	defer Enable(nil)
-	if !Enabled() {
-		t.Fatal("Enable did not install")
-	}
-	if f := At(SiteLithoAerial, Key{}); f.Err == nil {
-		t.Fatal("enabled hook must inject at rate 1")
-	}
-	Enable(nil)
-	if Enabled() {
-		t.Fatal("Enable(nil) did not remove")
+// TestErrorMessage pins the text a chaos log line carries: the site and
+// the whole key, from which the event can be replayed.
+func TestErrorMessage(t *testing.T) {
+	err := &Error{Key: Key{Batch: 1, Unit: 2, Attempt: 3, Device: 4}, IsHard: true}
+	const want = "fault: injected hard failure at device.run (batch 1, unit 2, attempt 3, device 4)"
+	if got := err.Error(); got != want {
+		t.Fatalf("message %q, want %q", got, want)
 	}
 }
 
 func TestFromPanic(t *testing.T) {
-	err := &Error{Site: SiteLithoAerial}
+	err := &Error{}
 	if got, ok := FromPanic(Panic{Err: err}); !ok || got != err {
 		t.Fatalf("FromPanic(%v) = %v, %v", err, got, ok)
 	}

@@ -10,7 +10,7 @@ import (
 
 // transientErr builds a retryable injected error for tests.
 func transientErr(unit int64) error {
-	return &Error{Site: SiteDeviceRun, Key: Key{Unit: unit}}
+	return &Error{Key: Key{Unit: unit}}
 }
 
 func noJitter(r *Retry) *Retry {
@@ -57,7 +57,7 @@ func TestDoStopsOnHardFault(t *testing.T) {
 	calls := 0
 	err := r.Do(context.Background(), func(context.Context, int) error {
 		calls++
-		return &Error{Site: SiteDeviceRun, IsHard: true}
+		return &Error{IsHard: true}
 	})
 	if !Hard(err) || calls != 1 {
 		t.Fatalf("err %v after %d calls, want 1 hard failure", err, calls)

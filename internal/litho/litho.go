@@ -50,7 +50,6 @@ import (
 	"sync/atomic"
 
 	"mgsilt/internal/cpu"
-	"mgsilt/internal/fault"
 	"mgsilt/internal/fft"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/kernels"
@@ -523,36 +522,10 @@ func workersFor(k int) int {
 	return max(1, min(parallel.Workers(), k))
 }
 
-// aerialCalls sequences aerial evaluations for the litho.aerial fault
-// site. The key is a call-sequence number, so under a process-global
-// injector this site is deterministic for serial runs but only
-// statistically reproducible for concurrent ones (evaluation order
-// depends on scheduling); schedule-exact chaos tests should inject at
-// the device sites instead.
-var aerialCalls atomic.Int64
-
-// injectAerial is the litho.aerial chaos site, shared by every entry
-// point that evaluates the Hopkins sum (plain aerial images and the
-// LossGrad solver path). The litho API is pure (no error returns), so
-// an injected failure is thrown as a fault.Panic; callers running
-// inside a device job have it recovered and retried at the job
-// boundary, and the core flows convert panics escaping their own
-// metric evaluations into ordinary errors. Injected latency is
-// meaningless here (there is no timeline to charge) and ignored.
-func injectAerial() {
-	if !fault.Enabled() {
-		return
-	}
-	if f := fault.At(fault.SiteLithoAerial, fault.Key{Unit: aerialCalls.Add(1)}); f.Err != nil {
-		panic(fault.Panic{Err: f.Err})
-	}
-}
-
 // aerial is the forward half of the evaluation on one mask: F(mask)
 // cropped to the set's band, the fields and their intensity on its M
 // grid, the intensity up-sampled to the mask's grid.
 func (s *Simulator) aerial(mask *grid.Mat, pixelStretch int, focus Focus) *grid.Mat {
-	injectAerial()
 	e := evaluationPool.Get().(*evaluation)
 	e.pair[0] = mask
 	e.begin(s, e.pair[:1], pixelStretch)
@@ -748,7 +721,6 @@ func (e *evaluation) run(s *Simulator, masks, targets []*grid.Mat, opts LossOpts
 			panic(fmt.Sprintf("litho: batch member %d is %dx%d, want %dx%d", i, m.H, m.W, size, size))
 		}
 	}
-	injectAerial()
 	if opts.Stretch < 1 {
 		panic("litho: LossOpts.Stretch must be >= 1")
 	}

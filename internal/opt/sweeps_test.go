@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"mgsilt/internal/cpu"
@@ -256,6 +257,13 @@ func TestPixelSolveSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	// A garbage collection empties every sync.Pool, and the next solve
+	// re-allocates the per-P array of each pool it touches, about 25 in
+	// all: +2 on the mean of ten runs. The solve's own garbage starts a
+	// cycle every ~80 runs, so whether one lands among the measured runs
+	// depends on what ran before in the process. The collector is held
+	// off while the solve is counted.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	sim, target := testSim(t), testTarget()
 	s := NewPixel(sim)
 	p := Params{Iters: 3, LR: 0.5, Stretch: 1}

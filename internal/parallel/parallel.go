@@ -453,11 +453,10 @@ func (s *section) work(self int) {
 	}
 }
 
-// help is work on a helper goroutine, where a panic — notably an
-// injected fault.Panic thrown by the litho.aerial chaos site while a
-// kernel loop is fanned out — would crash the process from a goroutine
-// nobody can recover on. It is recorded instead, and the items not yet
-// handed out are dropped.
+// help is work on a helper goroutine, where a panic raised inside a
+// fanned-out loop would crash the process from a goroutine nobody can
+// recover on. It is recorded instead (the caller re-raises it), and the
+// items not yet handed out are dropped.
 func (s *section) help(self int) {
 	defer func() {
 		if r := recover(); r != nil {

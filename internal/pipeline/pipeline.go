@@ -10,10 +10,7 @@
 //   - Progress and Checkpoint emission (the checkpoint mask is cloned
 //     lazily, only when a hook is actually installed),
 //   - per-stage wall-time capture (the StageTiming timeline surfaced
-//     in the job service's status JSON and Prometheus histogram),
-//   - injected-fault panic recovery at the stage boundary, so a
-//     process-global chaos injector fails the stage instead of
-//     crashing the process.
+//     in the job service's status JSON and Prometheus histogram).
 //
 // Because the engine is the only stage loop in the system, every flow
 // built on it is checkpoint/resumable and uniformly instrumented by
@@ -27,7 +24,6 @@ import (
 	"fmt"
 	"time"
 
-	"mgsilt/internal/fault"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/parallel"
 )
@@ -148,37 +144,14 @@ func (p *Pipeline) Run(init *grid.Mat) (*grid.Mat, []StageTiming, error) {
 	return m, timeline, nil
 }
 
-// runStage executes one stage with injected-fault recovery: a
-// fault.Panic unwinding out of the stage body (metric evaluation,
-// assembly inspection — anything outside a device job's own recovery
-// boundary) becomes an ordinary stage error. Genuine panics propagate.
-//
-// The stage body runs under pprof goroutine labels (stage name, flow
-// site) so CPU profiles attribute samples to pipeline stages; the
-// labels inherit into every goroutine the stage starts, but not into
-// the resident parallel-pool helpers its sections borrow
+// runStage executes one stage body under pprof goroutine labels (stage
+// name, flow site) so CPU profiles attribute samples to pipeline
+// stages; the labels inherit into every goroutine the stage starts, but
+// not into the resident parallel-pool helpers its sections borrow
 // (parallel.WithLabels).
 func runStage(ctx context.Context, flow string, st Stage, m *grid.Mat) (out *grid.Mat, err error) {
-	defer CatchFault(&err)
 	parallel.WithLabels(ctx, st.Name, flow, func(ctx context.Context) {
 		out, err = st.Run(ctx, m)
 	})
 	return out, err
-}
-
-// CatchFault is the deferred guard converting an injected fault.Panic
-// into an ordinary error on the way out of a flow: the engine applies
-// it around every stage body, and flows apply it at their entry points
-// to cover the prologue (validation) and epilogue (final inspection)
-// that run outside the engine. Genuine panics propagate unchanged.
-func CatchFault(err *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	if fe, ok := fault.FromPanic(r); ok {
-		*err = fe
-		return
-	}
-	panic(r)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"mgsilt/internal/fault"
 	"mgsilt/internal/grid"
 )
 
@@ -235,18 +234,6 @@ func TestContextCancellationBetweenStages(t *testing.T) {
 	p.Ctx = ctx
 	if _, _, err := p.Run(grid.NewMat(4, 4)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestInjectedFaultPanicBecomesError(t *testing.T) {
-	injected := &fault.Error{Site: "litho.aerial"}
-	p := testPipe(Stage{Name: "x", Iter: 1, Total: 1, Run: func(_ context.Context, m *grid.Mat) (*grid.Mat, error) {
-		panic(fault.Panic{Err: injected})
-	}})
-	_, _, err := p.Run(grid.NewMat(4, 4))
-	var fe *fault.Error
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v, want the injected fault", err)
 	}
 }
 

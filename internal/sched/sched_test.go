@@ -177,7 +177,7 @@ func TestErrorPropagation(t *testing.T) {
 // usable. No batch runs where nobody can recover it.
 func TestPanickingBatch(t *testing.T) {
 	const n = 2
-	injected := &fault.Error{Site: fault.SiteLithoAerial}
+	injected := &fault.Error{}
 	panics := map[string]any{"injected": fault.Panic{Err: injected}, "genuine": "bug"}
 	for kind, val := range panics {
 		// A full run of BatchSize requests.

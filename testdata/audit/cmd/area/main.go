@@ -8,5 +8,6 @@ import (
 )
 
 func main() {
+	fixture.Precision = 0.5
 	fmt.Println(fixture.Area(2))
 }
