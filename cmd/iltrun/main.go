@@ -11,11 +11,11 @@
 //	iltrun -method ours -checkpoint-file run.ckpt   # killed mid-flow
 //	iltrun -method ours -resume-file run.ckpt       # resumes
 //
-// The resumed run's mask is bit-identical to the uninterrupted run's
-// with -drop-tol 0 (the default). With -drop-tol > 0 it can differ:
-// the checkpoint does not carry which tiles had converged, so the
-// resumed run re-solves tiles the uninterrupted one skipped (ROADMAP
-// item 12).
+// The resumed run's mask is bit-identical to the uninterrupted run's.
+// With -drop-tol > 0 the checkpoint does not carry which tiles had
+// converged, so a resume from between two fine stages fails
+// (core.ErrResumeDropout) instead of re-solving tiles the uninterrupted
+// run skipped; a resume from any other stage is bit-identical.
 package main
 
 import (

@@ -186,48 +186,67 @@ func TestChaosAerialFaultRetried(t *testing.T) {
 // TestCheckpointResumeBitIdentical replays multigrid-Schwarz from each
 // emitted checkpoint and requires the resumed runs to reproduce the
 // uninterrupted result bit for bit — the property the service's
-// kill/resume path relies on.
+// kill/resume path relies on. Under dropout the checkpoints between two
+// fine stages lack the per-tile dropout state: resuming from them must
+// fail with ErrResumeDropout, one refusal per fine stage but the last,
+// and every other checkpoint must still resume bit for bit.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	sim := testSim(t)
 	target := testClipTarget(t, 7)
 
-	var cps []Checkpoint
-	cfg := testConfig(t, sim, 4)
-	cfg.Checkpoint = func(c Checkpoint) { cps = append(cps, c) }
-	full, err := MultigridSchwarz(cfg, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) == 0 {
-		t.Fatal("no checkpoints emitted")
-	}
-	total := cps[0].Total
-	if len(cps) != total {
-		t.Fatalf("%d checkpoints for %d stages", len(cps), total)
-	}
-	for i, cp := range cps {
-		if cp.Flow != "multigrid-schwarz" || cp.Stage != i+1 || cp.Total != total {
-			t.Fatalf("checkpoint %d malformed: %+v", i, cp)
-		}
-		if cp.Mask.H != testClip || cp.Mask.W != testClip {
-			t.Fatalf("checkpoint %d mask is %dx%d", i, cp.Mask.H, cp.Mask.W)
-		}
-	}
-
-	// Resume from every stage, including the final one (pure replay of
-	// the epilogue).
-	for _, cp := range cps {
-		rcfg := testConfig(t, sim, 4)
-		rcfg.Resume = &cp
-		res, err := MultigridSchwarz(rcfg, target)
+	for _, row := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"default", func() Config { return testConfig(t, sim, 4) }},
+		{"dropout", func() Config { return dropoutConfig(t, sim) }},
+	} {
+		var cps []Checkpoint
+		cfg := row.cfg()
+		cfg.Checkpoint = func(c Checkpoint) { cps = append(cps, c) }
+		full, err := MultigridSchwarz(cfg, target)
 		if err != nil {
-			t.Fatalf("resume from stage %d: %v", cp.Stage, err)
+			t.Fatal(err)
 		}
-		if !res.Mask.Equal(full.Mask) {
-			t.Fatalf("resume from stage %d/%d diverged from the uninterrupted run", cp.Stage, cp.Total)
+		if len(cps) == 0 {
+			t.Fatalf("%s: no checkpoints emitted", row.name)
 		}
-		if res.L2 != full.L2 || res.StitchLoss != full.StitchLoss {
-			t.Fatalf("resume from stage %d changed metrics", cp.Stage)
+		total := cps[0].Total
+		if len(cps) != total {
+			t.Fatalf("%s: %d checkpoints for %d stages", row.name, len(cps), total)
+		}
+		for i, cp := range cps {
+			if cp.Flow != "multigrid-schwarz" || cp.Stage != i+1 || cp.Total != total {
+				t.Fatalf("%s: checkpoint %d malformed: %+v", row.name, i, cp)
+			}
+			if cp.Mask.H != testClip || cp.Mask.W != testClip {
+				t.Fatalf("%s: checkpoint %d mask is %dx%d", row.name, i, cp.Mask.H, cp.Mask.W)
+			}
+		}
+
+		// Resume from every stage, including the final one (pure replay
+		// of the epilogue).
+		refused := 0
+		for _, cp := range cps {
+			rcfg := row.cfg()
+			rcfg.Resume = &cp
+			res, err := MultigridSchwarz(rcfg, target)
+			if rcfg.DropTol > 0 && errors.Is(err, ErrResumeDropout) {
+				refused++
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: resume from stage %d: %v", row.name, cp.Stage, err)
+			}
+			if !res.Mask.Equal(full.Mask) {
+				t.Fatalf("%s: resume from stage %d/%d diverged from the uninterrupted run", row.name, cp.Stage, cp.Total)
+			}
+			if res.L2 != full.L2 || res.StitchLoss != full.StitchLoss {
+				t.Fatalf("%s: resume from stage %d changed metrics", row.name, cp.Stage)
+			}
+		}
+		if want := max(cfg.FineStages-1, 0); cfg.DropTol > 0 && refused != want {
+			t.Fatalf("%s: %d resumes refused, want one per fine stage but the last (%d)", row.name, refused, want)
 		}
 	}
 }

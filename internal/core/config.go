@@ -188,12 +188,13 @@ type Config struct {
 	// weights reproduce exactly. 0 (the default) disables dropout and
 	// keeps every flow bit-identical to the always-solve schedule.
 	//
-	// Dropout state is not part of the checkpoint: a resumed run starts
-	// with no tile converged and re-solves tiles the uninterrupted run
-	// would have skipped, whose solutions enter the assembly. With
-	// DropTol > 0 a resume can therefore produce a different mask than
-	// the uninterrupted run; with DropTol 0 it is bit-identical. The
-	// fix is ROADMAP item 12 (checkpoint the converged-tile state).
+	// Dropout state is not part of the checkpoint: a run resumed after
+	// fine stage k, 1 ≤ k < FineStages, would start its remaining fine
+	// stages with no tile converged and no previous solution, and
+	// re-solve tiles the uninterrupted run skips. MultigridSchwarz
+	// refuses that resume with ErrResumeDropout. A resume from any other
+	// stage, and every resume with DropTol 0, is bit-identical to the
+	// uninterrupted run.
 	DropTol float64
 }
 

@@ -18,6 +18,14 @@ import (
 // ErrUnknownFlow is the sentinel Flow wraps for a name no flow has.
 var ErrUnknownFlow = errors.New("core: unknown flow")
 
+// ErrResumeDropout is the sentinel MultigridSchwarz returns, before it
+// runs a stage, for a resume with DropTol > 0 from a checkpoint taken
+// after fine stage k, 1 ≤ k < FineStages. The checkpoint holds only the
+// mask, not which tiles had converged nor their last solutions, so the
+// remaining fine stages would decide differently from the
+// uninterrupted run. Every other checkpoint resumes bit-identically.
+var ErrResumeDropout = errors.New("core: a dropout run cannot resume between fine stages")
+
 // flows names each flow once, in the vocabulary the job service and the
 // command-line tools select by. A paper method is one of these names
 // plus an opt registry solver.
@@ -227,7 +235,8 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (*Result, error) {
 	// Two-level Schwarz bookkeeping. The coarse-correct stages slot
 	// between consecutive fine stages; the dropout state persists
 	// across fine stages through these closure variables (it is not
-	// checkpointed — see Config.DropTol).
+	// checkpointed, so a resume between fine stages is refused — see
+	// ErrResumeDropout).
 	correctTotal := 0
 	if cfg.CoarseCorrect && cfg.FineStages > 1 {
 		correctTotal = cfg.FineStages - 1
@@ -258,6 +267,8 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (*Result, error) {
 
 	perStage := cfg.FineIters / cfg.FineStages
 	extra := cfg.FineIters - perStage*cfg.FineStages
+	// The engine stages, 1-based, of the first and the last fine stage.
+	firstFine, lastFine := len(stages)+1, 0
 	for stage := 0; stage < cfg.FineStages; stage++ {
 		iters := perStage
 		if stage == 0 {
@@ -301,6 +312,7 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (*Result, error) {
 				return p.Assemble(tiles, weights), nil
 			},
 		})
+		lastFine = len(stages)
 		if correctTotal > 0 && stage < cfg.FineStages-1 {
 			stages = append(stages, pipeline.Stage{
 				Name: "coarse-correct", Iter: stage + 1, Total: correctTotal,
@@ -314,6 +326,9 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (*Result, error) {
 				},
 			})
 		}
+	}
+	if r := cfg.Resume; r != nil && cfg.DropTol > 0 && r.Stage >= firstFine && r.Stage < lastFine {
+		return nil, fmt.Errorf("%w: checkpoint after engine stage %d, fine stages %d..%d", ErrResumeDropout, r.Stage, firstFine, lastFine)
 	}
 
 	// Refine: multi-colour multiplicative Schwarz at the small learning

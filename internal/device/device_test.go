@@ -95,36 +95,52 @@ func TestRunConcurrencyBoundedByDevices(t *testing.T) {
 	}
 }
 
+// TestVirtualScheduleSpeedup checks the virtual schedule of 8 sleeping
+// jobs within one run, against the durations the run itself measured,
+// so that no check depends on how long a sleep took under load. One
+// device runs them back to back. Four devices list-schedule them: the
+// makespan is the busiest device, at least a quarter of the work, and
+// at most Graham's bound T/m + (1 − 1/m)·p_max for list scheduling. The
+// cluster's p_i is not exported; each job times its own body, w_i ≤ p_i,
+// so p_max ≤ w_max + (T − Σw), every p_i exceeding its w_i by at most
+// what all of them together do.
 func TestVirtualScheduleSpeedup(t *testing.T) {
-	// 8 equal jobs on 1 vs 4 devices: the virtual makespan must shrink
-	// by ~4x regardless of how many real cores executed them.
-	mkJobs := func() []Job {
-		jobs := make([]Job, 8)
+	for _, devices := range []int{1, 4} {
+		c, _ := NewCluster(devices, 0)
+		w := make([]time.Duration, 8)
+		jobs := make([]Job, len(w))
 		for i := range jobs {
 			jobs[i] = Job{Pixels: 1, Work: func(context.Context, int) error {
+				start := time.Now()
 				time.Sleep(4 * time.Millisecond)
+				w[i] = time.Since(start)
 				return nil
 			}}
 		}
-		return jobs
-	}
-	c1, _ := NewCluster(1, 0)
-	if err := c1.RunCtx(context.Background(), mkJobs()); err != nil {
-		t.Fatal(err)
-	}
-	c4, _ := NewCluster(4, 0)
-	if err := c4.RunCtx(context.Background(), mkJobs()); err != nil {
-		t.Fatal(err)
-	}
-	t1 := c1.Stats().SimElapsed
-	t4 := c4.Stats().SimElapsed
-	speedup := t1.Seconds() / t4.Seconds()
-	if speedup < 2.5 || speedup > 6 {
-		t.Fatalf("virtual speedup %.2f (1 dev %v, 4 dev %v), want ≈4", speedup, t1, t4)
-	}
-	// The 4-device schedule packs 8 jobs as two waves: makespan ≈ 2 jobs.
-	if st := c4.Stats(); st.MaxBusy > st.TotalBusy || st.SimElapsed > st.TotalBusy {
-		t.Fatalf("inconsistent accounting %+v", st)
+		if err := c.RunCtx(context.Background(), jobs); err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		if devices == 1 {
+			if st.SimElapsed != st.TotalBusy {
+				t.Fatalf("1 device: makespan %v, want the total busy time %v", st.SimElapsed, st.TotalBusy)
+			}
+			continue
+		}
+		var sum, wmax time.Duration
+		for _, d := range w {
+			sum, wmax = sum+d, max(wmax, d)
+		}
+		m := time.Duration(devices)
+		pmax := wmax + st.TotalBusy - sum
+		switch {
+		case st.SimElapsed != st.MaxBusy:
+			t.Fatalf("4 devices: makespan %v, want the busiest device's %v", st.SimElapsed, st.MaxBusy)
+		case m*st.SimElapsed < st.TotalBusy:
+			t.Fatalf("4 devices: makespan %v below a quarter of the work %v", st.SimElapsed, st.TotalBusy)
+		case m*st.SimElapsed > st.TotalBusy+(m-1)*pmax:
+			t.Fatalf("4 devices: makespan %v above Graham's bound (work %v, longest job at most %v)", st.SimElapsed, st.TotalBusy, pmax)
+		}
 	}
 }
 

@@ -1,13 +1,15 @@
 #include "textflag.h"
 
-// AVX2 twins of the butterfly loops of columns.go (radix3Rows, base4Rows,
-// radix4Rows, radix2Rows, and the gathering first and storing last
-// passes over a strip) and fft.go (radix4Pass, radix2Pass, and the
-// gathering first and storing last passes in a row). A Y
-// register holds two complex128 as (re, im, re, im). The strip loops run
-// two adjacent columns per vector under a broadcast twiddle; the in-row
-// loops run two consecutive butterflies per vector, each lane pair under
-// its own twiddle. An odd last column or butterfly goes through the same
+// AVX2 twins of the butterfly loops that plans of more than four points
+// run, over a strip of columns (columns.go) and in a row (fft.go): the
+// gathering first passes, the in-place radix-4 passes between the first
+// and the last (radix4Rows, radix4Pass) and the storing last passes,
+// which apply the inverse 1/n; and the packing and reflection loops of
+// the real transforms (real.go). A plan of at most four points runs the
+// Go loops. A Y register holds two complex128 as (re, im, re, im). The
+// strip loops run two adjacent columns per vector under a broadcast
+// twiddle; the in-row loops run two consecutive butterflies per vector,
+// each lane pair under its own twiddle. An odd last column or butterfly goes through the same
 // arithmetic with X-register loads and stores, which zero the upper lanes.
 //
 // Every element sees the IEEE operations of the Go loop in its order:
@@ -80,120 +82,6 @@
 	VADDSUBPD Y4, Y5, Y1;  \
 	VXORPD    Y13, Y4, Y4; \
 	VADDSUBPD Y4, Y5, Y2
-
-// func radix3RowsAVX2(x []complex128, nb int, tw []complex128)
-TEXT ·radix3RowsAVX2(SB), NOSPLIT, $0-56
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), R14
-	SHLQ $4, R14
-	ADDQ DI, R14          // R14: end of x
-	MOVQ nb+24(FP), R8
-	SHLQ $4, R8           // R8: bytes of one strip row
-	MOVQ R8, R11
-	ANDQ $-32, R11        // R11: bytes of the column pairs
-	LEAQ (R8)(R8*2), R10  // R10: bytes of a triple of rows
-	MOVQ tw_base+32(FP), DX
-	VBROADCASTSD (DX), Y14
-	VBROADCASTSD 8(DX), Y15
-	VPCMPEQQ     Y13, Y13, Y13
-	VPSLLQ       $63, Y13, Y13
-
-triple:
-	LEAQ (DI)(R10*1), AX
-	CMPQ AX, R14
-	JA   done3
-	MOVQ DI, BX
-	LEAQ (DI)(R11*1), CX
-
-pairs3:
-	CMPQ    BX, CX
-	JAE     tail3
-	VMOVUPD (BX), Y0
-	VMOVUPD (BX)(R8*1), Y1
-	VMOVUPD (BX)(R8*2), Y2
-	RADIX3
-	VMOVUPD Y0, (BX)
-	VMOVUPD Y1, (BX)(R8*1)
-	VMOVUPD Y2, (BX)(R8*2)
-	ADDQ    $32, BX
-	JMP     pairs3
-
-tail3:
-	TESTQ   $16, R8
-	JZ      next3
-	VMOVUPD (BX), X0
-	VMOVUPD (BX)(R8*1), X1
-	VMOVUPD (BX)(R8*2), X2
-	RADIX3
-	VMOVUPD X0, (BX)
-	VMOVUPD X1, (BX)(R8*1)
-	VMOVUPD X2, (BX)(R8*2)
-
-next3:
-	MOVQ AX, DI
-	JMP  triple
-
-done3:
-	VZEROUPPER
-	RET
-
-// func base4RowsAVX2(x []complex128, nb int, tw []complex128)
-TEXT ·base4RowsAVX2(SB), NOSPLIT, $0-56
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), R14
-	SHLQ $4, R14
-	ADDQ DI, R14          // R14: end of x
-	MOVQ nb+24(FP), R8
-	SHLQ $4, R8           // R8: bytes of one strip row
-	MOVQ R8, R11
-	ANDQ $-32, R11        // R11: bytes of the column pairs
-	LEAQ (R8)(R8*2), R10  // R10: bytes of three rows
-	MOVQ tw_base+32(FP), DX
-	VBROADCASTSD 16(DX), Y14
-	VBROADCASTSD 24(DX), Y15
-
-quad:
-	LEAQ (DI)(R8*4), AX
-	CMPQ AX, R14
-	JA   doneb
-	MOVQ DI, BX
-	LEAQ (DI)(R11*1), CX
-
-pairsb:
-	CMPQ    BX, CX
-	JAE     tailb
-	VMOVUPD (BX), Y0
-	VMOVUPD (BX)(R8*1), Y1
-	VMOVUPD (BX)(R8*2), Y2
-	VMOVUPD (BX)(R10*1), Y3
-	BASE4
-	VMOVUPD Y0, (BX)
-	VMOVUPD Y1, (BX)(R8*1)
-	VMOVUPD Y2, (BX)(R8*2)
-	VMOVUPD Y3, (BX)(R10*1)
-	ADDQ    $32, BX
-	JMP     pairsb
-
-tailb:
-	TESTQ   $16, R8
-	JZ      nextb
-	VMOVUPD (BX), X0
-	VMOVUPD (BX)(R8*1), X1
-	VMOVUPD (BX)(R8*2), X2
-	VMOVUPD (BX)(R10*1), X3
-	BASE4
-	VMOVUPD X0, (BX)
-	VMOVUPD X1, (BX)(R8*1)
-	VMOVUPD X2, (BX)(R8*2)
-	VMOVUPD X3, (BX)(R10*1)
-
-nextb:
-	MOVQ AX, DI
-	JMP  quad
-
-doneb:
-	VZEROUPPER
-	RET
 
 // func radix4RowsAVX2(x []complex128, nb int, tw []complex128, size int)
 TEXT ·radix4RowsAVX2(SB), NOSPLIT, $0-64
@@ -274,71 +162,6 @@ done4:
 	VZEROUPPER
 	RET
 
-// func radix2RowsAVX2(x []complex128, nb int, tw []complex128, size int)
-TEXT ·radix2RowsAVX2(SB), NOSPLIT, $0-64
-	MOVQ  x_base+0(FP), DI
-	MOVQ  x_len+8(FP), R14
-	SHLQ  $4, R14
-	ADDQ  DI, R14         // R14: end of x
-	MOVQ  nb+24(FP), R8
-	SHLQ  $4, R8          // R8: bytes of one strip row
-	MOVQ  R8, R11
-	ANDQ  $-32, R11       // R11: bytes of the column pairs
-	MOVQ  tw_base+32(FP), DX
-	MOVQ  size+56(FP), R13
-	SHRQ  $1, R13
-	MOVQ  R13, R9
-	IMULQ R8, R9          // R9: bytes of half the rows of a block
-	SHLQ  $4, R13         // R13: bytes of the twiddles
-
-block2:
-	LEAQ (DI)(R9*2), AX
-	CMPQ AX, R14
-	JA   done2
-	MOVQ DI, SI           // SI: row base+j
-	XORQ AX, AX           // AX: 16·j
-
-twiddle2:
-	CMPQ         AX, R13
-	JAE          next2
-	VBROADCASTSD (DX)(AX*1), Y14
-	VBROADCASTSD 8(DX)(AX*1), Y15
-	MOVQ         SI, BX
-	LEAQ         (SI)(R11*1), CX
-
-pairs2:
-	CMPQ    BX, CX
-	JAE     tail2
-	VMOVUPD (BX), Y0
-	VMOVUPD (BX)(R9*1), Y1
-	RADIX2
-	VMOVUPD Y0, (BX)
-	VMOVUPD Y1, (BX)(R9*1)
-	ADDQ    $32, BX
-	JMP     pairs2
-
-tail2:
-	TESTQ   $16, R8
-	JZ      step2
-	VMOVUPD (BX), X0
-	VMOVUPD (BX)(R9*1), X1
-	RADIX2
-	VMOVUPD X0, (BX)
-	VMOVUPD X1, (BX)(R9*1)
-
-step2:
-	ADDQ R8, SI
-	ADDQ $16, AX
-	JMP  twiddle2
-
-next2:
-	LEAQ (SI)(R9*1), DI   // SI ended half way through the block
-	JMP  block2
-
-done2:
-	VZEROUPPER
-	RET
-
 // func radix4PassAVX2(x []complex128, tw []complex128, size int)
 TEXT ·radix4PassAVX2(SB), NOSPLIT, $0-56
 	MOVQ x_base+0(FP), DI
@@ -411,149 +234,6 @@ nextp4:
 	JMP  blockp4
 
 donep4:
-	VZEROUPPER
-	RET
-
-// func radix2PassAVX2(x []complex128, tw []complex128, size int)
-TEXT ·radix2PassAVX2(SB), NOSPLIT, $0-56
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), R14
-	SHLQ $4, R14
-	ADDQ DI, R14          // R14: end of x
-	MOVQ tw_base+24(FP), DX
-	MOVQ size+48(FP), R9
-	SHRQ $1, R9
-	SHLQ $4, R9           // R9: bytes of a half, of x and of tw alike
-	MOVQ R9, R11
-	ANDQ $-32, R11        // R11: bytes of the butterfly pairs
-
-blockp2:
-	LEAQ (DI)(R9*2), CX
-	CMPQ CX, R14
-	JA   donep2
-	XORQ AX, AX           // AX: 16·j
-
-pairsp2:
-	CMPQ      AX, R11
-	JAE       tailp2
-	VMOVUPD   (DX)(AX*1), Y4
-	VMOVDDUP  Y4, Y14
-	VPERMILPD $15, Y4, Y15
-	LEAQ      (DI)(AX*1), BX
-	VMOVUPD   (BX), Y0
-	VMOVUPD   (BX)(R9*1), Y1
-	RADIX2
-	VMOVUPD   Y0, (BX)
-	VMOVUPD   Y1, (BX)(R9*1)
-	ADDQ      $32, AX
-	JMP       pairsp2
-
-tailp2:
-	CMPQ         AX, R9
-	JAE          nextp2
-	VBROADCASTSD (DX)(AX*1), Y14
-	VBROADCASTSD 8(DX)(AX*1), Y15
-	LEAQ         (DI)(AX*1), BX
-	VMOVUPD      (BX), X0
-	VMOVUPD      (BX)(R9*1), X1
-	RADIX2
-	VMOVUPD      X0, (BX)
-	VMOVUPD      X1, (BX)(R9*1)
-
-nextp2:
-	MOVQ CX, DI
-	JMP  blockp2
-
-donep2:
-	VZEROUPPER
-	RET
-
-// func base4PassAVX2(x []complex128, tw []complex128)
-//
-// Two butterflies of four consecutive elements per round: the eight
-// elements are transposed into Y0…Y3 = (x0,x4), (x1,x5), (x2,x6),
-// (x3,x7), run through BASE4 like two strip columns, and transposed
-// back. A last lone butterfly goes through X registers.
-TEXT ·base4PassAVX2(SB), NOSPLIT, $0-48
-	MOVQ         x_base+0(FP), DI
-	MOVQ         x_len+8(FP), CX
-	SHLQ         $4, CX           // CX: bytes of x
-	MOVQ         tw_base+24(FP), DX
-	VBROADCASTSD 16(DX), Y14
-	VBROADCASTSD 24(DX), Y15
-	MOVQ         CX, R11
-	ANDQ         $-128, R11       // R11: bytes of the butterfly pairs
-	XORQ         AX, AX
-
-pairsq:
-	CMPQ       AX, R11
-	JAE        tailq
-	LEAQ       (DI)(AX*1), BX
-	VMOVUPD    (BX), Y4
-	VMOVUPD    32(BX), Y5
-	VMOVUPD    64(BX), Y6
-	VMOVUPD    96(BX), Y7
-	VPERM2F128 $0x20, Y6, Y4, Y0
-	VPERM2F128 $0x31, Y6, Y4, Y1
-	VPERM2F128 $0x20, Y7, Y5, Y2
-	VPERM2F128 $0x31, Y7, Y5, Y3
-	BASE4
-	VPERM2F128 $0x20, Y1, Y0, Y4
-	VPERM2F128 $0x20, Y3, Y2, Y5
-	VPERM2F128 $0x31, Y1, Y0, Y6
-	VPERM2F128 $0x31, Y3, Y2, Y7
-	VMOVUPD    Y4, (BX)
-	VMOVUPD    Y5, 32(BX)
-	VMOVUPD    Y6, 64(BX)
-	VMOVUPD    Y7, 96(BX)
-	ADDQ       $128, AX
-	JMP        pairsq
-
-tailq:
-	LEAQ    64(AX), R8
-	CMPQ    R8, CX
-	JA      doneq
-	LEAQ    (DI)(AX*1), BX
-	VMOVUPD (BX), X0
-	VMOVUPD 16(BX), X1
-	VMOVUPD 32(BX), X2
-	VMOVUPD 48(BX), X3
-	BASE4
-	VMOVUPD X0, (BX)
-	VMOVUPD X1, 16(BX)
-	VMOVUPD X2, 32(BX)
-	VMOVUPD X3, 48(BX)
-
-doneq:
-	VZEROUPPER
-	RET
-
-// func scaleAVX2(dst, src []complex128, s float64)
-TEXT ·scaleAVX2(SB), NOSPLIT, $0-56
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         src_base+24(FP), SI
-	MOVQ         src_len+32(FP), CX
-	SHLQ         $4, CX           // CX: bytes of src
-	VBROADCASTSD s+48(FP), Y0
-	MOVQ         CX, DX
-	ANDQ         $-32, DX         // DX: bytes of the element pairs
-	XORQ         AX, AX
-
-pairss:
-	CMPQ    AX, DX
-	JAE     tails
-	VMULPD  (SI)(AX*1), Y0, Y1
-	VMOVUPD Y1, (DI)(AX*1)
-	ADDQ    $32, AX
-	JMP     pairss
-
-tails:
-	CMPQ    AX, CX
-	JAE     dones
-	VMULPD  (SI)(AX*1), X0, X1
-	VMOVUPD X1, (DI)(AX*1)
-
-dones:
 	VZEROUPPER
 	RET
 
@@ -708,7 +388,7 @@ doner:
 	VMOVHPD (DX)(R9*8), x, x
 
 // STORE4 writes Y0…Y3 to dst[k…k+7], k the butterfly pair at AX bytes
-// into DI, transposed back from strip order as in base4PassAVX2.
+// into DI, transposed back from strip order (Yi holds elements i and i+4).
 #define STORE4 \
 	VPERM2F128 $0x20, Y1, Y0, Y4; \
 	VPERM2F128 $0x20, Y3, Y2, Y5; \
@@ -737,7 +417,7 @@ doner:
 
 // func base4GatherAVX2(dst, src []complex128, perm []int, tw []complex128)
 //
-// base4PassAVX2 with its inputs read through perm: butterflies b and b+1
+// base4Pass with its inputs read through perm: butterflies b and b+1
 // load (src[perm[4b+i]], src[perm[4b+4+i]]) into Yi, run BASE4 as two
 // strip columns and go to dst[4b…4b+7] transposed back. A last lone
 // butterfly goes through X registers.
@@ -1018,7 +698,7 @@ dones4:
 
 // func radix2StoreAVX2(dst, x, tw []complex128, s float64, scaled bool)
 //
-// radix2PassAVX2 over one block spanning x, storing to dst (which may be
+// radix2Pass over one block spanning x, storing to dst (which may be
 // x) and scaling when scaled is set.
 TEXT ·radix2StoreAVX2(SB), NOSPLIT, $0-81
 	MOVQ x_base+24(FP), SI
@@ -1071,7 +751,7 @@ dones2:
 
 // func base4GatherRowsAVX2(x []complex128, nb int, src []complex128, stride int, perm []int, tw []complex128)
 //
-// base4RowsAVX2 with rows 4b…4b+3 of the strip computed from source rows
+// base4Rows with rows 4b…4b+3 of the strip computed from source rows
 // perm[4b…4b+3], source row r starting r·stride elements into src. SI
 // walks the columns of scratch row 4b; the source rows are read at
 // their offsets from it.
@@ -1152,7 +832,7 @@ donegr:
 
 // func radix3GatherRowsAVX2(x []complex128, nb int, src []complex128, stride int, perm []int, tw []complex128)
 //
-// radix3RowsAVX2 with rows 3q…3q+2 of the strip computed from source
+// radix3Rows with rows 3q…3q+2 of the strip computed from source
 // rows perm[3q…3q+2], read as in base4GatherRowsAVX2.
 TEXT ·radix3GatherRowsAVX2(SB), NOSPLIT, $0-112
 	MOVQ         x_base+0(FP), DI
@@ -1309,7 +989,7 @@ doner4:
 
 // func radix2StoreRowsAVX2(dst []complex128, stride int, x []complex128, nb int, tw []complex128, s float64, scaled bool)
 //
-// radix2RowsAVX2 over one block spanning the strip x, storing and
+// radix2Rows over one block spanning the strip x, storing and
 // scaling as radix4StoreRowsAVX2 does.
 TEXT ·radix2StoreRowsAVX2(SB), NOSPLIT, $24-97
 	MOVQ  x_len+40(FP), AX

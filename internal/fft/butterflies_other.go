@@ -7,23 +7,11 @@ package fft
 // glue twins, which cover only part of what their callers hand on, are
 // never reached.
 
-func radix3RowsAVX2(x []complex128, nb int, tw []complex128) { radix3Rows(x, nb, tw) }
-
-func base4RowsAVX2(x []complex128, nb int, tw []complex128) { base4Rows(x, nb, tw) }
-
 func radix4RowsAVX2(x []complex128, nb int, tw []complex128, size int) {
 	radix4Rows(x, nb, tw, size)
 }
 
-func radix2RowsAVX2(x []complex128, nb int, tw []complex128, size int) {
-	radix2Rows(x, nb, tw, size)
-}
-
 func radix4PassAVX2(x []complex128, tw []complex128, size int) { radix4Pass(x, tw, size) }
-
-func radix2PassAVX2(x []complex128, tw []complex128, size int) { radix2Pass(x, tw, size) }
-
-func base4PassAVX2(x []complex128, tw []complex128) { base4Pass(x, tw) }
 
 func base4GatherAVX2(dst, src []complex128, perm []int, tw []complex128) {
 	base4Gather(dst, src, perm, tw)
@@ -64,8 +52,6 @@ func radix4StoreRowsAVX2(dst []complex128, stride int, x []complex128, nb int, t
 func radix2StoreRowsAVX2(dst []complex128, stride int, x []complex128, nb int, tw []complex128, s float64, scaled bool) {
 	radix2StoreRows(dst, stride, x, nb, tw, s, scaled)
 }
-
-func scaleAVX2(dst, src []complex128, s float64) { panic("fft: no AVX2 twins off amd64") }
 
 func unzipScaledAVX2(out0, out1 []float64, z []complex128, s float64) {
 	panic("fft: no AVX2 twins off amd64")

@@ -21,29 +21,16 @@ type butterflyTwin struct {
 	goLoop, vec func(x []complex128, nb int, tw []complex128, size int)
 }
 
-func isRadix3(st *stage) bool { return st.kind == radix3 }
-func isRadix2(st *stage) bool { return st.kind == radix2 }
-func isBase4(st *stage) bool  { return st.kind == radix4 && st.size == 4 }
 func isRadix4(st *stage) bool { return st.kind == radix4 && st.size != 4 }
 
+// butterflyTwins are the in-place passes with a twin: the radix-4 passes
+// between a plan's first and last. The other in-place loops run only
+// the one pass of a plan of at most four points, on every CPU.
 var butterflyTwins = []butterflyTwin{
-	{"radix3Rows", true, isRadix3,
-		func(x []complex128, nb int, tw []complex128, _ int) { radix3Rows(x, nb, tw) },
-		func(x []complex128, nb int, tw []complex128, _ int) { radix3RowsAVX2(x, nb, tw) }},
-	{"base4Rows", true, isBase4,
-		func(x []complex128, nb int, tw []complex128, _ int) { base4Rows(x, nb, tw) },
-		func(x []complex128, nb int, tw []complex128, _ int) { base4RowsAVX2(x, nb, tw) }},
 	{"radix4Rows", true, isRadix4, radix4Rows, radix4RowsAVX2},
-	{"radix2Rows", true, isRadix2, radix2Rows, radix2RowsAVX2},
-	{"base4Pass", false, isBase4,
-		func(x []complex128, _ int, tw []complex128, _ int) { base4Pass(x, tw) },
-		func(x []complex128, _ int, tw []complex128, _ int) { base4PassAVX2(x, tw) }},
 	{"radix4Pass", false, isRadix4,
 		func(x []complex128, _ int, tw []complex128, size int) { radix4Pass(x, tw, size) },
 		func(x []complex128, _ int, tw []complex128, size int) { radix4PassAVX2(x, tw, size) }},
-	{"radix2Pass", false, isRadix2,
-		func(x []complex128, _ int, tw []complex128, size int) { radix2Pass(x, tw, size) },
-		func(x []complex128, _ int, tw []complex128, size int) { radix2PassAVX2(x, tw, size) }},
 }
 
 // twinSizes is every plan length up to 512: its plans hold every stage
@@ -317,8 +304,8 @@ func lastStage(tw butterflyTwin, n int) *stage {
 }
 
 // BenchmarkButterflies times each loop both ways on the same data: the
-// strip loops on a 16-column strip and the in-row loops on one row, at
-// the last stage they serve in the 128-point plan (96 for radix-3).
+// strip loop on a 16-column strip and the in-row loop on one row, at
+// the last stage they serve in the 128-point plan.
 // The gathering first and storing last passes run the first or last
 // stage of the same plans (64 points for the radix-4 stores, whose last
 // stage 128 and 96 do not end on), the strips inside rows of 128 columns
@@ -327,10 +314,6 @@ func BenchmarkButterflies(b *testing.B) {
 	for _, tw := range butterflyTwins {
 		n := 128
 		st := lastStage(tw, n)
-		if st == nil {
-			n = 96
-			st = lastStage(tw, n)
-		}
 		nb := 1
 		if tw.strip {
 			nb = colStrip

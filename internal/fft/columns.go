@@ -106,21 +106,17 @@ func (p *plan) stripPass(m *grid.CMat, b0, nb int, inverse bool, scratch []compl
 }
 
 // rowsPass runs stage si over the rows of the nb-column strip x in
-// place.
+// place. As with pass, only the radix-4 passes between the first and the
+// last have a twin; the other kinds come here only as the one pass of a
+// plan of at most four points.
 func (p *plan) rowsPass(x []complex128, nb, si int, inverse bool) {
 	st := &p.stages[si]
 	tw := st.table(inverse)
 	switch {
-	case st.kind == radix3 && useAVX2:
-		radix3RowsAVX2(x, nb, tw)
 	case st.kind == radix3:
 		radix3Rows(x, nb, tw)
-	case st.kind == radix2 && useAVX2:
-		radix2RowsAVX2(x, nb, tw, st.size)
 	case st.kind == radix2:
 		radix2Rows(x, nb, tw, st.size)
-	case st.size == 4 && useAVX2:
-		base4RowsAVX2(x, nb, tw)
 	case st.size == 4:
 		base4Rows(x, nb, tw)
 	case useAVX2:

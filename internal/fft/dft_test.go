@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"mgsilt/internal/grid"
 )
 
 // naiveDFT is the O(n²) textbook reference: X[k] = Σ_j x[j]·e^(∓2πi·jk/n).
@@ -130,6 +132,96 @@ func TestPlanStageStructure(t *testing.T) {
 				}
 			case s.kind != radix4:
 				t.Fatalf("n=%d: stage %d has kind %d, want radix-4", n, i, s.kind)
+			}
+		}
+	}
+}
+
+// naiveDFT2D is naiveDFT along every row of m, then every column.
+func naiveDFT2D(m *grid.CMat, inverse bool) *grid.CMat {
+	out := grid.NewCMat(m.H, m.W)
+	for y := 0; y < m.H; y++ {
+		copy(out.Row(y), naiveDFT(m.Row(y), inverse))
+	}
+	col := make([]complex128, m.H)
+	for x := 0; x < m.W; x++ {
+		for y := range col {
+			col[y] = out.Row(y)[x]
+		}
+		for y, v := range naiveDFT(col, inverse) {
+			out.Set(y, x, v)
+		}
+	}
+	return out
+}
+
+// TestTinyPlansMatchNaiveDFT holds the plans of at most four points,
+// which run the Go loops of their one pass (or none) on every CPU, to
+// the naive DFT with the twins on and off: the row transform and a
+// three-column strip inside a five-column matrix, both directions, and
+// ForwardReal2DBand and InverseRealBand on n×n grids at every band
+// half-width.
+func TestTinyPlansMatchNaiveDFT(t *testing.T) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	rng := rand.New(rand.NewSource(1234))
+	const tol = 1e-12
+	for _, vec := range vectorPaths() {
+		useAVX2 = vec
+		for n := 1; n <= 4; n++ {
+			p := planFor(n)
+			for _, inverse := range []bool{false, true} {
+				x := randComplex(rng, n)
+				got := append([]complex128(nil), x...)
+				p.transform(got, inverse)
+				if e := relError(got, naiveDFT(x, inverse)); e > tol {
+					t.Errorf("avx2=%v n=%d inverse=%v: row rel error %.3g", vec, n, inverse, e)
+				}
+
+				m := randCMat(rng, n, 5)
+				orig := m.Clone()
+				p.stripPass(m, 1, 3, inverse, make([]complex128, colStrip*n))
+				for c := 0; c < 5; c++ {
+					col := make([]complex128, n)
+					for y := range col {
+						col[y] = orig.Row(y)[c]
+					}
+					want := col
+					if c >= 1 && c <= 3 {
+						want = naiveDFT(col, inverse)
+					}
+					for y, w := range want {
+						if g := m.Row(y)[c]; cmplx.Abs(g-w) > tol*(1+cmplx.Abs(w)) || (c == 0 || c == 4) && g != w {
+							t.Errorf("avx2=%v n=%d inverse=%v: strip entry (%d, %d) is %v, want %v", vec, n, inverse, y, c, g, w)
+						}
+					}
+				}
+			}
+
+			src := randMat(rng, n, n)
+			spec := naiveDFT2D(complexOf(src), false)
+			freq := randCMat(rng, n, n)
+			for b := 0; 2*b <= n; b++ {
+				got := ForwardReal2DBand(grid.NewCMat(n, n), src, b)
+				for y := 0; y < n; y++ {
+					for x := 0; x < n; x++ {
+						if x > b && x < n-b {
+							continue // outside the band: unspecified
+						}
+						if g, w := got.Row(y)[x], spec.Row(y)[x]; cmplx.Abs(g-w) > tol*(1+cmplx.Abs(w)) {
+							t.Errorf("avx2=%v n=%d b=%d: forward (%d, %d) is %v, want %v", vec, n, b, y, x, g, w)
+						}
+					}
+				}
+
+				const scale = 0.75
+				out := grid.NewMat(n, n)
+				InverseRealBand(out, freq, b, scale)
+				ref := naiveDFT2D(embeddedBand(freq, b, n, n), true)
+				for i, v := range ref.Data {
+					if w := scale * real(v); math.Abs(out.Data[i]-w) > tol*(1+math.Abs(w)) {
+						t.Errorf("avx2=%v n=%d b=%d: inverse entry %d is %v, want %v", vec, n, b, i, out.Data[i], w)
+					}
+				}
 			}
 		}
 	}

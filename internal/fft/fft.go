@@ -54,8 +54,10 @@
 // digit-reversed source positions, and the last pass (radix-4 or
 // radix-2, spanning the whole length) stores straight to the destination,
 // the inverse 1/n applied to each stored part. Only the passes in between
-// run in place on scratch. Plans of at most four points, one pass or
-// none, gather through a plain copy.
+// run in place on scratch. The real-output inverse is no exception: its
+// packed row is built in natural order, zero outside the band, and read
+// by the same gathering first pass. Plans of at most four points, one
+// pass or none, gather through a plain copy.
 //
 // The column direction of a 2-D transform never transposes: the same
 // passes run over row segments, each butterfly as one loop over the
@@ -65,13 +67,15 @@
 // columns its consumer reads. Both are exact: every entry carries the
 // bits of the column-at-a-time transform.
 //
-// On amd64 with AVX2 the strip loops of the column passes, the in-row
-// passes, the gathering first and storing last passes, the inverse 1/n
-// scaling and the packing and reflection loops of the real transforms
-// run as assembly twins (butterflies_amd64.s), two complex128
-// per vector register, with the IEEE operations of the Go loops in their
-// order: the choice moves no bit. The Go loops are the reference, finish
-// what a twin leaves of a row, and are every other CPU's path.
+// On amd64 with AVX2 the gathering first and storing last passes (the
+// latter applying the inverse 1/n), the in-place radix-4 passes between
+// them, in a row and over a strip, and the packing and reflection loops
+// of the real transforms run as assembly twins (butterflies_amd64.s),
+// two complex128 per vector register, with the IEEE operations of the
+// Go loops in their order: the choice moves no bit. A plan of at most
+// four points runs its one pass (or none) and its 1/n with the Go loops
+// on every CPU. The Go loops are the reference, finish what a twin
+// leaves of a row, and are every other CPU's path.
 //
 // All transient buffers (column strips, packed rows) come from
 // per-length pools shared by the serial and parallel paths, giving the
@@ -103,10 +107,8 @@ type plan struct {
 	// perm is the input order of the decimation-in-time stages: position
 	// r·q + j holds x[rev_k(q) + 2^k·j], rev_k the k-bit reversal — the
 	// bit-reversal permutation when r = 1. The first pass reads its
-	// inputs through it; inv is its inverse, for writers that place
-	// values straight into permuted order (x[j] goes to position inv[j]).
+	// inputs through it.
 	perm []int
-	inv  []int
 	// stages are executed in order over the permuted input: for r = 3 a
 	// radix-3 pass of span 3 first, then fused radix-4 passes each
 	// covering the two radix-2 stages of sizes size/2 and size, and — as
@@ -171,14 +173,13 @@ func planFor(n int) *plan {
 	if p, ok := plans[n]; ok {
 		return p
 	}
-	p := &plan{n: n, perm: make([]int, n), inv: make([]int, n)}
+	p := &plan{n: n, perm: make([]int, n)}
 	blocks := n / r
 	shift := bits.UintSize - uint(bits.TrailingZeros(uint(blocks)))
 	for q := 0; q < blocks; q++ {
 		rq := int(bits.Reverse(uint(q)) >> shift)
 		for j := 0; j < r; j++ {
 			p.perm[r*q+j] = rq + blocks*j
-			p.inv[rq+blocks*j] = r*q + j
 		}
 	}
 	// A radix-3 pass of span 3 first, then radix-2 stages fused in pairs
@@ -231,14 +232,15 @@ func conjugated(tw []complex128) []complex128 {
 // the result is scaled by 1/n.
 func (p *plan) transform(x []complex128, inverse bool) {
 	s := getScratch(p.n)
-	p.transformWith(x, s.buf, inverse)
+	p.transformWith(x, x, s.buf, inverse)
 	putScratch(s)
 }
 
-// transformWith is transform through the caller's scratch row work (at
-// least n long): the first pass gathers x into work, the passes between
-// run on work, and the last pass stores into x.
-func (p *plan) transformWith(x, work []complex128, inverse bool) {
+// transformWith is the transform of x into dst through the caller's
+// scratch row work (at least n long): the first pass gathers x into
+// work, the passes between run on work, and the last pass stores into
+// dst, which may be x or work.
+func (p *plan) transformWith(dst, x, work []complex128, inverse bool) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: buffer length %d does not match plan %d", len(x), p.n))
 	}
@@ -247,7 +249,7 @@ func (p *plan) transformWith(x, work []complex128, inverse bool) {
 		for i, j := range p.perm {
 			work[i] = x[j]
 		}
-		p.finish(x, work, 0, inverse)
+		p.finish(dst, work, 0, inverse)
 		return
 	}
 	st := &p.stages[0]
@@ -262,7 +264,7 @@ func (p *plan) transformWith(x, work []complex128, inverse bool) {
 	default:
 		base4Gather(work, x, p.perm, tw)
 	}
-	p.finish(x, work, 1, inverse)
+	p.finish(dst, work, 1, inverse)
 }
 
 // transformPair is the forward transform of the packed row re + i·im
@@ -294,7 +296,8 @@ func (p *plan) transformPair(z []complex128, re, im []float64) {
 // finish runs the stages from `from` on over the permuted data in work:
 // all but the last in place, the last storing into dst, which may be
 // work itself, with the inverse 1/n applied to each stored part. A plan
-// of at most four points runs its one pass in place and then copies.
+// of at most four points runs its one pass in place with the Go loops
+// and then copies.
 func (p *plan) finish(dst, work []complex128, from int, inverse bool) {
 	last := len(p.stages) - 1
 	for si := from; si < last; si++ {
@@ -312,8 +315,6 @@ func (p *plan) finish(dst, work []complex128, from int, inverse bool) {
 	st := &p.stages[last]
 	tw := st.table(inverse)
 	switch {
-	case !inverse && &dst[0] == &work[0]:
-		p.pass(work, last, false)
 	case st.kind == radix2 && useAVX2:
 		radix2StoreAVX2(dst, work, tw, s, inverse)
 	case st.kind == radix2:
@@ -332,22 +333,17 @@ func (p *plan) finish(dst, work []complex128, from int, inverse bool) {
 	}
 }
 
-// pass runs stage si over x in place.
+// pass runs stage si over x in place. Past a plan of at most four
+// points, whose one pass it is, it runs only the radix-4 passes between
+// the first and the last, so only those have a twin.
 func (p *plan) pass(x []complex128, si int, inverse bool) {
 	st := &p.stages[si]
 	tw := st.table(inverse)
 	switch {
-	case st.kind == radix3 && useAVX2:
-		// The strip twin on one-column rows is radix3Pass.
-		radix3RowsAVX2(x, 1, tw)
 	case st.kind == radix3:
 		radix3Pass(x, tw)
-	case st.kind == radix2 && useAVX2:
-		radix2PassAVX2(x, tw, st.size)
 	case st.kind == radix2:
 		radix2Pass(x, tw, st.size)
-	case st.size == 4 && useAVX2:
-		base4PassAVX2(x, tw)
 	case st.size == 4:
 		base4Pass(x, tw)
 	case useAVX2:
@@ -368,10 +364,6 @@ func (st *stage) table(inverse bool) []complex128 {
 // scaleInto sets dst[i] = src[i]·s, each part multiplied on its own:
 // the inverse transform's 1/n.
 func scaleInto(dst, src []complex128, s float64) {
-	if useAVX2 {
-		scaleAVX2(dst[:len(src)], src, s)
-		return
-	}
 	for i, v := range src {
 		dst[i] = complex(real(v)*s, imag(v)*s)
 	}
@@ -736,7 +728,8 @@ func (t xform2D) serial(m *grid.CMat, rowPlan, colPlan *plan) {
 	}
 	for y := 0; y < m.H; y++ {
 		if t.rowLive == nil || t.rowLive[y] {
-			rowPlan.transformWith(m.Row(y), s.buf, t.inverse)
+			row := m.Row(y)
+			rowPlan.transformWith(row, row, s.buf, t.inverse)
 		}
 	}
 	if !t.colsFirst {
@@ -861,7 +854,8 @@ func (f *fan) rows(lo, hi int) {
 	nl := len(f.live)
 	s := getScratch(scratchLen(f.ms[0]))
 	for idx := lo; idx < hi; idx++ {
-		f.rowPlan.transformWith(f.ms[idx/nl].Row(f.live[idx%nl]), s.buf, f.t.inverse)
+		row := f.ms[idx/nl].Row(f.live[idx%nl])
+		f.rowPlan.transformWith(row, row, s.buf, f.t.inverse)
 	}
 	putScratch(s)
 }

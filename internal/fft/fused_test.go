@@ -147,7 +147,7 @@ func TestFusedTransformsMatchReference(t *testing.T) {
 				want := append([]complex128(nil), x...)
 				refTransform(p, want, inverse)
 				got := append([]complex128(nil), x...)
-				p.transformWith(got, make([]complex128, n), inverse)
+				p.transformWith(got, got, make([]complex128, n), inverse)
 				if i := firstDiff(got, want); i >= 0 {
 					t.Fatalf("avx2=%v n=%d inverse=%v: row element %d: fused %v, reference %v", vec, n, inverse, i, got[i], want[i])
 				}
@@ -186,10 +186,10 @@ func TestFusedTransformsMatchReference(t *testing.T) {
 }
 
 // TestPackedInverseRowMatchesReference holds the real-output inverse's
-// row step — the packed Hermitian row written straight into
-// digit-reversed order, every pass in place, the last one scaling — to
-// the packed row built in natural order and run through the reference
-// transform, at every plan length 2…1024, every band half-width class
+// row step — the band of the packed Hermitian row written into a zero
+// row, gathered by the first pass and stored by the last into the
+// scratch row, scaling — to the packed row built by the test and run
+// through the reference transform, at every plan length 2…1024, every band half-width class
 // and for a lone row (no partner, G_{y+1} zero), with the twins and
 // with the Go loops.
 func TestPackedInverseRowMatchesReference(t *testing.T) {
@@ -217,9 +217,9 @@ func TestPackedInverseRowMatchesReference(t *testing.T) {
 						want[x] = complex(real(u)+imag(v), real(v)-imag(u))
 					}
 					refTransform(p, want, true)
-					got := make([]complex128, w)
-					packPermuted(got, g0, g1, b, x1, p.inv)
-					p.finish(got, got, 0, true)
+					z, got := make([]complex128, w), make([]complex128, w)
+					packBand(z, g0, g1, b, x1)
+					p.transformWith(got, z, got, true)
 					if i := firstDiff(got, want); i >= 0 {
 						t.Fatalf("avx2=%v w=%d b=%d lone=%v: element %d: fused %v, reference %v", vec, w, b, lone, i, got[i], want[i])
 					}

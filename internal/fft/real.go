@@ -279,47 +279,52 @@ func hermitianRowGo(row, sr, mr []complex128, lo, k0, k1 int) {
 
 // unpair runs the packed inverse row pass of output row pairs [lo, hi):
 // z = G_y + i·G_{y+1} on columns 0..b, conj(G_y) + i·conj(G_{y+1}) of the
-// mirrored column on W−b..W−1, zero between, built straight into the
-// digit-reversed order the first pass reads in place. The last row of an
-// odd height has no partner and is inverted alone.
+// mirrored column on W−b..W−1, zero between, in natural order. The
+// columns between are cleared once per chunk and written by no pair, so
+// each pair fills only the 2b+1 band columns; the transform's gathering
+// first pass reads them through the plan's perm, and its last pass
+// stores into its own scratch row. The last row of an odd height has no
+// partner and is inverted alone.
 func (f *fan) unpair(lo, hi int) {
 	g, b, w := f.lone[0], f.b, f.out.W
 	x1 := max(w-b, b+1)
-	s := getScratch(w)
-	z := s.buf
+	zs, ws := getScratch(w), getScratch(w)
+	z, work := zs.buf, ws.buf
+	clear(z)
 	for pi := lo; pi < hi; pi++ {
 		y := 2 * pi
-		if y+1 == g.H {
-			// A lone row: G_{y+1} is zero.
-			packPermuted(z, g.Row(y), nil, b, x1, f.rowPlan.inv)
-			f.rowPlan.finish(z, z, 0, true)
+		var g1 []complex128 // nil for a lone row: G_{y+1} is zero
+		if y+1 < g.H {
+			g1 = g.Row(y + 1)
+		}
+		packBand(z, g.Row(y), g1, b, x1)
+		f.rowPlan.transformWith(work, z, work, true)
+		if g1 == nil {
 			out0 := f.out.Row(y)
-			for x, v := range z {
+			for x, v := range work {
 				out0[x] = f.scale * real(v)
 			}
 			continue
 		}
-		packPermuted(z, g.Row(y), g.Row(y+1), b, x1, f.rowPlan.inv)
-		f.rowPlan.finish(z, z, 0, true)
-		unzipScaled(f.out.Row(y), f.out.Row(y+1), z, f.scale)
+		unzipScaled(f.out.Row(y), f.out.Row(y+1), work, f.scale)
 	}
-	putScratch(s)
+	putScratch(zs)
+	putScratch(ws)
 }
 
-// packPermuted writes the packed Hermitian row of unpair into z in the
-// transform's input order, z[inv[x]] for column x: g0[x] + i·g1[x] on
-// columns 0..b, conj(g0[w−x]) + i·conj(g1[w−x]) on x1..w−1 (w = len(z)),
-// zero elsewhere. A nil g1 is a row of zeros.
-func packPermuted(z, g0, g1 []complex128, b, x1 int, inv []int) {
-	clear(z)
+// packBand writes the band columns of unpair's packed Hermitian row into
+// z: g0[x] + i·g1[x] on columns 0..b, conj(g0[w−x]) + i·conj(g1[w−x]) on
+// x1..w−1 (w = len(z)). It leaves the columns between alone. A nil g1 is
+// a row of zeros.
+func packBand(z, g0, g1 []complex128, b, x1 int) {
 	w := len(z)
 	for x := 0; x <= b; x++ {
 		u, v := g0[x], at(g1, x)
-		z[inv[x]] = complex(real(u)-imag(v), imag(u)+real(v))
+		z[x] = complex(real(u)-imag(v), imag(u)+real(v))
 	}
 	for x := x1; x < w; x++ {
 		u, v := g0[w-x], at(g1, w-x)
-		z[inv[x]] = complex(real(u)+imag(v), real(v)-imag(u))
+		z[x] = complex(real(u)+imag(v), real(v)-imag(u))
 	}
 }
 

@@ -51,10 +51,6 @@ func outputs(zs ...[]complex128) func() []complex128 {
 }
 
 var sweepTwins = []sweepTwin{
-	{"scale", func(x []complex128, n int) (func(), func() []complex128) {
-		out := make([]complex128, n)
-		return func() { scaleInto(out, x[:n], imag(x[n])) }, outputs(out)
-	}},
 	{"unzipScaled", func(x []complex128, n int) (func(), func() []complex128) {
 		out0, out1 := make([]float64, n), make([]float64, n)
 		return func() { unzipScaled(out0, out1, x[:n], real(x[n])) },
