@@ -11,6 +11,7 @@ import (
 	"mgsilt/internal/grid"
 	"mgsilt/internal/litho"
 	"mgsilt/internal/opt"
+	"mgsilt/internal/parallel"
 	"mgsilt/internal/sched"
 )
 
@@ -109,6 +110,12 @@ func (c *Config) runStats(cl *device.Cluster) device.Stats {
 // the content-addressed tile cache answers repeated solves before
 // dispatch, identical misses collapse to one solve, and the batch policy
 // cuts the remaining misses into lockstep runs, one device job each.
+//
+// The round's cache keys — a SHA-256 over each window's target, start
+// and freeze mask — are computed first, in one parallel section; the
+// lookups and claims then run serially in request order on those keys,
+// so which request leads a key, the hit/miss/merged counters and the
+// device jobs are the same at any pool width.
 type Local struct {
 	Cluster *device.Cluster
 	// Sim is the optics whose fingerprint enters cache keys and batch
@@ -141,7 +148,7 @@ func (b *Local) SolveTiles(ctx context.Context, reqs []TileRequest) ([]*grid.Mat
 	classKey := optics + "|" + solverFP
 
 	out := make([]*grid.Mat, len(reqs))
-	keys := make([]cache.Key, len(reqs))
+	keys, keyed := b.keys(reqs, tc, optics, solverFP)
 	var (
 		todo    []int // requests this round dispatches, in order
 		items   []sched.Item
@@ -150,32 +157,24 @@ func (b *Local) SolveTiles(ctx context.Context, reqs []TileRequest) ([]*grid.Mat
 		waiting []int           // misses another solve answers, taken through Do after the round
 	)
 	for i, req := range reqs {
-		if tc != nil && !req.Bare {
-			p := req.Params
-			k, err := cache.KeyInput{
-				Optics: optics, Solver: solverFP,
-				Iters: p.Iters, Stretch: p.Stretch, LR: p.LR, PVWeight: p.PVWeight,
-				Target: req.Target, Init: req.Init, Freeze: p.Freeze,
-			}.Key()
-			if err == nil {
-				// Pre-dispatch short-circuit: a hit never becomes a device
-				// job, so no virtual time is charged — cached tiles are
-				// free on the TAT clock, exactly the repeated-work saving
-				// the cache exists to realise.
-				if u, ok := tc.Get(k); ok {
-					out[i] = u
-					continue
-				}
-				// A miss is solved once: by this round if its first request
-				// of the key claims it, else by whoever leads the key.
-				keys[i] = k
-				fl := tc.Claim(k)
-				if fl == nil {
-					waiting = append(waiting, i)
-					continue
-				}
-				claims, claimed = append(claims, fl), append(claimed, i)
+		if keyed[i] {
+			k := keys[i]
+			// Pre-dispatch short-circuit: a hit never becomes a device
+			// job, so no virtual time is charged — cached tiles are free
+			// on the TAT clock, exactly the repeated-work saving the
+			// cache exists to realise.
+			if u, ok := tc.Get(k); ok {
+				out[i] = u
+				continue
 			}
+			// A miss is solved once: by this round if its first request
+			// of the key claims it, else by whoever leads the key.
+			fl := tc.Claim(k)
+			if fl == nil {
+				waiting = append(waiting, i)
+				continue
+			}
+			claims, claimed = append(claims, fl), append(claimed, i)
 		}
 		todo = append(todo, i)
 		items = append(items, sched.Item{
@@ -225,6 +224,38 @@ func (b *Local) SolveTiles(ctx context.Context, reqs []TileRequest) ([]*grid.Mat
 		out[i] = u
 	}
 	return out, nil
+}
+
+// keys content-addresses the round's cacheable requests in one parallel
+// section: keyed[i] reports that keys[i] is request i's key. A key is a
+// pure function of its request, so computing them all before the first
+// lookup changes nothing the lookups decide — the caller still takes
+// them in request order.
+func (b *Local) keys(reqs []TileRequest, tc *cache.Cache, optics, solverFP string) ([]cache.Key, []bool) {
+	keys, keyed := make([]cache.Key, len(reqs)), make([]bool, len(reqs))
+	if tc == nil {
+		return keys, keyed
+	}
+	elems := 0
+	for _, req := range reqs {
+		if !req.Bare && req.Target != nil {
+			elems += len(req.Target.Data)
+		}
+	}
+	parallel.Do(len(reqs), parallel.SweepLimit(elems), func(i int) {
+		req := reqs[i]
+		if req.Bare {
+			return
+		}
+		p := req.Params
+		k, err := cache.KeyInput{
+			Optics: optics, Solver: solverFP,
+			Iters: p.Iters, Stretch: p.Stretch, LR: p.LR, PVWeight: p.PVWeight,
+			Target: req.Target, Init: req.Init, Freeze: p.Freeze,
+		}.Key()
+		keys[i], keyed[i] = k, err == nil
+	})
+	return keys, keyed
 }
 
 // job is the device job that solves the requests run into out: as one

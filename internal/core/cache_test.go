@@ -53,6 +53,29 @@ func cascadeJobs(cfg Config) int {
 	return jobs
 }
 
+// coarseCorrectConfig is the two-level row's geometry: a 256² clip, so
+// that every flow-side section fans out at pool width 2 under
+// parallel.SweepLimit — the smallest, CoarseClean's and the stitch
+// loss's whole-clip filters, is 256² = 2·SweepGrain elements — and three
+// fine stages, so the coarse-correct grid serves two corrections.
+func coarseCorrectConfig(t testing.TB, sim *litho.Simulator) Config {
+	t.Helper()
+	cfg := DefaultConfig(sim, 2*testClip, 8)
+	cfg.CoarseCorrect = true
+	cfg.FineStages = 3
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// correctJobs is the device-job count of the coarse-correct stages: one
+// uncached solve per correction-grid tile per stage.
+func correctJobs(cfg Config) int {
+	s := cfg.coarseCorrectScale()
+	return (cfg.FineStages - 1) * len(tile.MustPart(cfg.ClipSize, cfg.ClipSize, s*cfg.TileSize, s*cfg.Margin).Tiles)
+}
+
 // backendRow is one sweep kind of the in-process backend equivalence
 // table: a flow, its configuration and target, and the exact device-job
 // count of its warm-cache run.
@@ -66,18 +89,24 @@ type backendRow struct {
 // backendRows is the table's rows: D&C's single RAS round, the full
 // multigrid-Schwarz flow (coarse, fine and refine sweeps), the same
 // under dropout's filtered window lists, and stitch-and-heal's window
-// sweeps. A warm run answers every full-resolution solve from the
-// cache, so it dispatches exactly the uncached coarse cascade's jobs.
+// sweeps, and the two-level flow with coarse corrections on a clip
+// twice as wide. A warm run answers every full-resolution solve from the
+// cache, so it dispatches exactly the uncached coarse solves' jobs.
 func backendRows(t testing.TB) map[string]backendRow {
 	t.Helper()
 	sim := testSim(t)
 	cells := repeatTarget(t).Target
-	plain, dropout := testConfig(t, sim, 8), dropoutConfig(t, sim)
+	plain, dropout, twoLevel := testConfig(t, sim, 8), dropoutConfig(t, sim), coarseCorrectConfig(t, sim)
+	wide, err := layout.GenerateRepeat(layout.RepeatConfig{Size: twoLevel.ClipSize, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]backendRow{
 		"dc":          {plain, cells, DivideAndConquer, 0},
 		"mgs":         {plain, cells, MultigridSchwarz, cascadeJobs(plain)},
 		"mgs-dropout": {dropout, testClipTarget(t, 21), MultigridSchwarz, cascadeJobs(dropout)},
 		"heal":        {plain, cells, StitchAndHeal, 0},
+		"mgs-coarse":  {twoLevel, wide.Target, MultigridSchwarz, cascadeJobs(twoLevel) + correctJobs(twoLevel)},
 	}
 }
 
@@ -172,7 +201,7 @@ func checkBatcherColumn(t *testing.T, row backendRow) {
 // without dropout.
 func TestCacheColdWarmBitIdentical(t *testing.T) {
 	rows := backendRows(t)
-	for _, name := range []string{"dc", "mgs", "heal"} {
+	for _, name := range []string{"dc", "mgs", "heal", "mgs-coarse"} {
 		t.Run(name, func(t *testing.T) { checkCacheColumns(t, rows[name]) })
 	}
 }
@@ -187,7 +216,7 @@ func TestDropoutWarmCacheKeepsStats(t *testing.T) {
 // without dropout.
 func TestBatcherBitIdentical(t *testing.T) {
 	rows := backendRows(t)
-	for _, name := range []string{"dc", "mgs", "heal"} {
+	for _, name := range []string{"dc", "mgs", "heal", "mgs-coarse"} {
 		t.Run(name, func(t *testing.T) { checkBatcherColumn(t, rows[name]) })
 	}
 }

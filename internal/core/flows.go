@@ -11,6 +11,7 @@ import (
 	"mgsilt/internal/filter"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/opt"
+	"mgsilt/internal/parallel"
 	"mgsilt/internal/pipeline"
 	"mgsilt/internal/tile"
 )
@@ -69,23 +70,30 @@ const refineLR = 0.08
 // freeze, when non-nil, holds each window's Dirichlet mask by
 // Spec.Index.
 //
-// The fan-out itself is pluggable (Config.Tiles): by default the round
-// runs on the flow's in-process device.Cluster, where parallelism is
-// two-level and shares one budget — the cluster dispatches up to
-// min(devices, parallel.Workers()) solves concurrently and each solve's
-// litho evaluations fan their per-kernel convolutions out over the same
-// internal/parallel pool. With a shard coordinator installed, the round
-// is partitioned over remote worker processes instead, and only
-// overlap-halo strips travel between Schwarz stages. Either way put
-// sees the solutions in window order, so the result is bit-identical at
-// any parallelism or shard count.
+// Parallelism sits in three places, all drawing on the one
+// internal/parallel pool. The round itself is pluggable (Config.Tiles):
+// by default it runs on the flow's in-process device.Cluster, which
+// dispatches up to min(devices, parallel.Workers()) solves concurrently;
+// with a shard coordinator installed it is partitioned over remote
+// worker processes instead, and only overlap-halo strips travel between
+// Schwarz stages. Inside each solve, the litho evaluations fan their
+// kernels and transforms out over the pool. And the flow side between
+// rounds — every window's crop and restriction before the round, every
+// lift after it — is one parallel section each, gated by
+// parallel.SweepLimit; it stays off the device jobs, so it is never
+// charged to the virtual clock. put alone runs serially and sees the
+// solutions in window order (refine's in-place blends, dropout's
+// bookkeeping and the assembly slots depend on that order), so the
+// result is bit-identical at any pool width or shard count.
 //
 // Restricted (scale > 1) solves keep the uncached, unbatched dispatch
 // of TileRequest.Bare; every full-resolution window is content-addressed.
 func (c *Config) sweep(cl *device.Cluster, m, target *grid.Mat, size, scale int, wins []tile.Spec, params opt.Params, freeze []*grid.Mat, put func(tile.Spec, *grid.Mat)) error {
 	solved := size / scale
+	limit := parallel.SweepLimit(len(wins) * size * size)
 	reqs := make([]TileRequest, len(wins))
-	for i, w := range wins {
+	parallel.Do(len(wins), limit, func(i int) {
+		w := wins[i]
 		req := TileRequest{
 			Index:  w.Index,
 			Pixels: solved * solved, // the restricted working set
@@ -101,47 +109,67 @@ func (c *Config) sweep(cl *device.Cluster, m, target *grid.Mat, size, scale int,
 			req.Params.Freeze = freeze[w.Index]
 		}
 		reqs[i] = req
-	}
+	})
 	sols, err := c.backend(cl).SolveTiles(c.ctx(), reqs)
 	if err != nil {
 		return err
 	}
+	if scale > 1 {
+		parallel.Do(len(wins), limit, func(i int) { sols[i] = sols[i].UpsampleBilinear(scale) })
+	}
 	for i, w := range wins {
-		u := sols[i]
-		if scale > 1 {
-			u = u.UpsampleBilinear(scale)
-		}
-		put(w, u)
+		put(w, sols[i])
 	}
 	return nil
 }
 
-// ras is one restricted additive Schwarz round (Eq. 6) on the grid of
-// tiles s·TileSize wide: every tile is solved from m for iters
-// iterations and assembled with the hard RAS weights. For s > 1 it is
-// one coarse grid of Algorithm 1 (lines 8-12): tiles are downsampled by
-// s so they fit on one device and the solutions are lifted back
-// bilinearly. s = 1 is the divide-and-conquer solve of the fine
-// partition. It returns the assembly together with its grid and
-// weights.
-func (c *Config) ras(cl *device.Cluster, m, target *grid.Mat, s, iters int) (*grid.Mat, *tile.Partition, []*grid.Mat, error) {
+// rasGrid is the tile grid of RAS rounds s·TileSize wide: its
+// partition and hard Eq. (6) weights. A flow builds each grid once per
+// run and hands it to every round on it.
+type rasGrid struct {
+	s int
+	p *tile.Partition
+	w []*grid.Mat
+}
+
+// rasGrid builds the grid of scale s.
+func (c *Config) rasGrid(s int) (*rasGrid, error) {
 	p, err := tile.Part(c.ClipSize, c.ClipSize, s*c.TileSize, s*c.Margin)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: grid s=%d: %w", s, err)
+		return nil, fmt.Errorf("core: grid s=%d: %w", s, err)
 	}
 	w, err := p.Weights(0)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	params := opt.Params{Iters: iters, LR: c.LR, Stretch: s, PVWeight: c.PVWeight}
-	tiles := make([]*grid.Mat, len(p.Tiles))
-	err = c.sweep(cl, m, target, p.Tile, s, p.Tiles, params, nil, func(spec tile.Spec, u *grid.Mat) {
+	return &rasGrid{s: s, p: p, w: w}, nil
+}
+
+// ras is one restricted additive Schwarz round (Eq. 6) on grid g: every
+// tile is solved from m for iters iterations and assembled with the hard
+// RAS weights. For g.s > 1 it is one coarse grid of Algorithm 1 (lines
+// 8-12): tiles are downsampled by s so they fit on one device and the
+// solutions are lifted back bilinearly. s = 1 is the divide-and-conquer
+// solve of the fine partition.
+func (c *Config) ras(cl *device.Cluster, g *rasGrid, m, target *grid.Mat, iters int) (*grid.Mat, error) {
+	params := opt.Params{Iters: iters, LR: c.LR, Stretch: g.s, PVWeight: c.PVWeight}
+	tiles := make([]*grid.Mat, len(g.p.Tiles))
+	err := c.sweep(cl, m, target, g.p.Tile, g.s, g.p.Tiles, params, nil, func(spec tile.Spec, u *grid.Mat) {
 		tiles[spec.Index] = u
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return p.Assemble(tiles, w), p, w, nil
+	return g.p.Assemble(tiles, g.w), nil
+}
+
+// solveRAS is ras on a grid built for this one round.
+func (c *Config) solveRAS(cl *device.Cluster, m, target *grid.Mat, s, iters int) (*grid.Mat, error) {
+	g, err := c.rasGrid(s)
+	if err != nil {
+		return nil, err
+	}
+	return c.ras(cl, g, m, target, iters)
 }
 
 // checkTarget validates the target geometry shared by every flow.
@@ -200,7 +228,7 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (*Result, error) {
 		stages = append(stages, pipeline.Stage{
 			Name: "coarse", Iter: lvl, Total: levels,
 			Run: func(_ context.Context, m *grid.Mat) (*grid.Mat, error) {
-				m, _, _, err := c.ras(cl, m, target, s, max(1, cfg.CoarseIters/levels))
+				m, err := c.solveRAS(cl, m, target, s, max(1, cfg.CoarseIters/levels))
 				if err != nil {
 					return nil, err
 				}
@@ -244,6 +272,8 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (*Result, error) {
 	var (
 		prevSol   = make([]*grid.Mat, len(p.Tiles)) // last fine solution per tile
 		converged = make([]bool, len(p.Tiles))
+
+		correctGrid *rasGrid // the coarse-correct stages' grid, built by the first
 
 		tilesConverged, solvesSkipped, corrections int
 	)
@@ -317,7 +347,14 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (*Result, error) {
 			stages = append(stages, pipeline.Stage{
 				Name: "coarse-correct", Iter: stage + 1, Total: correctTotal,
 				Run: func(_ context.Context, m *grid.Mat) (*grid.Mat, error) {
-					out, err := c.coarseCorrect(cl, m, target)
+					if correctGrid == nil {
+						g, err := c.rasGrid(c.coarseCorrectScale())
+						if err != nil {
+							return nil, err
+						}
+						correctGrid = g
+					}
+					out, err := c.coarseCorrect(cl, correctGrid, m, target)
 					if err != nil {
 						return nil, err
 					}
@@ -382,24 +419,25 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (*Result, error) {
 // lacks: residual components spanning many tiles are fixed in one
 // coarse solve instead of leaking across tile borders one overlap per
 // stage (SNIPPETS.md Snippet 1).
-func (c *Config) coarseCorrect(cl *device.Cluster, m, target *grid.Mat) (*grid.Mat, error) {
-	s := c.coarseCorrectScale()
+func (c *Config) coarseCorrect(cl *device.Cluster, g *rasGrid, m, target *grid.Mat) (*grid.Mat, error) {
 	iters := c.CoarseCorrectIters
 	if iters < 1 {
 		iters = max(1, c.CoarseIters/4)
 	}
-	solved, pc, w, err := c.ras(cl, m, target, s, iters)
+	solved, err := c.ras(cl, g, m, target, iters)
 	if err != nil {
 		return nil, err
 	}
 	// The FAS base state: m itself through the same restriction and
 	// lift, so δ measures only what the coarse solver changed, not the
 	// resampling blur.
+	pc, s := g.p, g.s
 	base := make([]*grid.Mat, len(pc.Tiles))
-	for i, spec := range pc.Tiles {
+	parallel.Do(len(pc.Tiles), parallel.SweepLimit(len(pc.Tiles)*pc.Tile*pc.Tile), func(i int) {
+		spec := pc.Tiles[i]
 		base[i] = m.Crop(spec.Y0, spec.X0, pc.Tile, pc.Tile).Downsample(s).UpsampleBilinear(s)
-	}
-	delta := solved.Sub(pc.Assemble(base, w))
+	})
+	delta := solved.Sub(pc.Assemble(base, g.w))
 	return m.Clone().AddScaled(delta, 1).Clamp(0, 1), nil
 }
 
@@ -422,8 +460,7 @@ func DivideAndConquer(cfg Config, target *grid.Mat) (*Result, error) {
 	stages := []pipeline.Stage{{
 		Name: "solve", Iter: 1, Total: 1,
 		Run: func(_ context.Context, _ *grid.Mat) (*grid.Mat, error) {
-			m, _, _, err := c.ras(cl, target, target, 1, cfg.BaselineIters)
-			return m, err
+			return c.solveRAS(cl, target, target, 1, cfg.BaselineIters)
 		},
 	}}
 	res, err := c.run("divide-and-conquer", cl, stages, target, target, p.StitchLines())

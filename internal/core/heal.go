@@ -41,8 +41,7 @@ func StitchAndHeal(cfg Config, target *grid.Mat) (*Result, error) {
 	stages = append(stages, pipeline.Stage{
 		Name: "solve", Iter: 1, Total: 1,
 		Run: func(_ context.Context, _ *grid.Mat) (*grid.Mat, error) {
-			m, _, _, err := c.ras(cl, target, target, 1, cfg.BaselineIters)
-			return m, err
+			return c.solveRAS(cl, target, target, 1, cfg.BaselineIters)
 		},
 	})
 	for i, line := range lines {

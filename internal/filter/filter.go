@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"mgsilt/internal/grid"
+	"mgsilt/internal/parallel"
 )
 
 // GaussianKernel1D returns a normalised 1-D Gaussian kernel with the
@@ -53,39 +54,46 @@ func reflect(i, n int) int {
 // whichever loop produces it: pixels at least a radius away from the
 // edge read their taps directly instead of through reflect, and the
 // column pass adds one kernel-weighted source row at a time into each
-// output row instead of walking down columns.
+// output row instead of walking down columns. Both passes fan out by
+// rows: an output row of either reads only its source rows, so the
+// split changes no sum.
 func convolveSeparable(m *grid.Mat, k []float64) *grid.Mat {
 	radius := len(k) / 2
+	limit := parallel.SweepLimit(m.H * m.W)
 	// Columns lo…hi−1 have their whole window inside the row.
 	lo := min(radius, m.W)
 	hi := max(lo, m.W-radius)
 	tmp := grid.NewMat(m.H, m.W)
-	for y := 0; y < m.H; y++ {
-		src := m.Row(y)
-		dst := tmp.Row(y)
-		for x := 0; x < lo; x++ {
-			dst[x] = mirrorTap(src, k, x)
-		}
-		for x := lo; x < hi; x++ {
-			sum := 0.0
-			for i, t := range src[x-radius : x+radius+1] {
-				sum += k[i] * t
+	parallel.DoChunks(m.H, limit, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			src := m.Row(y)
+			dst := tmp.Row(y)
+			for x := 0; x < lo; x++ {
+				dst[x] = mirrorTap(src, k, x)
 			}
-			dst[x] = sum
+			for x := lo; x < hi; x++ {
+				sum := 0.0
+				for i, t := range src[x-radius : x+radius+1] {
+					sum += k[i] * t
+				}
+				dst[x] = sum
+			}
+			for x := hi; x < m.W; x++ {
+				dst[x] = mirrorTap(src, k, x)
+			}
 		}
-		for x := hi; x < m.W; x++ {
-			dst[x] = mirrorTap(src, k, x)
-		}
-	}
+	})
 	out := grid.NewMat(m.H, m.W) // zeroed: the running sums start at +0
-	for y := 0; y < m.H; y++ {
-		dst := out.Row(y)
-		for i, kv := range k {
-			for x, t := range tmp.Row(reflect(y+i-radius, m.H)) {
-				dst[x] += kv * t
+	parallel.DoChunks(m.H, limit, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			dst := out.Row(y)
+			for i, kv := range k {
+				for x, t := range tmp.Row(reflect(y+i-radius, m.H)) {
+					dst[x] += kv * t
+				}
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -132,7 +140,9 @@ func Dilate(m *grid.Mat, r int) *grid.Mat { return morph(m, r, false) }
 // the product of its two sides, so a pixel survives erosion exactly when
 // its whole row window does in every row of its column window, and
 // likewise for dilation. Outside the matrix is background: it clears an
-// eroded pixel and never sets a dilated one.
+// eroded pixel and never sets a dilated one. Both passes fan out by
+// rows; a band of the column pass counts its own first window, so a
+// band's counts are the ones the serial slide would reach.
 func morph(m *grid.Mat, r int, erode bool) *grid.Mat {
 	if r < 0 {
 		panic("filter: morphology radius must be non-negative")
@@ -147,49 +157,55 @@ func morph(m *grid.Mat, r int, erode bool) *grid.Mat {
 		}
 		return 1
 	}
+	limit := parallel.SweepLimit(m.H * m.W)
 	tmp := grid.NewMat(m.H, m.W)
-	for y := 0; y < m.H; y++ {
-		src, dst := m.Row(y), tmp.Row(y)
-		n := 0 // deciding pixels among columns x−r…x+r
-		for x := 0; x < min(r, m.W); x++ {
-			if decides(src[x]) {
-				n++
+	parallel.DoChunks(m.H, limit, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			src, dst := m.Row(y), tmp.Row(y)
+			n := 0 // deciding pixels among columns x−r…x+r
+			for x := 0; x < min(r, m.W); x++ {
+				if decides(src[x]) {
+					n++
+				}
+			}
+			for x := range dst {
+				if x+r < m.W && decides(src[x+r]) {
+					n++
+				}
+				dst[x] = value(n > 0 || erode && (x < r || x+r >= m.W))
+				if x >= r && decides(src[x-r]) {
+					n--
+				}
 			}
 		}
-		for x := range dst {
-			if x+r < m.W && decides(src[x+r]) {
-				n++
-			}
-			dst[x] = value(n > 0 || erode && (x < r || x+r >= m.W))
-			if x >= r && decides(src[x-r]) {
-				n--
-			}
-		}
-	}
+	})
 	out := grid.NewMat(m.H, m.W)
-	count := make([]int, m.W) // per column: deciding pixels among rows y−r…y+r of tmp
-	add := func(y, d int) {
-		for x, v := range tmp.Row(y) {
-			if decides(v) {
-				count[x] += d
+	parallel.DoChunks(m.H, limit, func(y0, y1 int) {
+		count := make([]int, m.W) // per column: deciding pixels among rows y−r…y+r of tmp
+		add := func(y, d int) {
+			for x, v := range tmp.Row(y) {
+				if decides(v) {
+					count[x] += d
+				}
 			}
 		}
-	}
-	for y := 0; y < min(r, m.H); y++ {
-		add(y, 1)
-	}
-	for y := 0; y < m.H; y++ {
-		if y+r < m.H {
-			add(y+r, 1)
+		// Seed the window of row y0: rows y0−r…y0+r−1 inside the matrix.
+		for y := max(0, y0-r); y < min(y0+r, m.H); y++ {
+			add(y, 1)
 		}
-		outside := erode && (y < r || y+r >= m.H)
-		for x, n := range count {
-			out.Data[y*m.W+x] = value(n > 0 || outside)
+		for y := y0; y < y1; y++ {
+			if y+r < m.H {
+				add(y+r, 1)
+			}
+			outside := erode && (y < r || y+r >= m.H)
+			for x, n := range count {
+				out.Data[y*m.W+x] = value(n > 0 || outside)
+			}
+			if y >= r {
+				add(y-r, -1)
+			}
 		}
-		if y >= r {
-			add(y-r, -1)
-		}
-	}
+	})
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mgsilt/internal/grid"
+	"mgsilt/internal/parallel"
 )
 
 // The loops convolveSeparable and morph ran before they grew interior
@@ -89,9 +90,23 @@ func sameBits(a, b *grid.Mat) bool {
 	return true
 }
 
+// widths are the pool widths the fast paths run at against one
+// reference: the two shapes above parallel.SweepLimit's gate fan out at
+// every width but the first, in row bands whose edges fall anywhere.
+var widths = []int{1, 2, 3}
+
+// atWidths runs f at each pool width and restores the width after.
+func atWidths(f func(width int)) {
+	defer parallel.SetWorkers(parallel.Workers())
+	for _, w := range widths {
+		parallel.SetWorkers(w)
+		f(w)
+	}
+}
+
 func TestConvolveSeparableBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {8, 8}, {16, 9}, {31, 33}, {64, 64}}
+	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {8, 8}, {16, 9}, {31, 33}, {64, 64}, {300, 517}, {517, 300}}
 	for _, sigma := range []float64{0.5, 1, 1.5, 2.5, 5} {
 		k := GaussianKernel1D(sigma)
 		for _, sh := range shapes {
@@ -99,19 +114,25 @@ func TestConvolveSeparableBitIdentical(t *testing.T) {
 			for i := range m.Data {
 				m.Data[i] = rng.NormFloat64()
 			}
-			if got, want := convolveSeparable(m, k), refConvolveSeparable(m, k); !sameBits(got, want) {
-				t.Errorf("sigma %g on %dx%d (radius %d): differs from the reference loop by %g",
-					sigma, sh[0], sh[1], len(k)/2, got.Sub(want).MaxAbs())
-			}
+			want := refConvolveSeparable(m, k)
+			atWidths(func(width int) {
+				if got := convolveSeparable(m, k); !sameBits(got, want) {
+					t.Errorf("sigma %g on %dx%d (radius %d), width %d: differs from the reference loop by %g",
+						sigma, sh[0], sh[1], len(k)/2, width, got.Sub(want).MaxAbs())
+				}
+			})
 		}
 	}
 }
 
 func TestMorphBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	shapes := [][2]int{{1, 1}, {1, 9}, {9, 1}, {5, 5}, {12, 31}, {40, 17}, {64, 64}}
+	shapes := [][2]int{{1, 1}, {1, 9}, {9, 1}, {5, 5}, {12, 31}, {40, 17}, {64, 64}, {300, 517}, {517, 300}}
 	for _, density := range []float64{0.1, 0.5, 0.9} {
 		for _, sh := range shapes {
+			if sh[0]*sh[1] > 64*64 && density != 0.5 {
+				continue // the shapes above the gate: one density keeps the reference loop's cost down
+			}
 			m := grid.NewMat(sh[0], sh[1])
 			for i := range m.Data {
 				if rng.Float64() < density {
@@ -120,10 +141,13 @@ func TestMorphBitIdentical(t *testing.T) {
 			}
 			for r := 0; r <= 7; r++ {
 				for _, erode := range []bool{true, false} {
-					if got, want := morph(m, r, erode), refMorph(m, r, erode); !sameBits(got, want) {
-						t.Errorf("density %g, %dx%d, r=%d, erode=%v: differs from the window loop at %g pixels",
-							density, sh[0], sh[1], r, erode, got.L2Diff(want))
-					}
+					want := refMorph(m, r, erode)
+					atWidths(func(width int) {
+						if got := morph(m, r, erode); !sameBits(got, want) {
+							t.Errorf("density %g, %dx%d, r=%d, erode=%v, width %d: differs from the window loop at %g pixels",
+								density, sh[0], sh[1], r, erode, width, got.L2Diff(want))
+						}
+					})
 				}
 			}
 		}

@@ -202,24 +202,6 @@ func (m *Mat) PasteWeighted(src, w *Mat, y0, x0 int) *Mat {
 	return m
 }
 
-// AccumulateWeighted adds w*src into m at (y0, x0). Used by partition-of-
-// unity assembly where the weights of all tiles sum to one. Returns m.
-func (m *Mat) AccumulateWeighted(src, w *Mat, y0, x0 int) *Mat {
-	src.mustSameShape(w, "AccumulateWeighted")
-	if y0 < 0 || x0 < 0 || y0+src.H > m.H || x0+src.W > m.W {
-		panic(fmt.Sprintf("grid: AccumulateWeighted (%d,%d)+%dx%d exceeds %dx%d", y0, x0, src.H, src.W, m.H, m.W))
-	}
-	for y := 0; y < src.H; y++ {
-		dst := m.Data[(y0+y)*m.W+x0 : (y0+y)*m.W+x0+src.W]
-		sr := src.Row(y)
-		wr := w.Row(y)
-		for x := range dst {
-			dst[x] += wr[x] * sr[x]
-		}
-	}
-	return m
-}
-
 // Equal reports whether m and o have the same shape and identical data.
 func (m *Mat) Equal(o *Mat) bool {
 	if !m.SameShape(o) {

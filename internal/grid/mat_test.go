@@ -205,18 +205,6 @@ func TestPasteWeightedBlends(t *testing.T) {
 	}
 }
 
-func TestAccumulateWeighted(t *testing.T) {
-	dst := filled(2, 2, 1)
-	src := filled(2, 2, 4)
-	w := filled(2, 2, 0.5)
-	dst.AccumulateWeighted(src, w, 0, 0)
-	for _, v := range dst.Data {
-		if v != 3 {
-			t.Fatalf("accumulate got %v want 3", v)
-		}
-	}
-}
-
 func TestAlmostEqual(t *testing.T) {
 	a := filled(2, 2, 1)
 	b := filled(2, 2, 1.0000001)

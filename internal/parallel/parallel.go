@@ -2,8 +2,10 @@
 // every CPU hot path of the repository draws from: the per-kernel
 // Hopkins convolution loops and element-wise sweeps of internal/litho,
 // the row/column passes of internal/fft, the per-pixel sweeps of the
-// descent loop in internal/opt, and — via internal/device — the
-// concurrent tile solves of internal/core.
+// descent loop in internal/opt, the flow side between device rounds
+// (window crops, lifts, cache keys and assembly in internal/core and
+// internal/tile, the filters of internal/filter), and — via
+// internal/device — the concurrent tile solves of internal/core.
 //
 // Design. A pool of width W owns W-1 resident helper goroutines. A call
 // to Do or DoChunks always runs work on the calling goroutine; it
@@ -112,6 +114,36 @@ const Grain = 2048
 // of its own.
 func Limit(elems int) int {
 	return max(1, min(Workers(), elems/Grain))
+}
+
+// SweepGrain is Grain for the sweeps of the flow side between device
+// rounds — window crops and restrictions, bilinear lifts, cache-key
+// hashing, weighted assembly, the spatial filters — and SweepLimit is
+// its one reader.
+//
+// The hand-off alone would put the gate at Grain: BenchmarkSweepGrain
+// (dst += w·src over two participants' worth, 2-vCPU reference host,
+// three runs each, µs) reads 4.3–6.0 on the caller against 4.1–4.9
+// fanned out at one Grain per participant, 11.4–12.2 against 7.7–8.1 at
+// two, 21–24 against 12–15 at four and 94–102 against 49–53 at sixteen.
+// But these sweeps run between rounds, beside the other jobs, shard
+// workers and device dispatchers of the host, and a helper that takes
+// part in one then polls out its spinBudget on a core one of those
+// could have used. That is what sets the gate. served-sharded (128²
+// jobs on two in-process shard workers and two service workers, 2 cores)
+// at SweepGrain = Grain, where a job's window sections (9 × 64² = 36 864
+// elements) fan out, against 16·Grain, where they stay on the caller:
+// clip_s medians 0.097 against 0.075 s and p90 0.255 against 0.100 s
+// over six alternating 20 s pairs, the fanned-out side slower in four.
+// At 16·Grain every flow-side section of a 512² clip (262 144 elements
+// and up) still fans out: cells-512 warm_clip_s fell 17 % (ten of ten
+// pairs) against the serial flow side.
+const SweepGrain = 16 * Grain
+
+// SweepLimit is Limit at SweepGrain: how many goroutines a flow-side
+// sweep over elems elements is worth.
+func SweepLimit(elems int) int {
+	return max(1, min(Workers(), elems/SweepGrain))
 }
 
 // spinBudget is how long a helper keeps polling after its last task

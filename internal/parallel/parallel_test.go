@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -319,4 +320,34 @@ func BenchmarkForkJoin(b *testing.B) {
 			half(1)
 		}
 	})
+}
+
+// BenchmarkSweepGrain prices a memory-bound sweep — the weighted
+// accumulation of tile assembly, dst += w·src — at 1…64 Grains per
+// participant on a 2-wide pool, fanned out and on the caller. The
+// crossover it shows is the hand-off's alone; SweepGrain's comment says
+// why the flow side's gate sits well above it.
+func BenchmarkSweepGrain(b *testing.B) {
+	old := Workers()
+	defer SetWorkers(old)
+	SetWorkers(2)
+	for _, grains := range []int{1, 2, 4, 8, 16, 32, 64} {
+		n := 2 * grains * Grain
+		dst, w, src := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range w {
+			w[i], src[i] = 0.5, float64(i)
+		}
+		sweep := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				dst[i] += w[i] * src[i]
+			}
+		}
+		for _, limit := range []int{1, 2} {
+			b.Run(fmt.Sprintf("grains=%d/workers=%d", grains, limit), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					DoChunks(n, limit, sweep)
+				}
+			})
+		}
+	}
 }

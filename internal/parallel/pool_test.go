@@ -369,3 +369,21 @@ func TestLimit(t *testing.T) {
 		}
 	})
 }
+
+// TestSweepLimit: the flow-side gate is Limit at SweepGrain — a 128²
+// clip's window sections (9 × 64²) stay on the caller, a 256² clip's
+// whole-clip filters fan out over two.
+func TestSweepLimit(t *testing.T) {
+	withWorkers(t, 4, func() {
+		for elems, want := range map[int]int{0: 1, 9 * 64 * 64: 1, 2*SweepGrain - 1: 1, 256 * 256: 2, 3 * SweepGrain: 3, 1 << 24: 4} {
+			if got := SweepLimit(elems); got != want {
+				t.Errorf("4 workers: SweepLimit(%d) = %d, want %d", elems, got, want)
+			}
+		}
+	})
+	withWorkers(t, 1, func() {
+		if got := SweepLimit(1 << 24); got != 1 {
+			t.Errorf("1 worker: SweepLimit = %d, want 1", got)
+		}
+	})
+}

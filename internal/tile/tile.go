@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"mgsilt/internal/grid"
+	"mgsilt/internal/parallel"
 )
 
 // Spec describes one tile of a partition in layout coordinates.
@@ -195,14 +196,32 @@ func rampUp(pos, b, d int) float64 {
 // Assemble rebuilds the layout from per-tile solutions using the given
 // weight maps (from Weights): M* = Σ R'ᵀ_j u_j. With d=0 weights this
 // is Eq. (6); with d>0 it is Eq. (14).
+//
+// The sum runs in parallel over bands of output rows. Each band adds
+// the tiles' weighted rows in tile-index order, so every pixel sees the
+// same sequence of additions — 0 + w₀u₀ + w₁u₁ + … — at any split.
 func (p *Partition) Assemble(tiles, weights []*grid.Mat) *grid.Mat {
 	if len(tiles) != len(p.Tiles) || len(weights) != len(p.Tiles) {
 		panic(fmt.Sprintf("tile: Assemble got %d tiles, %d weights for %d specs", len(tiles), len(weights), len(p.Tiles)))
 	}
-	out := grid.NewMat(p.H, p.W)
-	for i, s := range p.Tiles {
-		out.AccumulateWeighted(tiles[i], weights[i], s.Y0, s.X0)
+	for i := range p.Tiles {
+		if tiles[i].H != p.Tile || tiles[i].W != p.Tile || !tiles[i].SameShape(weights[i]) {
+			panic(fmt.Sprintf("tile: Assemble tile %d is %dx%d with %dx%d weights, want %dx%d",
+				i, tiles[i].H, tiles[i].W, weights[i].H, weights[i].W, p.Tile, p.Tile))
+		}
 	}
+	out := grid.NewMat(p.H, p.W)
+	parallel.DoChunks(p.H, parallel.SweepLimit(len(p.Tiles)*p.Tile*p.Tile), func(lo, hi int) {
+		for i, s := range p.Tiles {
+			for y := max(lo, s.Y0); y < min(hi, s.Y0+p.Tile); y++ {
+				dst := out.Row(y)[s.X0 : s.X0+p.Tile]
+				src, w := tiles[i].Row(y-s.Y0), weights[i].Row(y-s.Y0)
+				for x := range dst {
+					dst[x] += w[x] * src[x]
+				}
+			}
+		}
+	})
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mgsilt/internal/grid"
+	"mgsilt/internal/parallel"
 )
 
 // paperGeometry mirrors the paper's setup at 1/8 scale: a 512-analog
@@ -105,6 +106,15 @@ func TestExtractShapesAndContent(t *testing.T) {
 	}
 }
 
+// ones is one all-ones solution per tile of p.
+func ones(p *Partition) []*grid.Mat {
+	out := make([]*grid.Mat, len(p.Tiles))
+	for i := range out {
+		out[i] = filled(p.Tile, p.Tile, 1)
+	}
+	return out
+}
+
 func TestWeightsPartitionOfUnity(t *testing.T) {
 	p := paperGeometry(t)
 	for _, d := range []int{0, 8, 16, 32} {
@@ -112,10 +122,7 @@ func TestWeightsPartitionOfUnity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
-		sum := grid.NewMat(p.H, p.W)
-		for i, s := range p.Tiles {
-			sum.AccumulateWeighted(filled(p.Tile, p.Tile, 1), ws[i], s.Y0, s.X0)
-		}
+		sum := p.Assemble(ones(p), ws)
 		for i, v := range sum.Data {
 			if math.Abs(v-1) > 1e-12 {
 				t.Fatalf("d=%d: weight sum %v at pixel %d", d, v, i)
@@ -337,14 +344,60 @@ func TestRectangularPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := grid.NewMat(p.H, p.W)
-	ones := filled(p.Tile, p.Tile, 1)
-	for i, s := range p.Tiles {
-		sum.AccumulateWeighted(ones, ws[i], s.Y0, s.X0)
-	}
+	sum := p.Assemble(ones(p), ws)
 	for i, v := range sum.Data {
 		if math.Abs(v-1) > 1e-12 {
 			t.Fatalf("rectangular weight sum %v at %d", v, i)
+		}
+	}
+}
+
+// refAssemble is the serial weighted accumulation Assemble ran before it
+// fanned out by rows: the whole of each tile added in tile-index order.
+func refAssemble(p *Partition, tiles, weights []*grid.Mat) *grid.Mat {
+	out := grid.NewMat(p.H, p.W)
+	for i, s := range p.Tiles {
+		for y := 0; y < p.Tile; y++ {
+			for x := 0; x < p.Tile; x++ {
+				out.Data[(s.Y0+y)*p.W+s.X0+x] += weights[i].At(y, x) * tiles[i].At(y, x)
+			}
+		}
+	}
+	return out
+}
+
+// TestAssembleMatchesSerialAccumulation holds the row-parallel Assemble
+// to the serial accumulation bit for bit, on a 512² partition of 225
+// tiles — above parallel.SweepLimit's gate, so widths 2 and 3 fan out —
+// with the hard (d = 0) and the feathered weights.
+func TestAssembleMatchesSerialAccumulation(t *testing.T) {
+	defer parallel.SetWorkers(parallel.Workers())
+	p, err := Part(512, 512, 64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	tiles := make([]*grid.Mat, len(p.Tiles))
+	for i := range tiles {
+		tiles[i] = grid.NewMat(p.Tile, p.Tile)
+		for j := range tiles[i].Data {
+			tiles[i].Data[j] = rng.NormFloat64()
+		}
+	}
+	for _, d := range []int{0, 16, 32} {
+		ws, err := p.Weights(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refAssemble(p, tiles, ws)
+		for _, width := range []int{1, 2, 3} {
+			parallel.SetWorkers(width)
+			got := p.Assemble(tiles, ws)
+			for i, v := range got.Data {
+				if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("d=%d, width %d: pixel %d is %v, serial accumulation %v", d, width, i, v, want.Data[i])
+				}
+			}
 		}
 	}
 }
