@@ -72,9 +72,8 @@ func TestBatch2DBitIdenticalToLooped(t *testing.T) {
 	}
 }
 
-// TestBatch2DLimitBitIdentity checks the explicit-limit variant used by
-// litho's per-condition fan-out: any limit must reproduce the limit=1
-// bits exactly.
+// TestBatch2DLimitBitIdentity checks the batched transform with its
+// fan-out capped: any limit must reproduce the limit=1 bits exactly.
 func TestBatch2DLimitBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	prev := parallel.SetWorkers(runtime.NumCPU())
@@ -82,10 +81,10 @@ func TestBatch2DLimitBitIdentity(t *testing.T) {
 
 	src := randBatch(rng, 4, 256, 256)
 	ref := cloneBatch(src)
-	Batch2DLimit(ref, DirForward, 1)
+	xform2D{}.batch(ref, 1)
 	for _, limit := range []int{2, 3, 0} {
 		got := cloneBatch(src)
-		Batch2DLimit(got, DirForward, limit)
+		xform2D{}.batch(got, limit)
 		for i := range ref {
 			if !got[i].AlmostEqual(ref[i], 0) {
 				t.Fatalf("limit=%d: matrix %d not bit-identical", limit, i)

@@ -23,9 +23,6 @@ func radix3GatherAVX2(dst, src []complex128, perm []int, tw []complex128)
 func base4GatherPairAVX2(dst []complex128, re, im []float64, perm []int, tw []complex128)
 
 //go:noescape
-func radix3GatherPairAVX2(dst []complex128, re, im []float64, perm []int, tw []complex128)
-
-//go:noescape
 func radix4StoreAVX2(dst, x, tw []complex128, s float64, scaled bool)
 
 //go:noescape
@@ -43,16 +40,13 @@ func radix4StoreRowsAVX2(dst []complex128, stride int, x []complex128, nb int, t
 //go:noescape
 func radix2StoreRowsAVX2(dst []complex128, stride int, x []complex128, nb int, tw []complex128, s float64, scaled bool)
 
-// The glue around the butterflies: the packing and reflection loops of
-// the real transforms. Each covers the length the Go caller hands it
-// (see the comment above each in butterflies_amd64.s); the caller
-// finishes the rest with its Go loop.
+// The glue around the butterflies: the packing loops of the real
+// transforms. Each covers the length the Go caller hands it (see the
+// comment above each in butterflies_amd64.s); the caller finishes the
+// rest with its Go loop.
 
 //go:noescape
 func unzipScaledAVX2(out0, out1 []float64, z []complex128, s float64)
 
 //go:noescape
 func mirrorPairsAVX2(out0, out1, a, m []complex128)
-
-//go:noescape
-func reflectAVX2(dst, src []complex128)

@@ -4,8 +4,8 @@
 // run, over a strip of columns (columns.go) and in a row (fft.go): the
 // gathering first passes, the in-place radix-4 passes between the first
 // and the last (radix4Rows, radix4Pass) and the storing last passes,
-// which apply the inverse 1/n; and the packing and reflection loops of
-// the real transforms (real.go). A plan of at most four points runs the
+// which apply the inverse 1/n; and the packing loops of the real
+// transforms (real.go). A plan of at most four points runs the
 // Go loops. A Y register holds two complex128 as (re, im, re, im). The
 // strip loops run two adjacent columns per vector under a broadcast
 // twiddle; the in-row loops run two consecutive butterflies per vector,
@@ -315,37 +315,6 @@ doneh:
 	VZEROUPPER
 	RET
 
-// func reflectAVX2(dst, src []complex128)
-//
-// len(dst) = n is even: dst[i] = conj(src[n−1−i]). Each round reads the
-// pair of sources ending where the last round's began, swaps its halves
-// and flips the sign bit of the imaginary parts.
-TEXT ·reflectAVX2(SB), NOSPLIT, $0-48
-	MOVQ     dst_base+0(FP), DI
-	MOVQ     dst_len+8(FP), CX
-	SHLQ     $4, CX               // CX: bytes of dst
-	MOVQ     src_base+24(FP), SI
-	VPCMPEQQ Y7, Y7, Y7
-	VPSLLQ   $63, Y7, Y7
-	VXORPD   Y6, Y6, Y6
-	VBLENDPD $10, Y7, Y6, Y7      // Y7: the sign bit of the odd lanes
-	LEAQ     -32(CX), BX          // BX: offset of the last source pair
-	XORQ     AX, AX
-
-pairsr:
-	CMPQ    AX, CX
-	JAE     doner
-	VPERMPD $0x4E, (SI)(BX*1), Y0
-	VXORPD  Y7, Y0, Y0
-	VMOVUPD Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	SUBQ    $32, BX
-	JMP     pairsr
-
-doner:
-	VZEROUPPER
-	RET
-
 // The fused first and last passes. A gathering first pass reads each
 // butterfly's inputs from their digit-reversed source positions through
 // the plan's perm; a storing last pass spans the whole transform and
@@ -555,51 +524,6 @@ tailg3:
 	VMOVUPD X2, 32(DI)(AX*1)
 
 doneg3:
-	VZEROUPPER
-	RET
-
-// func radix3GatherPairAVX2(dst []complex128, re, im []float64, perm []int, tw []complex128)
-//
-// radix3GatherAVX2 over the packed row re + i·im.
-TEXT ·radix3GatherPairAVX2(SB), NOSPLIT, $0-120
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	SHLQ         $4, CX           // CX: bytes of dst
-	MOVQ         re_base+24(FP), SI
-	MOVQ         perm_base+72(FP), R8
-	MOVQ         tw_base+96(FP), DX
-	VBROADCASTSD (DX), Y14
-	VBROADCASTSD 8(DX), Y15
-	MOVQ         im_base+48(FP), DX
-	SIGNS
-	XORQ         AX, AX
-
-pairsp3g:
-	LEAQ   96(AX), BX
-	CMPQ   BX, CX
-	JA     tailp3g
-	PAIRED(0, 24, Y0, X0)
-	PAIRED(8, 32, Y1, X1)
-	PAIRED(16, 40, Y2, X2)
-	RADIX3
-	STORE3
-	MOVQ   BX, AX
-	ADDQ   $48, R8
-	JMP    pairsp3g
-
-tailp3g:
-	LEAQ    48(AX), BX
-	CMPQ    BX, CX
-	JA      donep3g
-	PAIRED1(0, X0)
-	PAIRED1(8, X1)
-	PAIRED1(16, X2)
-	RADIX3
-	VMOVUPD X0, (DI)(AX*1)
-	VMOVUPD X1, 16(DI)(AX*1)
-	VMOVUPD X2, 32(DI)(AX*1)
-
-donep3g:
 	VZEROUPPER
 	RET
 

@@ -25,10 +25,6 @@ func base4GatherPairAVX2(dst []complex128, re, im []float64, perm []int, tw []co
 	base4GatherPair(dst, re, im, perm, tw)
 }
 
-func radix3GatherPairAVX2(dst []complex128, re, im []float64, perm []int, tw []complex128) {
-	radix3GatherPair(dst, re, im, perm, tw)
-}
-
 func radix4StoreAVX2(dst, x, tw []complex128, s float64, scaled bool) {
 	radix4Store(dst, x, tw, s, scaled)
 }
@@ -58,5 +54,3 @@ func unzipScaledAVX2(out0, out1 []float64, z []complex128, s float64) {
 }
 
 func mirrorPairsAVX2(out0, out1, a, m []complex128) { panic("fft: no AVX2 twins off amd64") }
-
-func reflectAVX2(dst, src []complex128) { panic("fft: no AVX2 twins off amd64") }

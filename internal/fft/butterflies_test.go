@@ -307,9 +307,10 @@ func lastStage(tw butterflyTwin, n int) *stage {
 // strip loop on a 16-column strip and the in-row loop on one row, at
 // the last stage they serve in the 128-point plan.
 // The gathering first and storing last passes run the first or last
-// stage of the same plans (64 points for the radix-4 stores, whose last
-// stage 128 and 96 do not end on), the strips inside rows of 128 columns
-// and the stores scaling. Only the path differs between go and avx2.
+// stage of every plan the flow's rows take that has it — the reduced
+// grids' 24, 48 and 96 points and the tiles' 64 and 128 — the strips
+// inside rows of as many columns and the stores scaling. Only the path
+// differs between go and avx2.
 func BenchmarkButterflies(b *testing.B) {
 	for _, tw := range butterflyTwins {
 		n := 128
@@ -340,32 +341,32 @@ func BenchmarkButterflies(b *testing.B) {
 		}
 	}
 	for _, tw := range fusedTwins {
-		var p *plan
-		var st *stage
-		for _, n := range []int{128, 96, 64} {
-			if p, st = planFor(n), tw.stage(planFor(n)); st != nil {
-				break
+		for _, n := range []int{24, 48, 64, 96, 128} {
+			p := planFor(n)
+			st := tw.stage(p)
+			if st == nil {
+				continue
 			}
-		}
-		nb, stride := 1, 1
-		if tw.strip {
-			nb, stride = colStrip, 128
-		}
-		c := newFusedCase(p, st, nb, stride, true, func(k int) []complex128 {
-			return randComplex(rand.New(rand.NewSource(7)), k)
-		})
-		for _, path := range []struct {
-			name string
-			loop func(c *fusedCase)
-		}{{"go", tw.goLoop}, {"avx2", tw.vec}} {
-			b.Run(tw.name+"/"+path.name, func(b *testing.B) {
-				if path.name == "avx2" {
-					needAVX2(b)
-				}
-				for i := 0; i < b.N; i++ {
-					path.loop(c)
-				}
+			nb, stride := 1, 1
+			if tw.strip {
+				nb, stride = colStrip, n
+			}
+			c := newFusedCase(p, st, nb, stride, true, func(k int) []complex128 {
+				return randComplex(rand.New(rand.NewSource(7)), k)
 			})
+			for _, path := range []struct {
+				name string
+				loop func(c *fusedCase)
+			}{{"go", tw.goLoop}, {"avx2", tw.vec}} {
+				b.Run(fmt.Sprintf("%s/n=%d/%s", tw.name, n, path.name), func(b *testing.B) {
+					if path.name == "avx2" {
+						needAVX2(b)
+					}
+					for i := 0; i < b.N; i++ {
+						path.loop(c)
+					}
+				})
+			}
 		}
 	}
 }

@@ -69,13 +69,16 @@
 //
 // On amd64 with AVX2 the gathering first and storing last passes (the
 // latter applying the inverse 1/n), the in-place radix-4 passes between
-// them, in a row and over a strip, and the packing and reflection loops
-// of the real transforms run as assembly twins (butterflies_amd64.s),
-// two complex128 per vector register, with the IEEE operations of the
-// Go loops in their order: the choice moves no bit. A plan of at most
-// four points runs its one pass (or none) and its 1/n with the Go loops
-// on every CPU. The Go loops are the reference, finish what a twin
-// leaves of a row, and are every other CPU's path.
+// them, in a row and over a strip, and the packing loops of the real
+// transforms run as assembly twins (butterflies_amd64.s), two
+// complex128 per vector register, with the IEEE operations of the Go
+// loops in their order: the choice moves no bit. A plan of at most four
+// points runs its one pass (or none) and its 1/n with the Go loops on
+// every CPU, and so do the radix-3 gather of a packed real pair and the
+// conjugate reflection: at the workloads' row lengths a twin of either
+// saves under half a percent of an op's CPU. The Go loops are the
+// reference, finish what a twin leaves of a row, and are every other
+// CPU's path.
 //
 // All transient buffers (column strips, packed rows) come from
 // per-length pools shared by the serial and parallel paths, giving the
@@ -281,8 +284,6 @@ func (p *plan) transformPair(z []complex128, re, im []float64) {
 	}
 	st := &p.stages[0]
 	switch {
-	case st.kind == radix3 && useAVX2:
-		radix3GatherPairAVX2(z, re, im, p.perm, st.tw)
 	case st.kind == radix3:
 		radix3GatherPair(z, re, im, p.perm, st.tw)
 	case useAVX2:
@@ -680,13 +681,7 @@ const (
 // transforming each alone — bit-identically so — but with
 // two parallel sections for the whole batch instead of two per matrix.
 // All matrices must share one shape, each side 2^k or 3·2^k.
-func Batch2D(ms []*grid.CMat, dir Dir) { Batch2DLimit(ms, dir, 0) }
-
-// Batch2DLimit is Batch2D with the parallel fan-out capped at limit
-// participating goroutines (0 = the pool width, 1 = strictly serial).
-func Batch2DLimit(ms []*grid.CMat, dir Dir, limit int) {
-	xform2D{inverse: dir == DirInverse}.batch(ms, limit)
-}
+func Batch2D(ms []*grid.CMat, dir Dir) { xform2D{inverse: dir == DirInverse}.batch(ms, 0) }
 
 // xform2D is the one 2-D complex transform of the package: a 1-D pass
 // over the live rows and a 1-D pass over every column, in either order,

@@ -295,9 +295,6 @@ var fusedTwins = []fusedTwin{
 	{"base4GatherPair", false, false, firstOf(radix4),
 		func(c *fusedCase) { base4GatherPair(c.x, c.re, c.im, c.p.perm, c.tw) },
 		func(c *fusedCase) { base4GatherPairAVX2(c.x, c.re, c.im, c.p.perm, c.tw) }},
-	{"radix3GatherPair", false, false, firstOf(radix3),
-		func(c *fusedCase) { radix3GatherPair(c.x, c.re, c.im, c.p.perm, c.tw) },
-		func(c *fusedCase) { radix3GatherPairAVX2(c.x, c.re, c.im, c.p.perm, c.tw) }},
 	{"radix4Store", false, true, lastOf(radix4),
 		func(c *fusedCase) { radix4Store(c.dst(), c.x, c.tw, c.s, c.scaled) },
 		func(c *fusedCase) { radix4StoreAVX2(c.dst(), c.x, c.tw, c.s, c.scaled) }},

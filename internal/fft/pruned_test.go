@@ -139,7 +139,7 @@ func TestBatch2DInversePruned(t *testing.T) {
 				want[i] = m.Clone()
 				got[i] = m.Clone()
 			}
-			Batch2DLimit(want, DirInverse, limit)
+			xform2D{inverse: true}.batch(want, limit)
 			Batch2DInversePruned(got, live, limit)
 			for i := 0; i < k; i++ {
 				if !bitsEqual(got[i], want[i]) {

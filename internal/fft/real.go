@@ -172,12 +172,8 @@ func reflectColumns(m *grid.CMat, b, y0, y1 int) {
 // columns of one row, whose sources run backwards. The conjugate only
 // flips the sign bit of the imaginary part.
 func reflectRow(dst, src []complex128) {
-	n, i := len(dst), 0
-	if useAVX2 {
-		i = n &^ 1
-		reflectAVX2(dst[:i], src[n-i:n])
-	}
-	for ; i < n; i++ {
+	n := len(dst)
+	for i := range n {
 		v := src[n-1-i]
 		dst[i] = complex(real(v), -imag(v))
 	}

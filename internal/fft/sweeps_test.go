@@ -56,10 +56,6 @@ var sweepTwins = []sweepTwin{
 		return func() { unzipScaled(out0, out1, x[:n], real(x[n])) },
 			func() []complex128 { return joined(out0, out1) }
 	}},
-	{"reflectRow", func(x []complex128, n int) (func(), func() []complex128) {
-		dst := make([]complex128, n)
-		return func() { reflectRow(dst, x[:n]) }, outputs(dst)
-	}},
 	{"splitPacked", func(x []complex128, n int) (func(), func() []complex128) {
 		// A packed row of 2n+2 points, its columns 0…n−1 split: the
 		// mirrors of the columns read are distinct from them.
@@ -118,38 +114,6 @@ func TestSweepTwinsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReflectColumnsTwinBitIdentical: the conjugate reflection of the
-// real forward transform gives the same bits with the twin and with the
-// Go loop, on every band half-width of every width up to 34, so the
-// reflected block starts at, before and past w/2+1 and has every length
-// parity, over heights with and without a self-mirrored middle row.
-// NaNs keep their payload: the twin only flips a sign bit, as Go's
-// negation does.
-func TestReflectColumnsTwinBitIdentical(t *testing.T) {
-	needAVX2(t)
-	defer func(v bool) { useAVX2 = v }(useAVX2)
-	rng := rand.New(rand.NewSource(4343))
-	for w := 1; w <= 34; w++ {
-		for _, h := range []int{1, 2, 3, 6} {
-			src := &grid.CMat{H: h, W: w, Data: withNaNs(rng, hostileData(rng, h*w, true), 3)}
-			for b := 0; b <= w/2; b++ {
-				var out [2]*grid.CMat
-				for i, vec := range []bool{false, true} {
-					useAVX2 = vec
-					out[i] = src.Clone()
-					reflectColumns(out[i], b, 0, h)
-				}
-				for k := range out[0].Data {
-					g, want := out[1].Data[k], out[0].Data[k]
-					if math.Float64bits(real(g)) != math.Float64bits(real(want)) || math.Float64bits(imag(g)) != math.Float64bits(imag(want)) {
-						t.Fatalf("w=%d h=%d b=%d: entry (%d, %d): vector %v, Go %v", w, h, b, k/w, k%w, g, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRealTransformsTwinBitIdentical: the real forward transform and
 // its real-output inverse give the same bits with the twins and with
 // the Go loops, at every band half-width class, on heights with a lone
@@ -196,26 +160,28 @@ func TestRealTransformsTwinBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkSweeps times each glue loop both ways on the same data, 128
-// elements (the row of an N = 128 tile). Only the path differs between
-// go and avx2.
+// BenchmarkSweeps times each glue loop both ways on the same data: a
+// row of the reduced grids the flow's tiles image on (24, 48 and 96
+// elements) and of an N = 128 tile. Only the path differs between go
+// and avx2.
 func BenchmarkSweeps(b *testing.B) {
-	const n = 128
-	x := randComplex(rand.New(rand.NewSource(7)), 4*n+16)
-	for _, tw := range sweepTwins {
-		for _, vec := range []bool{false, true} {
-			path := map[bool]string{false: "go", true: "avx2"}[vec]
-			b.Run(fmt.Sprintf("%s/%s", tw.name, path), func(b *testing.B) {
-				if vec {
-					needAVX2(b)
-				}
-				defer func(v bool) { useAVX2 = v }(useAVX2)
-				useAVX2 = vec
-				kernel, _ := tw.setup(x, n)
-				for i := 0; i < b.N; i++ {
-					kernel()
-				}
-			})
+	for _, n := range []int{24, 48, 96, 128} {
+		x := randComplex(rand.New(rand.NewSource(7)), 4*n+16)
+		for _, tw := range sweepTwins {
+			for _, vec := range []bool{false, true} {
+				path := map[bool]string{false: "go", true: "avx2"}[vec]
+				b.Run(fmt.Sprintf("%s/n=%d/%s", tw.name, n, path), func(b *testing.B) {
+					if vec {
+						needAVX2(b)
+					}
+					defer func(v bool) { useAVX2 = v }(useAVX2)
+					useAVX2 = vec
+					kernel, _ := tw.setup(x, n)
+					for i := 0; i < b.N; i++ {
+						kernel()
+					}
+				})
+			}
 		}
 	}
 }

@@ -1075,12 +1075,7 @@ func mulRealConj(a *grid.CMat, g *grid.Mat) {
 
 // addInto adds src[j] to dst[j].
 func addInto(dst, src []float64) {
-	j := 0
-	if useAVX2 {
-		j = len(dst) &^ 3
-		addAVX2(dst[:j], src[:j])
-	}
-	for ; j < len(dst); j++ {
+	for j := range dst {
 		dst[j] += src[j]
 	}
 }

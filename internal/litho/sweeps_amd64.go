@@ -22,6 +22,3 @@ func prodAVX2(dst, a, b []complex128)
 
 //go:noescape
 func prodAddAVX2(acc, a, b []complex128)
-
-//go:noescape
-func addAVX2(dst, src []float64)

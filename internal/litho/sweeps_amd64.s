@@ -3,8 +3,8 @@
 // AVX2 twins of litho's per-pixel sweeps: the two sigmoid sweeps of
 // sigmoid.go and litho.go (Sigmoids, resistSweep) and the element-wise
 // loops of the Hopkins evaluation (addIntensity, mulRealConj, prodRow,
-// reduceRow, addInto). A Y register holds four float64, or two
-// complex128 as (re, im, re, im).
+// prodAddRow). A Y register holds four float64, or two complex128 as
+// (re, im, re, im).
 //
 // Every element sees the IEEE operations of the Go loop in its order:
 // VMULPD for each product, VADDPD/VSUBPD for each sum, VDIVPD for the
@@ -282,28 +282,5 @@ paira:
 	JMP       paira
 
 donea:
-	VZEROUPPER
-	RET
-
-// func addAVX2(dst, src []float64)
-//
-// dst[j] += src[j].
-TEXT ·addAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	SHLQ $3, CX                   // CX: bytes of dst
-	MOVQ src_base+24(FP), SI
-	XORQ AX, AX
-
-quadd:
-	CMPQ    AX, CX
-	JAE     doned
-	VMOVUPD (DI)(AX*1), Y0
-	VADDPD  (SI)(AX*1), Y0, Y0
-	VMOVUPD Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	JMP     quadd
-
-doned:
 	VZEROUPPER
 	RET

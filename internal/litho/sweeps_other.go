@@ -18,5 +18,3 @@ func mulRealConjAVX2(a []complex128, g []float64) { panic("litho: no AVX2 twins 
 func prodAVX2(dst, a, b []complex128) { panic("litho: no AVX2 twins off amd64") }
 
 func prodAddAVX2(acc, a, b []complex128) { panic("litho: no AVX2 twins off amd64") }
-
-func addAVX2(dst, src []float64) { panic("litho: no AVX2 twins off amd64") }

@@ -153,11 +153,6 @@ var sweepTwins = []sweepTwin{
 		acc, a, b := complexes(x[4*n:], n), complexes(x, n), complexes(x[2*n:], n)
 		return func() { prodAddRow(acc, a, b) }, func() []float64 { return floats(acc) }
 	}},
-	{"add", func(x []float64, n int) (func(), func() []float64) {
-		dst := append([]float64(nil), x[:n]...)
-		src := x[n : 2*n]
-		return func() { addInto(dst, src) }, values(dst)
-	}},
 }
 
 // runSweep runs tw on copies of x with and without the twins and
@@ -305,32 +300,35 @@ func FuzzSweeps(f *testing.F) {
 	})
 }
 
-// BenchmarkSweeps times each per-pixel loop both ways on the same 4 096
-// elements (a 64×64 tile); an op of sigmoid is its four sweeps, of
-// resist its four. Only the path differs between go and avx2. The data
-// are ±1, so the loops that work in place neither overflow nor
-// underflow however long they run.
+// BenchmarkSweeps times each per-pixel loop both ways on the same
+// elements: a row of the reduced grids the flow's tiles image on (24,
+// 48 and 96 wide), where the row loops run, and a whole 64×64 tile
+// (4 096); an op of sigmoid is its four sweeps, of resist its four.
+// Only the path differs between go and avx2. The data are ±1, so the
+// loops that work in place neither overflow nor underflow however long
+// they run.
 func BenchmarkSweeps(b *testing.B) {
-	const n = 4096
-	rng := rand.New(rand.NewSource(7))
-	x := make([]float64, 8*n+8)
-	for i := range x {
-		x[i] = float64(1 - 2*rng.Intn(2))
-	}
-	for _, tw := range sweepTwins {
-		for _, vec := range []bool{false, true} {
-			path := map[bool]string{false: "go", true: "avx2"}[vec]
-			b.Run(fmt.Sprintf("%s/%s", tw.name, path), func(b *testing.B) {
-				if vec {
-					needAVX2(b)
-				}
-				defer func(v bool) { useAVX2 = v }(useAVX2)
-				useAVX2 = vec
-				kernel, _ := tw.setup(append([]float64(nil), x...), n)
-				for i := 0; i < b.N; i++ {
-					kernel()
-				}
-			})
+	for _, n := range []int{24, 48, 96, 4096} {
+		rng := rand.New(rand.NewSource(7))
+		x := make([]float64, 8*n+8)
+		for i := range x {
+			x[i] = float64(1 - 2*rng.Intn(2))
+		}
+		for _, tw := range sweepTwins {
+			for _, vec := range []bool{false, true} {
+				path := map[bool]string{false: "go", true: "avx2"}[vec]
+				b.Run(fmt.Sprintf("%s/n=%d/%s", tw.name, n, path), func(b *testing.B) {
+					if vec {
+						needAVX2(b)
+					}
+					defer func(v bool) { useAVX2 = v }(useAVX2)
+					useAVX2 = vec
+					kernel, _ := tw.setup(append([]float64(nil), x...), n)
+					for i := 0; i < b.N; i++ {
+						kernel()
+					}
+				})
+			}
 		}
 	}
 }

@@ -14,8 +14,8 @@
 // binarise at 0.5 for inspection.
 //
 // On amd64 with AVX2 the Pixel solver's per-pixel sweeps — the descent
-// step, the θ initialisation and the smoothness term — run as assembly
-// twins (sweeps_amd64.s) with the IEEE operations of their Go code in
+// step and the θ initialisation — run as assembly twins
+// (sweeps_amd64.s) with the IEEE operations of their Go code in
 // order, and its mask sweep is litho's vector sigmoid: the choice moves
 // no bit. The Go loops are the reference, finish what a twin leaves of a
 // range, and are every other CPU's path.

@@ -287,21 +287,14 @@ func sweep(n int, step func(lo, hi int)) {
 //
 // Every pixel is 4·m − up − down − left − right in that order. Clamping a
 // row index selects the row slice once per row; only the first and last
-// column clamp a column index, the rest index their three rows directly
-// (four at a time in the twin).
+// column clamp a column index, the rest index their three rows directly.
 func addLaplacian(gm, mask *grid.Mat, w float64, y0, y1 int) {
 	h, last := mask.H, mask.W-1
 	for y := y0; y < y1; y++ {
 		up, mid, down := mask.Row(max(y-1, 0)), mask.Row(y), mask.Row(min(y+1, h-1))
 		g := gm.Row(y)
 		g[0] += w * (4*mid[0] - up[0] - down[0] - mid[0] - mid[min(1, last)])
-		x := 1
-		if useAVX2 && last > 1 {
-			k := (last - 1) &^ 3
-			laplacianAVX2(g[1:1+k], up[1:1+k], down[1:1+k], mid[:k+2], w)
-			x += k
-		}
-		for ; x < last; x++ {
+		for x := 1; x < last; x++ {
 			g[x] += w * (4*mid[x] - up[x] - down[x] - mid[x-1] - mid[x+1])
 		}
 		if last > 0 {

@@ -9,6 +9,3 @@ func descentAVX2(theta, dTheta, m, v, mask, gm, freeze []float64, k *descentK)
 
 //go:noescape
 func logitsAVX2(x []float64, lo, hi, slope float64)
-
-//go:noescape
-func laplacianAVX2(g, up, down, left []float64, w float64)

@@ -2,8 +2,8 @@
 
 // AVX2 twins of the Pixel solver's per-pixel sweeps: the descent step
 // (descentSweep's chain rule, maskFrozen and Adam.stepRange, fused), the
-// θ initialisation (logit, with math.Log's amd64 assembly) and the
-// interior columns of addLaplacian. A Y register holds four float64.
+// θ initialisation (logit, with math.Log's amd64 assembly). A Y register
+// holds four float64.
 //
 // Every element sees the IEEE operations of the Go code in its order:
 // VMULPD for each product, VADDPD/VSUBPD for each sum, VDIVPD and
@@ -198,41 +198,5 @@ quadl:
 	JMP       quadl
 
 donel:
-	VZEROUPPER
-	RET
-
-// func laplacianAVX2(g, up, down, left []float64, w float64)
-//
-// g[x] += w·((((4·mid − up) − down) − left) − right) for the interior
-// columns: left is the middle row from one column before g's first, so
-// mid, left and right are left[x+1], left[x] and left[x+2].
-TEXT ·laplacianAVX2(SB), NOSPLIT, $0-104
-	MOVQ         g_base+0(FP), DI
-	MOVQ         g_len+8(FP), CX
-	SHLQ         $3, CX           // CX: bytes of g
-	MOVQ         up_base+24(FP), SI
-	MOVQ         down_base+48(FP), DX
-	MOVQ         left_base+72(FP), BX
-	VBROADCASTSD w+96(FP), Y15
-	MOVQ         $0x4010000000000000, AX
-	MOVQ         AX, X14
-	VBROADCASTSD X14, Y14         // 4
-	XORQ         AX, AX
-
-quadp:
-	CMPQ    AX, CX
-	JAE     donep
-	VMULPD  8(BX)(AX*1), Y14, Y0
-	VSUBPD  (SI)(AX*1), Y0, Y0
-	VSUBPD  (DX)(AX*1), Y0, Y0
-	VSUBPD  (BX)(AX*1), Y0, Y0
-	VSUBPD  16(BX)(AX*1), Y0, Y0
-	VMULPD  Y15, Y0, Y0
-	VADDPD  (DI)(AX*1), Y0, Y0
-	VMOVUPD Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	JMP     quadp
-
-donep:
 	VZEROUPPER
 	RET

@@ -10,5 +10,3 @@ func descentAVX2(theta, dTheta, m, v, mask, gm, freeze []float64, k *descentK) {
 }
 
 func logitsAVX2(x []float64, lo, hi, slope float64) { panic("opt: no AVX2 twins off amd64") }
-
-func laplacianAVX2(g, up, down, left []float64, w float64) { panic("opt: no AVX2 twins off amd64") }

@@ -132,14 +132,6 @@ var sweepTwins = []sweepTwin{
 		st.p.Freeze = &grid.Mat{H: 1, W: n, Data: x[n : 2*n]}
 		return func() { st.thetaSweep(0, n) }, func() []float64 { return st.theta }
 	}},
-	{"laplacian", func(x []float64, n int) (func(), func() []float64) {
-		// Three rows n+1 wide (a row is never empty): the top row's up
-		// and the bottom row's down are clamped.
-		w := n + 1
-		mask := &grid.Mat{H: 3, W: w, Data: x[:3*w]}
-		gm := &grid.Mat{H: 3, W: w, Data: append([]float64(nil), x[3*w:6*w]...)}
-		return func() { addLaplacian(gm, mask, pixelSmooth, 0, 3) }, func() []float64 { return gm.Data }
-	}},
 }
 
 // checkSweep runs tw on copies of x with and without the twins and
@@ -313,29 +305,39 @@ func FuzzSweeps(f *testing.F) {
 }
 
 // BenchmarkSweeps times each per-pixel sweep both ways on the same
-// 4 096 pixels (a 64×64 tile). Only the path differs between go and
-// avx2.
+// pixels: as many as a row of the flow's 64- and 128-px tiles, and a
+// whole 64×64 tile (4 096). A sweep changes its own state (a descent
+// step decays the Adam moments of a frozen pixel by β1, subnormal after
+// some 6 700 steps), so every 64 ops start over from the same state,
+// laid out again outside the timer: ns/op does not depend on b.N. Only
+// the path differs between go and avx2.
 func BenchmarkSweeps(b *testing.B) {
-	const n = 4096
-	rng := rand.New(rand.NewSource(7))
-	x := make([]float64, 8*n+8)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	for _, tw := range sweepTwins {
-		for _, vec := range []bool{false, true} {
-			path := map[bool]string{false: "go", true: "avx2"}[vec]
-			b.Run(fmt.Sprintf("%s/%s", tw.name, path), func(b *testing.B) {
-				if vec {
-					needAVX2(b)
-				}
-				defer func(v bool) { useAVX2 = v }(useAVX2)
-				useAVX2 = vec
-				kernel, _ := tw.setup(append([]float64(nil), x...), n)
-				for i := 0; i < b.N; i++ {
-					kernel()
-				}
-			})
+	for _, n := range []int{64, 128, 4096} {
+		rng := rand.New(rand.NewSource(7))
+		x := make([]float64, 8*n+8)
+		for i := range x {
+			x[i] = rng.Float64()
+		}
+		for _, tw := range sweepTwins {
+			for _, vec := range []bool{false, true} {
+				path := map[bool]string{false: "go", true: "avx2"}[vec]
+				b.Run(fmt.Sprintf("%s/n=%d/%s", tw.name, n, path), func(b *testing.B) {
+					if vec {
+						needAVX2(b)
+					}
+					defer func(v bool) { useAVX2 = v }(useAVX2)
+					useAVX2 = vec
+					var kernel func()
+					for i := 0; i < b.N; i++ {
+						if i%64 == 0 {
+							b.StopTimer()
+							kernel, _ = tw.setup(append([]float64(nil), x...), n)
+							b.StartTimer()
+						}
+						kernel()
+					}
+				})
+			}
 		}
 	}
 }
