@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -108,6 +109,29 @@ func TestKeyFramingUnambiguous(t *testing.T) {
 	b.Optics, b.Solver = "a", "bc"
 	if mustKey(t, a) == mustKey(t, b) {
 		t.Fatalf("string framing is ambiguous across field boundaries")
+	}
+}
+
+// TestKeyGolden pins the key of one fixed input with target, init and
+// freeze all set, each larger than one 512-value hashing chunk, with
+// signed zeros, a NaN payload, an infinity and a subnormal among the
+// values. Spilled results are found again by key, so any change to the
+// hashed byte stream must bump keyMagic or codeVersion, and this
+// constant with them.
+func TestKeyGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	in := KeyInput{
+		Optics: "litho:golden", Solver: "pixel-ilt:golden",
+		Iters: 40, Stretch: 2, LR: 0.4, PVWeight: 0.125,
+		Target: randMat(rng, 24, 30), Init: randMat(rng, 24, 30), Freeze: randMat(rng, 24, 30),
+	}
+	in.Target.Data[0] = math.Copysign(0, -1)
+	in.Init.Data[1] = math.Float64frombits(0x7ff8000000000123)
+	in.Init.Data[513] = math.Inf(-1)
+	in.Freeze.Data[719] = math.SmallestNonzeroFloat64
+	const want = "e9e8c9308aae337d4fb6c01910140edca0864921022786a59e62b9c04b05306b"
+	if got := mustKey(t, in).String(); got != want {
+		t.Fatalf("key %s, want %s", got, want)
 	}
 }
 
