@@ -23,6 +23,7 @@ import (
 	"math"
 
 	"mgsilt/internal/grid"
+	"mgsilt/internal/pipeline"
 )
 
 // codeVersion names the tile-solve numerics the cached results were
@@ -138,7 +139,8 @@ func (w *keyWriter) str(s string) {
 	w.h.Write([]byte(s))
 }
 
-// mat hashes a matrix as (tag, H, W, raw float64 bits). A nil matrix
+// mat hashes a matrix as (tag, H, W, raw float64 bits): the bits in
+// the payload encoding of checkpoints and the shard wire. A nil matrix
 // hashes as a bare zero tag, distinct from any present matrix.
 func (w *keyWriter) mat(m *grid.Mat) {
 	if m == nil {
@@ -148,17 +150,5 @@ func (w *keyWriter) mat(m *grid.Mat) {
 	w.u64(1)
 	w.u64(uint64(m.H))
 	w.u64(uint64(m.W))
-	// Chunked encode: bounded scratch regardless of tile size.
-	var chunk [512 * 8]byte
-	for off := 0; off < len(m.Data); off += 512 {
-		end := off + 512
-		if end > len(m.Data) {
-			end = len(m.Data)
-		}
-		b := chunk[:0]
-		for _, v := range m.Data[off:end] {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-		w.h.Write(b)
-	}
+	pipeline.WriteMatData(w.h, m)
 }

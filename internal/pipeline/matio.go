@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"mgsilt/internal/grid"
 )
@@ -14,24 +16,38 @@ import (
 // mask in the repository byte-compatible — a checkpoint's payload bytes
 // and a shard solve response's payload bytes are the same encoding.
 
+// payloadChunk is the values the codec moves per Write or ReadFull.
+const payloadChunk = 4096
+
+// minGrow is the least capacity ReadFloats grows a destination to.
+const minGrow = 512
+
+// payloadScratch recycles the codec's byte scratch of one chunk, so
+// encoding and decoding allocate nothing of their own; checkpoints, the
+// cache spill, concurrent coordinator rounds and worker handlers share it.
+var payloadScratch = sync.Pool{New: func() any { return new([8 * payloadChunk]byte) }}
+
+// AppendFloats appends the payload encoding of vals to dst.
+func AppendFloats(dst []byte, vals []float64) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(vals))[:n+8*len(vals)]
+	b := dst[n:]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return dst
+}
+
 // WriteMatData writes m's values as little-endian float64s, row-major.
 func WriteMatData(w io.Writer, m *grid.Mat) error {
-	buf := make([]byte, 8*256)
-	i := 0
-	for _, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[i:], math.Float64bits(v))
-		i += 8
-		if i == len(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			i = 0
-		}
-	}
-	if i > 0 {
-		if _, err := w.Write(buf[:i]); err != nil {
+	scratch := payloadScratch.Get().(*[8 * payloadChunk]byte)
+	defer payloadScratch.Put(scratch)
+	for vals := m.Data; len(vals) > 0; {
+		k := min(len(vals), payloadChunk)
+		if _, err := w.Write(AppendFloats(scratch[:0], vals[:k])); err != nil {
 			return err
 		}
+		vals = vals[k:]
 	}
 	return nil
 }
@@ -42,24 +58,40 @@ func WriteMatData(w io.Writer, m *grid.Mat) error {
 // provoke a large up-front allocation: memory use is proportional to
 // the data read, never to the claimed dimensions.
 func ReadMatData(r io.Reader, h, w int) (*grid.Mat, error) {
-	n := h * w
-	chunk := 4096
-	if n < chunk {
-		chunk = n
-	}
-	data := make([]float64, 0, chunk)
-	buf := make([]byte, 8*chunk)
-	for len(data) < n {
-		want := n - len(data)
-		if want > chunk {
-			want = chunk
-		}
-		if _, err := io.ReadFull(r, buf[:8*want]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < want; i++ {
-			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
-		}
+	data, err := ReadFloats(r, nil, h*w, h*w)
+	if err != nil {
+		return nil, err
 	}
 	return &grid.Mat{H: h, W: w, Data: data}, nil
+}
+
+// ReadFloats reads n payload values from r and appends them to dst. The
+// destination grows only as chunks of at most 4 096 values arrive: to
+// fit the chunk, to 512 values or to double its capacity, whichever is
+// largest, and never past limit values unless the n values need it. So
+// memory stays proportional to the bytes received, a whole mask of up
+// to 4 096 values is one exact allocation, and one dst can collect the
+// values of many short reads (a patch's runs) in a few.
+func ReadFloats(r io.Reader, dst []float64, n, limit int) ([]float64, error) {
+	scratch := payloadScratch.Get().(*[8 * payloadChunk]byte)
+	defer payloadScratch.Put(scratch)
+	for n > 0 {
+		k := min(n, payloadChunk)
+		b := scratch[:8*k]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		if len(dst)+k > cap(dst) {
+			grown := make([]float64, len(dst), max(len(dst)+k, min(max(2*cap(dst), minGrow), limit)))
+			copy(grown, dst)
+			dst = grown
+		}
+		out := dst[len(dst) : len(dst)+k]
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		dst = dst[:len(dst)+k]
+		n -= k
+	}
+	return dst, nil
 }

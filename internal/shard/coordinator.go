@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -373,10 +374,17 @@ func (c *Coordinator) solveOn(ctx context.Context, w *workerState, reqs []core.T
 		return nil, device.Stats{}, err
 	}
 
-	// Validate and align the response with the shard.
+	// Validate and align the response with the shard: it must carry each
+	// of the shard's tiles exactly once, and nothing else.
 	byIndex := make(map[int]*grid.Mat, len(resp.Tiles))
 	for _, t := range resp.Tiles {
+		if _, dup := byIndex[t.Index]; dup {
+			return nil, device.Stats{}, fmt.Errorf("shard: worker %s returned tile %d twice", w.url, t.Index)
+		}
 		byIndex[t.Index] = t.Mask
+	}
+	if len(byIndex) != len(poss) {
+		return nil, device.Stats{}, fmt.Errorf("shard: worker %s returned %d tiles for a shard of %d", w.url, len(byIndex), len(poss))
 	}
 	sols := make(map[int]*grid.Mat, len(poss))
 	c.mu.Lock()
@@ -403,15 +411,16 @@ func (c *Coordinator) solveOn(ctx context.Context, w *workerState, reqs []core.T
 // updated with what was sent only after the worker acknowledged it.
 func (c *Coordinator) roundTrip(ctx context.Context, w *workerState, reqs []core.TileRequest, poss []int) (*SolveResponse, error) {
 	wreq, sentTargets, sentFreezes, haloBytes, fullBytes := c.encodeShard(w, reqs, poss)
-	var body bytes.Buffer
-	if err := WriteSolveRequest(&body, wreq); err != nil {
+	// One buffer of the request's size. It is not recycled: the
+	// transport may still read a body after Do returns.
+	payload, err := appendSolveRequest(make([]byte, 0, requestSizeHint(wreq, haloBytes+fullBytes)), wreq)
+	if err != nil {
 		return nil, err
 	}
-	payload := body.Bytes()
 
 	var resp *SolveResponse
 	attempt0 := true
-	err := c.retry.Do(ctx, func(ctx context.Context, _ int) error {
+	err = c.retry.Do(ctx, func(ctx context.Context, _ int) error {
 		if !attempt0 {
 			c.mu.Lock()
 			c.stats.RequestRetries++
@@ -525,9 +534,16 @@ func (c *Coordinator) encodeShard(w *workerState, reqs []core.TileRequest, poss 
 // matsBitEqual compares two masks bit-for-bit (the mirror must track
 // exactly what the worker holds, not approximately).
 func matsBitEqual(a, b *grid.Mat) bool {
-	if !a.SameShape(b) {
+	if a == b {
+		return true
+	}
+	if !a.SameShape(b) || len(a.Data) != len(b.Data) {
 		return false
 	}
-	p := DiffPatch(a, b)
-	return p != nil && len(p.Runs) == 0
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }

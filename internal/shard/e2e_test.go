@@ -400,3 +400,59 @@ func TestSolverForRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorRejectsMalformedShardResponse drives the coordinator
+// against a fake worker that answers every tile it was sent plus one
+// more: a duplicate of a tile or an index the shard never asked for.
+// Either must fail the worker, not keep the last copy or drop the
+// stranger, and the failure takes the quarantine path.
+func TestCoordinatorRejectsMalformedShardResponse(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		extra func(req *SolveRequest) int
+		want  string
+	}{
+		{"duplicate", func(req *SolveRequest) int { return req.Tiles[0].Index }, "twice"},
+		{"unrequested", func(*SolveRequest) int { return 99 }, "returned 3 tiles for a shard of 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				req, err := ReadSolveRequest(r.Body)
+				if err != nil {
+					http.Error(rw, err.Error(), http.StatusBadRequest)
+					return
+				}
+				resp := &SolveResponse{}
+				for _, tw := range req.Tiles {
+					resp.Tiles = append(resp.Tiles, TileResult{Index: tw.Index, Mask: tw.Init})
+				}
+				resp.Tiles = append(resp.Tiles, TileResult{Index: tc.extra(req), Mask: req.Tiles[0].Init})
+				WriteSolveResponse(rw, resp)
+			}))
+			defer srv.Close()
+			coord, err := NewCoordinator(Config{Workers: []string{srv.URL}, N: e2eN, RunID: "fake", Retry: fastRetry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rn := rand.New(rand.NewSource(4))
+			reqs := make([]core.TileRequest, 2)
+			for i := range reqs {
+				reqs[i] = core.TileRequest{
+					Index: i, Pixels: e2eN * e2eN,
+					Target: randMat(rn, e2eN, e2eN), Init: randMat(rn, e2eN, e2eN),
+					Params: opt.Params{Iters: 1, LR: 0.4, Stretch: 1},
+				}
+			}
+			_, _, err = coord.solveOn(context.Background(), coord.workers[0], reqs, []int{0, 1})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("solveOn error %v, want one containing %q", err, tc.want)
+			}
+			if _, err := coord.SolveTiles(context.Background(), reqs); err == nil {
+				t.Fatal("SolveTiles accepted the malformed response")
+			}
+			if st := coord.Stats(); st.WorkersQuarantined != 1 {
+				t.Errorf("the worker was not quarantined: %+v", st)
+			}
+		})
+	}
+}
