@@ -20,9 +20,6 @@ func base4GatherAVX2(dst, src []complex128, perm []int, tw []complex128)
 func radix3GatherAVX2(dst, src []complex128, perm []int, tw []complex128)
 
 //go:noescape
-func base4GatherPairAVX2(dst []complex128, re, im []float64, perm []int, tw []complex128)
-
-//go:noescape
 func radix4StoreAVX2(dst, x, tw []complex128, s float64, scaled bool)
 
 //go:noescape

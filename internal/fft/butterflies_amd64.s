@@ -339,23 +339,6 @@ doneh:
 	SHLQ    $4, R9;        \
 	VMOVUPD (SI)(R9*1), x
 
-// PAIRED is GATHER over a packed real pair: complex(re[j], im[j]) for
-// j = perm[a] and perm[b], re at SI and im at DX. X12 is clobbered.
-#define PAIRED(off, off2, y, x) \
-	MOVQ        off(R8), R9;           \
-	MOVQ        off2(R8), R10;         \
-	VMOVSD      (SI)(R9*8), x;         \
-	VMOVHPD     (DX)(R9*8), x, x;      \
-	VMOVSD      (SI)(R10*8), X12;      \
-	VMOVHPD     (DX)(R10*8), X12, X12; \
-	VINSERTF128 $1, X12, y, y
-
-// PAIRED1 is GATHER1 over a packed real pair.
-#define PAIRED1(off, x) \
-	MOVQ    off(R8), R9;      \
-	VMOVSD  (SI)(R9*8), x;    \
-	VMOVHPD (DX)(R9*8), x, x
-
 // STORE4 writes Y0…Y3 to dst[k…k+7], k the butterfly pair at AX bytes
 // into DI, transposed back from strip order (Yi holds elements i and i+4).
 #define STORE4 \
@@ -430,53 +413,6 @@ tailg4:
 	VMOVUPD X3, 48(DI)(AX*1)
 
 doneg4:
-	VZEROUPPER
-	RET
-
-// func base4GatherPairAVX2(dst []complex128, re, im []float64, perm []int, tw []complex128)
-//
-// base4GatherAVX2 over the packed row re + i·im.
-TEXT ·base4GatherPairAVX2(SB), NOSPLIT, $0-120
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	SHLQ         $4, CX           // CX: bytes of dst
-	MOVQ         re_base+24(FP), SI
-	MOVQ         perm_base+72(FP), R8
-	MOVQ         tw_base+96(FP), DX
-	VBROADCASTSD 16(DX), Y14
-	VBROADCASTSD 24(DX), Y15
-	MOVQ         im_base+48(FP), DX
-	MOVQ         CX, R11
-	ANDQ         $-128, R11       // R11: bytes of the butterfly pairs
-	XORQ         AX, AX
-
-pairsp4g:
-	CMPQ   AX, R11
-	JAE    tailp4g
-	PAIRED(0, 32, Y0, X0)
-	PAIRED(8, 40, Y1, X1)
-	PAIRED(16, 48, Y2, X2)
-	PAIRED(24, 56, Y3, X3)
-	BASE4
-	STORE4
-	ADDQ   $128, AX
-	ADDQ   $64, R8
-	JMP    pairsp4g
-
-tailp4g:
-	CMPQ    AX, CX
-	JAE     donep4g
-	PAIRED1(0, X0)
-	PAIRED1(8, X1)
-	PAIRED1(16, X2)
-	PAIRED1(24, X3)
-	BASE4
-	VMOVUPD X0, (DI)(AX*1)
-	VMOVUPD X1, 16(DI)(AX*1)
-	VMOVUPD X2, 32(DI)(AX*1)
-	VMOVUPD X3, 48(DI)(AX*1)
-
-donep4g:
 	VZEROUPPER
 	RET
 

@@ -21,10 +21,6 @@ func radix3GatherAVX2(dst, src []complex128, perm []int, tw []complex128) {
 	radix3Gather(dst, src, perm, tw)
 }
 
-func base4GatherPairAVX2(dst []complex128, re, im []float64, perm []int, tw []complex128) {
-	base4GatherPair(dst, re, im, perm, tw)
-}
-
 func radix4StoreAVX2(dst, x, tw []complex128, s float64, scaled bool) {
 	radix4Store(dst, x, tw, s, scaled)
 }

@@ -282,13 +282,9 @@ func (p *plan) transformPair(z []complex128, re, im []float64) {
 		p.transform(z, false)
 		return
 	}
-	st := &p.stages[0]
-	switch {
-	case st.kind == radix3:
+	if st := &p.stages[0]; st.kind == radix3 {
 		radix3GatherPair(z, re, im, p.perm, st.tw)
-	case useAVX2:
-		base4GatherPairAVX2(z, re, im, p.perm, st.tw)
-	default:
+	} else {
 		base4GatherPair(z, re, im, p.perm, st.tw)
 	}
 	p.finish(z, z, 1, false)

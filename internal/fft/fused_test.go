@@ -231,7 +231,7 @@ func TestPackedInverseRowMatchesReference(t *testing.T) {
 
 // fusedCase is one run of a fused first or last pass: the plan stage it
 // runs, the source a gather reads or the destination a store writes
-// (src, its strip rows stride apart, or the real pair re, im), the
+// (src, its strip rows stride apart), the
 // scratch a gather writes and a store reads (x, nb columns wide), and
 // the scaling of a store. alias makes an in-row store write x itself.
 type fusedCase struct {
@@ -240,7 +240,6 @@ type fusedCase struct {
 	nb     int
 	stride int
 	src, x []complex128
-	re, im []float64
 	s      float64
 	scaled bool
 	alias  bool
@@ -292,9 +291,6 @@ var fusedTwins = []fusedTwin{
 	{"radix3Gather", false, false, firstOf(radix3),
 		func(c *fusedCase) { radix3Gather(c.x, c.src, c.p.perm, c.tw) },
 		func(c *fusedCase) { radix3GatherAVX2(c.x, c.src, c.p.perm, c.tw) }},
-	{"base4GatherPair", false, false, firstOf(radix4),
-		func(c *fusedCase) { base4GatherPair(c.x, c.re, c.im, c.p.perm, c.tw) },
-		func(c *fusedCase) { base4GatherPairAVX2(c.x, c.re, c.im, c.p.perm, c.tw) }},
 	{"radix4Store", false, true, lastOf(radix4),
 		func(c *fusedCase) { radix4Store(c.dst(), c.x, c.tw, c.s, c.scaled) },
 		func(c *fusedCase) { radix4StoreAVX2(c.dst(), c.x, c.tw, c.s, c.scaled) }},
@@ -317,13 +313,12 @@ var fusedTwins = []fusedTwin{
 
 // newFusedCase lays out a case for the n-point plan: x holds nb·n
 // values and src n rows of stride values (one row of n for the in-row
-// loops, stride = nb = 1), all drawn by draw; re and im are n reals.
+// loops, stride = nb = 1), all drawn by draw.
 func newFusedCase(p *plan, st *stage, nb, stride int, inverse bool, draw func(k int) []complex128) *fusedCase {
 	n := p.n
 	c := &fusedCase{p: p, tw: st.table(inverse), nb: nb, stride: stride, s: 1 / float64(n), scaled: inverse}
 	c.x = draw(nb * n)
 	c.src = draw((n-1)*stride + nb)
-	c.re, c.im = reals(draw(n)), reals(draw(n))
 	return c
 }
 

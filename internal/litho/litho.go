@@ -570,12 +570,7 @@ func prodLive(dst, a, b *grid.CMat, live []bool) {
 
 // prodRow sets dst[x] = a[x]·b[x].
 func prodRow(dst, a, b []complex128) {
-	x := 0
-	if useAVX2 {
-		x = len(dst) &^ 1
-		prodAVX2(dst[:x], a[:x], b[:x])
-	}
-	for ; x < len(dst); x++ {
+	for x := range dst {
 		dst[x] = a[x] * b[x]
 	}
 }
@@ -982,12 +977,7 @@ func (e *evaluation) reduce(lo, hi int) {
 
 // prodAddRow adds a[x]·b[x] to acc[x].
 func prodAddRow(acc, a, b []complex128) {
-	x := 0
-	if useAVX2 {
-		x = len(acc) &^ 1
-		prodAddAVX2(acc[:x], a[:x], b[:x])
-	}
-	for ; x < len(acc); x++ {
+	for x := range acc {
 		acc[x] += a[x] * b[x]
 	}
 }

@@ -16,9 +16,3 @@ func intensityAVX2(out []float64, a []complex128, w float64)
 
 //go:noescape
 func mulRealConjAVX2(a []complex128, g []float64)
-
-//go:noescape
-func prodAVX2(dst, a, b []complex128)
-
-//go:noescape
-func prodAddAVX2(acc, a, b []complex128)

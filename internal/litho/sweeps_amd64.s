@@ -2,9 +2,8 @@
 
 // AVX2 twins of litho's per-pixel sweeps: the two sigmoid sweeps of
 // sigmoid.go and litho.go (Sigmoids, resistSweep) and the element-wise
-// loops of the Hopkins evaluation (addIntensity, mulRealConj, prodRow,
-// prodAddRow). A Y register holds four float64, or two complex128 as
-// (re, im, re, im).
+// loops of the Hopkins evaluation (addIntensity, mulRealConj). A Y
+// register holds four float64, or two complex128 as (re, im, re, im).
 //
 // Every element sees the IEEE operations of the Go loop in its order:
 // VMULPD for each product, VADDPD/VSUBPD for each sum, VDIVPD for the
@@ -79,16 +78,6 @@
 	VBLENDVPD  Y2, Y7, Y1, Y1;       \
 	VCMPPD     $0x11, K_M40, Y0, Y2; \
 	VANDNPD    Y1, Y2, Y0
-
-// CMUL is the complex product of butterflies_amd64.s (package fft): t
-// gets the lane-wise w·y, wr and wi holding the real and imaginary parts
-// of w in both lanes of each complex128, as wr·yr − wi·yi and
-// wr·yi + wi·yr — the products and sums of Go's complex128 multiply.
-#define CMUL(wr, wi, y, t, tmp) \
-	VMULPD    wr, y, t;     \
-	VPERMILPD $5, y, tmp;   \
-	VMULPD    wi, tmp, tmp; \
-	VADDSUBPD tmp, t, t
 
 // func sigmoidsAVX2(dst, x []float64, a float64)
 TEXT ·sigmoidsAVX2(SB), NOSPLIT, $0-56
@@ -227,60 +216,5 @@ pairc:
 	VMOVUPD Y1, (DI)(AX*2)
 
 donec:
-	VZEROUPPER
-	RET
-
-// func prodAVX2(dst, a, b []complex128)
-//
-// dst[x] = a[x]·b[x], a's parts duplicated across each element's lanes.
-TEXT ·prodAVX2(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	SHLQ $4, CX                   // CX: bytes of dst
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), DX
-	XORQ AX, AX
-
-pairp:
-	CMPQ      AX, CX
-	JAE       donep
-	VMOVUPD   (SI)(AX*1), Y0
-	VMOVDDUP  Y0, Y1
-	VPERMILPD $15, Y0, Y2
-	VMOVUPD   (DX)(AX*1), Y3
-	CMUL(Y1, Y2, Y3, Y4, Y5)
-	VMOVUPD   Y4, (DI)(AX*1)
-	ADDQ      $32, AX
-	JMP       pairp
-
-donep:
-	VZEROUPPER
-	RET
-
-// func prodAddAVX2(acc, a, b []complex128)
-//
-// acc[x] += a[x]·b[x].
-TEXT ·prodAddAVX2(SB), NOSPLIT, $0-72
-	MOVQ acc_base+0(FP), DI
-	MOVQ acc_len+8(FP), CX
-	SHLQ $4, CX                   // CX: bytes of acc
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), DX
-	XORQ AX, AX
-
-paira:
-	CMPQ      AX, CX
-	JAE       donea
-	VMOVUPD   (SI)(AX*1), Y0
-	VMOVDDUP  Y0, Y1
-	VPERMILPD $15, Y0, Y2
-	VMOVUPD   (DX)(AX*1), Y3
-	CMUL(Y1, Y2, Y3, Y4, Y5)
-	VADDPD    (DI)(AX*1), Y4, Y4
-	VMOVUPD   Y4, (DI)(AX*1)
-	ADDQ      $32, AX
-	JMP       paira
-
-donea:
 	VZEROUPPER
 	RET

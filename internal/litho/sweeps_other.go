@@ -14,7 +14,3 @@ func resistAVX2(g, terms, in, tg []float64, steep, dose, th float64) {
 func intensityAVX2(out []float64, a []complex128, w float64) { panic("litho: no AVX2 twins off amd64") }
 
 func mulRealConjAVX2(a []complex128, g []float64) { panic("litho: no AVX2 twins off amd64") }
-
-func prodAVX2(dst, a, b []complex128) { panic("litho: no AVX2 twins off amd64") }
-
-func prodAddAVX2(acc, a, b []complex128) { panic("litho: no AVX2 twins off amd64") }

@@ -145,14 +145,6 @@ var sweepTwins = []sweepTwin{
 		g := &grid.Mat{H: 1, W: n, Data: x[2*n : 3*n]}
 		return func() { mulRealConj(a, g) }, func() []float64 { return floats(a.Data) }
 	}},
-	{"prod", func(x []float64, n int) (func(), func() []float64) {
-		dst, a, b := make([]complex128, n), complexes(x, n), complexes(x[2*n:], n)
-		return func() { prodRow(dst, a, b) }, func() []float64 { return floats(dst) }
-	}},
-	{"prodAdd", func(x []float64, n int) (func(), func() []float64) {
-		acc, a, b := complexes(x[4*n:], n), complexes(x, n), complexes(x[2*n:], n)
-		return func() { prodAddRow(acc, a, b) }, func() []float64 { return floats(acc) }
-	}},
 }
 
 // runSweep runs tw on copies of x with and without the twins and
