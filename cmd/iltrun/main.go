@@ -93,7 +93,7 @@ func run(args []string, stdout io.Writer) error {
 		rects     = fs.String("rects", "", "optional .rects geometry file to optimise instead of a generated clip")
 		iters     = fs.Int("iters", 100, "baseline iteration budget")
 		devices   = fs.Int("devices", 1, "simulated devices")
-		workers   = fs.Int("workers", 0, "compute pool width for FFT/convolution fan-out (0 = ILT_WORKERS env or GOMAXPROCS)")
+		workers   = fs.Int("workers", 0, "compute pool width: a device solves ⌊width/devices⌋ tiles side by side, and a lone tile fans its FFTs and convolutions out (0 = ILT_WORKERS env or GOMAXPROCS)")
 		outDir    = fs.String("out", "", "directory for PNG dumps (optional)")
 		faultRate = fs.Float64("fault-rate", 0, "chaos: per-attempt transient fault probability at the device.run site (0 disables)")
 		faultHard = fs.Float64("fault-hard", 0, "chaos: per-attempt hard device-failure probability (quarantines the device)")

@@ -62,7 +62,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		timeout   = fs.Duration("timeout", 0, "default per-job deadline (0 = none)")
 		drain     = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		maxN      = fs.Int("max-n", 256, "largest accepted simulator grid")
-		compute   = fs.Int("compute-workers", 0, "process-wide compute pool width for FFT/convolution fan-out (0 = ILT_WORKERS env or GOMAXPROCS)")
+		compute   = fs.Int("compute-workers", 0, "process-wide compute pool width: a device solves ⌊width/devices⌋ tiles side by side, and a lone tile fans its FFTs and convolutions out (0 = ILT_WORKERS env or GOMAXPROCS)")
 		faultRate = fs.Float64("fault-rate", 0, "chaos: per-attempt transient fault probability at the device.run site (0 disables)")
 		faultSeed = fs.Int64("fault-seed", 1, "chaos: deterministic fault-schedule seed (used with -fault-rate)")
 		cacheMB   = fs.Int64("cache-mb", 0, "shared tile-result cache RAM budget in MiB (0 disables unless -cache-dir set)")

@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	var (
 		addr      = fs.String("addr", ":9301", "listen address")
 		devices   = fs.Int("devices", 1, "simulated devices in the worker cluster")
-		compute   = fs.Int("compute-workers", 0, "process-wide compute pool width for FFT/convolution fan-out (0 = ILT_WORKERS env or GOMAXPROCS)")
+		compute   = fs.Int("compute-workers", 0, "process-wide compute pool width: a device solves ⌊width/devices⌋ tiles side by side, and a lone tile fans its FFTs and convolutions out (0 = ILT_WORKERS env or GOMAXPROCS)")
 		maxBodyMB = fs.Int64("max-body-mb", 64, "largest accepted solve request body in MiB")
 		sessions  = fs.Int("max-sessions", 8, "cached coordinator sessions before LRU eviction")
 		failAfter = fs.Int("fail-after-solves", 0, "chaos: serve this many solve batches then fail every further one with a 500 (0 disables)")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mgsilt/internal/cache"
@@ -108,14 +109,20 @@ func (c *Config) runStats(cl *device.Cluster) device.Stats {
 // job and the shard worker's batches all dispatch through it. It sees
 // every request of a round, so it forms the round's device jobs itself:
 // the content-addressed tile cache answers repeated solves before
-// dispatch, identical misses collapse to one solve, and the batch policy
-// cuts the remaining misses into lockstep runs, one device job each.
+// dispatch, identical misses collapse to one solve, the batch policy
+// cuts the remaining misses into lockstep runs, and the runs are packed
+// into device jobs of as many lanes as the pool width allows per device
+// (see pack).
 //
 // The round's cache keys — a SHA-256 over each window's target, start
 // and freeze mask — are computed first, in one parallel section; the
 // lookups and claims then run serially in request order on those keys,
 // so which request leads a key, the hit/miss/merged counters and the
-// device jobs are the same at any pool width.
+// solves entered are the same at any pool width. So are the device jobs
+// wherever a device gets one lane, that is on a pool narrower than twice
+// the cluster. On a wider pool a device's job carries several runs side
+// by side, so a round dispatches fewer jobs; every solution stays
+// bit-identical, because a tile solve is the same at any fan-out.
 type Local struct {
 	Cluster *device.Cluster
 	// Sim is the optics whose fingerprint enters cache keys and batch
@@ -124,7 +131,7 @@ type Local struct {
 	Solver opt.Solver
 	// Cache, when non-nil, content-addresses requests of a fingerprinted
 	// solver; Batch, when non-nil, cuts a batch solver's misses into
-	// lockstep runs. With both nil every request is its own device job.
+	// lockstep runs. With both nil every request is a run of its own.
 	Cache *cache.Cache
 	Batch *sched.Batcher
 }
@@ -184,15 +191,7 @@ func (b *Local) SolveTiles(ctx context.Context, reqs []TileRequest) ([]*grid.Mat
 		})
 	}
 
-	runs := b.Batch.Plan(items, b.Cluster.MemPixels())
-	jobs := make([]device.Job, len(runs))
-	for r, run := range runs {
-		members := make([]int, len(run))
-		for j, t := range run {
-			members[j] = todo[t]
-		}
-		jobs[r] = b.job(reqs, members, !items[run[0]].Solo, out)
-	}
+	jobs := b.pack(reqs, todo, items, b.Batch.Plan(items, b.Cluster.MemPixels()), out)
 
 	// The round leads the keys it claimed. Their publication is deferred
 	// past the dispatch, so a failed or panicking round still releases
@@ -215,7 +214,7 @@ func (b *Local) SolveTiles(ctx context.Context, reqs []TileRequest) ([]*grid.Mat
 		// The solve runs only when the key's leader failed: then this
 		// request dispatches its own device job.
 		u, err := tc.Do(keys[i], func() (*grid.Mat, error) {
-			err := b.Cluster.RunCtx(ctx, []device.Job{b.job(reqs, []int{i}, false, out)})
+			err := b.Cluster.RunCtx(ctx, []device.Job{b.job(reqs, []lane{{members: []int{i}}}, out)})
 			return out[i], err
 		})
 		if err != nil {
@@ -258,36 +257,98 @@ func (b *Local) keys(reqs []TileRequest, tc *cache.Cache, optics, solverFP strin
 	return keys, keyed
 }
 
-// job is the device job that solves the requests run into out: as one
-// lockstep batch through the batch policy, or a lone request directly.
-// Its working set is the run's. The attempt context carries batch
-// cancellation; the solver polls it between iterations.
-func (b *Local) job(reqs []TileRequest, run []int, batch bool, out []*grid.Mat) device.Job {
+// lane is one run of a device job: a lone request, or a lockstep batch
+// through the batch policy. Its members index the round's requests.
+type lane struct {
+	members []int
+	batch   bool
+}
+
+// pack turns the round's planned runs into device jobs. Each device
+// gets ⌊pool width / devices⌋ lanes: a job carries up to that many runs,
+// in plan order, side by side, while their summed working set fits one
+// device. A Bare run keeps a job of its own. With one lane — a pool
+// narrower than twice the cluster — every run is its own job.
+func (b *Local) pack(reqs []TileRequest, todo []int, items []sched.Item, runs [][]int, out []*grid.Mat) []device.Job {
+	lanes := parallel.Workers() / b.Cluster.Devices()
+	var (
+		jobs   []device.Job
+		open   []lane
+		pixels int
+	)
+	flush := func() {
+		if len(open) > 0 {
+			jobs = append(jobs, b.job(reqs, open, out))
+			open, pixels = nil, 0
+		}
+	}
+	for _, run := range runs {
+		l := lane{members: make([]int, len(run)), batch: !items[run[0]].Solo}
+		px := 0
+		for j, t := range run {
+			l.members[j] = todo[t]
+			px += items[t].Pixels
+		}
+		bare := reqs[l.members[0]].Bare
+		if bare || len(open) >= lanes || !b.Cluster.Fits(pixels+px) {
+			flush()
+		}
+		open, pixels = append(open, l), pixels+px
+		if bare {
+			flush()
+		}
+	}
+	flush()
+	return jobs
+}
+
+// job is the device job that solves its lanes' requests into out. The
+// lanes run side by side in one parallel section, each on a goroutine of
+// its own whose inner sections then find no free helper and stay
+// serial; a lone lane runs on the dispatcher and fans out as it always
+// has. The device charges the job its wall time, as it does a lockstep
+// batch, and its working set is the sum of its lanes'. The attempt
+// context carries batch cancellation; the solver polls it between
+// iterations.
+func (b *Local) job(reqs []TileRequest, lanes []lane, out []*grid.Mat) device.Job {
 	job := device.Job{Work: func(ctx context.Context, _ int) error {
-		targets, inits := make([]*grid.Mat, len(run)), make([]*grid.Mat, len(run))
-		ps := make([]opt.Params, len(run))
-		for j, i := range run {
-			targets[j], inits[j], ps[j] = reqs[i].Target, reqs[i].Init, reqs[i].Params
-			ps[j].Ctx = ctx
-		}
-		outs, errs := make([]*grid.Mat, 1), make([]error, 1)
-		if batch {
-			outs, errs = b.Batch.SolveBatch(b.Solver.(opt.BatchSolver), targets, inits, ps)
-		} else {
-			outs[0], errs[0] = b.Solver.Solve(targets[0], inits[0], ps[0])
-		}
-		var failed []error
-		for j, i := range run {
-			if errs[j] != nil {
-				failed = append(failed, fmt.Errorf("core: tile %d: %w", reqs[i].Index, errs[j]))
-				continue
-			}
-			out[i] = outs[j]
-		}
-		return errors.Join(failed...)
+		failed := make([][]error, len(lanes))
+		parallel.Do(len(lanes), len(lanes), func(l int) {
+			failed[l] = b.solve(ctx, reqs, lanes[l], out)
+		})
+		return errors.Join(slices.Concat(failed...)...)
 	}}
-	for _, i := range run {
-		job.Pixels += reqs[i].Pixels
+	for _, l := range lanes {
+		for _, i := range l.members {
+			job.Pixels += reqs[i].Pixels
+		}
 	}
 	return job
+}
+
+// solve runs one lane: as one lockstep batch through the batch policy,
+// or a lone request directly. It returns the failed members' errors.
+func (b *Local) solve(ctx context.Context, reqs []TileRequest, l lane, out []*grid.Mat) []error {
+	run := l.members
+	targets, inits := make([]*grid.Mat, len(run)), make([]*grid.Mat, len(run))
+	ps := make([]opt.Params, len(run))
+	for j, i := range run {
+		targets[j], inits[j], ps[j] = reqs[i].Target, reqs[i].Init, reqs[i].Params
+		ps[j].Ctx = ctx
+	}
+	outs, errs := make([]*grid.Mat, 1), make([]error, 1)
+	if l.batch {
+		outs, errs = b.Batch.SolveBatch(b.Solver.(opt.BatchSolver), targets, inits, ps)
+	} else {
+		outs[0], errs[0] = b.Solver.Solve(targets[0], inits[0], ps[0])
+	}
+	var failed []error
+	for j, i := range run {
+		if errs[j] != nil {
+			failed = append(failed, fmt.Errorf("core: tile %d: %w", reqs[i].Index, errs[j]))
+			continue
+		}
+		out[i] = outs[j]
+	}
+	return failed
 }

@@ -73,11 +73,14 @@ const refineLR = 0.08
 // Parallelism sits in three places, all drawing on the one
 // internal/parallel pool. The round itself is pluggable (Config.Tiles):
 // by default it runs on the flow's in-process device.Cluster, which
-// dispatches up to min(devices, parallel.Workers()) solves concurrently;
-// with a shard coordinator installed it is partitioned over remote
-// worker processes instead, and only overlap-halo strips travel between
-// Schwarz stages. Inside each solve, the litho evaluations fan their
-// kernels and transforms out over the pool. And the flow side between
+// runs up to min(devices, parallel.Workers()) device jobs at a time, each
+// carrying up to ⌊parallel.Workers()/devices⌋ solves side by side as
+// lanes (Local.pack), so a pool wider than the cluster is spent across
+// tiles rather than inside one; with a shard coordinator installed it is
+// partitioned over remote worker processes instead, and only
+// overlap-halo strips travel between Schwarz stages. Inside each solve,
+// the litho evaluations fan their kernels and transforms out over
+// whatever helpers the lanes leave free. And the flow side between
 // rounds — every window's crop and restriction before the round, every
 // lift after it — is one parallel section each, gated by
 // parallel.SweepLimit; it stays off the device jobs, so it is never

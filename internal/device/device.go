@@ -1,6 +1,10 @@
 // Package device models the accelerator pool the paper runs on: GPUs
 // with bounded memory, host-staged transfers between them (the paper's
-// cluster lacks GPU-direct links), and per-device serial execution.
+// cluster lacks GPU-direct links), and devices that run one job at a
+// time. A job may carry several tiles — a lockstep batch, or lanes of
+// independent solves running side by side (core.Local packs them) — and
+// its device is charged the job's wall time, so a device's busy time is
+// what its jobs took, however many tiles each held.
 //
 // The paper's parallelism claims are scheduling claims — which tiles
 // may run concurrently in each phase of the multigrid-Schwarz flow —

@@ -251,7 +251,10 @@ func AssignWorker(index, liveWorkers int) int {
 // SolveTiles implements core.TileBackend: it splits the batch over
 // the live workers, ships each shard (halo diffs where the mirror
 // allows), and reassigns a dead worker's unfinished tiles to the
-// survivors. Returns one solution per request, aligned with reqs.
+// survivors. Returns one solution per request, aligned with reqs. When
+// the last live worker is quarantined the error joins a summary with
+// the failure of every worker this call quarantined, each prefixed with
+// its URL, so errors.Is and errors.As reach the causes.
 func (c *Coordinator) SolveTiles(ctx context.Context, reqs []core.TileRequest) ([]*grid.Mat, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -264,6 +267,7 @@ func (c *Coordinator) SolveTiles(ctx context.Context, reqs []core.TileRequest) (
 	c.mu.Unlock()
 
 	out := make([]*grid.Mat, len(reqs))
+	var failures []error              // this call's quarantines, by worker
 	pending := make([]int, len(reqs)) // positions in reqs
 	for i := range reqs {
 		pending[i] = i
@@ -275,7 +279,7 @@ func (c *Coordinator) SolveTiles(ctx context.Context, reqs []core.TileRequest) (
 		}
 		live := c.liveWorkers()
 		if len(live) == 0 {
-			return nil, fmt.Errorf("shard: all %d workers failed", len(c.workers))
+			return nil, errors.Join(append([]error{fmt.Errorf("shard: all %d workers failed", len(c.workers))}, failures...)...)
 		}
 		// Stable per-tile affinity: index mod live count, over the live
 		// workers in configuration order.
@@ -321,6 +325,7 @@ func (c *Coordinator) SolveTiles(ctx context.Context, reqs []core.TileRequest) (
 				// Quarantine for the coordinator's lifetime; the round loop
 				// re-splits the unfinished tiles over the survivors.
 				r.w.alive = false
+				failures = append(failures, fmt.Errorf("%s: %w", r.w.url, r.err))
 				c.stats.WorkersQuarantined++
 				c.clStats.Quarantined++
 				c.stats.ReassignedTiles += int64(len(r.poss))

@@ -401,6 +401,46 @@ func TestSolverForRegistry(t *testing.T) {
 	}
 }
 
+// TestCoordinatorKeepsWorkerCauses: when the last live worker is
+// quarantined, SolveTiles's error still carries why each worker failed,
+// behind its URL, and errors.As reaches the worker's own error.
+func TestCoordinatorKeepsWorkerCauses(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			http.Error(rw, fmt.Sprintf("worker %d refuses", i), http.StatusBadRequest)
+		}))
+		defer srv.Close()
+		urls = append(urls, srv.URL)
+	}
+	coord, err := NewCoordinator(Config{Workers: urls, N: e2eN, RunID: "fake", Retry: fastRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn := rand.New(rand.NewSource(5))
+	reqs := make([]core.TileRequest, 2)
+	for i := range reqs {
+		reqs[i] = core.TileRequest{
+			Index: i, Pixels: e2eN * e2eN,
+			Target: randMat(rn, e2eN, e2eN), Init: randMat(rn, e2eN, e2eN),
+			Params: opt.Params{Iters: 1, LR: 0.4, Stretch: 1},
+		}
+	}
+	_, err = coord.SolveTiles(context.Background(), reqs)
+	if err == nil {
+		t.Fatal("SolveTiles succeeded on refusing workers")
+	}
+	for i, u := range urls {
+		if want := fmt.Sprintf("%s: shard: worker returned 400: worker %d refuses", u, i); !strings.Contains(err.Error(), want) {
+			t.Fatalf("SolveTiles error %q, want one containing %q", err, want)
+		}
+	}
+	var he *httpStatusError
+	if !errors.As(err, &he) || he.status != http.StatusBadRequest {
+		t.Fatalf("errors.As does not reach the worker's status error: %v", err)
+	}
+}
+
 // TestCoordinatorRejectsMalformedShardResponse drives the coordinator
 // against a fake worker that answers every tile it was sent plus one
 // more: a duplicate of a tile or an index the shard never asked for.
@@ -443,12 +483,14 @@ func TestCoordinatorRejectsMalformedShardResponse(t *testing.T) {
 					Params: opt.Params{Iters: 1, LR: 0.4, Stretch: 1},
 				}
 			}
-			_, _, err = coord.solveOn(context.Background(), coord.workers[0], reqs, []int{0, 1})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("solveOn error %v, want one containing %q", err, tc.want)
-			}
-			if _, err := coord.SolveTiles(context.Background(), reqs); err == nil {
+			_, err = coord.SolveTiles(context.Background(), reqs)
+			if err == nil {
 				t.Fatal("SolveTiles accepted the malformed response")
+			}
+			for _, want := range []string{"all 1 workers failed", srv.URL + ": ", tc.want} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("SolveTiles error %q, want one containing %q", err, want)
+				}
 			}
 			if st := coord.Stats(); st.WorkersQuarantined != 1 {
 				t.Errorf("the worker was not quarantined: %+v", st)
