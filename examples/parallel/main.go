@@ -13,9 +13,14 @@ import (
 	"mgsilt/internal/device"
 	"mgsilt/internal/layout"
 	"mgsilt/internal/litho"
+	"mgsilt/internal/parallel"
 )
 
 func main() {
+	// One lane per device: at a wider pool a device solves
+	// ⌊width/devices⌋ tiles side by side, so the one-device baseline
+	// would pack more than the larger clusters.
+	parallel.SetWorkers(1)
 	const n = 64
 	sim, err := litho.NewStandard(n)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"mgsilt/internal/parallel"
 )
 
 // tinyScale keeps harness tests fast: the mechanics are identical at
@@ -147,11 +149,22 @@ func TestRunFig8(t *testing.T) {
 	}
 }
 
+// TestRunSpeedup: the sweep runs at pool width 1, one lane per device,
+// whatever the width around it, and gives that width back.
 func TestRunSpeedup(t *testing.T) {
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(2)
 	env := tinyEnv(t)
-	res, err := env.RunSpeedup(2, 1, nil)
+	res, err := env.RunSpeedup(2, 1, func(string) {
+		if w := parallel.Workers(); w != 1 {
+			t.Errorf("speedup run at pool width %d, want 1", w)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if w := parallel.Workers(); w != 2 {
+		t.Fatalf("pool width %d after the sweep, want the 2 it started at", w)
 	}
 	if len(res.Devices) != 2 {
 		t.Fatalf("devices %v", res.Devices)

@@ -8,6 +8,7 @@ import (
 	"mgsilt/internal/device"
 	"mgsilt/internal/metrics"
 	"mgsilt/internal/opt"
+	"mgsilt/internal/parallel"
 	"mgsilt/internal/report"
 )
 
@@ -184,8 +185,14 @@ type SpeedupResult struct {
 }
 
 // RunSpeedup measures the multigrid-Schwarz TAT on growing clusters,
-// averaged over the first `cases` clips of the suite.
+// averaged over the first `cases` clips of the suite. It runs at pool
+// width 1, as results/ is recorded, and restores the width afterwards:
+// a device solves ⌊width/devices⌋ tiles side by side, so at a wider
+// pool the one-device baseline would pack more lanes than the larger
+// clusters and the ratio would no longer measure device parallelism.
 func (e *Env) RunSpeedup(maxDevices, cases int, progress func(string)) (*SpeedupResult, error) {
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(1)
 	if cases > len(e.Clips) {
 		cases = len(e.Clips)
 	}

@@ -28,7 +28,8 @@ func busy(d time.Duration) {
 // inside Work plus pool helpers inside a section — must never exceed the
 // pool width, which a helper working beside two dispatchers would.
 func TestWidthBoundCountsDispatchers(t *testing.T) {
-	defer parallel.SetWorkers(parallel.SetWorkers(2))
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(2)
 	c, _ := NewCluster(2, 0)
 	var computing, peak atomic.Int32
 	enter := func() {
@@ -66,7 +67,8 @@ func TestWidthBoundCountsDispatchers(t *testing.T) {
 // the dispatcher that drained no longer holds a helper, so the job's own
 // sections fan out.
 func TestLastJobGetsTheHelperBack(t *testing.T) {
-	defer parallel.SetWorkers(parallel.SetWorkers(2))
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(2)
 	c, _ := NewCluster(2, 0)
 	long, short := make(chan struct{}), make(chan struct{})
 	jobs := []Job{

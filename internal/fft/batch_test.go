@@ -31,8 +31,9 @@ func cloneBatch(ms []*grid.CMat) []*grid.CMat {
 // NumCPU, above and below the parallel crossover.
 func TestBatch2DBitIdenticalToLooped(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	prev := parallel.SetWorkers(1)
+	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
+	parallel.SetWorkers(1)
 
 	cases := []struct{ k, n int }{
 		{1, 32},  // single matrix, below crossover
@@ -76,8 +77,9 @@ func TestBatch2DBitIdenticalToLooped(t *testing.T) {
 // fan-out capped: any limit must reproduce the limit=1 bits exactly.
 func TestBatch2DLimitBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	prev := parallel.SetWorkers(runtime.NumCPU())
+	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
+	parallel.SetWorkers(runtime.NumCPU())
 
 	src := randBatch(rng, 4, 256, 256)
 	ref := cloneBatch(src)

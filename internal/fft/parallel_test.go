@@ -30,8 +30,9 @@ func TestTransform2DParallelEquivalence(t *testing.T) {
 	src := randCMat(rng, n, n)
 
 	run := func(workers int, inverse bool) *grid.CMat {
-		prev := parallel.SetWorkers(workers)
+		prev := parallel.Workers()
 		defer parallel.SetWorkers(prev)
+		parallel.SetWorkers(workers)
 		m := src.Clone()
 		if inverse {
 			Inverse2D(m)
@@ -59,8 +60,9 @@ func TestTransform2DParallelEquivalence(t *testing.T) {
 // condition: a 32² matrix is less than two grains of work and never
 // forks, whatever the pool width.
 func TestTransform2DBelowCrossoverStaysSerial(t *testing.T) {
-	prev := parallel.SetWorkers(4)
+	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
+	parallel.SetWorkers(4)
 	const n = 32
 	if fanOut(0, n*n) != 1 {
 		t.Fatalf("a %d² transform fans out over %d goroutines", n, fanOut(0, n*n))
@@ -132,8 +134,9 @@ func BenchmarkTransform2D(b *testing.B) {
 		src := randCMat(rng, n, n)
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				prev := parallel.SetWorkers(w)
+				prev := parallel.Workers()
 				defer parallel.SetWorkers(prev)
+				parallel.SetWorkers(w)
 				m := src.Clone()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -99,8 +99,9 @@ func TestForwardReal2DWorkerBitIdentity(t *testing.T) {
 	n := 256 // many times parallel.Grain
 	src := randMat(rng, n, n)
 
-	prev := parallel.SetWorkers(1)
+	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
+	parallel.SetWorkers(1)
 	ref := ForwardReal2D(grid.NewCMat(n, n), src)
 
 	for _, w := range []int{2, 3, 8} {
@@ -124,8 +125,9 @@ func TestForwardReal2DBandBitIdentical(t *testing.T) {
 	for n := 8; n <= 512; n *= 2 {
 		shapes = append(shapes, [2]int{n, n}, [2]int{3 * n / 2, 3 * n / 2})
 	}
-	prev := parallel.SetWorkers(1)
+	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
+	parallel.SetWorkers(1)
 	for _, sh := range shapes {
 		h, w := sh[0], sh[1]
 		src := randMat(rng, h, w)
@@ -236,8 +238,9 @@ func embeddedBand(src *grid.CMat, b, h, w int) *grid.CMat {
 // the output is bit-identical at every worker count.
 func TestInverseRealBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	prev := parallel.SetWorkers(1)
+	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
+	parallel.SetWorkers(1)
 	for _, c := range []struct{ sh, sw, h, w, b int }{
 		{48, 48, 128, 128, 20}, // upsampling a reduced grid's intensity
 		{128, 128, 48, 48, 20}, // low-passing onto the reduced grid

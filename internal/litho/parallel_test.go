@@ -188,8 +188,9 @@ func BenchmarkLossGrad(b *testing.B) {
 		target := centredSquare(sh.n, 3*sh.n/8)
 		for _, w := range sh.workers {
 			b.Run(sh.name+benchName(w), func(b *testing.B) {
-				prev := parallel.SetWorkers(w)
+				prev := parallel.Workers()
 				defer parallel.SetWorkers(prev)
+				parallel.SetWorkers(w)
 				sim := simN(b, sh.n, false)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -323,6 +323,66 @@ func TestEnterWaitsOutTheSectionInFlight(t *testing.T) {
 	})
 }
 
+// TestEnterParksBehindALongSection: a withheld helper may hold a whole
+// tile solve — a lane of a packed device job — so an Enter that waits
+// on it parks past spinBudget instead of burning a core, and a release
+// wakes every Enter parked on it: here two, the second arriving after a
+// Leave made the same helper the one to withhold again.
+func TestEnterParksBehindALongSection(t *testing.T) {
+	withWorkers(t, 2, func() {
+		var helperIn atomic.Bool
+		release := make(chan struct{})
+		sectionDone := make(chan struct{})
+		go func() { // a section whose caller never entered
+			defer close(sectionDone)
+			me := goid()
+			Do(2, 0, func(int) {
+				if goid() != me {
+					helperIn.Store(true)
+					<-release
+					return
+				}
+				for !helperIn.Load() {
+					runtime.Gosched()
+				}
+			})
+		}()
+		eventually(t, "the helper to enter the section", helperIn.Load)
+
+		Enter() // the first: nothing withheld
+		waiter := func() chan struct{} {
+			done := make(chan struct{})
+			go func() {
+				Enter()
+				close(done)
+			}()
+			return done
+		}
+		first := waiter()
+		eventually(t, "the first Enter to park", func() bool { return parkedN.Load() == 1 })
+		Leave() // the waiter is now the first entered; the next withholds the same helper
+		second := waiter()
+		eventually(t, "the second Enter to park", func() bool { return parkedN.Load() == 2 })
+
+		before := cpuTime(t)
+		time.Sleep(200 * time.Millisecond)
+		if burnt := cpuTime(t) - before; burnt > 40*time.Millisecond {
+			t.Fatalf("two Enters waiting on a section burnt %v of CPU in 200ms", burnt)
+		}
+		close(release)
+		<-sectionDone
+		for _, done := range []chan struct{}{first, second} {
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a parked Enter never returned after the section finished")
+			}
+		}
+		Leave()
+		Leave()
+	})
+}
+
 // TestGateNeverLosesAWake ping-pongs two goroutines through a pair of
 // gates: a lost wake-up hangs the test, a stale token fails the count.
 func TestGateNeverLosesAWake(t *testing.T) {
