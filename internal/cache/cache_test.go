@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"mgsilt/internal/grid"
+	"mgsilt/internal/pipeline"
 )
 
 func randMat(rng *rand.Rand, h, w int) *grid.Mat {
@@ -112,26 +116,145 @@ func TestKeyFramingUnambiguous(t *testing.T) {
 	}
 }
 
-// TestKeyGolden pins the key of one fixed input with target, init and
-// freeze all set, each larger than one 512-value hashing chunk, with
-// signed zeros, a NaN payload, an infinity and a subnormal among the
-// values. Spilled results are found again by key, so any change to the
-// hashed byte stream must bump keyMagic or codeVersion, and this
-// constant with them.
+// TestKeyGolden pins the key of two fixed inputs. The first has target,
+// init and freeze all set, each larger than one 512-value hashing chunk,
+// with signed zeros, a NaN payload, an infinity and a subnormal among
+// the values, so every plane takes the raw framing. The second has a
+// binary target and freeze plane 70 wide, not a multiple of the 64
+// values of a packed word, beside a grey init. Spilled results are
+// found again by key, so any change to the hashed byte stream must bump
+// keyMagic or codeVersion, and these constants with them.
 func TestKeyGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	in := KeyInput{
+	raw := KeyInput{
 		Optics: "litho:golden", Solver: "pixel-ilt:golden",
 		Iters: 40, Stretch: 2, LR: 0.4, PVWeight: 0.125,
 		Target: randMat(rng, 24, 30), Init: randMat(rng, 24, 30), Freeze: randMat(rng, 24, 30),
 	}
-	in.Target.Data[0] = math.Copysign(0, -1)
-	in.Init.Data[1] = math.Float64frombits(0x7ff8000000000123)
-	in.Init.Data[513] = math.Inf(-1)
-	in.Freeze.Data[719] = math.SmallestNonzeroFloat64
-	const want = "e9e8c9308aae337d4fb6c01910140edca0864921022786a59e62b9c04b05306b"
-	if got := mustKey(t, in).String(); got != want {
-		t.Fatalf("key %s, want %s", got, want)
+	raw.Target.Data[0] = math.Copysign(0, -1)
+	raw.Init.Data[1] = math.Float64frombits(0x7ff8000000000123)
+	raw.Init.Data[513] = math.Inf(-1)
+	raw.Freeze.Data[719] = math.SmallestNonzeroFloat64
+	packed := KeyInput{
+		Optics: "litho:golden", Solver: "pixel-ilt:golden",
+		Iters: 40, Stretch: 1, LR: 0.4, PVWeight: 0,
+		Target: randBinaryMat(rng, 24, 70), Init: randMat(rng, 24, 70), Freeze: randBinaryMat(rng, 24, 70),
+	}
+	for _, row := range []struct {
+		name string
+		in   KeyInput
+		want string
+	}{
+		{"raw", raw, "de9101c5653a454cc4eafe0b9a8b9384db6ca8d1cf31d67acf9ba0ba6ff546a5"},
+		{"binary", packed, "094a57a573f1930e8dec9e798ddd7e8ae65fb5694914844458c2bfa831a6b360"},
+	} {
+		if got := mustKey(t, row.in).String(); got != row.want {
+			t.Errorf("%s: key %s, want %s", row.name, got, row.want)
+		}
+	}
+}
+
+func randBinaryMat(rng *rand.Rand, h, w int) *grid.Mat {
+	m := grid.NewMat(h, w)
+	for i := range m.Data {
+		m.Data[i] = float64(rng.Intn(2))
+	}
+	return m
+}
+
+// refKey is the key of in serialised byte by byte, a plane packed when
+// its values are all +0 or 1.0 and packable allows it, as raw bits
+// otherwise.
+func refKey(in KeyInput, packable bool) Key {
+	var s []byte
+	u64 := func(v uint64) { s = binary.BigEndian.AppendUint64(s, v) }
+	str := func(v string) { u64(uint64(len(v))); s = append(s, v...) }
+	str(keyMagic)
+	str(codeVersion)
+	str(in.Optics)
+	str(in.Solver)
+	u64(uint64(in.Iters))
+	u64(uint64(in.Stretch))
+	u64(math.Float64bits(in.LR))
+	u64(math.Float64bits(in.PVWeight))
+	for _, m := range []*grid.Mat{in.Target, in.Init, in.Freeze} {
+		if m == nil {
+			u64(0)
+			continue
+		}
+		bin := packable
+		for _, v := range m.Data {
+			if b := math.Float64bits(v); b != 0 && b != math.Float64bits(1) {
+				bin = false
+			}
+		}
+		if !bin {
+			u64(1)
+			u64(uint64(m.H))
+			u64(uint64(m.W))
+			for _, v := range m.Data {
+				s = binary.LittleEndian.AppendUint64(s, math.Float64bits(v))
+			}
+			continue
+		}
+		u64(2)
+		u64(uint64(m.H))
+		u64(uint64(m.W))
+		words := make([]uint64, (len(m.Data)+63)/64)
+		for i, v := range m.Data {
+			if v == 1 {
+				words[i/64] |= 1 << (i % 64)
+			}
+		}
+		for _, w := range words {
+			s = binary.LittleEndian.AppendUint64(s, w)
+		}
+	}
+	return sha256.Sum256(s)
+}
+
+// TestKeyBinaryFraming holds both framings to the byte stream refKey
+// writes, and checks that a binary plane with one value moved to −0, to
+// the float after 1 or to NaN takes the raw framing and a key of its
+// own.
+func TestKeyBinaryFraming(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for _, w := range []int{1, 63, 64, 65, 130} {
+		in := KeyInput{
+			Optics: "litho:framing", Solver: "pixel-ilt:framing",
+			Iters: 3, Stretch: 1, LR: 0.5,
+			Target: randBinaryMat(rng, 3, w), Init: randMat(rng, 3, w), Freeze: randBinaryMat(rng, 3, w),
+		}
+		k := mustKey(t, in)
+		if k != refKey(in, true) {
+			t.Fatalf("width %d: the binary planes' key differs from the packed serialisation", w)
+		}
+		if k == refKey(in, false) {
+			t.Fatalf("width %d: the binary planes hashed raw", w)
+		}
+		for _, v := range []float64{math.Copysign(0, -1), math.Nextafter(1, 2), math.NaN()} {
+			for _, plane := range []string{"target", "freeze"} {
+				stray := in
+				m := in.Target
+				if plane == "freeze" {
+					m = in.Freeze
+				}
+				m = m.Clone()
+				m.Data[len(m.Data)-1] = v
+				if plane == "freeze" {
+					stray.Freeze = m
+				} else {
+					stray.Target = m
+				}
+				got := mustKey(t, stray)
+				if got == k {
+					t.Errorf("width %d: %s with one value %v keeps the binary plane's key", w, plane, v)
+				}
+				if got != refKey(stray, true) {
+					t.Errorf("width %d: %s with one value %v does not take the raw framing", w, plane, v)
+				}
+			}
+		}
 	}
 }
 
@@ -660,15 +783,23 @@ func TestConcurrentChurn(t *testing.T) {
 // must never panic the cache.
 func FuzzCacheKey(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
+	// The key of a binary target and freeze, as a tile of a standard-cell
+	// layout has, and among the seeds a well-formed spill of a binary
+	// solution under it.
 	in := KeyInput{
 		Optics: "litho:seed", Solver: "pixel-ilt:seed",
 		Iters: 5, Stretch: 1, LR: 1, PVWeight: 0,
-		Target: randMat(rng, 4, 4), Init: randMat(rng, 4, 4),
+		Target: randBinaryMat(rng, 4, 4), Init: randMat(rng, 4, 4), Freeze: randBinaryMat(rng, 4, 4),
 	}
 	k, err := in.Key()
 	if err != nil {
 		f.Fatal(err)
 	}
+	var spill bytes.Buffer
+	if err := pipeline.WriteCheckpoint(&spill, &pipeline.Checkpoint{Flow: spillFlow, Stage: 1, Total: 1, Mask: randBinaryMat(rng, 4, 4)}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(spill.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("mgsilt-checkpoint v1\n"))
 	f.Add([]byte("not a checkpoint at all"))
@@ -689,4 +820,20 @@ func FuzzCacheKey(f *testing.F) {
 			t.Fatalf("spill decode accepted a degenerate %dx%d matrix", m.H, m.W)
 		}
 	})
+}
+
+// BenchmarkKey64 keys one 64² tile as a standard-cell tile has it:
+// binary target and freeze planes beside a grey init.
+func BenchmarkKey64(b *testing.B) {
+	rng := rand.New(rand.NewSource(53))
+	in := KeyInput{
+		Optics: "litho:bench", Solver: "pixel-ilt:bench",
+		Iters: 40, Stretch: 1, LR: 0.4,
+		Target: randBinaryMat(rng, 64, 64), Init: randMat(rng, 64, 64), Freeze: randBinaryMat(rng, 64, 64),
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := in.Key(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -43,8 +43,8 @@ const codeVersion = "mgsilt-tile-solve-v6"
 
 // keyMagic versions the key serialisation itself. v2 added a per-solve
 // kernel energy budget; v3 removed it again, so a key of either layout
-// never equals one of the other.
-const keyMagic = "mgsilt-tile-key v3\n"
+// never equals one of the other. v4 frames binary planes as packed bits.
+const keyMagic = "mgsilt-tile-key v4\n"
 
 // Key is the content address of one tile solve: a SHA-256 over the
 // canonical serialisation of every solve input.
@@ -123,8 +123,9 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // keyWriter serialises the key fields into a hash with unambiguous
 // framing. Hash writes never fail, so no errors are threaded.
 type keyWriter struct {
-	h   hash.Hash
-	buf [8]byte
+	h    hash.Hash
+	buf  [8]byte
+	bits []byte // a binary plane's packed payload, reused across planes
 }
 
 func (w *keyWriter) u64(v uint64) {
@@ -139,16 +140,68 @@ func (w *keyWriter) str(s string) {
 	w.h.Write([]byte(s))
 }
 
-// mat hashes a matrix as (tag, H, W, raw float64 bits): the bits in
-// the payload encoding of checkpoints and the shard wire. A nil matrix
-// hashes as a bare zero tag, distinct from any present matrix.
+// Matrix tags. A nil matrix hashes as a bare tagNil, distinct from any
+// present matrix; the two framings of a present one carry their own tag,
+// so no plane of one framing hashes like a plane of the other.
+const (
+	tagNil uint64 = iota
+	tagRaw
+	tagBinary
+)
+
+// mat hashes a matrix as (tag, H, W, payload). A binary plane — every
+// value exactly +0 or 1.0, as targets, freeze masks and binarised
+// masks are — is tagBinary with its values packed 64 to a little-endian
+// word in row-major order, value i at bit i%64 and the last word padded
+// with zeros. Any other plane is tagRaw with the raw float64 bits, the
+// payload encoding of checkpoints and the shard wire.
 func (w *keyWriter) mat(m *grid.Mat) {
 	if m == nil {
-		w.u64(0)
+		w.u64(tagNil)
 		return
 	}
-	w.u64(1)
+	if n := 8 * ((len(m.Data) + 63) / 64); cap(w.bits) < n {
+		w.bits = make([]byte, 0, n)
+	}
+	bits, packed := packBinary(w.bits[:0], m.Data)
+	w.bits = bits
+	if packed {
+		w.u64(tagBinary)
+	} else {
+		w.u64(tagRaw)
+	}
 	w.u64(uint64(m.H))
 	w.u64(uint64(m.W))
-	pipeline.WriteMatData(w.h, m)
+	if packed {
+		w.h.Write(bits)
+	} else {
+		pipeline.WriteMatData(w.h, m)
+	}
+}
+
+// one is the bit pattern of 1.0.
+const one = 0x3ff0000000000000
+
+// packBinary appends vals packed 64 to a little-endian word to dst and
+// reports whether every value is +0 or 1.0; it stops at the first word
+// that holds another value, and then dst's contents mean nothing. Bit 52
+// of +0 and 1.0 is their value, so the test and the packing are
+// branch-free within a word.
+func packBinary(dst []byte, vals []float64) ([]byte, bool) {
+	for len(vals) > 0 {
+		n := min(len(vals), 64)
+		var word, stray uint64
+		for i, v := range vals[:n] {
+			b := math.Float64bits(v)
+			bit := b >> 52 & 1
+			stray |= b ^ bit*one
+			word |= bit << uint(i)
+		}
+		if stray != 0 {
+			return dst, false
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, word)
+		vals = vals[n:]
+	}
+	return dst, true
 }

@@ -100,13 +100,10 @@ func (c *Config) sweep(cl *device.Cluster, m, target *grid.Mat, size, scale int,
 		req := TileRequest{
 			Index:  w.Index,
 			Pixels: solved * solved, // the restricted working set
-			Target: target.Crop(w.Y0, w.X0, size, size),
-			Init:   m.Crop(w.Y0, w.X0, size, size),
+			Target: target.CropDownsample(w.Y0, w.X0, size, size, scale),
+			Init:   m.CropDownsample(w.Y0, w.X0, size, size, scale),
 			Params: params,
 			Bare:   scale > 1,
-		}
-		if scale > 1 {
-			req.Target, req.Init = req.Target.Downsample(scale), req.Init.Downsample(scale)
 		}
 		if freeze != nil {
 			req.Params.Freeze = freeze[w.Index]
@@ -238,11 +235,10 @@ func MultigridSchwarz(cfg Config, target *grid.Mat) (*Result, error) {
 				// Hand a manufacturable (binary) mask to the next grid: the
 				// bilinear lift leaves gray, wobbly edges that the fine solver
 				// would otherwise spend its whole budget re-sharpening.
-				m.BinarizeInPlace(0.5)
 				if r := cfg.CoarseClean; r > 0 {
-					m = filter.Close(filter.Open(m, r), r)
+					return filter.Clean(m, 0.5, r), nil
 				}
-				return m, nil
+				return m.BinarizeInPlace(0.5), nil
 			},
 		})
 	}
@@ -438,7 +434,7 @@ func (c *Config) coarseCorrect(cl *device.Cluster, g *rasGrid, m, target *grid.M
 	base := make([]*grid.Mat, len(pc.Tiles))
 	parallel.Do(len(pc.Tiles), parallel.SweepLimit(len(pc.Tiles)*pc.Tile*pc.Tile), func(i int) {
 		spec := pc.Tiles[i]
-		base[i] = m.Crop(spec.Y0, spec.X0, pc.Tile, pc.Tile).Downsample(s).UpsampleBilinear(s)
+		base[i] = m.CropDownsample(spec.Y0, spec.X0, pc.Tile, pc.Tile, s).UpsampleBilinear(s)
 	})
 	delta := solved.Sub(pc.Assemble(base, g.w))
 	return m.Clone().AddScaled(delta, 1).Clamp(0, 1), nil

@@ -127,96 +127,6 @@ func GaussianIterated(m *grid.Mat, sigma float64, iters int) *grid.Mat {
 	return out
 }
 
-// Erode performs binary morphological erosion of a {0,1} matrix with a
-// (2r+1)×(2r+1) square structuring element.
-func Erode(m *grid.Mat, r int) *grid.Mat { return morph(m, r, true) }
-
-// Dilate performs binary morphological dilation of a {0,1} matrix with
-// a (2r+1)×(2r+1) square structuring element.
-func Dilate(m *grid.Mat, r int) *grid.Mat { return morph(m, r, false) }
-
-// morph applies the square structuring element as two window tests, along
-// rows and then down the columns of the {0,1} row result: a square is
-// the product of its two sides, so a pixel survives erosion exactly when
-// its whole row window does in every row of its column window, and
-// likewise for dilation. Outside the matrix is background: it clears an
-// eroded pixel and never sets a dilated one. Both passes fan out by
-// rows; a band of the column pass counts its own first window, so a
-// band's counts are the ones the serial slide would reach.
-func morph(m *grid.Mat, r int, erode bool) *grid.Mat {
-	if r < 0 {
-		panic("filter: morphology radius must be non-negative")
-	}
-	// A pixel of the window decides the outcome when it is background
-	// (erosion) or foreground (dilation); value maps "some pixel of the
-	// window decides" onto the output.
-	decides := func(v float64) bool { return erode && v < 0.5 || !erode && v >= 0.5 }
-	value := func(decided bool) float64 {
-		if decided == erode {
-			return 0
-		}
-		return 1
-	}
-	limit := parallel.SweepLimit(m.H * m.W)
-	tmp := grid.NewMat(m.H, m.W)
-	parallel.DoChunks(m.H, limit, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			src, dst := m.Row(y), tmp.Row(y)
-			n := 0 // deciding pixels among columns x−r…x+r
-			for x := 0; x < min(r, m.W); x++ {
-				if decides(src[x]) {
-					n++
-				}
-			}
-			for x := range dst {
-				if x+r < m.W && decides(src[x+r]) {
-					n++
-				}
-				dst[x] = value(n > 0 || erode && (x < r || x+r >= m.W))
-				if x >= r && decides(src[x-r]) {
-					n--
-				}
-			}
-		}
-	})
-	out := grid.NewMat(m.H, m.W)
-	parallel.DoChunks(m.H, limit, func(y0, y1 int) {
-		count := make([]int, m.W) // per column: deciding pixels among rows y−r…y+r of tmp
-		add := func(y, d int) {
-			for x, v := range tmp.Row(y) {
-				if decides(v) {
-					count[x] += d
-				}
-			}
-		}
-		// Seed the window of row y0: rows y0−r…y0+r−1 inside the matrix.
-		for y := max(0, y0-r); y < min(y0+r, m.H); y++ {
-			add(y, 1)
-		}
-		for y := y0; y < y1; y++ {
-			if y+r < m.H {
-				add(y+r, 1)
-			}
-			outside := erode && (y < r || y+r >= m.H)
-			for x, n := range count {
-				out.Data[y*m.W+x] = value(n > 0 || outside)
-			}
-			if y >= r {
-				add(y-r, -1)
-			}
-		}
-	})
-	return out
-}
-
-// Open is erosion followed by dilation: removes features thinner than
-// the structuring element (used for MRC-style minimum-width cleanup).
-func Open(m *grid.Mat, r int) *grid.Mat { return Dilate(Erode(m, r), r) }
-
-// Close is dilation followed by erosion: fills gaps narrower than the
-// structuring element.
-func Close(m *grid.Mat, r int) *grid.Mat { return Erode(Dilate(m, r), r) }
-
 // GradientMagnitude returns the central-difference gradient magnitude
 // of m, used for level-set evolution (|∇φ|).
 func GradientMagnitude(m *grid.Mat) *grid.Mat {

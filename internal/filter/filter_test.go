@@ -123,11 +123,11 @@ func square(h, w, y0, x0, side int) *grid.Mat {
 
 func TestErodeDilateSquare(t *testing.T) {
 	m := square(16, 16, 4, 4, 6)
-	er := Erode(m, 1)
+	er := morph(m, 1, true)
 	if er.Sum() != 16 { // 6x6 erodes to 4x4
 		t.Fatalf("erode sum %v want 16", er.Sum())
 	}
-	di := Dilate(m, 1)
+	di := morph(m, 1, false)
 	if di.Sum() != 64 { // 6x6 dilates to 8x8
 		t.Fatalf("dilate sum %v want 64", di.Sum())
 	}
@@ -179,8 +179,8 @@ func TestQuickMorphologyMonotone(t *testing.T) {
 				m.Data[i] = 1
 			}
 		}
-		er := Erode(m, 1)
-		di := Dilate(m, 1)
+		er := morph(m, 1, true)
+		di := morph(m, 1, false)
 		for i := range m.Data {
 			if er.Data[i] > m.Data[i] || di.Data[i] < m.Data[i] {
 				return false

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"mgsilt/internal/parallel"
 )
 
-// The loops convolveSeparable and morph ran before they grew interior
-// and separable paths, kept as references: the fast paths must return
-// the same bits.
+// The loops the Gaussian and the morphology ran before they grew
+// interior, separable and packed-word paths, kept as references: the
+// fast paths must return the same bits.
 
 func refConvolveSeparable(m *grid.Mat, k []float64) *grid.Mat {
 	radius := len(k) / 2
@@ -38,6 +39,16 @@ func refConvolveSeparable(m *grid.Mat, k []float64) *grid.Mat {
 		}
 	}
 	return out
+}
+
+// morph is one erosion or dilation of m through the packed path, with
+// the foreground Open and Close pack for it.
+func morph(m *grid.Mat, r int, erode bool) *grid.Mat {
+	fg := atLeast
+	if erode {
+		fg = notBelow
+	}
+	return pack(m, 0.5, fg).morph(r, erode).unpack()
 }
 
 func refMorph(m *grid.Mat, r int, erode bool) *grid.Mat {
@@ -131,24 +142,22 @@ func TestMorphBitIdentical(t *testing.T) {
 	for _, density := range []float64{0.1, 0.5, 0.9} {
 		for _, sh := range shapes {
 			if sh[0]*sh[1] > 64*64 && density != 0.5 {
-				continue // the shapes above the gate: one density keeps the reference loop's cost down
+				continue // the large shapes: one density keeps the reference loop's cost down
 			}
-			m := grid.NewMat(sh[0], sh[1])
-			for i := range m.Data {
-				if rng.Float64() < density {
-					m.Data[i] = 1
-				}
-			}
+			m := randBinary(rng, sh[0], sh[1], density)
 			for r := 0; r <= 7; r++ {
-				for _, erode := range []bool{true, false} {
-					want := refMorph(m, r, erode)
-					atWidths(func(width int) {
-						if got := morph(m, r, erode); !sameBits(got, want) {
-							t.Errorf("density %g, %dx%d, r=%d, erode=%v, width %d: differs from the window loop at %g pixels",
-								density, sh[0], sh[1], r, erode, width, got.L2Diff(want))
-						}
-					})
-				}
+				checkMorph(t, m, r, fmt.Sprintf("density %g", density))
+			}
+		}
+	}
+	// Widths either side of one and two packed words, heights below the
+	// 2r+1 rows of the window, and radii whose shifts cross whole words
+	// or reach past the plane.
+	for _, w := range []int{63, 64, 65, 127, 129} {
+		for _, h := range []int{1, 2, 3, 4, 9} {
+			m := randBinary(rng, h, w, 0.6)
+			for _, r := range []int{1, 2, 5, 63, 64, 65, w - 1, w, w + 1, 1000} {
+				checkMorph(t, m, r, "word edges")
 			}
 		}
 	}
@@ -160,12 +169,65 @@ func TestMorphBitIdentical(t *testing.T) {
 		m.Data[i] = []float64{0.2, 0.5, 0.8, math.NaN(), 1}[rng.Intn(5)]
 	}
 	for r := 0; r <= 3; r++ {
-		for _, erode := range []bool{true, false} {
-			if !sameBits(morph(m, r, erode), refMorph(m, r, erode)) {
-				t.Errorf("grey field, r=%d, erode=%v: differs from the window loop", r, erode)
-			}
+		checkMorph(t, m, r, "grey field")
+	}
+}
+
+func randBinary(rng *rand.Rand, h, w int, density float64) *grid.Mat {
+	m := grid.NewMat(h, w)
+	for i := range m.Data {
+		if rng.Float64() < density {
+			m.Data[i] = 1
 		}
 	}
+	return m
+}
+
+// checkMorph holds erosion, dilation, Open, Close and Clean of m at
+// radius r to their compositions of the window loop, bit for bit.
+func checkMorph(t *testing.T, m *grid.Mat, r int, what string) {
+	t.Helper()
+	check := func(name string, got, want *grid.Mat) {
+		t.Helper()
+		if !sameBits(got, want) {
+			t.Errorf("%s, %dx%d, r=%d: %s differs from the window loop", what, m.H, m.W, r, name)
+		}
+	}
+	erode, dilate := refMorph(m, r, true), refMorph(m, r, false)
+	check("erode", morph(m, r, true), erode)
+	check("dilate", morph(m, r, false), dilate)
+	if m.H*m.W > 64*64 {
+		return // the compositions' references cost too much here; the word-edge shapes hold them
+	}
+	open := refMorph(erode, r, false)
+	check("open", Open(m, r), open)
+	check("close", Close(m, r), refMorph(dilate, r, true))
+	const threshold = 0.5
+	cleaned := refMorph(refMorph(refMorph(refMorph(m.Binarize(threshold), r, true), r, false), r, false), r, true)
+	check("clean", Clean(m, threshold, r), cleaned)
+}
+
+// FuzzMorph holds the packed morphology to the window loop on any size,
+// radius and mix of binary, grey, signed-zero and NaN values.
+func FuzzMorph(f *testing.F) {
+	f.Add(uint8(5), uint8(7), uint8(2), []byte{0, 1, 1, 0, 2, 5})
+	f.Add(uint8(1), uint8(129), uint8(64), []byte{1, 0, 0, 1})
+	f.Add(uint8(3), uint8(64), uint8(200), []byte{1})
+	f.Add(uint8(70), uint8(65), uint8(65), []byte{0, 1, 3, 4, 6, 7})
+	values := []float64{0, 1, math.Copysign(0, -1), 0.5, 0.2, 0.8, math.NaN(), math.Nextafter(1, 2)}
+	f.Fuzz(func(t *testing.T, hRaw, wRaw, rRaw uint8, data []byte) {
+		// Widths past two packed words, radii past the width; the window
+		// loop's cost in r² keeps the plane small.
+		h, w := int(hRaw)%24+1, int(wRaw)%140+1
+		r := int(rRaw) % (w + 3)
+		m := grid.NewMat(h, w)
+		for i := range m.Data {
+			if len(data) > 0 {
+				m.Data[i] = values[int(data[i%len(data)])%len(values)]
+			}
+		}
+		checkMorph(t, m, r, "fuzz")
+	})
 }
 
 func BenchmarkOpen512(b *testing.B) {

@@ -14,19 +14,36 @@ func (m *Mat) Downsample(s int) *Mat {
 	if s == 1 {
 		return m.Clone()
 	}
-	h, w := m.H/s, m.W/s
-	out := NewMat(h, w)
+	return m.CropDownsample(0, 0, m.H, m.W, s)
+}
+
+// CropDownsample returns Crop(y0, x0, h, w).Downsample(s) bit for bit
+// without the h×w crop: each block is summed straight from m, in
+// Downsample's order. It is how a restricted Schwarz round reads its
+// coarse windows out of the full-resolution layout.
+func (m *Mat) CropDownsample(y0, x0, h, w, s int) *Mat {
+	if y0 < 0 || x0 < 0 || y0+h > m.H || x0+w > m.W {
+		panic(fmt.Sprintf("grid: CropDownsample (%d,%d)+%dx%d exceeds %dx%d", y0, x0, h, w, m.H, m.W))
+	}
+	if s <= 0 || h%s != 0 || w%s != 0 {
+		panic(fmt.Sprintf("grid: CropDownsample factor %d does not divide %dx%d", s, h, w))
+	}
+	if s == 1 {
+		return m.Crop(y0, x0, h, w)
+	}
+	oh, ow := h/s, w/s
+	out := NewMat(oh, ow)
 	inv := 1.0 / float64(s*s)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+	for y := 0; y < oh; y++ {
+		for x := 0; x < ow; x++ {
 			sum := 0.0
 			for dy := 0; dy < s; dy++ {
-				row := m.Data[(y*s+dy)*m.W+x*s:]
+				row := m.Data[(y0+y*s+dy)*m.W+x0+x*s:]
 				for dx := 0; dx < s; dx++ {
 					sum += row[dx]
 				}
 			}
-			out.Data[y*w+x] = sum * inv
+			out.Data[y*ow+x] = sum * inv
 		}
 	}
 	return out

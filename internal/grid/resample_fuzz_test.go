@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzRestrictInterp attacks the multigrid restriction/interpolation
-// pair (Downsample block averaging, UpsampleBilinear lifting) — the
+// pair (Downsample block averaging and its fused window form
+// CropDownsample, UpsampleBilinear lifting) — the
 // operators the two-level Schwarz correction round-trips layouts
 // through every stage. For any finite input on any divisible geometry:
 // no panic, exact output shapes, mass preservation under restriction
@@ -49,6 +50,13 @@ func FuzzRestrictInterp(f *testing.F) {
 		// Restriction preserves mass: the s² blocks partition the input.
 		if got, want := down.Sum()*float64(s*s), m.Sum(); math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
 			t.Fatalf("Downsample(%d) mass %g, want %g", s, got, want)
+		}
+		// The fused window restriction is the crop and the restriction
+		// bit for bit, on a window of any offset, clip edges included.
+		wh, ww := (int(wRaw)%(h/s)+1)*s, (int(hRaw)%(w/s)+1)*s
+		y0, x0 := int(sRaw)%(h-wh+1), len(data)%(w-ww+1)
+		if got, want := m.CropDownsample(y0, x0, wh, ww, s), m.Crop(y0, x0, wh, ww).Downsample(s); !bitsEqual(got, want) {
+			t.Fatalf("CropDownsample(%d, %d, %d, %d, %d) of %dx%d differs from Crop then Downsample", y0, x0, wh, ww, s, h, w)
 		}
 		up := down.UpsampleBilinear(s)
 		if up.H != h || up.W != w {

@@ -42,6 +42,86 @@ func TestDownsamplePanicsOnIndivisible(t *testing.T) {
 	NewMat(3, 4).Downsample(2)
 }
 
+// refDownsample is Downsample's block loop, kept as the reference for
+// the sum order both restrictions must keep.
+func refDownsample(m *Mat, s int) *Mat {
+	out := NewMat(m.H/s, m.W/s)
+	inv := 1.0 / float64(s*s)
+	for y := 0; y < out.H; y++ {
+		for x := 0; x < out.W; x++ {
+			sum := 0.0
+			for dy := 0; dy < s; dy++ {
+				for dx := 0; dx < s; dx++ {
+					sum += m.At(y*s+dy, x*s+dx)
+				}
+			}
+			out.Set(y, x, sum*inv)
+		}
+	}
+	return out
+}
+
+func bitsEqual(a, b *Mat) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCropDownsampleBitIdentical holds the fused window restriction to
+// Crop then Downsample, bit for bit, on windows inside the clip and on
+// every edge of it, with values whose sums depend on their order.
+func TestCropDownsampleBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := NewMat(48, 40)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-15))
+	}
+	for _, s := range []int{1, 2, 4} {
+		for _, win := range [][4]int{
+			{0, 0, 48, 40},  // the whole clip
+			{0, 0, 16, 8},   // top-left corner
+			{32, 32, 16, 8}, // bottom-right corner
+			{0, 24, 8, 16},  // top and right edges
+			{40, 0, 8, 12},  // bottom and left edges
+			{13, 7, 20, 24}, // inside, off the block grid
+			{5, 3, 4, 4},    // one block at s = 4
+		} {
+			y0, x0, h, w := win[0], win[1], win[2], win[3]
+			if h%s != 0 || w%s != 0 {
+				continue
+			}
+			want := m.Crop(y0, x0, h, w).Downsample(s)
+			got := m.CropDownsample(y0, x0, h, w, s)
+			if !bitsEqual(got, want) {
+				t.Errorf("s=%d, window (%d,%d)+%dx%d: differs from Crop then Downsample", s, y0, x0, h, w)
+			}
+			if s > 1 && !bitsEqual(got, refDownsample(m.Crop(y0, x0, h, w), s)) {
+				t.Errorf("s=%d, window (%d,%d)+%dx%d: differs from the block loop", s, y0, x0, h, w)
+			}
+		}
+	}
+	for name, f := range map[string]func(){
+		"outside":     func() { m.CropDownsample(40, 0, 16, 8, 2) },
+		"indivisible": func() { m.CropDownsample(0, 0, 6, 8, 4) },
+		"zero factor": func() { m.CropDownsample(0, 0, 8, 8, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestUpsampleBilinearConstant(t *testing.T) {
 	m := filled(3, 3, 2.5)
 	u := m.UpsampleBilinear(4)

@@ -583,8 +583,11 @@ func (s *Simulator) PrintResist(aerial *grid.Mat, dose float64) *grid.Mat {
 
 // Wafer runs the full mask→wafer pipeline of Eq. (4) at full
 // resolution: aerial image followed by the constant-threshold resist.
+// The pooled aerial image goes back to the pool once it is printed.
 func (s *Simulator) Wafer(mask *grid.Mat, cond Condition) *grid.Mat {
-	return s.PrintResist(s.Aerial(mask, cond), cond.Dose)
+	aerial := s.Aerial(mask, cond)
+	defer grid.PutMat(aerial)
+	return s.PrintResist(aerial, cond.Dose)
 }
 
 // LossOpts configures LossGrad.

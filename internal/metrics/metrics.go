@@ -52,6 +52,7 @@ func Inspect(sim *litho.Simulator, mask, target *grid.Mat) (l2, pvband float64) 
 	nominal := sim.Aerial(mask, sim.Nominal())
 	l2 = sim.PrintResist(nominal, sim.Nominal().Dose).L2Diff(target)
 	zout := sim.PrintResist(nominal, sim.Outer().Dose)
+	grid.PutMat(nominal)
 	zin := sim.Wafer(mask, sim.Inner())
 	return l2, zin.L2Diff(zout)
 }

@@ -96,8 +96,7 @@ func (s *MultiLevel) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) 
 		if err != nil {
 			return nil, err
 		}
-		mask = coarseMask.UpsampleBilinear(factor).BinarizeInPlace(0.5)
-		mask = filter.Close(filter.Open(mask, multiLevelClean), multiLevelClean)
+		mask = filter.Clean(coarseMask.UpsampleBilinear(factor), 0.5, multiLevelClean)
 	}
 
 	fp := p
